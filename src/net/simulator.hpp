@@ -16,8 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -149,10 +147,17 @@ class simulator {
   };
 
   void push(time_point at, std::function<void()> fn);
+  /// Pops the earliest event, advances `now_` to it and runs it. The
+  /// callback is moved out of the heap, never copied, so a captured
+  /// datagram payload is delivered without a copy.
+  void fire_next();
 
   time_point now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<event, std::vector<event>, event_later> queue_;
+  /// Binary heap under event_later (std::push_heap/pop_heap): the front
+  /// is the earliest (at, seq). A plain vector rather than
+  /// std::priority_queue, whose top() is const and so forces a copy.
+  std::vector<event> queue_;
   std::unordered_map<endpoint_id, handler> endpoints_;
   std::unordered_map<endpoint_id, path_config> paths_;
   path_config default_path_{};

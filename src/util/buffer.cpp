@@ -2,13 +2,6 @@
 
 namespace certquic {
 
-void buffer_writer::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void buffer_writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
 void buffer_writer::u24(std::uint32_t v) {
   if (v >= (1u << 24)) {
     throw codec_error("u24 overflow: " + std::to_string(v));
@@ -31,11 +24,7 @@ void buffer_writer::u64(std::uint64_t v) {
   }
 }
 
-void buffer_writer::raw(bytes_view v) { append(buf_, v); }
-
 void buffer_writer::raw(std::string_view v) { append(buf_, v); }
-
-void buffer_writer::zeros(std::size_t n) { append_zeros(buf_, n); }
 
 std::size_t buffer_writer::reserve_u16() {
   const std::size_t offset = buf_.size();
@@ -69,16 +58,9 @@ void buffer_writer::patch_u24(std::size_t offset, std::uint32_t v) {
   buf_[offset + 2] = static_cast<std::uint8_t>(v);
 }
 
-void buffer_reader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw codec_error("buffer underrun: need " + std::to_string(n) +
-                      " bytes, have " + std::to_string(remaining()));
-  }
-}
-
-std::uint8_t buffer_reader::u8() {
-  require(1);
-  return data_[pos_++];
+void buffer_reader::underrun(std::size_t n) const {
+  throw codec_error("buffer underrun: need " + std::to_string(n) +
+                    " bytes, have " + std::to_string(remaining()));
 }
 
 std::uint16_t buffer_reader::u16() {
@@ -116,23 +98,6 @@ std::uint64_t buffer_reader::u64() {
   }
   pos_ += 8;
   return v;
-}
-
-bytes_view buffer_reader::raw(std::size_t n) {
-  require(n);
-  const bytes_view v = data_.subspan(pos_, n);
-  pos_ += n;
-  return v;
-}
-
-std::uint8_t buffer_reader::peek_u8() const {
-  require(1);
-  return data_[pos_];
-}
-
-void buffer_reader::skip(std::size_t n) {
-  require(n);
-  pos_ += n;
 }
 
 }  // namespace certquic

@@ -25,9 +25,12 @@ class buffer_writer {
   buffer_writer() = default;
 
   /// Writes an 8-bit value.
-  void u8(std::uint8_t v);
+  void u8(std::uint8_t v) { buf_.push_back(v); }
   /// Writes a 16-bit value, big-endian.
-  void u16(std::uint16_t v);
+  void u16(std::uint16_t v) {
+    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
   /// Writes a 24-bit value, big-endian. Throws codec_error if v >= 2^24.
   void u24(std::uint32_t v);
   /// Writes a 32-bit value, big-endian.
@@ -35,11 +38,11 @@ class buffer_writer {
   /// Writes a 64-bit value, big-endian.
   void u64(std::uint64_t v);
   /// Appends raw bytes.
-  void raw(bytes_view v);
+  void raw(bytes_view v) { append(buf_, v); }
   /// Appends raw characters of a string (no terminator, no length prefix).
   void raw(std::string_view v);
   /// Appends `n` zero bytes.
-  void zeros(std::size_t n);
+  void zeros(std::size_t n) { append_zeros(buf_, n); }
 
   /// Reserves a 16-bit slot and returns its offset for later patching.
   [[nodiscard]] std::size_t reserve_u16();
@@ -75,7 +78,10 @@ class buffer_reader {
   explicit buffer_reader(bytes_view data) noexcept : data_(data) {}
 
   /// Reads an 8-bit value.
-  [[nodiscard]] std::uint8_t u8();
+  [[nodiscard]] std::uint8_t u8() {
+    require(1);
+    return data_[pos_++];
+  }
   /// Reads a 16-bit big-endian value.
   [[nodiscard]] std::uint16_t u16();
   /// Reads a 24-bit big-endian value.
@@ -85,12 +91,23 @@ class buffer_reader {
   /// Reads a 64-bit big-endian value.
   [[nodiscard]] std::uint64_t u64();
   /// Reads `n` raw bytes as a sub-view (no copy).
-  [[nodiscard]] bytes_view raw(std::size_t n);
+  [[nodiscard]] bytes_view raw(std::size_t n) {
+    require(n);
+    const bytes_view v = data_.subspan(pos_, n);
+    pos_ += n;
+    return v;
+  }
   /// Peeks at the next byte without consuming it.
-  [[nodiscard]] std::uint8_t peek_u8() const;
+  [[nodiscard]] std::uint8_t peek_u8() const {
+    require(1);
+    return data_[pos_];
+  }
 
   /// Skips `n` bytes. Throws codec_error if fewer remain.
-  void skip(std::size_t n);
+  void skip(std::size_t n) {
+    require(n);
+    pos_ += n;
+  }
 
   /// Bytes not yet consumed.
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -102,7 +119,14 @@ class buffer_reader {
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
 
  private:
-  void require(std::size_t n) const;
+  // The check is inline so the hot readers above stay call-free; the
+  // throw (and its message formatting) stays out of line.
+  void require(std::size_t n) const {
+    if (remaining() < n) {
+      underrun(n);
+    }
+  }
+  [[noreturn]] void underrun(std::size_t n) const;
 
   bytes_view data_;
   std::size_t pos_ = 0;

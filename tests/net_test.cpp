@@ -1,9 +1,14 @@
 // Unit tests for the network simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "net/address.hpp"
 #include "net/simulator.hpp"
+#include "util/buffer.hpp"
 #include "util/errors.hpp"
+#include "util/rng.hpp"
 
 namespace certquic::net {
 namespace {
@@ -275,6 +280,116 @@ TEST(Simulator, EqualTimestampDatagramsDeliverFifo) {
   }
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+/// Counts how often it is copied; moves are free. A callback capturing
+/// one reveals every copy the event loop makes of that callback.
+struct copy_counter {
+  int* copies;
+  explicit copy_counter(int* c) : copies(c) {}
+  copy_counter(const copy_counter& o) : copies(o.copies) { ++*copies; }
+  copy_counter(copy_counter&&) noexcept = default;
+  copy_counter& operator=(const copy_counter& o) {
+    copies = o.copies;
+    ++*copies;
+    return *this;
+  }
+  copy_counter& operator=(copy_counter&&) noexcept = default;
+};
+
+TEST(Simulator, DispatchCopiesNoCallback) {
+  simulator sim;
+  int copies = 0;
+  int fired = 0;
+  for (int i = 0; i < 16; ++i) {
+    sim.schedule(milliseconds(i % 4),
+                 [c = copy_counter{&copies}, &fired]() { ++fired; });
+  }
+  // Only dispatch is under test, not how std::function was built.
+  const int before = copies;
+  EXPECT_EQ(sim.run_until(milliseconds(1)), 8u);
+  EXPECT_EQ(sim.run(), 8u);
+  EXPECT_EQ(fired, 16);
+  EXPECT_EQ(copies, before);
+}
+
+TEST(Simulator, DispatchCopiesNoDatagram) {
+  // The buffer a handler sees is the very buffer handed to send(): the
+  // payload was moved all the way through the event heap, never copied
+  // (a copy would need a second, live allocation).
+  simulator sim;
+  std::vector<const std::uint8_t*> sent;
+  std::vector<const std::uint8_t*> seen;
+  sim.attach(kB, [&](const datagram& d) { seen.push_back(d.payload.data()); });
+  for (int i = 0; i < 6; ++i) {
+    bytes payload = payload_of(1200);
+    sent.push_back(payload.data());
+    sim.send({kA, kB, std::move(payload)});
+  }
+  sim.run_until(milliseconds(10), 3);
+  sim.run();
+  EXPECT_EQ(seen, sent);
+}
+
+TEST(Simulator, FireOrderIsStableSortOnTimeThenSeq) {
+  // Handlers schedule timers and send datagrams at colliding instants
+  // (delays of 0-3 ms, a 1 ms path). Whatever the interleaving, events
+  // must fire in the order a stable sort by time gives the list of
+  // everything scheduled, kept in scheduling (= seq) order.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    simulator sim;
+    rng r{seed};
+    path_config path;
+    path.one_way_delay = milliseconds(1);
+    sim.set_path_to(kB, path);
+    std::vector<time_point> due;  // index = event id = scheduling order
+    std::vector<std::size_t> fired;
+    std::function<void(std::size_t)> on_fire;
+    const auto schedule_one = [&]() {
+      const std::size_t id = due.size();
+      if (r.chance(0.3)) {
+        due.push_back(sim.now() + milliseconds(1));
+        buffer_writer w;
+        w.u32(static_cast<std::uint32_t>(id));
+        sim.send({kA, kB, std::move(w).take()});
+      } else {
+        const duration delay = milliseconds(r.uniform(0, 3));
+        due.push_back(sim.now() + delay);
+        sim.schedule(delay, [&on_fire, id]() { on_fire(id); });
+      }
+    };
+    on_fire = [&](std::size_t id) {
+      EXPECT_EQ(sim.now(), due[id]) << "event " << id;
+      fired.push_back(id);
+      if (due.size() < 3000) {
+        for (auto n = r.uniform(0, 2); n > 0; --n) {
+          schedule_one();
+        }
+      }
+    };
+    sim.attach(kB, [&](const datagram& d) {
+      buffer_reader rd{d.payload};
+      on_fire(rd.u32());
+    });
+    for (int i = 0; i < 64; ++i) {
+      schedule_one();
+    }
+    // Exercise both drains, including a max_events exit mid-instant.
+    sim.run_until(milliseconds(5), 50);
+    sim.run_until(milliseconds(12));
+    sim.run();
+
+    std::vector<std::size_t> expected(due.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      expected[i] = i;
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return due[a] < due[b];
+                     });
+    EXPECT_GT(due.size(), 200u) << "seed " << seed;
+    EXPECT_EQ(fired, expected) << "seed " << seed;
+  }
 }
 
 TEST(NetworkCondition, DefaultMatchesHistoricalPath) {

@@ -86,6 +86,108 @@ TEST(Frames, ParseRoundTrip) {
   EXPECT_TRUE(acc.ack_eliciting);
 }
 
+// ---- PADDING runs ---------------------------------------------------------
+
+bytes zeros(std::size_t n) { return bytes(n, 0); }
+
+bytes frames_payload(const std::vector<frame>& frames) {
+  buffer_writer w;
+  for (const auto& f : frames) {
+    write_frame(w, f);
+  }
+  return std::move(w).take();
+}
+
+bytes concat(std::initializer_list<bytes_view> parts) {
+  bytes out;
+  for (const auto part : parts) {
+    append(out, part);
+  }
+  return out;
+}
+
+TEST(FramesPadding, RunCollapsesToOneFrameWhereverItSits) {
+  const bytes crypto = frames_payload({crypto_frame{7, bytes(40, 0xc3)}});
+  const bytes ping = frames_payload({ping_frame{}});
+  const bytes ack = frames_payload({ack_frame{9}});
+  // Run lengths around the scan's 8-byte word, plus a long one.
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 1003u}) {
+    SCOPED_TRACE(n);
+    const auto leading = parse_frames(concat({zeros(n), crypto}));
+    ASSERT_EQ(leading.size(), 2u);
+    EXPECT_EQ(std::get<padding_frame>(leading[0]).count, n);
+    EXPECT_EQ(std::get<crypto_frame>(leading[1]).offset, 7u);
+
+    const auto between = parse_frames(concat({ping, zeros(n), ack}));
+    ASSERT_EQ(between.size(), 3u);
+    EXPECT_TRUE(std::holds_alternative<ping_frame>(between[0]));
+    EXPECT_EQ(std::get<padding_frame>(between[1]).count, n);
+    EXPECT_EQ(std::get<ack_frame>(between[2]).largest, 9u);
+
+    const auto trailing = parse_frames(concat({crypto, zeros(n)}));
+    ASSERT_EQ(trailing.size(), 2u);
+    EXPECT_EQ(std::get<padding_frame>(trailing[1]).count, n);
+
+    const auto only = parse_frames(zeros(n));
+    ASSERT_EQ(only.size(), 1u);
+    EXPECT_EQ(std::get<padding_frame>(only[0]).count, n);
+  }
+  EXPECT_TRUE(parse_frames({}).empty());
+}
+
+TEST(FramesPadding, TrailingRunStopsAtTheAeadTag) {
+  // The tag placeholder is zero bytes too; the packet's length field,
+  // not the padding scan, decides where the frames end.
+  for (const packet_type type : {packet_type::initial,
+                                 packet_type::handshake,
+                                 packet_type::one_rtt}) {
+    for (const std::size_t n : {1u, 8u, 13u, 900u}) {
+      packet p;
+      p.type = type;
+      p.dcid = bytes(8, 0x5d);
+      p.frames = {crypto_frame{0, bytes(33, 0x44)}, padding_frame{n}};
+      const bytes wire = encode_datagram({p});
+      const auto parsed = parse_datagram(wire);
+      ASSERT_EQ(parsed.size(), 1u);
+      ASSERT_EQ(parsed[0].frames.size(), 2u);
+      EXPECT_EQ(std::get<padding_frame>(parsed[0].frames[1]).count, n);
+      EXPECT_EQ(parsed[0].wire_size(), wire.size());
+    }
+  }
+}
+
+TEST(FramesPadding, PaddingOnlyPacketRoundTrips) {
+  packet p;
+  p.type = packet_type::handshake;
+  p.dcid = bytes(8, 0x21);
+  p.frames = {padding_frame{1170}};
+  const bytes wire = encode_datagram({p});
+  const auto parsed = parse_datagram(wire);
+  ASSERT_EQ(parsed.size(), 1u);
+  ASSERT_EQ(parsed[0].frames.size(), 1u);
+  EXPECT_EQ(std::get<padding_frame>(parsed[0].frames[0]).count, 1170u);
+  EXPECT_EQ(encode_datagram(parsed), wire);
+}
+
+TEST(FramesPadding, MalformedFrameAfterARunStillThrows) {
+  for (const std::size_t n : {1u, 8u, 21u, 640u}) {
+    SCOPED_TRACE(n);
+    // CRYPTO whose length varint promises more bytes than remain.
+    EXPECT_THROW(
+        (void)parse_frames(concat({zeros(n), bytes{0x06, 0x00, 0x10, 0xaa}})),
+        codec_error);
+    // A frame type cut off before its first field.
+    EXPECT_THROW((void)parse_frames(concat({zeros(n), bytes{0x06}})),
+                 codec_error);
+    // A two-byte varint cut in half.
+    EXPECT_THROW((void)parse_frames(concat({zeros(n), bytes{0x02, 0x40}})),
+                 codec_error);
+    // An unknown frame type.
+    EXPECT_THROW((void)parse_frames(concat({zeros(n), bytes{0x1f}})),
+                 codec_error);
+  }
+}
+
 TEST(Frames, AckOnlyIsNotAckEliciting) {
   const auto acc = account({ack_frame{1}, padding_frame{10}});
   EXPECT_FALSE(acc.ack_eliciting);
@@ -618,6 +720,94 @@ TEST_P(ParserFuzz, BitFlippedDatagramsAreSafe) {
       (void)parse_datagram(mutated);
     } catch (const codec_error&) {
     }
+  }
+}
+
+TEST_P(ParserFuzz, ZeroRunsSplicedAnywhereAreSafe) {
+  rng r{GetParam() ^ 0x2e60};
+  packet init;
+  init.type = packet_type::initial;
+  init.dcid.resize(8);
+  r.fill(init.dcid);
+  bytes crypto(500);
+  r.fill(crypto);
+  init.frames.push_back(crypto_frame{0, crypto});
+  std::vector<packet> dgram{init};
+  (void)pad_datagram_to(dgram, 1200);
+  const bytes wire = encode_datagram(dgram);
+  for (int round = 0; round < 300; ++round) {
+    bytes mutated = wire;
+    const auto at = static_cast<long>(r.uniform(0, mutated.size()));
+    const auto run = static_cast<std::size_t>(r.uniform(1, 1500));
+    mutated.insert(mutated.begin() + at, run, std::uint8_t{0});
+    if (r.chance(0.5)) {
+      mutated.resize(static_cast<std::size_t>(r.uniform(0, mutated.size())));
+    }
+    try {
+      (void)parse_datagram(mutated);
+    } catch (const codec_error&) {
+    }
+    try {
+      (void)parse_frames(mutated);
+    } catch (const codec_error&) {
+    }
+  }
+}
+
+TEST_P(ParserFuzz, ZeroRunsAtFrameBoundariesCollapse) {
+  // Splicing zero runs between well-formed frames yields the same frames
+  // with the runs as single padding_frames: no two PADDING frames are
+  // adjacent, the padding total is exact, and re-encoding gives back
+  // the input byte for byte.
+  rng r{GetParam() ^ 0xb0d5};
+  for (int round = 0; round < 200; ++round) {
+    std::vector<bytes> pieces;
+    std::size_t real_frames = 0;
+    for (auto n = r.uniform(0, 6); n > 0; --n) {
+      bytes data(static_cast<std::size_t>(r.uniform(0, 300)));
+      r.fill(data);
+      switch (r.uniform(0, 3)) {
+        case 0:
+          pieces.push_back(frames_payload({ping_frame{}}));
+          break;
+        case 1:
+          pieces.push_back(frames_payload({ack_frame{r.uniform(0, 99999)}}));
+          break;
+        case 2:
+          pieces.push_back(frames_payload(
+              {crypto_frame{r.uniform(0, 5000), std::move(data)}}));
+          break;
+        default:
+          pieces.push_back(frames_payload(
+              {stream_frame{r.uniform(0, 9), r.uniform(0, 70000),
+                            std::move(data)}}));
+          break;
+      }
+      ++real_frames;
+    }
+    // At most one run per gap (before, between and after the frames).
+    bytes payload;
+    std::size_t padding = 0;
+    std::size_t runs = 0;
+    for (std::size_t i = 0; i <= pieces.size(); ++i) {
+      if (r.chance(0.5)) {
+        const auto n = static_cast<std::size_t>(r.uniform(1, 1200));
+        append_zeros(payload, n);
+        padding += n;
+        ++runs;
+      }
+      if (i < pieces.size()) {
+        append(payload, pieces[i]);
+      }
+    }
+    const auto parsed = parse_frames(payload);
+    EXPECT_EQ(parsed.size(), real_frames + runs);
+    EXPECT_EQ(account(parsed).padding, padding);
+    for (std::size_t i = 1; i < parsed.size(); ++i) {
+      EXPECT_FALSE(std::holds_alternative<padding_frame>(parsed[i - 1]) &&
+                   std::holds_alternative<padding_frame>(parsed[i]));
+    }
+    EXPECT_EQ(frames_payload(parsed), payload);
   }
 }
 

@@ -31,7 +31,12 @@
 #                                   # corpus, spill, epochs) on the smoke
 #                                   # population, assemble
 #                                   # build/BENCH_throughput.json and
-#                                   # sanity-check its keys.
+#                                   # sanity-check its keys; then a short
+#                                   # traced certbench census_sweep run
+#                                   # that must report "correct": true
+#                                   # (replica fidelity, codec round
+#                                   # trip, thread invariance, spill
+#                                   # replay and the pinned digest).
 #   tools/verify.sh --analyze       # build + architecture analyzer only:
 #                                   # include-graph layering against
 #                                   # tools/layers.txt, IWYU-lite header
@@ -248,6 +253,31 @@ CERTQUIC_PQ_PROFILE=classical"
   return "$tp_status"
 }
 
+# Benchmark self-check smoke: a 2-second traced census_sweep run of the
+# certbench harness. Its final JSON line carries "correct": true only
+# when every self-check passed and the seed-42 digest matches
+# certbench/reference.json. Expects cwd = repo root; builds into
+# .bench_build/ like any certbench run.
+certbench_check() {
+  cb_out=$(mktemp)
+  cb_status=0
+  if ! python3 certbench/run.py --workload census_sweep --seed 42 \
+       --seconds 2 --trace 1 > "$cb_out"; then
+    echo "FAIL bench: certbench census_sweep exited nonzero"
+    cb_status=1
+  elif tail -n 1 "$cb_out" | python3 -c \
+       'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
+  then
+    echo "OK   bench: certbench census_sweep self-checks and digest correct"
+  else
+    echo "FAIL bench: certbench census_sweep reported \"correct\": false"
+    grep '^check\|^reference' "$cb_out" || true
+    cb_status=1
+  fi
+  rm -f "$cb_out"
+  return "$cb_status"
+}
+
 # Flags may appear in any order; everything unrecognized is passed on
 # to ctest.
 docs_only=0
@@ -354,6 +384,7 @@ if [ "$bench" -eq 1 ] && [ -z "$engine_threads" ]; then
   status=0
   bench_check || status=1
   cd "$repo_root"
+  certbench_check || status=1
   docs_check || status=1
   exit "$status"
 fi
@@ -425,6 +456,9 @@ if [ "$bench" -eq 1 ]; then
   bench_check || status=1
 fi
 cd "$repo_root"
+if [ "$bench" -eq 1 ]; then
+  certbench_check || status=1
+fi
 lint_check || status=1
 if [ "$analyze_only" -eq 1 ]; then
   analyze_check || status=1
