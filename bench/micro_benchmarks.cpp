@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks for library primitives: varint
-// encoding, certificate issuance, LZ compression and TLS flight build.
-// Datagram parse and whole-handshake cost are measured by the benchmark
-// harness instead (certbench --trace 1: quic.parse_us, scan.probe_us_p50).
+// encoding, LZ compression and TLS flight build. Chain issuance,
+// datagram parse and whole-handshake cost are measured by the benchmark
+// harness instead (certbench --trace 1: internet.chain_of_us,
+// quic.parse_us, scan.probe_us_p50).
 #include <benchmark/benchmark.h>
 
 #include "ca/ecosystem.hpp"
@@ -30,17 +31,6 @@ void BM_VarintEncode(benchmark::State& state) {
                           static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_VarintEncode);
-
-void BM_CertificateIssue(benchmark::State& state) {
-  auto eco = ca::ecosystem::make();
-  const auto& profile = eco.profile("le-r3-x1cross");
-  rng r{2};
-  for (auto _ : state) {
-    const auto chain = eco.issue(profile, "bench.example", r);
-    benchmark::DoNotOptimize(chain.wire_size());
-  }
-}
-BENCHMARK(BM_CertificateIssue);
 
 void BM_LzCompressChain(benchmark::State& state) {
   auto eco = ca::ecosystem::make();

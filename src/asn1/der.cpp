@@ -5,121 +5,150 @@
 namespace certquic::asn1 {
 namespace {
 
-bytes concat(std::initializer_list<bytes_view> elements) {
-  bytes out;
-  std::size_t total = 0;
-  for (const auto& e : elements) {
-    total += e.size();
+bytes_view as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+/// Number of octets of the long-form length encoding of `length`.
+std::size_t length_octets(std::size_t length) {
+  std::size_t n = 0;
+  for (std::size_t v = length; v > 0; v >>= 8) {
+    ++n;
   }
-  out.reserve(total);
-  for (const auto& e : elements) {
-    append(out, e);
+  return n;
+}
+
+/// Writes `length` big-endian into the `n` octets at `out`.
+void put_length(std::uint8_t* out, std::size_t length, std::size_t n) {
+  for (std::size_t i = n; i > 0; --i) {
+    out[i - 1] = static_cast<std::uint8_t>(length & 0xff);
+    length >>= 8;
   }
-  return out;
 }
 
-bytes encode_string(tag t, std::string_view s) {
-  return wrap(t, bytes_view{reinterpret_cast<const std::uint8_t*>(s.data()),
-                            s.size()});
-}
-
-}  // namespace
-
-bytes encode_header(std::uint8_t tag_byte, std::size_t length) {
-  bytes out;
-  out.push_back(tag_byte);
-  if (length < 0x80) {
-    out.push_back(static_cast<std::uint8_t>(length));
-    return out;
-  }
-  // Long form: minimal number of length octets (DER requirement).
-  bytes len_octets;
-  std::size_t v = length;
-  while (v > 0) {
-    len_octets.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
-  out.push_back(static_cast<std::uint8_t>(0x80 | len_octets.size()));
-  out.insert(out.end(), len_octets.rbegin(), len_octets.rend());
-  return out;
-}
-
-bytes wrap(std::uint8_t tag_byte, bytes_view content) {
-  bytes out = encode_header(tag_byte, content.size());
-  append(out, content);
-  return out;
-}
-
-bytes wrap(tag t, bytes_view content) {
-  return wrap(static_cast<std::uint8_t>(t), content);
-}
-
-bytes sequence(std::initializer_list<bytes_view> elements) {
-  return wrap(tag::sequence, concat(elements));
-}
-
-bytes sequence(const std::vector<bytes>& elements) {
-  bytes content;
-  for (const auto& e : elements) {
-    append(content, e);
-  }
-  return wrap(tag::sequence, content);
-}
-
-bytes set(std::initializer_list<bytes_view> elements) {
-  return wrap(tag::set, concat(elements));
-}
-
-bytes context(unsigned n, bytes_view content, bool constructed) {
-  if (n > 30) {
-    throw codec_error("context tag > 30 not supported");
-  }
-  const auto tag_byte = static_cast<std::uint8_t>(
-      0x80 | (constructed ? 0x20 : 0x00) | n);
-  return wrap(tag_byte, content);
-}
-
-bytes encode_integer(std::int64_t v) {
-  // Build the minimal two's-complement representation.
-  bytes content;
-  bool more = true;
-  while (more) {
-    const auto octet = static_cast<std::uint8_t>(v & 0xff);
-    v >>= 8;
-    content.insert(content.begin(), octet);
-    const bool sign_bit = (octet & 0x80) != 0;
-    more = !((v == 0 && !sign_bit) || (v == -1 && sign_bit));
-  }
-  return wrap(tag::integer, content);
-}
-
-bytes encode_big_integer(bytes_view magnitude) {
-  std::size_t start = 0;
-  while (start + 1 < magnitude.size() && magnitude[start] == 0) {
-    ++start;
-  }
-  bytes content;
-  if (magnitude.empty()) {
-    content.push_back(0);
-  } else {
-    if (magnitude[start] & 0x80) {
-      content.push_back(0);  // keep the value positive
-    }
-    content.insert(content.end(), magnitude.begin() + static_cast<long>(start),
-                   magnitude.end());
-  }
-  return wrap(tag::integer, content);
-}
-
-bytes encode_oid(const oid& arcs) {
+/// The combined first subidentifier, arcs[0] * 40 + arcs[1]. Throws when
+/// the arcs are not a valid OID root or the value would not fit the 32
+/// bits every arc decodes into.
+std::uint32_t first_subidentifier(const oid& arcs) {
   if (arcs.size() < 2) {
     throw codec_error("OID needs at least two arcs");
   }
   if (arcs[0] > 2 || (arcs[0] < 2 && arcs[1] >= 40)) {
     throw codec_error("invalid OID root arcs");
   }
-  bytes content;
-  auto push_base128 = [&content](std::uint32_t v) {
+  const std::uint64_t first =
+      std::uint64_t{arcs[0]} * 40 + std::uint64_t{arcs[1]};
+  if (first > 0xffff'ffffULL) {
+    throw codec_error("OID first subidentifier exceeds 32 bits");
+  }
+  return static_cast<std::uint32_t>(first);
+}
+
+}  // namespace
+
+std::uint8_t context_tag(unsigned n, bool constructed) {
+  if (n > 30) {
+    throw codec_error("context tag > 30 not supported");
+  }
+  return static_cast<std::uint8_t>(0x80 | (constructed ? 0x20 : 0x00) | n);
+}
+
+// --- der_writer ------------------------------------------------------------
+
+void der_writer::open(std::uint8_t tag_byte) {
+  if (depth_ == kMaxDepth) {
+    throw codec_error("der_writer nesting too deep");
+  }
+  buf_.push_back(tag_byte);
+  open_[depth_++] = buf_.size();
+  buf_.push_back(0);  // short-form placeholder, fixed up by close()
+}
+
+void der_writer::close() {
+  if (depth_ == 0) {
+    throw codec_error("der_writer::close without an open element");
+  }
+  const std::size_t at = open_[--depth_];
+  const std::size_t length = buf_.size() - at - 1;
+  if (length < 0x80) {
+    buf_[at] = static_cast<std::uint8_t>(length);
+    return;
+  }
+  // Long form: shift the content right by the extra length octets.
+  const std::size_t n = length_octets(length);
+  buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(at + 1), n,
+              std::uint8_t{0});
+  buf_[at] = static_cast<std::uint8_t>(0x80 | n);
+  put_length(buf_.data() + at + 1, length, n);
+}
+
+void der_writer::header(std::uint8_t tag_byte, std::size_t length) {
+  buf_.push_back(tag_byte);
+  if (length < 0x80) {
+    buf_.push_back(static_cast<std::uint8_t>(length));
+    return;
+  }
+  // Long form: minimal number of length octets (DER requirement).
+  const std::size_t n = length_octets(length);
+  buf_.push_back(static_cast<std::uint8_t>(0x80 | n));
+  put_length(append(n), length, n);
+}
+
+void der_writer::tlv(std::uint8_t tag_byte, bytes_view content) {
+  header(tag_byte, content.size());
+  raw(content);
+}
+
+void der_writer::tlv(std::uint8_t tag_byte, std::string_view content) {
+  tlv(tag_byte, as_bytes(content));
+}
+
+std::uint8_t* der_writer::append(std::size_t n) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  return buf_.data() + at;
+}
+
+void der_writer::integer(std::int64_t v) {
+  // Minimal two's-complement octets, least significant first.
+  std::uint8_t octets[8];
+  std::size_t n = 0;
+  bool more = true;
+  while (more) {
+    const auto octet = static_cast<std::uint8_t>(v & 0xff);
+    v >>= 8;
+    octets[n++] = octet;
+    const bool sign_bit = (octet & 0x80) != 0;
+    more = !((v == 0 && !sign_bit) || (v == -1 && sign_bit));
+  }
+  header(tag::integer, n);
+  for (std::size_t i = n; i > 0; --i) {
+    buf_.push_back(octets[i - 1]);
+  }
+}
+
+void der_writer::big_integer(bytes_view magnitude) {
+  if (magnitude.empty()) {
+    header(tag::integer, 1);
+    u8(0);
+    return;
+  }
+  std::size_t start = 0;
+  while (start + 1 < magnitude.size() && magnitude[start] == 0) {
+    ++start;
+  }
+  const bytes_view digits = magnitude.subspan(start);
+  const bool pad = (digits[0] & 0x80) != 0;  // keep the value positive
+  header(tag::integer, digits.size() + (pad ? 1 : 0));
+  if (pad) {
+    u8(0);
+  }
+  raw(digits);
+}
+
+void der_writer::oid(const asn1::oid& arcs) {
+  const std::uint32_t first = first_subidentifier(arcs);
+  auto push_base128 = [this](std::uint32_t v) {
     std::uint8_t chunks[5];
     int n = 0;
     do {
@@ -127,57 +156,143 @@ bytes encode_oid(const oid& arcs) {
       v >>= 7;
     } while (v > 0);
     for (int i = n - 1; i > 0; --i) {
-      content.push_back(static_cast<std::uint8_t>(chunks[i] | 0x80));
+      u8(static_cast<std::uint8_t>(chunks[i] | 0x80));
     }
-    content.push_back(chunks[0]);
+    u8(chunks[0]);
   };
-  push_base128(arcs[0] * 40 + arcs[1]);
+  open(tag::object_identifier);
+  push_base128(first);
   for (std::size_t i = 2; i < arcs.size(); ++i) {
     push_base128(arcs[i]);
   }
-  return wrap(tag::object_identifier, content);
+  close();
 }
 
-bytes encode_bit_string(bytes_view data, std::uint8_t unused_bits) {
+void der_writer::bit_string(bytes_view data, std::uint8_t unused_bits) {
   if (unused_bits > 7) {
     throw codec_error("bit string unused_bits > 7");
   }
-  bytes content;
-  content.reserve(data.size() + 1);
-  content.push_back(unused_bits);
-  append(content, data);
-  return wrap(tag::bit_string, content);
+  header(tag::bit_string, data.size() + 1);
+  u8(unused_bits);
+  raw(data);
 }
 
-bytes encode_octet_string(bytes_view data) {
-  return wrap(tag::octet_string, data);
+void der_writer::boolean(bool v) {
+  header(tag::boolean, 1);
+  u8(v ? 0xff : 0x00);
 }
 
-bytes encode_boolean(bool v) {
-  const std::uint8_t octet = v ? 0xff : 0x00;
-  return wrap(tag::boolean, bytes_view{&octet, 1});
+void der_writer::printable_string(std::string_view s) {
+  tlv(static_cast<std::uint8_t>(tag::printable_string), s);
 }
 
-bytes encode_null() { return wrap(tag::null_value, bytes_view{}); }
-
-bytes encode_printable_string(std::string_view s) {
-  return encode_string(tag::printable_string, s);
+void der_writer::utf8_string(std::string_view s) {
+  tlv(static_cast<std::uint8_t>(tag::utf8_string), s);
 }
 
-bytes encode_utf8_string(std::string_view s) {
-  return encode_string(tag::utf8_string, s);
+void der_writer::ia5_string(std::string_view s) {
+  tlv(static_cast<std::uint8_t>(tag::ia5_string), s);
 }
 
-bytes encode_ia5_string(std::string_view s) {
-  return encode_string(tag::ia5_string, s);
-}
-
-bytes encode_utc_time(std::string_view s) {
+void der_writer::utc_time(std::string_view s) {
   if (s.size() != 13 || s.back() != 'Z') {
     throw codec_error("UTCTime must be YYMMDDHHMMSSZ");
   }
-  return encode_string(tag::utc_time, s);
+  tlv(static_cast<std::uint8_t>(tag::utc_time), s);
 }
+
+bytes der_writer::take() && {
+  if (depth_ != 0) {
+    throw codec_error("der_writer::take with an open element");
+  }
+  return std::move(buf_);
+}
+
+// --- bytes-returning wrappers ----------------------------------------------
+
+namespace {
+
+/// Runs `write` against a fresh writer and returns its bytes.
+template <typename Write>
+bytes encode(Write&& write) {
+  der_writer w;
+  write(w);
+  return std::move(w).take();
+}
+
+}  // namespace
+
+bytes encode_header(std::uint8_t tag_byte, std::size_t length) {
+  return encode([&](der_writer& w) { w.header(tag_byte, length); });
+}
+
+bytes wrap(std::uint8_t tag_byte, bytes_view content) {
+  return encode([&](der_writer& w) { w.tlv(tag_byte, content); });
+}
+
+bytes wrap(tag t, bytes_view content) {
+  return wrap(static_cast<std::uint8_t>(t), content);
+}
+
+bytes sequence(std::initializer_list<bytes_view> elements) {
+  return encode([&](der_writer& w) {
+    w.open(tag::sequence);
+    for (const bytes_view e : elements) {
+      w.raw(e);
+    }
+    w.close();
+  });
+}
+
+bytes context(unsigned n, bytes_view content, bool constructed) {
+  return wrap(context_tag(n, constructed), content);
+}
+
+bytes encode_integer(std::int64_t v) {
+  return encode([&](der_writer& w) { w.integer(v); });
+}
+
+bytes encode_big_integer(bytes_view magnitude) {
+  return encode([&](der_writer& w) { w.big_integer(magnitude); });
+}
+
+bytes encode_oid(const oid& arcs) {
+  return encode([&](der_writer& w) { w.oid(arcs); });
+}
+
+bytes encode_bit_string(bytes_view data, std::uint8_t unused_bits) {
+  return encode([&](der_writer& w) { w.bit_string(data, unused_bits); });
+}
+
+bytes encode_octet_string(bytes_view data) {
+  return encode([&](der_writer& w) { w.octet_string(data); });
+}
+
+bytes encode_boolean(bool v) {
+  return encode([&](der_writer& w) { w.boolean(v); });
+}
+
+bytes encode_null() {
+  return encode([](der_writer& w) { w.null(); });
+}
+
+bytes encode_printable_string(std::string_view s) {
+  return encode([&](der_writer& w) { w.printable_string(s); });
+}
+
+bytes encode_utf8_string(std::string_view s) {
+  return encode([&](der_writer& w) { w.utf8_string(s); });
+}
+
+bytes encode_ia5_string(std::string_view s) {
+  return encode([&](der_writer& w) { w.ia5_string(s); });
+}
+
+bytes encode_utc_time(std::string_view s) {
+  return encode([&](der_writer& w) { w.utc_time(s); });
+}
+
+// --- decoding ---------------------------------------------------------------
 
 tlv read_tlv(buffer_reader& r) {
   tlv out;

@@ -41,6 +41,79 @@ enum class tag : std::uint8_t {
 /// Object identifier as a list of arcs, e.g. {2, 5, 4, 3} for id-at-cn.
 using oid = std::vector<std::uint32_t>;
 
+/// Builds a context-specific tag byte [n]; constructed if `constructed`.
+/// Throws codec_error for n > 30 (the high-tag-number form is unused).
+[[nodiscard]] std::uint8_t context_tag(unsigned n, bool constructed = true);
+
+/// The one DER encoder: every element is written into a single growing
+/// buffer. Constructed elements nest with open()/close(). open() writes
+/// the tag and a one-byte length placeholder; close() back-patches the
+/// minimal definite length and shifts the content right only when the
+/// long length form is needed. Primitive writers append a complete TLV.
+class der_writer {
+ public:
+  der_writer() = default;
+  explicit der_writer(std::size_t capacity) { buf_.reserve(capacity); }
+
+  /// Starts a constructed (or content-wrapping) element.
+  void open(std::uint8_t tag_byte);
+  void open(tag t) { open(static_cast<std::uint8_t>(t)); }
+  /// Ends the innermost open element. Throws codec_error when none is
+  /// open.
+  void close();
+
+  /// Tag plus the minimal definite-length encoding of `length`.
+  void header(std::uint8_t tag_byte, std::size_t length);
+  void header(tag t, std::size_t length) {
+    header(static_cast<std::uint8_t>(t), length);
+  }
+  /// A complete TLV around `content`.
+  void tlv(std::uint8_t tag_byte, bytes_view content);
+  void tlv(tag t, bytes_view content) {
+    tlv(static_cast<std::uint8_t>(t), content);
+  }
+  void tlv(std::uint8_t tag_byte, std::string_view content);
+
+  /// Pre-encoded bytes, copied verbatim.
+  void raw(bytes_view der) { buf_.insert(buf_.end(), der.begin(), der.end()); }
+  void u8(std::uint8_t v) { buf_.push_back(v); }
+  /// Appends `n` zero bytes and returns a pointer to them, valid until
+  /// the next write; lets callers fill key material in place.
+  [[nodiscard]] std::uint8_t* append(std::size_t n);
+
+  void integer(std::int64_t v);
+  void big_integer(bytes_view magnitude);
+  void oid(const asn1::oid& arcs);
+  void bit_string(bytes_view data, std::uint8_t unused_bits = 0);
+  void octet_string(bytes_view data) { tlv(tag::octet_string, data); }
+  void boolean(bool v);
+  void null() { header(tag::null_value, 0); }
+  void printable_string(std::string_view s);
+  void utf8_string(std::string_view s);
+  void ia5_string(std::string_view s);
+  /// UTCTime, `s` must be "YYMMDDHHMMSSZ" (13 chars).
+  void utc_time(std::string_view s);
+
+  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  [[nodiscard]] bytes_view view() const noexcept { return buf_; }
+  /// Drops the content and every open element; keeps the capacity.
+  void clear() noexcept {
+    buf_.clear();
+    depth_ = 0;
+  }
+  /// The encoded bytes. Throws codec_error while an element is open.
+  [[nodiscard]] bytes take() &&;
+
+  /// Deepest nesting open() accepts; X.509 needs at most about 12.
+  static constexpr std::size_t kMaxDepth = 24;
+
+ private:
+  bytes buf_;
+  /// Offset of each open element's length placeholder.
+  std::size_t open_[kMaxDepth] = {};
+  std::size_t depth_ = 0;
+};
+
 /// Encodes the definite-length header for `length` content bytes.
 [[nodiscard]] bytes encode_header(std::uint8_t tag_byte, std::size_t length);
 
@@ -48,12 +121,8 @@ using oid = std::vector<std::uint32_t>;
 [[nodiscard]] bytes wrap(std::uint8_t tag_byte, bytes_view content);
 [[nodiscard]] bytes wrap(tag t, bytes_view content);
 
-/// SEQUENCE of pre-encoded elements (concatenated, then wrapped).
+/// SEQUENCE of pre-encoded elements.
 [[nodiscard]] bytes sequence(std::initializer_list<bytes_view> elements);
-[[nodiscard]] bytes sequence(const std::vector<bytes>& elements);
-
-/// SET OF pre-encoded elements.
-[[nodiscard]] bytes set(std::initializer_list<bytes_view> elements);
 
 /// Context-specific tag [n]; constructed if `constructed`.
 [[nodiscard]] bytes context(unsigned n, bytes_view content,
@@ -68,7 +137,8 @@ using oid = std::vector<std::uint32_t>;
 [[nodiscard]] bytes encode_big_integer(bytes_view magnitude);
 
 /// OBJECT IDENTIFIER with standard arc packing. Throws codec_error on
-/// fewer than two arcs or first-arc constraints violated.
+/// fewer than two arcs, first-arc constraints violated, or a combined
+/// first subidentifier (arcs[0] * 40 + arcs[1]) wider than 32 bits.
 [[nodiscard]] bytes encode_oid(const oid& arcs);
 
 /// BIT STRING with `unused_bits` trailing unused bits (0 for X.509 keys

@@ -1,6 +1,8 @@
 #include "ca/ecosystem.hpp"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 #include "util/errors.hpp"
 #include "x509/extensions.hpp"
@@ -19,6 +21,21 @@ namespace {
 /// the full operational set, legacy roots are sparse.
 enum class ca_style { root, legacy_root, intermediate };
 
+/// Moves a braced list of extensions into a certificate spec. Braced
+/// initialization evaluates the builders in source order, which keeps
+/// their rng draws fixed, and moving (an initializer_list can only be
+/// copied) keeps every value buffer the builder allocated. Room for two
+/// more is reserved for the extensions issuance appends afterwards.
+template <std::size_t N>
+std::vector<x509::extension> extension_list(
+    std::array<x509::extension, N>&& list) {
+  std::vector<x509::extension> out;
+  out.reserve(N + 2);
+  out.insert(out.end(), std::make_move_iterator(list.begin()),
+             std::make_move_iterator(list.end()));
+  return out;
+}
+
 std::shared_ptr<const certificate> make_ca_cert(
     rng& r, const distinguished_name& subject,
     const distinguished_name& issuer, key_algorithm key,
@@ -30,11 +47,12 @@ std::shared_ptr<const certificate> make_ca_cert(
   spec.sig_alg = x509::signature_by(issuer_key);
   // CA certificates are long-lived.
   spec.valid = {"200904000000Z", "300904000000Z"};
+  spec.extensions.reserve(8);
   spec.extensions.push_back(x509::make_basic_constraints(true, 0));
   spec.extensions.push_back(x509::make_key_usage(0x86));  // sign+certSign+crl
   spec.extensions.push_back(x509::make_subject_key_id(r));
   if (style != ca_style::legacy_root) {
-    bytes issuer_key_id(20);
+    std::array<std::uint8_t, 20> issuer_key_id;
     r.fill(issuer_key_id);
     spec.extensions.push_back(x509::make_authority_key_id(issuer_key_id));
   }
@@ -432,7 +450,8 @@ const chain_profile& ecosystem::profile(std::string_view id) const {
 
 x509::chain ecosystem::issue(const chain_profile& profile,
                              const std::string& domain, rng& r,
-                             x509::pq_profile pq) const {
+                             x509::pq_profile pq,
+                             std::optional<key_algorithm> leaf_key) const {
   const auto& parents = pq == x509::pq_profile::pqc_full
                             ? profile.parents_pqc
                             : profile.parents;
@@ -444,9 +463,13 @@ x509::chain ecosystem::issue(const chain_profile& profile,
   // The classical key draw is consumed under every profile so a
   // record's chain keeps its structure (SANs, SCT count) across the
   // PQC sweep; both PQC stages then put ML-DSA-44 on the leaf.
-  spec.key_alg = (lp.rsa_mix > 0.0 && r.chance(lp.rsa_mix))
-                     ? key_algorithm::rsa_2048
-                     : lp.key_alg;
+  if (leaf_key) {
+    spec.key_alg = *leaf_key;
+  } else {
+    spec.key_alg = (lp.rsa_mix > 0.0 && r.chance(lp.rsa_mix))
+                       ? key_algorithm::rsa_2048
+                       : lp.key_alg;
+  }
   if (pq != x509::pq_profile::classical) {
     spec.key_alg = key_algorithm::mldsa_44;
   }
@@ -464,9 +487,9 @@ x509::chain ecosystem::issue(const chain_profile& profile,
                           : r.ascii_label(3, 10) + "." + domain);
   }
 
-  bytes issuer_key_id(20);
+  std::array<std::uint8_t, 20> issuer_key_id;
   r.fill(issuer_key_id);
-  spec.extensions = {
+  spec.extensions = extension_list(std::array{
       x509::make_basic_constraints(false),
       x509::make_key_usage(0x80),
       x509::make_ext_key_usage(true),
@@ -478,7 +501,7 @@ x509::chain ecosystem::issue(const chain_profile& profile,
           lp.lean_extensions ? "" : "http://" + lp.url_host + "/cps"),
       x509::make_authority_info_access("http://ocsp." + lp.url_host,
                                        "http://" + lp.url_host + "/ca.crt"),
-  };
+  });
   if (!lp.lean_extensions) {
     spec.extensions.push_back(x509::make_crl_distribution_points(
         "http://crl." + lp.url_host + "/ca.crl"));
@@ -569,7 +592,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
       const std::size_t cps_len =
           opt.quic_flavor ? 300 + level_rng.uniform(0, 500)
                           : 900 + level_rng.uniform(0, 2600);
-      spec.extensions = {
+      spec.extensions = extension_list(std::array{
           x509::make_basic_constraints(true, 0),
           x509::make_key_usage(0x86),
           x509::make_subject_key_id(level_rng),
@@ -577,7 +600,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
               true, "http://" + ca_host + "/cps/" +
                         level_rng.ascii_label(cps_len, cps_len + 200)),
           x509::make_sct_list(3 + level_rng.uniform(0, 5), level_rng),
-      };
+      });
       cert = std::make_shared<const certificate>(std::move(spec), level_rng);
     }
     top_down.push_back(std::move(cert));
@@ -609,9 +632,9 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   for (std::uint64_t i = 0; i < extra; ++i) {
     sans.push_back(r.ascii_label(3, 12) + "." + domain);
   }
-  bytes issuer_key_id(20);
+  std::array<std::uint8_t, 20> issuer_key_id;
   r.fill(issuer_key_id);
-  spec.extensions = {
+  spec.extensions = extension_list(std::array{
       x509::make_basic_constraints(false),
       x509::make_key_usage(0x80),
       x509::make_ext_key_usage(true),
@@ -622,7 +645,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
       x509::make_authority_info_access("http://ocsp." + ca_host,
                                        "http://" + ca_host + "/ca.crt"),
       x509::make_sct_list(1 + r.uniform(0, 2), r),
-  };
+  });
   certificate leaf{std::move(spec), r};
   return x509::chain{std::move(leaf), std::move(parents)};
 }
@@ -647,9 +670,9 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
     sans.push_back(r.ascii_label(4, 14) + "." +
                    (r.chance(0.5) ? "com" : "net"));
   }
-  bytes issuer_key_id(20);
+  std::array<std::uint8_t, 20> issuer_key_id;
   r.fill(issuer_key_id);
-  spec.extensions = {
+  spec.extensions = extension_list(std::array{
       x509::make_basic_constraints(false),
       x509::make_key_usage(0x80),
       x509::make_ext_key_usage(true),
@@ -658,7 +681,7 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
       x509::make_subject_alt_name(sans),
       x509::make_certificate_policies(false, "http://comodoca.com/cps"),
       x509::make_sct_list(3, r),
-  };
+  });
   certificate leaf{std::move(spec), r};
   return x509::chain{std::move(leaf), parents};
 }

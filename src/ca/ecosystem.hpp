@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -90,10 +91,12 @@ class ecosystem {
   /// served chain (leaf + shared parents). Deterministic in `r`. The
   /// chain profile selects the PQC what-if stage: `pqc_leaf` swaps the
   /// leaf key for ML-DSA-44, `pqc_full` additionally serves the ML-DSA
-  /// parent twins and post-quantum signatures.
+  /// parent twins and post-quantum signatures. A `leaf_key` override
+  /// replaces the profile's leaf key mix and consumes no mix draw.
   [[nodiscard]] x509::chain issue(
       const chain_profile& profile, const std::string& domain, rng& r,
-      x509::pq_profile pq = x509::pq_profile::classical) const;
+      x509::pq_profile pq = x509::pq_profile::classical,
+      std::optional<x509::key_algorithm> leaf_key = std::nullopt) const;
 
   /// Issues a chain from the long tail of small CAs: random hierarchy
   /// depth 1-4, occasionally a superfluous trust anchor, and rare

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "engine/engine.hpp"
-#include "util/hex.hpp"
 
 namespace certquic::core {
 namespace {
@@ -29,9 +29,47 @@ std::size_t alg_index(x509::key_algorithm a) {
   return 0;
 }
 
-void account_fields(const x509::certificate& cert,
+/// What the corpus fold reads from one certificate.
+struct cert_facts {
+  x509::field_sizes sizes;
+  x509::key_algorithm key_alg = x509::key_algorithm::ecdsa_p256;
+  /// Table 2 dedupe key; only parents are deduplicated.
+  std::array<std::uint8_t, 16> serial{};
+};
+
+/// One chain reduced, on the worker that materialized it, to the facts
+/// the ordered fold needs. The chain itself dies on that worker, so the
+/// sequencer frees no certificate.
+struct chain_facts {
+  std::size_t size = 0;
+  std::size_t leaf_san_bytes = 0;
+  std::vector<cert_facts> certs;  // leaf first, then served parents
+
+  [[nodiscard]] const cert_facts& leaf() const { return certs.front(); }
+  [[nodiscard]] std::span<const cert_facts> parents() const {
+    return std::span{certs}.subspan(1);
+  }
+};
+
+chain_facts reduce(const x509::chain& chain) {
+  chain_facts out;
+  out.size = chain.wire_size();
+  out.leaf_san_bytes = chain.leaf().san_bytes();
+  out.certs.reserve(chain.depth());
+  chain.for_each([&out](const x509::certificate& cert) {
+    cert_facts& f = out.certs.emplace_back();
+    f.sizes = cert.sizes();
+    f.key_alg = cert.key_alg();
+    const bytes& serial = cert.serial();
+    std::copy_n(serial.begin(), std::min(serial.size(), f.serial.size()),
+                f.serial.begin());
+  });
+  return out;
+}
+
+void account_fields(const cert_facts& cert,
                     std::array<stats::summary, 6>& sums) {
-  const auto& s = cert.sizes();
+  const auto& s = cert.sizes;
   sums[0].add(static_cast<double>(s.subject));
   sums[1].add(static_cast<double>(s.issuer));
   sums[2].add(static_cast<double>(s.public_key_info));
@@ -82,7 +120,7 @@ corpus_result analyze_corpus(const internet::model& m,
 
   std::map<std::string, profile_accumulator> quic_profiles;
   std::map<std::string, profile_accumulator> https_profiles;
-  std::set<std::string> seen_nonleaf_serials[2];
+  std::set<std::array<std::uint8_t, 16>> seen_nonleaf_serials[2];
   std::size_t quic_services = 0;
   std::size_t https_services = 0;
   /// (leaf size, SAN share) per sampled QUIC service, for the Fig. 14
@@ -104,44 +142,44 @@ corpus_result analyze_corpus(const internet::model& m,
   engine::parallel_ordered(
       sample.size(), exec,
       [&](std::size_t i) {
-        return internet::fetch_chain(m, opt.chains, m.records()[sample[i]],
-                                     internet::fetch_protocol::https,
-                                     opt.profile);
+        return reduce(internet::fetch_chain(
+            m, opt.chains, m.records()[sample[i]],
+            internet::fetch_protocol::https, opt.profile));
       },
-      [&](std::size_t i, x509::chain&& chain) {
+      [&](std::size_t i, chain_facts&& chain) {
         const auto& rec = m.records()[sample[i]];
         const bool is_quic = rec.serves_quic();
         (is_quic ? quic_services : https_services) += 1;
-        const std::size_t chain_size = chain.wire_size();
+        const std::size_t chain_size = chain.size;
         (is_quic ? out.quic_chain_sizes : out.https_chain_sizes)
             .add(static_cast<double>(chain_size));
 
         // Fig. 2b field sizes across every certificate in the corpus.
-        chain.for_each([&out](const x509::certificate& cert) {
-          const auto& s = cert.sizes();
+        for (const cert_facts& cert : chain.certs) {
+          const auto& s = cert.sizes;
           out.field_subject.add(static_cast<double>(s.subject));
           out.field_issuer.add(static_cast<double>(s.issuer));
           out.field_spki.add(static_cast<double>(s.public_key_info));
           out.field_extensions.add(static_cast<double>(s.extensions));
           out.field_signature.add(static_cast<double>(s.signature));
-        });
+        }
 
         // Fig. 8 (QUIC only): field means by chain-size and role.
         if (is_quic) {
           const std::size_t size_class = chain_size > 4000 ? 1 : 0;
           account_fields(chain.leaf(), out.field_means[size_class][0]);
-          for (const auto& parent : chain.parents()) {
-            account_fields(*parent, out.field_means[size_class][1]);
+          for (const cert_facts& parent : chain.parents()) {
+            account_fields(parent, out.field_means[size_class][1]);
           }
         }
 
-        // Table 2: unique certificates per corpus side.
+        // Table 2: unique certificates per corpus side, keyed on the
+        // raw 16-byte serial every certificate is issued with.
         const std::size_t side = is_quic ? 0 : 1;
-        ++out.alg_counts[side][0][alg_index(chain.leaf().key_alg())];
-        for (const auto& parent : chain.parents()) {
-          if (seen_nonleaf_serials[side].insert(to_hex(parent->serial()))
-                  .second) {
-            ++out.alg_counts[side][1][alg_index(parent->key_alg())];
+        ++out.alg_counts[side][0][alg_index(chain.leaf().key_alg)];
+        for (const cert_facts& parent : chain.parents()) {
+          if (seen_nonleaf_serials[side].insert(parent.serial).second) {
+            ++out.alg_counts[side][1][alg_index(parent.key_alg)];
           }
         }
 
@@ -151,26 +189,26 @@ corpus_result analyze_corpus(const internet::model& m,
                                : https_profiles)[rec.chain_profile];
           if (acc.count == 0) {
             acc.display = m.ecosystem().profile(rec.chain_profile).display;
-            for (const auto& parent : chain.parents()) {
-              acc.parent_sizes.push_back(parent->size());
+            for (const cert_facts& parent : chain.parents()) {
+              acc.parent_sizes.push_back(parent.sizes.total);
             }
           }
           ++acc.count;
-          acc.leaf_sizes.add(static_cast<double>(chain.leaf().size()));
+          acc.leaf_sizes.add(static_cast<double>(chain.leaf().sizes.total));
         }
 
         // Fig. 14 (QUIC leaves): SAN byte share vs leaf size.
         if (is_quic) {
           ++out.leaves_total;
-          const auto& leaf = chain.leaf();
-          const double share = leaf.size() == 0
-                                   ? 0.0
-                                   : static_cast<double>(leaf.san_bytes()) /
-                                         static_cast<double>(leaf.size());
+          const std::size_t leaf_size = chain.leaf().sizes.total;
+          const double share =
+              leaf_size == 0 ? 0.0
+                             : static_cast<double>(chain.leaf_san_bytes) /
+                                   static_cast<double>(leaf_size);
           out.san_shares.add(share);
-          quic_leaves.emplace_back(leaf.size(), share);
+          quic_leaves.emplace_back(leaf_size, share);
         }
-  });
+      });
 
   // "35% of all certificate chains exceed even the larger of the two
   // common amplification limits (3x1357)".

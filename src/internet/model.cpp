@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <span>
 #include <thread>
 
@@ -335,12 +336,10 @@ x509::chain model::chain_of(const service_record& rec, fetch_protocol proto,
     return eco_.issue_other(
         rec.domain, r, {.quic_flavor = rec.serves_quic(), .pq = pq});
   }
-  ca::chain_profile profile = eco_.profile(rec.chain_profile);
-  if (rec.force_rsa_leaf) {
-    profile.leaf.key_alg = x509::key_algorithm::rsa_2048;
-    profile.leaf.rsa_mix = 0.0;
-  }
-  return eco_.issue(profile, rec.domain, r, pq);
+  return eco_.issue(eco_.profile(rec.chain_profile), rec.domain, r, pq,
+                    rec.force_rsa_leaf
+                        ? std::optional{x509::key_algorithm::rsa_2048}
+                        : std::nullopt);
 }
 
 quic::server_behavior model::behavior_of(const service_record& rec) const {

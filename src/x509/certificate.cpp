@@ -12,50 +12,56 @@ certificate::certificate(certificate_spec spec, rng& r)
   r.fill(serial_);
   serial_[0] &= 0x7f;
 
-  const bytes version = asn1::context(0, asn1::encode_integer(2));  // v3
-  const bytes serial_der = asn1::encode_big_integer(serial_);
-  const bytes sig_alg_der = encode_signature_algorithm(spec_.sig_alg);
-  const bytes issuer_der = spec_.issuer.encode();
-  const bytes validity_der = asn1::sequence({
-      asn1::encode_utc_time(spec_.valid.not_before),
-      asn1::encode_utc_time(spec_.valid.not_after),
-  });
-  const bytes subject_der = spec_.subject.encode();
-  const bytes spki_der = encode_spki(spec_.key_alg, r);
+  // Every certificate this thread builds is encoded into one reused
+  // scratch writer; der_ then takes a single exact-size copy.
+  thread_local asn1::der_writer w;
+  w.clear();
+  // Size of whatever `write` appends, measured from writer offsets.
+  auto measure = [](auto&& write) {
+    const std::size_t at = w.size();
+    write();
+    return w.size() - at;
+  };
 
-  std::vector<bytes> ext_ders;
-  ext_ders.reserve(spec_.extensions.size());
-  for (const auto& ext : spec_.extensions) {
-    ext_ders.push_back(ext.encode());
-    if (ext.id == oids::subject_alt_name) {
-      san_bytes_ += ext_ders.back().size();
+  w.open(asn1::tag::sequence);  // Certificate
+  w.open(asn1::tag::sequence);  // TBSCertificate
+  w.open(asn1::context_tag(0));
+  w.integer(2);  // v3
+  w.close();
+  w.big_integer(serial_);
+  encode_signature_algorithm(w, spec_.sig_alg);
+  sizes_.issuer = measure([&] { spec_.issuer.encode(w); });
+  w.open(asn1::tag::sequence);  // Validity
+  w.utc_time(spec_.valid.not_before);
+  w.utc_time(spec_.valid.not_after);
+  w.close();
+  sizes_.subject = measure([&] { spec_.subject.encode(w); });
+  sizes_.public_key_info =
+      measure([&] { encode_spki(w, spec_.key_alg, r); });
+  w.open(asn1::context_tag(3));
+  sizes_.extensions = measure([&] {
+    w.open(asn1::tag::sequence);
+    for (const auto& ext : spec_.extensions) {
+      const std::size_t ext_size = measure([&] { ext.encode(w); });
+      if (ext.id == oids::subject_alt_name) {
+        san_bytes_ += ext_size;
+      }
+      if (ext.id == oids::basic_constraints) {
+        // A CA certificate encodes cA=TRUE as a non-empty constraint body.
+        is_ca_ = !ext.value.empty() && ext.value.size() > 2;
+      }
     }
-    if (ext.id == oids::basic_constraints) {
-      // A CA certificate encodes cA=TRUE as a non-empty constraint body.
-      is_ca_ = !ext.value.empty() && ext.value.size() > 2;
-    }
-  }
-  const bytes extensions_seq = asn1::sequence(ext_ders);
-  const bytes extensions_block = asn1::context(3, extensions_seq);
-
-  const bytes tbs = asn1::sequence({
-      version,
-      serial_der,
-      sig_alg_der,
-      issuer_der,
-      validity_der,
-      subject_der,
-      spki_der,
-      extensions_block,
+    w.close();
   });
-  const bytes signature_der = encode_signature_value(spec_.sig_alg, r);
-  der_ = asn1::sequence({tbs, sig_alg_der, signature_der});
+  w.close();  // [3]
+  w.close();  // TBSCertificate
+  encode_signature_algorithm(w, spec_.sig_alg);
+  sizes_.signature =
+      measure([&] { encode_signature_value(w, spec_.sig_alg, r); });
+  w.close();  // Certificate
 
-  sizes_.subject = subject_der.size();
-  sizes_.issuer = issuer_der.size();
-  sizes_.public_key_info = spki_der.size();
-  sizes_.extensions = extensions_seq.size();
-  sizes_.signature = signature_der.size();
+  const bytes_view der = w.view();
+  der_.assign(der.begin(), der.end());
   sizes_.total = der_.size();
 }
 

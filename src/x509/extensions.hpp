@@ -22,7 +22,8 @@ struct extension {
   bytes value;
 
   /// Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT FALSE,
-  ///                          extnValue OCTET STRING }.
+  ///                          extnValue OCTET STRING }, written into `w`.
+  void encode(asn1::der_writer& w) const;
   [[nodiscard]] bytes encode() const;
   /// Size of the encoded Extension TLV in bytes.
   [[nodiscard]] std::size_t encoded_size() const;
@@ -72,8 +73,9 @@ struct extension {
 [[nodiscard]] std::vector<std::string> parse_subject_alt_name(
     const extension& ext);
 
-/// The fixed 32-byte id of CT log `index % 8`; exposed so the
-/// compression-dictionary builder can include the well-known log ids.
-[[nodiscard]] bytes well_known_log_id(std::size_t index);
+/// The fixed 32-byte id of CT log `index % 8`, from a table built once;
+/// exposed so the compression-dictionary builder can include the
+/// well-known log ids.
+[[nodiscard]] bytes_view well_known_log_id(std::size_t index);
 
 }  // namespace certquic::x509

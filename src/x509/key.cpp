@@ -1,55 +1,83 @@
 #include "x509/key.hpp"
 
+#include "util/assert.hpp"
 #include "util/errors.hpp"
 #include "x509/oids.hpp"
 
 namespace certquic::x509 {
 namespace {
 
-bytes random_magnitude(std::size_t n, rng& r, bool set_top_bit) {
-  bytes out(n);
-  r.fill(out);
-  if (set_top_bit && !out.empty()) {
-    out[0] |= 0x80;
+/// The largest random INTEGER magnitude written: an RSA-4096 modulus.
+constexpr std::size_t kMaxMagnitude = 512;
+
+/// INTEGER over `n` random magnitude octets, the top bit forced on when
+/// `set_top_bit` (RSA moduli keep their full width).
+void random_integer(asn1::der_writer& w, std::size_t n, rng& r,
+                    bool set_top_bit) {
+  CERTQUIC_ASSERT(n > 0 && n <= kMaxMagnitude, "magnitude out of range");
+  std::uint8_t magnitude[kMaxMagnitude];
+  r.fill({magnitude, n});
+  if (set_top_bit) {
+    magnitude[0] |= 0x80;
   }
-  return out;
+  w.big_integer({magnitude, n});
 }
 
-bytes encode_rsa_spki(std::size_t modulus_bytes, rng& r) {
-  const bytes modulus = random_magnitude(modulus_bytes, r, true);
-  const bytes rsa_key = asn1::sequence({
-      asn1::encode_big_integer(modulus),
-      asn1::encode_integer(65537),
-  });
-  const bytes alg = asn1::sequence({
-      asn1::encode_oid(oids::rsa_encryption),
-      asn1::encode_null(),
-  });
-  return asn1::sequence({alg, asn1::encode_bit_string(rsa_key)});
+/// BIT STRING (no unused bits) of `prefix` octets followed by `n` random
+/// octets, the first random octet's top bit forced on when
+/// `set_top_bit`.
+void random_bit_string(asn1::der_writer& w, std::size_t n, rng& r,
+                       bool set_top_bit, bytes_view prefix = {}) {
+  w.header(asn1::tag::bit_string, 1 + prefix.size() + n);
+  w.u8(0);
+  w.raw(prefix);
+  std::uint8_t* bits = w.append(n);
+  r.fill({bits, n});
+  if (set_top_bit && n > 0) {
+    bits[0] |= 0x80;
+  }
 }
 
-bytes encode_ec_spki(const asn1::oid& curve, std::size_t coord_bytes, rng& r) {
+void encode_rsa_spki(asn1::der_writer& w, std::size_t modulus_bytes, rng& r) {
+  w.open(asn1::tag::sequence);
+  w.open(asn1::tag::sequence);
+  w.oid(oids::rsa_encryption);
+  w.null();
+  w.close();
+  w.open(asn1::tag::bit_string);
+  w.u8(0);
+  w.open(asn1::tag::sequence);
+  random_integer(w, modulus_bytes, r, true);
+  w.integer(65537);
+  w.close();
+  w.close();
+  w.close();
+}
+
+void encode_ec_spki(asn1::der_writer& w, const asn1::oid& curve,
+                    std::size_t coord_bytes, rng& r) {
+  w.open(asn1::tag::sequence);
+  w.open(asn1::tag::sequence);
+  w.oid(oids::ec_public_key);
+  w.oid(curve);
+  w.close();
   // Uncompressed point: 0x04 || X || Y.
-  bytes point(1 + 2 * coord_bytes);
-  point[0] = 0x04;
-  r.fill({point.data() + 1, point.size() - 1});
-  const bytes alg = asn1::sequence({
-      asn1::encode_oid(oids::ec_public_key),
-      asn1::encode_oid(curve),
-  });
-  return asn1::sequence({alg, asn1::encode_bit_string(point)});
+  const std::uint8_t uncompressed = 0x04;
+  random_bit_string(w, 2 * coord_bytes, r, false, {&uncompressed, 1});
+  w.close();
 }
 
-bytes ecdsa_signature(std::size_t coord_bytes, rng& r) {
+void ecdsa_signature(asn1::der_writer& w, std::size_t coord_bytes, rng& r) {
   // ECDSA-Sig-Value ::= SEQUENCE { r INTEGER, s INTEGER }.
   // Random magnitudes reproduce the real size jitter (+0/1 byte for the
   // sign octet) of DER-encoded ECDSA signatures.
-  const bytes rv = random_magnitude(coord_bytes, r, false);
-  const bytes sv = random_magnitude(coord_bytes, r, false);
-  return asn1::sequence({
-      asn1::encode_big_integer(rv),
-      asn1::encode_big_integer(sv),
-  });
+  w.open(asn1::tag::bit_string);
+  w.u8(0);
+  w.open(asn1::tag::sequence);
+  random_integer(w, coord_bytes, r, false);
+  random_integer(w, coord_bytes, r, false);
+  w.close();
+  w.close();
 }
 
 // ML-DSA public-key and signature byte sizes per FIPS 204 (Table 2 of
@@ -90,14 +118,38 @@ const mldsa_params& mldsa_of(signature_algorithm a) {
   }
 }
 
-bytes encode_mldsa_spki(key_algorithm a, rng& r) {
+void encode_mldsa_spki(asn1::der_writer& w, key_algorithm a, rng& r) {
   // ML-DSA AlgorithmIdentifiers carry no parameters, and the key is the
   // raw encoded public key inside the BIT STRING.
   const mldsa_params& p = mldsa_of(a);
-  bytes key(p.public_key_bytes);
-  r.fill(key);
-  const bytes alg = asn1::sequence({asn1::encode_oid(p.oid)});
-  return asn1::sequence({alg, asn1::encode_bit_string(key)});
+  w.open(asn1::tag::sequence);
+  w.open(asn1::tag::sequence);
+  w.oid(p.oid);
+  w.close();
+  random_bit_string(w, p.public_key_bytes, r, false);
+  w.close();
+}
+
+/// The AlgorithmIdentifier's OID and parameters, without the SEQUENCE.
+void encode_signature_algorithm_body(asn1::der_writer& w,
+                                     signature_algorithm a) {
+  switch (a) {
+    case signature_algorithm::sha256_rsa_2048:
+    case signature_algorithm::sha256_rsa_4096:
+      // RSA AlgorithmIdentifiers carry an explicit NULL parameter.
+      w.oid(oids::sha256_with_rsa);
+      return w.null();
+    case signature_algorithm::ecdsa_sha256:
+      return w.oid(oids::ecdsa_with_sha256);
+    case signature_algorithm::ecdsa_sha384:
+      return w.oid(oids::ecdsa_with_sha384);
+    case signature_algorithm::mldsa_44:
+    case signature_algorithm::mldsa_65:
+    case signature_algorithm::mldsa_87:
+      // ML-DSA AlgorithmIdentifiers have absent parameters.
+      return w.oid(mldsa_of(a).oid);
+  }
+  throw config_error("unknown signature_algorithm");
 }
 
 }  // namespace
@@ -194,66 +246,60 @@ signature_algorithm signature_by(key_algorithm issuer_key) {
   throw config_error("unknown issuer key_algorithm");
 }
 
-bytes encode_signature_algorithm(signature_algorithm a) {
-  switch (a) {
-    case signature_algorithm::sha256_rsa_2048:
-    case signature_algorithm::sha256_rsa_4096:
-      // RSA AlgorithmIdentifiers carry an explicit NULL parameter.
-      return asn1::sequence({
-          asn1::encode_oid(oids::sha256_with_rsa),
-          asn1::encode_null(),
-      });
-    case signature_algorithm::ecdsa_sha256:
-      return asn1::sequence({asn1::encode_oid(oids::ecdsa_with_sha256)});
-    case signature_algorithm::ecdsa_sha384:
-      return asn1::sequence({asn1::encode_oid(oids::ecdsa_with_sha384)});
-    case signature_algorithm::mldsa_44:
-    case signature_algorithm::mldsa_65:
-    case signature_algorithm::mldsa_87:
-      // ML-DSA AlgorithmIdentifiers have absent parameters.
-      return asn1::sequence({asn1::encode_oid(mldsa_of(a).oid)});
-  }
-  throw config_error("unknown signature_algorithm");
+void encode_signature_algorithm(asn1::der_writer& w, signature_algorithm a) {
+  w.open(asn1::tag::sequence);
+  encode_signature_algorithm_body(w, a);
+  w.close();
 }
 
-bytes encode_spki(key_algorithm a, rng& r) {
+void encode_spki(asn1::der_writer& w, key_algorithm a, rng& r) {
   switch (a) {
     case key_algorithm::rsa_2048:
-      return encode_rsa_spki(256, r);
+      return encode_rsa_spki(w, 256, r);
     case key_algorithm::rsa_4096:
-      return encode_rsa_spki(512, r);
+      return encode_rsa_spki(w, 512, r);
     case key_algorithm::ecdsa_p256:
-      return encode_ec_spki(oids::curve_p256, 32, r);
+      return encode_ec_spki(w, oids::curve_p256, 32, r);
     case key_algorithm::ecdsa_p384:
-      return encode_ec_spki(oids::curve_p384, 48, r);
+      return encode_ec_spki(w, oids::curve_p384, 48, r);
     case key_algorithm::mldsa_44:
     case key_algorithm::mldsa_65:
     case key_algorithm::mldsa_87:
-      return encode_mldsa_spki(a, r);
+      return encode_mldsa_spki(w, a, r);
   }
   throw config_error("unknown key_algorithm");
 }
 
-bytes encode_signature_value(signature_algorithm a, rng& r) {
+bytes encode_spki(key_algorithm a, rng& r) {
+  asn1::der_writer w;
+  encode_spki(w, a, r);
+  return std::move(w).take();
+}
+
+void encode_signature_value(asn1::der_writer& w, signature_algorithm a,
+                            rng& r) {
   switch (a) {
     case signature_algorithm::sha256_rsa_2048:
-      return asn1::encode_bit_string(random_magnitude(256, r, true));
+      return random_bit_string(w, 256, r, true);
     case signature_algorithm::sha256_rsa_4096:
-      return asn1::encode_bit_string(random_magnitude(512, r, true));
+      return random_bit_string(w, 512, r, true);
     case signature_algorithm::ecdsa_sha256:
-      return asn1::encode_bit_string(ecdsa_signature(32, r));
+      return ecdsa_signature(w, 32, r);
     case signature_algorithm::ecdsa_sha384:
-      return asn1::encode_bit_string(ecdsa_signature(48, r));
+      return ecdsa_signature(w, 48, r);
     case signature_algorithm::mldsa_44:
     case signature_algorithm::mldsa_65:
-    case signature_algorithm::mldsa_87: {
+    case signature_algorithm::mldsa_87:
       // The ML-DSA signature is a fixed-size opaque byte string.
-      bytes sig(mldsa_of(a).signature_bytes);
-      r.fill(sig);
-      return asn1::encode_bit_string(sig);
-    }
+      return random_bit_string(w, mldsa_of(a).signature_bytes, r, false);
   }
   throw config_error("unknown signature_algorithm");
+}
+
+bytes encode_signature_value(signature_algorithm a, rng& r) {
+  asn1::der_writer w;
+  encode_signature_value(w, a, r);
+  return std::move(w).take();
 }
 
 }  // namespace certquic::x509

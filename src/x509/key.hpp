@@ -72,14 +72,19 @@ enum class pq_profile : std::uint8_t {
 /// algorithm `a` (RSA keys sign sha256WithRSA, P-384 signs ecdsa-sha384).
 [[nodiscard]] signature_algorithm signature_by(key_algorithm issuer_key);
 
-/// DER AlgorithmIdentifier for a signature algorithm.
-[[nodiscard]] bytes encode_signature_algorithm(signature_algorithm a);
+/// DER AlgorithmIdentifier for a signature algorithm, written into `w`.
+void encode_signature_algorithm(asn1::der_writer& w, signature_algorithm a);
 
-/// DER SubjectPublicKeyInfo with freshly synthesized key bits.
+/// DER SubjectPublicKeyInfo with freshly synthesized key bits, written
+/// into `w`; the bytes form returns it on its own.
+void encode_spki(asn1::der_writer& w, key_algorithm a, rng& r);
 [[nodiscard]] bytes encode_spki(key_algorithm a, rng& r);
 
 /// Synthesized signatureValue BIT STRING matching the algorithm's
-/// real-world size (RSA: modulus-sized; ECDSA: DER-encoded r/s pair).
+/// real-world size (RSA: modulus-sized; ECDSA: DER-encoded r/s pair),
+/// written into `w`; the bytes form returns it on its own.
+void encode_signature_value(asn1::der_writer& w, signature_algorithm a,
+                            rng& r);
 [[nodiscard]] bytes encode_signature_value(signature_algorithm a, rng& r);
 
 }  // namespace certquic::x509

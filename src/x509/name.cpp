@@ -27,17 +27,27 @@ std::string distinguished_name::common_name() const {
   return {};
 }
 
-bytes distinguished_name::encode() const {
-  std::vector<bytes> rdns;
-  rdns.reserve(parts_.size());
+void distinguished_name::encode(asn1::der_writer& w) const {
+  w.open(asn1::tag::sequence);
   for (const auto& part : parts_) {
-    const bytes attr = asn1::encode_oid(part.attribute);
-    const bytes value = part.printable
-                            ? asn1::encode_printable_string(part.value)
-                            : asn1::encode_utf8_string(part.value);
-    rdns.push_back(asn1::set({asn1::sequence({attr, value})}));
+    w.open(asn1::tag::set);
+    w.open(asn1::tag::sequence);
+    w.oid(part.attribute);
+    if (part.printable) {
+      w.printable_string(part.value);
+    } else {
+      w.utf8_string(part.value);
+    }
+    w.close();
+    w.close();
   }
-  return asn1::sequence(rdns);
+  w.close();
+}
+
+bytes distinguished_name::encode() const {
+  asn1::der_writer w;
+  encode(w);
+  return std::move(w).take();
 }
 
 std::string distinguished_name::to_string() const {

@@ -39,7 +39,8 @@ class distinguished_name {
   /// Returns the CN value or "" when absent.
   [[nodiscard]] std::string common_name() const;
 
-  /// DER RDNSequence encoding.
+  /// DER RDNSequence encoding, written into `w`.
+  void encode(asn1::der_writer& w) const;
   [[nodiscard]] bytes encode() const;
 
   /// Human-readable "C=US, O=Example, CN=example.org".

@@ -73,6 +73,21 @@ TEST(DerOid, RejectsInvalidArcs) {
   EXPECT_THROW((void)encode_oid({0, 40}), codec_error);
 }
 
+TEST(DerOid, RejectsFirstSubidentifierPast32Bits) {
+  // 2 * 40 + 4294967295 does not fit the 32 bits an arc decodes into;
+  // it used to wrap to 79 and come back as {1, 39}.
+  EXPECT_THROW((void)encode_oid({2, 0xffff'ffffu}), codec_error);
+  EXPECT_THROW((void)encode_oid({2, 0xffff'ffffu - 79}), codec_error);
+  der_writer w;
+  EXPECT_THROW(w.oid({2, 0xffff'ffffu}), codec_error);
+
+  // The widest first subidentifier that fits still round-trips.
+  const oid widest{2, 0xffff'ffffu - 80, 7};
+  const bytes enc = encode_oid(widest);
+  buffer_reader r{enc};
+  EXPECT_EQ(decode_oid(read_tlv(r)), widest);
+}
+
 TEST(DerBitString, PrependsUnusedBits) {
   const bytes data = {0xaa};
   EXPECT_EQ(encode_bit_string(data), (bytes{0x03, 0x02, 0x00, 0xaa}));
@@ -218,6 +233,161 @@ TEST_P(HeaderRoundTrip, WrapUnwrap) {
 INSTANTIATE_TEST_SUITE_P(Sizes, HeaderRoundTrip,
                          ::testing::Values(0u, 1u, 127u, 128u, 255u, 256u,
                                            65535u, 65536u, 100000u));
+
+// --- der_writer -------------------------------------------------------------
+
+/// The header DER requires for `length` content bytes.
+bytes expected_header(std::uint8_t tag_byte, std::size_t length) {
+  bytes out{tag_byte};
+  if (length < 0x80) {
+    out.push_back(static_cast<std::uint8_t>(length));
+    return out;
+  }
+  bytes octets;
+  for (std::size_t v = length; v > 0; v >>= 8) {
+    octets.insert(octets.begin(), static_cast<std::uint8_t>(v & 0xff));
+  }
+  out.push_back(static_cast<std::uint8_t>(0x80 | octets.size()));
+  append(out, octets);
+  return out;
+}
+
+// Each length-form edge, written both ways: open/close around the
+// content (back-patched) and header + raw (length known up front).
+class WriterLength : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WriterLength, OpenCloseMatchesKnownLengthHeader) {
+  const std::size_t n = GetParam();
+  bytes content(n);
+  rng r{n};
+  r.fill(content);
+
+  bytes expected = expected_header(0x04, n);
+  append(expected, content);
+
+  der_writer patched;
+  patched.open(tag::octet_string);
+  patched.raw(content);
+  patched.close();
+  EXPECT_EQ(std::move(patched).take(), expected);
+
+  der_writer direct;
+  direct.tlv(tag::octet_string, content);
+  EXPECT_EQ(std::move(direct).take(), expected);
+  EXPECT_EQ(wrap(tag::octet_string, content), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Edges, WriterLength,
+                         ::testing::Values(0u, 127u, 128u, 255u, 256u,
+                                           65535u, 65536u));
+
+TEST(DerWriter, NestedLongFormBackPatching) {
+  // Three nested levels that each need a different length form once
+  // their children are patched: the innermost SEQUENCE holds 200 bytes
+  // (0x81), the SET a little over 500 (0x82) and the outer SEQUENCE
+  // over 64 KiB (0x83). Each close() shifts its content right once.
+  const bytes small(200, 0xab);
+  const bytes mid(300, 0xcd);
+  const bytes big(70000, 0xef);
+
+  der_writer w;
+  w.open(tag::sequence);
+  w.octet_string(big);
+  w.open(tag::set);
+  w.octet_string(mid);
+  w.open(tag::sequence);
+  w.raw(small);
+  w.close();
+  w.integer(7);
+  w.close();
+  w.null();
+  w.close();
+  const bytes got = std::move(w).take();
+
+  bytes inner = expected_header(0x30, small.size());
+  append(inner, small);
+  bytes middle_content = encode_octet_string(mid);
+  append(middle_content, inner);
+  append(middle_content, encode_integer(7));
+  bytes middle = expected_header(0x31, middle_content.size());
+  append(middle, middle_content);
+  bytes outer_content = encode_octet_string(big);
+  append(outer_content, middle);
+  append(outer_content, encode_null());
+  bytes expected = expected_header(0x30, outer_content.size());
+  append(expected, outer_content);
+  ASSERT_EQ(got, expected);
+  EXPECT_EQ(got[1], 0x83);
+  EXPECT_EQ(middle[1], 0x82);
+  EXPECT_EQ(inner[1], 0x81);
+
+  // The decoder walks the patched levels back.
+  buffer_reader rd{got};
+  const tlv outer = read_tlv(rd);
+  EXPECT_TRUE(rd.empty());
+  const auto kids = children(outer);
+  ASSERT_EQ(kids.size(), 3u);
+  EXPECT_EQ(kids[0].content.size(), big.size());
+  ASSERT_TRUE(kids[1].is(tag::set));
+  const auto set_kids = children(kids[1]);
+  ASSERT_EQ(set_kids.size(), 3u);
+  EXPECT_EQ(set_kids[1].content.size(), small.size());
+  EXPECT_EQ(decode_integer(set_kids[2]), 7);
+  EXPECT_TRUE(kids[2].is(tag::null_value));
+}
+
+TEST(DerWriter, WrappersMatchTheWriter) {
+  der_writer w;
+  w.open(tag::sequence);
+  w.integer(-129);
+  w.big_integer(bytes{0x80, 0x01});
+  w.oid({1, 2, 840, 113549, 1, 1, 11});
+  w.bit_string(bytes{0xaa}, 3);
+  w.boolean(true);
+  w.printable_string("US");
+  w.utf8_string("ab");
+  w.ia5_string("x");
+  w.utc_time("220910000000Z");
+  w.open(context_tag(3));
+  w.close();
+  w.close();
+  const bytes expected = sequence({
+      view(encode_integer(-129)),
+      view(encode_big_integer(bytes{0x80, 0x01})),
+      view(encode_oid({1, 2, 840, 113549, 1, 1, 11})),
+      view(encode_bit_string(bytes{0xaa}, 3)),
+      view(encode_boolean(true)),
+      view(encode_printable_string("US")),
+      view(encode_utf8_string("ab")),
+      view(encode_ia5_string("x")),
+      view(encode_utc_time("220910000000Z")),
+      view(context(3, {})),
+  });
+  EXPECT_EQ(std::move(w).take(), expected);
+}
+
+TEST(DerWriter, RejectsUnbalancedNesting) {
+  der_writer w;
+  EXPECT_THROW(w.close(), codec_error);
+  w.open(tag::sequence);
+  EXPECT_THROW((void)std::move(w).take(), codec_error);
+
+  der_writer deep;
+  for (std::size_t i = 0; i < der_writer::kMaxDepth; ++i) {
+    deep.open(tag::sequence);
+  }
+  EXPECT_THROW(deep.open(tag::sequence), codec_error);
+}
+
+TEST(DerWriter, ClearKeepsNothingOpen) {
+  der_writer w;
+  w.open(tag::sequence);
+  w.integer(1);
+  w.clear();
+  EXPECT_EQ(w.size(), 0u);
+  w.null();  // take() below would throw if clear() left an element open
+  EXPECT_EQ(std::move(w).take(), encode_null());
+}
 
 }  // namespace
 }  // namespace certquic::asn1

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/funnel.hpp"
 #include "core/tuner.hpp"
 #include "engine/engine.hpp"
+#include "internet/chain_cache.hpp"
 #include "scan/reach.hpp"
 
 namespace certquic {
@@ -156,16 +158,111 @@ TEST(EngineDeterminism, FunnelConsistencyIdenticalAcrossThreadCounts) {
   }
 }
 
+/// Every corpus_result field as (name, rendering) pairs, so a mismatch
+/// names the field that moved.
+std::vector<std::pair<std::string, std::string>> corpus_fields(
+    const core::corpus_result& r) {
+  std::vector<std::pair<std::string, std::string>> out;
+  const auto add = [&out](std::string name, std::string value) {
+    out.emplace_back(std::move(name), std::move(value));
+  };
+  const auto summary = [](const stats::summary& s) {
+    return std::to_string(s.count()) + ' ' + full(s.mean()) + ' ' +
+           full(s.variance()) + ' ' + full(s.min()) + ' ' + full(s.max()) +
+           ' ' + full(s.total());
+  };
+  const auto rows = [](const std::vector<core::chain_row>& rs) {
+    std::ostringstream o;
+    for (const auto& row : rs) {
+      o << row.display << ':';
+      for (const auto size : row.parent_sizes) {
+        o << size << ',';
+      }
+      o << ':' << row.median_leaf << ':' << row.max_leaf << ':'
+        << full(row.share) << ';';
+    }
+    return o.str();
+  };
+  add("quic_chain_sizes", digest(r.quic_chain_sizes));
+  add("https_chain_sizes", digest(r.https_chain_sizes));
+  add("all_chains_over_4071", full(r.all_chains_over_4071));
+  add("field_subject", digest(r.field_subject));
+  add("field_issuer", digest(r.field_issuer));
+  add("field_spki", digest(r.field_spki));
+  add("field_extensions", digest(r.field_extensions));
+  add("field_signature", digest(r.field_signature));
+  for (std::size_t size_class = 0; size_class < 2; ++size_class) {
+    for (std::size_t role = 0; role < 2; ++role) {
+      for (std::size_t field = 0; field < 6; ++field) {
+        add("field_means[" + std::to_string(size_class) + "][" +
+                std::to_string(role) + "][" + std::to_string(field) + "]",
+            summary(r.field_means[size_class][role][field]));
+      }
+    }
+  }
+  for (std::size_t side = 0; side < 2; ++side) {
+    for (std::size_t role = 0; role < 2; ++role) {
+      std::string counts;
+      for (const auto count : r.alg_counts[side][role]) {
+        counts += std::to_string(count) + ',';
+      }
+      add("alg_counts[" + std::to_string(side) + "][" +
+              std::to_string(role) + "]",
+          counts);
+    }
+  }
+  add("quic_rows", rows(r.quic_rows));
+  add("https_rows", rows(r.https_rows));
+  add("quic_top10_coverage", full(r.quic_top10_coverage));
+  add("https_top10_coverage", full(r.https_top10_coverage));
+  add("leaves_total", std::to_string(r.leaves_total));
+  add("quadrant_small_low", std::to_string(r.quadrant_small_low));
+  add("quadrant_small_high", std::to_string(r.quadrant_small_high));
+  add("quadrant_large_high", std::to_string(r.quadrant_large_high));
+  add("quadrant_large_low", std::to_string(r.quadrant_large_low));
+  add("san_share_p99", full(r.san_share_p99));
+  add("san_shares", digest(r.san_shares));
+  return out;
+}
+
+void expect_same_corpus(const core::corpus_result& a,
+                        const core::corpus_result& b, const char* what) {
+  const auto fa = corpus_fields(a);
+  const auto fb = corpus_fields(b);
+  ASSERT_EQ(fa.size(), fb.size());
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    EXPECT_EQ(fa[i].second, fb[i].second) << fa[i].first << " (" << what
+                                          << ')';
+  }
+}
+
 TEST(EngineDeterminism, CorpusMeansIdenticalAcrossThreadCounts) {
   const auto serial = core::analyze_corpus(shared_model(), {.max_services = 400},
                                            engine::options::serial());
-  const auto parallel = core::analyze_corpus(
-      shared_model(), {.max_services = 400}, {.threads = 8});
-  EXPECT_EQ(digest(serial.quic_chain_sizes), digest(parallel.quic_chain_sizes));
-  EXPECT_EQ(digest(serial.field_extensions), digest(parallel.field_extensions));
-  EXPECT_EQ(digest(serial.san_shares), digest(parallel.san_shares));
-  EXPECT_EQ(serial.quadrant_small_low, parallel.quadrant_small_low);
-  EXPECT_EQ(serial.alg_counts, parallel.alg_counts);
+  EXPECT_GT(serial.quic_chain_sizes.size(), 0u);
+  EXPECT_GT(serial.https_chain_sizes.size(), 0u);
+  EXPECT_FALSE(serial.quic_rows.empty());
+  for (const std::size_t threads : {2u, 8u}) {
+    const auto parallel = core::analyze_corpus(
+        shared_model(), {.max_services = 400}, {.threads = threads});
+    expect_same_corpus(serial, parallel,
+                       (std::to_string(threads) + " threads").c_str());
+  }
+}
+
+TEST(EngineDeterminism, CorpusThroughAChainCacheMatchesDirect) {
+  // The result must not depend on whether a chain came from the cache
+  // or was materialized.
+  const auto direct = core::analyze_corpus(
+      shared_model(), {.max_services = 400}, {.threads = 4});
+  internet::chain_cache cache{shared_model()};
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then fully warm
+    const auto cached = core::analyze_corpus(
+        shared_model(), {.max_services = 400, .chains = &cache},
+        {.threads = 4});
+    expect_same_corpus(direct, cached, pass == 0 ? "cold cache" : "warm");
+  }
+  EXPECT_GT(cache.hits(), 0u);
 }
 
 TEST(SampleIndices, CapZeroSelectsEveryMatch) {

@@ -1,6 +1,9 @@
 // Unit and property tests for the X.509 certificate model.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "asn1/der.hpp"
 #include "util/rng.hpp"
 #include "x509/certificate.hpp"
@@ -178,6 +181,52 @@ TEST(Certificate, DerParsesAsThreeElementSequence) {
   EXPECT_TRUE(kids[0].is(asn1::tag::sequence));
   EXPECT_TRUE(kids[1].is(asn1::tag::sequence));
   EXPECT_TRUE(kids[2].is(asn1::tag::bit_string));
+}
+
+/// Every TLV in `content`, each with its full encoded size.
+std::vector<std::pair<asn1::tlv, std::size_t>> sized_children(
+    bytes_view content) {
+  std::vector<std::pair<asn1::tlv, std::size_t>> out;
+  buffer_reader r{content};
+  while (!r.empty()) {
+    const std::size_t before = r.remaining();
+    const asn1::tlv t = asn1::read_tlv(r);
+    out.emplace_back(t, before - r.remaining());
+  }
+  return out;
+}
+
+TEST(Certificate, FieldSizesMatchTheParsedElements) {
+  // The writer measures fields by offset while it encodes; the parsed
+  // DER must agree element by element, for a short-form-heavy ECDSA leaf
+  // and a long-form-heavy RSA-4096 CA.
+  rng r{11};
+  for (const certificate& cert :
+       {make_leaf(r), make_ca(r, "Example Sub CA", key_algorithm::rsa_4096)}) {
+    buffer_reader reader{cert.der()};
+    const auto outer = sized_children(asn1::read_tlv(reader).content);
+    ASSERT_EQ(outer.size(), 3u);
+    const auto tbs = sized_children(outer[0].first.content);
+    ASSERT_EQ(tbs.size(), 8u);  // version .. [3] extensions
+    const field_sizes& s = cert.sizes();
+    EXPECT_EQ(s.issuer, tbs[3].second);
+    EXPECT_EQ(s.subject, tbs[5].second);
+    EXPECT_EQ(s.public_key_info, tbs[6].second);
+    EXPECT_EQ(s.extensions, tbs[7].first.content.size());  // the SEQUENCE
+    std::size_t san = 0;
+    for (const auto& [ext, size] :
+         sized_children(asn1::children(tbs[7].first)[0].content)) {
+      if (asn1::decode_oid(asn1::children(ext)[0]) ==
+          oids::subject_alt_name) {
+        san += size;
+      }
+    }
+    EXPECT_EQ(cert.san_bytes(), san);
+    EXPECT_EQ(s.signature, outer[2].second);
+    EXPECT_EQ(s.total, cert.der().size());
+    // The DER is one allocation of exactly its size.
+    EXPECT_EQ(cert.der().capacity(), cert.der().size());
+  }
 }
 
 TEST(Certificate, RsaLeafLargerThanEcdsaLeaf) {

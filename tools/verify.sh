@@ -31,9 +31,10 @@
 #                                   # corpus, spill, epochs) on the smoke
 #                                   # population, assemble
 #                                   # build/BENCH_throughput.json and
-#                                   # sanity-check its keys; then a short
-#                                   # traced certbench census_sweep run
-#                                   # that must report "correct": true
+#                                   # sanity-check its keys; then short
+#                                   # traced certbench census_sweep and
+#                                   # corpus runs that must each report
+#                                   # "correct": true
 #                                   # (replica fidelity, codec round
 #                                   # trip, thread invariance, spill
 #                                   # replay and the pinned digest).
@@ -253,27 +254,30 @@ CERTQUIC_PQ_PROFILE=classical"
   return "$tp_status"
 }
 
-# Benchmark self-check smoke: a 2-second traced census_sweep run of the
-# certbench harness. Its final JSON line carries "correct": true only
-# when every self-check passed and the seed-42 digest matches
-# certbench/reference.json. Expects cwd = repo root; builds into
-# .bench_build/ like any certbench run.
+# Benchmark self-check smoke: a 2-second traced run of the certbench
+# harness on census_sweep (the handshake path) and on corpus (chain
+# materialization and the corpus fold). Each final JSON line carries
+# "correct": true only when every self-check passed and the seed-42
+# digest matches certbench/reference.json. Expects cwd = repo root;
+# builds into .bench_build/ like any certbench run.
 certbench_check() {
   cb_out=$(mktemp)
   cb_status=0
-  if ! python3 certbench/run.py --workload census_sweep --seed 42 \
-       --seconds 2 --trace 1 > "$cb_out"; then
-    echo "FAIL bench: certbench census_sweep exited nonzero"
-    cb_status=1
-  elif tail -n 1 "$cb_out" | python3 -c \
-       'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
-  then
-    echo "OK   bench: certbench census_sweep self-checks and digest correct"
-  else
-    echo "FAIL bench: certbench census_sweep reported \"correct\": false"
-    grep '^check\|^reference' "$cb_out" || true
-    cb_status=1
-  fi
+  for cb_workload in census_sweep corpus; do
+    if ! python3 certbench/run.py --workload "$cb_workload" --seed 42 \
+         --seconds 2 --trace 1 > "$cb_out"; then
+      echo "FAIL bench: certbench $cb_workload exited nonzero"
+      cb_status=1
+    elif tail -n 1 "$cb_out" | python3 -c \
+         'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
+    then
+      echo "OK   bench: certbench $cb_workload self-checks and digest correct"
+    else
+      echo "FAIL bench: certbench $cb_workload reported \"correct\": false"
+      grep '^check\|^reference' "$cb_out" || true
+      cb_status=1
+    fi
+  done
   rm -f "$cb_out"
   return "$cb_status"
 }
