@@ -1,5 +1,5 @@
 // Throughput: the census path (stateless reach backend → class
-// counting aggregator) through the streaming executor at full thread
+// counting aggregator) through engine::parallel_ordered at full thread
 // count. One probe per sampled QUIC service; one record per probe.
 #include "throughput_common.hpp"
 

@@ -1,6 +1,6 @@
 // Shared scaffolding for the bench/throughput_* suite: each binary
 // drives one engine path (census, corpus, spill/merge, epochs) through
-// the streaming executor at full thread count, times the run, and
+// engine::parallel_ordered at full thread count, times the run, and
 // reports probes/sec and records/sec. When CERTQUIC_BENCH_JSON names a
 // file, one machine-readable JSON object is written there (one line,
 // so tools/verify.sh --bench can assemble the per-path objects into

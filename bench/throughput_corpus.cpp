@@ -1,6 +1,6 @@
 // Throughput: the certificate-corpus path (per-service chain
 // materialization over QUIC and HTTPS, field/size aggregation) through
-// the streaming executor. Each sized chain is one probe and one record.
+// engine::parallel_ordered. Each sized chain is one probe and one record.
 #include "throughput_common.hpp"
 
 #include "core/certificates.hpp"

@@ -1,5 +1,5 @@
 // Throughput: the out-of-core path (sharded probe → spill to disk →
-// k-way merge in plan order) through the streaming executor. The
+// k-way merge in plan order) through engine::parallel_ordered. The
 // in-memory baseline is skipped: this measures the spill pipeline.
 #include <unistd.h>
 

@@ -208,90 +208,6 @@ bytes der_writer::take() && {
   return std::move(buf_);
 }
 
-// --- bytes-returning wrappers ----------------------------------------------
-
-namespace {
-
-/// Runs `write` against a fresh writer and returns its bytes.
-template <typename Write>
-bytes encode(Write&& write) {
-  der_writer w;
-  write(w);
-  return std::move(w).take();
-}
-
-}  // namespace
-
-bytes encode_header(std::uint8_t tag_byte, std::size_t length) {
-  return encode([&](der_writer& w) { w.header(tag_byte, length); });
-}
-
-bytes wrap(std::uint8_t tag_byte, bytes_view content) {
-  return encode([&](der_writer& w) { w.tlv(tag_byte, content); });
-}
-
-bytes wrap(tag t, bytes_view content) {
-  return wrap(static_cast<std::uint8_t>(t), content);
-}
-
-bytes sequence(std::initializer_list<bytes_view> elements) {
-  return encode([&](der_writer& w) {
-    w.open(tag::sequence);
-    for (const bytes_view e : elements) {
-      w.raw(e);
-    }
-    w.close();
-  });
-}
-
-bytes context(unsigned n, bytes_view content, bool constructed) {
-  return wrap(context_tag(n, constructed), content);
-}
-
-bytes encode_integer(std::int64_t v) {
-  return encode([&](der_writer& w) { w.integer(v); });
-}
-
-bytes encode_big_integer(bytes_view magnitude) {
-  return encode([&](der_writer& w) { w.big_integer(magnitude); });
-}
-
-bytes encode_oid(const oid& arcs) {
-  return encode([&](der_writer& w) { w.oid(arcs); });
-}
-
-bytes encode_bit_string(bytes_view data, std::uint8_t unused_bits) {
-  return encode([&](der_writer& w) { w.bit_string(data, unused_bits); });
-}
-
-bytes encode_octet_string(bytes_view data) {
-  return encode([&](der_writer& w) { w.octet_string(data); });
-}
-
-bytes encode_boolean(bool v) {
-  return encode([&](der_writer& w) { w.boolean(v); });
-}
-
-bytes encode_null() {
-  return encode([](der_writer& w) { w.null(); });
-}
-
-bytes encode_printable_string(std::string_view s) {
-  return encode([&](der_writer& w) { w.printable_string(s); });
-}
-
-bytes encode_utf8_string(std::string_view s) {
-  return encode([&](der_writer& w) { w.utf8_string(s); });
-}
-
-bytes encode_ia5_string(std::string_view s) {
-  return encode([&](der_writer& w) { w.ia5_string(s); });
-}
-
-bytes encode_utc_time(std::string_view s) {
-  return encode([&](der_writer& w) { w.utc_time(s); });
-}
-
 // --- decoding ---------------------------------------------------------------
 
 tlv read_tlv(buffer_reader& r) {

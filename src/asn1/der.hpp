@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <string_view>
 #include <vector>
 
@@ -81,9 +80,18 @@ class der_writer {
   /// the next write; lets callers fill key material in place.
   [[nodiscard]] std::uint8_t* append(std::size_t n);
 
+  /// INTEGER in two's-complement minimal form.
   void integer(std::int64_t v);
+  /// INTEGER from an unsigned big-endian magnitude (serial numbers, RSA
+  /// moduli): 0x00 is prepended when the leading bit is set so the
+  /// value stays positive, and redundant leading zero octets go.
   void big_integer(bytes_view magnitude);
+  /// OBJECT IDENTIFIER with standard arc packing. Throws codec_error on
+  /// fewer than two arcs, invalid root arcs, or a combined first
+  /// subidentifier (arcs[0] * 40 + arcs[1]) wider than 32 bits.
   void oid(const asn1::oid& arcs);
+  /// BIT STRING with `unused_bits` trailing unused bits (0 for X.509
+  /// keys and signatures).
   void bit_string(bytes_view data, std::uint8_t unused_bits = 0);
   void octet_string(bytes_view data) { tlv(tag::octet_string, data); }
   void boolean(bool v);
@@ -113,47 +121,6 @@ class der_writer {
   std::size_t open_[kMaxDepth] = {};
   std::size_t depth_ = 0;
 };
-
-/// Encodes the definite-length header for `length` content bytes.
-[[nodiscard]] bytes encode_header(std::uint8_t tag_byte, std::size_t length);
-
-/// Wraps `content` in a TLV with the given tag byte.
-[[nodiscard]] bytes wrap(std::uint8_t tag_byte, bytes_view content);
-[[nodiscard]] bytes wrap(tag t, bytes_view content);
-
-/// SEQUENCE of pre-encoded elements.
-[[nodiscard]] bytes sequence(std::initializer_list<bytes_view> elements);
-
-/// Context-specific tag [n]; constructed if `constructed`.
-[[nodiscard]] bytes context(unsigned n, bytes_view content,
-                            bool constructed = true);
-
-/// INTEGER from a signed machine integer (two's-complement minimal form).
-[[nodiscard]] bytes encode_integer(std::int64_t v);
-
-/// INTEGER from an unsigned big-endian magnitude (e.g. serial numbers,
-/// RSA moduli). Prepends 0x00 when the leading bit is set so the value
-/// stays positive; strips redundant leading zero octets.
-[[nodiscard]] bytes encode_big_integer(bytes_view magnitude);
-
-/// OBJECT IDENTIFIER with standard arc packing. Throws codec_error on
-/// fewer than two arcs, first-arc constraints violated, or a combined
-/// first subidentifier (arcs[0] * 40 + arcs[1]) wider than 32 bits.
-[[nodiscard]] bytes encode_oid(const oid& arcs);
-
-/// BIT STRING with `unused_bits` trailing unused bits (0 for X.509 keys
-/// and signatures).
-[[nodiscard]] bytes encode_bit_string(bytes_view data,
-                                      std::uint8_t unused_bits = 0);
-
-[[nodiscard]] bytes encode_octet_string(bytes_view data);
-[[nodiscard]] bytes encode_boolean(bool v);
-[[nodiscard]] bytes encode_null();
-[[nodiscard]] bytes encode_printable_string(std::string_view s);
-[[nodiscard]] bytes encode_utf8_string(std::string_view s);
-[[nodiscard]] bytes encode_ia5_string(std::string_view s);
-/// UTCTime, `s` must be "YYMMDDHHMMSSZ" (13 chars).
-[[nodiscard]] bytes encode_utc_time(std::string_view s);
 
 /// A decoded TLV element; `content` views into the reader's buffer.
 struct tlv {

@@ -7,11 +7,11 @@
 // run_backend with a backscatter_backend directly.
 //
 // parallel_ordered is the single execution primitive underneath it
-// all. It dispatches, per engine::options, between two bit-identical
-// implementations: the default lock-free streaming pipeline over SPSC
-// rings (engine/streaming_executor.hpp — no join barrier, results flow
-// to the consumer while workers are still probing) and the historical
-// chunk-and-join path kept below as the reference implementation.
+// all: workers claim fixed-size chunks of the index space, and the
+// calling thread joins them back in plan order, at most a bounded
+// window of chunks ahead of the consumer. Serial execution is the same
+// loop without threads and is the oracle the parallel path is tested
+// against.
 //
 // Determinism rests on three invariants:
 //  1. every probe's randomness is a pure function of the plan and the
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -36,8 +37,8 @@
 
 #include "engine/probe_plan.hpp"
 #include "engine/sink.hpp"
-#include "engine/streaming_executor.hpp"
 #include "internet/model.hpp"
+#include "util/assert.hpp"
 
 namespace certquic::engine {
 
@@ -50,26 +51,12 @@ struct options {
   /// Probes per shard handed to a worker at a time. 0 resolves to the
   /// default via resolved_chunk().
   std::size_t chunk = 64;
-  /// Which parallel_ordered implementation to use. `automatic` defers
-  /// to $CERTQUIC_EXECUTOR ("streaming" | "chunked"), defaulting to
-  /// the lock-free streaming pipeline; both are bit-identical, so this
-  /// knob exists for A/B benchmarking and regression bisection, not
-  /// correctness.
-  executor_mode mode = executor_mode::automatic;
-  /// Per-worker SPSC ring capacity for the streaming executor, rounded
-  /// up to a power of two. 0 resolves to kDefaultRingCapacity.
-  std::size_t ring = 0;
 
   /// The effective chunk size; the single place the `0 means 64`
   /// default lives, shared by parallel_ordered and run_backend so the
   /// two paths cannot drift.
   [[nodiscard]] std::size_t resolved_chunk() const noexcept {
     return chunk == 0 ? 64 : chunk;
-  }
-
-  /// The effective streaming-ring capacity.
-  [[nodiscard]] std::size_t resolved_ring() const noexcept {
-    return ring == 0 ? kDefaultRingCapacity : ring;
   }
 
   [[nodiscard]] static options serial() { return {.threads = 1}; }
@@ -79,9 +66,30 @@ struct options {
 /// never returns 0.
 [[nodiscard]] std::size_t resolved_threads(const options& opt);
 
-/// Resolves options::mode against $CERTQUIC_EXECUTOR; never returns
-/// `automatic`.
-[[nodiscard]] executor_mode resolved_mode(const options& opt);
+/// Debug-only sequencer-ticket monotonicity check: the sequencer must
+/// deliver tickets 0, 1, 2, ... with no gap, duplicate or reordering —
+/// the invariant that makes parallel aggregation bit-identical to
+/// serial. advance(t) asserts t is exactly the next expected ticket in
+/// CERTQUIC_ENABLE_ASSERTS builds (death-tested by executor_test) and
+/// compiles to nothing in release builds.
+class sequencer_ticket {
+ public:
+  void advance(std::size_t ticket) noexcept {
+#if defined(CERTQUIC_ENABLE_ASSERTS)
+    CERTQUIC_ASSERT(ticket == next_,
+                    "sequencer ticket left plan order — ordered delivery "
+                    "must be monotone ascending with no gaps");
+    ++next_;
+#else
+    (void)ticket;
+#endif
+  }
+
+#if defined(CERTQUIC_ENABLE_ASSERTS)
+ private:
+  std::size_t next_ = 0;
+#endif
+};
 
 /// Ordered parallel map: computes work(i) for i in [0, n) on a worker
 /// pool, then calls consume(i, result) for every i in ascending order
@@ -101,13 +109,6 @@ void parallel_ordered(std::size_t n, const options& opt, Work&& work,
     for (std::size_t i = 0; i < n; ++i) {
       consume(i, work(i));
     }
-    return;
-  }
-
-  if (resolved_mode(opt) == executor_mode::streaming) {
-    streaming_parallel_ordered(n, threads, opt.resolved_chunk(),
-                               opt.resolved_ring(), std::forward<Work>(work),
-                               std::forward<Consume>(consume));
     return;
   }
 

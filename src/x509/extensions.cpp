@@ -35,14 +35,6 @@ void extension::encode(asn1::der_writer& w) const {
   w.close();
 }
 
-bytes extension::encode() const {
-  asn1::der_writer w;
-  encode(w);
-  return std::move(w).take();
-}
-
-std::size_t extension::encoded_size() const { return encode().size(); }
-
 extension make_basic_constraints(bool is_ca, std::optional<int> path_len) {
   return make(oids::basic_constraints, "basicConstraints", /*critical=*/true,
               [&](asn1::der_writer& w) {

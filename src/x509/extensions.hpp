@@ -24,9 +24,6 @@ struct extension {
   /// Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT FALSE,
   ///                          extnValue OCTET STRING }, written into `w`.
   void encode(asn1::der_writer& w) const;
-  [[nodiscard]] bytes encode() const;
-  /// Size of the encoded Extension TLV in bytes.
-  [[nodiscard]] std::size_t encoded_size() const;
 };
 
 // --- Builders -------------------------------------------------------------

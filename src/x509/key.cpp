@@ -270,12 +270,6 @@ void encode_spki(asn1::der_writer& w, key_algorithm a, rng& r) {
   throw config_error("unknown key_algorithm");
 }
 
-bytes encode_spki(key_algorithm a, rng& r) {
-  asn1::der_writer w;
-  encode_spki(w, a, r);
-  return std::move(w).take();
-}
-
 void encode_signature_value(asn1::der_writer& w, signature_algorithm a,
                             rng& r) {
   switch (a) {
@@ -294,12 +288,6 @@ void encode_signature_value(asn1::der_writer& w, signature_algorithm a,
       return random_bit_string(w, mldsa_of(a).signature_bytes, r, false);
   }
   throw config_error("unknown signature_algorithm");
-}
-
-bytes encode_signature_value(signature_algorithm a, rng& r) {
-  asn1::der_writer w;
-  encode_signature_value(w, a, r);
-  return std::move(w).take();
 }
 
 }  // namespace certquic::x509

@@ -76,15 +76,13 @@ enum class pq_profile : std::uint8_t {
 void encode_signature_algorithm(asn1::der_writer& w, signature_algorithm a);
 
 /// DER SubjectPublicKeyInfo with freshly synthesized key bits, written
-/// into `w`; the bytes form returns it on its own.
+/// into `w`.
 void encode_spki(asn1::der_writer& w, key_algorithm a, rng& r);
-[[nodiscard]] bytes encode_spki(key_algorithm a, rng& r);
 
 /// Synthesized signatureValue BIT STRING matching the algorithm's
 /// real-world size (RSA: modulus-sized; ECDSA: DER-encoded r/s pair),
-/// written into `w`; the bytes form returns it on its own.
+/// written into `w`.
 void encode_signature_value(asn1::der_writer& w, signature_algorithm a,
                             rng& r);
-[[nodiscard]] bytes encode_signature_value(signature_algorithm a, rng& r);
 
 }  // namespace certquic::x509

@@ -44,12 +44,6 @@ void distinguished_name::encode(asn1::der_writer& w) const {
   w.close();
 }
 
-bytes distinguished_name::encode() const {
-  asn1::der_writer w;
-  encode(w);
-  return std::move(w).take();
-}
-
 std::string distinguished_name::to_string() const {
   std::string out;
   for (const auto& part : parts_) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "asn1/der.hpp"
-#include "util/bytes.hpp"
 
 namespace certquic::x509 {
 
@@ -41,7 +40,6 @@ class distinguished_name {
 
   /// DER RDNSequence encoding, written into `w`.
   void encode(asn1::der_writer& w) const;
-  [[nodiscard]] bytes encode() const;
 
   /// Human-readable "C=US, O=Example, CN=example.org".
   [[nodiscard]] std::string to_string() const;

@@ -2,132 +2,163 @@
 #include <gtest/gtest.h>
 
 #include "asn1/der.hpp"
+#include "der_encode.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
 
 namespace certquic::asn1 {
 namespace {
 
-bytes_view view(const bytes& b) { return b; }
+using test::encode;
 
 TEST(DerHeader, ShortForm) {
-  const bytes h = encode_header(0x30, 0x7f);
+  const bytes h = encode([](der_writer& w) { w.header(0x30, 0x7f); });
   const bytes expected = {0x30, 0x7f};
   EXPECT_EQ(h, expected);
 }
 
 TEST(DerHeader, LongForm) {
-  const bytes one = encode_header(0x30, 0x80);
+  const bytes one = encode([](der_writer& w) { w.header(0x30, 0x80); });
   const bytes expected_one = {0x30, 0x81, 0x80};
   EXPECT_EQ(one, expected_one);
 
-  const bytes two = encode_header(0x30, 0x1234);
+  const bytes two = encode([](der_writer& w) { w.header(0x30, 0x1234); });
   const bytes expected_two = {0x30, 0x82, 0x12, 0x34};
   EXPECT_EQ(two, expected_two);
 }
 
 TEST(DerInteger, KnownEncodings) {
   // Canonical two's-complement minimal forms.
-  EXPECT_EQ(encode_integer(0), (bytes{0x02, 0x01, 0x00}));
-  EXPECT_EQ(encode_integer(127), (bytes{0x02, 0x01, 0x7f}));
-  EXPECT_EQ(encode_integer(128), (bytes{0x02, 0x02, 0x00, 0x80}));
-  EXPECT_EQ(encode_integer(256), (bytes{0x02, 0x02, 0x01, 0x00}));
-  EXPECT_EQ(encode_integer(-1), (bytes{0x02, 0x01, 0xff}));
-  EXPECT_EQ(encode_integer(-128), (bytes{0x02, 0x01, 0x80}));
-  EXPECT_EQ(encode_integer(-129), (bytes{0x02, 0x02, 0xff, 0x7f}));
-  EXPECT_EQ(encode_integer(65537), (bytes{0x02, 0x03, 0x01, 0x00, 0x01}));
+  const auto integer = [](std::int64_t v) {
+    return encode([&](der_writer& w) { w.integer(v); });
+  };
+  EXPECT_EQ(integer(0), (bytes{0x02, 0x01, 0x00}));
+  EXPECT_EQ(integer(127), (bytes{0x02, 0x01, 0x7f}));
+  EXPECT_EQ(integer(128), (bytes{0x02, 0x02, 0x00, 0x80}));
+  EXPECT_EQ(integer(256), (bytes{0x02, 0x02, 0x01, 0x00}));
+  EXPECT_EQ(integer(-1), (bytes{0x02, 0x01, 0xff}));
+  EXPECT_EQ(integer(-128), (bytes{0x02, 0x01, 0x80}));
+  EXPECT_EQ(integer(-129), (bytes{0x02, 0x02, 0xff, 0x7f}));
+  EXPECT_EQ(integer(65537), (bytes{0x02, 0x03, 0x01, 0x00, 0x01}));
 }
 
 TEST(DerBigInteger, PrependsZeroForHighBit) {
   const bytes magnitude = {0x80, 0x01};
-  const bytes enc = encode_big_integer(magnitude);
+  const bytes enc = encode([&](der_writer& w) { w.big_integer(magnitude); });
   EXPECT_EQ(enc, (bytes{0x02, 0x03, 0x00, 0x80, 0x01}));
 }
 
 TEST(DerBigInteger, StripsRedundantLeadingZeros) {
   const bytes magnitude = {0x00, 0x00, 0x01, 0x02};
-  const bytes enc = encode_big_integer(magnitude);
+  const bytes enc = encode([&](der_writer& w) { w.big_integer(magnitude); });
   EXPECT_EQ(enc, (bytes{0x02, 0x02, 0x01, 0x02}));
 }
 
 TEST(DerBigInteger, EmptyEncodesZero) {
-  EXPECT_EQ(encode_big_integer({}), (bytes{0x02, 0x01, 0x00}));
+  EXPECT_EQ(encode([](der_writer& w) { w.big_integer({}); }),
+            (bytes{0x02, 0x01, 0x00}));
+}
+
+bytes oid_tlv(const oid& arcs) {
+  return encode([&](der_writer& w) { w.oid(arcs); });
 }
 
 TEST(DerOid, KnownEncodings) {
   // sha256WithRSAEncryption = 1.2.840.113549.1.1.11.
-  const bytes rsa = encode_oid({1, 2, 840, 113549, 1, 1, 11});
+  const bytes rsa = oid_tlv({1, 2, 840, 113549, 1, 1, 11});
   const bytes expected = {0x06, 0x09, 0x2a, 0x86, 0x48, 0x86,
                           0xf7, 0x0d, 0x01, 0x01, 0x0b};
   EXPECT_EQ(rsa, expected);
 
   // id-ce-subjectAltName = 2.5.29.17.
-  const bytes san = encode_oid({2, 5, 29, 17});
+  const bytes san = oid_tlv({2, 5, 29, 17});
   const bytes expected_san = {0x06, 0x03, 0x55, 0x1d, 0x11};
   EXPECT_EQ(san, expected_san);
 }
 
 TEST(DerOid, RejectsInvalidArcs) {
-  EXPECT_THROW((void)encode_oid({1}), codec_error);
-  EXPECT_THROW((void)encode_oid({3, 1}), codec_error);
-  EXPECT_THROW((void)encode_oid({0, 40}), codec_error);
+  EXPECT_THROW((void)oid_tlv({1}), codec_error);
+  EXPECT_THROW((void)oid_tlv({3, 1}), codec_error);
+  EXPECT_THROW((void)oid_tlv({0, 40}), codec_error);
 }
 
 TEST(DerOid, RejectsFirstSubidentifierPast32Bits) {
   // 2 * 40 + 4294967295 does not fit the 32 bits an arc decodes into;
   // it used to wrap to 79 and come back as {1, 39}.
-  EXPECT_THROW((void)encode_oid({2, 0xffff'ffffu}), codec_error);
-  EXPECT_THROW((void)encode_oid({2, 0xffff'ffffu - 79}), codec_error);
-  der_writer w;
-  EXPECT_THROW(w.oid({2, 0xffff'ffffu}), codec_error);
+  EXPECT_THROW((void)oid_tlv({2, 0xffff'ffffu}), codec_error);
+  EXPECT_THROW((void)oid_tlv({2, 0xffff'ffffu - 79}), codec_error);
 
   // The widest first subidentifier that fits still round-trips.
   const oid widest{2, 0xffff'ffffu - 80, 7};
-  const bytes enc = encode_oid(widest);
+  const bytes enc = oid_tlv(widest);
   buffer_reader r{enc};
   EXPECT_EQ(decode_oid(read_tlv(r)), widest);
 }
 
 TEST(DerBitString, PrependsUnusedBits) {
   const bytes data = {0xaa};
-  EXPECT_EQ(encode_bit_string(data), (bytes{0x03, 0x02, 0x00, 0xaa}));
-  EXPECT_EQ(encode_bit_string(data, 3), (bytes{0x03, 0x02, 0x03, 0xaa}));
-  EXPECT_THROW((void)encode_bit_string(data, 8), codec_error);
+  const auto bit_string = [&](std::uint8_t unused_bits) {
+    return encode([&](der_writer& w) { w.bit_string(data, unused_bits); });
+  };
+  EXPECT_EQ(bit_string(0), (bytes{0x03, 0x02, 0x00, 0xaa}));
+  EXPECT_EQ(bit_string(3), (bytes{0x03, 0x02, 0x03, 0xaa}));
+  EXPECT_THROW((void)bit_string(8), codec_error);
 }
 
 TEST(DerPrimitives, BooleanNullStrings) {
-  EXPECT_EQ(encode_boolean(true), (bytes{0x01, 0x01, 0xff}));
-  EXPECT_EQ(encode_boolean(false), (bytes{0x01, 0x01, 0x00}));
-  EXPECT_EQ(encode_null(), (bytes{0x05, 0x00}));
-  EXPECT_EQ(encode_printable_string("US"), (bytes{0x13, 0x02, 'U', 'S'}));
-  EXPECT_EQ(encode_utf8_string("ab"), (bytes{0x0c, 0x02, 'a', 'b'}));
-  EXPECT_EQ(encode_ia5_string("x"), (bytes{0x16, 0x01, 'x'}));
+  EXPECT_EQ(encode([](der_writer& w) { w.boolean(true); }),
+            (bytes{0x01, 0x01, 0xff}));
+  EXPECT_EQ(encode([](der_writer& w) { w.boolean(false); }),
+            (bytes{0x01, 0x01, 0x00}));
+  EXPECT_EQ(encode([](der_writer& w) { w.null(); }), (bytes{0x05, 0x00}));
+  EXPECT_EQ(encode([](der_writer& w) { w.printable_string("US"); }),
+            (bytes{0x13, 0x02, 'U', 'S'}));
+  EXPECT_EQ(encode([](der_writer& w) { w.utf8_string("ab"); }),
+            (bytes{0x0c, 0x02, 'a', 'b'}));
+  EXPECT_EQ(encode([](der_writer& w) { w.ia5_string("x"); }),
+            (bytes{0x16, 0x01, 'x'}));
 }
 
 TEST(DerUtcTime, ValidatesShape) {
-  EXPECT_EQ(encode_utc_time("220910000000Z").size(), 15u);
-  EXPECT_THROW((void)encode_utc_time("2209100000Z"), codec_error);
-  EXPECT_THROW((void)encode_utc_time("2209100000000"), codec_error);
+  const auto utc_time = [](std::string_view s) {
+    return encode([&](der_writer& w) { w.utc_time(s); });
+  };
+  EXPECT_EQ(utc_time("220910000000Z").size(), 15u);
+  EXPECT_THROW((void)utc_time("2209100000Z"), codec_error);
+  EXPECT_THROW((void)utc_time("2209100000000"), codec_error);
 }
 
 TEST(DerSequence, NestsAndMeasures) {
-  const bytes inner = encode_integer(5);
-  const bytes seq = sequence({view(inner), view(inner)});
-  EXPECT_EQ(seq.size(), 2 + 2 * inner.size());
-  EXPECT_EQ(seq[0], 0x30);
+  const bytes seq = encode([](der_writer& w) {
+    w.open(tag::sequence);
+    w.integer(5);
+    w.integer(5);
+    w.close();
+  });
+  EXPECT_EQ(seq, (bytes{0x30, 0x06, 0x02, 0x01, 0x05, 0x02, 0x01, 0x05}));
 }
 
 TEST(DerContext, TagBytes) {
-  const bytes c0 = context(0, view(encode_integer(2)));
+  const bytes c0 = encode([](der_writer& w) {
+    w.open(context_tag(0));
+    w.integer(2);
+    w.close();
+  });
   EXPECT_EQ(c0[0], 0xa0);
-  const bytes c2 = context(2, {}, /*constructed=*/false);
+  const bytes c2 = encode([](der_writer& w) {
+    w.tlv(context_tag(2, /*constructed=*/false), bytes_view{});
+  });
   EXPECT_EQ(c2[0], 0x82);
-  EXPECT_THROW((void)context(31, {}), codec_error);
+  EXPECT_THROW((void)context_tag(31), codec_error);
 }
 
 TEST(DerDecode, ReadTlvRoundTrip) {
-  const bytes seq = sequence({view(encode_integer(300)),
-                              view(encode_oid({2, 5, 4, 3}))});
+  const bytes seq = encode([](der_writer& w) {
+    w.open(tag::sequence);
+    w.integer(300);
+    w.oid({2, 5, 4, 3});
+    w.close();
+  });
   buffer_reader r{seq};
   const tlv outer = read_tlv(r);
   EXPECT_TRUE(outer.is(tag::sequence));
@@ -163,7 +194,7 @@ TEST(DerDecode, OidArcWidthLimit) {
 TEST(DerDecode, OidMaxArcRoundTrips) {
   // 2^32 - 1 is the widest representable arc and must still decode.
   const oid arcs{2, 47, 0xffff'ffffu};
-  const bytes enc = encode_oid(arcs);
+  const bytes enc = oid_tlv(arcs);
   buffer_reader r{enc};
   EXPECT_EQ(decode_oid(read_tlv(r)), arcs);
 }
@@ -182,7 +213,7 @@ TEST_P(IntegerRoundTrip, EncodeDecode) {
   rng r{GetParam()};
   for (int i = 0; i < 500; ++i) {
     const auto v = static_cast<std::int64_t>(r.next());
-    const bytes enc = encode_integer(v);
+    const bytes enc = encode([&](der_writer& w) { w.integer(v); });
     buffer_reader reader{enc};
     EXPECT_EQ(decode_integer(read_tlv(reader)), v);
   }
@@ -205,7 +236,7 @@ TEST_P(OidRoundTrip, EncodeDecode) {
     for (std::uint64_t k = 0; k < extra; ++k) {
       arcs.push_back(static_cast<std::uint32_t>(r.uniform(0, 1 << 28)));
     }
-    const bytes enc = encode_oid(arcs);
+    const bytes enc = oid_tlv(arcs);
     buffer_reader reader{enc};
     EXPECT_EQ(decode_oid(read_tlv(reader)), arcs);
   }
@@ -222,7 +253,8 @@ TEST_P(HeaderRoundTrip, WrapUnwrap) {
   rng r{99};
   bytes payload(GetParam());
   r.fill(payload);
-  const bytes wrapped = wrap(tag::octet_string, payload);
+  const bytes wrapped =
+      encode([&](der_writer& w) { w.tlv(tag::octet_string, payload); });
   buffer_reader reader{wrapped};
   const tlv t = read_tlv(reader);
   EXPECT_TRUE(t.is(tag::octet_string));
@@ -274,7 +306,6 @@ TEST_P(WriterLength, OpenCloseMatchesKnownLengthHeader) {
   der_writer direct;
   direct.tlv(tag::octet_string, content);
   EXPECT_EQ(std::move(direct).take(), expected);
-  EXPECT_EQ(wrap(tag::octet_string, content), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Edges, WriterLength,
@@ -306,14 +337,14 @@ TEST(DerWriter, NestedLongFormBackPatching) {
 
   bytes inner = expected_header(0x30, small.size());
   append(inner, small);
-  bytes middle_content = encode_octet_string(mid);
+  bytes middle_content = encode([&](der_writer& w) { w.octet_string(mid); });
   append(middle_content, inner);
-  append(middle_content, encode_integer(7));
+  append(middle_content, encode([](der_writer& w) { w.integer(7); }));
   bytes middle = expected_header(0x31, middle_content.size());
   append(middle, middle_content);
-  bytes outer_content = encode_octet_string(big);
+  bytes outer_content = encode([&](der_writer& w) { w.octet_string(big); });
   append(outer_content, middle);
-  append(outer_content, encode_null());
+  append(outer_content, encode([](der_writer& w) { w.null(); }));
   bytes expected = expected_header(0x30, outer_content.size());
   append(expected, outer_content);
   ASSERT_EQ(got, expected);
@@ -336,36 +367,6 @@ TEST(DerWriter, NestedLongFormBackPatching) {
   EXPECT_TRUE(kids[2].is(tag::null_value));
 }
 
-TEST(DerWriter, WrappersMatchTheWriter) {
-  der_writer w;
-  w.open(tag::sequence);
-  w.integer(-129);
-  w.big_integer(bytes{0x80, 0x01});
-  w.oid({1, 2, 840, 113549, 1, 1, 11});
-  w.bit_string(bytes{0xaa}, 3);
-  w.boolean(true);
-  w.printable_string("US");
-  w.utf8_string("ab");
-  w.ia5_string("x");
-  w.utc_time("220910000000Z");
-  w.open(context_tag(3));
-  w.close();
-  w.close();
-  const bytes expected = sequence({
-      view(encode_integer(-129)),
-      view(encode_big_integer(bytes{0x80, 0x01})),
-      view(encode_oid({1, 2, 840, 113549, 1, 1, 11})),
-      view(encode_bit_string(bytes{0xaa}, 3)),
-      view(encode_boolean(true)),
-      view(encode_printable_string("US")),
-      view(encode_utf8_string("ab")),
-      view(encode_ia5_string("x")),
-      view(encode_utc_time("220910000000Z")),
-      view(context(3, {})),
-  });
-  EXPECT_EQ(std::move(w).take(), expected);
-}
-
 TEST(DerWriter, RejectsUnbalancedNesting) {
   der_writer w;
   EXPECT_THROW(w.close(), codec_error);
@@ -386,7 +387,7 @@ TEST(DerWriter, ClearKeepsNothingOpen) {
   w.clear();
   EXPECT_EQ(w.size(), 0u);
   w.null();  // take() below would throw if clear() left an element open
-  EXPECT_EQ(std::move(w).take(), encode_null());
+  EXPECT_EQ(std::move(w).take(), (bytes{0x05, 0x00}));
 }
 
 }  // namespace

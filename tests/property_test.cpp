@@ -12,6 +12,7 @@
 #include "asn1/der.hpp"
 #include "ca/ecosystem.hpp"
 #include "compress/lz.hpp"
+#include "der_encode.hpp"
 #include "property.hpp"
 #include "quic/varint.hpp"
 #include "util/buffer.hpp"
@@ -74,7 +75,8 @@ TEST(VarintProperty, ConcatenatedStreamRoundTrips) {
 TEST(DerProperty, IntegerRoundTrip) {
   for_each_iteration([](rng& r, std::size_t i) {
     const std::int64_t v = test::gen_int64(r);
-    const bytes encoded = asn1::encode_integer(v);
+    const bytes encoded =
+        test::encode([&](asn1::der_writer& w) { w.integer(v); });
     buffer_reader rd(encoded);
     const asn1::tlv t = asn1::read_tlv(rd);
     ASSERT_TRUE(t.is(asn1::tag::integer)) << "iteration " << i;
@@ -90,7 +92,8 @@ TEST(DerProperty, IntegerEdgeCases) {
                                 127,  -128,       128,
                                 -129, INT64_MAX,  INT64_MIN};
   for (const std::int64_t v : edges) {
-    const bytes encoded = asn1::encode_integer(v);
+    const bytes encoded =
+        test::encode([&](asn1::der_writer& w) { w.integer(v); });
     buffer_reader rd(encoded);
     const asn1::tlv t = asn1::read_tlv(rd);
     ASSERT_TRUE(t.is(asn1::tag::integer)) << "v=" << v;
@@ -102,7 +105,8 @@ TEST(DerProperty, IntegerEdgeCases) {
 TEST(DerProperty, OidRoundTrip) {
   for_each_iteration([](rng& r, std::size_t i) {
     const asn1::oid arcs = test::gen_oid(r);
-    const bytes encoded = asn1::encode_oid(arcs);
+    const bytes encoded =
+        test::encode([&](asn1::der_writer& w) { w.oid(arcs); });
     buffer_reader rd(encoded);
     const asn1::tlv t = asn1::read_tlv(rd);
     ASSERT_TRUE(t.is(asn1::tag::object_identifier)) << "iteration " << i;
@@ -118,12 +122,14 @@ TEST(DerProperty, NestedSequenceRoundTrips) {
     const bytes blob = test::gen_bytes(r, 0, 300);
     const std::string text = test::gen_printable(r, 0, 200);
 
-    const bytes inner =
-        asn1::sequence({bytes_view(asn1::encode_printable_string(text))});
-    const bytes encoded = asn1::sequence({
-        bytes_view(asn1::encode_integer(num)),
-        bytes_view(asn1::encode_octet_string(blob)),
-        bytes_view(inner),
+    const bytes encoded = test::encode([&](asn1::der_writer& w) {
+      w.open(asn1::tag::sequence);
+      w.integer(num);
+      w.octet_string(blob);
+      w.open(asn1::tag::sequence);
+      w.printable_string(text);
+      w.close();
+      w.close();
     });
 
     buffer_reader rd(encoded);
@@ -145,7 +151,8 @@ TEST(DerProperty, NestedSequenceRoundTrips) {
 TEST(DerProperty, BigIntegerPreservesMagnitude) {
   for_each_iteration([](rng& r, std::size_t i) {
     bytes magnitude = test::gen_bytes(r, 1, 64);
-    const bytes encoded = asn1::encode_big_integer(magnitude);
+    const bytes encoded =
+        test::encode([&](asn1::der_writer& w) { w.big_integer(magnitude); });
     buffer_reader rd(encoded);
     const asn1::tlv t = asn1::read_tlv(rd);
     ASSERT_TRUE(t.is(asn1::tag::integer)) << "iteration " << i;
@@ -250,7 +257,8 @@ TEST(PqcProperty, MlDsaSpkiDerRoundTripsAtFipsSizes) {
   for_each_iteration(
       [&](rng& r, std::size_t i) {
         for (const auto& c : cases) {
-          const bytes spki = x509::encode_spki(c.alg, r);
+          const bytes spki = test::encode(
+              [&](asn1::der_writer& w) { x509::encode_spki(w, c.alg, r); });
           buffer_reader rd(spki);
           const asn1::tlv outer = asn1::read_tlv(rd);
           ASSERT_TRUE(outer.is(asn1::tag::sequence)) << "iteration " << i;
@@ -280,7 +288,9 @@ TEST(PqcProperty, MlDsaSignatureValueHasFipsSize) {
   for_each_iteration(
       [&](rng& r, std::size_t i) {
         for (const auto& c : cases) {
-          const bytes sig = x509::encode_signature_value(c.alg, r);
+          const bytes sig = test::encode([&](asn1::der_writer& w) {
+            x509::encode_signature_value(w, c.alg, r);
+          });
           buffer_reader rd(sig);
           const asn1::tlv t = asn1::read_tlv(rd);
           ASSERT_TRUE(t.is(asn1::tag::bit_string)) << "iteration " << i;

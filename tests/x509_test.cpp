@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "asn1/der.hpp"
+#include "der_encode.hpp"
 #include "util/rng.hpp"
 #include "x509/certificate.hpp"
 #include "x509/chain.hpp"
@@ -60,7 +61,7 @@ TEST(DistinguishedName, EncodeAndRender) {
   const auto dn = distinguished_name::org("US", "Let's Encrypt", "R3");
   EXPECT_EQ(dn.to_string(), "C=US, O=Let's Encrypt, CN=R3");
   EXPECT_EQ(dn.common_name(), "R3");
-  const bytes der = dn.encode();
+  const bytes der = test::encode([&](asn1::der_writer& w) { dn.encode(w); });
   EXPECT_EQ(der[0], 0x30);
   // C(13) + O(~24) + CN(~9) + header: spot-check a plausible size window.
   EXPECT_GT(der.size(), 30u);
@@ -77,31 +78,35 @@ TEST(DistinguishedName, EqualityIsStructural) {
 
 TEST(Key, SpkiSizesMatchRealWorld) {
   rng r{1};
+  const auto spki_size = [&](key_algorithm a) {
+    return test::encode([&](asn1::der_writer& w) { encode_spki(w, a, r); })
+        .size();
+  };
   // Real-world DER sizes: RSA-2048 SPKI = 294 B, RSA-4096 = 550 B,
   // P-256 = 91 B, P-384 = 120 B.
-  EXPECT_EQ(encode_spki(key_algorithm::rsa_2048, r).size(), 294u);
-  EXPECT_EQ(encode_spki(key_algorithm::rsa_4096, r).size(), 550u);
-  EXPECT_EQ(encode_spki(key_algorithm::ecdsa_p256, r).size(), 91u);
-  EXPECT_EQ(encode_spki(key_algorithm::ecdsa_p384, r).size(), 120u);
+  EXPECT_EQ(spki_size(key_algorithm::rsa_2048), 294u);
+  EXPECT_EQ(spki_size(key_algorithm::rsa_4096), 550u);
+  EXPECT_EQ(spki_size(key_algorithm::ecdsa_p256), 91u);
+  EXPECT_EQ(spki_size(key_algorithm::ecdsa_p384), 120u);
 }
 
 TEST(Key, SignatureSizesMatchRealWorld) {
   rng r{2};
-  EXPECT_EQ(encode_signature_value(signature_algorithm::sha256_rsa_2048, r)
-                .size(),
+  const auto signature_size = [&](signature_algorithm a) {
+    return test::encode(
+               [&](asn1::der_writer& w) { encode_signature_value(w, a, r); })
+        .size();
+  };
+  EXPECT_EQ(signature_size(signature_algorithm::sha256_rsa_2048),
             261u);  // 256 + BIT STRING framing
-  EXPECT_EQ(encode_signature_value(signature_algorithm::sha256_rsa_4096, r)
-                .size(),
-            517u);
+  EXPECT_EQ(signature_size(signature_algorithm::sha256_rsa_4096), 517u);
   // ECDSA signatures jitter by the r/s sign octets: P-256 in [70, 74],
   // P-384 in [102, 106] including framing.
   for (int i = 0; i < 50; ++i) {
-    const auto p256 =
-        encode_signature_value(signature_algorithm::ecdsa_sha256, r).size();
+    const auto p256 = signature_size(signature_algorithm::ecdsa_sha256);
     EXPECT_GE(p256, 70u);
     EXPECT_LE(p256, 77u);
-    const auto p384 =
-        encode_signature_value(signature_algorithm::ecdsa_sha384, r).size();
+    const auto p384 = signature_size(signature_algorithm::ecdsa_sha384);
     EXPECT_GE(p384, 102u);
     EXPECT_LE(p384, 109u);
   }
@@ -121,6 +126,10 @@ TEST(Extensions, SubjectAltNameRoundTrip) {
   EXPECT_EQ(parse_subject_alt_name(ext), names);
 }
 
+std::size_t encoded_size(const extension& ext) {
+  return test::encode([&](asn1::der_writer& w) { ext.encode(w); }).size();
+}
+
 TEST(Extensions, SanSizeGrowsWithNames) {
   std::vector<std::string> names;
   const extension empty_ish = make_subject_alt_name({"x.example"});
@@ -128,7 +137,7 @@ TEST(Extensions, SanSizeGrowsWithNames) {
     names.push_back("host" + std::to_string(i) + ".example.com");
   }
   const extension big = make_subject_alt_name(names);
-  EXPECT_GT(big.encoded_size(), empty_ish.encoded_size() + 45 * 20);
+  EXPECT_GT(encoded_size(big), encoded_size(empty_ish) + 45 * 20);
 }
 
 TEST(Extensions, BasicConstraintsDistinguishesCa) {
@@ -140,8 +149,8 @@ TEST(Extensions, BasicConstraintsDistinguishesCa) {
 
 TEST(Extensions, SctListSizeScalesWithCount) {
   rng r{3};
-  const auto two = make_sct_list(2, r).encoded_size();
-  const auto three = make_sct_list(3, r).encoded_size();
+  const auto two = encoded_size(make_sct_list(2, r));
+  const auto three = encoded_size(make_sct_list(3, r));
   // 119-byte SCT + 2-byte length prefix, plus up to two DER length-form
   // promotions (OCTET STRING and Extension SEQUENCE crossing 255 bytes).
   EXPECT_GE(three - two, 121u);

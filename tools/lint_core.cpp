@@ -31,11 +31,11 @@ bool in_aggregator_paths(const std::string& relative_path) {
          starts_with(relative_path, "service/");
 }
 
-/// atomic-plain applies where lock-free executor code lives: plain
-/// (memberless) use of a std::atomic both hides the intended ordering
-/// (implicit seq_cst reads as "unconsidered") and breaks the ring's
-/// documented acquire/release contract when someone reaches for
-/// `head_ == tail_` instead of an explicit acquire load.
+/// atomic-plain applies where executor code lives: plain (memberless)
+/// use of a std::atomic hides the intended ordering (implicit seq_cst
+/// reads as "unconsidered"), and a lock-free protocol breaks when
+/// someone reaches for `head_ == tail_` instead of an explicit acquire
+/// load.
 bool in_executor_paths(const std::string& relative_path) {
   return starts_with(relative_path, "engine/");
 }
@@ -299,7 +299,7 @@ void lint_scanned(const std::string& relative_path,
 std::string read_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   if (!in) {
-    throw config_error("certquic_lint: cannot read " + path);
+    throw config_error("lint: cannot read " + path);
   }
   std::ostringstream out;
   out << in.rdbuf();
@@ -351,7 +351,7 @@ bool known_rule(const std::string& rule) {
 std::vector<waiver> load_waivers(const std::string& path) {
   std::ifstream in{path};
   if (!in) {
-    throw config_error("certquic_lint: cannot read waiver file " + path);
+    throw config_error("lint: cannot read waiver file " + path);
   }
   std::vector<waiver> out;
   std::string line;
@@ -370,18 +370,18 @@ std::vector<waiver> load_waivers(const std::string& path) {
       }
     }
     if (fields.size() != 4) {
-      throw config_error("certquic_lint: waiver line " +
+      throw config_error("lint: waiver line " +
                          std::to_string(line_no) +
                          " needs rule|path|substring|reason: " + line);
     }
     waiver w{fields[0], fields[1], fields[2], fields[3], line_no};
     if (!known_rule(w.rule)) {
-      throw config_error("certquic_lint: waiver line " +
+      throw config_error("lint: waiver line " +
                          std::to_string(line_no) + " names unknown rule '" +
                          w.rule + "'");
     }
     if (w.substring.empty() || w.reason.empty()) {
-      throw config_error("certquic_lint: waiver line " +
+      throw config_error("lint: waiver line " +
                          std::to_string(line_no) +
                          " needs a non-empty substring and reason");
     }

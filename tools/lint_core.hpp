@@ -1,4 +1,4 @@
-// certquic_lint — the repo's determinism lint.
+// lint_core — the repo's determinism lint, run by certquic_analyze.
 //
 // The engine's headline guarantee (parallel runs bit-identical to
 // serial, spill replays byte-identical) rests on source-level
@@ -33,13 +33,11 @@
 //                   explicitly waived scheme.
 //   atomic-plain    plain (memberless) use of a variable declared
 //                   std::atomic in engine/ — e.g. `head_ == tail_` or
-//                   `flag = true` where the lock-free ring protocol
-//                   requires an explicit .load(acquire) /
-//                   .store(release). Implicit seq_cst compiles and
+//                   `flag = true` where the protocol wants an explicit
+//                   .load() / .store(). Implicit seq_cst compiles and
 //                   races-free under TSan, but it hides the intended
-//                   ordering and invites the plain-load-where-acquire-
-//                   is-required misuse the streaming executor's rings
-//                   depend on never happening.
+//                   ordering and invites a plain load where an
+//                   acquire is required.
 //
 // The scanner is token-level: every rule matches against the blanked
 // code view produced by analyze::scan_source (tools/analyze_core.*),
