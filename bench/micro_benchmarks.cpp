@@ -1,14 +1,14 @@
 // google-benchmark micro-benchmarks for library primitives: varint
-// encoding, LZ compression and TLS flight build. Chain issuance,
-// datagram parse and whole-handshake cost are measured by the benchmark
-// harness instead (certbench --trace 1: internet.chain_of_us,
-// quic.parse_us, scan.probe_us_p50).
+// encoding and LZ compression, which no benchmark workload exercises
+// (none compresses). Chain issuance, TLS flight build, datagram parse
+// and whole-handshake cost are measured by the benchmark harness
+// instead (certbench --trace 1: internet.chain_of_us,
+// tls.server_flight_us, quic.parse_us, scan.probe_us_p50).
 #include <benchmark/benchmark.h>
 
 #include "ca/ecosystem.hpp"
 #include "compress/codec.hpp"
 #include "quic/varint.hpp"
-#include "tls/handshake.hpp"
 
 namespace {
 
@@ -62,17 +62,6 @@ void BM_LzRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LzRoundTrip);
-
-void BM_ServerFlightBuild(benchmark::State& state) {
-  auto eco = ca::ecosystem::make();
-  rng r{5};
-  const auto chain = eco.issue(eco.profile("sectigo"), "f.example", r);
-  for (auto _ : state) {
-    const auto flight = tls::build_server_flight(chain, nullptr, r);
-    benchmark::DoNotOptimize(flight.total_size());
-  }
-}
-BENCHMARK(BM_ServerFlightBuild);
 
 }  // namespace
 

@@ -509,8 +509,8 @@ x509::chain ecosystem::issue(const chain_profile& profile,
   const std::size_t scts =
       lp.sct_count > 1 && r.chance(0.5) ? lp.sct_count - 1 : lp.sct_count;
   spec.extensions.push_back(x509::make_sct_list(scts, r));
-  certificate leaf{std::move(spec), r};
-  return x509::chain{std::move(leaf), parents};
+  return x509::chain{std::make_shared<const certificate>(std::move(spec), r),
+                     parents};
 }
 
 x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
@@ -646,8 +646,8 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
                                        "http://" + ca_host + "/ca.crt"),
       x509::make_sct_list(1 + r.uniform(0, 2), r),
   });
-  certificate leaf{std::move(spec), r};
-  return x509::chain{std::move(leaf), std::move(parents)};
+  return x509::chain{std::make_shared<const certificate>(std::move(spec), r),
+                     std::move(parents)};
 }
 
 x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
@@ -682,8 +682,8 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
       x509::make_certificate_policies(false, "http://comodoca.com/cps"),
       x509::make_sct_list(3, r),
   });
-  certificate leaf{std::move(spec), r};
-  return x509::chain{std::move(leaf), parents};
+  return x509::chain{std::make_shared<const certificate>(std::move(spec), r),
+                     parents};
 }
 
 bytes ecosystem::compression_dictionary() const {

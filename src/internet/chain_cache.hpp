@@ -54,7 +54,9 @@ class chain_cache {
 
 /// Cache-aware fetch shared by every chain consumer: goes through
 /// `cache` when one is provided, else materializes directly. Keeps the
-/// optional-cache dispatch in one place.
+/// optional-cache dispatch in one place. A cached chain is returned as a
+/// copy that shares every certificate with the cached one, so a hit
+/// costs reference-count bumps, not a DER copy.
 [[nodiscard]] inline x509::chain fetch_chain(
     const model& m, const chain_cache* cache, const service_record& rec,
     fetch_protocol proto,

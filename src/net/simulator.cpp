@@ -33,18 +33,33 @@ const path_config& simulator::path_to(const endpoint_id& dst) const {
   return it != paths_.end() ? it->second : default_path_;
 }
 
-void simulator::push(time_point at, std::function<void()> fn) {
-  queue_.push_back(event{at, next_seq_++, std::move(fn)});
+void simulator::push(time_point at, std::variant<datagram, timer_fn> what) {
+  queue_.push_back(event{at, next_seq_++, std::move(what)});
   std::push_heap(queue_.begin(), queue_.end(), event_later{});
 }
 
 void simulator::fire_next() {
-  // Pop before invoking: the callback may push events.
+  // Pop before running: a handler or timer may push events.
   std::pop_heap(queue_.begin(), queue_.end(), event_later{});
-  const std::function<void()> fn = std::move(queue_.back().fn);
-  now_ = queue_.back().at;
+  const event ev = std::move(queue_.back());
   queue_.pop_back();
-  fn();
+  now_ = ev.at;
+  if (const auto* fn = std::get_if<timer_fn>(&ev.what)) {
+    (*fn)();
+  } else {
+    deliver(std::get<datagram>(ev.what));
+  }
+}
+
+void simulator::deliver(const datagram& d) {
+  const auto it = endpoints_.find(d.dst);
+  if (it == endpoints_.end()) {
+    ++stats_.dropped_unroutable;
+    return;
+  }
+  ++stats_.delivered;
+  stats_.bytes_delivered += d.payload.size();
+  it->second(d);
 }
 
 void simulator::send(datagram d) {
@@ -75,16 +90,7 @@ void simulator::send(datagram d) {
     ++stats_.dropped_loss;
     return;
   }
-  push(depart + path.one_way_delay, [this, d = std::move(d)]() {
-    const auto it = endpoints_.find(d.dst);
-    if (it == endpoints_.end()) {
-      ++stats_.dropped_unroutable;
-      return;
-    }
-    ++stats_.delivered;
-    stats_.bytes_delivered += d.payload.size();
-    it->second(d);
-  });
+  push(depart + path.one_way_delay, std::move(d));
 }
 
 void simulator::schedule(duration delay, timer_fn fn) {

@@ -18,6 +18,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "net/address.hpp"
@@ -135,10 +136,12 @@ class simulator {
   [[nodiscard]] const traffic_stats& stats() const noexcept { return stats_; }
 
  private:
+  /// A delivery holds its datagram by value, so sending allocates no
+  /// callback; only timers carry a std::function.
   struct event {
     time_point at;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
-    std::function<void()> fn;
+    std::variant<datagram, timer_fn> what;
   };
   struct event_later {
     bool operator()(const event& a, const event& b) const noexcept {
@@ -146,11 +149,14 @@ class simulator {
     }
   };
 
-  void push(time_point at, std::function<void()> fn);
+  void push(time_point at, std::variant<datagram, timer_fn> what);
   /// Pops the earliest event, advances `now_` to it and runs it. The
-  /// callback is moved out of the heap, never copied, so a captured
-  /// datagram payload is delivered without a copy.
+  /// event is moved out of the heap, never copied, so neither a timer
+  /// callback nor a datagram payload is copied on the way.
   void fire_next();
+  /// Hands a datagram to its destination's handler, or counts it
+  /// unroutable.
+  void deliver(const datagram& d);
 
   time_point now_ = 0;
   std::uint64_t next_seq_ = 0;

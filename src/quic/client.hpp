@@ -151,9 +151,9 @@ class client {
   rng rng_;
   observation obs_;
 
-  bytes dcid_;
-  bytes scid_;  // empty: browsers commonly use zero-length source CIDs
-  bytes server_scid_;
+  connection_id dcid_;
+  connection_id scid_;  // empty: browsers commonly use zero-length SCIDs
+  connection_id server_scid_;
   bytes initial_stream_;    // reassembled Initial-level CRYPTO (in order)
   bytes handshake_stream_;  // reassembled Handshake-level CRYPTO
   std::uint64_t largest_initial_pn_ = 0;

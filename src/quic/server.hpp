@@ -8,6 +8,7 @@
 
 #include "net/simulator.hpp"
 #include "quic/behavior.hpp"
+#include "quic/packet.hpp"
 #include "util/rng.hpp"
 #include "x509/chain.hpp"
 
@@ -35,9 +36,17 @@ struct server_stats {
 class server {
  public:
   /// `codec_dictionary` backs certificate compression when a client
-  /// offers an algorithm in `behavior.compression_support`.
+  /// offers an algorithm in `behavior.compression_support`. The server
+  /// borrows it: whoever owns it (the `internet::model`, a backend
+  /// plan) must outlive the server. Throws config_error when
+  /// `behavior.max_udp_payload` is below kMinInitialSize.
   server(net::simulator& sim, net::endpoint_id address, x509::chain chain,
-         server_behavior behavior, bytes codec_dictionary, std::uint64_t seed);
+         server_behavior behavior, bytes_view codec_dictionary,
+         std::uint64_t seed);
+  /// A temporary dictionary would dangle once the constructor returns.
+  server(net::simulator& sim, net::endpoint_id address, x509::chain chain,
+         server_behavior behavior, bytes&& codec_dictionary,
+         std::uint64_t seed) = delete;
   ~server();
 
   server(const server&) = delete;
@@ -55,9 +64,8 @@ class server {
  private:
   struct connection {
     net::endpoint_id peer;
-    bytes client_dcid;   // what the client called us
-    bytes client_scid;   // the client's source cid (our dcid towards it)
-    bytes our_scid;
+    connection_id client_scid;  // the client's source cid (our dcid to it)
+    connection_id our_scid;
     bool validated = false;
     bool done = false;   // full flight delivered and acknowledged
     bool limit_exempt = false;  // transient: non-compliant resend pump
@@ -88,6 +96,10 @@ class server {
   void handle_client_initial(connection& c, const packet& p);
   /// Sends as much pending flight data as the policy allows.
   void pump(connection& c, bool include_ack);
+  /// As pump, but sends no stream byte at or past `initial_end` /
+  /// `handshake_end`.
+  void pump_until(connection& c, bool include_ack, std::size_t initial_end,
+                  std::size_t handshake_end);
   /// Retransmits everything sent so far (unvalidated client timeout).
   void retransmit(connection& c);
   void arm_pto(connection& c);
@@ -110,7 +122,7 @@ class server {
   net::endpoint_id address_;
   x509::chain chain_;
   server_behavior behavior_;
-  bytes codec_dictionary_;
+  bytes_view codec_dictionary_;
   rng rng_;
   server_stats stats_;
   std::unordered_map<net::endpoint_id, std::unique_ptr<connection>> conns_;

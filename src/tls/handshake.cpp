@@ -29,6 +29,24 @@ bytes random_bytes(std::size_t n, rng& r) {
   return out;
 }
 
+/// Appends the framed Certificate message for `chain` to `w`: the DER
+/// of every certificate is written once, straight into `w`.
+void write_certificate(buffer_writer& w, const x509::chain& chain) {
+  w.u8(static_cast<std::uint8_t>(handshake_type::certificate));
+  const auto msg_len = w.reserve_u24();
+  const std::size_t msg_start = w.size();
+  w.u8(0);  // certificate_request_context
+  const auto list_len = w.reserve_u24();
+  const std::size_t list_start = w.size();
+  chain.for_each([&w](const x509::certificate& cert) {
+    w.u24(static_cast<std::uint32_t>(cert.der().size()));
+    w.raw(cert.der());
+    w.u16(0);  // per-entry extensions
+  });
+  w.patch_u24(list_len, static_cast<std::uint32_t>(w.size() - list_start));
+  w.patch_u24(msg_len, static_cast<std::uint32_t>(w.size() - msg_start));
+}
+
 }  // namespace
 
 bytes frame(handshake_type type, bytes_view body) {
@@ -216,18 +234,9 @@ bytes encode_encrypted_extensions(rng& r) {
 }
 
 bytes encode_certificate(const x509::chain& chain) {
-  buffer_writer body;
-  body.u8(0);  // certificate_request_context
-  const auto list_len = body.reserve_u24();
-  const std::size_t list_start = body.size();
-  chain.for_each([&body](const x509::certificate& cert) {
-    body.u24(static_cast<std::uint32_t>(cert.der().size()));
-    body.raw(cert.der());
-    body.u16(0);  // per-entry extensions
-  });
-  body.patch_u24(list_len,
-                 static_cast<std::uint32_t>(body.size() - list_start));
-  return frame(handshake_type::certificate, body.view());
+  buffer_writer w;
+  write_certificate(w, chain);
+  return std::move(w).take();
 }
 
 bytes encode_compressed_certificate(const x509::chain& chain,
@@ -280,29 +289,28 @@ bytes encode_finished(rng& r) {
   return frame(handshake_type::finished, random_bytes(32, r));
 }
 
-std::size_t server_flight::handshake_crypto_size() const noexcept {
-  std::size_t total = 0;
-  for (const auto& msg : handshake_msgs) {
-    total += msg.size();
-  }
-  return total;
-}
-
 std::size_t server_flight::total_size() const noexcept {
-  return server_hello.size() + handshake_crypto_size();
+  return server_hello.size() + handshake.size();
 }
 
 server_flight build_server_flight(const x509::chain& chain,
                                   const compress::codec* codec, rng& r) {
   server_flight flight;
   flight.server_hello = encode_server_hello(r);
-  flight.handshake_msgs.push_back(encode_encrypted_extensions(r));
-  flight.handshake_msgs.push_back(
-      codec != nullptr ? encode_compressed_certificate(chain, *codec)
-                       : encode_certificate(chain));
-  flight.handshake_msgs.push_back(
-      encode_certificate_verify(chain.leaf().key_alg(), r));
-  flight.handshake_msgs.push_back(encode_finished(r));
+  buffer_writer hs;
+  // The chain plus its per-entry framing, and 1 KiB for
+  // EncryptedExtensions, CertificateVerify and Finished (at most ~700 B
+  // together), so the buffer never regrows.
+  hs.storage().reserve(chain.wire_size() + 5 * chain.depth() + 1024);
+  hs.raw(encode_encrypted_extensions(r));
+  if (codec != nullptr) {
+    hs.raw(encode_compressed_certificate(chain, *codec));
+  } else {
+    write_certificate(hs, chain);
+  }
+  hs.raw(encode_certificate_verify(chain.leaf().key_alg(), r));
+  hs.raw(encode_finished(r));
+  flight.handshake = std::move(hs).take();
   return flight;
 }
 

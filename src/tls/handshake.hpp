@@ -84,12 +84,12 @@ struct client_hello_config {
 
 /// The server's first flight, split by encryption level as QUIC carries
 /// it: ServerHello at the Initial level, the rest at Handshake level.
+/// Each level is one contiguous CRYPTO stream, so a QUIC server can take
+/// both by move.
 struct server_flight {
-  bytes server_hello;                 // Initial-level CRYPTO payload
-  std::vector<bytes> handshake_msgs;  // EE, (Compressed)Cert, CV, Finished
+  bytes server_hello;  // Initial-level CRYPTO payload
+  bytes handshake;     // EE, (Compressed)Certificate, CV, Finished
 
-  /// Bytes of Handshake-level CRYPTO data.
-  [[nodiscard]] std::size_t handshake_crypto_size() const noexcept;
   /// Total TLS bytes across both levels.
   [[nodiscard]] std::size_t total_size() const noexcept;
 };

@@ -4,7 +4,7 @@
 
 namespace certquic::x509 {
 
-chain::chain(certificate leaf,
+chain::chain(std::shared_ptr<const certificate> leaf,
              std::vector<std::shared_ptr<const certificate>> parents)
     : leaf_(std::move(leaf)), parents_(std::move(parents)) {}
 

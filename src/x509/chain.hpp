@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,18 +12,19 @@
 namespace certquic::x509 {
 
 /// A server certificate chain, leaf first, as sent in the TLS
-/// Certificate message. Parent certificates (intermediates, and
-/// sometimes superfluous roots) are shared between services via
-/// shared_ptr since real deployments reuse the exact same intermediate
-/// DER bytes.
+/// Certificate message. Every certificate is held through a
+/// shared_ptr: parents (intermediates, and sometimes superfluous roots)
+/// are shared between services since real deployments reuse the exact
+/// same intermediate DER bytes, and the leaf is shared between copies
+/// of the chain, so copying a cached chain only bumps reference counts.
 class chain {
  public:
   chain() = default;
-  /// Builds a chain from an owned leaf plus shared parent certificates.
-  chain(certificate leaf,
+  /// Builds a chain from a leaf plus parent certificates.
+  chain(std::shared_ptr<const certificate> leaf,
         std::vector<std::shared_ptr<const certificate>> parents);
 
-  [[nodiscard]] bool empty() const noexcept { return !leaf_.has_value(); }
+  [[nodiscard]] bool empty() const noexcept { return leaf_ == nullptr; }
   [[nodiscard]] const certificate& leaf() const;
   [[nodiscard]] const std::vector<std::shared_ptr<const certificate>>&
   parents() const noexcept {
@@ -64,7 +64,7 @@ class chain {
   }
 
  private:
-  std::optional<certificate> leaf_;
+  std::shared_ptr<const certificate> leaf_;
   std::vector<std::shared_ptr<const certificate>> parents_;
 };
 

@@ -1,6 +1,8 @@
 // Unit, integration and property tests for the QUIC transport module.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ca/ecosystem.hpp"
 #include "net/simulator.hpp"
 #include "quic/behavior.hpp"
@@ -144,7 +146,7 @@ TEST(FramesPadding, TrailingRunStopsAtTheAeadTag) {
     for (const std::size_t n : {1u, 8u, 13u, 900u}) {
       packet p;
       p.type = type;
-      p.dcid = bytes(8, 0x5d);
+      p.dcid = connection_id{bytes(8, 0x5d)};
       p.frames = {crypto_frame{0, bytes(33, 0x44)}, padding_frame{n}};
       const bytes wire = encode_datagram({p});
       const auto parsed = parse_datagram(wire);
@@ -159,7 +161,7 @@ TEST(FramesPadding, TrailingRunStopsAtTheAeadTag) {
 TEST(FramesPadding, PaddingOnlyPacketRoundTrips) {
   packet p;
   p.type = packet_type::handshake;
-  p.dcid = bytes(8, 0x21);
+  p.dcid = connection_id{bytes(8, 0x21)};
   p.frames = {padding_frame{1170}};
   const bytes wire = encode_datagram({p});
   const auto parsed = parse_datagram(wire);
@@ -244,8 +246,8 @@ TEST(Packet, DatagramRoundTripWithCoalescing) {
 TEST(Packet, RetryRoundTrip) {
   packet retry;
   retry.type = packet_type::retry;
-  retry.dcid = bytes(8, 1);
-  retry.scid = bytes(8, 2);
+  retry.dcid = connection_id{bytes(8, 1)};
+  retry.scid = connection_id{bytes(8, 2)};
   retry.token = bytes(24, 3);
   const bytes wire = encode_datagram({retry});
   EXPECT_EQ(wire.size(), retry.wire_size());
@@ -344,18 +346,134 @@ TEST(Packet, TrailingZerosAreDatagramPadding) {
   EXPECT_EQ(parsed.size(), 1u);
 }
 
+// ---- Connection-ID length cap (RFC 9000 §17.2) ---------------------------
+
+/// One valid packet of each kind the codec parses, with empty ids.
+packet packet_of_kind(const std::string& kind) {
+  if (kind == "version_negotiation") {
+    return make_version_negotiation({}, {}, {kVersion1});
+  }
+  packet p;
+  if (kind == "retry") {
+    p.type = packet_type::retry;
+    p.token = bytes(24, 3);
+    return p;
+  }
+  p.type = kind == "initial"     ? packet_type::initial
+           : kind == "zero_rtt"  ? packet_type::zero_rtt
+           : kind == "handshake" ? packet_type::handshake
+                                 : packet_type::one_rtt;
+  p.frames.push_back(crypto_frame{0, bytes(40, 0x44)});
+  return p;
+}
+
+/// The wire form of `p` (whose ids are empty) with its id length bytes
+/// rewritten to `dcid_len` and, for long headers, `scid_len`, each
+/// followed by that many id bytes — so lengths past the cap, which no
+/// connection_id can hold, still reach the parser.
+bytes with_cid_lengths(const packet& p, std::uint8_t dcid_len,
+                       std::uint8_t scid_len) {
+  const bytes wire = encode_packet(p);
+  const bool short_header = p.type == packet_type::one_rtt;
+  // Short header: flags, dcid length. Long header: flags, version,
+  // dcid length, scid length.
+  const std::size_t dcid_at = short_header ? 1 : 5;
+  bytes out(wire.begin(), wire.begin() + static_cast<long>(dcid_at));
+  out.push_back(dcid_len);
+  out.insert(out.end(), dcid_len, 0xab);
+  if (!short_header) {
+    out.push_back(scid_len);
+    out.insert(out.end(), scid_len, 0xcd);
+  }
+  out.insert(out.end(),
+             wire.begin() + static_cast<long>(dcid_at + (short_header ? 1 : 2)),
+             wire.end());
+  return out;
+}
+
+class ConnectionIdCap : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ConnectionIdCap, ParseAcceptsTwentyBytesAndRejectsMore) {
+  const packet p = packet_of_kind(GetParam());
+  const bool short_header = p.type == packet_type::one_rtt;
+  const std::uint8_t scid_max = short_header ? 0 : 20;
+  const auto parsed = parse_datagram(with_cid_lengths(p, 20, scid_max));
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].dcid.size(), 20u);
+  EXPECT_EQ(parsed[0].scid.size(), scid_max);
+  for (const std::uint8_t len : {21, 255}) {
+    SCOPED_TRACE(static_cast<int>(len));
+    EXPECT_THROW((void)parse_datagram(with_cid_lengths(p, len, 0)),
+                 codec_error);
+    if (!short_header) {
+      EXPECT_THROW((void)parse_datagram(with_cid_lengths(p, 0, len)),
+                   codec_error);
+    }
+  }
+}
+
+TEST_P(ConnectionIdCap, EncodeRejectsOversizeIds) {
+  // An oversize id cannot be put into a packet, so none is ever encoded.
+  for (const std::size_t len : {21u, 255u}) {
+    SCOPED_TRACE(len);
+    const bytes id(len, 0xab);
+    if (GetParam() == "version_negotiation") {
+      EXPECT_THROW((void)make_version_negotiation(id, {}, {kVersion1}),
+                   codec_error);
+      EXPECT_THROW((void)make_version_negotiation({}, id, {kVersion1}),
+                   codec_error);
+      continue;
+    }
+    packet p = packet_of_kind(GetParam());
+    EXPECT_THROW(p.dcid = connection_id{id}, codec_error);
+    EXPECT_THROW(p.scid.resize(len), codec_error);
+    EXPECT_TRUE(p.dcid.empty());
+    EXPECT_TRUE(p.scid.empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryPacketType, ConnectionIdCap,
+                         ::testing::Values("initial", "zero_rtt",
+                                           "handshake", "retry", "one_rtt",
+                                           "version_negotiation"),
+                         [](const auto& info) { return info.param; });
+
+TEST(Server, RejectsMaxUdpPayloadBelowTheInitialFloor) {
+  // Below 60 bytes the CRYPTO chunk arithmetic would wrap; anything
+  // under RFC 9000's 1200-byte floor is a configuration error.
+  net::simulator sim;
+  ca::ecosystem eco = ca::ecosystem::make();
+  rng issue_rng{99};
+  const auto chain = eco.issue(eco.profile("cloudflare"), "x.org", issue_rng);
+  server_behavior behavior = server_behavior::compliant();
+  for (const std::size_t payload : {0u, 59u, 60u, 1199u}) {
+    SCOPED_TRACE(payload);
+    behavior.max_udp_payload = payload;
+    EXPECT_THROW((server{sim, kServerEp, chain, behavior, bytes_view{}, 1}),
+                 config_error);
+  }
+  // The floor itself is a working server.
+  behavior.max_udp_payload = kMinInitialSize;
+  const server srv{sim, kServerEp, chain, behavior, bytes_view{}, 1};
+  client cli{sim, kClientEp, kServerEp, client_config{.initial_size = 1362},
+             2};
+  cli.start();
+  sim.run();
+  EXPECT_TRUE(cli.result().handshake_complete);
+}
+
 // ---- End-to-end handshakes over the simulator ---------------------------
 
 struct handshake_fixture {
   net::simulator sim;
   ca::ecosystem eco = ca::ecosystem::make();
+  const bytes dictionary = eco.compression_dictionary();
 
   observation run(const char* profile, server_behavior behavior,
                   client_config config, const std::string& domain = "x.org") {
     rng issue_rng{99};
     auto chain = eco.issue(eco.profile(profile), domain, issue_rng);
-    server srv{sim, kServerEp, std::move(chain), behavior,
-               eco.compression_dictionary(), 1};
+    server srv{sim, kServerEp, std::move(chain), behavior, dictionary, 1};
     client cli{sim, kClientEp, kServerEp, std::move(config), 2};
     cli.start();
     sim.run();
@@ -555,8 +673,9 @@ TEST(Handshake, BudgetBlockedFlightsAreTimed) {
   ca::ecosystem eco = ca::ecosystem::make();
   rng issue_rng{99};
   auto chain = eco.issue(eco.profile("le-r3-x1cross"), "x.org", issue_rng);
+  const bytes dictionary = eco.compression_dictionary();
   server srv{sim,   kServerEp, std::move(chain),
-             server_behavior::compliant(), eco.compression_dictionary(), 1};
+             server_behavior::compliant(), dictionary, 1};
   client cli{sim, kClientEp, kServerEp,
              client_config{.initial_size = 1362}, 2};
   cli.start();
@@ -624,7 +743,7 @@ TEST(Packet, VersionNegotiationRoundTrip) {
   EXPECT_TRUE(parsed[0].is_version_negotiation());
   ASSERT_EQ(parsed[0].supported_versions.size(), 2u);
   EXPECT_EQ(parsed[0].supported_versions[0], kVersion1);
-  EXPECT_EQ(parsed[0].dcid, (bytes{1, 2}));
+  EXPECT_EQ(parsed[0].dcid, (connection_id{bytes{1, 2}}));
 }
 
 TEST(Handshake, VersionMismatchNegotiatesAndCompletes) {

@@ -169,13 +169,13 @@ TEST(Telescope, GroupsSessionsByProviderAndScid) {
   // another, from a "Cloudflare" host.
   quic::packet p;
   p.type = quic::packet_type::initial;
-  p.scid = bytes{1, 2, 3, 4};
-  p.dcid = bytes{9};
+  p.scid = quic::connection_id{bytes{1, 2, 3, 4}};
+  p.dcid = quic::connection_id{bytes{9}};
   p.frames.push_back(quic::ack_frame{0});
   const net::endpoint_id server{net::ipv4::of(104, 16, 1, 77), 443};
   sim.send({server, sensor_a, quic::encode_datagram({p})});
   sim.send({server, sensor_a, quic::encode_datagram({p})});
-  p.scid = bytes{5, 6, 7, 8};
+  p.scid = quic::connection_id{bytes{5, 6, 7, 8}};
   sim.send({server, sensor_b, quic::encode_datagram({p})});
   sim.run();
 
@@ -194,7 +194,7 @@ TEST(Telescope, UnmappedPrefixIsUnknown) {
   const auto sensor = scope.allocate_sensor();
   quic::packet p;
   p.type = quic::packet_type::initial;
-  p.scid = bytes{1};
+  p.scid = quic::connection_id{bytes{1}};
   p.frames.push_back(quic::ack_frame{0});
   sim.send({{net::ipv4::of(8, 8, 8, 8), 443}, sensor,
             quic::encode_datagram({p})});

@@ -1,6 +1,8 @@
 // Unit tests for the TLS 1.3 handshake message layer.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ca/ecosystem.hpp"
 #include "tls/handshake.hpp"
 #include "util/errors.hpp"
@@ -108,17 +110,25 @@ TEST_F(TlsTest, ServerFlightLevelsSplitCorrectly) {
   const auto flight = build_server_flight(chain, nullptr, rng_);
   EXPECT_EQ(peek_frame(flight.server_hello).type,
             handshake_type::server_hello);
-  ASSERT_EQ(flight.handshake_msgs.size(), 4u);
-  EXPECT_EQ(peek_frame(flight.handshake_msgs[0]).type,
-            handshake_type::encrypted_extensions);
-  EXPECT_EQ(peek_frame(flight.handshake_msgs[1]).type,
-            handshake_type::certificate);
-  EXPECT_EQ(peek_frame(flight.handshake_msgs[2]).type,
-            handshake_type::certificate_verify);
-  EXPECT_EQ(peek_frame(flight.handshake_msgs[3]).type,
-            handshake_type::finished);
+  EXPECT_EQ(peek_frame(flight.server_hello).total_size,
+            flight.server_hello.size());
+  // The Handshake level is four messages back to back.
+  std::vector<handshake_type> types;
+  std::size_t offset = 0;
+  while (offset < flight.handshake.size()) {
+    const frame_info info = peek_frame(
+        bytes_view{flight.handshake}.subspan(offset));
+    types.push_back(info.type);
+    offset += info.total_size;
+  }
+  EXPECT_EQ(offset, flight.handshake.size());
+  EXPECT_EQ(types, (std::vector<handshake_type>{
+                       handshake_type::encrypted_extensions,
+                       handshake_type::certificate,
+                       handshake_type::certificate_verify,
+                       handshake_type::finished}));
   EXPECT_EQ(flight.total_size(),
-            flight.server_hello.size() + flight.handshake_crypto_size());
+            flight.server_hello.size() + flight.handshake.size());
 }
 
 TEST_F(TlsTest, FlightSizeDominatedByCertificate) {

@@ -281,8 +281,8 @@ TEST(Chain, SizesAndDepth) {
   auto inter = std::make_shared<const certificate>(make_ca(r, "CA 1"));
   auto root = std::make_shared<const certificate>(
       make_ca(r, "Root", key_algorithm::rsa_4096));
-  const certificate leaf = make_leaf(r);
-  const std::size_t leaf_size = leaf.size();
+  auto leaf = std::make_shared<const certificate>(make_leaf(r));
+  const std::size_t leaf_size = leaf->size();
   const chain c{leaf, {inter, root}};
   EXPECT_EQ(c.depth(), 3u);
   EXPECT_EQ(c.wire_size(), leaf_size + inter->size() + root->size());
@@ -307,17 +307,19 @@ TEST(Chain, DetectsTrustAnchorInclusion) {
       certificate{std::move(root_spec), r});
   auto inter = std::make_shared<const certificate>(make_ca(r, "CA 2"));
 
-  const chain with_anchor{make_leaf(r), {inter, root}};
+  const chain with_anchor{std::make_shared<const certificate>(make_leaf(r)),
+                          {inter, root}};
   EXPECT_TRUE(with_anchor.includes_trust_anchor());
-  const chain without{make_leaf(r), {inter}};
+  const chain without{std::make_shared<const certificate>(make_leaf(r)),
+                      {inter}};
   EXPECT_FALSE(without.includes_trust_anchor());
 }
 
 TEST(Chain, SharedParentsReuseBytes) {
   rng r{13};
   auto inter = std::make_shared<const certificate>(make_ca(r, "Shared CA"));
-  const chain a{make_leaf(r), {inter}};
-  const chain b{make_leaf(r), {inter}};
+  const chain a{std::make_shared<const certificate>(make_leaf(r)), {inter}};
+  const chain b{std::make_shared<const certificate>(make_leaf(r)), {inter}};
   EXPECT_EQ(a.parents()[0].get(), b.parents()[0].get());
 }
 
