@@ -2,6 +2,7 @@
 // executor must produce byte-identical aggregates to the serial path on
 // a fixed-seed population, at any thread count.
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -93,6 +94,49 @@ std::string digest(const std::vector<core::meta_probe_row>& rows) {
         << ':' << full(row.duration_s) << '|';
   }
   return out.str();
+}
+
+std::string digest(const core::ack_sweep_result& sweep) {
+  std::ostringstream out;
+  for (const auto& slice : sweep.slices) {
+    out << static_cast<int>(slice.policy) << '|' << slice.probed << '|';
+    for (const auto count : slice.counts) {
+      out << count << ',';
+    }
+    out << '|' << digest(slice.handshake_ms) << ';';
+  }
+  return out.str();
+}
+
+/// FNV-1a over a digest rendering: one number to pin a long string.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins the aggregates no golden file covers: the census payload details
+// behind Fig. 5, the Fig. 13 rank-group counts, the census without
+// payload details (the fig03/fig13 path), the ACK-policy sweep and the
+// compression study's in-the-wild half. A refactor of the study sinks
+// must leave every value bit-identical.
+TEST(EnginePins, UngoldenedAggregatesMatchPinnedDigests) {
+  const auto& m = shared_model();
+  const auto exec = engine::options{.threads = 4};
+  const auto census = core::run_census(m, {}, exec);
+  EXPECT_EQ(fnv1a(digest(census)), 0xac15babd340ab4c2ULL) << digest(census);
+  const auto bare = core::run_census(
+      m, {.initial_size = 1250, .collect_payload_details = false}, exec);
+  EXPECT_EQ(fnv1a(digest(bare)), 0xe58298bb206d1546ULL) << digest(bare);
+  const auto sweep = core::run_ack_sweep(m, 0, exec);
+  EXPECT_EQ(fnv1a(digest(sweep)), 0xd115ad4b4ae84af0ULL) << digest(sweep);
+  const auto compression =
+      core::run_compression_study(m, {.max_chains = 200}, exec);
+  EXPECT_EQ(fnv1a(digest(compression)), 0xd2ef9d93cd433f3eULL)
+      << digest(compression);
 }
 
 TEST(EngineDeterminism, CensusIdenticalAcrossThreadCounts) {
