@@ -4,60 +4,14 @@
 // arrival/departure), with epoch-over-epoch deltas. The paper's census
 // is one snapshot; this figure shows what its repeated-scan service
 // reports as the population drifts.
-//
-// When CERTQUIC_BENCH_JSON names a file, a machine-readable summary
-// (per-epoch records/churn/classes + wall time) is written there;
-// stdout stays byte-identical either way so the golden diff is
-// unaffected.
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
 #include "common.hpp"
 #include "service/census_service.hpp"
-
-namespace {
-
-void write_bench_json(const char* path,
-                      const certquic::service::service_result& result,
-                      double wall_seconds) {
-  using certquic::scan::handshake_class;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "fig_epoch_deltas: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"epochs\",\n  \"wall_seconds\": %.3f,\n",
-               wall_seconds);
-  std::fprintf(f, "  \"epochs\": [\n");
-  for (std::size_t i = 0; i < result.epochs.size(); ++i) {
-    const auto& rep = result.epochs[i];
-    std::fprintf(
-        f,
-        "    {\"epoch\": %llu, \"records\": %zu, \"churn\": %zu, "
-        "\"amplification\": %zu, \"multi_rtt\": %zu, \"retry\": %zu, "
-        "\"one_rtt\": %zu, \"unreachable\": %zu, "
-        "\"ampl_median\": %.3f}%s\n",
-        static_cast<unsigned long long>(rep.epoch), rep.aggregate.records,
-        rep.churn.total(), rep.aggregate.count(handshake_class::amplification),
-        rep.aggregate.count(handshake_class::multi_rtt),
-        rep.aggregate.count(handshake_class::retry),
-        rep.aggregate.count(handshake_class::one_rtt),
-        rep.aggregate.count(handshake_class::unreachable),
-        rep.aggregate.first_burst_amplification.empty()
-            ? 0.0
-            : rep.aggregate.first_burst_amplification.median(),
-        i + 1 < result.epochs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-}  // namespace
 
 int main() {
   using namespace certquic;
@@ -75,12 +29,7 @@ int main() {
                    ("certquic_epochs_bench_" + std::to_string(::getpid())))
                       .string();
 
-  const auto wall_start = std::chrono::steady_clock::now();
   const auto result = service::run_epochs(opt);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   {
     std::error_code ec;
     std::filesystem::remove_all(opt.store_dir, ec);
@@ -94,11 +43,5 @@ int main() {
       "attribute each epoch's class shifts to the churn that caused "
       "them.\n");
   bench::footnote_scale(cfg);
-
-  if (const char* json_path = std::getenv("CERTQUIC_BENCH_JSON")) {
-    if (*json_path != '\0') {
-      write_bench_json(json_path, result, wall_seconds);
-    }
-  }
   return 0;
 }

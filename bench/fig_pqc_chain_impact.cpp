@@ -49,11 +49,11 @@ int main() {
   text_table classes({"profile", "1-RTT", "Multi-RTT", "Amplification",
                       "RETRY", "failed", "d 1-RTT", "d Multi-RTT",
                       "d failed"});
-  for (std::size_t i = 0; i < study.slices.size(); ++i) {
-    const auto& slice = study.slices[i];
+  for (const auto& slice : study.slices) {
     auto delta = [&](scan::handshake_class c) {
       char buf[16];
-      std::snprintf(buf, sizeof buf, "%+lld", study.class_delta(i, c));
+      std::snprintf(buf, sizeof buf, "%+lld",
+                    slice.class_delta(study.slices[0], c));
       return std::string(buf);
     };
     classes.add_row(

@@ -4,48 +4,11 @@
 // the per-cell deltas against the classical baseline isolate what the
 // bigger chains cost in *time* — extra round trips on clean paths,
 // serialization stretch on thin pipes, PTO tails under loss.
-//
-// When CERTQUIC_BENCH_JSON names a file, a machine-readable summary
-// (median/p95 TTFB per cell + wall time) is written there; stdout stays
-// byte-identical either way so the golden diff is unaffected.
-#include <chrono>
 #include <cstdio>
 
 #include "common.hpp"
 #include "core/ttfb_study.hpp"
 #include "util/text_table.hpp"
-
-namespace {
-
-void write_bench_json(const char* path,
-                      const certquic::core::ttfb_study_result& study,
-                      double wall_seconds) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "fig_ttfb_pqc: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"ttfb\",\n  \"wall_seconds\": %.3f,\n",
-               wall_seconds);
-  std::fprintf(f, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < study.cells.size(); ++i) {
-    const auto& cell = study.cells[i];
-    std::fprintf(
-        f,
-        "    {\"profile\": \"%s\", \"condition\": \"%s\", "
-        "\"probed\": %zu, \"fetched\": %zu, \"ttfb_ms_median\": %.3f, "
-        "\"ttfb_ms_p95\": %.3f}%s\n",
-        certquic::x509::to_string(cell.profile).c_str(),
-        cell.condition.name.c_str(), cell.probed, cell.completed(),
-        cell.ttfb_ms.empty() ? 0.0 : cell.ttfb_ms.median(),
-        cell.ttfb_ms.empty() ? 0.0 : cell.ttfb_ms.quantile(0.95),
-        i + 1 < study.cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-}  // namespace
 
 int main() {
   using namespace certquic;
@@ -57,12 +20,7 @@ int main() {
   core::ttfb_options opt;
   opt.max_services = bench::sample_cap(4000);
 
-  const auto wall_start = std::chrono::steady_clock::now();
   const auto study = core::run_ttfb_study(model, opt);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
 
   std::printf("\n");
   text_table grid({"profile", "condition", "probed", "fetched", "med [ms]",
@@ -103,11 +61,5 @@ int main() {
       "milliseconds per flight, and any lost Initial turns the larger "
       "flight into a longer\nPTO recovery.\n");
   bench::footnote_scale(cfg);
-
-  if (const char* json_path = std::getenv("CERTQUIC_BENCH_JSON")) {
-    if (*json_path != '\0') {
-      write_bench_json(json_path, study, wall_seconds);
-    }
-  }
   return 0;
 }

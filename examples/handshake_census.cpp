@@ -95,9 +95,10 @@ int main() {
       "shave the mean completed\nhandshake from %.2f ms to %.2f ms; a "
       "silent client strands every multi-RTT service\n(delta %+lld "
       "unreachable).\n",
-      sweep.class_delta(1, scan::handshake_class::multi_rtt),
+      instant.class_delta(delayed, scan::handshake_class::multi_rtt),
       delayed.handshake_ms.empty() ? 0.0 : delayed.handshake_ms.mean(),
       instant.handshake_ms.empty() ? 0.0 : instant.handshake_ms.mean(),
-      sweep.class_delta(2, scan::handshake_class::unreachable));
+      sweep.slices[2].class_delta(delayed,
+                                  scan::handshake_class::unreachable));
   return 0;
 }

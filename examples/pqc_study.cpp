@@ -58,8 +58,8 @@ int main() {
       "%+lld into multi-RTT\n(deltas vs the classical baseline of %zu "
       "probes); %.1f%% of all chains then exceed the\n3x1357-byte "
       "amplification budget.\n",
-      study.class_delta(2, scan::handshake_class::one_rtt),
-      study.class_delta(2, scan::handshake_class::multi_rtt),
+      full.class_delta(study.slices[0], scan::handshake_class::one_rtt),
+      full.class_delta(study.slices[0], scan::handshake_class::multi_rtt),
       study.slices[0].probed, full.over_amp_limit * 100.0);
   return 0;
 }

@@ -1,85 +1,10 @@
 #include "core/census.hpp"
 
+#include <algorithm>
+
 #include "engine/engine.hpp"
 
 namespace certquic::core {
-namespace {
-
-/// Streams census probes into a census_result. Runs on the executor's
-/// caller thread in plan order, so the aggregate is bit-identical to
-/// the historical serial loop at any thread count.
-class census_aggregator final : public engine::observation_sink {
- public:
-  census_aggregator(const internet::model& m, const census_options& opt,
-                    census_result& out)
-      : model_(m), opt_(opt), out_(out) {}
-
-  void on_begin(const engine::probe_plan& plan,
-                std::size_t sampled) override {
-    lifecycle_.begin();
-    if (opt_.collect_payload_details) {
-      out_.first_burst_amplification.reserve(sampled * plan.variants.size());
-    }
-  }
-
-  void on_record(const engine::probe_record& pr) override {
-    lifecycle_.record();
-    const scan::probe_result& probe = pr.result;
-    ++out_.probed;
-    const auto cls_idx = static_cast<std::size_t>(probe.cls);
-    ++out_.counts[cls_idx];
-    ++out_.group_counts[model_.rank_group(pr.record)][cls_idx];
-
-    if (!opt_.collect_payload_details) {
-      return;
-    }
-    const quic::observation& obs = probe.obs;
-    if (obs.handshake_complete) {
-      out_.first_burst_amplification.add(obs.first_burst_amplification());
-    }
-    switch (probe.cls) {
-      case scan::handshake_class::multi_rtt: {
-        out_.multi_rtt_payload.emplace_back(obs.bytes_received_total,
-                                            obs.tls_bytes_received);
-        if (obs.tls_bytes_received > 3 * obs.bytes_sent_first_flight) {
-          ++out_.multi_tls_exceeding_limit;
-        }
-        const std::size_t non_tls =
-            obs.bytes_received_total - obs.tls_bytes_received;
-        out_.max_non_tls_bytes = std::max(out_.max_non_tls_bytes, non_tls);
-        break;
-      }
-      case scan::handshake_class::amplification: {
-        ++out_.amplifying;
-        if (pr.record.behavior == internet::behavior_kind::cloudflare) {
-          ++out_.amplifying_cloudflare;
-          out_.cloudflare_padding.add(
-              static_cast<double>(obs.padding_bytes_first_burst));
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  void on_end() override {
-    lifecycle_.end();
-    // Eager sort while still single-threaded (the sample_set contract):
-    // results handed out of the run are then safe for concurrent
-    // quantile reads without ever contending on the lazy-sort lock.
-    out_.first_burst_amplification.finalize();
-    out_.cloudflare_padding.finalize();
-  }
-
- private:
-  const internet::model& model_;
-  const census_options& opt_;
-  census_result& out_;
-  engine::sink_lifecycle lifecycle_;
-};
-
-}  // namespace
 
 std::vector<std::size_t> initial_size_sweep() {
   std::vector<std::size_t> sizes;
@@ -100,54 +25,49 @@ census_result run_census(const internet::model& m, const census_options& opt,
   const engine::probe_plan plan =
       engine::probe_plan::single(std::move(variant), opt.max_services);
 
-  census_aggregator aggregator{m, opt, out};
-  engine::executor{m, exec}.run(plan, aggregator);
+  per_variant_sink sink{
+      out,
+      [&](census_result& c, const engine::probe_record& pr) {
+        const scan::probe_result& probe = pr.result;
+        ++c.group_counts[m.rank_group(pr.record)]
+                        [static_cast<std::size_t>(probe.cls)];
+        if (!opt.collect_payload_details) {
+          return;
+        }
+        const quic::observation& obs = probe.obs;
+        if (obs.handshake_complete) {
+          c.first_burst_amplification.add(obs.first_burst_amplification());
+        }
+        switch (probe.cls) {
+          case scan::handshake_class::multi_rtt: {
+            c.multi_rtt_payload.emplace_back(obs.bytes_received_total,
+                                             obs.tls_bytes_received);
+            if (obs.tls_bytes_received > 3 * obs.bytes_sent_first_flight) {
+              ++c.multi_tls_exceeding_limit;
+            }
+            const std::size_t non_tls =
+                obs.bytes_received_total - obs.tls_bytes_received;
+            c.max_non_tls_bytes = std::max(c.max_non_tls_bytes, non_tls);
+            break;
+          }
+          case scan::handshake_class::amplification: {
+            ++c.amplifying;
+            if (pr.record.behavior == internet::behavior_kind::cloudflare) {
+              ++c.amplifying_cloudflare;
+              c.cloudflare_padding.add(
+                  static_cast<double>(obs.padding_bytes_first_burst));
+            }
+            break;
+          }
+          default:
+            break;
+        }
+      },
+      {&census_result::first_burst_amplification,
+       &census_result::cloudflare_padding}};
+  engine::executor{m, exec}.run(plan, sink);
   return out;
 }
-
-namespace {
-
-/// Streams the 3-variant ACK-policy sweep into per-policy slices; one
-/// on_record dispatch keyed by variant index, no locking (plan order).
-class ack_sweep_aggregator final : public engine::observation_sink {
- public:
-  explicit ack_sweep_aggregator(ack_sweep_result& out) : out_(out) {}
-
-  void on_begin(const engine::probe_plan& plan,
-                std::size_t sampled) override {
-    lifecycle_.begin();
-    out_.slices.resize(plan.variants.size());
-    for (std::size_t v = 0; v < plan.variants.size(); ++v) {
-      out_.slices[v].policy = plan.variants[v].ack;
-      out_.slices[v].handshake_ms.reserve(sampled);
-    }
-  }
-
-  void on_record(const engine::probe_record& pr) override {
-    lifecycle_.record();
-    ack_census_slice& slice = out_.slices[pr.variant_index];
-    ++slice.probed;
-    ++slice.counts[static_cast<std::size_t>(pr.result.cls)];
-    const quic::observation& obs = pr.result.obs;
-    if (obs.handshake_complete) {
-      slice.handshake_ms.add(
-          static_cast<double>(obs.complete_time - obs.start_time) / 1000.0);
-    }
-  }
-
-  void on_end() override {
-    lifecycle_.end();
-    for (ack_census_slice& slice : out_.slices) {
-      slice.handshake_ms.finalize();
-    }
-  }
-
- private:
-  ack_sweep_result& out_;
-  engine::sink_lifecycle lifecycle_;
-};
-
-}  // namespace
 
 ack_sweep_result run_ack_sweep(const internet::model& m,
                                std::size_t max_services,
@@ -160,8 +80,22 @@ ack_sweep_result run_ack_sweep(const internet::model& m,
   plan.sweep_ack_policies();
 
   ack_sweep_result out;
-  ack_sweep_aggregator aggregator{out};
-  engine::executor{m, exec}.run(plan, aggregator);
+  out.slices.resize(plan.variants.size());
+  for (std::size_t v = 0; v < plan.variants.size(); ++v) {
+    out.slices[v].policy = plan.variants[v].ack;
+  }
+  per_variant_sink sink{
+      out.slices,
+      [](ack_census_slice& slice, const engine::probe_record& pr) {
+        const quic::observation& obs = pr.result.obs;
+        if (obs.handshake_complete) {
+          slice.handshake_ms.add(
+              static_cast<double>(obs.complete_time - obs.start_time) /
+              1000.0);
+        }
+      },
+      {&ack_census_slice::handshake_ms}};
+  engine::executor{m, exec}.run(plan, sink);
   return out;
 }
 

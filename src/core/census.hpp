@@ -7,15 +7,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/class_mix.hpp"
 #include "engine/engine.hpp"
 #include "internet/model.hpp"
-#include "scan/classify.hpp"
 #include "stats/cdf.hpp"
 
 namespace certquic::core {
-
-/// Number of handshake classes (indexable by handshake_class).
-inline constexpr std::size_t kClassCount = 5;
 
 /// Census parameters.
 struct census_options {
@@ -27,13 +24,10 @@ struct census_options {
   bool collect_payload_details = true;
 };
 
-/// Census output.
-struct census_result {
+/// Census output: the class mix plus the per-figure details.
+struct census_result : class_mix {
   std::size_t initial_size = 0;
-  std::size_t probed = 0;
 
-  /// Counts by handshake class.
-  std::array<std::size_t, kClassCount> counts{};
   /// Counts by rank group x class (Fig. 13).
   std::array<std::array<std::size_t, kClassCount>,
              internet::model::kRankGroups>
@@ -55,15 +49,6 @@ struct census_result {
   /// Padding observed on Cloudflare-profile amplifying handshakes
   /// (constant 2462 in the paper).
   stats::sample_set cloudflare_padding;
-
-  [[nodiscard]] std::size_t count(scan::handshake_class c) const {
-    return counts[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] double share(scan::handshake_class c) const {
-    return probed == 0 ? 0.0
-                       : static_cast<double>(count(c)) /
-                             static_cast<double>(probed);
-  }
 };
 
 /// Runs the census at one Initial size. Probes execute on the engine's
@@ -79,16 +64,11 @@ struct census_result {
 
 /// One ACK-policy slice of the ReACKed-QUICer sweep: class counts and
 /// handshake completion times under a single client ACK behaviour.
-struct ack_census_slice {
+struct ack_census_slice : class_mix {
   quic::ack_policy policy = quic::ack_policy::delayed;
-  std::size_t probed = 0;
-  std::array<std::size_t, kClassCount> counts{};
   /// Completion time (ms) of every completed handshake.
   stats::sample_set handshake_ms;
 
-  [[nodiscard]] std::size_t count(scan::handshake_class c) const {
-    return counts[static_cast<std::size_t>(c)];
-  }
   [[nodiscard]] std::size_t completed() const {
     return handshake_ms.size();
   }
@@ -96,14 +76,9 @@ struct ack_census_slice {
 
 /// Output of the client-behaviour sweep (delayed / instant / none).
 struct ack_sweep_result {
-  std::vector<ack_census_slice> slices;  // plan variant order
-
-  /// Class-count delta of `slice` relative to the delayed baseline.
-  [[nodiscard]] long long class_delta(std::size_t slice,
-                                      scan::handshake_class c) const {
-    return static_cast<long long>(slices[slice].count(c)) -
-           static_cast<long long>(slices[0].count(c));
-  }
+  /// Plan variant order; slices[0] is the delayed baseline every
+  /// class_delta compares against.
+  std::vector<ack_census_slice> slices;
 };
 
 /// Sweeps the client ACK-policy axis over the census population: the

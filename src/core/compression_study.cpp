@@ -1,5 +1,6 @@
 #include "core/compression_study.hpp"
 
+#include "core/class_mix.hpp"
 #include "engine/engine.hpp"
 #include "tls/handshake.hpp"
 
@@ -14,49 +15,37 @@ struct chain_compression {
   std::array<std::size_t, 3> compressed_size{};  // brotli/zlib/zstd
 };
 
-/// Streams compression-offering probes into the "in the wild" rates.
-class wild_aggregator final : public engine::observation_sink {
- public:
-  explicit wild_aggregator(compression_result& out) : out_(out) {}
+/// The in-the-wild probes' class mix plus their support counts.
+struct wild_mix : class_mix {
+  std::size_t brotli = 0;
+  std::size_t all_three = 0;
+};
 
-  void on_begin(const engine::probe_plan& plan,
-                std::size_t sampled) override {
-    lifecycle_.begin();
-    out_.wild_savings.reserve(sampled * plan.variants.size());
-  }
+/// Folds compression-offering probes into the "in the wild" rates.
+struct wild_fold {
+  compression_result& out;
 
-  void on_record(const engine::probe_record& pr) override {
-    lifecycle_.record();
-    ++probed_;
-    brotli_support_ += pr.record.supports_brotli ? 1 : 0;
-    all_support_ += pr.record.supports_all_algorithms ? 1 : 0;
+  void operator()(wild_mix& mix, const engine::probe_record& pr) const {
+    mix.brotli += pr.record.supports_brotli ? 1 : 0;
+    mix.all_three += pr.record.supports_all_algorithms ? 1 : 0;
     const quic::observation& obs = pr.result.obs;
     if (obs.handshake_complete && obs.compression_used &&
         obs.certificate_uncompressed_size > 0) {
-      out_.wild_savings.add(
+      out.wild_savings.add(
           1.0 - static_cast<double>(obs.certificate_msg_size) /
                     static_cast<double>(obs.certificate_uncompressed_size));
     }
   }
 
-  void on_end() override { lifecycle_.end(); }
-
-  void finish() const {
-    if (probed_ == 0) {
+  void finish(const wild_mix& mix) const {
+    if (mix.probed == 0) {
       return;
     }
-    out_.support_brotli = static_cast<double>(brotli_support_) /
-                          static_cast<double>(probed_);
-    out_.support_all_three = static_cast<double>(all_support_) /
-                             static_cast<double>(probed_);
+    out.support_brotli =
+        static_cast<double>(mix.brotli) / static_cast<double>(mix.probed);
+    out.support_all_three =
+        static_cast<double>(mix.all_three) / static_cast<double>(mix.probed);
   }
-
- private:
-  compression_result& out_;
-  std::size_t probed_ = 0;
-  std::size_t brotli_support_ = 0;
-  std::size_t all_support_ = 0;
-  engine::sink_lifecycle lifecycle_;
 };
 
 }  // namespace
@@ -130,9 +119,9 @@ compression_result run_compression_study(const internet::model& m,
                                compress::algorithm::zstd};
   const engine::probe_plan plan =
       engine::probe_plan::single(std::move(variant), opt.max_probes);
-  wild_aggregator aggregator{out};
-  engine::executor{m, exec}.run(plan, aggregator);
-  aggregator.finish();
+  wild_mix mix;
+  per_variant_sink sink{mix, wild_fold{out}};
+  engine::executor{m, exec}.run(plan, sink);
   return out;
 }
 

@@ -2,44 +2,29 @@
 
 namespace certquic::core {
 
-void epoch_aggregate_sink::on_begin(const engine::probe_plan& plan,
-                                    std::size_t sampled) {
-  lifecycle_.begin();
-  agg_.first_burst_amplification.reserve(sampled * plan.variants.size());
-  agg_.certificate_msg_sizes.reserve(sampled * plan.variants.size());
-}
-
-void epoch_aggregate_sink::on_record(const engine::probe_record& rec) {
-  lifecycle_.record();
+void epoch_fold::operator()(epoch_aggregate& agg,
+                            const engine::probe_record& rec) const {
   const quic::observation& o = rec.result.obs;
-  ++agg_.records;
-  ++agg_.counts[static_cast<std::size_t>(rec.result.cls)];
-  agg_.bytes_sent_total += o.bytes_sent_total;
-  agg_.bytes_received_total += o.bytes_received_total;
-  agg_.certificate_bytes += o.certificate_msg_size;
+  ++agg.records;
+  agg.bytes_sent_total += o.bytes_sent_total;
+  agg.bytes_received_total += o.bytes_received_total;
+  agg.certificate_bytes += o.certificate_msg_size;
   if (o.handshake_complete) {
-    agg_.first_burst_amplification.add(o.first_burst_amplification());
+    agg.first_burst_amplification.add(o.first_burst_amplification());
   }
   if (o.certificate_msg_size > 0) {
-    agg_.certificate_msg_sizes.add(
-        static_cast<double>(o.certificate_msg_size));
+    agg.certificate_msg_sizes.add(static_cast<double>(o.certificate_msg_size));
   }
-  digest_record(agg_.stream_digest, rec.service_index, rec.variant_index,
+  digest_record(agg.stream_digest, rec.service_index, rec.variant_index,
                 rec.result);
-}
-
-void epoch_aggregate_sink::on_end() {
-  lifecycle_.end();
-  agg_.first_burst_amplification.finalize();
-  agg_.certificate_msg_sizes.finalize();
 }
 
 epoch_delta delta_between(const epoch_aggregate& prev,
                           const epoch_aggregate& cur) {
   epoch_delta d;
   for (std::size_t c = 0; c < kClassCount; ++c) {
-    d.class_delta[c] = static_cast<long long>(cur.counts[c]) -
-                       static_cast<long long>(prev.counts[c]);
+    d.class_delta[c] =
+        cur.class_delta(prev, static_cast<scan::handshake_class>(c));
   }
   d.record_delta = static_cast<long long>(cur.records) -
                    static_cast<long long>(prev.records);

@@ -10,19 +10,20 @@
 #include <array>
 #include <cstdint>
 
-#include "core/census.hpp"
+#include "core/class_mix.hpp"
 #include "core/stream_digest.hpp"
 #include "engine/sink.hpp"
 #include "stats/cdf.hpp"
 
 namespace certquic::core {
 
-/// Everything one census epoch aggregates. Every field is a pure fold
-/// over the stream in plan order, so a re-merged (resumed) epoch is
-/// bit-identical to an uninterrupted one.
-struct epoch_aggregate {
+/// Everything one census epoch (or one out-of-core path) aggregates.
+/// Every field is a pure fold over the stream in plan order, so a
+/// re-merged (resumed) epoch is bit-identical to an uninterrupted one.
+struct epoch_aggregate : class_mix {
+  /// Records folded: the stream length the epoch store checkpoints
+  /// (always equal to probed).
   std::size_t records = 0;
-  std::array<std::size_t, kClassCount> counts{};
   unsigned long long bytes_sent_total = 0;
   unsigned long long bytes_received_total = 0;
   unsigned long long certificate_bytes = 0;
@@ -32,31 +33,27 @@ struct epoch_aggregate {
   /// Certificate message sizes (bytes) of records that delivered one —
   /// the chain-size axis of Fig. 6.
   stats::sample_set certificate_msg_sizes;
-  /// Order-sensitive digest (core/stream_digest.hpp) over the same
-  /// field set the out-of-core study folds; persisted per epoch by the
-  /// epoch store and cross-checked on resume.
+  /// Order-sensitive digest (core/stream_digest.hpp): equal digests
+  /// mean two streams were identical *including order*. Persisted per
+  /// epoch by the epoch store and cross-checked on resume.
   std::uint64_t stream_digest = kStreamDigestSeed;
-
-  [[nodiscard]] std::size_t count(scan::handshake_class c) const {
-    return counts[static_cast<std::size_t>(c)];
-  }
 };
 
-/// Streaming sink that folds a plan-ordered record stream into an
-/// epoch_aggregate; on_end finalizes the sample sets so the aggregate
-/// can be shared read-only.
-class epoch_aggregate_sink final : public engine::observation_sink {
+/// The epoch fields beyond the class mix, for one record.
+struct epoch_fold {
+  void operator()(epoch_aggregate& agg, const engine::probe_record& rec) const;
+};
+
+/// Streaming sink that folds a plan-ordered record stream — every plan
+/// variant pooled — into an epoch_aggregate; on_end finalizes the
+/// sample sets so the aggregate can be shared read-only.
+class epoch_aggregate_sink final
+    : public per_variant_sink<epoch_aggregate, epoch_fold> {
  public:
-  explicit epoch_aggregate_sink(epoch_aggregate& agg) : agg_(agg) {}
-
-  void on_begin(const engine::probe_plan& plan,
-                std::size_t sampled) override;
-  void on_record(const engine::probe_record& rec) override;
-  void on_end() override;
-
- private:
-  epoch_aggregate& agg_;
-  engine::sink_lifecycle lifecycle_;
+  explicit epoch_aggregate_sink(epoch_aggregate& agg)
+      : per_variant_sink(agg, {},
+                         {&epoch_aggregate::first_burst_amplification,
+                          &epoch_aggregate::certificate_msg_sizes}) {}
 };
 
 /// Epoch-over-epoch movement between two aggregates.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "core/stream_digest.hpp"
 #include "engine/spill.hpp"
 #include "util/errors.hpp"
 #include "util/rss_meter.hpp"
@@ -12,44 +11,15 @@
 namespace certquic::core {
 namespace {
 
-/// Folds one record into the aggregate. Shared by both paths, so any
-/// divergence between them is a pipeline bug, never an aggregator one.
-void accumulate(outofcore_aggregate& agg, std::uint32_t service_index,
-                std::uint32_t variant_index,
-                const scan::probe_result& result) {
-  const quic::observation& o = result.obs;
-  ++agg.records;
-  ++agg.counts[static_cast<std::size_t>(result.cls)];
-  agg.bytes_sent_total += o.bytes_sent_total;
-  agg.bytes_received_total += o.bytes_received_total;
-  agg.certificate_bytes += o.certificate_msg_size;
-  if (o.handshake_complete) {
-    agg.first_burst_amplification.add(o.first_burst_amplification());
-  }
-  digest_record(agg.stream_digest, service_index, variant_index, result);
+/// The identity check: two paths that folded the same records in the
+/// same order agree on every one of these fields.
+bool same_stream(const epoch_aggregate& a, const epoch_aggregate& b) {
+  return a.records == b.records && a.counts == b.counts &&
+         a.bytes_sent_total == b.bytes_sent_total &&
+         a.bytes_received_total == b.bytes_received_total &&
+         a.certificate_bytes == b.certificate_bytes &&
+         a.stream_digest == b.stream_digest;
 }
-
-/// Streaming aggregator for the spill → merge path: folds each merged
-/// record and keeps nothing else.
-class aggregate_sink final : public engine::observation_sink {
- public:
-  explicit aggregate_sink(outofcore_aggregate& agg) : agg_(agg) {}
-
-  void on_begin(const engine::probe_plan& plan,
-                std::size_t sampled) override {
-    lifecycle_.begin();
-    agg_.first_burst_amplification.reserve(sampled * plan.variants.size());
-  }
-  void on_record(const engine::probe_record& rec) override {
-    lifecycle_.record();
-    accumulate(agg_, rec.service_index, rec.variant_index, rec.result);
-  }
-  void on_end() override { lifecycle_.end(); }
-
- private:
-  outofcore_aggregate& agg_;
-  engine::sink_lifecycle lifecycle_;
-};
 
 /// What the materializing baseline keeps per probe: the full result —
 /// including any captured certificate bytes — exactly what a
@@ -145,7 +115,7 @@ outofcore_result run_outofcore_study(const internet::model& m,
       eng.run(plan, slice, sink);
       out.shard_records.push_back(sink.records_written());
     }
-    aggregate_sink agg{out.spill};
+    epoch_aggregate_sink agg{out.spill};
     const engine::spill_merge merge{m, plan};
     merge.replay(paths, agg);
     out.spill_peak_rss_kb = phase.peak_kb();
@@ -163,14 +133,19 @@ outofcore_result run_outofcore_study(const internet::model& m,
       });
     }};
     eng.run(plan, sampled, collect);
-    out.in_memory.first_burst_amplification.reserve(all.size());
+    epoch_aggregate_sink agg{out.in_memory};
+    agg.on_begin(plan, sampled.size());
     for (const stored_record& rec : all) {
-      accumulate(out.in_memory, rec.service_index, rec.variant_index,
-                 rec.result);
+      agg.on_record({.service_index = rec.service_index,
+                     .variant_index = rec.variant_index,
+                     .record = m.records()[rec.service_index],
+                     .variant = plan.variants[rec.variant_index],
+                     .result = rec.result});
     }
+    agg.on_end();
     out.in_memory_peak_rss_kb = phase.peak_kb();
     out.compared = true;
-    out.identical = out.spill.same_as(out.in_memory);
+    out.identical = same_stream(out.spill, out.in_memory);
   }
 
   if (opt.keep_spills) {

@@ -10,17 +10,13 @@
 // RSS of each path (util/rss_meter.hpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/census.hpp"
-#include "core/stream_digest.hpp"
+#include "core/longitudinal.hpp"
 #include "engine/engine.hpp"
 #include "internet/model.hpp"
-#include "scan/classify.hpp"
-#include "stats/cdf.hpp"
 
 namespace certquic::core {
 
@@ -46,34 +42,6 @@ struct outofcore_options {
   bool keep_spills = false;
 };
 
-/// One path's aggregate over the full record stream. Every field is a
-/// pure fold over the stream in plan order, so two paths that saw the
-/// same records in the same order agree bit-for-bit.
-struct outofcore_aggregate {
-  std::size_t records = 0;
-  std::array<std::size_t, kClassCount> counts{};
-  unsigned long long bytes_sent_total = 0;
-  unsigned long long bytes_received_total = 0;
-  unsigned long long certificate_bytes = 0;
-  stats::sample_set first_burst_amplification;
-  /// Order-sensitive FNV-1a fold over every record's identifying and
-  /// observation fields (core/stream_digest.hpp): equal digests mean
-  /// the two streams were identical *including order*, not just equal
-  /// in aggregate.
-  std::uint64_t stream_digest = kStreamDigestSeed;
-
-  [[nodiscard]] std::size_t count(scan::handshake_class c) const {
-    return counts[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] bool same_as(const outofcore_aggregate& other) const {
-    return records == other.records && counts == other.counts &&
-           bytes_sent_total == other.bytes_sent_total &&
-           bytes_received_total == other.bytes_received_total &&
-           certificate_bytes == other.certificate_bytes &&
-           stream_digest == other.stream_digest;
-  }
-};
-
 /// Study output. RSS figures are kilobytes and 0 when the platform
 /// cannot measure (see util/rss_meter.hpp) — never compare them into
 /// pass/fail logic on such platforms.
@@ -85,10 +53,14 @@ struct outofcore_result {
   /// Shard spill paths; populated only when keep_spills was set.
   std::vector<std::string> spill_paths;
 
-  outofcore_aggregate spill;      // shard → spill → merge path
-  outofcore_aggregate in_memory;  // materializing baseline (if compared)
+  /// Both paths fold through epoch_aggregate_sink, so any divergence
+  /// between them is a pipeline bug, never an aggregator one.
+  epoch_aggregate spill;      // shard → spill → merge path
+  epoch_aggregate in_memory;  // materializing baseline (if compared)
   bool compared = false;
-  bool identical = false;  // spill.same_as(in_memory), when compared
+  /// Records, class counts, byte totals and stream digest all equal,
+  /// when compared.
+  bool identical = false;
 
   std::size_t spill_peak_rss_kb = 0;
   std::size_t in_memory_peak_rss_kb = 0;

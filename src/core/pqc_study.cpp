@@ -7,48 +7,6 @@
 #include "util/errors.hpp"
 
 namespace certquic::core {
-namespace {
-
-/// Streams the three-variant chain-profile sweep into per-profile
-/// slices; one on_record dispatch keyed by variant index, no locking
-/// (records arrive in plan order on the caller's thread).
-class pqc_census_aggregator final : public engine::observation_sink {
- public:
-  explicit pqc_census_aggregator(std::vector<pqc_profile_slice>& slices)
-      : slices_(slices) {}
-
-  void on_begin(const engine::probe_plan& plan,
-                std::size_t sampled) override {
-    (void)plan;
-    lifecycle_.begin();
-    for (pqc_profile_slice& slice : slices_) {
-      slice.amplification.reserve(sampled);
-    }
-  }
-
-  void on_record(const engine::probe_record& pr) override {
-    lifecycle_.record();
-    pqc_profile_slice& slice = slices_[pr.variant_index];
-    ++slice.probed;
-    ++slice.counts[static_cast<std::size_t>(pr.result.cls)];
-    if (pr.result.obs.handshake_complete) {
-      slice.amplification.add(pr.result.obs.first_burst_amplification());
-    }
-  }
-
-  void on_end() override {
-    lifecycle_.end();
-    for (pqc_profile_slice& slice : slices_) {
-      slice.amplification.finalize();
-    }
-  }
-
- private:
-  std::vector<pqc_profile_slice>& slices_;
-  engine::sink_lifecycle lifecycle_;
-};
-
-}  // namespace
 
 const pqc_profile_slice& pqc_study_result::slice(x509::pq_profile p) const {
   for (const pqc_profile_slice& s : slices) {
@@ -123,8 +81,15 @@ pqc_study_result run_pqc_study(const internet::model& m,
   plan.max_services = opt.max_services;
   plan.sweep_chain_profiles(opt.initial_size);
 
-  pqc_census_aggregator aggregator{out.slices};
-  engine::executor{m, exec}.run(plan, aggregator);
+  per_variant_sink sink{
+      out.slices,
+      [](pqc_profile_slice& slice, const engine::probe_record& pr) {
+        if (pr.result.obs.handshake_complete) {
+          slice.amplification.add(pr.result.obs.first_burst_amplification());
+        }
+      },
+      {&pqc_profile_slice::amplification}};
+  engine::executor{m, exec}.run(plan, sink);
   return out;
 }
 

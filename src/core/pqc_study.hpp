@@ -14,14 +14,12 @@
 //    (1-RTT vs multi-RTT vs failed) relative to the classical baseline.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "core/census.hpp"
+#include "core/class_mix.hpp"
 #include "engine/engine.hpp"
 #include "internet/model.hpp"
-#include "scan/classify.hpp"
 #include "stats/cdf.hpp"
 
 namespace certquic::core {
@@ -36,8 +34,9 @@ struct pqc_options {
   std::size_t max_corpus = 0;
 };
 
-/// Everything measured under one chain profile.
-struct pqc_profile_slice {
+/// Everything measured under one chain profile; the class mix is the
+/// census pass's handshake outcomes.
+struct pqc_profile_slice : class_mix {
   x509::pq_profile profile = x509::pq_profile::classical;
 
   // Corpus pass: chain sizes by deployment class (the per-profile
@@ -49,37 +48,18 @@ struct pqc_profile_slice {
   /// budget (the paper's "35%" under classical).
   double over_amp_limit = 0.0;
 
-  // Census pass: handshake outcomes of the engine sweep.
-  std::size_t probed = 0;
-  std::array<std::size_t, kClassCount> counts{};
-  /// First-burst amplification factors of completing handshakes (the
-  /// per-profile Fig. 4 re-run).
+  /// Census pass: first-burst amplification factors of completing
+  /// handshakes (the per-profile Fig. 4 re-run).
   stats::sample_set amplification;
-
-  [[nodiscard]] std::size_t count(scan::handshake_class c) const {
-    return counts[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] double share(scan::handshake_class c) const {
-    return probed == 0 ? 0.0
-                       : static_cast<double>(count(c)) /
-                             static_cast<double>(probed);
-  }
 };
 
 struct pqc_study_result {
   std::size_t initial_size = 0;
   /// One slice per profile, in all_pq_profiles() order (classical
-  /// first — the baseline every delta is computed against).
+  /// first — the baseline every class_delta is computed against).
   std::vector<pqc_profile_slice> slices;
 
   [[nodiscard]] const pqc_profile_slice& slice(x509::pq_profile p) const;
-
-  /// Class-count delta of slices[i] relative to the classical baseline.
-  [[nodiscard]] long long class_delta(std::size_t i,
-                                      scan::handshake_class c) const {
-    return static_cast<long long>(slices[i].count(c)) -
-           static_cast<long long>(slices[0].count(c));
-  }
 };
 
 /// Runs the full sweep: one corpus sizing pass and one engine census

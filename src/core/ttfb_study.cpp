@@ -4,47 +4,6 @@
 #include "util/errors.hpp"
 
 namespace certquic::core {
-namespace {
-
-/// Streams the profile x condition sweep into per-cell slices; one
-/// on_record dispatch keyed by variant index, no locking (records
-/// arrive in plan order on the caller's thread).
-class ttfb_aggregator final : public engine::observation_sink {
- public:
-  explicit ttfb_aggregator(std::vector<ttfb_cell>& cells) : cells_(cells) {}
-
-  void on_begin(const engine::probe_plan& plan,
-                std::size_t sampled) override {
-    (void)plan;
-    lifecycle_.begin();
-    for (ttfb_cell& cell : cells_) {
-      cell.ttfb_ms.reserve(sampled);
-    }
-  }
-
-  void on_record(const engine::probe_record& pr) override {
-    lifecycle_.record();
-    ttfb_cell& cell = cells_[pr.variant_index];
-    ++cell.probed;
-    ++cell.counts[static_cast<std::size_t>(pr.result.cls)];
-    if (pr.result.ttfb != 0) {
-      cell.ttfb_ms.add(static_cast<double>(pr.result.ttfb) / 1000.0);
-    }
-  }
-
-  void on_end() override {
-    lifecycle_.end();
-    for (ttfb_cell& cell : cells_) {
-      cell.ttfb_ms.finalize();
-    }
-  }
-
- private:
-  std::vector<ttfb_cell>& cells_;
-  engine::sink_lifecycle lifecycle_;
-};
-
-}  // namespace
 
 std::vector<net::network_condition> default_network_conditions() {
   return {
@@ -117,8 +76,15 @@ ttfb_study_result run_ttfb_study(const internet::model& m,
     }
   }
 
-  ttfb_aggregator aggregator{out.cells};
-  engine::executor{m, exec}.run(plan, aggregator);
+  per_variant_sink sink{
+      out.cells,
+      [](ttfb_cell& cell, const engine::probe_record& pr) {
+        if (pr.result.ttfb != 0) {
+          cell.ttfb_ms.add(static_cast<double>(pr.result.ttfb) / 1000.0);
+        }
+      },
+      {&ttfb_cell::ttfb_ms}};
+  engine::executor{m, exec}.run(plan, sink);
   return out;
 }
 

@@ -17,15 +17,13 @@
 // of TTFB) onto slow or lossy paths.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "core/census.hpp"
+#include "core/class_mix.hpp"
 #include "engine/engine.hpp"
 #include "internet/model.hpp"
 #include "net/simulator.hpp"
-#include "scan/classify.hpp"
 #include "stats/cdf.hpp"
 
 namespace certquic::core {
@@ -49,20 +47,15 @@ struct ttfb_options {
 [[nodiscard]] std::vector<net::network_condition> default_network_conditions();
 
 /// One (chain profile, network condition) cell of the sweep.
-struct ttfb_cell {
+struct ttfb_cell : class_mix {
   x509::pq_profile profile = x509::pq_profile::classical;
   net::network_condition condition;
 
-  std::size_t probed = 0;
-  std::array<std::size_t, kClassCount> counts{};
   /// TTFB (ms, first Initial sent -> first application byte) of every
   /// probe that received application data. Finalized (sorted) by the
   /// study, so quantile reads are lock-free and thread-safe.
   stats::sample_set ttfb_ms;
 
-  [[nodiscard]] std::size_t count(scan::handshake_class c) const {
-    return counts[static_cast<std::size_t>(c)];
-  }
   /// Probes whose TTFB was observed (handshake + object fetch done).
   [[nodiscard]] std::size_t completed() const { return ttfb_ms.size(); }
 };

@@ -333,8 +333,8 @@ TEST(AckSweep, InstantAckNeverSlowerAndSilentNeverCompletes) {
   // A silent client cannot advance a multi-RTT handshake — those
   // services degrade to unreachable, the class delta the sweep reports.
   EXPECT_EQ(silent.count(scan::handshake_class::multi_rtt), 0u);
-  EXPECT_LT(sweep.class_delta(2, scan::handshake_class::multi_rtt), 0);
-  EXPECT_GT(sweep.class_delta(2, scan::handshake_class::unreachable), 0);
+  EXPECT_LT(silent.class_delta(delayed, scan::handshake_class::multi_rtt), 0);
+  EXPECT_GT(silent.class_delta(delayed, scan::handshake_class::unreachable), 0);
   EXPECT_LT(silent.completed(), delayed.completed());
   EXPECT_GT(delayed.completed(), 0u);
   // Instant ACKs can only speed a handshake up.
