@@ -17,6 +17,7 @@
 #include "core/certificates.hpp"
 #include "core/compression_study.hpp"
 #include "core/funnel.hpp"
+#include "core/policy_study.hpp"
 #include "core/tuner.hpp"
 #include "engine/engine.hpp"
 #include "internet/chain_cache.hpp"
@@ -108,6 +109,25 @@ std::string digest(const core::ack_sweep_result& sweep) {
   return out.str();
 }
 
+std::string digest(const core::telescope_result& t) {
+  std::ostringstream out;
+  for (const auto& [provider, samples] : t.amplification) {
+    out << provider << '=' << digest(samples) << '|';
+  }
+  out << digest(t.meta_session_duration_s) << '|'
+      << full(t.meta_max_amplification);
+  return out.str();
+}
+
+std::string digest(const std::vector<core::policy_row>& rows) {
+  std::ostringstream out;
+  for (const auto& row : rows) {
+    out << row.bytes_sent << ':' << row.bytes_received << ':'
+        << full(row.amplification) << '|';
+  }
+  return out.str();
+}
+
 /// FNV-1a over a digest rendering: one number to pin a long string.
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -137,6 +157,20 @@ TEST(EnginePins, UngoldenedAggregatesMatchPinnedDigests) {
       core::run_compression_study(m, {.max_chains = 200}, exec);
   EXPECT_EQ(fnv1a(digest(compression)), 0xd2ef9d93cd433f3eULL)
       << digest(compression);
+}
+
+// Pins the spoofing studies no golden covers: the Fig. 9 telescope
+// aggregates (per-provider amplification, Meta durations and maximum)
+// and the Table 3 policy rows, both run on the shared-world
+// backscatter path.
+TEST(EnginePins, SpoofingStudiesMatchPinnedDigests) {
+  const auto& m = shared_model();
+  const auto exec = engine::options{.threads = 4};
+  const auto telescope =
+      core::run_telescope_study(m, {.sessions_per_provider = 40}, exec);
+  EXPECT_EQ(fnv1a(digest(telescope)), 0x81a697dcff9d5cd5ULL) << digest(telescope);
+  const auto policy = core::run_policy_study(m, "le-r3-x1cross", exec);
+  EXPECT_EQ(fnv1a(digest(policy)), 0xb2e5312d595d3230ULL) << digest(policy);
 }
 
 TEST(EngineDeterminism, CensusIdenticalAcrossThreadCounts) {
