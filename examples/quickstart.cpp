@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "engine/backend.hpp"
 #include "engine/engine.hpp"
 #include "engine/spill.hpp"
 #include "internet/model.hpp"
@@ -53,8 +52,8 @@ int main() {
   engine::tee_sink sinks{{&tabulate, &spill}};
 
   // 4. Run it. The executor shards the plan across a thread pool
-  //    (CERTQUIC_THREADS; parallel by default) on the stateless reach
-  //    backend — one simulated handshake per probe — and streams the
+  //    (CERTQUIC_THREADS; parallel by default) — one fresh simulated
+  //    handshake per probe — and streams the
   //    results back in deterministic plan order, so this output is
   //    bit-identical at any thread count.
   engine::executor{model}.run(plan, sinks);

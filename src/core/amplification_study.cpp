@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/backend.hpp"
 #include "scan/zmap.hpp"
 #include "util/rng.hpp"
 
@@ -108,29 +107,27 @@ telescope_result run_telescope_study(const internet::model& m,
   telescope_result out;
   out.meta_session_duration_s.reserve(opt.sessions_per_provider);
 
-  const engine::backscatter_backend backend{build_telescope_plan(m, opt)};
-  engine::run_backend(
-      backend, exec, [&](std::size_t, engine::unit_outcome&& outcome) {
-        const scan::backscatter_session& session = outcome.backscatter;
-        if (session.datagrams == 0) {
-          return;  // the spoofed Initial elicited nothing
-        }
-        const double factor = static_cast<double>(session.bytes) /
-                              static_cast<double>(opt.assumed_initial);
-        // Providers appear only once observed (a silent fleet prints no
-        // row); reserve on the first observation.
-        stats::sample_set& samples = out.amplification[session.provider];
-        if (samples.empty()) {
-          samples.reserve(opt.sessions_per_provider);
-        }
-        samples.add(factor);
-        if (session.provider == "Meta") {
-          out.meta_session_duration_s.add(
-              net::to_seconds(session.duration()));
-          out.meta_max_amplification =
-              std::max(out.meta_max_amplification, factor);
-        }
-      });
+  for (const auto& outcome :
+       engine::run_backscatter(build_telescope_plan(m, opt), exec)) {
+    const scan::backscatter_session& session = outcome.backscatter;
+    if (session.datagrams == 0) {
+      continue;  // the spoofed Initial elicited nothing
+    }
+    const double factor = static_cast<double>(session.bytes) /
+                          static_cast<double>(opt.assumed_initial);
+    // Providers appear only once observed (a silent fleet prints no
+    // row); reserve on the first observation.
+    stats::sample_set& samples = out.amplification[session.provider];
+    if (samples.empty()) {
+      samples.reserve(opt.sessions_per_provider);
+    }
+    samples.add(factor);
+    if (session.provider == "Meta") {
+      out.meta_session_duration_s.add(net::to_seconds(session.duration()));
+      out.meta_max_amplification =
+          std::max(out.meta_max_amplification, factor);
+    }
+  }
   return out;
 }
 

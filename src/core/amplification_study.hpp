@@ -1,8 +1,8 @@
 // Spoofed-handshake amplification studies (§4.3): telescope backscatter
 // per hypergiant (Fig. 9) and the active Meta /24 scans (Fig. 11).
-// Both run on the experiment engine — the telescope pass as a
-// backscatter_backend whose shard worlds each host one simulator and
-// telescope shared by a fixed slice of sessions, so its aggregates are
+// Both run on the experiment engine — the telescope pass through
+// run_backscatter, whose worlds each host one simulator and telescope
+// shared by a fixed slice of sessions, so its aggregates are
 // bit-identical at any thread count.
 #pragma once
 
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/backend.hpp"
+#include "engine/backscatter.hpp"
 #include "engine/engine.hpp"
 #include "internet/model.hpp"
 #include "stats/cdf.hpp"
@@ -40,8 +40,8 @@ struct telescope_result {
 [[nodiscard]] engine::backscatter_plan build_telescope_plan(
     const internet::model& m, const spoofed_options& opt);
 
-/// Runs the telescope study on the engine's backscatter backend;
-/// parallel by default, bit-identical at any thread count.
+/// Runs the telescope study through run_backscatter; parallel by
+/// default, bit-identical at any thread count.
 [[nodiscard]] telescope_result run_telescope_study(
     const internet::model& m, const spoofed_options& opt,
     const engine::options& exec = {});

@@ -1,6 +1,6 @@
 #include "core/policy_study.hpp"
 
-#include "engine/backend.hpp"
+#include "engine/backscatter.hpp"
 #include "util/rng.hpp"
 
 namespace certquic::core {
@@ -61,25 +61,23 @@ std::vector<policy_row> run_policy_study(const internet::model& m,
     plan.sessions.push_back(std::move(session));
   }
 
+  const auto outcomes = engine::run_backscatter(plan, exec);
   std::vector<policy_row> rows;
   rows.reserve(std::size(kSpecs));
-  const engine::backscatter_backend backend{std::move(plan)};
-  engine::run_backend(
-      backend, exec, [&](std::size_t i, engine::unit_outcome&& outcome) {
-        const policy_spec& spec = kSpecs[i];
-        policy_row row;
-        row.policy = spec.policy;
-        row.spec = spec.spec;
-        row.rule = spec.rule;
-        row.bytes_sent = outcome.probe.obs.bytes_sent_first_flight;
-        row.bytes_received = outcome.backscatter.bytes;
-        row.amplification =
-            row.bytes_sent == 0
-                ? 0.0
-                : static_cast<double>(row.bytes_received) /
-                      static_cast<double>(row.bytes_sent);
-        rows.push_back(std::move(row));
-      });
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const policy_spec& spec = kSpecs[i];
+    policy_row row;
+    row.policy = spec.policy;
+    row.spec = spec.spec;
+    row.rule = spec.rule;
+    row.bytes_sent = outcomes[i].attacker.bytes_sent_first_flight;
+    row.bytes_received = outcomes[i].backscatter.bytes;
+    row.amplification = row.bytes_sent == 0
+                            ? 0.0
+                            : static_cast<double>(row.bytes_received) /
+                                  static_cast<double>(row.bytes_sent);
+    rows.push_back(std::move(row));
+  }
   return rows;
 }
 

@@ -23,9 +23,9 @@ struct policy_row {
 };
 
 /// Probes one representative chain under every policy with an
-/// unacknowledged 1200-byte Initial. Runs on the engine's backscatter
-/// backend — one isolated spoofed-session world per policy — so the
-/// rows are bit-identical at any thread count.
+/// unacknowledged 1200-byte Initial. Runs through run_backscatter —
+/// one isolated spoofed-session world per policy — so the rows are
+/// bit-identical at any thread count.
 [[nodiscard]] std::vector<policy_row> run_policy_study(
     const internet::model& m, const std::string& chain_profile_id,
     const engine::options& exec = {});

@@ -1,8 +1,9 @@
 #include "engine/engine.hpp"
 
 #include <cstdlib>
+#include <optional>
 
-#include "engine/backend.hpp"
+#include "internet/chain_cache.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::engine {
@@ -37,20 +38,38 @@ void executor::run(const probe_plan& plan,
   }
   const std::size_t services = sampled.size();
   sink.on_begin(plan, services);
-  if (services > 0) {
-    const reach_backend backend{model_, plan, sampled};
-    run_backend(backend, opt_, [&](std::size_t k, unit_outcome&& outcome) {
-      const auto variant_index = static_cast<std::uint32_t>(k / services);
-      const std::uint32_t service_index = sampled[k % services];
-      sink.on_record(probe_record{
-          .service_index = service_index,
-          .variant_index = variant_index,
-          .record = model_.records()[service_index],
-          .variant = plan.variants[variant_index],
-          .result = outcome.probe,
-      });
-    });
+  // Plans with more than one variant visit each service repeatedly, so
+  // chain materialization is memoized behind a thread-safe cache keyed
+  // by (record, protocol, chain profile); results are bit-identical
+  // either way.
+  std::optional<internet::chain_cache> cache;
+  if (plan.variants.size() > 1) {
+    cache.emplace(model_);
   }
+  const scan::reach prober{model_, cache ? &*cache : nullptr};
+  // Variant-major: unit k probes service k % services under variant
+  // k / services.
+  parallel_ordered(
+      services * plan.variants.size(), opt_,
+      [&](std::size_t k) {
+        const auto& variant = plan.variants[k / services];
+        const auto& rec = model_.records()[sampled[k % services]];
+        scan::probe_options popt = variant.to_probe_options();
+        popt.seed_override =
+            probe_seed(plan.base_seed, rec.domain, variant.salt);
+        return prober.probe(rec, popt);
+      },
+      [&](std::size_t k, scan::probe_result&& result) {
+        const auto variant_index = static_cast<std::uint32_t>(k / services);
+        const std::uint32_t service_index = sampled[k % services];
+        sink.on_record(probe_record{
+            .service_index = service_index,
+            .variant_index = variant_index,
+            .record = model_.records()[service_index],
+            .variant = plan.variants[variant_index],
+            .result = result,
+        });
+      });
   sink.on_end();
 }
 

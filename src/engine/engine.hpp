@@ -1,10 +1,9 @@
 // The experiment engine: shards a probe_plan across a thread pool and
 // streams the results to an observation_sink in deterministic plan
-// order, so parallel runs are bit-identical to serial ones. World
-// construction is delegated to pluggable probe_backends
-// (engine/backend.hpp): the executor runs plans on the stateless
-// reach_backend; shared-world studies (telescope backscatter) drive
-// run_backend with a backscatter_backend directly.
+// order, so parallel runs are bit-identical to serial ones. The
+// executor gives every probe a fresh simulator; spoofed sessions that
+// must share a simulator and telescope run through run_backscatter
+// (engine/backscatter.hpp).
 //
 // parallel_ordered is the single execution primitive underneath it
 // all: workers claim fixed-size chunks of the index space, and the
@@ -16,8 +15,9 @@
 // Determinism rests on three invariants:
 //  1. every probe's randomness is a pure function of the plan and the
 //     record (probe_seed / the record's own seed), never of scheduling;
-//  2. a backend's unit→shard partition is fixed by the plan, never by
-//     the thread count, so shared-world interactions are reproducible;
+//  2. run_backscatter's session→world partition is fixed by the plan,
+//     never by the thread count, so shared-world interactions are
+//     reproducible;
 //  3. workers only *compute*; all aggregation happens on the caller's
 //     thread, in plan order, via parallel_ordered's ordered consumer.
 #pragma once
@@ -53,8 +53,7 @@ struct options {
   std::size_t chunk = 64;
 
   /// The effective chunk size; the single place the `0 means 64`
-  /// default lives, shared by parallel_ordered and run_backend so the
-  /// two paths cannot drift.
+  /// default lives.
   [[nodiscard]] std::size_t resolved_chunk() const noexcept {
     return chunk == 0 ? 64 : chunk;
   }
@@ -223,7 +222,7 @@ class executor {
   explicit executor(const internet::model& m, options opt = {})
       : model_(m), opt_(opt) {}
 
-  /// Runs the plan on the stateless reach backend, streaming every
+  /// Runs the plan, one fresh simulator per probe, streaming every
   /// probe to the sink in plan order, wrapped in the sink's
   /// on_begin/on_end lifecycle. Throws config_error on a plan without
   /// variants.

@@ -37,7 +37,7 @@ class server {
  public:
   /// `codec_dictionary` backs certificate compression when a client
   /// offers an algorithm in `behavior.compression_support`. The server
-  /// borrows it: whoever owns it (the `internet::model`, a backend
+  /// borrows it: whoever owns it (the `internet::model`, a backscatter
   /// plan) must outlive the server. Throws config_error when
   /// `behavior.max_udp_payload` is below kMinInitialSize.
   server(net::simulator& sim, net::endpoint_id address, x509::chain chain,

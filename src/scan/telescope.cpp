@@ -1,8 +1,5 @@
 #include "scan/telescope.hpp"
 
-#include "util/errors.hpp"
-#include "util/hex.hpp"
-
 namespace certquic::scan {
 
 telescope::telescope(net::simulator& sim, net::ipv4 base)
@@ -31,50 +28,23 @@ void telescope::map_prefix(net::ipv4 prefix, std::string provider) {
 }
 
 void telescope::on_datagram(const net::datagram& d) {
-  ++datagrams_;
-  std::string provider = "unknown";
-  const auto it = prefixes_.find(d.src.ip.slash24().value);
-  if (it != prefixes_.end()) {
-    provider = it->second;
+  // d.dst is the sensor the backscatter landed on, which identifies the
+  // spoofed session that elicited it.
+  backscatter_session& session = by_sensor_[d.dst];
+  if (session.datagrams == 0) {
+    const auto it = prefixes_.find(d.src.ip.slash24().value);
+    session.provider = it == prefixes_.end() ? "unknown" : it->second;
+    session.first_seen = sim_.now();
   }
-  std::string scid_hex = "(unparsed)";
-  try {
-    const auto packets = quic::parse_datagram(d.payload);
-    if (!packets.empty()) {
-      scid_hex = to_hex(packets.front().scid);
-    }
-  } catch (const codec_error&) {
-    // keep the sentinel; bytes still count
-  }
-  const auto account = [&](backscatter_session& session) {
-    if (session.datagrams == 0) {
-      session.provider = provider;
-      session.scid_hex = scid_hex;
-      session.first_seen = sim_.now();
-    }
-    session.last_seen = sim_.now();
-    session.bytes += d.payload.size();
-    ++session.datagrams;
-  };
-  account(sessions_[{provider, scid_hex}]);
-  // Per-sensor attribution: d.dst is the sensor the backscatter landed
-  // on, which identifies the spoofed session that elicited it.
-  account(by_sensor_[d.dst]);
+  session.last_seen = sim_.now();
+  session.bytes += d.payload.size();
+  ++session.datagrams;
 }
 
 backscatter_session telescope::observed_at(
     const net::endpoint_id& sensor) const {
   const auto it = by_sensor_.find(sensor);
   return it == by_sensor_.end() ? backscatter_session{} : it->second;
-}
-
-std::vector<backscatter_session> telescope::sessions() const {
-  std::vector<backscatter_session> out;
-  out.reserve(sessions_.size());
-  for (const auto& [key, session] : sessions_) {
-    out.push_back(session);
-  }
-  return out;
 }
 
 }  // namespace certquic::scan

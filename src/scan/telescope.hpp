@@ -1,8 +1,10 @@
 // Network-telescope backscatter collector (§3.2/§4.3): owns a block of
 // unused addresses; when attackers spoof sources from that block, the
 // victims' inbound traffic — the servers' amplified responses — arrives
-// here. Sessions are keyed by (provider, source connection id), exactly
-// as in the paper's analysis.
+// here. The paper groups backscatter into sessions by (provider, source
+// connection id); here each spoofed session owns exactly one sensor
+// address, so grouping by the sensor a datagram landed on is that same
+// per-session grouping — without parsing the datagram.
 #pragma once
 
 #include <map>
@@ -11,14 +13,12 @@
 #include <vector>
 
 #include "net/simulator.hpp"
-#include "quic/packet.hpp"
 
 namespace certquic::scan {
 
-/// One backscatter session (unique provider + SCID).
+/// One backscatter session: everything that arrived at one sensor.
 struct backscatter_session {
   std::string provider;
-  std::string scid_hex;
   std::size_t bytes = 0;
   std::size_t datagrams = 0;
   net::time_point first_seen = 0;
@@ -45,19 +45,11 @@ class telescope {
   /// Maps a /24 server prefix to a provider label for grouping.
   void map_prefix(net::ipv4 prefix, std::string provider);
 
-  /// All sessions observed so far.
-  [[nodiscard]] std::vector<backscatter_session> sessions() const;
-
-  /// Everything that arrived at one sensor address. Each spoofed
-  /// session owns exactly one sensor, so this is the per-session view
-  /// the engine's backscatter backend streams out; an untouched sensor
-  /// yields an empty session (datagrams == 0).
+  /// Everything that arrived at one sensor address — the session that
+  /// spoofed it; an untouched sensor yields an empty session
+  /// (datagrams == 0).
   [[nodiscard]] backscatter_session observed_at(
       const net::endpoint_id& sensor) const;
-
-  [[nodiscard]] std::size_t datagrams_seen() const noexcept {
-    return datagrams_;
-  }
 
  private:
   void on_datagram(const net::datagram& d);
@@ -68,10 +60,7 @@ class telescope {
   std::uint8_t next_host_ = 1;
   std::vector<net::endpoint_id> sensors_;
   std::map<std::uint32_t, std::string> prefixes_;  // /24 -> provider
-  std::map<std::pair<std::string, std::string>, backscatter_session>
-      sessions_;
   std::unordered_map<net::endpoint_id, backscatter_session> by_sensor_;
-  std::size_t datagrams_ = 0;
 };
 
 }  // namespace certquic::scan

@@ -1,6 +1,6 @@
 // The longitudinal census service: repeated census epochs over an
 // evolving internet::model (internet/churn.cpp), executed through the
-// plan → backend → sink engine, persisted through the spill pipeline
+// plan → executor → sink engine, persisted through the spill pipeline
 // into an epoch_store, and reported as epoch-over-epoch deltas.
 //
 // Resume invariants (what the kill-and-resume tests pin down):

@@ -1,5 +1,5 @@
-// Backend and sink-lifecycle tests: shared-world (backscatter) shards
-// must aggregate bit-identically at 1, 2 and 8 threads, spilled record
+// Shared-world and sink-lifecycle tests: backscatter worlds must
+// aggregate bit-identically at any thread count and chunk, spilled record
 // streams must replay losslessly, sinks must compose, and the chain
 // cache must be a pure thread-safe memoization.
 #include <atomic>
@@ -15,7 +15,7 @@
 #include "core/amplification_study.hpp"
 #include "core/census.hpp"
 #include "core/policy_study.hpp"
-#include "engine/backend.hpp"
+#include "engine/backscatter.hpp"
 #include "engine/spill.hpp"
 #include "internet/chain_cache.hpp"
 
@@ -54,11 +54,11 @@ std::string digest(const core::telescope_result& t) {
   return out.str();
 }
 
-std::string digest(const engine::unit_outcome& o) {
+std::string digest(const engine::backscatter_outcome& o) {
   std::ostringstream out;
   out << o.backscatter.provider << ':' << o.backscatter.bytes << ':'
       << o.backscatter.datagrams << ':' << o.backscatter.first_seen << ':'
-      << o.backscatter.last_seen << ':' << o.probe.obs.bytes_sent_total;
+      << o.backscatter.last_seen << ':' << o.attacker.bytes_sent_total;
   return out.str();
 }
 
@@ -74,7 +74,7 @@ std::string record_digest(const engine::probe_record& pr) {
   return out.str();
 }
 
-TEST(BackscatterBackend, TelescopeStudyIdenticalAcrossThreadCounts) {
+TEST(Backscatter, TelescopeStudyIdenticalAcrossThreadCounts) {
   const core::spoofed_options opt{.sessions_per_provider = 40};
   const std::string serial = digest(core::run_telescope_study(
       shared_model(), opt, engine::options::serial()));
@@ -86,7 +86,7 @@ TEST(BackscatterBackend, TelescopeStudyIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BackscatterBackend, PolicyStudyIdenticalAcrossThreadCounts) {
+TEST(Backscatter, PolicyStudyIdenticalAcrossThreadCounts) {
   const auto serial = core::run_policy_study(shared_model(), "le-r3-x1cross",
                                              engine::options::serial());
   for (const std::size_t threads : {2UL, 8UL}) {
@@ -102,45 +102,48 @@ TEST(BackscatterBackend, PolicyStudyIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(BackscatterBackend, ShardPartitionIsThreadInvariant) {
-  // Raw backend check, independent of any study: the same plan must
-  // yield the same per-unit outcomes at every thread count, because the
-  // session→world partition is part of the plan.
+TEST(Backscatter, ShardPartitionIsThreadAndChunkInvariant) {
+  // Raw run_backscatter check, independent of any study: the same plan
+  // must yield the same per-session outcomes at every thread count and
+  // whatever chunk the caller asks for, because the session→world
+  // partition is part of the plan.
   const auto plan = core::build_telescope_plan(
       shared_model(), {.sessions_per_provider = 20});
   ASSERT_EQ(plan.sessions.size(), 60u);
-  const engine::backscatter_backend backend{plan};
 
-  const auto collect = [&](std::size_t threads) {
+  const auto collect = [&](engine::options opt) {
     std::vector<std::string> digests;
-    engine::run_backend(backend, {.threads = threads},
-                        [&](std::size_t, engine::unit_outcome&& o) {
-                          digests.push_back(digest(o));
-                        });
+    for (const auto& o : engine::run_backscatter(plan, opt)) {
+      digests.push_back(digest(o));
+    }
     return digests;
   };
-  const auto serial = collect(1);
+  const auto serial = collect(engine::options::serial());
   ASSERT_EQ(serial.size(), plan.sessions.size());
-  EXPECT_EQ(serial, collect(2));
-  EXPECT_EQ(serial, collect(8));
+  for (const std::size_t threads : {2UL, 8UL, 16UL}) {
+    EXPECT_EQ(serial, collect({.threads = threads}))
+        << "backscatter diverged from serial at " << threads << " threads";
+  }
+  for (const std::size_t chunk : {1UL, 1000UL}) {
+    EXPECT_EQ(serial, collect({.threads = 8, .chunk = chunk}))
+        << "backscatter diverged from serial at chunk " << chunk;
+  }
 }
 
-TEST(BackscatterBackend, SensorsAttributeBackscatterPerSession) {
+TEST(Backscatter, SensorsAttributeBackscatterPerSession) {
   const auto plan = core::build_telescope_plan(
       shared_model(), {.sessions_per_provider = 8});
-  const engine::backscatter_backend backend{plan};
   std::size_t answered = 0;
-  engine::run_backend(backend, {.threads = 2},
-                      [&](std::size_t, engine::unit_outcome&& o) {
-                        if (o.backscatter.datagrams == 0) {
-                          return;
-                        }
-                        ++answered;
-                        EXPECT_FALSE(o.backscatter.provider.empty());
-                        EXPECT_GT(o.backscatter.bytes, 0u);
-                        // The spoofing attacker itself hears nothing.
-                        EXPECT_EQ(o.probe.obs.bytes_received_total, 0u);
-                      });
+  for (const auto& o : engine::run_backscatter(plan, {.threads = 2})) {
+    if (o.backscatter.datagrams == 0) {
+      continue;
+    }
+    ++answered;
+    EXPECT_FALSE(o.backscatter.provider.empty());
+    EXPECT_GT(o.backscatter.bytes, 0u);
+    // The spoofing attacker itself hears nothing.
+    EXPECT_EQ(o.attacker.bytes_received_total, 0u);
+  }
   EXPECT_GT(answered, plan.sessions.size() / 2);
 }
 

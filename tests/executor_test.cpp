@@ -1,9 +1,9 @@
 // parallel_ordered tests: the chunk-and-join executor must be
-// bit-identical to serial at 2/8/16 threads across both the reach
-// (census) and backscatter backends, must hold workers to its chunk
-// window while a slow sink drains, must survive one-item chunks, must
-// propagate worker and sink exceptions, and must die on a
-// sequencer-ticket monotonicity violation in assert-enabled builds.
+// bit-identical to serial at 2/8/16 threads on the census, must hold
+// workers to its chunk window while a slow sink drains, must survive
+// one-item chunks, must propagate worker and sink exceptions, and must
+// die on a sequencer-ticket monotonicity violation in assert-enabled
+// builds.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -16,9 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/amplification_study.hpp"
 #include "core/census.hpp"
-#include "engine/backend.hpp"
 #include "engine/engine.hpp"
 
 namespace certquic {
@@ -69,14 +67,6 @@ std::string digest(const core::census_result& census) {
   return out.str();
 }
 
-std::string digest(const engine::unit_outcome& o) {
-  std::ostringstream out;
-  out << o.backscatter.provider << ':' << o.backscatter.bytes << ':'
-      << o.backscatter.datagrams << ':' << o.backscatter.first_seen << ':'
-      << o.backscatter.last_seen << ':' << o.probe.obs.bytes_sent_total;
-  return out.str();
-}
-
 std::string census_digest(engine::options opt) {
   core::census_options census_opt;
   census_opt.initial_size = 1362;
@@ -85,34 +75,11 @@ std::string census_digest(engine::options opt) {
 }
 
 TEST(ParallelOrdered, CensusMatchesSerialAtEveryThreadCount) {
-  // The reach backend: byte-identical aggregates at 2/8/16 threads.
+  // Byte-identical census aggregates at 2/8/16 threads.
   const std::string serial = census_digest(engine::options::serial());
   for (const std::size_t threads : {2UL, 8UL, 16UL}) {
     EXPECT_EQ(serial, census_digest({.threads = threads}))
         << "census diverged from serial at " << threads << " threads";
-  }
-}
-
-TEST(ParallelOrdered, BackscatterMatchesSerialAtEveryThreadCount) {
-  // The shared-world backend through run_backend: per-unit outcomes in
-  // plan order must be identical across thread counts.
-  const auto plan = core::build_telescope_plan(
-      shared_model(), {.sessions_per_provider = 20});
-  const engine::backscatter_backend backend{plan};
-
-  const auto collect = [&](engine::options opt) {
-    std::vector<std::string> digests;
-    engine::run_backend(backend, opt,
-                        [&](std::size_t, engine::unit_outcome&& o) {
-                          digests.push_back(digest(o));
-                        });
-    return digests;
-  };
-  const auto serial = collect(engine::options::serial());
-  ASSERT_EQ(serial.size(), plan.sessions.size());
-  for (const std::size_t threads : {2UL, 8UL, 16UL}) {
-    EXPECT_EQ(serial, collect({.threads = threads}))
-        << "backscatter diverged from serial at " << threads << " threads";
   }
 }
 

@@ -1,6 +1,7 @@
 // Unit and integration tests for the measurement tools (§3.2 toolchain).
 #include <gtest/gtest.h>
 
+#include "quic/packet.hpp"
 #include "scan/classify.hpp"
 #include "scan/qscanner.hpp"
 #include "scan/reach.hpp"
@@ -156,36 +157,40 @@ TEST(Zmap, SilentProbeMeasuresResends) {
   EXPECT_GT(net::to_seconds(result.backscatter_duration), 40.0);
 }
 
-TEST(Telescope, GroupsSessionsByProviderAndScid) {
+TEST(Telescope, AttributesBackscatterPerSensor) {
   net::simulator sim;
   telescope scope{sim, net::ipv4::of(203, 0, 113, 0)};
   scope.map_prefix(net::ipv4::of(104, 16, 1, 0), "Cloudflare");
 
   const auto sensor_a = scope.allocate_sensor();
   const auto sensor_b = scope.allocate_sensor();
+  const auto sensor_c = scope.allocate_sensor();
   EXPECT_NE(sensor_a, sensor_b);
 
-  // Hand-crafted backscatter: two datagrams of one session, one of
-  // another, from a "Cloudflare" host.
+  // Hand-crafted backscatter from a "Cloudflare" host: two datagrams
+  // of the session spoofing sensor_a, one of the session spoofing
+  // sensor_b; sensor_c hears nothing.
   quic::packet p;
   p.type = quic::packet_type::initial;
   p.scid = quic::connection_id{bytes{1, 2, 3, 4}};
   p.dcid = quic::connection_id{bytes{9}};
   p.frames.push_back(quic::ack_frame{0});
+  const bytes payload = quic::encode_datagram({p});
   const net::endpoint_id server{net::ipv4::of(104, 16, 1, 77), 443};
-  sim.send({server, sensor_a, quic::encode_datagram({p})});
-  sim.send({server, sensor_a, quic::encode_datagram({p})});
-  p.scid = quic::connection_id{bytes{5, 6, 7, 8}};
-  sim.send({server, sensor_b, quic::encode_datagram({p})});
+  sim.send({server, sensor_a, payload});
+  sim.send({server, sensor_a, payload});
+  sim.send({server, sensor_b, payload});
   sim.run();
 
-  const auto sessions = scope.sessions();
-  ASSERT_EQ(sessions.size(), 2u);
-  EXPECT_EQ(scope.datagrams_seen(), 3u);
-  for (const auto& session : sessions) {
-    EXPECT_EQ(session.provider, "Cloudflare");
-    EXPECT_TRUE(session.datagrams == 1 || session.datagrams == 2);
-  }
+  const backscatter_session a = scope.observed_at(sensor_a);
+  const backscatter_session b = scope.observed_at(sensor_b);
+  EXPECT_EQ(a.provider, "Cloudflare");
+  EXPECT_EQ(b.provider, "Cloudflare");
+  EXPECT_EQ(a.datagrams, 2u);
+  EXPECT_EQ(b.datagrams, 1u);
+  EXPECT_EQ(a.bytes, 2 * payload.size());
+  EXPECT_EQ(b.bytes, payload.size());
+  EXPECT_EQ(scope.observed_at(sensor_c).datagrams, 0u);
 }
 
 TEST(Telescope, UnmappedPrefixIsUnknown) {
@@ -199,9 +204,9 @@ TEST(Telescope, UnmappedPrefixIsUnknown) {
   sim.send({{net::ipv4::of(8, 8, 8, 8), 443}, sensor,
             quic::encode_datagram({p})});
   sim.run();
-  const auto sessions = scope.sessions();
-  ASSERT_EQ(sessions.size(), 1u);
-  EXPECT_EQ(sessions[0].provider, "unknown");
+  const backscatter_session session = scope.observed_at(sensor);
+  EXPECT_EQ(session.datagrams, 1u);
+  EXPECT_EQ(session.provider, "unknown");
 }
 
 // Property sweep: classification is stable across Initial sizes for

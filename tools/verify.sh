@@ -131,9 +131,10 @@ epochs_check() {
 }
 
 # Engine-determinism gate: tier-1 must pass with the serial engine and
-# with N worker threads, and the golden bench binaries — plus fig09,
-# whose spoofed-amplification pass runs on the engine's shared-world
-# backscatter backend — must print byte-identical output under both.
+# with N worker threads, and the golden bench binaries — plus fig09 and
+# tab03, whose spoofed sessions run in run_backscatter's shared
+# simulator+telescope worlds — must print byte-identical output under
+# both.
 threads_check() {
   th_status=0
   for t in 1 "$engine_threads"; do
@@ -149,7 +150,7 @@ CERTQUIC_PQ_PROFILE=classical"
   for bin in fig02_cert_field_sizes fig04_amplification_cdf \
              fig06_chain_size_cdf tab01_browser_profiles \
              tab02_crypto_algorithms fig09_spoofed_amplification \
-             fig_pqc_chain_impact fig_outofcore_rss \
+             tab03_draft_policies fig_pqc_chain_impact fig_outofcore_rss \
              fig_ttfb_cdf fig_ttfb_pqc fig_epoch_deltas; do
     if env $th_env CERTQUIC_THREADS=1 "build/bench/$bin" \
          > "$th_dir/serial.txt" &&
