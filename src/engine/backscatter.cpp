@@ -15,8 +15,8 @@ namespace {
 /// Per-world stream separator: identical for a given (base, index)
 /// regardless of how many worlds run concurrently.
 std::uint64_t shard_seed(std::uint64_t base_seed, std::size_t world) {
-  std::uint64_t state =
-      base_seed ^ (0x9e37'79b9'7f4a'7c15ULL + static_cast<std::uint64_t>(world));
+  std::uint64_t state = base_seed ^ (0x9e37'79b9'7f4a'7c15ULL +
+                                     static_cast<std::uint64_t>(world));
   const std::uint64_t seed = splitmix64(state);
   return seed == 0 ? 1 : seed;
 }
@@ -83,10 +83,11 @@ std::vector<backscatter_outcome> run_world(const backscatter_plan& plan,
 std::vector<backscatter_outcome> run_backscatter(const backscatter_plan& plan,
                                                  const options& opt) {
   const std::size_t sessions = plan.sessions.size();
-  const std::size_t per_world = std::max<std::size_t>(plan.sessions_per_shard, 1);
+  const std::size_t per_world =
+      std::max<std::size_t>(plan.sessions_per_shard, 1);
   const std::size_t worlds = (sessions + per_world - 1) / per_world;
   // One world is one work item: its outcome vector already batches
-  // per_world sessions, and the caller's chunk must not regroup them.
+  // per_world sessions, so no further chunking.
   options world_opt = opt;
   world_opt.chunk = 1;
   std::vector<backscatter_outcome> out;

@@ -168,7 +168,8 @@ TEST(EnginePins, SpoofingStudiesMatchPinnedDigests) {
   const auto exec = engine::options{.threads = 4};
   const auto telescope =
       core::run_telescope_study(m, {.sessions_per_provider = 40}, exec);
-  EXPECT_EQ(fnv1a(digest(telescope)), 0x81a697dcff9d5cd5ULL) << digest(telescope);
+  EXPECT_EQ(fnv1a(digest(telescope)), 0x81a697dcff9d5cd5ULL)
+      << digest(telescope);
   const auto policy = core::run_policy_study(m, "le-r3-x1cross", exec);
   EXPECT_EQ(fnv1a(digest(policy)), 0xb2e5312d595d3230ULL) << digest(policy);
 }
