@@ -94,6 +94,9 @@ void client::send_initial(const bytes& token) {
 }
 
 void client::on_datagram(const net::datagram& d) {
+  if (abandoned_) {
+    return;
+  }
   std::vector<packet> packets;
   try {
     packets = parse_datagram(d.payload);
@@ -187,70 +190,73 @@ void client::on_datagram(const net::datagram& d) {
 }
 
 void client::maybe_complete() {
-  if (obs_.handshake_complete) {
+  if (obs_.handshake_complete || abandoned_) {
     return;
   }
-  // ServerHello complete at the Initial level?
-  try {
-    if (initial_stream_.empty()) {
-      return;
-    }
-    const auto sh = tls::peek_frame(initial_stream_);
-    if (sh.type != tls::handshake_type::server_hello ||
-        initial_stream_.size() < sh.total_size) {
-      return;
-    }
-  } catch (const codec_error&) {
-    return;  // still partial
+  // ServerHello whole at the Initial level? Anything else whole there
+  // is a flight this client cannot finish.
+  const tls::frame_info sh = tls::peek_frame(initial_stream_);
+  if (sh.status == tls::frame_status::partial) {
+    return;
   }
-  // Walk the Handshake-level stream; complete when Finished is whole.
-  std::size_t offset = 0;
-  bool saw_finished = false;
-  while (offset < handshake_stream_.size()) {
-    tls::frame_info info{};
-    try {
-      info = tls::peek_frame(
-          bytes_view{handshake_stream_.data() + offset,
-                     handshake_stream_.size() - offset});
-    } catch (const codec_error&) {
+  if (sh.status == tls::frame_status::malformed ||
+      sh.type != tls::handshake_type::server_hello) {
+    abandoned_ = true;
+    return;
+  }
+  // Walk the Handshake-level stream from the first message not yet
+  // inspected; complete when Finished is whole and nothing partial
+  // follows it.
+  while (handshake_cursor_ < handshake_stream_.size()) {
+    const bytes_view rest =
+        bytes_view{handshake_stream_}.subspan(handshake_cursor_);
+    const tls::frame_info info = tls::peek_frame(rest);
+    if (info.status == tls::frame_status::partial) {
       return;  // truncated message at the tail
     }
-    if (info.type == tls::handshake_type::certificate ||
-        info.type == tls::handshake_type::compressed_certificate) {
-      obs_.certificate_msg_size = info.total_size;
-      obs_.compression_used =
-          info.type == tls::handshake_type::compressed_certificate;
-      if (config_.capture_certificate) {
-        obs_.certificate_message.assign(
-            handshake_stream_.begin() + static_cast<long>(offset),
-            handshake_stream_.begin() +
-                static_cast<long>(offset + info.total_size));
-      }
-      if (obs_.compression_used) {
-        // uncompressed_length sits right after the 2-byte algorithm id.
-        buffer_reader r{bytes_view{handshake_stream_.data() + offset,
-                                   handshake_stream_.size() - offset}};
-        r.skip(4 + 2);
-        obs_.certificate_uncompressed_size = r.u24();
-      } else {
-        obs_.certificate_uncompressed_size = info.total_size;
-      }
+    if (info.status == tls::frame_status::malformed ||
+        !observe_certificate(info.type, rest.first(info.total_size))) {
+      abandoned_ = true;
+      return;
     }
-    if (info.type == tls::handshake_type::finished) {
-      saw_finished = true;
-    }
-    offset += info.total_size;
+    saw_finished_ = saw_finished_ ||
+                    info.type == tls::handshake_type::finished;
+    handshake_cursor_ += info.total_size;
   }
-  if (!saw_finished) {
+  if (!saw_finished_) {
     return;
   }
   obs_.handshake_complete = true;
   obs_.complete_time = sim_.now();
 }
 
+bool client::observe_certificate(tls::handshake_type type,
+                                 bytes_view message) {
+  const bool compressed = type == tls::handshake_type::compressed_certificate;
+  if (!compressed && type != tls::handshake_type::certificate) {
+    return true;
+  }
+  // uncompressed_length sits right after the 2-byte algorithm id.
+  constexpr std::size_t kUncompressedLengthEnd = 4 + 2 + 3;
+  if (compressed && message.size() < kUncompressedLengthEnd) {
+    return false;
+  }
+  obs_.certificate_msg_size = message.size();
+  obs_.compression_used = compressed;
+  if (config_.capture_certificate) {
+    obs_.certificate_message.assign(message.begin(), message.end());
+  }
+  obs_.certificate_uncompressed_size =
+      compressed ? (static_cast<std::size_t>(message[6]) << 16) |
+                       (static_cast<std::size_t>(message[7]) << 8) |
+                       static_cast<std::size_t>(message[8])
+                 : message.size();
+  return true;
+}
+
 void client::send_ack_flight() {
   ack_timer_armed_ = false;
-  if (finished_sent_ || !config_.send_acks) {
+  if (finished_sent_ || !config_.send_acks || abandoned_) {
     return;
   }
   if (!obs_.handshake_complete) {

@@ -142,6 +142,10 @@ class client {
   void send_initial(const bytes& token);
   void on_datagram(const net::datagram& d);
   void maybe_complete();
+  /// Records a whole framed (Compressed)Certificate `message` in the
+  /// observation; other message types pass through. False when a
+  /// CompressedCertificate is too short to hold its uncompressed_length.
+  bool observe_certificate(tls::handshake_type type, bytes_view message);
   void send_ack_flight();
 
   net::simulator& sim_;
@@ -156,6 +160,15 @@ class client {
   connection_id server_scid_;
   bytes initial_stream_;    // reassembled Initial-level CRYPTO (in order)
   bytes handshake_stream_;  // reassembled Handshake-level CRYPTO
+  /// Offset of the first Handshake-level message not yet inspected.
+  std::size_t handshake_cursor_ = 0;
+  bool saw_finished_ = false;
+  /// Set on a flight this client cannot finish: a whole first Initial
+  /// message that is not a ServerHello, a malformed Handshake-level
+  /// message, or a CompressedCertificate too short for its length
+  /// field. The client then ignores every datagram and sends nothing
+  /// more, so the probe ends on its timeout, unreachable.
+  bool abandoned_ = false;
   std::uint64_t largest_initial_pn_ = 0;
   std::uint64_t largest_handshake_pn_ = 0;
   bool handshake_keys_ = false;

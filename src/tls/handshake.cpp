@@ -57,14 +57,35 @@ bytes frame(handshake_type type, bytes_view body) {
   return std::move(w).take();
 }
 
-frame_info peek_frame(bytes_view data) {
-  buffer_reader r{data};
-  const auto type = static_cast<handshake_type>(r.u8());
-  const std::uint32_t len = r.u24();
-  if (r.remaining() < len) {
-    throw codec_error("handshake frame truncated");
+frame_info peek_frame(bytes_view data) noexcept {
+  frame_info info;
+  if (data.empty()) {
+    return info;
   }
-  return {type, 4 + static_cast<std::size_t>(len)};
+  info.type = static_cast<handshake_type>(data[0]);
+  switch (info.type) {
+    case handshake_type::client_hello:
+    case handshake_type::server_hello:
+    case handshake_type::encrypted_extensions:
+    case handshake_type::certificate:
+    case handshake_type::certificate_verify:
+    case handshake_type::finished:
+    case handshake_type::compressed_certificate:
+      break;
+    default:
+      info.status = frame_status::malformed;
+      return info;
+  }
+  if (data.size() < 4) {
+    return info;
+  }
+  info.total_size = 4 + ((static_cast<std::size_t>(data[1]) << 16) |
+                         (static_cast<std::size_t>(data[2]) << 8) |
+                         static_cast<std::size_t>(data[3]));
+  if (data.size() >= info.total_size) {
+    info.status = frame_status::complete;
+  }
+  return info;
 }
 
 bytes encode_client_hello(const client_hello_config& config, rng& r) {
@@ -157,11 +178,14 @@ bytes encode_client_hello(const client_hello_config& config, rng& r) {
 
 std::vector<compress::algorithm> parse_offered_compression(
     bytes_view client_hello_frame) {
-  buffer_reader r{client_hello_frame};
-  const auto info = peek_frame(client_hello_frame);
+  const frame_info info = peek_frame(client_hello_frame);
+  if (info.status != frame_status::complete) {
+    throw codec_error("handshake frame truncated or malformed");
+  }
   if (info.type != handshake_type::client_hello) {
     throw codec_error("not a ClientHello");
   }
+  buffer_reader r{client_hello_frame.first(info.total_size)};
   r.skip(4);       // frame header
   r.skip(2 + 32);  // version + random
   const std::uint8_t session_len = r.u8();

@@ -33,13 +33,32 @@ enum class handshake_type : std::uint8_t {
 /// Frames a handshake body: 1-byte type + 3-byte length + body.
 [[nodiscard]] bytes frame(handshake_type type, bytes_view body);
 
-/// Reads the type and total framed size of the first handshake message
-/// in `data`. Throws codec_error on truncation.
-struct frame_info {
-  handshake_type type;
-  std::size_t total_size;  // header + body
+/// What peek_frame found at the front of a handshake byte stream.
+enum class frame_status : std::uint8_t {
+  /// The first message is not whole yet: fewer than 4 header bytes,
+  /// or fewer body bytes than the header declares. More bytes may
+  /// complete it.
+  partial,
+  /// The first message is whole: `type` is a known code point and
+  /// `total_size` bytes (header + body) are present.
+  complete,
+  /// The type byte is none of the handshake_type code points. No
+  /// further bytes can make the message valid.
+  malformed,
 };
-[[nodiscard]] frame_info peek_frame(bytes_view data);
+
+struct frame_info {
+  frame_status status = frame_status::partial;
+  handshake_type type{};       // the type byte; 0 on empty input
+  std::size_t total_size = 0;  // header + body; 0 until the header is whole
+};
+
+/// Peeks at the first handshake message in `data` (1-byte type, 3-byte
+/// length, body) without consuming or throwing; a receiver decides
+/// completion with a status test. The type byte is judged as soon as it
+/// is present, so an unknown type is `malformed` even before its length
+/// arrives; a known type is `partial` until `total_size` bytes are in.
+[[nodiscard]] frame_info peek_frame(bytes_view data) noexcept;
 
 /// ClientHello parameters relevant to this study.
 struct client_hello_config {
@@ -56,7 +75,9 @@ struct client_hello_config {
                                         rng& r);
 
 /// Parses the compression algorithms offered by a ClientHello built by
-/// encode_client_hello ({} when the extension is absent).
+/// encode_client_hello ({} when the extension is absent). Hostile input
+/// throws codec_error: a frame that is not whole, a first message that
+/// is not a ClientHello, or a body shorter than its fields declare.
 [[nodiscard]] std::vector<compress::algorithm> parse_offered_compression(
     bytes_view client_hello_frame);
 

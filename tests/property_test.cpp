@@ -1,6 +1,7 @@
 // Seeded round-trip property tests for the three wire codecs that every
 // other layer builds on: QUIC varints, DER TLVs and the LZ engine behind
-// RFC 8879 certificate compression. All randomness flows through the
+// RFC 8879 certificate compression; plus the fail-closed contract of the
+// TLS handshake-frame peek on arbitrary bytes. All randomness flows through the
 // project rng with fixed seeds (tests/support/property.hpp), so a failure
 // reproduces bit-for-bit from its iteration index.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "der_encode.hpp"
 #include "property.hpp"
 #include "quic/varint.hpp"
+#include "tls/handshake.hpp"
 #include "util/buffer.hpp"
 #include "util/errors.hpp"
 #include "x509/key.hpp"
@@ -372,6 +374,69 @@ TEST(PqcProperty, TailChainSizesGrowStrictlyWithProfile) {
         EXPECT_LT(sizes[1], sizes[2]) << "iteration " << i;
       },
       64);
+}
+
+// --- tls::peek_frame --------------------------------------------------
+
+TEST(PeekFrameProperty, ArbitraryBytesFailClosed) {
+  using tls::frame_status;
+  using tls::handshake_type;
+  constexpr std::array<handshake_type, 7> known = {
+      handshake_type::client_hello,
+      handshake_type::server_hello,
+      handshake_type::encrypted_extensions,
+      handshake_type::certificate,
+      handshake_type::certificate_verify,
+      handshake_type::finished,
+      handshake_type::compressed_certificate};
+  const auto is_known = [&known](handshake_type t) {
+    return std::find(known.begin(), known.end(), t) != known.end();
+  };
+  static_assert(noexcept(tls::peek_frame(bytes_view{})));
+  std::array<std::size_t, 3> seen{};  // per frame_status
+  for_each_iteration(
+      [&](rng& r, std::size_t i) {
+        bytes data = test::gen_bytes(r, 0, 64);
+        // Bias toward the interesting cases: a known type byte half the
+        // time, and a length field near the input size a third of it.
+        if (!data.empty() && r.chance(0.5)) {
+          data[0] = static_cast<std::uint8_t>(r.pick(known));
+        }
+        if (data.size() >= 4 && r.chance(0.33)) {
+          data[1] = 0;
+          data[2] = 0;
+          data[3] = static_cast<std::uint8_t>(r.uniform(0, 70));
+        }
+        tls::frame_info info;
+        ASSERT_NO_THROW(info = tls::peek_frame(data)) << "iteration " << i;
+        ++seen[static_cast<std::size_t>(info.status)];
+        if (info.status == frame_status::complete) {
+          EXPECT_LE(info.total_size, data.size()) << "iteration " << i;
+          EXPECT_TRUE(is_known(info.type)) << "iteration " << i;
+        }
+        if (!data.empty() && !is_known(static_cast<handshake_type>(data[0]))) {
+          EXPECT_EQ(info.status, frame_status::malformed) << "iteration " << i;
+        }
+        if (data.size() >= 4) {
+          const std::size_t declared =
+              4 + ((std::size_t{data[1]} << 16) | (std::size_t{data[2]} << 8) |
+                   std::size_t{data[3]});
+          if (declared > data.size()) {
+            EXPECT_NE(info.status, frame_status::complete)
+                << "iteration " << i;
+            if (is_known(static_cast<handshake_type>(data[0]))) {
+              EXPECT_EQ(info.status, frame_status::partial)
+                  << "iteration " << i;
+              EXPECT_EQ(info.total_size, declared) << "iteration " << i;
+            }
+          }
+        }
+      },
+      10'000);
+  // The bias above reaches every verdict often.
+  for (const std::size_t n : seen) {
+    EXPECT_GT(n, 500u);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include "quic/packet.hpp"
 #include "quic/server.hpp"
 #include "quic/varint.hpp"
+#include "scan/classify.hpp"
+#include "tls/handshake.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::quic {
@@ -956,6 +958,160 @@ TEST(Handshake, DraftPolicyOrdering) {
   EXPECT_GE(unlimited, three_x);
   EXPECT_GT(unlimited, 4000u);  // full flight flows pre-Draft-09
   EXPECT_LE(three_x, 3 * 1200u);
+}
+
+// ---- Malformed and truncated flights ------------------------------------
+
+// A hand-built sender endpoint answers the client's first Initial with a
+// scripted burst of datagrams, all sent at once, then counts every
+// datagram the client sends afterwards.
+using scripted_burst = std::vector<std::vector<packet>>;
+
+struct scripted_outcome {
+  observation obs;
+  std::size_t client_datagrams_after_reply = 0;
+};
+
+scripted_outcome run_scripted(const scripted_burst& burst) {
+  net::simulator sim;
+  scripted_outcome out;
+  bool replied = false;
+  sim.attach(kServerEp, [&](const net::datagram& d) {
+    if (replied) {
+      ++out.client_datagrams_after_reply;
+      return;
+    }
+    replied = true;
+    for (const std::vector<packet>& dgram : burst) {
+      sim.send({kServerEp, d.src, encode_datagram(dgram)});
+    }
+  });
+  client cli{sim, kClientEp, kServerEp, client_config{}, 2};
+  cli.start();
+  sim.run();
+  out.obs = cli.result();
+  return out;
+}
+
+packet crypto_packet(packet_type type, bytes data, std::uint64_t offset = 0) {
+  packet p;
+  p.type = type;
+  p.frames.push_back(crypto_frame{offset, std::move(data)});
+  return p;
+}
+
+packet retry_packet() {
+  packet retry;
+  retry.type = packet_type::retry;
+  retry.token = bytes(16, 7);
+  return retry;
+}
+
+bytes concat(std::initializer_list<bytes> parts) {
+  bytes out;
+  for (const bytes& p : parts) {
+    out.insert(out.end(), p.begin(), p.end());
+  }
+  return out;
+}
+
+bytes message(tls::handshake_type type, std::size_t body_size) {
+  return tls::frame(type, bytes(body_size, 0x42));
+}
+
+const bytes kServerHello = message(tls::handshake_type::server_hello, 90);
+const bytes kEncryptedExtensions =
+    message(tls::handshake_type::encrypted_extensions, 60);
+const bytes kValidHandshake =
+    concat({kEncryptedExtensions,
+            message(tls::handshake_type::certificate, 900),
+            message(tls::handshake_type::certificate_verify, 75),
+            message(tls::handshake_type::finished, 32)});
+const bytes kUnknownTypeMessage = {0x63, 0, 0, 4, 1, 2, 3, 4};
+
+// One datagram: the Initial-level payload, then the Handshake-level one
+// (omitted when empty).
+std::vector<packet> flight(const bytes& initial, const bytes& handshake) {
+  std::vector<packet> dgram;
+  dgram.push_back(crypto_packet(packet_type::initial, initial));
+  if (!handshake.empty()) {
+    dgram.push_back(crypto_packet(packet_type::handshake, handshake));
+  }
+  return dgram;
+}
+
+struct MalformedCase {
+  const char* name;
+  scripted_burst burst;
+};
+
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
+
+class MalformedFlight : public ::testing::TestWithParam<MalformedCase> {};
+
+TEST_P(MalformedFlight, ClientAbandonsAndSendsNothingMore) {
+  const scripted_outcome out = run_scripted(GetParam().burst);
+  EXPECT_TRUE(out.obs.response_received);
+  EXPECT_FALSE(out.obs.handshake_complete);
+  EXPECT_TRUE(out.obs.timed_out);
+  EXPECT_EQ(out.client_datagrams_after_reply, 0u);
+  EXPECT_EQ(out.obs.client_datagrams, 1u);
+  EXPECT_EQ(out.obs.acks_before_complete, 0u);
+  EXPECT_EQ(scan::classify(out.obs), scan::handshake_class::unreachable);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MalformedFlight,
+    ::testing::Values(
+        // A whole first Initial-level message that is not a ServerHello.
+        MalformedCase{"InitialNotServerHello",
+                      {flight(kEncryptedExtensions, kValidHandshake)}},
+        // An Initial-level type byte that is no handshake type at all.
+        MalformedCase{"InitialUnknownType", {flight({0x63, 0, 0}, {})}},
+        // A Handshake-level message whose type byte is unknown.
+        MalformedCase{
+            "HandshakeUnknownType",
+            {flight(kServerHello,
+                    concat({kEncryptedExtensions, kUnknownTypeMessage}))}},
+        // A whole CompressedCertificate too short for its
+        // uncompressed_length field.
+        MalformedCase{
+            "CompressedCertificateTooShort",
+            {flight(kServerHello,
+                    concat({kEncryptedExtensions,
+                            message(
+                                tls::handshake_type::compressed_certificate,
+                                4)}))}},
+        // A partial flight arms the ACK timer; the malformed message
+        // arriving in the same instant cancels that ACK, and a Retry
+        // after it gets no new Initial.
+        MalformedCase{
+            "MalformedAfterPartialBurst",
+            {flight(kServerHello, kEncryptedExtensions),
+             {crypto_packet(packet_type::handshake, kUnknownTypeMessage,
+                            kEncryptedExtensions.size())},
+             {retry_packet()}}}),
+    [](const auto& info) { return std::string{info.param.name}; });
+
+TEST(ScriptedFlight, TruncatedValidFlightStillDrawsTheAckFlight) {
+  // Partial is not malformed: a flight cut inside the Certificate keeps
+  // the client waiting and acknowledging.
+  const bytes truncated(kValidHandshake.begin(), kValidHandshake.begin() + 500);
+  const scripted_outcome partial =
+      run_scripted({flight(kServerHello, truncated)});
+  EXPECT_FALSE(partial.obs.handshake_complete);
+  EXPECT_GE(partial.client_datagrams_after_reply, 1u);
+  EXPECT_GE(partial.obs.acks_before_complete, 1u);
+
+  // The same sender with the whole flight completes in one round trip
+  // and draws the Finished flight.
+  const scripted_outcome whole =
+      run_scripted({flight(kServerHello, kValidHandshake)});
+  EXPECT_TRUE(whole.obs.handshake_complete);
+  EXPECT_EQ(whole.obs.acks_before_complete, 0u);
+  EXPECT_EQ(whole.client_datagrams_after_reply, 1u);
+  EXPECT_EQ(whole.obs.certificate_msg_size, 904u);
+  EXPECT_FALSE(whole.obs.compression_used);
 }
 
 }  // namespace

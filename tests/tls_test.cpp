@@ -26,14 +26,63 @@ TEST_F(TlsTest, FrameRoundTrip) {
   const bytes framed = frame(handshake_type::finished, body);
   EXPECT_EQ(framed.size(), body.size() + 4);
   const auto info = peek_frame(framed);
+  EXPECT_EQ(info.status, frame_status::complete);
   EXPECT_EQ(info.type, handshake_type::finished);
   EXPECT_EQ(info.total_size, framed.size());
 }
 
-TEST_F(TlsTest, PeekFrameRejectsTruncation) {
-  bytes framed = frame(handshake_type::finished, bytes(32, 0));
-  framed.resize(framed.size() - 1);
-  EXPECT_THROW((void)peek_frame(framed), codec_error);
+TEST_F(TlsTest, PeekFrameStatusTable) {
+  // Every proper prefix of a framed message is partial; the header's
+  // total is known once its four bytes are in.
+  const bytes framed = frame(handshake_type::finished, bytes(32, 0));
+  const std::size_t n = framed.size();
+  for (std::size_t len = 0; len < n; ++len) {
+    SCOPED_TRACE(len);
+    const frame_info info = peek_frame(bytes_view{framed}.first(len));
+    EXPECT_EQ(info.status, frame_status::partial);
+    EXPECT_EQ(info.total_size, len < 4 ? 0u : n);
+  }
+  const frame_info whole = peek_frame(framed);
+  EXPECT_EQ(whole.status, frame_status::complete);
+  EXPECT_EQ(whole.type, handshake_type::finished);
+  EXPECT_EQ(whole.total_size, n);
+
+  // An unknown type byte is malformed from its first byte on, and
+  // trailing bytes never change a whole message's verdict.
+  struct row {
+    bytes data;
+    frame_status status;
+  };
+  const row table[] = {
+      {{0x63}, frame_status::malformed},
+      {{0x00, 0, 0, 0}, frame_status::malformed},
+      {{0x03, 0, 0, 1, 0xaa}, frame_status::malformed},
+      {{0xff, 0, 0, 0, 0}, frame_status::malformed},
+      {{0x14, 0, 0, 0}, frame_status::complete},
+      {{0x14, 0, 0, 1, 0xaa, 0x63}, frame_status::complete},
+      {{0x0b, 0xff, 0xff, 0xff}, frame_status::partial},
+  };
+  for (const row& r : table) {
+    SCOPED_TRACE(::testing::PrintToString(r.data));
+    EXPECT_EQ(peek_frame(r.data).status, r.status);
+  }
+}
+
+TEST_F(TlsTest, ParseOfferedCompressionRejectsTruncatedClientHello) {
+  client_hello_config config;
+  config.server_name = "example.org";
+  config.compression_algorithms = {compress::algorithm::brotli};
+  const bytes ch = encode_client_hello(config, rng_);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{3},
+                                std::size_t{40}, ch.size() - 1}) {
+    SCOPED_TRACE(len);
+    EXPECT_THROW(
+        (void)parse_offered_compression(bytes_view{ch}.first(len)),
+        codec_error);
+  }
+  // A whole message that is not a ClientHello is rejected too.
+  EXPECT_THROW((void)parse_offered_compression(encode_finished(rng_)),
+               codec_error);
 }
 
 TEST_F(TlsTest, ClientHelloRealisticSize) {
