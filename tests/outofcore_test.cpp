@@ -3,10 +3,13 @@
 // threads, spill files must carry a validating record-count footer
 // (truncation at a line boundary, a missing footer or a count mismatch
 // all fail replay loudly), replay must reject wrong-plan/wrong-model
-// streams, and population synthesis must be thread-count-invariant.
+// streams, the out-of-core study's shards must be epoch 0's shards,
+// and population synthesis must be thread-count-invariant.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 
 #include "core/outofcore_study.hpp"
 #include "engine/spill.hpp"
+#include "service/census_service.hpp"
 #include "util/rss_meter.hpp"
 
 namespace certquic {
@@ -38,6 +42,12 @@ std::vector<std::string> read_lines(const std::filesystem::path& path) {
     lines.push_back(line);
   }
   return lines;
+}
+
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 void write_lines(const std::filesystem::path& path,
@@ -130,6 +140,54 @@ TEST(OutofcoreStudy, KeepSpillsLeavesValidatableShards) {
   EXPECT_EQ(merged, result.spill.records);
   EXPECT_EQ(counter.records, result.spill.records);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ShardLayout, StudyShardsAreEpochZeroShards) {
+  // The out-of-core study and epoch 0 of the longitudinal service cut
+  // the same sample into the same slices: same file names, same bytes,
+  // same folded stream.
+  const auto study_dir = temp_file("certquic_layout_study");
+  const auto store_dir = temp_file("certquic_layout_store");
+  std::filesystem::remove_all(study_dir);
+  std::filesystem::remove_all(store_dir);
+
+  core::outofcore_options opt;
+  opt.max_services = 120;
+  opt.shards = 7;
+  opt.spill_dir = study_dir.string();
+  opt.compare_in_memory = false;
+  opt.keep_spills = true;
+  const auto study = core::run_outofcore_study(shared_model(), opt);
+
+  service::service_options sopt;
+  sopt.store_dir = store_dir.string();
+  sopt.domains = 2000;
+  sopt.seed = 42;
+  sopt.sample = 120;
+  sopt.shards = 7;
+  sopt.epochs = 1;
+  const auto epochs = service::run_epochs(sopt);
+  ASSERT_TRUE(epochs.complete);
+  ASSERT_EQ(epochs.epochs.size(), 1u);
+  EXPECT_EQ(epochs.epochs[0].aggregate.stream_digest,
+            study.spill.stream_digest);
+
+  std::vector<std::filesystem::path> epoch_shards;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(store_dir / "epoch_0000")) {
+    epoch_shards.push_back(entry.path());
+  }
+  std::sort(epoch_shards.begin(), epoch_shards.end());
+  ASSERT_EQ(study.spill_paths.size(), 7u);
+  ASSERT_EQ(epoch_shards.size(), study.spill_paths.size());
+  for (std::size_t s = 0; s < epoch_shards.size(); ++s) {
+    const std::filesystem::path study_shard{study.spill_paths[s]};
+    EXPECT_EQ(study_shard.filename(), epoch_shards[s].filename());
+    EXPECT_EQ(read_bytes(study_shard), read_bytes(epoch_shards[s]))
+        << "shard " << s << " differs between the study and epoch 0";
+  }
+  std::filesystem::remove_all(study_dir);
+  std::filesystem::remove_all(store_dir);
 }
 
 TEST(SpillFooter, TruncationAtLineBoundaryThrows) {
