@@ -1,7 +1,5 @@
 #include "core/outofcore_study.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 
 #include "engine/spill.hpp"
@@ -21,20 +19,14 @@ bool same_stream(const epoch_aggregate& a, const epoch_aggregate& b) {
          a.stream_digest == b.stream_digest;
 }
 
-/// What the materializing baseline keeps per probe: the full result —
-/// including any captured certificate bytes — exactly what a
-/// store-then-analyze pipeline pins in memory for the whole run.
+/// What the materializing baseline keeps per probe: the full result,
+/// exactly what a store-then-analyze pipeline pins in memory for the
+/// whole run.
 struct stored_record {
   std::uint32_t service_index = 0;
   std::uint32_t variant_index = 0;
   scan::probe_result result;
 };
-
-std::string shard_path(const std::filesystem::path& dir, std::size_t shard) {
-  char name[48];
-  std::snprintf(name, sizeof name, "shard_%04zu.spill", shard);
-  return (dir / name).string();
-}
 
 /// Deletes the shard files on scope exit unless released — spills must
 /// not leak on the error paths (disk-full, failed replay) this
@@ -75,28 +67,21 @@ outofcore_result run_outofcore_study(const internet::model& m,
                        opt.spill_dir + ": " + ec.message());
   }
 
-  engine::probe_variant variant;
-  variant.initial_size = opt.initial_size;
-  variant.capture_certificate = opt.capture_certificate;
-  variant.chain_profile = opt.chain_profile;
-  const engine::probe_plan plan =
-      engine::probe_plan::single(std::move(variant), opt.max_services);
+  const engine::probe_plan plan = engine::probe_plan::single(
+      {.initial_size = opt.initial_size}, opt.max_services);
 
   const engine::executor eng{m, exec};
   const std::vector<std::uint32_t> sampled = eng.sample(plan);
+  const engine::shard_layout layout{sampled.size(), opt.shards};
 
   outofcore_result out;
   out.sampled = sampled.size();
-  out.shards = std::clamp<std::size_t>(
-      opt.shards, 1, std::max<std::size_t>(1, sampled.size()));
-  const std::size_t per_shard =
-      (std::max<std::size_t>(1, sampled.size()) + out.shards - 1) /
-      out.shards;
+  out.shards = layout.shards();
 
   std::vector<std::string> paths;
   paths.reserve(out.shards);
   for (std::size_t s = 0; s < out.shards; ++s) {
-    paths.push_back(shard_path(dir, s));
+    paths.push_back((dir / engine::shard_layout::file_name(s)).string());
   }
   spill_cleanup cleanup{paths};
 
@@ -107,12 +92,8 @@ outofcore_result run_outofcore_study(const internet::model& m,
   {
     rss_meter::phase phase;
     for (std::size_t s = 0; s < out.shards; ++s) {
-      const std::size_t lo = std::min(sampled.size(), s * per_shard);
-      const std::size_t hi = std::min(sampled.size(), lo + per_shard);
-      const std::vector<std::uint32_t> slice(sampled.begin() + lo,
-                                             sampled.begin() + hi);
       engine::spill_sink sink{paths[s]};
-      eng.run(plan, slice, sink);
+      eng.run(plan, layout.slice(sampled, s), sink);
       out.shard_records.push_back(sink.records_written());
     }
     epoch_aggregate_sink agg{out.spill};

@@ -24,18 +24,13 @@ namespace certquic::core {
 struct outofcore_options {
   /// 0 = probe every QUIC service; otherwise the deterministic sample.
   std::size_t max_services = 0;
-  /// Spill shards. The sample is cut into `shards` contiguous slices;
-  /// each slice spills to its own file. Clamped to [1, sample size].
+  /// Spill shards. engine::shard_layout cuts the sample into
+  /// contiguous slices, each spilled to its own file — the same files
+  /// epoch 0 of the longitudinal service writes for these settings.
   std::size_t shards = 8;
   /// Directory for the shard spill files; created when missing.
   std::string spill_dir;
   std::size_t initial_size = 1362;
-  /// Retain raw Certificate messages in the stream (QScanner mode) —
-  /// multiplies per-record bytes, which is exactly what makes the
-  /// in-memory path blow up first on pqc_full-style chains.
-  bool capture_certificate = false;
-  /// Chain profile served by the probed population (the PQC axis).
-  x509::pq_profile chain_profile = x509::pq_profile::classical;
   /// Also run the materializing in-memory baseline and compare.
   bool compare_in_memory = true;
   /// Leave the shard files on disk (for later re-aggregation).

@@ -1,6 +1,8 @@
 #include "engine/spill.hpp"
 
+#include <algorithm>
 #include <cinttypes>
+#include <cstddef>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -70,8 +72,9 @@ parsed_record parse_record_line(const std::string& line,
 
 /// Streaming cursor over one spill file: parses the header up front,
 /// buffers one decoded record at a time, and validates the record-count
-/// footer when the stream runs out. Replay and the k-way merge share it
-/// so both enforce the same integrity checks.
+/// footer when the stream runs out. The merge (and with it single-file
+/// replay) and spill_probe share it so all enforce the same integrity
+/// checks.
 class spill_cursor {
  public:
   explicit spill_cursor(std::string path)
@@ -188,15 +191,6 @@ void emit(const internet::model& model, const probe_plan& plan,
   });
 }
 
-void check_variant_count(const spill_cursor& cur, const probe_plan& plan) {
-  if (cur.variants() != plan.variants.size()) {
-    throw config_error("spill_reader: " + cur.path() + " captured under " +
-                       std::to_string(cur.variants()) +
-                       " variants, plan has " +
-                       std::to_string(plan.variants.size()));
-  }
-}
-
 }  // namespace
 
 spill_sink::spill_sink(std::string path) : path_(std::move(path)) {
@@ -277,15 +271,7 @@ void spill_sink::on_end() {
 
 std::size_t spill_reader::replay(const std::string& path,
                                  observation_sink& sink) const {
-  spill_cursor cur{path};
-  check_variant_count(cur, plan_);
-  sink.on_begin(plan_, cur.sampled());
-  while (const parsed_record* rec = cur.peek()) {
-    emit(model_, plan_, *rec, sink);
-    cur.advance();
-  }
-  sink.on_end();
-  return cur.records_read();
+  return spill_merge{model_, plan_}.replay({path}, sink);
 }
 
 std::string to_string(spill_state s) {
@@ -329,6 +315,28 @@ spill_probe_result spill_probe(const std::string& path) {
   return out;
 }
 
+shard_layout::shard_layout(std::size_t sampled, std::size_t requested_shards)
+    : sampled_(sampled),
+      shards_(std::clamp<std::size_t>(requested_shards, 1,
+                                      std::max<std::size_t>(1, sampled))),
+      width_((std::max<std::size_t>(1, sampled) + shards_ - 1) / shards_) {}
+
+std::vector<std::uint32_t> shard_layout::slice(
+    const std::vector<std::uint32_t>& sample, std::size_t shard) const {
+  CERTQUIC_ASSERT(sample.size() == sampled_,
+                  "shard_layout: slicing a sample it was not cut for");
+  const std::size_t lo = std::min(sampled_, shard * width_);
+  const std::size_t hi = std::min(sampled_, lo + width_);
+  return {sample.begin() + static_cast<std::ptrdiff_t>(lo),
+          sample.begin() + static_cast<std::ptrdiff_t>(hi)};
+}
+
+std::string shard_layout::file_name(std::size_t shard) {
+  char name[32];
+  std::snprintf(name, sizeof name, "shard_%04zu.spill", shard);
+  return name;
+}
+
 std::size_t spill_merge::replay(const std::vector<std::string>& paths,
                                 observation_sink& sink) const {
   if (paths.empty()) {
@@ -355,9 +363,15 @@ std::size_t spill_merge::replay_merge(const std::vector<std::string>& paths,
   cursors.reserve(paths.size());
   std::size_t total_sampled = 0;
   for (const std::string& path : paths) {
-    cursors.push_back(std::make_unique<spill_cursor>(path));
-    check_variant_count(*cursors.back(), plan_);
-    total_sampled += cursors.back()->sampled();
+    const spill_cursor& cur =
+        *cursors.emplace_back(std::make_unique<spill_cursor>(path));
+    if (cur.variants() != plan_.variants.size()) {
+      throw config_error("spill_reader: " + path + " captured under " +
+                         std::to_string(cur.variants()) +
+                         " variants, plan has " +
+                         std::to_string(plan_.variants.size()));
+    }
+    total_sampled += cur.sampled();
   }
 
   sink.on_begin(plan_, total_sampled);

@@ -1,12 +1,13 @@
 // Out-of-core sinks: spill_sink streams probe_records to disk as
-// line-delimited records instead of aggregating in memory, spill_reader
-// replays a spilled file back through any sink against the same model
-// and plan, and spill_merge re-assembles a sharded spill set into one
-// plan-ordered stream. Together they decouple probing from aggregation:
-// a million-domain sweep can run shard by shard, spill each shard, and
-// be re-aggregated by any number of sinks without re-simulating a
-// single handshake — and without ever holding more than one record in
-// memory.
+// line-delimited records instead of aggregating in memory, shard_layout
+// cuts a sample into the slices each shard file holds, spill_merge
+// re-assembles a sharded spill set into one plan-ordered stream, and
+// spill_reader replays a single spilled file as the one-shard merge,
+// back through any sink against the same model and plan. Together they
+// decouple probing from aggregation: a million-domain sweep can run
+// shard by shard, spill each shard, and be re-aggregated by any number
+// of sinks without re-simulating a single handshake — and without ever
+// holding more than one record in memory.
 //
 // Format (version 3, one record per line, space-separated):
 //   certquic-spill v3 <variant_count> <sampled_services>
@@ -27,6 +28,7 @@
 // tests/outofcore_test).
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -66,9 +68,11 @@ class spill_sink final : public observation_sink {
   std::size_t records_ = 0;
 };
 
-/// Replays spilled files. Records are reconstructed against the model
-/// and plan the spill was captured under: service/variant indices are
-/// resolved back to references, the probe result is decoded verbatim.
+/// Replays one spilled file. Records are reconstructed against the
+/// model and plan the spill was captured under: service/variant indices
+/// are resolved back to references, the probe result is decoded
+/// verbatim. Single-file replay is the one-shard spill_merge, so it
+/// enforces the same checks.
 class spill_reader {
  public:
   spill_reader(const internet::model& m, const probe_plan& plan)
@@ -77,9 +81,9 @@ class spill_reader {
   /// Streams every spilled record through `sink` (with the full
   /// on_begin/on_record/on_end lifecycle) and returns the record count.
   /// Throws codec_error on a malformed, truncated (missing or
-  /// mismatching footer) or version-mismatched file and config_error
-  /// when the file's variant count or an index does not fit the model
-  /// or plan.
+  /// mismatching footer) or version-mismatched file and on variant runs
+  /// out of plan order, and config_error when the file's variant count
+  /// or an index does not fit the model or plan.
   std::size_t replay(const std::string& path, observation_sink& sink) const;
 
  private:
@@ -121,6 +125,35 @@ struct spill_probe_result {
 /// spill_merge's error reporting both use it instead of probing via
 /// catch-codec_error.
 [[nodiscard]] spill_probe_result spill_probe(const std::string& path);
+
+/// The one way a sample is cut into spill shards. The out-of-core
+/// study and every epoch of the longitudinal service use it, so for the
+/// same population, sample and shard count the study's shard files are
+/// byte for byte epoch 0's, and epoch stores already on disk depend on
+/// it not changing: the requested count is clamped to
+/// [1, max(1, sampled)], every slice is ceil(sampled / shards) services
+/// wide except the last non-empty one, and trailing slices may be empty
+/// (10 services over 7 shards: five slices of 2, then two empty ones).
+/// Shard s spills to file_name(s).
+class shard_layout {
+ public:
+  shard_layout(std::size_t sampled, std::size_t requested_shards);
+
+  [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
+
+  /// Shard `shard`'s contiguous slice of `sample`, the sample the
+  /// layout was cut for.
+  [[nodiscard]] std::vector<std::uint32_t> slice(
+      const std::vector<std::uint32_t>& sample, std::size_t shard) const;
+
+  /// "shard_%04zu.spill".
+  [[nodiscard]] static std::string file_name(std::size_t shard);
+
+ private:
+  std::size_t sampled_;
+  std::size_t shards_;
+  std::size_t width_;
+};
 
 /// Merges per-shard spill files of one plan back into a single
 /// plan-ordered stream. Each shard file holds a contiguous slice of the

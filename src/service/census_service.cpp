@@ -1,6 +1,5 @@
 #include "service/census_service.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -11,13 +10,6 @@
 
 namespace certquic::service {
 namespace {
-
-/// The one-variant QUIC census plan every epoch runs.
-engine::probe_plan epoch_plan(const service_options& opt) {
-  engine::probe_variant variant;
-  variant.initial_size = opt.initial_size;
-  return engine::probe_plan::single(std::move(variant), opt.sample);
-}
 
 /// A complete shard is reusable iff its header matches the slice shape
 /// and its record count is exactly what the deterministic slice
@@ -64,10 +56,11 @@ service_result run_epochs(const service_options& opt,
       .shards = opt.shards,
       .initial_size = opt.initial_size,
   }};
-  const engine::probe_plan plan = epoch_plan(opt);
+  // The one-variant QUIC census plan every epoch runs.
+  const engine::probe_plan plan = engine::probe_plan::single(
+      {.initial_size = opt.initial_size}, opt.sample);
 
   service_result out;
-  std::size_t epochs_sealed_this_call = 0;
   for (std::uint64_t e = 0; e < opt.epochs; ++e) {
     epoch_report rep;
     rep.epoch = e;
@@ -77,25 +70,21 @@ service_result run_epochs(const service_options& opt,
     const engine::executor eng{m, exec};
     const std::vector<std::uint32_t> sampled = eng.sample(plan);
     rep.sampled = sampled.size();
-    const std::size_t shards = std::clamp<std::size_t>(
-        opt.shards, 1, std::max<std::size_t>(1, sampled.size()));
-    const std::size_t per_shard =
-        (std::max<std::size_t>(1, sampled.size()) + shards - 1) / shards;
+    const engine::shard_layout layout{sampled.size(), opt.shards};
     store.ensure_epoch_dir(e);
 
     // Shard pass: reuse complete slices, discard truncated ones,
     // (re-)run whatever is left. The spill footer — not the manifest —
     // decides completeness (resume invariant 3).
     std::vector<std::string> paths;
-    paths.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
+    paths.reserve(layout.shards());
+    for (std::size_t s = 0; s < layout.shards(); ++s) {
       const std::string path = store.shard_path(e, s);
       paths.push_back(path);
-      const std::size_t lo = std::min(sampled.size(), s * per_shard);
-      const std::size_t hi = std::min(sampled.size(), lo + per_shard);
+      const std::vector<std::uint32_t> slice = layout.slice(sampled, s);
       const auto probe = engine::spill_probe(path);
       const auto checkpoint = store.shard_records(e, s);
-      if (reusable_shard(probe, hi - lo, plan.variants.size(),
+      if (reusable_shard(probe, slice.size(), plan.variants.size(),
                          checkpoint)) {
         ++rep.shards_reused;
         if (!checkpoint.has_value()) {
@@ -114,8 +103,6 @@ service_result run_epochs(const service_options& opt,
         std::error_code ec;
         std::filesystem::remove(path, ec);
       }
-      const std::vector<std::uint32_t> slice(sampled.begin() + lo,
-                                             sampled.begin() + hi);
       engine::spill_sink sink{path};
       eng.run(plan, slice, sink);
       store.note_shard(e, s, sink.records_written());
@@ -142,15 +129,8 @@ service_result run_epochs(const service_options& opt,
     } else {
       store.note_epoch_done(e, rep.aggregate.records,
                             rep.aggregate.stream_digest);
-      ++epochs_sealed_this_call;
     }
     out.epochs.push_back(std::move(rep));
-
-    if (opt.max_epochs_per_call != 0 &&
-        epochs_sealed_this_call >= opt.max_epochs_per_call &&
-        e + 1 < opt.epochs) {
-      return out;
-    }
   }
   out.complete = true;
   return out;

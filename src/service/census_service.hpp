@@ -8,8 +8,8 @@
 //     resumed process regenerates exactly the world the killed one
 //     probed (model::at_epoch).
 //  2. Shard slices are pure functions of the epoch's sample and the
-//     shard count, and each slice's spill is bit-identical however
-//     many threads probed it.
+//     shard count (engine::shard_layout), and each slice's spill is
+//     bit-identical however many threads probed it.
 //  3. On entry to an epoch every shard file is classified with
 //     engine::spill_probe: complete shards (matching the manifest's
 //     record count and the slice's shape) are reused without
@@ -43,13 +43,11 @@ struct service_options {
   std::size_t sample = 0;
   std::size_t shards = 4;
   std::size_t initial_size = 1362;
-  /// Target epoch count of the store (epochs 0..epochs-1).
+  /// Target epoch count of this call (epochs 0..epochs-1). The store
+  /// does not pin it: a later call may raise it, and the `serve` loop
+  /// raises it by one per pass to stream per-epoch progress.
   std::size_t epochs = 4;
   internet::churn_config churn{};
-  /// Stop after sealing this many *new* epochs in this call (0 = run
-  /// to the target). The `serve` loop uses 1 to stream per-epoch
-  /// progress; the store stays resumable between calls.
-  std::size_t max_epochs_per_call = 0;
   /// Crash injection for the resume tests: stop (cleanly, store
   /// resumable) before probing the (N+1)-th shard slice of this call.
   /// Reused complete shards do not count. 0 = no limit.
@@ -77,10 +75,10 @@ struct service_result {
 };
 
 /// Runs (or resumes) the service until the store holds `opt.epochs`
-/// sealed epochs or a bound (max_epochs_per_call / abort_after_shards)
-/// stops it. Throws config_error on an empty store_dir or zero epochs,
-/// and codec_error when a sealed epoch's re-merged stream contradicts
-/// its manifest digest (on-disk corruption).
+/// sealed epochs or abort_after_shards stops it. Throws config_error
+/// on an empty store_dir or zero epochs, and codec_error when a sealed
+/// epoch's re-merged stream contradicts its manifest digest (on-disk
+/// corruption).
 [[nodiscard]] service_result run_epochs(const service_options& opt,
                                         const engine::options& exec = {});
 

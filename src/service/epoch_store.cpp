@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "engine/spill.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::service {
@@ -18,12 +19,6 @@ std::string epoch_dir_name(std::uint64_t epoch) {
   char name[32];
   std::snprintf(name, sizeof name, "epoch_%04llu",
                 static_cast<unsigned long long>(epoch));
-  return name;
-}
-
-std::string shard_file_name(std::size_t shard) {
-  char name[32];
-  std::snprintf(name, sizeof name, "shard_%04zu.spill", shard);
   return name;
 }
 
@@ -166,7 +161,7 @@ std::string epoch_store::epoch_dir(std::uint64_t epoch) const {
 std::string epoch_store::shard_path(std::uint64_t epoch,
                                     std::size_t shard) const {
   return (std::filesystem::path(cfg_.root) / epoch_dir_name(epoch) /
-          shard_file_name(shard))
+          engine::shard_layout::file_name(shard))
       .string();
 }
 

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -140,6 +141,41 @@ TEST(OutofcoreStudy, KeepSpillsLeavesValidatableShards) {
   EXPECT_EQ(merged, result.spill.records);
   EXPECT_EQ(counter.records, result.spill.records);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ShardLayout, CutsTheSampleIntoPinnedSlices) {
+  // Epoch stores on disk depend on this layout, trailing empty slices
+  // included.
+  struct row {
+    std::size_t sampled;
+    std::size_t requested;
+    std::vector<std::size_t> widths;
+  };
+  const std::vector<row> table = {
+      {0, 4, {0}},
+      {120, 0, {120}},
+      {120, 7, {18, 18, 18, 18, 18, 18, 12}},
+      {10, 7, {2, 2, 2, 2, 2, 0, 0}},
+      {5, 9, {1, 1, 1, 1, 1}},
+  };
+  for (const row& r : table) {
+    std::vector<std::uint32_t> sample(r.sampled);
+    std::iota(sample.begin(), sample.end(), 100u);
+    const engine::shard_layout layout{r.sampled, r.requested};
+    ASSERT_EQ(layout.shards(), r.widths.size())
+        << r.sampled << " services, " << r.requested << " shards";
+    std::vector<std::uint32_t> rejoined;
+    for (std::size_t s = 0; s < layout.shards(); ++s) {
+      const auto slice = layout.slice(sample, s);
+      EXPECT_EQ(slice.size(), r.widths[s])
+          << r.sampled << " services, " << r.requested << " shards, shard "
+          << s;
+      rejoined.insert(rejoined.end(), slice.begin(), slice.end());
+    }
+    EXPECT_EQ(rejoined, sample);
+  }
+  EXPECT_EQ(engine::shard_layout::file_name(0), "shard_0000.spill");
+  EXPECT_EQ(engine::shard_layout::file_name(31), "shard_0031.spill");
 }
 
 TEST(ShardLayout, StudyShardsAreEpochZeroShards) {
@@ -382,6 +418,9 @@ TEST(SpillMerge, OutOfPlanOrderRejected) {
   counting_sink sink;
   const engine::spill_merge merge{shared_model(), plan};
   EXPECT_THROW((void)merge.replay({path.string()}, sink), codec_error);
+  // Single-file replay is the one-shard merge: it fails closed too.
+  const engine::spill_reader reader{shared_model(), plan};
+  EXPECT_THROW((void)reader.replay(path.string(), sink), codec_error);
   std::filesystem::remove(path);
 }
 

@@ -209,14 +209,15 @@ TEST(CensusService, BoundedServeLoopSealsOneEpochPerCall) {
   const auto full_dir = fresh_dir("certquic_service_serve_full");
   const auto full = service::run_epochs(small_opts(full_dir.string()));
 
+  // The `serve` loop: raise the target by one epoch per pass.
   const auto dir = fresh_dir("certquic_service_serve");
   auto opt = small_opts(dir.string());
-  opt.max_epochs_per_call = 1;
   service::service_result last;
-  for (std::size_t pass = 1; pass <= 3; ++pass) {
+  for (opt.epochs = 1; opt.epochs <= 3; ++opt.epochs) {
     last = service::run_epochs(opt);
-    EXPECT_EQ(last.epochs.size(), pass);
-    EXPECT_EQ(last.complete, pass == 3);
+    EXPECT_EQ(last.epochs.size(), opt.epochs);
+    EXPECT_TRUE(last.complete);
+    EXPECT_EQ(last.probed_shards, 3u) << "pass " << opt.epochs;
   }
   expect_identical(full, last);
   fs::remove_all(full_dir);

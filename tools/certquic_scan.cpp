@@ -19,6 +19,7 @@
 // service in detail.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -376,17 +377,18 @@ int run_serve(const cli_options& opt) {
                        .string()
                  : opt.store_dir;
   const temp_dir_cleanup cleanup{temp_store ? store_dir : ""};
+  // One epoch per pass: each pass raises the target by one, re-merges
+  // the sealed epochs and seals the next, so the store stays resumable
+  // between passes. A zero --epochs still reaches run_epochs' check.
   service::service_options sopt = service_opts(opt, store_dir);
-  sopt.max_epochs_per_call = 1;
-  std::size_t reported = 0;
-  while (true) {
+  for (sopt.epochs = std::min<std::size_t>(1, opt.epochs);;
+       ++sopt.epochs) {
     const auto result = service::run_epochs(sopt, opt.exec());
-    if (result.epochs.size() <= reported && !result.complete) {
+    if (!result.complete) {
       std::fprintf(stderr, "serve: no progress (crash injection?); "
                            "store left resumable\n");
       return 3;
     }
-    reported = result.epochs.size();
     const auto& last = result.epochs.back();
     std::fprintf(stderr,
                  "serve: epoch %llu sealed (%zu records, churn %zu, "
@@ -394,7 +396,7 @@ int run_serve(const cli_options& opt) {
                  static_cast<unsigned long long>(last.epoch),
                  last.aggregate.records, last.churn.total(),
                  last.shards_probed, last.shards_reused);
-    if (result.complete) {
+    if (sopt.epochs == opt.epochs) {
       std::printf("%s", service::render_epoch_tables(result).c_str());
       return 0;
     }

@@ -94,8 +94,9 @@ outofcore_check() {
 
 # Longitudinal-service smoke: a 3-epoch run killed after 4 shard slices
 # (with the last written shard additionally cut mid-record, as a crash
-# mid-write would leave it) and then resumed must print the
-# byte-identical epoch tables of an uninterrupted run.
+# mid-write would leave it) and then resumed, and the one-epoch-per-pass
+# `serve` loop, must both print the byte-identical epoch tables of an
+# uninterrupted run.
 epochs_check() {
   ep_dir=$(mktemp -d)
   ep_status=0
@@ -124,6 +125,16 @@ epochs_check() {
   else
     echo "FAIL epochs: resumed output differs from uninterrupted run"
     diff -u "$ep_dir/full.txt" "$ep_dir/resumed.txt" || true
+    ep_status=1
+  fi
+  # `serve` seals one epoch per pass and must end on the same tables.
+  if "$scan" serve $ep_flags --store "$ep_dir/serve" \
+       > "$ep_dir/serve.txt" 2> /dev/null &&
+     cmp -s "$ep_dir/full.txt" "$ep_dir/serve.txt"; then
+    echo "OK   epochs: serve loop == uninterrupted epochs run"
+  else
+    echo "FAIL epochs: serve output differs from uninterrupted epochs run"
+    diff -u "$ep_dir/full.txt" "$ep_dir/serve.txt" || true
     ep_status=1
   fi
   rm -rf "$ep_dir"
