@@ -146,7 +146,7 @@ class shard_layout {
   [[nodiscard]] std::vector<std::uint32_t> slice(
       const std::vector<std::uint32_t>& sample, std::size_t shard) const;
 
-  /// "shard_%04zu.spill".
+  /// The shard's spill file name: shard_0000.spill, shard_0001.spill, ...
   [[nodiscard]] static std::string file_name(std::size_t shard);
 
  private:
