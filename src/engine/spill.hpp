@@ -1,31 +1,36 @@
 // Out-of-core sinks: spill_sink streams probe_records to disk as
-// line-delimited records instead of aggregating in memory, shard_layout
-// cuts a sample into the slices each shard file holds, spill_merge
-// re-assembles a sharded spill set into one plan-ordered stream, and
-// spill_reader replays a single spilled file as the one-shard merge,
-// back through any sink against the same model and plan. Together they
-// decouple probing from aggregation: a million-domain sweep can run
-// shard by shard, spill each shard, and be re-aggregated by any number
-// of sinks without re-simulating a single handshake — and without ever
-// holding more than one record in memory.
+// length-prefixed binary records instead of aggregating in memory,
+// shard_layout cuts a sample into the slices each shard file holds,
+// spill_merge re-assembles a sharded spill set into one plan-ordered
+// stream, and spill_reader replays a single spilled file as the
+// one-shard merge, back through any sink against the same model and
+// plan. Together they decouple probing from aggregation: a
+// million-domain sweep can run shard by shard, spill each shard, and be
+// re-aggregated by any number of sinks without re-simulating a single
+// handshake — and without ever holding more than one record per shard
+// in memory.
 //
-// Format (version 3, one record per line, space-separated):
-//   certquic-spill v3 <variant_count> <sampled_services>
-//   <service_index> <variant_index> <class> <26 observation fields>
-//   <hex certificate message | "-">
+// Format (version 4; every integer is a QUIC varint, RFC 9000 §16):
+//   header  "CQSPILL\x04" <variant_count> <sampled_services>
+//   record  <body_length >= 1> <body>, body =
+//             <service_index> <variant_index> <class: 1 byte>
+//             <flags: 1 byte, the six observation booleans>
+//             <19 integer observation fields>
+//             <certificate_length> <certificate bytes>
 //   ...
-//   certquic-spill end <record_count>
-// (v3 appended the handshake-timeline fields first_app_byte_time and
-// app_bytes_received after last_receive_time; probe_result::ttfb is
-// derived from them on replay rather than stored.)
+//   footer  <0> <record_count> "end\n", then end of file
+// One table of quic::observation members drives both the encoder and
+// the decoder, so the field order is written once (spill.cpp).
+// probe_result::ttfb is derived from the timeline fields on replay
+// rather than stored.
 // The footer is written by on_end() and is what makes a spill file
-// *validatable*: a file truncated exactly at a line boundary (crash or
-// disk-full after a flush) parses cleanly line by line but fails the
-// footer check, so replay throws instead of silently aggregating fewer
-// records. Mid-line truncation is caught by the field parser. Every
-// field of scan::probe_result round-trips, so replayed aggregates are
-// bit-identical to direct ones (enforced by tests/backend_test and
-// tests/outofcore_test).
+// *validatable*: a file cut exactly at a record boundary (crash or
+// disk-full after a flush) decodes cleanly record by record but has no
+// footer, so replay throws instead of silently aggregating fewer
+// records. A cut inside a record leaves a length prefix that runs past
+// the end of the file. Every field of scan::probe_result round-trips,
+// so replayed aggregates are bit-identical to direct ones (enforced by
+// tests/backend_test and tests/outofcore_test).
 #pragma once
 
 #include <cstdint>
@@ -34,15 +39,17 @@
 #include <vector>
 
 #include "engine/sink.hpp"
+#include "util/buffer.hpp"
 
 namespace certquic::engine {
 
 /// Streams records to a file. The sink requires the full lifecycle:
 /// on_begin writes the header with the *real* variant and sample
 /// counts (a header with made-up counts would disable the replay-side
-/// plan-shape validation), on_record appends one line per probe, and
-/// on_end writes the record-count footer, flushes and closes. Driving
-/// on_record without on_begin throws.
+/// plan-shape validation), on_record appends one record per probe (one
+/// fwrite from a reused encode buffer), and on_end writes the
+/// record-count footer, flushes and closes. Driving on_record without
+/// on_begin throws.
 class spill_sink final : public observation_sink {
  public:
   /// Opens `path` for writing; throws config_error when that fails.
@@ -66,6 +73,8 @@ class spill_sink final : public observation_sink {
   std::FILE* file_ = nullptr;
   bool header_written_ = false;
   std::size_t records_ = 0;
+  buffer_writer encoded_;  // one record: length prefix, then body
+  buffer_writer prefix_;   // the body-length varint being placed
 };
 
 /// Replays one spilled file. Records are reconstructed against the
@@ -82,8 +91,8 @@ class spill_reader {
   /// on_begin/on_record/on_end lifecycle) and returns the record count.
   /// Throws codec_error on a malformed, truncated (missing or
   /// mismatching footer) or version-mismatched file and on variant runs
-  /// out of plan order, and config_error when the file's variant count
-  /// or an index does not fit the model or plan.
+  /// out of plan order, and config_error when the file's variant count,
+  /// sample size or an index does not fit the model or plan.
   std::size_t replay(const std::string& path, observation_sink& sink) const;
 
  private:
@@ -95,9 +104,10 @@ class spill_reader {
 /// plan it was captured under.
 enum class spill_state : std::uint8_t {
   complete,   // header, records and footer all validate
-  truncated,  // opens but fails integrity (cut mid-line, cut at a line
-              // boundary before the footer, or otherwise malformed —
-              // a crashed writer is indistinguishable from corruption)
+  truncated,  // opens but fails integrity (cut inside a record, cut at a
+              // record boundary before the footer, not a v4 file, or
+              // otherwise malformed — a crashed writer is
+              // indistinguishable from corruption)
   missing,    // cannot be opened
 };
 
@@ -162,7 +172,8 @@ class shard_layout {
 /// records under variants[0] in shard order, then variants[1], ... —
 /// exactly the order one in-memory run over the concatenated sample
 /// would produce. Every file is streamed exactly once; peak memory is
-/// one buffered record per shard.
+/// one 64 KiB read buffer (larger only for a larger record) and one
+/// decoded record per shard.
 class spill_merge {
  public:
   spill_merge(const internet::model& m, const probe_plan& plan)
@@ -179,7 +190,8 @@ class spill_merge {
   /// catches everything else). Also throws codec_error when any file
   /// is malformed or truncated — with every shard's spill_probe
   /// verdict appended to the message — and config_error on an empty
-  /// file list or a plan-shape mismatch.
+  /// file list, a plan-shape mismatch or a header that claims more
+  /// sampled services than the model holds.
   std::size_t replay(const std::vector<std::string>& paths,
                      observation_sink& sink) const;
 

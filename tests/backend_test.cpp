@@ -220,10 +220,10 @@ TEST(SpillSink, RoundTripMatchesDirectRun) {
   engine::probe_plan plan;
   plan.max_services = 40;
   plan.sweep_initial_sizes({1200, 1362});
-  plan.variants[0].capture_certificate = true;  // exercise the hex column
+  plan.variants[0].capture_certificate = true;  // exercise certificate bytes
 
   const std::string path =
-      (std::filesystem::temp_directory_path() / "certquic_spill_test.txt")
+      (std::filesystem::temp_directory_path() / "certquic_spill_test.spill")
           .string();
 
   // Direct run: record stream digests + an aggregate.

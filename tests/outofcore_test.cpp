@@ -1,18 +1,17 @@
 // Out-of-core pipeline tests: the sharded spill → merge path must
 // aggregate bit-identically to the in-memory path at 1, 2 and 8
 // threads, spill files must carry a validating record-count footer
-// (truncation at a line boundary, a missing footer or a count mismatch
-// all fail replay loudly), replay must reject wrong-plan/wrong-model
-// streams, the out-of-core study's shards must be epoch 0's shards,
-// and population synthesis must be thread-count-invariant.
+// (truncation at a record boundary or at any byte offset, a missing
+// footer or a count mismatch all fail replay loudly), replay must
+// reject wrong-plan/wrong-model streams, the out-of-core study's shards
+// must be epoch 0's shards, and population synthesis must be
+// thread-count-invariant.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <numeric>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +19,7 @@
 #include "core/outofcore_study.hpp"
 #include "engine/spill.hpp"
 #include "service/census_service.hpp"
+#include "spill_bytes.hpp"
 #include "util/rss_meter.hpp"
 
 namespace certquic {
@@ -35,36 +35,18 @@ std::filesystem::path temp_file(const char* name) {
   return std::filesystem::temp_directory_path() / name;
 }
 
-std::vector<std::string> read_lines(const std::filesystem::path& path) {
-  std::ifstream in{path};
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    lines.push_back(line);
-  }
-  return lines;
-}
-
-std::string read_bytes(const std::filesystem::path& path) {
-  std::ifstream in{path, std::ios::binary};
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
-void write_lines(const std::filesystem::path& path,
-                 const std::vector<std::string>& lines) {
-  std::ofstream out{path, std::ios::trunc};
-  for (const std::string& line : lines) {
-    out << line << '\n';
-  }
-}
-
-/// Spills a small two-variant plan and returns (path, plan, record
-/// count). The file ends with the v2 footer.
+/// Spills a small two-variant plan into `path`, fills in `plan` and
+/// returns the record count. The file ends with the record-count
+/// footer.
 std::size_t spill_fixture(const std::filesystem::path& path,
-                          engine::probe_plan& plan) {
-  plan.max_services = 20;
+                          engine::probe_plan& plan,
+                          std::size_t services = 20,
+                          bool capture_certificate = false) {
+  plan.max_services = services;
   plan.sweep_initial_sizes({1200, 1362});
+  for (engine::probe_variant& v : plan.variants) {
+    v.capture_certificate = capture_certificate;
+  }
   engine::spill_sink sink{path.string()};
   engine::executor{shared_model(), engine::options::serial()}.run(plan,
                                                                   sink);
@@ -75,6 +57,14 @@ class counting_sink final : public engine::observation_sink {
  public:
   void on_record(const engine::probe_record&) override { ++records; }
   std::size_t records = 0;
+};
+
+class certificate_bytes_sink final : public engine::observation_sink {
+ public:
+  void on_record(const engine::probe_record& rec) override {
+    total += rec.result.obs.certificate_message.size();
+  }
+  std::size_t total = 0;
 };
 
 TEST(OutofcoreStudy, SpillMergeMatchesInMemoryAcrossThreadCounts) {
@@ -219,25 +209,28 @@ TEST(ShardLayout, StudyShardsAreEpochZeroShards) {
   for (std::size_t s = 0; s < epoch_shards.size(); ++s) {
     const std::filesystem::path study_shard{study.spill_paths[s]};
     EXPECT_EQ(study_shard.filename(), epoch_shards[s].filename());
-    EXPECT_EQ(read_bytes(study_shard), read_bytes(epoch_shards[s]))
+    EXPECT_EQ(test::read_file_bytes(study_shard),
+              test::read_file_bytes(epoch_shards[s]))
         << "shard " << s << " differs between the study and epoch 0";
   }
   std::filesystem::remove_all(study_dir);
   std::filesystem::remove_all(store_dir);
 }
 
-TEST(SpillFooter, TruncationAtLineBoundaryThrows) {
-  const auto path = temp_file("certquic_spill_truncated.txt");
+TEST(SpillFooter, TruncationAtRecordBoundaryThrows) {
+  const auto path = temp_file("certquic_spill_truncated.spill");
   engine::probe_plan plan;
   const std::size_t records = spill_fixture(path, plan);
   ASSERT_GT(records, 2u);
 
-  // Drop the footer AND the last record: every remaining line parses
-  // cleanly, which is exactly the silent-data-loss case the footer
-  // exists to catch.
-  auto lines = read_lines(path);
-  lines.resize(lines.size() - 2);
-  write_lines(path, lines);
+  // Drop the footer AND the last record: every remaining record
+  // decodes cleanly, which is exactly the silent-data-loss case the
+  // footer exists to catch.
+  auto spill = test::read_spill_bytes(path);
+  ASSERT_EQ(spill.records.size(), records);
+  spill.records.pop_back();
+  spill.footer.clear();
+  test::write_spill_bytes(path, spill);
 
   counting_sink sink;
   const engine::spill_reader reader{shared_model(), plan};
@@ -246,12 +239,12 @@ TEST(SpillFooter, TruncationAtLineBoundaryThrows) {
 }
 
 TEST(SpillFooter, MissingFooterThrows) {
-  const auto path = temp_file("certquic_spill_nofooter.txt");
+  const auto path = temp_file("certquic_spill_nofooter.spill");
   engine::probe_plan plan;
   spill_fixture(path, plan);
-  auto lines = read_lines(path);
-  lines.pop_back();  // just the footer; all records intact
-  write_lines(path, lines);
+  auto spill = test::read_spill_bytes(path);
+  spill.footer.clear();  // just the footer; all records intact
+  test::write_spill_bytes(path, spill);
 
   counting_sink sink;
   const engine::spill_reader reader{shared_model(), plan};
@@ -260,12 +253,13 @@ TEST(SpillFooter, MissingFooterThrows) {
 }
 
 TEST(SpillFooter, CountMismatchThrows) {
-  const auto path = temp_file("certquic_spill_badcount.txt");
+  const auto path = temp_file("certquic_spill_badcount.spill");
   engine::probe_plan plan;
   const std::size_t records = spill_fixture(path, plan);
-  auto lines = read_lines(path);
-  lines.back() = "certquic-spill end " + std::to_string(records + 3);
-  write_lines(path, lines);
+  auto spill = test::read_spill_bytes(path);
+  ASSERT_EQ(spill.footer, test::spill_footer(records));
+  spill.footer = test::spill_footer(records + 3);
+  test::write_spill_bytes(path, spill);
 
   counting_sink sink;
   const engine::spill_reader reader{shared_model(), plan};
@@ -273,8 +267,24 @@ TEST(SpillFooter, CountMismatchThrows) {
   std::filesystem::remove(path);
 }
 
+TEST(SpillFooter, DataAfterFooterThrows) {
+  const auto path = temp_file("certquic_spill_trailing.spill");
+  engine::probe_plan plan;
+  spill_fixture(path, plan);
+  auto spill = test::read_spill_bytes(path);
+  spill.footer.push_back(0);  // one byte past "end\n"
+  test::write_spill_bytes(path, spill);
+
+  EXPECT_EQ(engine::spill_probe(path.string()).state,
+            engine::spill_state::truncated);
+  counting_sink sink;
+  const engine::spill_reader reader{shared_model(), plan};
+  EXPECT_THROW((void)reader.replay(path.string(), sink), codec_error);
+  std::filesystem::remove(path);
+}
+
 TEST(SpillFooter, EmptySampleRoundTrips) {
-  const auto path = temp_file("certquic_spill_empty.txt");
+  const auto path = temp_file("certquic_spill_empty.spill");
   const auto plan = engine::probe_plan::single(engine::probe_variant{}, 5);
   {
     engine::spill_sink sink{path.string()};
@@ -291,7 +301,7 @@ TEST(SpillFooter, EmptySampleRoundTrips) {
 }
 
 TEST(SpillProbe, ClassifiesCompleteTruncatedMissing) {
-  const auto path = temp_file("certquic_spill_probe.txt");
+  const auto path = temp_file("certquic_spill_probe.spill");
   engine::probe_plan plan;
   const std::size_t records = spill_fixture(path, plan);
 
@@ -304,18 +314,20 @@ TEST(SpillProbe, ClassifiesCompleteTruncatedMissing) {
 
   // Footer dropped: every record is still salvageable, but the file
   // must not classify as complete.
-  auto lines = read_lines(path);
-  lines.pop_back();
-  write_lines(path, lines);
+  auto spill = test::read_spill_bytes(path);
+  spill.footer.clear();
+  test::write_spill_bytes(path, spill);
   probe = engine::spill_probe(path.string());
   EXPECT_EQ(probe.state, engine::spill_state::truncated);
   EXPECT_FALSE(probe.complete());
   EXPECT_EQ(probe.records, records);
 
   // Cut mid-record: only the records before the tear count.
-  lines.resize(3);  // header + two records
-  write_lines(path, lines);
-  std::ofstream{path, std::ios::app} << "torn-record 17";
+  bytes torn = spill.records[2];
+  torn.resize(torn.size() / 2);
+  spill.records.resize(2);
+  spill.records.push_back(torn);
+  test::write_spill_bytes(path, spill);
   probe = engine::spill_probe(path.string());
   EXPECT_EQ(probe.state, engine::spill_state::truncated);
   EXPECT_EQ(probe.records, 2u);
@@ -330,18 +342,48 @@ TEST(SpillProbe, ClassifiesCompleteTruncatedMissing) {
   EXPECT_EQ(engine::to_string(engine::spill_state::missing), "missing");
 }
 
+TEST(SpillProbe, EveryByteCutIsTruncated) {
+  const auto path = temp_file("certquic_spill_every_cut.spill");
+  engine::probe_plan plan;
+  const std::size_t records =
+      spill_fixture(path, plan, 4, /*capture_certificate=*/true);
+  ASSERT_EQ(plan.variants.size(), 2u);
+  certificate_bytes_sink certs;
+  const engine::spill_reader reader{shared_model(), plan};
+  ASSERT_EQ(reader.replay(path.string(), certs), records);
+  ASSERT_GT(certs.total, 0u) << "no certificate captured to cut into";
+
+  // Cut at every offset from size - 1 down to 0. Truncating the one
+  // file further each step visits the offsets in descending order, so
+  // the salvage count may only stay or fall.
+  const std::uintmax_t size = std::filesystem::file_size(path);
+  std::size_t salvaged = records;
+  for (std::uintmax_t cut = size; cut-- > 0;) {
+    std::filesystem::resize_file(path, cut);
+    const auto probe = engine::spill_probe(path.string());
+    ASSERT_EQ(probe.state, engine::spill_state::truncated) << "cut " << cut;
+    ASSERT_LE(probe.records, salvaged) << "cut " << cut;
+    salvaged = probe.records;
+    counting_sink sink;
+    ASSERT_THROW((void)reader.replay(path.string(), sink), codec_error)
+        << "cut " << cut;
+  }
+  EXPECT_EQ(salvaged, 0u);
+  std::filesystem::remove(path);
+}
+
 TEST(SpillProbe, MergeErrorNamesShardStates) {
-  const auto good = temp_file("certquic_spill_probe_good.txt");
-  const auto bad = temp_file("certquic_spill_probe_bad.txt");
+  const auto good = temp_file("certquic_spill_probe_good.spill");
+  const auto bad = temp_file("certquic_spill_probe_bad.spill");
   engine::probe_plan plan;
   spill_fixture(good, plan);
   {
     engine::probe_plan plan_again;
     spill_fixture(bad, plan_again);
   }
-  auto lines = read_lines(bad);
-  lines.pop_back();  // footer gone: truncated
-  write_lines(bad, lines);
+  auto spill = test::read_spill_bytes(bad);
+  spill.footer.clear();  // footer gone: truncated
+  test::write_spill_bytes(bad, spill);
 
   counting_sink sink;
   const engine::spill_merge merge{shared_model(), plan};
@@ -359,8 +401,48 @@ TEST(SpillProbe, MergeErrorNamesShardStates) {
   std::filesystem::remove(bad);
 }
 
+TEST(SpillRecord, MalformedBodyThrows) {
+  const auto path = temp_file("certquic_spill_malformed.spill");
+  engine::probe_plan plan;
+  spill_fixture(path, plan);
+  const auto golden = test::read_spill_bytes(path);
+  const bytes& first = golden.records.front();
+  const std::size_t cls_at = test::class_byte_offset(first);
+
+  // Each damage keeps the framing (prefixes, footer count) intact, so
+  // only the body checks can catch it.
+  std::vector<std::pair<const char*, bytes>> damaged;
+  bytes rec = first;
+  rec[cls_at] = 0xff;
+  damaged.emplace_back("class out of range", rec);
+  rec = first;
+  rec[cls_at + 1] |= 0x40;
+  damaged.emplace_back("unknown flag bit", rec);
+  bytes body = test::record_body(first);
+  body.push_back(0);
+  damaged.emplace_back("body longer than its fields",
+                       test::frame_record(body));
+  body.resize(body.size() - 2);
+  damaged.emplace_back("body shorter than its fields",
+                       test::frame_record(body));
+
+  const engine::spill_reader reader{shared_model(), plan};
+  for (const auto& [what, record] : damaged) {
+    auto spill = golden;
+    spill.records.front() = record;
+    test::write_spill_bytes(path, spill);
+    EXPECT_EQ(engine::spill_probe(path.string()).state,
+              engine::spill_state::truncated)
+        << what;
+    counting_sink sink;
+    EXPECT_THROW((void)reader.replay(path.string(), sink), codec_error)
+        << what;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(SpillLifecycle, RecordWithoutBeginThrows) {
-  const auto path = temp_file("certquic_spill_nolifecycle.txt");
+  const auto path = temp_file("certquic_spill_nolifecycle.spill");
   engine::spill_sink sink{path.string()};
   const auto plan = engine::probe_plan::single(engine::probe_variant{}, 1);
   const internet::service_record& rec = shared_model().records().front();
@@ -377,7 +459,7 @@ TEST(SpillLifecycle, RecordWithoutBeginThrows) {
 }
 
 TEST(SpillReplay, WrongPlanRejected) {
-  const auto path = temp_file("certquic_spill_wrongplan.txt");
+  const auto path = temp_file("certquic_spill_wrongplan.spill");
   engine::probe_plan two_variant_plan;
   spill_fixture(path, two_variant_plan);  // spilled under two variants
 
@@ -390,7 +472,7 @@ TEST(SpillReplay, WrongPlanRejected) {
 }
 
 TEST(SpillReplay, WrongModelRejected) {
-  const auto path = temp_file("certquic_spill_wrongmodel.txt");
+  const auto path = temp_file("certquic_spill_wrongmodel.spill");
   engine::probe_plan plan;
   spill_fixture(path, plan);  // service indices from the 2000-domain model
 
@@ -402,18 +484,19 @@ TEST(SpillReplay, WrongModelRejected) {
 }
 
 TEST(SpillMerge, OutOfPlanOrderRejected) {
-  const auto path = temp_file("certquic_spill_outoforder.txt");
+  const auto path = temp_file("certquic_spill_outoforder.spill");
   engine::probe_plan plan;
   const std::size_t records = spill_fixture(path, plan);
   ASSERT_GT(records, 2u);
 
   // Move the last record (variant 1) to the front of the record block:
   // the stream now goes 1, 0, ..., which no plan-ordered run produces.
-  auto lines = read_lines(path);
-  const std::string last_record = lines[lines.size() - 2];
-  lines.erase(lines.end() - 2);
-  lines.insert(lines.begin() + 1, last_record);
-  write_lines(path, lines);
+  // The footer still counts every record.
+  auto spill = test::read_spill_bytes(path);
+  ASSERT_EQ(spill.records.size(), records);
+  std::rotate(spill.records.begin(), spill.records.end() - 1,
+              spill.records.end());
+  test::write_spill_bytes(path, spill);
 
   counting_sink sink;
   const engine::spill_merge merge{shared_model(), plan};

@@ -1,21 +1,28 @@
 // Seeded round-trip property tests for the three wire codecs that every
 // other layer builds on: QUIC varints, DER TLVs and the LZ engine behind
-// RFC 8879 certificate compression; plus the fail-closed contract of the
-// TLS handshake-frame peek on arbitrary bytes. All randomness flows through the
-// project rng with fixed seeds (tests/support/property.hpp), so a failure
-// reproduces bit-for-bit from its iteration index.
+// RFC 8879 certificate compression; plus the fail-closed contracts of the
+// TLS handshake-frame peek on arbitrary bytes and of the spill v4 decoder
+// on mutated spill files. All randomness flows through the project rng
+// with fixed seeds (tests/support/property.hpp), so a failure reproduces
+// bit-for-bit from its iteration index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <filesystem>
 #include <iterator>
+#include <typeinfo>
 
 #include "asn1/der.hpp"
 #include "ca/ecosystem.hpp"
 #include "compress/lz.hpp"
+#include "core/longitudinal.hpp"
 #include "der_encode.hpp"
+#include "engine/engine.hpp"
+#include "engine/spill.hpp"
 #include "property.hpp"
 #include "quic/varint.hpp"
+#include "spill_bytes.hpp"
 #include "tls/handshake.hpp"
 #include "util/buffer.hpp"
 #include "util/errors.hpp"
@@ -437,6 +444,225 @@ TEST(PeekFrameProperty, ArbitraryBytesFailClosed) {
   for (const std::size_t n : seen) {
     EXPECT_GT(n, 500u);
   }
+}
+
+// --- engine spill v4 --------------------------------------------------
+
+/// The golden-test population (2000 domains, seed 42).
+const internet::model& golden_model() {
+  static const internet::model m =
+      internet::model::generate({.domains = 2000, .seed = 42});
+  return m;
+}
+
+/// The two-variant plan the spill mutants are replayed against.
+engine::probe_plan mutant_plan() {
+  engine::probe_plan plan;
+  plan.max_services = 12;
+  plan.sweep_initial_sizes({1200, 1362});
+  return plan;
+}
+
+/// A golden spill of mutant_plan(), optionally with certificates.
+bytes golden_spill(bool capture_certificate) {
+  engine::probe_plan plan = mutant_plan();
+  for (engine::probe_variant& v : plan.variants) {
+    v.capture_certificate = capture_certificate;
+  }
+  const auto path = std::filesystem::temp_directory_path() /
+                    "certquic_spill_golden.spill";
+  {
+    engine::spill_sink sink{path.string()};
+    engine::executor{golden_model(), engine::options::serial()}.run(plan,
+                                                                    sink);
+  }
+  bytes out = test::read_file_bytes(path);
+  std::filesystem::remove(path);
+  return out;
+}
+
+bytes varint_bytes(std::uint64_t v) {
+  buffer_writer w;
+  quic::write_varint(w, v);
+  return std::move(w).take();
+}
+
+/// A length the file does not have: near the truth, in any varint
+/// band, or far past any file.
+std::uint64_t lie_about(rng& r, std::uint64_t truth) {
+  switch (r.uniform(0, 2)) {
+    case 0: {
+      const std::uint64_t delta = r.uniform(1, 3);
+      return r.chance(0.5) || truth < delta ? truth + delta : truth - delta;
+    }
+    case 1:
+      return test::gen_varint_value(r);
+    default:
+      return std::uint64_t{1} << 61;
+  }
+}
+
+/// Rewrites the varint at the front of `span` (keeping what follows).
+void rewrite_leading_varint(bytes& span, std::size_t offset,
+                            std::uint64_t value) {
+  buffer_reader r{bytes_view{span}.subspan(offset)};
+  (void)quic::read_varint(r);
+  bytes out(span.begin(), span.begin() + static_cast<std::ptrdiff_t>(offset));
+  append(out, varint_bytes(value));
+  append(out, bytes_view{span}.subspan(offset + r.position()));
+  span = std::move(out);
+}
+
+bytes mutate_spill(rng& r, const std::array<bytes, 2>& goldens) {
+  const std::size_t which = r.uniform(0, 1);
+  bytes file = goldens[which];
+  switch (r.uniform(0, 3)) {
+    case 0: {  // bit flips
+      const std::uint64_t flips = r.uniform(1, 4);
+      for (std::uint64_t k = 0; k < flips; ++k) {
+        file[r.uniform(0, file.size() - 1)] ^=
+            static_cast<std::uint8_t>(1u << r.uniform(0, 7));
+      }
+      return file;
+    }
+    case 1:  // truncation
+      file.resize(r.uniform(0, file.size() - 1));
+      return file;
+    case 2: {  // record splices, within one spill or across the two
+      test::spill_bytes spill = test::split_spill(file);
+      const test::spill_bytes other = test::split_spill(goldens[1 - which]);
+      auto& recs = spill.records;
+      const auto any = [&r](const std::vector<bytes>& v) {
+        return static_cast<std::ptrdiff_t>(r.uniform(0, v.size() - 1));
+      };
+      switch (r.uniform(0, 4)) {
+        case 0:
+          std::swap(recs[static_cast<std::size_t>(any(recs))],
+                    recs[static_cast<std::size_t>(any(recs))]);
+          break;
+        case 1:
+          recs.insert(recs.begin() + any(recs), recs[static_cast<std::size_t>(
+                                                    any(recs))]);
+          break;
+        case 2:
+          recs.erase(recs.begin() + any(recs));
+          break;
+        case 3:
+          recs[static_cast<std::size_t>(any(recs))] =
+              other.records[static_cast<std::size_t>(any(other.records))];
+          break;
+        default: {  // a byte range of one spill pasted into the other
+          const bytes& src = goldens[1 - which];
+          const std::size_t from = r.uniform(0, src.size() - 1);
+          const std::size_t len = r.uniform(1, std::min<std::size_t>(
+                                                   64, src.size() - from));
+          bytes joined = spill.join();
+          joined.insert(joined.begin() + static_cast<std::ptrdiff_t>(
+                                             r.uniform(0, joined.size())),
+                        src.begin() + static_cast<std::ptrdiff_t>(from),
+                        src.begin() + static_cast<std::ptrdiff_t>(from + len));
+          return joined;
+        }
+      }
+      return spill.join();
+    }
+    default: {  // length-field lies: a record length, a header count or
+                // the footer count
+      test::spill_bytes spill = test::split_spill(file);
+      switch (r.uniform(0, 3)) {
+        case 0:
+        case 1: {
+          bytes& rec = spill.records[r.uniform(0, spill.records.size() - 1)];
+          buffer_reader rd{rec};
+          rewrite_leading_varint(rec, 0, lie_about(r, quic::read_varint(rd)));
+          break;
+        }
+        case 2: {
+          constexpr std::size_t kMagicSize = 8;
+          buffer_reader rd{bytes_view{spill.header}.subspan(kMagicSize)};
+          const std::uint64_t variants = quic::read_varint(rd);
+          const std::size_t sampled_at = kMagicSize + rd.position();
+          const std::uint64_t sampled = quic::read_varint(rd);
+          if (r.chance(0.5)) {
+            rewrite_leading_varint(spill.header, kMagicSize,
+                                   lie_about(r, variants));
+          } else {
+            rewrite_leading_varint(spill.header, sampled_at,
+                                   lie_about(r, sampled));
+          }
+          break;
+        }
+        default:
+          spill.footer = test::spill_footer(
+              lie_about(r, spill.records.size()));
+          break;
+      }
+      return spill.join();
+    }
+  }
+}
+
+TEST(SpillProperty, MutantsReplayOrFailClosed) {
+  const std::array<bytes, 2> goldens = {golden_spill(false),
+                                        golden_spill(true)};
+  const engine::probe_plan plan = mutant_plan();
+  const engine::spill_reader reader{golden_model(), plan};
+  const auto path = std::filesystem::temp_directory_path() /
+                    "certquic_spill_mutant.spill";
+  // replayed, codec_error, config_error
+  std::array<std::size_t, 3> outcomes{};
+  for_each_iteration(
+      [&](rng& r, std::size_t i) {
+        test::write_file_bytes(path, mutate_spill(r, goldens));
+        engine::spill_probe_result probe;
+        ASSERT_NO_THROW(probe = engine::spill_probe(path.string()))
+            << "iteration " << i;
+        core::epoch_aggregate agg;
+        core::epoch_aggregate_sink sink{agg};
+        try {
+          (void)reader.replay(path.string(), sink);
+          ++outcomes[0];
+          EXPECT_TRUE(probe.complete()) << "iteration " << i;
+        } catch (const codec_error&) {
+          ++outcomes[1];
+        } catch (const config_error&) {
+          ++outcomes[2];
+        } catch (const std::exception& e) {
+          // std::bad_alloc and std::length_error land here: a length
+          // field made the decoder (or a sink) size something by it.
+          ADD_FAILURE() << "iteration " << i << ": " << typeid(e).name()
+                        << " escaped: " << e.what();
+        }
+      },
+      2400);
+  std::filesystem::remove(path);
+  // Every verdict occurs: flips inside certificate bytes and counters
+  // still replay, and a header sample lie is a config_error.
+  for (const std::size_t n : outcomes) {
+    EXPECT_GT(n, 20u);
+  }
+}
+
+TEST(SpillProperty, LyingBodyLengthThrowsWithoutAllocating) {
+  // A record claiming a 2^61-byte body in a 100-byte file: the cursor
+  // must reject it against the bytes the file holds, before any
+  // buffer is sized by it (that allocation would throw bad_alloc).
+  bytes file = test::split_spill(golden_spill(false)).header;
+  append(file, varint_bytes(std::uint64_t{1} << 61));
+  file.resize(100, 0x01);
+  const auto path = std::filesystem::temp_directory_path() /
+                    "certquic_spill_lying_length.spill";
+  test::write_file_bytes(path, file);
+  const auto probe = engine::spill_probe(path.string());
+  EXPECT_EQ(probe.state, engine::spill_state::truncated);
+  EXPECT_EQ(probe.records, 0u);
+  const engine::probe_plan plan = mutant_plan();
+  core::epoch_aggregate agg;
+  core::epoch_aggregate_sink sink{agg};
+  EXPECT_THROW((void)engine::spill_reader(golden_model(), plan)
+                   .replay(path.string(), sink),
+               codec_error);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

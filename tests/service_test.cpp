@@ -3,9 +3,10 @@
 // missing) resumed in a fresh process must produce bit-identical
 // aggregates, digests and rendered tables to an uninterrupted run at 1,
 // 2 and 8 threads; complete shards must be reused rather than
-// re-probed; a store must reject a mismatched configuration; and a
+// re-probed; a store must reject a mismatched configuration; a
 // corrupted (reordered) shard stream must be caught by the sealed
-// epoch digest.
+// epoch digest; and a shard left in the older text format must be
+// re-probed, not replayed.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "engine/spill.hpp"
 #include "service/census_service.hpp"
 #include "service/epoch_store.hpp"
+#include "spill_bytes.hpp"
 #include "util/errors.hpp"
 
 namespace certquic {
@@ -53,14 +55,10 @@ std::vector<fs::path> shard_files(const fs::path& root) {
   return shards;
 }
 
-/// Cuts a file mid-line, as a kill mid-write would.
+/// Cuts a file after `keep_bytes` bytes, as a kill mid-write would.
 void truncate_file(const fs::path& path, std::size_t keep_bytes) {
-  std::ifstream in{path, std::ios::binary};
-  std::string bytes{std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>()};
-  ASSERT_GT(bytes.size(), keep_bytes);
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out.write(bytes.data(), static_cast<std::streamsize>(keep_bytes));
+  ASSERT_GT(fs::file_size(path), keep_bytes);
+  fs::resize_file(path, keep_bytes);
 }
 
 void expect_identical(const service::service_result& a,
@@ -180,28 +178,49 @@ TEST(CensusService, CorruptedStoreDetected) {
   opt.epochs = 1;
   ASSERT_TRUE(service::run_epochs(opt).complete);
 
-  // Swap two record lines of one shard: the file still carries a valid
+  // Swap two records of one shard: the file still carries a valid
   // footer and the right record count, so only the sealed epoch's
   // order-sensitive stream digest can catch it.
   const auto shards = shard_files(dir);
   ASSERT_FALSE(shards.empty());
-  std::vector<std::string> lines;
-  {
-    std::ifstream in{shards.front()};
-    std::string line;
-    while (std::getline(in, line)) {
-      lines.push_back(line);
-    }
-  }
-  ASSERT_GE(lines.size(), 4u);  // header, >=2 records, footer
-  std::swap(lines[1], lines[2]);
-  {
-    std::ofstream out{shards.front(), std::ios::trunc};
-    for (const std::string& line : lines) {
-      out << line << '\n';
-    }
-  }
+  auto spill = test::read_spill_bytes(shards.front());
+  ASSERT_GE(spill.records.size(), 2u);
+  ASSERT_NE(spill.records[0], spill.records[1]);
+  std::swap(spill.records[0], spill.records[1]);
+  test::write_spill_bytes(shards.front(), spill);
+  ASSERT_TRUE(engine::spill_probe(shards.front().string()).complete());
   EXPECT_THROW((void)service::run_epochs(opt), codec_error);
+  fs::remove_all(dir);
+}
+
+TEST(CensusService, TextFormatShardIsReprobed) {
+  const auto dir = fresh_dir("certquic_service_migrate");
+  const auto first = service::run_epochs(small_opts(dir.string()));
+  ASSERT_TRUE(first.complete);
+
+  // A store written by the text-format (v3) spill: one complete shard
+  // of it, header line plus footer, fails the v4 magic check. Resume
+  // must re-probe exactly that slice and seal the same epochs.
+  const auto shards = shard_files(dir);
+  ASSERT_EQ(shards.size(), 9u);
+  const auto before = engine::spill_probe(shards[4].string());
+  ASSERT_TRUE(before.complete());
+  {
+    std::ofstream out{shards[4], std::ios::trunc};
+    out << "certquic-spill v3 " << before.variants << ' ' << before.sampled
+        << "\ncertquic-spill end 0\n";
+  }
+  EXPECT_EQ(engine::spill_probe(shards[4].string()).state,
+            engine::spill_state::truncated);
+
+  const auto resumed = service::run_epochs(small_opts(dir.string()));
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.probed_shards, 1u);
+  ASSERT_EQ(resumed.epochs.size(), 3u);
+  EXPECT_EQ(resumed.epochs[1].shards_probed, 1u);
+  EXPECT_EQ(resumed.epochs[1].shards_reused, 2u);
+  expect_identical(first, resumed);
+  EXPECT_TRUE(engine::spill_probe(shards[4].string()).complete());
   fs::remove_all(dir);
 }
 

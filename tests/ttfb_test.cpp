@@ -2,7 +2,7 @@
 // sweep must be bit-identical at 1, 2 and 8 threads, the classical x
 // ideal cell must reproduce the census class counts exactly (matched
 // randomness: measuring time must not move the size-domain numbers),
-// and the v3 spill format must round-trip the handshake timeline.
+// and the spill format must round-trip the handshake timeline.
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -98,7 +98,7 @@ TEST(TtfbStudy, TtfbIsRttLadderOnIdealPath) {
   EXPECT_DOUBLE_EQ(steps, std::round(steps));
 }
 
-TEST(TtfbStudy, SpillV3RoundTripsTimeline) {
+TEST(TtfbStudy, SpillRoundTripsTimeline) {
   const auto& m = shared_model();
   engine::probe_plan plan;
   plan.max_services = 40;
@@ -108,7 +108,7 @@ TEST(TtfbStudy, SpillV3RoundTripsTimeline) {
   plan.variants.push_back(v);
 
   const std::string path =
-      (std::filesystem::temp_directory_path() / "certquic_ttfb_spill.txt")
+      (std::filesystem::temp_directory_path() / "certquic_ttfb.spill")
           .string();
 
   std::vector<net::duration> direct;

@@ -111,6 +111,8 @@ epochs_check() {
   fi
   last_shard=$(find "$ep_dir/resume" -name 'shard_*.spill' | sort | tail -1)
   if [ -n "$last_shard" ]; then
+    # 64 bytes keep the 10-byte spill header and the first record
+    # (about 44 bytes) and cut the second record in its body.
     head -c 64 "$last_shard" > "$last_shard.cut"
     mv "$last_shard.cut" "$last_shard"
   else
