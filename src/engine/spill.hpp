@@ -10,7 +10,8 @@
 // handshake — and without ever holding more than one record per shard
 // in memory.
 //
-// Format (version 4; every integer is a QUIC varint, RFC 9000 §16):
+// Format (version 4; every count, index, length and counter is a QUIC
+// varint, RFC 9000 §16):
 //   header  "CQSPILL\x04" <variant_count> <sampled_services>
 //   record  <body_length >= 1> <body>, body =
 //             <service_index> <variant_index> <class: 1 byte>
