@@ -504,8 +504,7 @@ std::size_t spill_merge::replay_merge(const std::vector<std::string>& paths,
                          " variants, plan has " +
                          std::to_string(plan_.variants.size()));
     }
-    // Sinks reserve for the sample on_begin announces, so a header
-    // must not claim more services than the model could have sampled.
+    // Bounded before the sum so that a lying header cannot wrap it.
     if (cur.sampled() > model_.records().size()) {
       throw config_error("spill_reader: " + path + " claims " +
                          std::to_string(cur.sampled()) +
@@ -513,6 +512,15 @@ std::size_t spill_merge::replay_merge(const std::vector<std::string>& paths,
                          std::to_string(model_.records().size()));
     }
     total_sampled += cur.sampled();
+  }
+  // Sinks reserve for the sample on_begin announces. The shards are
+  // disjoint slices of one sample, so their headers together must not
+  // claim more services than the model could have sampled.
+  if (total_sampled > model_.records().size()) {
+    throw config_error("spill_reader: shard headers claim " +
+                       std::to_string(total_sampled) +
+                       " sampled services in total, the model holds " +
+                       std::to_string(model_.records().size()));
   }
 
   sink.on_begin(plan_, total_sampled);

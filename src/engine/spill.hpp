@@ -172,9 +172,9 @@ class shard_layout {
 /// the merge is a k-way replay keyed on (variant, shard): all shards'
 /// records under variants[0] in shard order, then variants[1], ... —
 /// exactly the order one in-memory run over the concatenated sample
-/// would produce. Every file is streamed exactly once; peak memory is
-/// one 64 KiB read buffer (larger only for a larger record) and one
-/// decoded record per shard.
+/// would produce. Every file is streamed exactly once; peak memory is,
+/// per shard, one read buffer of up to 64 KiB (larger only for a larger
+/// record) and one decoded record.
 class spill_merge {
  public:
   spill_merge(const internet::model& m, const probe_plan& plan)

@@ -483,6 +483,46 @@ TEST(SpillReplay, WrongModelRejected) {
   std::filesystem::remove(path);
 }
 
+TEST(SpillReplay, ShardHeadersOverclaimingTogetherRejected) {
+  // Each of two shard headers claims three quarters of the model: each
+  // is within the model on its own, but the disjoint slices of one
+  // sample cannot add up to more than the model holds, and on_begin
+  // (which sinks reserve for) must never see that sum.
+  class begin_sink final : public engine::observation_sink {
+   public:
+    void on_begin(const engine::probe_plan&, std::size_t sampled) override {
+      announced = sampled;
+    }
+    void on_record(const engine::probe_record&) override {}
+    std::size_t announced = 0;
+  };
+
+  const auto first = temp_file("certquic_spill_overclaim_0.spill");
+  const auto second = temp_file("certquic_spill_overclaim_1.spill");
+  engine::probe_plan plan;
+  spill_fixture(first, plan);
+  auto spill = test::read_spill_bytes(first);
+  const std::size_t claim = shared_model().records().size() * 3 / 4;
+  buffer_writer header;
+  header.raw(bytes_view{spill.header}.first(8));  // magic
+  quic::write_varint(header, plan.variants.size());
+  quic::write_varint(header, claim);
+  spill.header = std::move(header).take();
+  test::write_spill_bytes(first, spill);
+  test::write_spill_bytes(second, spill);
+
+  begin_sink sink;
+  const engine::spill_merge merge{shared_model(), plan};
+  EXPECT_THROW((void)merge.replay({first.string(), second.string()}, sink),
+               config_error);
+  EXPECT_EQ(sink.announced, 0u);
+  // One such shard alone is a plausible header and replays.
+  EXPECT_NO_THROW((void)merge.replay({first.string()}, sink));
+  EXPECT_EQ(sink.announced, claim);
+  std::filesystem::remove(first);
+  std::filesystem::remove(second);
+}
+
 TEST(SpillMerge, OutOfPlanOrderRejected) {
   const auto path = temp_file("certquic_spill_outoforder.spill");
   engine::probe_plan plan;

@@ -3,17 +3,18 @@
 every workload, summarized as median and interquartile range.
 
     python3 tools/bench_trajectory.py --label "my change" \
-        [--runs 5] [--seconds 20] [--threads 3] [--seed 42] \
-        [--checkout DIR]
+        [--runs 5] [--checkout DIR]
 
-Every run is one `python3 certbench/run.py --workload W --seed S
---seconds T --trace 0 --threads N` inside the git checkout (default:
+Every run is one `python3 certbench/run.py --workload W --seed 42
+--seconds 20 --trace 0 --threads 3` inside the git checkout (default:
 this repository; another clone measures another commit), so the numbers
 are certbench's own and certbench builds them from that checkout's
 sources; this script only repeats, summarizes and records them in this
 repository's BENCH_certbench.json. The runs go round-robin over the
 workloads, so slow drift of the machine's load spreads over all of
 them. certbench warms up inside each run before it times anything.
+The seed, run length and thread count are fixed so that every row of the
+trajectory measures the same protocol and rows stay comparable.
 
 For every workload the row records the median, the quartiles and the
 per-run values of probes_per_s, setup_s and peak_rss_mb, and for epochs
@@ -35,6 +36,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("census_sweep", "corpus", "epochs")
 E2E = ("probes_per_s", "setup_s", "peak_rss_mb")
 EPOCH_INFO = ("resume_s", "store_mb")
+SEED = 42
+SECONDS = 20
+THREADS = 3
 
 
 def fail(message):
@@ -42,11 +46,11 @@ def fail(message):
     sys.exit(2)
 
 
-def run_once(checkout, workload, args):
+def run_once(checkout, workload):
     """One certbench run; returns (metrics, compiler)."""
     cmd = [sys.executable, "certbench/run.py", "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", "0", "--threads", str(args.threads)]
+           "--seed", str(SEED), "--seconds", str(SECONDS),
+           "--trace", "0", "--threads", str(THREADS)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           text=True)
     lines = proc.stdout.splitlines()
@@ -86,9 +90,6 @@ def main():
     parser.add_argument("--label", required=True,
                         help="what this row measures, e.g. the change")
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--threads", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--checkout", default=ROOT,
                         help="git checkout whose certbench/run.py is measured")
     args = parser.parse_args()
@@ -104,7 +105,7 @@ def main():
     compiler = "unknown"
     for i in range(args.runs):
         for workload in WORKLOADS:
-            metrics, compiler = run_once(checkout, workload, args)
+            metrics, compiler = run_once(checkout, workload)
             for name, value in metrics.items():
                 samples[workload].setdefault(name, []).append(value)
             print(f"run {i + 1}/{args.runs} {workload}: "
@@ -117,10 +118,10 @@ def main():
         "date": datetime.date.today().isoformat(),
         "compiler": compiler,
         "nproc": os.cpu_count(),
-        "seed": args.seed,
+        "seed": SEED,
         "runs": args.runs,
-        "seconds": args.seconds,
-        "threads": args.threads,
+        "seconds": SECONDS,
+        "threads": THREADS,
         "workloads": {
             w: {name: summarize(values)
                 for name, values in samples[w].items()}
