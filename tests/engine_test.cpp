@@ -174,6 +174,41 @@ TEST(EnginePins, SpoofingStudiesMatchPinnedDigests) {
   EXPECT_EQ(fnv1a(digest(policy)), 0xb2e5312d595d3230ULL) << digest(policy);
 }
 
+std::string digest(const core::funnel_result& f) {
+  const auto& c = f.collection;
+  std::ostringstream out;
+  out << f.domains << '|';
+  for (const auto count : f.dns_outcomes) {
+    out << count << ',';
+  }
+  out << '|' << c.names_total << ',' << c.names_with_a_record << ','
+      << c.http_reachable << ',' << c.https_reachable << ','
+      << c.redirects_followed << ',' << c.names_covered << ','
+      << c.unique_certificates << ',' << c.quic_capable << '|'
+      << f.quic_services << '|' << f.consistency_checked << '|'
+      << f.consistency_same;
+  return out.str();
+}
+
+std::string digest(const core::tuner_result& t) {
+  std::ostringstream out;
+  out << t.services << '|' << t.multi_rtt_default << '|' << t.multi_rtt_tuned
+      << '|' << t.converted_to_one_rtt;
+  return out.str();
+}
+
+// Pins the two example-driven studies: the §3.1/§3.2 measurement funnel
+// (examples/handshake_census) and the §5 Initial-size tuner
+// (examples/initial_size_tuner), at the sample sizes those examples use.
+TEST(EnginePins, FunnelAndTunerMatchPinnedDigests) {
+  const auto& m = shared_model();
+  const auto exec = engine::options{.threads = 4};
+  const auto funnel = core::run_funnel(m, {.consistency_sample = 200}, exec);
+  EXPECT_EQ(fnv1a(digest(funnel)), 0x096e3dec796ba1e5ULL) << digest(funnel);
+  const auto tuner = core::run_tuner_study(m, 800, exec);
+  EXPECT_EQ(fnv1a(digest(tuner)), 0xf36c62d00a2f9043ULL) << digest(tuner);
+}
+
 TEST(EngineDeterminism, CensusIdenticalAcrossThreadCounts) {
   core::census_options opt;
   opt.initial_size = 1362;

@@ -45,13 +45,39 @@ void check_bench(const std::string& binary) {
 
 TEST(Golden, Fig02CertFieldSizes) { check_bench("fig02_cert_field_sizes"); }
 
+TEST(Golden, Fig03HandshakeClassification) {
+  check_bench("fig03_handshake_classification");
+}
+
 TEST(Golden, Fig04AmplificationCdf) { check_bench("fig04_amplification_cdf"); }
 
+TEST(Golden, Fig05MultirttPayload) { check_bench("fig05_multirtt_payload"); }
+
 TEST(Golden, Fig06ChainSizeCdf) { check_bench("fig06_chain_size_cdf"); }
+
+TEST(Golden, Fig07TopChains) { check_bench("fig07_top_chains"); }
+
+TEST(Golden, Fig08FieldSizesByType) { check_bench("fig08_field_sizes_by_type"); }
+
+TEST(Golden, Fig09SpoofedAmplification) {
+  check_bench("fig09_spoofed_amplification");
+}
+
+TEST(Golden, Fig11MetaDisclosure) { check_bench("fig11_meta_disclosure"); }
+
+TEST(Golden, Fig12RankReachability) { check_bench("fig12_rank_reachability"); }
+
+TEST(Golden, Fig13RankHandshakes) { check_bench("fig13_rank_handshakes"); }
+
+TEST(Golden, Fig14CruiseLiner) { check_bench("fig14_cruise_liner"); }
 
 TEST(Golden, Tab01BrowserProfiles) { check_bench("tab01_browser_profiles"); }
 
 TEST(Golden, Tab02CryptoAlgorithms) { check_bench("tab02_crypto_algorithms"); }
+
+TEST(Golden, Tab03DraftPolicies) { check_bench("tab03_draft_policies"); }
+
+TEST(Golden, TabCompressionStudy) { check_bench("tab_compression_study"); }
 
 TEST(Golden, FigPqcChainImpact) { check_bench("fig_pqc_chain_impact"); }
 
