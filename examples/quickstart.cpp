@@ -91,7 +91,7 @@ int main() {
     break;
   }
   std::printf(
-      "\nNext: run the bench binaries (build/bench/fig*) to regenerate "
-      "the paper's figures.\n");
+      "\nNext: run `certquic_scan fig <id>` (ids in `certquic_scan "
+      "--help`) to regenerate the paper's figures.\n");
   return 0;
 }

@@ -138,9 +138,10 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-// Pins the aggregates no golden file covers: the census payload details
-// behind Fig. 5, the Fig. 13 rank-group counts, the census without
-// payload details (the fig03/fig13 path), the ACK-policy sweep and the
+// Pins, at full precision and at sample sizes other than the goldens':
+// the census payload details behind Fig. 5, the Fig. 13
+// rank-group counts, the census without payload details (the
+// fig03/fig13 path), the ACK-policy sweep (no golden) and the
 // compression study's in-the-wild half. A refactor of the study sinks
 // must leave every value bit-identical.
 TEST(EnginePins, UngoldenedAggregatesMatchPinnedDigests) {
@@ -159,7 +160,7 @@ TEST(EnginePins, UngoldenedAggregatesMatchPinnedDigests) {
       << digest(compression);
 }
 
-// Pins the spoofing studies no golden covers: the Fig. 9 telescope
+// Pins the spoofing studies at full precision: the Fig. 9 telescope
 // aggregates (per-provider amplification, Meta durations and maximum)
 // and the Table 3 policy rows, both run on the shared-world
 // backscatter path.

@@ -5,33 +5,30 @@
 // $CERTQUIC_THREADS, else all hardware threads); results are
 // bit-identical at any thread count.
 //
-// `census` classifies handshakes at one Initial size; `sweep` runs the
-// Fig. 3 size sweep; `compress` runs the §4.2 study; `spoof` runs the
-// §4.3 telescope study; `outofcore` runs the same census through the
-// sharded spill → merge pipeline (its stdout is byte-identical to
-// `census` on the same population — the verify.sh gate diffs the two —
-// while shard/RSS details go to stderr); `ttfb` runs the time-domain
-// chain-profile x network-condition sweep and prints per-cell TTFB
-// medians; `epochs` runs the longitudinal census service over an
-// evolving population (checkpointed in an epoch store; rerunning the
-// same store resumes an interrupted run); `serve` is its bounded
-// service loop, sealing one epoch per pass; `domain` probes one
-// service in detail.
+// `census` classifies handshakes at one Initial size; `outofcore` runs
+// the same census through the sharded spill → merge pipeline (its
+// stdout is byte-identical to `census` on the same population — the
+// verify.sh gate diffs the two — while shard/RSS details go to stderr);
+// `epochs` runs the longitudinal census service over an evolving
+// population (checkpointed in an epoch store; rerunning the same store
+// resumes an interrupted run); `serve` is its bounded service loop,
+// sealing one epoch per pass; `domain` probes one service in detail;
+// `fig <id>` prints one figure or table of the paper (tools/figures.hpp
+// lists the ids and the CERTQUIC_* knobs they read; it takes no flags).
+// A malformed count, in a flag or a knob, exits 2.
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <string>
+#include <string_view>
 
-#include "core/amplification_study.hpp"
 #include "core/census.hpp"
-#include "core/compression_study.hpp"
 #include "core/outofcore_study.hpp"
-#include "core/ttfb_study.hpp"
 #include "engine/engine.hpp"
+#include "figures.hpp"
 #include "scan/qscanner.hpp"
 #include "scan/reach.hpp"
 #include "service/census_service.hpp"
@@ -40,6 +37,7 @@
 namespace {
 
 using namespace certquic;
+using figures::temp_dir_cleanup;
 
 void usage(std::FILE* out) {
   std::fputs(
@@ -47,22 +45,19 @@ void usage(std::FILE* out) {
       "\n"
       "commands:\n"
       "  census     classify handshakes at one Initial size\n"
-      "  sweep      Fig. 3 Initial-size sweep\n"
-      "  compress   certificate-compression study (paper SS4.2)\n"
-      "  spoof      spoofed-handshake telescope study (paper SS4.3)\n"
       "  outofcore  census via the sharded spill->merge pipeline\n"
-      "  ttfb       time-domain TTFB sweep (chain profile x network)\n"
       "  epochs     longitudinal census over an evolving population;\n"
       "             rerunning the same --store resumes an interrupted run\n"
       "  serve      bounded service loop: seal one epoch per pass\n"
       "  domain     probe one service in detail: domain <name>\n"
+      "  fig        print one figure or table: fig <id> (no flags; scale\n"
+      "             with CERTQUIC_DOMAINS, _SEED, _SAMPLE, _PQ_PROFILE)\n"
       "\n"
       "flags:\n"
       "  --domains N     population size (default 20000)\n"
       "  --seed S        population seed (default 42)\n"
       "  --initial B     client Initial size in bytes (default 1362)\n"
       "  --sample N      probe at most N services (default 1500)\n"
-      "  --sessions N    spoof: sessions per provider (default 80)\n"
       "  --shards N      outofcore/epochs/serve: spill shards (default 8)\n"
       "  --spill-dir DIR outofcore: keep the spill shards in DIR\n"
       "  --no-compare    outofcore: skip the in-memory baseline\n"
@@ -71,14 +66,19 @@ void usage(std::FILE* out) {
       "                  temp dir removed afterwards; resume needs --store)\n"
       "  --abort-after-shards N  epochs: stop (store resumable) after\n"
       "                  probing N shard slices — crash injection\n"
-      "  --threads N     engine threads (0 = default)\n",
+      "  --threads N     engine threads (0 = default)\n"
+      "\n"
+      "fig ids:\n",
       out);
+  for (const auto& e : figures::registry()) {
+    std::fprintf(out, "  %.*s\n", static_cast<int>(e.id.size()),
+                 e.id.data());
+  }
 }
 
 bool known_command(const std::string& cmd) {
   for (const char* known :
-       {"census", "sweep", "compress", "spoof", "outofcore", "ttfb",
-        "epochs", "serve", "domain"}) {
+       {"census", "outofcore", "epochs", "serve", "domain", "fig"}) {
     if (cmd == known) {
       return true;
     }
@@ -89,11 +89,11 @@ bool known_command(const std::string& cmd) {
 struct cli_options {
   std::string command;
   std::string domain;
+  std::string figure;
   std::size_t domains = 20000;
   std::uint64_t seed = 42;
   std::size_t initial = 1362;
   std::size_t sample = 1500;
-  std::size_t sessions = 80;
   std::size_t shards = 8;
   std::string spill_dir;     // empty = temp dir, removed afterwards
   bool no_compare = false;   // skip the materializing baseline
@@ -111,6 +111,15 @@ bool parse_args(int argc, char** argv, cli_options& opt) {
   }
   opt.command = argv[1];
   int i = 2;
+  if (opt.command == "fig") {
+    // The figures read only the CERTQUIC_* knobs, so a flag here would
+    // be silently ignored.
+    if (argc != 3) {
+      return false;
+    }
+    opt.figure = argv[2];
+    return true;
+  }
   if (opt.command == "domain") {
     if (argc < 3) {
       return false;
@@ -136,25 +145,25 @@ bool parse_args(int argc, char** argv, cli_options& opt) {
       opt.store_dir = argv[++i];
       continue;
     }
-    const auto value = std::strtoull(argv[++i], nullptr, 10);
+    // Parsed only for a known flag, so an unknown one is reported as such.
+    const std::string_view text = argv[++i];
+    const auto value = [&] { return figures::parse_count(text, flag); };
     if (flag == "--domains") {
-      opt.domains = value;
+      opt.domains = value();
     } else if (flag == "--seed") {
-      opt.seed = value;
+      opt.seed = value();
     } else if (flag == "--initial") {
-      opt.initial = value;
+      opt.initial = value();
     } else if (flag == "--sample") {
-      opt.sample = value;
-    } else if (flag == "--sessions") {
-      opt.sessions = value;
+      opt.sample = value();
     } else if (flag == "--shards") {
-      opt.shards = value;
+      opt.shards = value();
     } else if (flag == "--epochs") {
-      opt.epochs = value;
+      opt.epochs = value();
     } else if (flag == "--abort-after-shards") {
-      opt.abort_after_shards = value;
+      opt.abort_after_shards = value();
     } else if (flag == "--threads") {
-      opt.threads = value;
+      opt.threads = value();
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -197,18 +206,6 @@ int run_census(const internet::model& m, const cli_options& opt) {
   return 0;
 }
 
-/// Removes a disposable spill directory on scope exit — also on the
-/// error paths (disk-full, failed replay) the pipeline exists to hit.
-struct temp_dir_cleanup {
-  std::string dir;  // empty = nothing to clean
-  ~temp_dir_cleanup() {
-    if (!dir.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-    }
-  }
-};
-
 int run_outofcore(const internet::model& m, const cli_options& opt) {
   core::outofcore_options oopt;
   oopt.max_services = opt.sample;
@@ -226,6 +223,8 @@ int run_outofcore(const internet::model& m, const cli_options& opt) {
   // An explicit --spill-dir keeps the shard files for later
   // re-aggregation; only the fallback temp directory is disposable.
   oopt.keep_spills = !temp_dir;
+  // The fallback directory goes on scope exit, also on the error paths
+  // (disk-full, failed replay) the pipeline exists to hit.
   const temp_dir_cleanup cleanup{temp_dir ? oopt.spill_dir : ""};
   const auto result = core::run_outofcore_study(m, oopt, opt.exec());
 
@@ -261,73 +260,6 @@ int run_outofcore(const internet::model& m, const cli_options& opt) {
       return 1;
     }
   }
-  return 0;
-}
-
-int run_sweep(const internet::model& m, const cli_options& opt) {
-  text_table table({"Initial", "Ampl", "Multi", "RETRY", "1-RTT",
-                    "unreachable"});
-  for (const std::size_t size : core::initial_size_sweep()) {
-    core::census_options copt;
-    copt.initial_size = size;
-    copt.max_services = opt.sample;
-    copt.collect_payload_details = false;
-    const auto census = core::run_census(m, copt, opt.exec());
-    table.add_row({std::to_string(size),
-                   pct(census.share(scan::handshake_class::amplification)),
-                   pct(census.share(scan::handshake_class::multi_rtt)),
-                   pct(census.share(scan::handshake_class::retry)),
-                   pct(census.share(scan::handshake_class::one_rtt)),
-                   pct(census.share(scan::handshake_class::unreachable))});
-  }
-  std::printf("%s", table.render().c_str());
-  return 0;
-}
-
-int run_compress(const internet::model& m, const cli_options& opt) {
-  core::compression_options copt;
-  copt.max_chains = opt.sample;
-  copt.max_probes = opt.sample / 4;
-  const auto study = core::run_compression_study(m, copt, opt.exec());
-  std::printf("brotli median rate %.1f%% | under 3x1357: %.1f%% compressed "
-              "vs %.1f%% plain | wild mean %.1f%%\n",
-              study.synthetic_savings[0].median() * 100.0,
-              study.under_limit_compressed * 100.0,
-              study.under_limit_uncompressed * 100.0,
-              study.wild_savings.mean() * 100.0);
-  return 0;
-}
-
-int run_spoof(const internet::model& m, const cli_options& opt) {
-  const auto result = core::run_telescope_study(
-      m, {.sessions_per_provider = opt.sessions});
-  text_table table({"provider", "sessions", "median", "max"});
-  for (const auto& [provider, samples] : result.amplification) {
-    table.add_row({provider, std::to_string(samples.size()),
-                   fixed(samples.median(), 1) + "x",
-                   fixed(samples.max(), 1) + "x"});
-  }
-  std::printf("%s", table.render().c_str());
-  return 0;
-}
-
-int run_ttfb(const internet::model& m, const cli_options& opt) {
-  core::ttfb_options topt;
-  topt.initial_size = opt.initial;
-  topt.max_services = opt.sample;
-  const auto study = core::run_ttfb_study(m, topt, opt.exec());
-  text_table table({"profile", "condition", "probed", "fetched",
-                    "med [ms]", "p95 [ms]"});
-  for (const auto& cell : study.cells) {
-    table.add_row(
-        {x509::to_string(cell.profile), cell.condition.name,
-         std::to_string(cell.probed), std::to_string(cell.completed()),
-         cell.ttfb_ms.empty() ? std::string("-")
-                              : fixed(cell.ttfb_ms.median(), 1),
-         cell.ttfb_ms.empty() ? std::string("-")
-                              : fixed(cell.ttfb_ms.quantile(0.95), 1)});
-  }
-  std::printf("%s", table.render().c_str());
   return 0;
 }
 
@@ -403,6 +335,17 @@ int run_serve(const cli_options& opt) {
   }
 }
 
+int run_fig(const std::string& id) {
+  const figures::entry* const e = figures::find(id);
+  if (e == nullptr) {
+    std::fprintf(stderr, "unknown fig id: %s\n\n", id.c_str());
+    usage(stderr);
+    return 2;
+  }
+  figures::check_knobs();
+  return e->run();
+}
+
 int run_domain(const internet::model& m, const cli_options& opt) {
   for (const auto& rec : m.records()) {
     if (rec.domain != opt.domain) {
@@ -458,13 +401,17 @@ int main(int argc, char** argv) {
     }
   }
   cli_options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage(stderr);
-    return 2;
-  }
   try {
-    // The longitudinal subcommands build one model per epoch; every
-    // other subcommand probes the one base population.
+    if (!parse_args(argc, argv, opt)) {
+      usage(stderr);
+      return 2;
+    }
+    // `fig` builds its population from the CERTQUIC_* knobs and the
+    // longitudinal subcommands build one model per epoch; every other
+    // subcommand probes the one base population.
+    if (opt.command == "fig") {
+      return run_fig(opt.figure);
+    }
     if (opt.command == "epochs") {
       return run_epochs_cmd(opt);
     }
@@ -476,22 +423,14 @@ int main(int argc, char** argv) {
     if (opt.command == "census") {
       return run_census(model, opt);
     }
-    if (opt.command == "sweep") {
-      return run_sweep(model, opt);
-    }
-    if (opt.command == "compress") {
-      return run_compress(model, opt);
-    }
-    if (opt.command == "spoof") {
-      return run_spoof(model, opt);
-    }
     if (opt.command == "outofcore") {
       return run_outofcore(model, opt);
     }
-    if (opt.command == "ttfb") {
-      return run_ttfb(model, opt);
-    }
     return run_domain(model, opt);
+  } catch (const figures::usage_error& e) {
+    std::fprintf(stderr, "certquic_scan %s: %s\n", opt.command.c_str(),
+                 e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "certquic_scan %s: %s\n", opt.command.c_str(),
                  e.what());

@@ -10,9 +10,9 @@
 # tier-2, or whatever the extra ctest args select, e.g. -L tier1), the
 # out-of-core smoke, the epochs kill-resume smoke, the architecture
 # analyzer and the docs check. Each flag adds stages to that gate:
-#   --threads N   engine determinism: tier-1 under CERTQUIC_THREADS=1
-#                 and =N, and the golden bench outputs diffed between
-#                 the serial and the N-thread engine
+#   --threads N   engine determinism: tier-1 (golden_test included, so
+#                 every figure and table) under CERTQUIC_THREADS=1
+#                 and =N
 #   --sanitize    tier-1 under ASan+UBSan (build-asan/), then the
 #                 threaded suites under TSan (build-tsan/); both with
 #                 CERTQUIC_ASSERT on and no suppression files
@@ -27,20 +27,18 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$repo_root"
 scan=build/tools/certquic_scan
 
-# Static documentation / golden-coverage check:
-#  * every golden file under tests/golden/ must correspond to exactly one
-#    bench target (bench/<name>.cpp) and be exercised by golden_test;
+# Static documentation check (golden_test itself enforces that the
+# goldens and the figure registry match):
+#  * every golden tests/golden/<id>.txt must be named in a
+#    docs/SCENARIOS.md row together with its driver, certquic_scan fig <id>;
 #  * every relative markdown link in README.md and docs/ must resolve.
 docs_check() {
   docs_status=0
   for golden in tests/golden/*.txt; do
-    name=$(basename "$golden" .txt)
-    if [ ! -f "bench/$name.cpp" ]; then
-      echo "FAIL docs: $golden has no matching bench/$name.cpp target"
-      docs_status=1
-    fi
-    if ! grep -q "\"$name\"" tests/golden_test.cpp; then
-      echo "FAIL docs: $golden is not exercised by tests/golden_test.cpp"
+    id=$(basename "$golden" .txt)
+    if ! grep "certquic_scan fig $id\b" docs/SCENARIOS.md |
+         grep -q "$golden"; then
+      echo "FAIL docs: no docs/SCENARIOS.md row names certquic_scan fig $id and $golden"
       docs_status=1
     fi
   done
@@ -62,7 +60,7 @@ docs_check() {
     done
   done
   if [ "$docs_status" -eq 0 ]; then
-    echo "OK   docs: golden<->bench coverage and markdown links"
+    echo "OK   docs: every golden has a SCENARIOS row; markdown links"
   fi
   return "$docs_status"
 }
@@ -144,10 +142,10 @@ epochs_check() {
 }
 
 # Engine-determinism gate: tier-1 must pass with the serial engine and
-# with N worker threads, and the golden bench binaries — plus fig09 and
-# tab03, whose spoofed sessions run in run_backscatter's shared
-# simulator+telescope worlds — must print byte-identical output under
-# both.
+# with N worker threads. golden_test is tier-1, so every figure and
+# table — fig09 and tab03 included, whose spoofed sessions run in
+# run_backscatter's shared simulator+telescope worlds — must print its
+# golden under both.
 threads_check() {
   th_status=0
   for t in 1 "$engine_threads"; do
@@ -155,29 +153,6 @@ threads_check() {
     (cd build && CERTQUIC_THREADS=$t \
        ctest --output-on-failure -j "$jobs" -L tier1 "$@") || th_status=1
   done
-  # Same knobs as CERTQUIC_SMOKE_KNOBS in the root CMakeLists (the
-  # values the checked-in goldens are captured with).
-  th_env="CERTQUIC_DOMAINS=2000 CERTQUIC_SEED=42 CERTQUIC_SAMPLE=200 \
-CERTQUIC_PQ_PROFILE=classical"
-  th_dir=$(mktemp -d)
-  for bin in fig02_cert_field_sizes fig04_amplification_cdf \
-             fig06_chain_size_cdf tab01_browser_profiles \
-             tab02_crypto_algorithms fig09_spoofed_amplification \
-             tab03_draft_policies fig_pqc_chain_impact fig_outofcore_rss \
-             fig_ttfb_cdf fig_ttfb_pqc fig_epoch_deltas; do
-    if env $th_env CERTQUIC_THREADS=1 "build/bench/$bin" \
-         > "$th_dir/serial.txt" &&
-       env $th_env CERTQUIC_THREADS="$engine_threads" "build/bench/$bin" \
-         > "$th_dir/parallel.txt" &&
-       cmp -s "$th_dir/serial.txt" "$th_dir/parallel.txt"; then
-      echo "OK   $bin: serial == $engine_threads-thread output"
-    else
-      echo "FAIL $bin: output differs between 1 and $engine_threads threads"
-      diff -u "$th_dir/serial.txt" "$th_dir/parallel.txt" || true
-      th_status=1
-    fi
-  done
-  rm -rf "$th_dir"
   return "$th_status"
 }
 
