@@ -1,6 +1,10 @@
 // Unit tests for the TLS 1.3 handshake message layer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include "ca/ecosystem.hpp"
@@ -199,6 +203,123 @@ TEST_F(TlsTest, CompressedFlightFitsAmplificationBudget) {
   // §4.2: compression keeps 99% of chains under 3x1357 = 4071 bytes.
   EXPECT_GT(plain.total_size(), 4071u);
   EXPECT_LT(packed.total_size(), 4071u);
+}
+
+
+/// FNV-1a over every byte of an encoding, then over the generator's
+/// next output, so both the bytes and the number of draws are pinned.
+std::uint64_t fingerprint(std::initializer_list<bytes_view> parts,
+                          rng& after) {
+  std::uint64_t h = 0xcbf2'9ce4'8422'2325ULL;
+  const auto mix = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x0000'0100'0000'01b3ULL;
+  };
+  for (const bytes_view part : parts) {
+    for (const std::uint8_t b : part) {
+      mix(b);
+    }
+  }
+  const std::uint64_t next = after.next();
+  for (int shift = 0; shift < 64; shift += 8) {
+    mix(static_cast<std::uint8_t>(next >> shift));
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// The encoders' bytes for fixed rng seeds, captured before the
+// encoders were rewritten to write each message into one buffer: the
+// rewrite must keep every byte and every rng draw where it was. The
+// goldens would see a changed byte only through byte totals.
+TEST_F(TlsTest, EncoderBytesArePinned) {
+  const auto with_rng = [](std::uint64_t seed, auto&& encode) {
+    rng r{seed};
+    const bytes out = encode(r);
+    return fingerprint({out}, r);
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  got.emplace_back("client_hello", with_rng(1, [](rng& r) {
+                     return encode_client_hello(
+                         {.server_name = "example.org",
+                          .compression_algorithms = {}},
+                         r);
+                   }));
+  got.emplace_back("client_hello_compression", with_rng(2, [](rng& r) {
+                     return encode_client_hello(
+                         {.server_name = "www.example.com",
+                          .compression_algorithms =
+                              {compress::algorithm::zlib,
+                               compress::algorithm::brotli,
+                               compress::algorithm::zstd}},
+                         r);
+                   }));
+  got.emplace_back("server_hello", with_rng(3, [](rng& r) {
+                     return encode_server_hello(r);
+                   }));
+  got.emplace_back("encrypted_extensions", with_rng(4, [](rng& r) {
+                     return encode_encrypted_extensions(r);
+                   }));
+  got.emplace_back("finished", with_rng(5, [](rng& r) {
+                     return encode_finished(r);
+                   }));
+  for (const auto alg :
+       {x509::key_algorithm::rsa_2048, x509::key_algorithm::rsa_4096,
+        x509::key_algorithm::ecdsa_p256, x509::key_algorithm::ecdsa_p384,
+        x509::key_algorithm::mldsa_44, x509::key_algorithm::mldsa_65,
+        x509::key_algorithm::mldsa_87}) {
+    got.emplace_back("certificate_verify " + x509::to_string(alg),
+                     with_rng(6, [alg](rng& r) {
+                       return encode_certificate_verify(alg, r);
+                     }));
+  }
+  const compress::codec brotli{compress::algorithm::brotli,
+                               eco_.compression_dictionary()};
+  for (const auto pq :
+       {x509::pq_profile::classical, x509::pq_profile::pqc_full}) {
+    rng issue_rng{8};
+    const x509::chain chain = eco_.issue(eco_.profile("le-r3-x1cross"),
+                                         "example.org", issue_rng, pq);
+    for (const compress::codec* codec : {static_cast<const compress::codec*>(
+                                             nullptr),
+                                         &brotli}) {
+      rng r{9};
+      const server_flight flight = build_server_flight(chain, codec, r);
+      got.emplace_back("server_flight " + x509::to_string(pq) +
+                           (codec != nullptr ? " brotli" : ""),
+                       fingerprint({flight.server_hello, flight.handshake},
+                                   r));
+    }
+  }
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"client_hello", 0x4e1841f16455b00bULL},
+      {"client_hello_compression", 0x7e5f12f3880a05e1ULL},
+      {"server_hello", 0x2e7fda52446519daULL},
+      {"encrypted_extensions", 0x45acc76e0a4693b6ULL},
+      {"finished", 0xab7d1240ac533fafULL},
+      {"certificate_verify RSA-2048", 0x482c77ca153026a0ULL},
+      {"certificate_verify RSA-4096", 0x7627d8bdf0e09afeULL},
+      {"certificate_verify ECDSA-P256", 0x92856de2845a8ba5ULL},
+      {"certificate_verify ECDSA-P384", 0xf01dc61f7831c3a4ULL},
+      {"certificate_verify ML-DSA-44", 0xfebcb0f86a00f5bbULL},
+      {"certificate_verify ML-DSA-65", 0xfebcb0f86a00f5bbULL},
+      {"certificate_verify ML-DSA-87", 0xfebcb0f86a00f5bbULL},
+      {"server_flight classical", 0x38bf15c6b2d7a334ULL},
+      {"server_flight classical brotli", 0x644651006b8b416eULL},
+      {"server_flight pqc_full", 0x71cfcabe59f80969ULL},
+      {"server_flight pqc_full brotli", 0xb55c9002e600862aULL}};
+  ASSERT_EQ(got.size(), pinned.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, pinned[i].first);
+    EXPECT_EQ(got[i].second, pinned[i].second)
+        << got[i].first << " is now " << hex(got[i].second);
+  }
 }
 
 }  // namespace
