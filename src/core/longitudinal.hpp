@@ -4,7 +4,7 @@
 // and certificate-size distributions, and the order-sensitive stream
 // digest the epoch store checkpoints. epoch_delta is the epoch-over-
 // epoch movement report (handshake-class shifts, CDF movement) the
-// service and bench/fig_epoch_deltas print.
+// service and `certquic_scan fig fig_epoch_deltas` print.
 #pragma once
 
 #include <array>

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <optional>
 
-#include "internet/chain_cache.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::engine {
@@ -30,6 +29,61 @@ void executor::run(const probe_plan& plan, observation_sink& sink) const {
   run(plan, sample(plan), sink);
 }
 
+namespace {
+
+/// The chains a multi-variant plan serves, materialized once before its
+/// probe pass and only read during it: slot `p * services + i` holds
+/// the chain of sampled service i under the plan's p-th distinct chain
+/// profile. model::chain_of is pure, so the bytes equal what the probe
+/// would materialize itself. A record that does not serve QUIC keeps an
+/// empty slot, and its probe throws reach::probe's config_error in plan
+/// order.
+class chain_table {
+ public:
+  chain_table(const internet::model& m, const probe_plan& plan,
+              const std::vector<std::uint32_t>& sampled, const options& opt)
+      : services_(sampled.size()) {
+    std::vector<x509::pq_profile> profiles;
+    for (const probe_variant& v : plan.variants) {
+      const auto it =
+          std::find(profiles.begin(), profiles.end(), v.chain_profile);
+      slot_of_variant_.push_back(
+          static_cast<std::size_t>(it - profiles.begin()));
+      if (it == profiles.end()) {
+        profiles.push_back(v.chain_profile);
+      }
+    }
+    chains_.resize(services_ * profiles.size());
+    parallel_ordered(
+        chains_.size(), opt,
+        [&](std::size_t k) {
+          const auto& rec = m.records()[sampled[k % services_]];
+          return rec.serves_quic()
+                     ? m.chain_of(rec, internet::fetch_protocol::quic,
+                                  profiles[k / services_])
+                     : x509::chain{};
+        },
+        [this](std::size_t k, x509::chain&& chain) {
+          chains_[k] = std::move(chain);
+        });
+  }
+
+  /// The chain unit k of the plan probes; null for a non-QUIC record.
+  [[nodiscard]] const x509::chain* find(std::size_t k) const {
+    const std::size_t variant = k / services_;
+    const x509::chain& chain =
+        chains_[slot_of_variant_[variant] * services_ + k % services_];
+    return chain.empty() ? nullptr : &chain;
+  }
+
+ private:
+  std::size_t services_;
+  std::vector<std::size_t> slot_of_variant_;
+  std::vector<x509::chain> chains_;
+};
+
+}  // namespace
+
 void executor::run(const probe_plan& plan,
                    const std::vector<std::uint32_t>& sampled,
                    observation_sink& sink) const {
@@ -38,15 +92,22 @@ void executor::run(const probe_plan& plan,
   }
   const std::size_t services = sampled.size();
   sink.on_begin(plan, services);
-  // Plans with more than one variant visit each service repeatedly, so
-  // chain materialization is memoized behind a thread-safe cache keyed
-  // by (record, protocol, chain profile); results are bit-identical
-  // either way.
-  std::optional<internet::chain_cache> cache;
+  // Plans with more than one variant visit each service once per
+  // variant, so their chains are materialized once, up front, into a
+  // read-only table the probes borrow from; a one-variant plan
+  // materializes each chain in the probe that serves it.
+  std::optional<chain_table> table;
   if (plan.variants.size() > 1) {
-    cache.emplace(model_);
+    table.emplace(model_, plan, sampled, opt_);
   }
-  const scan::reach prober{model_, cache ? &*cache : nullptr};
+  // One set of scan options per variant; a unit copies it only to set a
+  // per-probe seed.
+  std::vector<scan::probe_options> variant_options;
+  variant_options.reserve(plan.variants.size());
+  for (const probe_variant& v : plan.variants) {
+    variant_options.push_back(v.to_probe_options());
+  }
+  const scan::reach prober{model_};
   // Variant-major: unit k probes service k % services under variant
   // k / services.
   parallel_ordered(
@@ -54,10 +115,20 @@ void executor::run(const probe_plan& plan,
       [&](std::size_t k) {
         const auto& variant = plan.variants[k / services];
         const auto& rec = model_.records()[sampled[k % services]];
-        scan::probe_options popt = variant.to_probe_options();
-        popt.seed_override =
+        const scan::probe_options& base = variant_options[k / services];
+        const x509::chain* chain = table ? table->find(k) : nullptr;
+        const auto probe = [&](const scan::probe_options& popt) {
+          return chain != nullptr ? prober.probe(rec, popt, *chain)
+                                  : prober.probe(rec, popt);
+        };
+        const std::uint64_t seed =
             probe_seed(plan.base_seed, rec.domain, variant.salt);
-        return prober.probe(rec, popt);
+        if (seed == base.seed_override) {
+          return probe(base);
+        }
+        scan::probe_options popt = base;
+        popt.seed_override = seed;
+        return probe(popt);
       },
       [&](std::size_t k, scan::probe_result&& result) {
         const auto variant_index = static_cast<std::uint32_t>(k / services);

@@ -3,7 +3,9 @@
 // order, so parallel runs are bit-identical to serial ones. The
 // executor gives every probe a fresh simulator; spoofed sessions that
 // must share a simulator and telescope run through run_backscatter
-// (engine/backscatter.hpp).
+// (engine/backscatter.hpp). A multi-variant plan first materializes
+// each sampled service's chain once per chain profile into a
+// read-only table, which its probes borrow without a lock.
 //
 // parallel_ordered is the single execution primitive underneath it
 // all: workers claim fixed-size chunks of the index space, and the
@@ -225,7 +227,8 @@ class executor {
   /// Runs the plan, one fresh simulator per probe, streaming every
   /// probe to the sink in plan order, wrapped in the sink's
   /// on_begin/on_end lifecycle. Throws config_error on a plan without
-  /// variants.
+  /// variants, and reach::probe's config_error for a sampled service
+  /// that does not serve QUIC.
   void run(const probe_plan& plan, observation_sink& sink) const;
 
   /// Same, over an already-resolved sample (callers that need the

@@ -1,9 +1,10 @@
 // Thread-safe memoization of model::chain_of, keyed by (record, fetch
 // protocol, chain profile). Chain materialization — synthetic issuance
-// plus DER encoding — is the hot path of repeat-visit plans (the tuner
-// probes every service twice, multi-variant sweeps probe it once per
-// variant, the PQC study visits every service once per profile) and of
-// combined corpus/compression drivers that walk the same TLS sample.
+// plus DER encoding — is the hot path of repeat-visit drivers (the
+// tuner probes every service twice) and of combined corpus/compression
+// drivers that walk the same TLS sample. The executor does not use it:
+// a multi-variant plan fills its own read-only chain table before its
+// probe pass, so its probes take no lock (engine/engine.cpp).
 // Since chain_of is a pure function of the key, concurrent misses may
 // race to materialize the same chain; every racer produces identical
 // bytes, so the first insert wins and all callers observe the same

@@ -105,9 +105,17 @@ server_behavior server_behavior::retry_always() {
 server::server(net::simulator& sim, net::endpoint_id address,
                x509::chain chain, server_behavior behavior,
                bytes_view codec_dictionary, std::uint64_t seed)
+    : server(sim, address, &owned_chain_, std::move(behavior),
+             codec_dictionary, seed) {
+  owned_chain_ = std::move(chain);
+}
+
+server::server(net::simulator& sim, net::endpoint_id address,
+               const x509::chain* chain, server_behavior behavior,
+               bytes_view codec_dictionary, std::uint64_t seed)
     : sim_(sim),
       address_(address),
-      chain_(std::move(chain)),
+      chain_(chain),
       behavior_(std::move(behavior)),
       codec_dictionary_(codec_dictionary),
       rng_(seed) {
@@ -255,7 +263,7 @@ void server::handle_client_initial(connection& c, const packet& p) {
   }
 
   tls::server_flight flight =
-      tls::build_server_flight(chain_, codec.get(), rng_);
+      tls::build_server_flight(*chain_, codec.get(), rng_);
   c.initial_stream = std::move(flight.server_hello);
   c.handshake_stream = std::move(flight.handshake);
 

@@ -43,10 +43,19 @@ class server {
   server(net::simulator& sim, net::endpoint_id address, x509::chain chain,
          server_behavior behavior, bytes_view codec_dictionary,
          std::uint64_t seed);
+  /// As above, but borrows the chain the way it borrows the dictionary:
+  /// `chain` must be non-null and outlive the server. Serves a chain
+  /// shared by many probes without copying it.
+  server(net::simulator& sim, net::endpoint_id address,
+         const x509::chain* chain, server_behavior behavior,
+         bytes_view codec_dictionary, std::uint64_t seed);
   /// A temporary dictionary would dangle once the constructor returns.
   server(net::simulator& sim, net::endpoint_id address, x509::chain chain,
          server_behavior behavior, bytes&& codec_dictionary,
          std::uint64_t seed) = delete;
+  server(net::simulator& sim, net::endpoint_id address,
+         const x509::chain* chain, server_behavior behavior,
+         bytes&& codec_dictionary, std::uint64_t seed) = delete;
   ~server();
 
   server(const server&) = delete;
@@ -56,7 +65,7 @@ class server {
     return address_;
   }
   [[nodiscard]] const server_stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const x509::chain& chain() const noexcept { return chain_; }
+  [[nodiscard]] const x509::chain& chain() const noexcept { return *chain_; }
   [[nodiscard]] const server_behavior& behavior() const noexcept {
     return behavior_;
   }
@@ -120,7 +129,8 @@ class server {
 
   net::simulator& sim_;
   net::endpoint_id address_;
-  x509::chain chain_;
+  x509::chain owned_chain_;  // empty when the chain is borrowed
+  const x509::chain* chain_;
   server_behavior behavior_;
   bytes_view codec_dictionary_;
   rng rng_;

@@ -7,11 +7,30 @@
 
 namespace certquic::scan {
 
-probe_result reach::probe(const internet::service_record& rec,
-                          const probe_options& opt) const {
+namespace {
+
+void require_quic(const internet::service_record& rec) {
   if (!rec.serves_quic()) {
     throw config_error("reach::probe on non-QUIC service " + rec.domain);
   }
+}
+
+}  // namespace
+
+probe_result reach::probe(const internet::service_record& rec,
+                          const probe_options& opt) const {
+  require_quic(rec);
+  const x509::chain chain =
+      internet::fetch_chain(model_, cache_, rec,
+                            internet::fetch_protocol::quic,
+                            opt.chain_profile);
+  return probe(rec, opt, chain);
+}
+
+probe_result reach::probe(const internet::service_record& rec,
+                          const probe_options& opt,
+                          const x509::chain& chain) const {
+  require_quic(rec);
   const std::uint64_t seed =
       opt.seed_override != 0 ? opt.seed_override : rec.seed;
   net::simulator sim{seed ^ 0x5ca7};
@@ -34,9 +53,7 @@ probe_result reach::probe(const internet::service_record& rec,
 
   quic::server srv{sim,
                    server_ep,
-                   internet::fetch_chain(model_, cache_, rec,
-                                         internet::fetch_protocol::quic,
-                                         opt.chain_profile),
+                   &chain,
                    model_.behavior_of(rec),
                    model_.compression_dictionary(),
                    seed ^ 0x5e4};

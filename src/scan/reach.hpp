@@ -1,5 +1,7 @@
 // quicreach-equivalent scanner (§3.2): performs one complete handshake
 // per probe, with configurable Initial size, and classifies the result.
+// The probed server serves the chain the prober fetches for it, or one
+// the caller already holds and lends it.
 #pragma once
 
 #include <cstdint>
@@ -70,10 +72,20 @@ class reach {
                  const internet::chain_cache* cache = nullptr)
       : model_(m), cache_(cache) {}
 
-  /// Probes one QUIC service. Throws config_error when the record does
-  /// not serve QUIC.
+  /// Probes one QUIC service, fetching the chain it serves under
+  /// opt.chain_profile (through the cache, if any). Throws config_error
+  /// when the record does not serve QUIC.
   [[nodiscard]] probe_result probe(const internet::service_record& rec,
                                    const probe_options& opt) const;
+
+  /// As above, with the chain already materialized: the probed server
+  /// borrows `chain`, which must be what model::chain_of returns for
+  /// `rec` over QUIC under opt.chain_profile. A caller that holds each
+  /// chain for many probes (the executor's chain table) pays no lock,
+  /// no counter and no chain copy per probe.
+  [[nodiscard]] probe_result probe(const internet::service_record& rec,
+                                   const probe_options& opt,
+                                   const x509::chain& chain) const;
 
  private:
   const internet::model& model_;

@@ -84,7 +84,8 @@ struct service_result {
 
 /// Renders the deterministic per-epoch census table plus the
 /// epoch-over-epoch delta table — shared by `certquic_scan epochs`,
-/// `serve` and bench/fig_epoch_deltas so their outputs stay diffable.
+/// `serve` and `certquic_scan fig fig_epoch_deltas` so their outputs
+/// stay diffable.
 [[nodiscard]] std::string render_epoch_tables(const service_result& r);
 
 }  // namespace certquic::service

@@ -17,16 +17,143 @@ constexpr std::uint16_t kExtPskModes = 45;
 constexpr std::uint16_t kExtKeyShare = 51;
 constexpr std::uint16_t kExtQuicTransportParams = 57;
 
-void put_extension(buffer_writer& w, std::uint16_t type, bytes_view body) {
-  w.u16(type);
-  w.u16(static_cast<std::uint16_t>(body.size()));
-  w.raw(body);
+// Framed sizes of the fixed-size server messages; the largest
+// CertificateVerify carries an RSA-4096 signature.
+constexpr std::size_t kServerHelloSize = 4 + 70 + 2 + 6 + 40;
+constexpr std::size_t kEncryptedExtensionsSize = 4 + 2 + 9 + 4 + 94;
+constexpr std::size_t kMaxCertificateVerifySize = 4 + 4 + 512;
+constexpr std::size_t kFinishedSize = 4 + 32;
+
+// Every message below is written straight into one buffer_writer:
+// each length prefix is reserved, then patched once its contents are
+// in, and random fields are drawn in place. The draws happen in the
+// order the fields appear, which is the order the bytes pin.
+
+/// Opens a handshake message: type byte plus a reserved 3-byte length.
+std::size_t open_message(buffer_writer& w, handshake_type type) {
+  w.u8(static_cast<std::uint8_t>(type));
+  return w.reserve_u24();
 }
 
-bytes random_bytes(std::size_t n, rng& r) {
-  bytes out(n);
-  r.fill(out);
-  return out;
+/// Patches the 3-byte length reserved at `slot` with the bytes since.
+void close_u24(buffer_writer& w, std::size_t slot) {
+  w.patch_u24(slot, static_cast<std::uint32_t>(w.size() - slot - 3));
+}
+
+/// Patches the 2-byte length reserved at `slot` with the bytes since.
+void close_u16(buffer_writer& w, std::size_t slot) {
+  w.patch_u16(slot, static_cast<std::uint16_t>(w.size() - slot - 2));
+}
+
+/// Opens an extension TLV: type plus a reserved 2-byte length, closed
+/// with close_u16.
+std::size_t open_extension(buffer_writer& w, std::uint16_t type) {
+  w.u16(type);
+  return w.reserve_u16();
+}
+
+/// Appends `n` random bytes drawn from `r`.
+void put_random(buffer_writer& w, std::size_t n, rng& r) {
+  r.fill(w.extend(n));
+}
+
+/// ALPN extension offering (or selecting) "h3".
+void put_alpn_h3(buffer_writer& w) {
+  const std::size_t ext = open_extension(w, kExtAlpn);
+  w.u16(3);
+  w.u8(2);
+  w.raw(std::string_view{"h3"});
+  close_u16(w, ext);
+}
+
+/// An extension whose body is `n` random bytes (QUIC transport
+/// parameters: content does not matter for byte accounting).
+void put_random_extension(buffer_writer& w, std::uint16_t type,
+                          std::size_t n, rng& r) {
+  w.u16(type);
+  w.u16(static_cast<std::uint16_t>(n));
+  put_random(w, n, r);
+}
+
+void write_server_hello(buffer_writer& w, rng& r) {
+  const std::size_t msg = open_message(w, handshake_type::server_hello);
+  w.u16(0x0303);
+  put_random(w, 32, r);
+  w.u8(32);
+  put_random(w, 32, r);  // echoed legacy_session_id
+  w.u16(0x1301);         // TLS_AES_128_GCM_SHA256
+  w.u8(0);               // compression
+  const std::size_t exts = w.reserve_u16();
+  w.u16(kExtSupportedVersions);
+  w.u16(2);
+  w.u16(0x0304);
+  w.u16(kExtKeyShare);
+  w.u16(4 + 32);
+  w.u16(0x001d);
+  w.u16(32);
+  put_random(w, 32, r);
+  close_u16(w, exts);
+  close_u24(w, msg);
+}
+
+void write_encrypted_extensions(buffer_writer& w, rng& r) {
+  const std::size_t msg =
+      open_message(w, handshake_type::encrypted_extensions);
+  const std::size_t exts = w.reserve_u16();
+  put_alpn_h3(w);
+  // Server QUIC transport parameters (~90 bytes: includes original
+  // and retry connection ids, stateless reset token, limits).
+  put_random_extension(w, kExtQuicTransportParams, 94, r);
+  close_u16(w, exts);
+  close_u24(w, msg);
+}
+
+void write_certificate_verify(buffer_writer& w, x509::key_algorithm leaf_key,
+                              rng& r) {
+  const std::size_t msg = open_message(w, handshake_type::certificate_verify);
+  std::size_t sig_size = 0;
+  switch (leaf_key) {
+    case x509::key_algorithm::rsa_2048:
+      w.u16(0x0804);  // rsa_pss_rsae_sha256
+      sig_size = 256;
+      break;
+    case x509::key_algorithm::rsa_4096:
+      w.u16(0x0804);
+      sig_size = 512;
+      break;
+    case x509::key_algorithm::ecdsa_p256:
+      w.u16(0x0403);
+      sig_size = 71;
+      break;
+    case x509::key_algorithm::ecdsa_p384:
+      w.u16(0x0503);
+      sig_size = 103;
+      break;
+    case x509::key_algorithm::mldsa_44:
+    case x509::key_algorithm::mldsa_65:
+    case x509::key_algorithm::mldsa_87:
+      // The PQC what-if sweeps account for ML-DSA bytes on the
+      // certificates themselves (x509/key.cpp); CertificateVerify
+      // keeps the zero-length placeholder body the checked-in PQC
+      // goldens were captured with.
+      break;
+  }
+  w.u16(static_cast<std::uint16_t>(sig_size));
+  put_random(w, sig_size, r);
+  close_u24(w, msg);
+}
+
+void write_finished(buffer_writer& w, rng& r) {
+  const std::size_t msg = open_message(w, handshake_type::finished);
+  put_random(w, 32, r);
+  close_u24(w, msg);
+}
+
+/// Framed size of the Certificate message for `chain`: header, request
+/// context and list length, plus a 3-byte length and empty extensions
+/// per entry.
+std::size_t certificate_size(const x509::chain& chain) {
+  return 4 + 1 + 3 + chain.wire_size() + 5 * chain.depth();
 }
 
 /// Appends the framed Certificate message for `chain` to `w`: the DER
@@ -45,6 +172,21 @@ void write_certificate(buffer_writer& w, const x509::chain& chain) {
   });
   w.patch_u24(list_len, static_cast<std::uint32_t>(w.size() - list_start));
   w.patch_u24(msg_len, static_cast<std::uint32_t>(w.size() - msg_start));
+}
+
+/// Appends a CompressedCertificate (RFC 8879 §4) wrapping the chain's
+/// Certificate message compressed with `codec`.
+void write_compressed_certificate(buffer_writer& w, const x509::chain& chain,
+                                  const compress::codec& codec) {
+  const bytes inner = encode_certificate(chain);
+  const bytes compressed = codec.compress(inner);
+  const std::size_t msg =
+      open_message(w, handshake_type::compressed_certificate);
+  w.u16(static_cast<std::uint16_t>(codec.alg()));
+  w.u24(static_cast<std::uint32_t>(inner.size()));
+  w.u24(static_cast<std::uint32_t>(compressed.size()));
+  w.raw(compressed);
+  close_u24(w, msg);
 }
 
 }  // namespace
@@ -89,91 +231,84 @@ frame_info peek_frame(bytes_view data) noexcept {
 }
 
 bytes encode_client_hello(const client_hello_config& config, rng& r) {
-  buffer_writer body;
-  body.u16(0x0303);  // legacy_version
-  body.raw(random_bytes(32, r));
-  body.u8(32);  // legacy_session_id (middlebox compat)
-  body.raw(random_bytes(32, r));
+  // ~250 bytes of fixed fields and extensions, plus the variable ones.
+  buffer_writer w{320 + config.server_name.size() +
+                  2 * config.compression_algorithms.size()};
+  const std::size_t msg = open_message(w, handshake_type::client_hello);
+  w.u16(0x0303);  // legacy_version
+  put_random(w, 32, r);
+  w.u8(32);  // legacy_session_id (middlebox compat)
+  put_random(w, 32, r);
   // Cipher suites: the three TLS 1.3 suites.
-  body.u16(6);
-  body.u16(0x1301);
-  body.u16(0x1302);
-  body.u16(0x1303);
-  body.u8(1);  // legacy_compression_methods
-  body.u8(0);
+  w.u16(6);
+  w.u16(0x1301);
+  w.u16(0x1302);
+  w.u16(0x1303);
+  w.u8(1);  // legacy_compression_methods
+  w.u8(0);
 
-  buffer_writer exts;
+  const std::size_t exts = w.reserve_u16();
   {
     // server_name: list { type(1) + len(2) + host }.
-    buffer_writer sni;
-    sni.u16(static_cast<std::uint16_t>(config.server_name.size() + 3));
-    sni.u8(0);
-    sni.u16(static_cast<std::uint16_t>(config.server_name.size()));
-    sni.raw(config.server_name);
-    put_extension(exts, kExtServerName, sni.view());
+    const std::size_t ext = open_extension(w, kExtServerName);
+    w.u16(static_cast<std::uint16_t>(config.server_name.size() + 3));
+    w.u8(0);
+    w.u16(static_cast<std::uint16_t>(config.server_name.size()));
+    w.raw(config.server_name);
+    close_u16(w, ext);
   }
   {
-    buffer_writer groups;  // x25519, secp256r1, secp384r1
-    groups.u16(6);
-    groups.u16(0x001d);
-    groups.u16(0x0017);
-    groups.u16(0x0018);
-    put_extension(exts, kExtSupportedGroups, groups.view());
+    const std::size_t ext = open_extension(w, kExtSupportedGroups);
+    w.u16(6);  // x25519, secp256r1, secp384r1
+    w.u16(0x001d);
+    w.u16(0x0017);
+    w.u16(0x0018);
+    close_u16(w, ext);
+  }
+  put_alpn_h3(w);
+  {
+    const std::size_t ext = open_extension(w, kExtSignatureAlgorithms);
+    w.u16(8);
+    w.u16(0x0403);  // ecdsa_secp256r1_sha256
+    w.u16(0x0804);  // rsa_pss_rsae_sha256
+    w.u16(0x0401);  // rsa_pkcs1_sha256
+    w.u16(0x0503);  // ecdsa_secp384r1_sha384
+    close_u16(w, ext);
   }
   {
-    buffer_writer alpn;  // "h3"
-    alpn.u16(3);
-    alpn.u8(2);
-    alpn.raw(std::string_view{"h3"});
-    put_extension(exts, kExtAlpn, alpn.view());
+    const std::size_t ext = open_extension(w, kExtSupportedVersions);
+    w.u8(2);
+    w.u16(0x0304);
+    close_u16(w, ext);
   }
   {
-    buffer_writer sig_algs;
-    sig_algs.u16(8);
-    sig_algs.u16(0x0403);  // ecdsa_secp256r1_sha256
-    sig_algs.u16(0x0804);  // rsa_pss_rsae_sha256
-    sig_algs.u16(0x0401);  // rsa_pkcs1_sha256
-    sig_algs.u16(0x0503);  // ecdsa_secp384r1_sha384
-    put_extension(exts, kExtSignatureAlgorithms, sig_algs.view());
+    const std::size_t ext = open_extension(w, kExtPskModes);
+    w.u8(1);
+    w.u8(1);  // psk_dhe_ke
+    close_u16(w, ext);
   }
   {
-    buffer_writer versions;
-    versions.u8(2);
-    versions.u16(0x0304);
-    put_extension(exts, kExtSupportedVersions, versions.view());
+    const std::size_t ext = open_extension(w, kExtKeyShare);
+    w.u16(4 + 32);  // one x25519 entry
+    w.u16(0x001d);
+    w.u16(32);
+    put_random(w, 32, r);
+    close_u16(w, ext);
   }
-  {
-    buffer_writer psk;
-    psk.u8(1);
-    psk.u8(1);  // psk_dhe_ke
-    put_extension(exts, kExtPskModes, psk.view());
-  }
-  {
-    buffer_writer share;  // one x25519 entry
-    share.u16(4 + 32);
-    share.u16(0x001d);
-    share.u16(32);
-    share.raw(random_bytes(32, r));
-    put_extension(exts, kExtKeyShare, share.view());
-  }
-  {
-    // QUIC transport parameters: a realistic ~60-byte blob of varint
-    // id/len/value entries; content does not matter for byte accounting.
-    put_extension(exts, kExtQuicTransportParams, random_bytes(58, r));
-  }
+  // QUIC transport parameters: a realistic ~60-byte blob of varint
+  // id/len/value entries; content does not matter for byte accounting.
+  put_random_extension(w, kExtQuicTransportParams, 58, r);
   if (!config.compression_algorithms.empty()) {
-    buffer_writer comp;
-    comp.u8(static_cast<std::uint8_t>(
-        config.compression_algorithms.size() * 2));
+    const std::size_t ext = open_extension(w, kExtCompressCertificate);
+    w.u8(static_cast<std::uint8_t>(config.compression_algorithms.size() * 2));
     for (const auto alg : config.compression_algorithms) {
-      comp.u16(static_cast<std::uint16_t>(alg));
+      w.u16(static_cast<std::uint16_t>(alg));
     }
-    put_extension(exts, kExtCompressCertificate, comp.view());
+    close_u16(w, ext);
   }
-
-  body.u16(static_cast<std::uint16_t>(exts.size()));
-  body.raw(exts.view());
-  return frame(handshake_type::client_hello, body.view());
+  close_u16(w, exts);
+  close_u24(w, msg);
+  return std::move(w).take();
 }
 
 std::vector<compress::algorithm> parse_offered_compression(
@@ -212,105 +347,40 @@ std::vector<compress::algorithm> parse_offered_compression(
 }
 
 bytes encode_server_hello(rng& r) {
-  buffer_writer body;
-  body.u16(0x0303);
-  body.raw(random_bytes(32, r));
-  body.u8(32);
-  body.raw(random_bytes(32, r));  // echoed legacy_session_id
-  body.u16(0x1301);               // TLS_AES_128_GCM_SHA256
-  body.u8(0);                     // compression
-  buffer_writer exts;
-  {
-    buffer_writer versions;
-    versions.u16(0x0304);
-    put_extension(exts, kExtSupportedVersions, versions.view());
-  }
-  {
-    buffer_writer share;
-    share.u16(0x001d);
-    share.u16(32);
-    share.raw(random_bytes(32, r));
-    put_extension(exts, kExtKeyShare, share.view());
-  }
-  body.u16(static_cast<std::uint16_t>(exts.size()));
-  body.raw(exts.view());
-  return frame(handshake_type::server_hello, body.view());
+  buffer_writer w{kServerHelloSize};
+  write_server_hello(w, r);
+  return std::move(w).take();
 }
 
 bytes encode_encrypted_extensions(rng& r) {
-  buffer_writer exts;
-  {
-    buffer_writer alpn;
-    alpn.u16(3);
-    alpn.u8(2);
-    alpn.raw(std::string_view{"h3"});
-    put_extension(exts, kExtAlpn, alpn.view());
-  }
-  {
-    // Server QUIC transport parameters (~90 bytes: includes original
-    // and retry connection ids, stateless reset token, limits).
-    put_extension(exts, kExtQuicTransportParams, random_bytes(94, r));
-  }
-  buffer_writer body;
-  body.u16(static_cast<std::uint16_t>(exts.size()));
-  body.raw(exts.view());
-  return frame(handshake_type::encrypted_extensions, body.view());
+  buffer_writer w{kEncryptedExtensionsSize};
+  write_encrypted_extensions(w, r);
+  return std::move(w).take();
 }
 
 bytes encode_certificate(const x509::chain& chain) {
-  buffer_writer w;
+  buffer_writer w{certificate_size(chain)};
   write_certificate(w, chain);
   return std::move(w).take();
 }
 
 bytes encode_compressed_certificate(const x509::chain& chain,
                                     const compress::codec& codec) {
-  const bytes inner = encode_certificate(chain);
-  const bytes compressed = codec.compress(inner);
-  buffer_writer body;
-  body.u16(static_cast<std::uint16_t>(codec.alg()));
-  body.u24(static_cast<std::uint32_t>(inner.size()));
-  body.u24(static_cast<std::uint32_t>(compressed.size()));
-  body.raw(compressed);
-  return frame(handshake_type::compressed_certificate, body.view());
+  buffer_writer w;
+  write_compressed_certificate(w, chain, codec);
+  return std::move(w).take();
 }
 
 bytes encode_certificate_verify(x509::key_algorithm leaf_key, rng& r) {
-  buffer_writer body;
-  std::size_t sig_size = 0;
-  switch (leaf_key) {
-    case x509::key_algorithm::rsa_2048:
-      body.u16(0x0804);  // rsa_pss_rsae_sha256
-      sig_size = 256;
-      break;
-    case x509::key_algorithm::rsa_4096:
-      body.u16(0x0804);
-      sig_size = 512;
-      break;
-    case x509::key_algorithm::ecdsa_p256:
-      body.u16(0x0403);
-      sig_size = 71;
-      break;
-    case x509::key_algorithm::ecdsa_p384:
-      body.u16(0x0503);
-      sig_size = 103;
-      break;
-    case x509::key_algorithm::mldsa_44:
-    case x509::key_algorithm::mldsa_65:
-    case x509::key_algorithm::mldsa_87:
-      // The PQC what-if sweeps account for ML-DSA bytes on the
-      // certificates themselves (x509/key.cpp); CertificateVerify
-      // keeps the zero-length placeholder body the checked-in PQC
-      // goldens were captured with.
-      break;
-  }
-  body.u16(static_cast<std::uint16_t>(sig_size));
-  body.raw(random_bytes(sig_size, r));
-  return frame(handshake_type::certificate_verify, body.view());
+  buffer_writer w{kMaxCertificateVerifySize};
+  write_certificate_verify(w, leaf_key, r);
+  return std::move(w).take();
 }
 
 bytes encode_finished(rng& r) {
-  return frame(handshake_type::finished, random_bytes(32, r));
+  buffer_writer w{kFinishedSize};
+  write_finished(w, r);
+  return std::move(w).take();
 }
 
 std::size_t server_flight::total_size() const noexcept {
@@ -321,19 +391,19 @@ server_flight build_server_flight(const x509::chain& chain,
                                   const compress::codec* codec, rng& r) {
   server_flight flight;
   flight.server_hello = encode_server_hello(r);
-  buffer_writer hs;
-  // The chain plus its per-entry framing, and 1 KiB for
-  // EncryptedExtensions, CertificateVerify and Finished (at most ~700 B
-  // together), so the buffer never regrows.
-  hs.storage().reserve(chain.wire_size() + 5 * chain.depth() + 1024);
-  hs.raw(encode_encrypted_extensions(r));
+  // The chain plus its per-entry framing, and room for
+  // EncryptedExtensions, CertificateVerify and Finished, so the buffer
+  // never regrows.
+  buffer_writer hs{kEncryptedExtensionsSize + certificate_size(chain) +
+                   kMaxCertificateVerifySize + kFinishedSize};
+  write_encrypted_extensions(hs, r);
   if (codec != nullptr) {
-    hs.raw(encode_compressed_certificate(chain, *codec));
+    write_compressed_certificate(hs, chain, *codec);
   } else {
     write_certificate(hs, chain);
   }
-  hs.raw(encode_certificate_verify(chain.leaf().key_alg(), r));
-  hs.raw(encode_finished(r));
+  write_certificate_verify(hs, chain.leaf().key_alg(), r);
+  write_finished(hs, r);
   flight.handshake = std::move(hs).take();
   return flight;
 }

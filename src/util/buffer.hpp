@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "util/bytes.hpp"
@@ -23,6 +24,9 @@ namespace certquic {
 class buffer_writer {
  public:
   buffer_writer() = default;
+  /// Starts with room for `capacity` bytes, so an encoder that knows its
+  /// output size up front never regrows.
+  explicit buffer_writer(std::size_t capacity) { buf_.reserve(capacity); }
 
   /// Writes an 8-bit value.
   void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -43,6 +47,14 @@ class buffer_writer {
   void raw(std::string_view v);
   /// Appends `n` zero bytes.
   void zeros(std::size_t n) { append_zeros(buf_, n); }
+  /// Appends `n` zero bytes and returns a writable view of them, for
+  /// fields filled in place (e.g. by rng::fill). The view is valid until
+  /// the next write.
+  [[nodiscard]] std::span<std::uint8_t> extend(std::size_t n) {
+    const std::size_t offset = buf_.size();
+    append_zeros(buf_, n);
+    return std::span<std::uint8_t>{buf_}.subspan(offset);
+  }
 
   /// Reserves a 16-bit slot and returns its offset for later patching.
   [[nodiscard]] std::size_t reserve_u16();

@@ -1,7 +1,8 @@
-// Minimal fixed-width table rendering for bench / example output.
+// Minimal fixed-width table rendering for figure / example output.
 //
-// Every bench binary regenerates one of the paper's tables or figures as
-// rows of text; this helper keeps their output aligned and uniform.
+// Every `certquic_scan fig <id>` entry regenerates one of the paper's
+// tables or figures as rows of text; this helper keeps their output
+// aligned and uniform.
 #pragma once
 
 #include <string>

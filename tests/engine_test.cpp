@@ -18,10 +18,12 @@
 #include "core/compression_study.hpp"
 #include "core/funnel.hpp"
 #include "core/policy_study.hpp"
+#include "core/stream_digest.hpp"
 #include "core/tuner.hpp"
 #include "engine/engine.hpp"
 #include "internet/chain_cache.hpp"
 #include "scan/reach.hpp"
+#include "util/errors.hpp"
 
 namespace certquic {
 namespace {
@@ -378,6 +380,98 @@ TEST(EngineDeterminism, CorpusThroughAChainCacheMatchesDirect) {
     expect_same_corpus(direct, cached, pass == 0 ? "cold cache" : "warm");
   }
   EXPECT_GT(cache.hits(), 0u);
+}
+
+/// One probe as the executor streams it: its stream digest and the
+/// certificate message it captured.
+using probe_fingerprint = std::pair<std::uint64_t, bytes>;
+
+probe_fingerprint fingerprint(std::uint32_t service, std::uint32_t variant,
+                              const scan::probe_result& result) {
+  std::uint64_t h = core::kStreamDigestSeed;
+  core::digest_record(h, service, variant, result);
+  return {h, result.obs.certificate_message};
+}
+
+std::vector<probe_fingerprint> run_plan(const engine::probe_plan& plan,
+                                        const engine::options& opt) {
+  std::vector<probe_fingerprint> out;
+  engine::callback_sink sink{[&out](const engine::probe_record& r) {
+    out.push_back(fingerprint(r.service_index, r.variant_index, r.result));
+  }};
+  engine::executor{shared_model(), opt}.run(plan, sink);
+  return out;
+}
+
+/// Two chain profiles x two Initial sizes: a multi-variant plan, so the
+/// executor probes through its chain table.
+engine::probe_plan profile_size_plan(engine::service_filter filter) {
+  engine::probe_plan plan;
+  plan.filter = filter;
+  plan.max_services = 80;
+  for (const auto profile :
+       {x509::pq_profile::classical, x509::pq_profile::pqc_full}) {
+    for (const std::size_t size : {1252u, 1362u}) {
+      engine::probe_variant v;
+      v.initial_size = size;
+      v.chain_profile = profile;
+      v.capture_certificate = true;
+      plan.variants.push_back(v);
+    }
+  }
+  return plan;
+}
+
+TEST(ChainTable, MultiVariantPlanMatchesCachelessProbes) {
+  const auto& m = shared_model();
+  engine::probe_plan plan = profile_size_plan(engine::service_filter::quic);
+  const auto sampled =
+      engine::sample_indices(m, plan.filter, plan.max_services);
+  ASSERT_GE(sampled.size(), 40u);
+  const scan::reach prober{m};
+  // Base seed 0 keeps the record-derived seeds; 9 gives every unit its
+  // own seed.
+  for (const std::uint64_t base_seed : {0u, 9u}) {
+    plan.base_seed = base_seed;
+    std::vector<probe_fingerprint> expected;
+    for (std::uint32_t v = 0; v < plan.variants.size(); ++v) {
+      for (const std::uint32_t i : sampled) {
+        const auto& rec = m.records()[i];
+        scan::probe_options opt = plan.variants[v].to_probe_options();
+        opt.seed_override =
+            engine::probe_seed(base_seed, rec.domain, plan.variants[v].salt);
+        expected.push_back(fingerprint(i, v, prober.probe(rec, opt)));
+      }
+    }
+    for (const std::size_t threads : {1u, 8u}) {
+      EXPECT_EQ(run_plan(plan, {.threads = threads}), expected)
+          << "base seed " << base_seed << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(ChainTable, NonQuicServiceStillThrowsInPlanOrder) {
+  const auto& m = shared_model();
+  const engine::probe_plan plan =
+      profile_size_plan(engine::service_filter::tls);
+  std::string first_non_quic;
+  for (const std::uint32_t i :
+       engine::sample_indices(m, plan.filter, plan.max_services)) {
+    if (!m.records()[i].serves_quic()) {
+      first_non_quic = m.records()[i].domain;
+      break;
+    }
+  }
+  ASSERT_FALSE(first_non_quic.empty());
+  try {
+    (void)run_plan(plan, engine::options::serial());
+    FAIL() << "a non-QUIC service was probed";
+  } catch (const config_error& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "reach::probe on non-QUIC service " + first_non_quic);
+  }
+  // In parallel the first worker to fail reports; it still fails.
+  EXPECT_THROW((void)run_plan(plan, {.threads = 8}), config_error);
 }
 
 TEST(SampleIndices, CapZeroSelectsEveryMatch) {
