@@ -36,8 +36,7 @@ namespace {
 /// the chain of sampled service i under the plan's p-th distinct chain
 /// profile. model::chain_of is pure, so the bytes equal what the probe
 /// would materialize itself. A record that does not serve QUIC keeps an
-/// empty slot, and its probe throws reach::probe's config_error in plan
-/// order.
+/// empty slot, so its probe still throws reach::probe's config_error.
 class chain_table {
  public:
   chain_table(const internet::model& m, const probe_plan& plan,
@@ -100,8 +99,8 @@ void executor::run(const probe_plan& plan,
   if (plan.variants.size() > 1) {
     table.emplace(model_, plan, sampled, opt_);
   }
-  // One set of scan options per variant; a unit copies it only to set a
-  // per-probe seed.
+  // One set of scan options per variant; a unit copies it to set its
+  // seed.
   std::vector<scan::probe_options> variant_options;
   variant_options.reserve(plan.variants.size());
   for (const probe_variant& v : plan.variants) {
@@ -115,20 +114,12 @@ void executor::run(const probe_plan& plan,
       [&](std::size_t k) {
         const auto& variant = plan.variants[k / services];
         const auto& rec = model_.records()[sampled[k % services]];
-        const scan::probe_options& base = variant_options[k / services];
-        const x509::chain* chain = table ? table->find(k) : nullptr;
-        const auto probe = [&](const scan::probe_options& popt) {
-          return chain != nullptr ? prober.probe(rec, popt, *chain)
-                                  : prober.probe(rec, popt);
-        };
-        const std::uint64_t seed =
+        scan::probe_options popt = variant_options[k / services];
+        popt.seed_override =
             probe_seed(plan.base_seed, rec.domain, variant.salt);
-        if (seed == base.seed_override) {
-          return probe(base);
-        }
-        scan::probe_options popt = base;
-        popt.seed_override = seed;
-        return probe(popt);
+        const x509::chain* chain = table ? table->find(k) : nullptr;
+        return chain != nullptr ? prober.probe(rec, popt, *chain)
+                                : prober.probe(rec, popt);
       },
       [&](std::size_t k, scan::probe_result&& result) {
         const auto variant_index = static_cast<std::uint32_t>(k / services);

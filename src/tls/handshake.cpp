@@ -17,8 +17,11 @@ constexpr std::uint16_t kExtPskModes = 45;
 constexpr std::uint16_t kExtKeyShare = 51;
 constexpr std::uint16_t kExtQuicTransportParams = 57;
 
-// Framed sizes of the fixed-size server messages; the largest
-// CertificateVerify carries an RSA-4096 signature.
+// Framed sizes of the fixed-size server messages. ServerHello: header,
+// 70 bytes of fixed fields, the extensions length, supported_versions
+// and key_share. EncryptedExtensions: header, extensions length, ALPN
+// and the transport parameters. The largest CertificateVerify carries
+// an RSA-4096 signature.
 constexpr std::size_t kServerHelloSize = 4 + 70 + 2 + 6 + 40;
 constexpr std::size_t kEncryptedExtensionsSize = 4 + 2 + 9 + 4 + 94;
 constexpr std::size_t kMaxCertificateVerifySize = 4 + 4 + 512;
