@@ -162,19 +162,16 @@ std::size_t certificate_size(const x509::chain& chain) {
 /// Appends the framed Certificate message for `chain` to `w`: the DER
 /// of every certificate is written once, straight into `w`.
 void write_certificate(buffer_writer& w, const x509::chain& chain) {
-  w.u8(static_cast<std::uint8_t>(handshake_type::certificate));
-  const auto msg_len = w.reserve_u24();
-  const std::size_t msg_start = w.size();
+  const std::size_t msg = open_message(w, handshake_type::certificate);
   w.u8(0);  // certificate_request_context
-  const auto list_len = w.reserve_u24();
-  const std::size_t list_start = w.size();
+  const std::size_t list = w.reserve_u24();
   chain.for_each([&w](const x509::certificate& cert) {
     w.u24(static_cast<std::uint32_t>(cert.der().size()));
     w.raw(cert.der());
     w.u16(0);  // per-entry extensions
   });
-  w.patch_u24(list_len, static_cast<std::uint32_t>(w.size() - list_start));
-  w.patch_u24(msg_len, static_cast<std::uint32_t>(w.size() - msg_start));
+  close_u24(w, list);
+  close_u24(w, msg);
 }
 
 /// Appends a CompressedCertificate (RFC 8879 §4) wrapping the chain's
