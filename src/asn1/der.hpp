@@ -32,7 +32,6 @@ enum class tag : std::uint8_t {
   printable_string = 0x13,
   ia5_string = 0x16,
   utc_time = 0x17,
-  generalized_time = 0x18,
   sequence = 0x30,  // constructed
   set = 0x31,       // constructed
 };

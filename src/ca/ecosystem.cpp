@@ -219,15 +219,14 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                    "certs.godaddy.com");
 
   // ---- Fig. 7a (QUIC services) + Fig. 7b (HTTPS-only) rows ---------------
-  // Shares are the published row percentages; 96.49% / 71.91% coverage,
-  // the remainder flows through issue_other().
+  // QUIC shares are Fig. 7a's published row percentages (96.49%
+  // coverage); the remainder flows through issue_other().
   auto add = [&eco](chain_profile p) { eco.profiles_.push_back(std::move(p)); };
 
   add({.id = "cloudflare",
        .display = "Cloudflare Inc ECC CA-3",
        .parents = {cf_ecc},
        .quic_share = 0.6154,
-       .https_share = 0.0140,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 4,
                 .max_sans = 6,
@@ -241,7 +240,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "Let's Encrypt R3 + ISRG Root X1 (DST cross), RSA leaves",
        .parents = {le_r3, isrg_x1_cross},
        .quic_share = 0.1680,
-       .https_share = 0.4142,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
                 .max_sans = 2,
@@ -253,7 +251,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "Let's Encrypt R3 + ISRG Root X1 (DST cross), ECDSA leaves",
        .parents = {le_r3, isrg_x1_cross},
        .quic_share = 0.1031,
-       .https_share = 0.0,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 1,
                 .max_sans = 3,
@@ -265,7 +262,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "Let's Encrypt R3",
        .parents = {le_r3},
        .quic_share = 0.0,
-       .https_share = 0.0176,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .rsa_mix = 0.35,
                 .min_sans = 1,
@@ -278,7 +274,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "Let's Encrypt E1 + ISRG Root X2",
        .parents = {le_e1, isrg_x2_self},
        .quic_share = 0.0189,
-       .https_share = 0.0,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 1,
                 .max_sans = 3,
@@ -290,7 +285,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "GTS CA 1C3 + GTS Root R1",
        .parents = {gts_1c3, gts_r1_cross},
        .quic_share = 0.0153,
-       .https_share = 0.0,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 1,
                 .max_sans = 6,
@@ -301,7 +295,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "Let's Encrypt R3 + ISRG Root X1 (self-signed)",
        .parents = {le_r3, isrg_x1_self},
        .quic_share = 0.0127,
-       .https_share = 0.0,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .rsa_mix = 0.3,
                 .min_sans = 1,
@@ -314,7 +307,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "GTS CA 1D4 + GTS Root R1",
        .parents = {gts_1d4, gts_r1_cross},
        .quic_share = 0.0103,
-       .https_share = 0.0,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 1,
                 .max_sans = 4,
@@ -325,7 +317,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "Sectigo RSA DV + USERTrust RSA CA",
        .parents = {sectigo_dv, usertrust_root},
        .quic_share = 0.0092,
-       .https_share = 0.0633,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
                 .max_sans = 3,
@@ -336,7 +327,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "cPanel, Inc. CA + COMODO RSA CA",
        .parents = {cpanel_ca, comodo_root},
        .quic_share = 0.0083,
-       .https_share = 0.0503,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 2,
                 .max_sans = 8,
@@ -347,7 +337,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "GlobalSign Atlas R3 DV TLS CA H2 2021",
        .parents = {globalsign_atlas},
        .quic_share = 0.0037,
-       .https_share = 0.0,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
                 .max_sans = 3,
@@ -359,7 +348,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "DigiCert TLS RSA SHA256 2020 CA1 + DigiCert Global Root",
        .parents = {digicert_ca1, digicert_root},
        .quic_share = 0.0,
-       .https_share = 0.0455,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
                 .max_sans = 6,
@@ -371,7 +359,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "Amazon RSA 2048 M01 + Amazon Root CA 1",
        .parents = {amazon_m01, amazon_root},
        .quic_share = 0.0,
-       .https_share = 0.0424,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
                 .max_sans = 5,
@@ -382,7 +369,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "cPanel, Inc. CA + COMODO RSA CA (legacy)",
        .parents = {cpanel_ca, comodo_root},
        .quic_share = 0.0,
-       .https_share = 0.0403,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
                 .max_sans = 6,
@@ -393,7 +379,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "GoDaddy Secure CA - G2",
        .parents = {godaddy_g2},
        .quic_share = 0.0,
-       .https_share = 0.0160,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
                 .max_sans = 4,
@@ -404,7 +389,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .display = "Sectigo RSA DV + USERTrust + COMODO root (superfluous anchor)",
        .parents = {sectigo_dv, usertrust_root, comodo_root},
        .quic_share = 0.0,
-       .https_share = 0.0155,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
                 .max_sans = 4,

@@ -47,8 +47,6 @@ struct chain_profile {
   std::vector<std::shared_ptr<const x509::certificate>> parents;
   /// Share of QUIC services using this chain (Fig. 7a), fraction.
   double quic_share = 0.0;
-  /// Share of HTTPS-only services using this chain (Fig. 7b), fraction.
-  double https_share = 0.0;
   leaf_profile leaf;
   /// ML-DSA twins of `parents` (same hierarchy and served order), used
   /// when issuing under x509::pq_profile::pqc_full. Built by make()

@@ -32,14 +32,14 @@ enum class algorithm : std::uint16_t {
 /// fragments); `ca::ecosystem::compression_dictionary()` builds one.
 class codec {
  public:
-  /// Creates a codec; `dictionary` may be empty (pure self-referential
-  /// compression, as with plain zlib).
-  explicit codec(algorithm a, bytes dictionary = {});
+  /// Creates a codec that borrows `dictionary`: whoever owns it (the
+  /// `internet::model`, a study) must outlive the codec. It may be
+  /// empty (pure self-referential compression, as with plain zlib).
+  explicit codec(algorithm a, bytes_view dictionary = {});
+  /// A temporary dictionary would dangle once the constructor returns.
+  codec(algorithm a, bytes&& dictionary) = delete;
 
   [[nodiscard]] algorithm alg() const noexcept { return alg_; }
-  [[nodiscard]] const bytes& dictionary() const noexcept {
-    return dictionary_;
-  }
 
   /// Compresses a certificate-chain payload.
   [[nodiscard]] bytes compress(bytes_view input) const;
@@ -53,7 +53,7 @@ class codec {
 
  private:
   algorithm alg_;
-  bytes dictionary_;
+  bytes_view dictionary_;
   lz_params params_;
 };
 

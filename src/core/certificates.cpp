@@ -199,7 +199,6 @@ corpus_result analyze_corpus(const internet::model& m,
 
         // Fig. 14 (QUIC leaves): SAN byte share vs leaf size.
         if (is_quic) {
-          ++out.leaves_total;
           const std::size_t leaf_size = chain.leaf().sizes.total;
           const double share =
               leaf_size == 0 ? 0.0

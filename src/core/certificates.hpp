@@ -75,7 +75,6 @@ struct corpus_result {
   double https_top10_coverage = 0.0;
 
   // Fig. 14: SAN byte share quadrants over QUIC leaf certificates.
-  std::size_t leaves_total = 0;
   std::size_t quadrant_small_low = 0;   // <=4071 leaf, low SAN share
   std::size_t quadrant_small_high = 0;  // <=4071, SAN share >= p99 line
   std::size_t quadrant_large_high = 0;  // >4071 and high SAN share

@@ -78,8 +78,8 @@ compression_result run_compression_study(const internet::model& m,
       chain_sample.size(), exec,
       [&](std::size_t i) {
         const auto& rec = m.records()[chain_sample[i]];
-        const bytes cert_msg = tls::encode_certificate(internet::fetch_chain(
-            m, opt.chains, rec, internet::fetch_protocol::https));
+        const bytes cert_msg = tls::encode_certificate(
+            m.chain_of(rec, internet::fetch_protocol::https));
         chain_compression result;
         result.plain_size = cert_msg.size();
         for (int a = 0; a < 3; ++a) {

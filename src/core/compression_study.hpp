@@ -6,7 +6,6 @@
 #include <array>
 
 #include "engine/engine.hpp"
-#include "internet/chain_cache.hpp"
 #include "internet/model.hpp"
 #include "stats/cdf.hpp"
 
@@ -17,8 +16,6 @@ struct compression_options {
   std::size_t max_chains = 2000;
   /// QUIC services to probe with a compression-capable client.
   std::size_t max_probes = 300;
-  /// Optional shared materialization cache (see corpus_options::chains).
-  const internet::chain_cache* chains = nullptr;
 };
 
 struct compression_result {

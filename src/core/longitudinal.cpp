@@ -26,19 +26,13 @@ epoch_delta delta_between(const epoch_aggregate& prev,
     d.class_delta[c] =
         cur.class_delta(prev, static_cast<scan::handshake_class>(c));
   }
-  d.record_delta = static_cast<long long>(cur.records) -
-                   static_cast<long long>(prev.records);
-  const auto q = [](const stats::sample_set& s, double quantile) {
-    return s.empty() ? 0.0 : s.quantile(quantile);
+  const auto median = [](const stats::sample_set& s) {
+    return s.empty() ? 0.0 : s.quantile(0.5);
   };
-  d.amplification_median_delta = q(cur.first_burst_amplification, 0.5) -
-                                 q(prev.first_burst_amplification, 0.5);
-  d.amplification_p95_delta = q(cur.first_burst_amplification, 0.95) -
-                              q(prev.first_burst_amplification, 0.95);
-  d.certificate_median_delta = q(cur.certificate_msg_sizes, 0.5) -
-                               q(prev.certificate_msg_sizes, 0.5);
-  d.certificate_p95_delta = q(cur.certificate_msg_sizes, 0.95) -
-                            q(prev.certificate_msg_sizes, 0.95);
+  d.amplification_median_delta = median(cur.first_burst_amplification) -
+                                 median(prev.first_burst_amplification);
+  d.certificate_median_delta =
+      median(cur.certificate_msg_sizes) - median(prev.certificate_msg_sizes);
   return d;
 }
 

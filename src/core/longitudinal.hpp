@@ -59,11 +59,8 @@ class epoch_aggregate_sink final
 /// Epoch-over-epoch movement between two aggregates.
 struct epoch_delta {
   std::array<long long, kClassCount> class_delta{};
-  long long record_delta = 0;
   double amplification_median_delta = 0.0;
-  double amplification_p95_delta = 0.0;
   double certificate_median_delta = 0.0;
-  double certificate_p95_delta = 0.0;
 
   [[nodiscard]] long long class_shift(scan::handshake_class c) const {
     return class_delta[static_cast<std::size_t>(c)];

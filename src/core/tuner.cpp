@@ -43,11 +43,7 @@ tuner_result run_tuner_study(const internet::model& m,
                              std::size_t max_services,
                              const engine::options& exec) {
   tuner_result out;
-  // Both visits of a service serve the same chain: memoize the
-  // materialization so the repeat visit re-simulates the handshake but
-  // not the issuance. Pure memoization — results are bit-identical.
-  const internet::chain_cache chains{m};
-  const scan::reach prober{m, &chains};
+  const scan::reach prober{m};
 
   // The second visit's Initial size depends on the first visit of the
   // *same* service only, so each service's visit pair is an independent
@@ -58,11 +54,16 @@ tuner_result run_tuner_study(const internet::model& m,
       sampled.size(), exec,
       [&](std::size_t i) {
         const auto& rec = m.records()[sampled[i]];
+        // Both visits serve the same chain: materialize it once and let
+        // each visit's server borrow it, so the repeat visit
+        // re-simulates the handshake but not the issuance.
+        const x509::chain chain =
+            m.chain_of(rec, internet::fetch_protocol::quic);
 
         // Visit 1: RFC-minimum Initial; learn the server's flight size.
         scan::probe_options first;
         first.initial_size = initial_size_tuner::kMinInitial;
-        const scan::probe_result visit1 = prober.probe(rec, first);
+        const scan::probe_result visit1 = prober.probe(rec, first, chain);
 
         // Visit 2: tuned Initial.
         scan::probe_options second;
@@ -71,7 +72,7 @@ tuner_result run_tuner_study(const internet::model& m,
                 ? initial_size_tuner::recommend_for(
                       visit1.obs.bytes_received_total)
                 : initial_size_tuner::kMinInitial;
-        const scan::probe_result visit2 = prober.probe(rec, second);
+        const scan::probe_result visit2 = prober.probe(rec, second, chain);
 
         visit_pair pair;
         pair.was_multi = visit1.cls == scan::handshake_class::multi_rtt;

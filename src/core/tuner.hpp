@@ -37,9 +37,6 @@ class initial_size_tuner {
   [[nodiscard]] static std::size_t recommend_for(
       std::size_t server_flight_bytes);
 
-  [[nodiscard]] bool knows(const std::string& domain) const {
-    return cache_.contains(domain);
-  }
   [[nodiscard]] std::size_t size() const noexcept { return cache_.size(); }
 
  private:

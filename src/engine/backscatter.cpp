@@ -47,10 +47,11 @@ std::vector<backscatter_outcome> run_world(const backscatter_plan& plan,
     const spoofed_session& session = plan.sessions[i];
     // Fleet endpoints may repeat across sessions (slot reuse); the
     // first session touching an endpoint in this world spawns its
-    // server, later ones attack the existing instance.
+    // server, later ones attack the existing instance. Servers borrow
+    // the session's chain; the plan outlives this world.
     if (spawned.insert(session.server).second) {
       servers.push_back(std::make_unique<quic::server>(
-          sim, session.server, session.chain, session.behavior,
+          sim, session.server, &session.chain, session.behavior,
           plan.dictionary, session.seed ^ 0x5e4));
     }
     quic::client_config config;

@@ -4,23 +4,6 @@
 
 namespace certquic::http {
 
-std::int64_t collector::follow_redirects(std::size_t index) const {
-  const auto& records = model_.records();
-  std::size_t current = index;
-  for (std::size_t hop = 0; hop <= kMaxRedirects; ++hop) {
-    const auto& rec = records[current];
-    if (!rec.serves_tls()) {
-      return -1;
-    }
-    if (rec.redirect_to < 0 ||
-        static_cast<std::size_t>(rec.redirect_to) == current) {
-      return static_cast<std::int64_t>(current);
-    }
-    current = static_cast<std::size_t>(rec.redirect_to);
-  }
-  return -1;  // redirect loop / too deep
-}
-
 collection_stats collector::collect_all(const chain_sink& sink) const {
   collection_stats stats;
   const auto& records = model_.records();

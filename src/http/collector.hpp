@@ -42,10 +42,6 @@ class collector {
   /// Collects certificates for every name; `sink` may be empty.
   [[nodiscard]] collection_stats collect_all(const chain_sink& sink = {}) const;
 
-  /// Resolves the final record index a name lands on after redirects,
-  /// or -1 when the redirect chain leaves TLS or loops out.
-  [[nodiscard]] std::int64_t follow_redirects(std::size_t index) const;
-
  private:
   const internet::model& model_;
 };

@@ -1,10 +1,12 @@
 // Thread-safe memoization of model::chain_of, keyed by (record, fetch
 // protocol, chain profile). Chain materialization — synthetic issuance
-// plus DER encoding — is the hot path of repeat-visit drivers (the
-// tuner probes every service twice) and of combined corpus/compression
-// drivers that walk the same TLS sample. The executor does not use it:
-// a multi-variant plan fills its own read-only chain table before its
-// probe pass, so its probes take no lock (engine/engine.cpp).
+// plus DER encoding — is the hot path of a driver that walks the same
+// TLS sample more than once; certbench's corpus workload sets
+// corpus_options::chains, and scan::reach takes one for repeat visits.
+// Neither the executor nor the tuner uses it: a multi-variant plan
+// fills its own read-only chain table before its probe pass
+// (engine/engine.cpp), and the tuner materializes each service's
+// chain once for both of its visits, so their probes take no lock.
 // Since chain_of is a pure function of the key, concurrent misses may
 // race to materialize the same chain; every racer produces identical
 // bytes, so the first insert wins and all callers observe the same
@@ -34,8 +36,6 @@ class chain_cache {
   [[nodiscard]] std::shared_ptr<const x509::chain> chain_of(
       const service_record& rec, fetch_protocol proto,
       x509::pq_profile pq = x509::pq_profile::classical) const;
-
-  [[nodiscard]] const model& population() const noexcept { return model_; }
 
   /// Distinct chains held.
   [[nodiscard]] std::size_t size() const;

@@ -58,7 +58,6 @@ void simulator::deliver(const datagram& d) {
     return;
   }
   ++stats_.delivered;
-  stats_.bytes_delivered += d.payload.size();
   it->second(d);
 }
 

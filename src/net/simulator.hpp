@@ -86,7 +86,6 @@ struct traffic_stats {
   std::uint64_t dropped_oversize = 0;
   std::uint64_t dropped_loss = 0;
   std::uint64_t dropped_unroutable = 0;
-  std::uint64_t bytes_delivered = 0;
 };
 
 /// The event-driven fabric. Endpoints attach handlers keyed by their

@@ -10,7 +10,6 @@ using time_point = std::uint64_t;
 /// Microsecond duration.
 using duration = std::uint64_t;
 
-inline constexpr duration microseconds(std::uint64_t n) { return n; }
 inline constexpr duration milliseconds(std::uint64_t n) { return n * 1000; }
 inline constexpr duration seconds(std::uint64_t n) { return n * 1000000; }
 

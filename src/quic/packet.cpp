@@ -303,8 +303,6 @@ datagram_accounting account_datagram(bytes_view payload) {
     acc.padding += fa.padding;
     acc.stream_payload += fa.stream_payload;
     acc.has_initial |= p.type == packet_type::initial;
-    acc.has_handshake |= p.type == packet_type::handshake;
-    acc.has_retry |= p.type == packet_type::retry;
   }
   return acc;
 }

@@ -139,13 +139,6 @@ struct datagram_accounting {
   std::size_t padding = 0;         // PADDING bytes
   std::size_t stream_payload = 0;  // application STREAM bytes
   bool has_initial = false;
-  bool has_handshake = false;
-  bool has_retry = false;
-
-  /// Everything that is not TLS payload: headers, ACKs, padding, tags.
-  [[nodiscard]] std::size_t quic_overhead() const noexcept {
-    return total - crypto_payload;
-  }
 };
 [[nodiscard]] datagram_accounting account_datagram(bytes_view payload);
 

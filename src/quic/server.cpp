@@ -224,7 +224,6 @@ void server::handle_client_initial(connection& c, const packet& p) {
     // A Retry consumes the connection attempt: the client will come
     // back with the token in a fresh Initial.
     bytes wire = encode_packet(retry);
-    ++stats_.retries_sent;
     ++stats_.datagrams_sent;
     stats_.bytes_sent += wire.size();
     sim_.send({address_, c.peer, std::move(wire)});
@@ -252,8 +251,7 @@ void server::handle_client_initial(connection& c, const packet& p) {
       const auto offered = tls::parse_offered_compression(crypto_payload);
       for (const auto alg : behavior_.compression_support) {
         if (std::find(offered.begin(), offered.end(), alg) != offered.end()) {
-          codec = std::make_unique<compress::codec>(
-              alg, bytes(codec_dictionary_.begin(), codec_dictionary_.end()));
+          codec = std::make_unique<compress::codec>(alg, codec_dictionary_);
           break;
         }
       }
@@ -507,7 +505,6 @@ void server::retransmit(connection& c) {
     return;  // give up; connection idles out
   }
   ++c.retransmissions;
-  ++stats_.retransmission_flights;
 
   // Resend everything transmitted so far (unconfirmed Initial +
   // Handshake data), as observed for real deployments.

@@ -17,10 +17,8 @@ namespace certquic::quic {
 /// Aggregated server-side counters (all connections).
 struct server_stats {
   std::uint64_t connections = 0;
-  std::uint64_t retries_sent = 0;
   std::uint64_t datagrams_sent = 0;
   std::uint64_t bytes_sent = 0;
-  std::uint64_t retransmission_flights = 0;
   /// Flights the amplification limit held back until validation — the
   /// budget gating *when* bytes go out, not just whether (the stall is
   /// the round trip the multi-RTT timelines pay).

@@ -49,7 +49,7 @@ qscan_result qscanner::parse(const quic::observation& obs) {
     const bytes_view der = list.raw(cert_len);
     const std::uint16_t ext_len = list.u16();
     list.skip(ext_len);
-    out.certificates.push_back({serial_of(der), der.size()});
+    out.certificates.push_back({serial_of(der)});
     out.chain_wire_size += der.size();
   }
   out.ok = !out.certificates.empty();

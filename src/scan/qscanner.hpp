@@ -13,7 +13,6 @@ namespace certquic::scan {
 /// Summary of one certificate delivered over QUIC.
 struct fetched_certificate {
   std::string serial_hex;
-  std::size_t der_size = 0;
 };
 
 /// Result of one QUIC certificate fetch.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/text_table.hpp"
 
 namespace certquic::stats {
 
@@ -51,13 +50,6 @@ void sample_set::add(double x) {
   CERTQUIC_ASSERT(readers_.load(std::memory_order_acquire) == 0,
                   kMutateDuringRead);
   samples_.push_back(x);
-  sorted_.store(false, std::memory_order_relaxed);
-}
-
-void sample_set::add_all(const std::vector<double>& xs) {
-  CERTQUIC_ASSERT(readers_.load(std::memory_order_acquire) == 0,
-                  kMutateDuringRead);
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
   sorted_.store(false, std::memory_order_relaxed);
 }
 
@@ -140,44 +132,5 @@ std::vector<cdf_point> sample_set::cdf_series(std::size_t points) const {
   }
   return out;
 }
-
-std::string sample_set::quantile_line() const {
-  if (samples_.empty()) {
-    return "(empty)";
-  }
-  std::string out;
-  for (const double q : {0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 1.0}) {
-    if (!out.empty()) {
-      out += "  ";
-    }
-    out += "p" + std::to_string(static_cast<int>(q * 100)) + "=" +
-           certquic::fixed(quantile(q), 1);
-  }
-  return out;
-}
-
-histogram::histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins) {
-  if (bins == 0 || !(hi > lo)) {
-    throw std::logic_error("histogram: invalid range or bin count");
-  }
-}
-
-void histogram::add(double x, double weight) {
-  auto idx = static_cast<long>(std::floor((x - lo_) / width_));
-  idx = std::clamp(idx, 0L, static_cast<long>(counts_.size()) - 1L);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double histogram::count(std::size_t i) const { return counts_.at(i); }
 
 }  // namespace certquic::stats

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -23,7 +22,7 @@ struct cdf_point {
 /// Samples are sorted lazily on first query; adding after a query is
 /// allowed and re-sorts on the next query.
 ///
-/// Thread-safety contract: mutation (add/add_all/reserve) is
+/// Thread-safety contract: mutation (add/reserve) is
 /// single-threaded, like any container. Const queries are safe to call
 /// concurrently — the lazy sort is guarded, so the first query from
 /// any thread sorts exactly once and later queries are pure reads.
@@ -45,8 +44,6 @@ class sample_set {
 
   /// Adds one observation.
   void add(double x);
-  /// Adds many observations.
-  void add_all(const std::vector<double>& xs);
   /// Pre-allocates capacity for `n` total samples; hot aggregation
   /// paths call this once with the planned probe count so large sweeps
   /// do not pay reallocation churn per add().
@@ -77,9 +74,6 @@ class sample_set {
   /// Evenly spaced CDF series with `points` entries (by quantile), e.g.
   /// for printing figure data. Always includes min and max.
   [[nodiscard]] std::vector<cdf_point> cdf_series(std::size_t points) const;
-
-  /// Renders "p10 p25 p50 p75 p90 p99 max" on one line for quick reports.
-  [[nodiscard]] std::string quantile_line() const;
 
  private:
   void ensure_sorted() const;
@@ -112,29 +106,6 @@ class sample_set {
   /// sorted_ touch samples_ without locking.
   mutable std::mutex sort_mutex_;
   mutable std::atomic<bool> sorted_{true};
-};
-
-/// Fixed-width histogram over [lo, hi) used for binned figures
-/// (e.g. handshake classes per Initial size).
-class histogram {
- public:
-  /// Creates `bins` equal-width buckets covering [lo, hi).
-  histogram(double lo, double hi, std::size_t bins);
-
-  /// Adds an observation; out-of-range values clamp to the edge buckets.
-  void add(double x, double weight = 1.0);
-
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] double count(std::size_t i) const;
-  [[nodiscard]] double total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
 };
 
 }  // namespace certquic::stats

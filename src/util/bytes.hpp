@@ -27,11 +27,6 @@ inline void append(bytes& dst, std::string_view src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
-/// Builds a byte sequence from the raw characters of `src`.
-inline bytes to_bytes(std::string_view src) {
-  return bytes{src.begin(), src.end()};
-}
-
 /// Constant-size zero padding appended to `dst`.
 inline void append_zeros(bytes& dst, std::size_t n) {
   dst.insert(dst.end(), n, std::uint8_t{0});

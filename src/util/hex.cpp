@@ -1,24 +1,9 @@
 #include "util/hex.hpp"
 
-#include "util/errors.hpp"
-
 namespace certquic {
 namespace {
 
 constexpr char kDigits[] = "0123456789abcdef";
-
-int nibble(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
-  }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
-  }
-  if (c >= 'A' && c <= 'F') {
-    return c - 'A' + 10;
-  }
-  throw codec_error(std::string("invalid hex character: ") + c);
-}
 
 }  // namespace
 
@@ -28,35 +13,6 @@ std::string to_hex(bytes_view data) {
   for (const std::uint8_t b : data) {
     out.push_back(kDigits[b >> 4]);
     out.push_back(kDigits[b & 0x0f]);
-  }
-  return out;
-}
-
-std::string to_hex_colon(bytes_view data) {
-  std::string out;
-  if (data.empty()) {
-    return out;
-  }
-  out.reserve(data.size() * 3 - 1);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (i != 0) {
-      out.push_back(':');
-    }
-    out.push_back(kDigits[data[i] >> 4]);
-    out.push_back(kDigits[data[i] & 0x0f]);
-  }
-  return out;
-}
-
-bytes from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    throw codec_error("hex string has odd length");
-  }
-  bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    out.push_back(static_cast<std::uint8_t>((nibble(hex[i]) << 4) |
-                                            nibble(hex[i + 1])));
   }
   return out;
 }

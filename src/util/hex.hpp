@@ -2,7 +2,6 @@
 #pragma once
 
 #include <string>
-#include <string_view>
 
 #include "util/bytes.hpp"
 
@@ -10,12 +9,5 @@ namespace certquic {
 
 /// Lower-case hex string of `data` ("" for empty input).
 [[nodiscard]] std::string to_hex(bytes_view data);
-
-/// Colon-separated hex (e.g. "01:74:ca:7e") as used in certificate dumps.
-[[nodiscard]] std::string to_hex_colon(bytes_view data);
-
-/// Parses a lower/upper-case hex string. Throws codec_error on odd length
-/// or non-hex characters.
-[[nodiscard]] bytes from_hex(std::string_view hex);
 
 }  // namespace certquic

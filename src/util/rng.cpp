@@ -83,10 +83,6 @@ double rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double rng::log_normal(double mu, double sigma) noexcept {
-  return std::exp(normal(mu, sigma));
-}
-
 double rng::pareto(double lo, double hi, double alpha) {
   if (!(lo > 0.0) || hi < lo || !(alpha > 0.0)) {
     throw config_error("rng::pareto: invalid parameters");

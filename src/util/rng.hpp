@@ -45,10 +45,6 @@ class rng {
   /// Standard normal via Box-Muller.
   [[nodiscard]] double normal(double mean = 0.0, double stddev = 1.0) noexcept;
 
-  /// Log-normal draw: exp(normal(mu, sigma)). Used for heavy-tailed
-  /// certificate-size jitter.
-  [[nodiscard]] double log_normal(double mu, double sigma) noexcept;
-
   /// Bounded Pareto draw over [lo, hi] with tail index `alpha`.
   /// Used for SAN counts ("cruise-liner" certificates) and similar
   /// heavy-tailed count distributions.

@@ -154,11 +154,6 @@ void encode_signature_algorithm_body(asn1::der_writer& w,
 
 }  // namespace
 
-bool is_post_quantum(key_algorithm a) noexcept {
-  return a == key_algorithm::mldsa_44 || a == key_algorithm::mldsa_65 ||
-         a == key_algorithm::mldsa_87;
-}
-
 const std::array<pq_profile, 3>& all_pq_profiles() noexcept {
   static const std::array<pq_profile, 3> profiles = {
       pq_profile::classical, pq_profile::pqc_leaf, pq_profile::pqc_full};

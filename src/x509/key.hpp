@@ -42,9 +42,6 @@ enum class signature_algorithm {
   mldsa_87,         // ML-DSA-87: 4627-byte signature
 };
 
-/// True for the ML-DSA key classes.
-[[nodiscard]] bool is_post_quantum(key_algorithm a) noexcept;
-
 /// Which certificates of a served chain carry post-quantum material —
 /// the chain-profile sweep axis of the PQC what-if study. `classical`
 /// is the default everywhere and reproduces today's chains byte for

@@ -28,8 +28,6 @@ inline const asn1::oid ml_dsa_87{2, 16, 840, 1, 101, 3, 4, 3, 19};
 
 // --- Signature algorithms ---
 inline const asn1::oid sha256_with_rsa{1, 2, 840, 113549, 1, 1, 11};
-inline const asn1::oid sha384_with_rsa{1, 2, 840, 113549, 1, 1, 12};
-inline const asn1::oid sha512_with_rsa{1, 2, 840, 113549, 1, 1, 13};
 inline const asn1::oid ecdsa_with_sha256{1, 2, 840, 10045, 4, 3, 2};
 inline const asn1::oid ecdsa_with_sha384{1, 2, 840, 10045, 4, 3, 3};
 

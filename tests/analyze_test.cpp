@@ -5,9 +5,11 @@
 //      literals and digit separators are blanked exactly as promised;
 //      preprocessor directives are only seen outside comments.
 //   2. Fixture trees — tests/analyze_fixtures/{clean,upward,cycle,
-//      hygiene,drift} each pin an EXACT finding set (zero findings,
-//      one upward edge, one cycle, three hygiene violations, two
-//      drift directions).
+//      hygiene,drift,unused} each pin an EXACT finding set (zero
+//      findings, one upward edge, one cycle, three hygiene violations,
+//      two drift directions, three unused exports). Each tree is a
+//      small repo: src/ plus an examples/ driver that uses its API, and
+//      for `unused` a tests/ directory too.
 //   3. Real tree — src/ must analyze clean against tools/layers.txt
 //      and tools/lint_waivers.txt (the same gate verify.sh runs), the
 //      spec's module set must match the src/ module directories in
@@ -156,6 +158,28 @@ TEST(AnalyzeFixtures, HygieneViolationsAreExact) {
                 {"mod/late.cpp", 1, "self-contained"},
                 {"mod/nopragma.hpp", 1, "pragma-once"},
             }));
+}
+
+TEST(AnalyzeFixtures, UnusedExportsAreExact) {
+  // mod/api.hpp exports a used function, an unused one, a test-only
+  // one, one only examples/ calls, and a struct whose second field is
+  // only written. The used and the driver-only names are not reported.
+  const analysis_result r = analyze_fixture("unused");
+  EXPECT_EQ(keys(r.findings),
+            (std::vector<std::tuple<std::string, std::size_t, std::string>>{
+                {"mod/api.hpp", 6, "unused-export"},
+                {"mod/api.hpp", 7, "unused-export"},
+                {"mod/api.hpp", 12, "unused-export"},
+            }));
+  ASSERT_EQ(r.findings.size(), 3u);
+  EXPECT_NE(r.findings[0].message.find("'unused_function' (function)"),
+            std::string::npos);
+  EXPECT_EQ(r.findings[0].message.find("test-only"), std::string::npos);
+  EXPECT_NE(r.findings[1].message.find("'test_only' (function) is test-only"),
+            std::string::npos);
+  EXPECT_NE(r.findings[2].message.find("'written_only' (field)"),
+            std::string::npos);
+  EXPECT_EQ(r.findings[2].message.find("test-only"), std::string::npos);
 }
 
 TEST(AnalyzeFixtures, DriftIsReportedInBothDirections) {

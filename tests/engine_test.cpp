@@ -332,7 +332,6 @@ std::vector<std::pair<std::string, std::string>> corpus_fields(
   add("https_rows", rows(r.https_rows));
   add("quic_top10_coverage", full(r.quic_top10_coverage));
   add("https_top10_coverage", full(r.https_top10_coverage));
-  add("leaves_total", std::to_string(r.leaves_total));
   add("quadrant_small_low", std::to_string(r.quadrant_small_low));
   add("quadrant_small_high", std::to_string(r.quadrant_small_high));
   add("quadrant_large_high", std::to_string(r.quadrant_large_high));

@@ -42,21 +42,6 @@ TEST_F(CollectorTest, SinkSeesEveryTlsNameOnce) {
   EXPECT_EQ(sink_calls, stats.names_covered);
 }
 
-TEST_F(CollectorTest, RedirectResolutionTerminates) {
-  const auto& m = shared();
-  const collector c{m};
-  for (std::size_t i = 0; i < m.records().size(); ++i) {
-    if (!m.records()[i].serves_tls()) {
-      continue;
-    }
-    const std::int64_t target = c.follow_redirects(i);
-    if (target >= 0) {
-      const auto& final_rec = m.records()[static_cast<std::size_t>(target)];
-      EXPECT_TRUE(final_rec.serves_tls());
-    }
-  }
-}
-
 TEST_F(CollectorTest, CollectionIsDeterministic) {
   const collector c{shared()};
   const auto a = c.collect_all();

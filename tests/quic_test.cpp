@@ -242,7 +242,6 @@ TEST(Packet, DatagramRoundTripWithCoalescing) {
   EXPECT_EQ(acc.total, wire.size());
   EXPECT_EQ(acc.crypto_payload, 1020u);
   EXPECT_TRUE(acc.has_initial);
-  EXPECT_TRUE(acc.has_handshake);
 }
 
 TEST(Packet, RetryRoundTrip) {

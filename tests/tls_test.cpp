@@ -136,8 +136,8 @@ TEST_F(TlsTest, CertificateMessageMatchesChainSize) {
 
 TEST_F(TlsTest, CompressedCertificateShrinksChain) {
   const auto chain = make_chain("le-r3-x1cross");
-  const compress::codec codec{compress::algorithm::brotli,
-                              eco_.compression_dictionary()};
+  const bytes dictionary = eco_.compression_dictionary();
+  const compress::codec codec{compress::algorithm::brotli, dictionary};
   const bytes plain = encode_certificate(chain);
   const bytes compressed = encode_compressed_certificate(chain, codec);
   EXPECT_EQ(peek_frame(compressed).type,
@@ -196,8 +196,8 @@ TEST_F(TlsTest, FlightSizeDominatedByCertificate) {
 
 TEST_F(TlsTest, CompressedFlightFitsAmplificationBudget) {
   const auto chain = make_chain("le-r3-x1cross");
-  const compress::codec codec{compress::algorithm::brotli,
-                              eco_.compression_dictionary()};
+  const bytes dictionary = eco_.compression_dictionary();
+  const compress::codec codec{compress::algorithm::brotli, dictionary};
   const auto plain = build_server_flight(chain, nullptr, rng_);
   const auto packed = build_server_flight(chain, &codec, rng_);
   // §4.2: compression keeps 99% of chains under 3x1357 = 4071 bytes.
@@ -279,8 +279,8 @@ TEST_F(TlsTest, EncoderBytesArePinned) {
                        return encode_certificate_verify(alg, r);
                      }));
   }
-  const compress::codec brotli{compress::algorithm::brotli,
-                               eco_.compression_dictionary()};
+  const bytes dictionary = eco_.compression_dictionary();
+  const compress::codec brotli{compress::algorithm::brotli, dictionary};
   for (const auto pq :
        {x509::pq_profile::classical, x509::pq_profile::pqc_full}) {
     rng issue_rng{8};

@@ -89,22 +89,10 @@ TEST(BufferReader, PeekDoesNotConsume) {
   EXPECT_EQ(r.remaining(), 1u);
 }
 
-TEST(Hex, RoundTrip) {
+TEST(Hex, LowerCaseDigits) {
   const bytes data = {0x00, 0x01, 0xab, 0xff};
   EXPECT_EQ(to_hex(data), "0001abff");
-  EXPECT_EQ(from_hex("0001abff"), data);
-  EXPECT_EQ(from_hex("0001ABFF"), data);
-}
-
-TEST(Hex, ColonSeparated) {
-  const bytes data = {0x01, 0x74, 0xca, 0x7e};
-  EXPECT_EQ(to_hex_colon(data), "01:74:ca:7e");
-  EXPECT_EQ(to_hex_colon(bytes{}), "");
-}
-
-TEST(Hex, RejectsInvalidInput) {
-  EXPECT_THROW(from_hex("abc"), codec_error);
-  EXPECT_THROW(from_hex("zz"), codec_error);
+  EXPECT_EQ(to_hex(bytes{}), "");
 }
 
 TEST(Rng, DeterministicForSameSeed) {

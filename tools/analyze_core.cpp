@@ -572,6 +572,554 @@ void check_hygiene(const std::vector<loaded_file>& files,
   }
 }
 
+// ---------------------------------------------------------- unused-export
+
+/// One token of a unit's blanked code view; preprocessor lines are
+/// skipped, so `#define` bodies and include paths are never names.
+struct token {
+  std::string text;
+  std::size_t line = 0;  // 1-based
+};
+
+bool is_ident(const std::string& text) {
+  return !text.empty() && ident_char(text[0]) &&
+         std::isdigit(static_cast<unsigned char>(text[0])) == 0 &&
+         cpp_keywords().count(text) == 0;
+}
+
+std::vector<token> tokenize(const scanned_file& scan) {
+  static const std::vector<std::string> multi = {
+      "<<=", ">>=", "::", "->", "++", "--", "==", "!=", "<=", "+=",
+      "-=",  "*=",  "/=", "%=", "&=", "|=", "^=", "&&", "||", "<<"};
+  std::vector<token> out;
+  bool continued = false;  // inside a directive continued with '\'
+  for (std::size_t n = 0; n < scan.code_lines.size(); ++n) {
+    const std::string& line = scan.code_lines[n];
+    const std::size_t lead = line.find_first_not_of(" \t");
+    const bool directive =
+        continued || (lead != std::string::npos && line[lead] == '#');
+    continued = directive && !line.empty() && line.back() == '\\';
+    if (directive) {
+      continue;
+    }
+    for (std::size_t i = 0; i < line.size();) {
+      if (std::isspace(static_cast<unsigned char>(line[i])) != 0) {
+        ++i;
+        continue;
+      }
+      std::size_t len = 1;
+      if (ident_char(line[i])) {  // identifiers and numbers
+        while (i + len < line.size() && ident_char(line[i + len])) {
+          ++len;
+        }
+      } else {
+        for (const std::string& p : multi) {
+          if (line.compare(i, p.size(), p) == 0) {
+            len = p.size();
+            break;
+          }
+        }
+      }
+      out.push_back({line.substr(i, len), n + 1});
+      i += len;
+    }
+  }
+  return out;
+}
+
+/// A name a src/<module>/*.hpp exports.
+struct export_decl {
+  std::string name;
+  std::string kind;  // function, member function, field, variable,
+                     // enumerator, type
+  std::size_t unit = 0;
+  std::size_t token = 0;
+};
+
+/// What the rule knows about one unit's tokens.
+struct unit_facts {
+  std::vector<token> tokens;
+  /// The declared name of a namespace- or class-level statement, or a
+  /// qualifier of it (`histogram` and `add` in `void histogram::add(`).
+  std::vector<bool> def_site;
+  /// Classes whose body, or whose out-of-line member definition,
+  /// encloses the token: a type naming itself there is not a use.
+  std::vector<std::vector<std::string>> owners;
+};
+
+/// Walks one unit's namespace, class, enum and body scopes, marking
+/// definition sites and owners and, when `exports` is set, collecting
+/// the public names the unit declares. It is a brace-and-statement
+/// walk, not a parser: declarations it cannot read yield no name, so
+/// the rule stays quiet about them.
+class scope_walker {
+ public:
+  scope_walker(unit_facts& unit, std::size_t index, bool exports,
+               std::vector<export_decl>& decls)
+      : u_(unit), t_(unit.tokens), index_(index), decls_(decls) {
+    u_.def_site.assign(t_.size(), false);
+    u_.owners.assign(t_.size(), {});
+    stack_.push_back({kind::ns, "", exports, true, false, 0, 0});
+  }
+
+  void run() {
+    for (std::size_t i = 0; i < t_.size(); ++i) {
+      const std::string& tok = t_[i].text;
+      if (is_ident(tok)) {
+        u_.owners[i] = owners_;
+      }
+      scope& top = stack_.back();
+      if (top.k == kind::body) {
+        if (tok == "{") {
+          stack_.push_back({kind::body, "", false, true, false, 0, 0});
+        } else if (tok == "}") {
+          close(i);
+        }
+        continue;
+      }
+      if (tok == "(" || tok == "[" || (top.k == kind::enm && tok == "{")) {
+        ++depth_;
+        continue;
+      }
+      if (tok == ")" || tok == "]" || (depth_ > 0 && tok == "}")) {
+        --depth_;
+        continue;
+      }
+      if (depth_ > 0) {
+        if (tok == "{") {  // a lambda in a default argument
+          stack_.push_back({kind::body, "", false, true, false, 0, 0});
+        }
+        continue;
+      }
+      if (top.k == kind::enm) {
+        if (tok == "}") {
+          close(i);
+        } else if (tok == ",") {
+          expect_enumerator_ = true;
+        } else if (expect_enumerator_ && is_ident(tok)) {
+          expect_enumerator_ = false;
+          u_.def_site[i] = true;
+          if (top.exported) {
+            decls_.push_back({tok, "enumerator", index_, i});
+          }
+        }
+        continue;
+      }
+      if (top.k == kind::cls && i + 1 < t_.size() && t_[i + 1].text == ":" &&
+          (tok == "public" || tok == "private" || tok == "protected")) {
+        top.is_public = tok == "public";
+        reset(i + 2);
+        ++i;
+      } else if (tok == ";") {
+        if (!type_body_) {
+          finish(begin_, i, false);
+        }
+        reset(i + 1);
+      } else if (tok == "}") {
+        close(i);
+      } else if (tok == "{") {
+        open(i);
+      }
+    }
+  }
+
+ private:
+  enum class kind { ns, cls, enm, body };
+  struct scope {
+    kind k;
+    std::string name;        // the class name of a cls scope
+    bool exported;           // its public declarations are API
+    bool is_public;          // current access (cls)
+    bool ends_statement;     // a function body
+    std::size_t resume = 0;  // the statement a class or enum body sits in
+    std::size_t owners = 0;  // names this scope pushed onto owners_
+  };
+
+  void reset(std::size_t next) {
+    begin_ = next;
+    depth_ = 0;
+    type_body_ = false;
+  }
+
+  void close(std::size_t i) {
+    if (stack_.size() == 1) {
+      return;  // unbalanced; stay at file scope
+    }
+    const scope s = stack_.back();
+    stack_.pop_back();
+    owners_.resize(owners_.size() - s.owners);
+    if (s.k == kind::cls || s.k == kind::enm) {
+      begin_ = s.resume;  // `struct x {...} var;` ends at the `;`
+      depth_ = 0;
+      type_body_ = true;
+    } else if (s.k == kind::ns || s.ends_statement) {
+      reset(i + 1);
+    }
+  }
+
+  bool exporting() const {
+    const scope& top = stack_.back();
+    return top.exported && top.is_public;
+  }
+
+  /// Skips `template <...>` headers and `[[...]]` attributes.
+  std::size_t skip_prefix(std::size_t b, std::size_t e) const {
+    while (b < e) {
+      if (t_[b].text == "template" && b + 1 < e && t_[b + 1].text == "<") {
+        int angles = 0;
+        int parens = 0;
+        std::size_t j = b + 1;
+        for (; j < e; ++j) {
+          const std::string& x = t_[j].text;
+          parens += (x == "(") - (x == ")");
+          if (parens == 0) {
+            angles += (x == "<") - (x == ">");
+            if (angles == 0) {
+              break;
+            }
+          }
+        }
+        b = j + 1;
+      } else if (t_[b].text == "[" && b + 1 < e && t_[b + 1].text == "[") {
+        std::size_t j = b;
+        while (j < e && !(t_[j].text == "]" && j + 1 < e &&
+                          t_[j + 1].text == "]")) {
+          ++j;
+        }
+        b = j + 2;
+      } else {
+        break;
+      }
+    }
+    return b;
+  }
+
+  /// The declared name of tokens [b, e): the identifier before the
+  /// first top-level `(` for a function, else the last top-level
+  /// identifier before the initializer. npos for operators, destructors
+  /// and anything unreadable.
+  struct head {
+    std::size_t first = 0;
+    std::size_t name = std::string::npos;
+    bool function = false;
+    bool init = false;  // a top-level `=` precedes any function paren
+  };
+  head read_head(std::size_t b, std::size_t e) const {
+    static const std::set<std::string> group_keywords = {
+        "decltype", "alignas", "noexcept", "sizeof", "alignof",
+        "static_assert", "requires"};
+    head h;
+    h.first = skip_prefix(b, e);
+    int depth = 0;
+    int angles = 0;
+    std::size_t last_ident = std::string::npos;
+    for (std::size_t j = h.first; j < e; ++j) {
+      const std::string& x = t_[j].text;
+      if (x == "operator") {
+        h.function = true;  // an operator has no name the rule tracks
+        return h;
+      }
+      if (depth == 0 && angles == 0) {
+        if (x == "(" && j > h.first && is_ident(t_[j - 1].text) &&
+            group_keywords.count(t_[j - 1].text) == 0) {
+          h.function = true;
+          if (j < 2 || t_[j - 2].text != "~") {  // not a destructor
+            h.name = j - 1;
+          }
+          return h;
+        }
+        if (x == "=" || x == "{" || x == "[" || x == ":" || x == "," ||
+            x == ";") {
+          h.init = x == "=";
+          h.name = last_ident;
+          return h;
+        }
+        if (is_ident(x)) {
+          last_ident = j;
+        }
+      }
+      if (x == "(" || x == "[" || x == "{") {
+        ++depth;
+      } else if (x == ")" || x == "]" || x == "}") {
+        --depth;
+      } else if (depth == 0 && x == "<") {
+        ++angles;
+      } else if (depth == 0 && x == ">" && angles > 0) {
+        --angles;
+      }
+    }
+    h.name = last_ident;
+    return h;
+  }
+
+  /// The qualifiers of the name at `name`: `a` and `b` in `a::b::name`.
+  std::vector<std::size_t> qualifiers(std::size_t first,
+                                      std::size_t name) const {
+    std::vector<std::size_t> out;
+    while (name >= first + 2 && t_[name - 1].text == "::" &&
+           is_ident(t_[name - 2].text)) {
+      name -= 2;
+      out.push_back(name);
+    }
+    return out;
+  }
+
+  /// A namespace- or class-level statement [b, e) ended by `;` or by
+  /// the `{` of its function body.
+  void finish(std::size_t b, std::size_t e, bool has_body) {
+    const std::size_t first = skip_prefix(b, e);
+    if (first >= e) {
+      return;
+    }
+    const std::string& lead = t_[first].text;
+    if (lead == "using") {
+      if (first + 2 < e && is_ident(t_[first + 1].text) &&
+          t_[first + 2].text == "=") {
+        u_.def_site[first + 1] = true;
+        if (exporting()) {
+          decls_.push_back({t_[first + 1].text, "type", index_, first + 1});
+        }
+      }
+      return;
+    }
+    static const std::set<std::string> skipped = {
+        "friend", "typedef", "namespace", "class", "struct",
+        "union",  "enum",    "extern",    "static_assert"};
+    if (skipped.count(lead) != 0) {
+      return;
+    }
+    const head h = read_head(b, e);
+    if (h.name == std::string::npos || h.name == first) {
+      return;  // unreadable, or a lone name (a macro or a constructor)
+    }
+    const std::vector<std::size_t> quals = qualifiers(first, h.name);
+    u_.def_site[h.name] = true;
+    for (const std::size_t q : quals) {
+      u_.def_site[q] = true;
+    }
+    if (has_body && !quals.empty()) {
+      // An out-of-line member: its head and body belong to the class.
+      for (std::size_t j = b; j < e; ++j) {
+        for (const std::size_t q : quals) {
+          u_.owners[j].push_back(t_[q].text);
+        }
+      }
+      for (const std::size_t q : quals) {
+        owners_.push_back(t_[q].text);
+      }
+      stack_.back().owners += quals.size();
+    }
+    const scope& top = stack_[stack_.size() - (has_body ? 2 : 1)];
+    const std::string& name = t_[h.name].text;
+    if (!quals.empty() || !(top.exported && top.is_public) ||
+        name == top.name) {
+      return;  // out-of-line definition, private, or a constructor
+    }
+    const bool member = top.k == kind::cls;
+    decls_.push_back(
+        {name,
+         h.function ? (member ? "member function" : "function")
+                    : (member ? "field" : "variable"),
+         index_, h.name});
+  }
+
+  /// A `{` at namespace or class level: a namespace, class or enum
+  /// body, a function body, or an initializer.
+  void open(std::size_t i) {
+    const std::size_t first = skip_prefix(begin_, i);
+    const std::string lead = first < i ? t_[first].text : "";
+    const scope& top = stack_.back();
+    if (lead == "namespace" || lead == "extern") {
+      const bool named = i > first + 1 && is_ident(t_[i - 1].text);
+      const bool exported =
+          top.exported && named && t_[i - 1].text != "std";
+      stack_.push_back({kind::ns, "", exported, true, false, 0, 0});
+      reset(i + 1);
+      return;
+    }
+    const bool is_class = lead == "class" || lead == "struct" ||
+                          lead == "union";
+    const head h = read_head(begin_, i);
+    if (lead == "enum" || (is_class && !h.function && !h.init)) {
+      std::size_t j = first + 1;
+      if (lead == "enum" && j < i &&
+          (t_[j].text == "class" || t_[j].text == "struct")) {
+        ++j;
+      }
+      j = skip_prefix(j, i);
+      std::string name;
+      if (j < i && is_ident(t_[j].text) &&
+          (j + 1 >= i || t_[j + 1].text != "<")) {  // not a specialization
+        name = t_[j].text;
+        u_.def_site[j] = true;
+        if (exporting()) {
+          decls_.push_back({name, "type", index_, j});
+        }
+      }
+      const bool exported = exporting();
+      stack_.push_back({lead == "enum" ? kind::enm : kind::cls, name,
+                        exported, lead != "class", false, begin_,
+                        name.empty() ? 0u : 1u});
+      if (!name.empty()) {
+        owners_.push_back(name);
+      }
+      expect_enumerator_ = true;
+      reset(i + 1);
+      return;
+    }
+    if (h.function && !h.init) {
+      // Past the parameter list, a ctor-init `:` makes a `{` after a
+      // member name a brace initializer; the body follows `)` or `}`.
+      bool ctor_init = false;
+      int parens = 0;
+      for (std::size_t j = h.name == std::string::npos ? h.first : h.name + 1;
+           j < i; ++j) {
+        const std::string& x = t_[j].text;
+        parens += (x == "(") - (x == ")");
+        ctor_init = ctor_init || (parens == 0 && x == ":");
+      }
+      const std::string& prev = t_[i - 1].text;
+      if (!ctor_init || prev == ")" || prev == "}") {
+        stack_.push_back({kind::body, "", false, true, true, 0, 0});
+        finish(begin_, i, true);
+        return;
+      }
+    }
+    // An initializer: the statement goes on after its closing brace.
+    stack_.push_back({kind::body, "", false, true, false, 0, 0});
+  }
+
+  unit_facts& u_;
+  const std::vector<token>& t_;
+  std::size_t index_;
+  std::vector<export_decl>& decls_;
+  std::vector<scope> stack_;
+  std::vector<std::string> owners_;
+  std::size_t begin_ = 0;
+  int depth_ = 0;
+  bool type_body_ = false;
+  bool expect_enumerator_ = false;
+};
+
+bool is_write(const std::vector<token>& t, std::size_t k) {
+  static const std::set<std::string> assignments = {
+      "=",  "+=", "-=", "*=",  "/=",  "%=", "&=",
+      "|=", "^=", "<<=", ">>=", "++", "--"};
+  if (k + 1 < t.size() && assignments.count(t[k + 1].text) != 0) {
+    return true;
+  }
+  // `++s.count` and `--p->depth` write the member at the end.
+  while (k >= 2 && (t[k - 1].text == "." || t[k - 1].text == "->") &&
+         is_ident(t[k - 2].text)) {
+    k -= 2;
+  }
+  return k >= 1 && (t[k - 1].text == "++" || t[k - 1].text == "--");
+}
+
+/// unused-export: a name a src/<module>/*.hpp declares that nothing
+/// uses. A use is any occurrence other than the declaration, the
+/// definition in the companion .cpp, or a write. Uses count in src/
+/// and in the driver directories beside it (tools/, certbench/,
+/// examples/); a name used only under tests/ is reported test-only.
+void check_exports(const std::vector<loaded_file>& files,
+                   const std::string& root,
+                   std::vector<lint::finding>& out) {
+  enum class origin { src, driver, test };
+  std::filesystem::path top =
+      std::filesystem::absolute(root).lexically_normal();
+  if (top.filename().empty()) {
+    top = top.parent_path();
+  }
+  std::vector<std::pair<loaded_file, origin>> siblings;
+  for (const auto& [dir, where] : {std::pair{"tools", origin::driver},
+                                   std::pair{"certbench", origin::driver},
+                                   std::pair{"examples", origin::driver},
+                                   std::pair{"tests", origin::test}}) {
+    const std::filesystem::path path = top.parent_path() / dir;
+    if (!std::filesystem::is_directory(path)) {
+      continue;
+    }
+    for (const std::string& file : lint::collect_sources(path.string())) {
+      siblings.push_back(
+          {{relativize(file, top.parent_path().string()),
+            scan_source(read_file(file))},
+           where});
+    }
+  }
+
+  struct unit {
+    const loaded_file* file;
+    origin where;
+    unit_facts facts;
+  };
+  std::vector<unit> units;
+  std::map<std::string, std::size_t> src_unit;  // companion lookup
+  for (const loaded_file& f : files) {
+    src_unit[f.relative] = units.size();
+    units.push_back({&f, origin::src, {}});
+  }
+  for (const auto& [f, where] : siblings) {
+    units.push_back({&f, where, {}});
+  }
+  std::vector<export_decl> decls;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    unit& u = units[i];
+    const std::string& rel = u.file->relative;
+    u.facts.tokens = tokenize(u.file->scan);
+    const bool exports = u.where == origin::src && !module_of(rel).empty() &&
+                         rel.size() > 4 &&
+                         rel.compare(rel.size() - 4, 4, ".hpp") == 0;
+    scope_walker{u.facts, i, exports, decls}.run();
+  }
+
+  std::map<std::string, std::vector<std::pair<std::size_t, std::size_t>>>
+      occurrences;
+  for (const export_decl& d : decls) {
+    occurrences[d.name];
+  }
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const std::vector<token>& t = units[i].facts.tokens;
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      const auto it = occurrences.find(t[k].text);
+      if (it != occurrences.end()) {
+        it->second.emplace_back(i, k);
+      }
+    }
+  }
+
+  for (const export_decl& d : decls) {
+    const loaded_file& header = *units[d.unit].file;
+    const auto companion_it = src_unit.find(
+        header.relative.substr(0, header.relative.size() - 4) + ".cpp");
+    const std::size_t companion =
+        companion_it == src_unit.end() ? d.unit : companion_it->second;
+    std::size_t live = 0;
+    std::size_t tested = 0;
+    for (const auto& [i, k] : occurrences.at(d.name)) {
+      const unit_facts& f = units[i].facts;
+      const bool own = i == d.unit || i == companion;
+      if ((own && f.def_site[k]) || is_write(f.tokens, k) ||
+          (own && d.kind == "type" &&
+           std::count(f.owners[k].begin(), f.owners[k].end(), d.name) != 0)) {
+        continue;
+      }
+      ++(units[i].where == origin::test ? tested : live);
+    }
+    if (live != 0) {
+      continue;
+    }
+    const std::size_t line = units[d.unit].facts.tokens[d.token].line;
+    out.push_back(
+        {header.relative, line, "unused-export",
+         "'" + d.name + "' (" + d.kind + ") " +
+             (tested != 0 ? "is test-only: only tests/ use it"
+                          : "has no use outside its declaration, its "
+                            "definition and writes to it") +
+             " — delete it, or waive it with the reason it stays",
+         header.scan.raw_lines[line - 1]});
+  }
+}
+
 }  // namespace
 
 analysis_result analyze_tree(const std::vector<std::string>& files,
@@ -639,6 +1187,7 @@ analysis_result analyze_tree(const std::vector<std::string>& files,
   }
   if (opts.run_hygiene) {
     check_hygiene(loaded, result.findings);
+    check_exports(loaded, root, result.findings);
   }
   std::sort(result.findings.begin(), result.findings.end(),
             [](const lint::finding& a, const lint::finding& b) {

@@ -44,7 +44,23 @@
 //                                include over flagging a live one —
 //                                conservative, and waivable through
 //                                tools/lint_waivers.txt like any lint
-//                                finding.
+//                                finding;
+//              `unused-export`   a name a src/<module>/*.hpp declares
+//                                (free or public member function,
+//                                field, enumerator, constant, type)
+//                                that nothing uses. A use is any
+//                                token occurrence other than the
+//                                declaration, the definition in the
+//                                companion .cpp, or a write (`x =`,
+//                                `x +=`, `++x`, ...). Uses count in
+//                                the scanned files and in the driver
+//                                directories beside --root (tools/,
+//                                certbench/, examples/); a name used
+//                                only under tests/ is reported
+//                                "test-only". Token-level, so a name
+//                                that collides with another
+//                                identifier counts that one's uses and
+//                                is not reported.
 //
 // Findings reuse `lint::finding` and the lint's waiver machinery, so
 // one waiver file governs the whole gate and stale waivers still fail
@@ -119,7 +135,8 @@ struct module_graph {
 struct analysis_options {
   bool run_lint = true;      // the five determinism rules (lint_core)
   bool run_layering = true;  // layer spec conformance + cycles + drift
-  bool run_hygiene = true;   // pragma-once / self-contained / unused-include
+  bool run_hygiene = true;   // pragma-once / self-contained /
+                             // unused-include / unused-export
 };
 
 /// Everything one analysis run produces: unwaived findings (apply
@@ -133,7 +150,10 @@ struct analysis_result {
 /// Analyzes files (absolute paths under `root`). The module drift
 /// check additionally enumerates `root`'s subdirectories, so a module
 /// escapes neither by being left out of the file list nor by being
-/// left out of the spec. Throws config_error on unreadable files.
+/// left out of the spec. unused-export also reads the .hpp/.cpp files
+/// of root's sibling tools/, certbench/, examples/ and tests/
+/// directories, where present. Throws config_error on unreadable
+/// files.
 [[nodiscard]] analysis_result analyze_tree(
     const std::vector<std::string>& files, const std::string& root,
     const layer_spec& spec, const analysis_options& opts);

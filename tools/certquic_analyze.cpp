@@ -8,6 +8,8 @@
 //                    [--self-scan <toolsdir>] [files...]
 //
 // With no file arguments, every .hpp/.cpp under --root is scanned.
+// unused-export also reads the tools/, certbench/, examples/ and
+// tests/ directories beside --root, so it counts the drivers' uses.
 // One run executes all passes — lint + layering + hygiene — with ALL
 // rule ids in waiver scope, so this is also the complete stale-waiver
 // check. --out-dir writes depgraph.json and depgraph.dot there.

@@ -339,6 +339,7 @@ const std::set<std::string>& all_rules() {
     r.insert("pragma-once");
     r.insert("self-contained");
     r.insert("unused-include");
+    r.insert("unused-export");
     return r;
   }();
   return rules;

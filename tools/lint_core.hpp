@@ -49,8 +49,8 @@
 //
 // The waiver machinery is shared with the architecture analyzer
 // (certquic_analyze): its rule ids (layer-upward, layer-cycle,
-// layer-drift, pragma-once, self-contained, unused-include) are valid
-// in the waiver file too, and `apply_waivers` takes the set of rules
+// layer-drift, pragma-once, self-contained, unused-include,
+// unused-export) are valid in the waiver file too, and `apply_waivers` takes the set of rules
 // in scope for the current run so a lint-only run neither consumes
 // nor staleness-flags an analyzer waiver.
 #pragma once
@@ -151,8 +151,9 @@ struct report {
 
 /// Every rule id the toolchain implements: the five lint rules plus
 /// the analyzer's layer-upward / layer-cycle / layer-drift /
-/// pragma-once / self-contained / unused-include (the scope of a full
-/// certquic_analyze run, and what the waiver file may name).
+/// pragma-once / self-contained / unused-include / unused-export (the
+/// scope of a full certquic_analyze run, and what the waiver file may
+/// name).
 [[nodiscard]] const std::set<std::string>& all_rules();
 
 /// True for rule ids the toolchain implements (waiver validation).

@@ -207,9 +207,9 @@ certbench_check() {
 }
 
 # Architecture analyzer over the module-registered sources: layering
-# against tools/layers.txt, IWYU-lite header hygiene, the token-level
-# lint rules and the tools/ nondet-source self-scan, with
-# depgraph.{json,dot} written into build/.
+# against tools/layers.txt, IWYU-lite header hygiene, unused exports,
+# the token-level lint rules and the tools/ nondet-source self-scan,
+# with depgraph.{json,dot} written into build/.
 analyze_check() {
   if cmake --build build --target analyze; then
     echo "OK   analyze: layering + hygiene clean; build/depgraph.json written"
