@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "scan/zmap.hpp"
 #include "util/rng.hpp"
 
 namespace certquic::core {
@@ -15,6 +14,10 @@ struct provider_fleet {
 };
 
 constexpr std::uint64_t kTelescopeSeed = 0xa77ac;
+
+/// Client Initial the telescope study assumes for its amplification
+/// divisor: the paper divides telescope bytes by 1362.
+constexpr std::size_t kAssumedInitial = 1362;
 
 /// Per-session stream separator: pure function of the session's
 /// position in the plan, so shard worlds never share randomness.
@@ -77,7 +80,7 @@ engine::backscatter_plan build_telescope_plan(const internet::model& m,
     session.chain = std::move(chain);
     session.behavior = behavior;
     session.sni = sni;
-    session.initial_size = opt.assumed_initial;
+    session.initial_size = kAssumedInitial;
     session.timeout = net::seconds(400);
     session.seed = session_seed(plan.sessions.size());
     plan.sessions.push_back(std::move(session));
@@ -114,7 +117,7 @@ telescope_result run_telescope_study(const internet::model& m,
       continue;  // the spoofed Initial elicited nothing
     }
     const double factor = static_cast<double>(session.bytes) /
-                          static_cast<double>(opt.assumed_initial);
+                          static_cast<double>(kAssumedInitial);
     // Providers appear only once observed (a silent fleet prints no
     // row); reserve on the first observation.
     stats::sample_set& samples = out.amplification[session.provider];
@@ -135,36 +138,56 @@ std::vector<meta_probe_row> run_meta_scan(const internet::model& m,
                                           bool post_disclosure,
                                           std::size_t repeats,
                                           const engine::options& exec) {
-  std::vector<meta_probe_row> rows;
   const auto pop = m.meta_pop(post_disclosure);
+  // The ZMap scan of §4.3 as a backscatter plan: `repeats` single
+  // 1252-byte Initials, never acknowledged, per QUIC host, each probe in
+  // its own isolated world (sessions_per_shard = 1) so repeats cannot
+  // interact.
+  engine::backscatter_plan plan;
+  plan.sessions_per_shard = 1;
+  plan.sessions.reserve(pop.size() * repeats);
+  for (const auto& host : pop) {
+    if (!host.serves_quic) {
+      continue;
+    }
+    // The chain is a pure function of the host: issue it once, and let
+    // the repeats share its certificates.
+    const x509::chain chain = m.meta_chain(host);
+    for (std::size_t k = 0; k < repeats; ++k) {
+      engine::spoofed_session session;
+      session.server = net::endpoint_id{host.address, 443};
+      session.chain = chain;
+      session.behavior = m.meta_behavior(host);
+      session.sni = host.sni;
+      session.initial_size = 1252;
+      session.timeout = net::seconds(400);
+      session.seed = host.seed + k;
+      plan.sessions.push_back(std::move(session));
+    }
+  }
+
+  const auto outcomes = engine::run_backscatter(plan, exec);
+  std::vector<meta_probe_row> rows;
   rows.reserve(pop.size());
-  // One host (with its probe repeats) is one unit of work; row order
-  // follows the /24's host order regardless of shard count.
-  engine::parallel_ordered(
-      pop.size(), exec,
-      [&](std::size_t i) {
-        const internet::meta_host& host = pop[i];
-        meta_probe_row row;
-        row.host_octet = host.address.host_octet();
-        row.services = host.services;
-        if (!host.serves_quic) {
-          return row;
-        }
-        for (std::size_t k = 0; k < repeats; ++k) {
-          // §4.3: single 1252-byte Initial, no ACK.
-          const scan::zmap_result probe =
-              scan::zmap_probe(m.meta_chain(host), m.meta_behavior(host),
-                               1252, net::seconds(400), host.seed + k);
-          row.responded |= probe.responded;
-          row.bytes_received = probe.bytes_received;
-          row.amplification.add(probe.amplification);
-          row.duration_s = net::to_seconds(probe.backscatter_duration);
-        }
-        return row;
-      },
-      [&](std::size_t, meta_probe_row&& row) {
-        rows.push_back(std::move(row));
-      });
+  auto next = outcomes.begin();
+  for (const auto& host : pop) {
+    meta_probe_row row;
+    row.host_octet = host.address.host_octet();
+    row.services = host.services;
+    for (std::size_t k = 0; host.serves_quic && k < repeats; ++k, ++next) {
+      const scan::backscatter_session& session = next->backscatter;
+      const std::size_t sent = next->attacker.bytes_sent_first_flight;
+      row.responded |= session.datagrams > 0;
+      row.bytes_received = session.bytes;
+      row.amplification.add(sent == 0 ? 0.0
+                                      : static_cast<double>(session.bytes) /
+                                            static_cast<double>(sent));
+      // Span between the first and last backscatter datagram: the
+      // "session duration" of §4.3 (Meta median ~51 s, max ~206 s).
+      row.duration_s = net::to_seconds(session.duration());
+    }
+    rows.push_back(std::move(row));
+  }
   return rows;
 }
 

@@ -1,9 +1,9 @@
 // Spoofed-handshake amplification studies (§4.3): telescope backscatter
 // per hypergiant (Fig. 9) and the active Meta /24 scans (Fig. 11).
-// Both run on the experiment engine — the telescope pass through
-// run_backscatter, whose worlds each host one simulator and telescope
-// shared by a fixed slice of sessions, so its aggregates are
-// bit-identical at any thread count.
+// Both run on the experiment engine through run_backscatter, whose
+// worlds each host one simulator and telescope shared by a fixed slice
+// of sessions, so their aggregates are bit-identical at any thread
+// count.
 #pragma once
 
 #include <map>
@@ -21,9 +21,6 @@ namespace certquic::core {
 struct spoofed_options {
   /// Spoofed sessions per provider fed to the telescope.
   std::size_t sessions_per_provider = 120;
-  /// Assumed client Initial for the amplification divisor (the paper
-  /// divides telescope bytes by 1362).
-  std::size_t assumed_initial = 1362;
 };
 
 /// Telescope study output (Fig. 9).
@@ -36,7 +33,8 @@ struct telescope_result {
 /// The spoofed-session plan behind the telescope study: hypergiant
 /// fleets plus the biased Meta host mix, with per-session seeds that
 /// are pure functions of the session index. Exposed for tests and for
-/// callers composing their own backscatter sweeps.
+/// callers composing their own backscatter sweeps. The plan borrows
+/// `m`'s compression dictionary, so `m` must outlive its runs.
 [[nodiscard]] engine::backscatter_plan build_telescope_plan(
     const internet::model& m, const spoofed_options& opt);
 
@@ -57,8 +55,9 @@ struct meta_probe_row {
 };
 
 /// Active single-Initial scan of every host in the Meta PoP /24
-/// (1252-byte Initial, no ACKs — §4.3). Hosts are probed in parallel on
-/// the engine pool; rows keep the /24's host order.
+/// (1252-byte Initial, no ACKs — §4.3): one isolated backscatter world
+/// per probe, run in parallel on the engine pool; rows keep the /24's
+/// host order.
 [[nodiscard]] std::vector<meta_probe_row> run_meta_scan(
     const internet::model& m, bool post_disclosure, std::size_t repeats = 3,
     const engine::options& exec = {});

@@ -1,5 +1,7 @@
-// Spoofed-session worlds for the telescope and ZMap studies (§3.2/§4.3).
-// The sessions of one world share a simulator, a telescope and any
+// Spoofed-session worlds for all three §4.3 amplification studies: the
+// telescope (Fig. 9), the Meta /24 ZMap scan (Fig. 11) and the
+// draft-policy ablation (Table 3); §3.2 describes the setup. The
+// sessions of one world share a simulator, a telescope and any
 // server instance they both attack. The session→world partition is part
 // of the plan (sessions_per_shard), never of the thread count or of
 // options::chunk, and every seed is a pure function of the plan and the
@@ -50,8 +52,9 @@ struct backscatter_plan {
   net::ipv4 telescope_base = net::ipv4::of(203, 0, 113, 0);
   /// /24 server prefixes labelled at the telescope (provider grouping).
   std::vector<std::pair<net::ipv4, std::string>> provider_prefixes;
-  /// Dictionary backing certificate compression on spawned servers.
-  bytes dictionary;
+  /// Dictionary backing certificate compression on spawned servers,
+  /// borrowed: its owner (the model) outlives the run.
+  bytes_view dictionary;
 };
 
 /// What one spoofed session produced: the attacker's own view (it

@@ -1,8 +1,8 @@
 // The experiment engine: shards a probe_plan across a thread pool and
 // streams the results to an observation_sink in deterministic plan
 // order, so parallel runs are bit-identical to serial ones. The
-// executor gives every probe a fresh simulator; spoofed sessions that
-// must share a simulator and telescope run through run_backscatter
+// executor gives every probe a fresh simulator; spoofed sessions, whose
+// replies only a telescope hears, run through run_backscatter
 // (engine/backscatter.hpp). A multi-variant plan first materializes
 // each sampled service's chain once per chain profile into a
 // read-only table, which its probes borrow without a lock.

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "compress/codec.hpp"
-#include "net/time.hpp"
 #include "quic/packet.hpp"
 
 namespace certquic::quic {
@@ -66,15 +65,6 @@ struct server_behavior {
   /// `ack_in_separate_datagram` is set (Cloudflare pads that one at the
   /// UDP layer; its target differs slightly from the QUIC-level one).
   std::size_t ack_pad_target = kMinInitialSize;
-
-  /// First probe-timeout; doubles per retransmission (RFC 9002).
-  net::duration pto_initial = net::milliseconds(400);
-
-  /// Server-side send pacing in bits per second: consecutive datagrams
-  /// of one connection depart spaced by their serialization time
-  /// instead of as one instantaneous burst. 0 (the default every
-  /// size-domain golden is captured under) sends bursts instantly.
-  std::uint64_t pacing_bps = 0;
 
   /// Certificate-compression algorithms the server supports.
   std::vector<compress::algorithm> compression_support;

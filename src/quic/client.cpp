@@ -64,10 +64,6 @@ void client::start() {
 }
 
 void client::send_initial(const bytes& token) {
-  tls::client_hello_config ch;
-  ch.server_name = config_.sni;
-  ch.compression_algorithms = config_.offer_compression;
-
   packet init;
   init.type = packet_type::initial;
   init.version = config_.version;
@@ -75,7 +71,9 @@ void client::send_initial(const bytes& token) {
   init.scid = scid_;
   init.token = token;
   init.packet_number = next_pn_initial_++;
-  init.frames.push_back(crypto_frame{0, tls::encode_client_hello(ch, rng_)});
+  init.frames.push_back(crypto_frame{
+      0, tls::encode_client_hello(config_.sni, config_.offer_compression,
+                                  rng_)});
 
   // push_back, not a braced list: an initializer_list would copy the
   // packet and its ClientHello bytes.

@@ -110,14 +110,6 @@ struct observation {
                : static_cast<double>(bytes_received_first_burst) /
                      static_cast<double>(bytes_sent_first_flight);
   }
-
-  /// Total amplification including resends (Fig. 9 / §4.3).
-  [[nodiscard]] double total_amplification() const {
-    return bytes_sent_first_flight == 0
-               ? 0.0
-               : static_cast<double>(bytes_received_total) /
-                     static_cast<double>(bytes_sent_first_flight);
-  }
 };
 
 /// A single-use handshake client.

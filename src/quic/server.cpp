@@ -9,6 +9,10 @@
 namespace certquic::quic {
 namespace {
 
+/// First probe-timeout of an unvalidated connection; doubles per
+/// retransmission (RFC 9002).
+constexpr net::duration kPtoInitial = net::milliseconds(400);
+
 std::string to_string_impl(amplification_policy p) {
   switch (p) {
     case amplification_policy::unlimited:
@@ -82,7 +86,6 @@ server_behavior server_behavior::meta_pre_disclosure(
   b.coalesce_levels = true;
   b.limit_covers_retransmissions = false;  // the mvfst non-compliance
   b.max_retransmissions = retransmissions;
-  b.pto_initial = net::milliseconds(400);
   b.compression_support = {compress::algorithm::brotli,
                            compress::algorithm::zlib,
                            compress::algorithm::zstd};
@@ -267,7 +270,7 @@ void server::handle_client_initial(connection& c, const packet& p) {
 
   pump(c, /*include_ack=*/true);
   if (!c.validated) {
-    c.pto = behavior_.pto_initial;
+    c.pto = kPtoInitial;
     arm_pto(c);
   }
 }
@@ -320,25 +323,7 @@ void server::transmit(connection& c, std::vector<packet> packets) {
   bytes wire = encode_datagram(packets);
   ++stats_.datagrams_sent;
   stats_.bytes_sent += wire.size();
-  if (behavior_.pacing_bps == 0) {
-    sim_.send({address_, c.peer, std::move(wire)});
-    return;
-  }
-  // Pacing: space this connection's datagrams by their serialization
-  // time at pacing_bps instead of bursting them at one instant. The
-  // send itself is deferred via a timer; the datagram's fate (path
-  // loss, MTU) is still decided at departure.
-  const std::uint64_t bits = static_cast<std::uint64_t>(wire.size()) * 8;
-  const net::duration serialize =
-      (bits * 1'000'000 + behavior_.pacing_bps - 1) / behavior_.pacing_bps;
-  const net::time_point depart = std::max(sim_.now(), c.next_send_at);
-  c.next_send_at = depart + serialize;
-  const net::endpoint_id peer = c.peer;
-  // The timer fires exactly once, so it hands its bytes on by move.
-  sim_.schedule(depart - sim_.now(),
-                [this, peer, wire = std::move(wire)]() mutable {
-                  sim_.send({address_, peer, std::move(wire)});
-                });
+  sim_.send({address_, c.peer, std::move(wire)});
 }
 
 void server::pump(connection& c, bool include_ack) {

@@ -96,7 +96,6 @@ class server {
     net::time_point blocked_since = 0;
     bool app_response_sent = false;    // one response per connection
     std::uint64_t next_pn_app = 0;
-    net::time_point next_send_at = 0;  // pacing horizon (pacing_bps)
   };
 
   void on_datagram(const net::datagram& d);

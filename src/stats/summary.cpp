@@ -15,26 +15,6 @@ void summary::add(double x) noexcept {
   max_ = std::max(max_, x);
 }
 
-void summary::merge(const summary& other) noexcept {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total_n = na + nb;
-  mean_ += delta * nb / total_n;
-  m2_ += other.m2_ + delta * delta * na * nb / total_n;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double summary::variance() const noexcept {
   if (n_ < 2) {
     return 0.0;

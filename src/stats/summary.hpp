@@ -14,9 +14,6 @@ class summary {
   /// Adds one observation.
   void add(double x) noexcept;
 
-  /// Merges another summary into this one (parallel-reduction friendly).
-  void merge(const summary& other) noexcept;
-
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 with fewer than two samples.

@@ -230,10 +230,11 @@ frame_info peek_frame(bytes_view data) noexcept {
   return info;
 }
 
-bytes encode_client_hello(const client_hello_config& config, rng& r) {
+bytes encode_client_hello(std::string_view server_name,
+                          std::span<const compress::algorithm> offers,
+                          rng& r) {
   // ~250 bytes of fixed fields and extensions, plus the variable ones.
-  buffer_writer w{320 + config.server_name.size() +
-                  2 * config.compression_algorithms.size()};
+  buffer_writer w{320 + server_name.size() + 2 * offers.size()};
   const std::size_t msg = open_message(w, handshake_type::client_hello);
   w.u16(0x0303);  // legacy_version
   put_random(w, 32, r);
@@ -251,10 +252,10 @@ bytes encode_client_hello(const client_hello_config& config, rng& r) {
   {
     // server_name: list { type(1) + len(2) + host }.
     const std::size_t ext = open_extension(w, kExtServerName);
-    w.u16(static_cast<std::uint16_t>(config.server_name.size() + 3));
+    w.u16(static_cast<std::uint16_t>(server_name.size() + 3));
     w.u8(0);
-    w.u16(static_cast<std::uint16_t>(config.server_name.size()));
-    w.raw(config.server_name);
+    w.u16(static_cast<std::uint16_t>(server_name.size()));
+    w.raw(server_name);
     close_u16(w, ext);
   }
   {
@@ -298,10 +299,10 @@ bytes encode_client_hello(const client_hello_config& config, rng& r) {
   // QUIC transport parameters: a realistic ~60-byte blob of varint
   // id/len/value entries; content does not matter for byte accounting.
   put_random_extension(w, kExtQuicTransportParams, 58, r);
-  if (!config.compression_algorithms.empty()) {
+  if (!offers.empty()) {
     const std::size_t ext = open_extension(w, kExtCompressCertificate);
-    w.u8(static_cast<std::uint8_t>(config.compression_algorithms.size() * 2));
-    for (const auto alg : config.compression_algorithms) {
+    w.u8(static_cast<std::uint8_t>(offers.size() * 2));
+    for (const auto alg : offers) {
       w.u16(static_cast<std::uint16_t>(alg));
     }
     close_u16(w, ext);

@@ -9,7 +9,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "compress/codec.hpp"
@@ -60,19 +61,14 @@ struct frame_info {
 /// arrives; a known type is `partial` until `total_size` bytes are in.
 [[nodiscard]] frame_info peek_frame(bytes_view data) noexcept;
 
-/// ClientHello parameters relevant to this study.
-struct client_hello_config {
-  std::string server_name;
-  /// Algorithms offered in compress_certificate (RFC 8879); empty =
-  /// extension absent (like quicreach's stack, §3.2).
-  std::vector<compress::algorithm> compression_algorithms;
-};
-
 /// Encodes a realistic ClientHello (~250-330 bytes before QUIC padding):
-/// random, ciphers, SNI, ALPN h3, supported groups/versions, x25519 key
-/// share, QUIC transport parameters, optional compress_certificate.
-[[nodiscard]] bytes encode_client_hello(const client_hello_config& config,
-                                        rng& r);
+/// random, ciphers, SNI `server_name`, ALPN h3, supported
+/// groups/versions, x25519 key share, QUIC transport parameters, and a
+/// compress_certificate extension (RFC 8879) offering `offers`; empty
+/// `offers` leaves the extension absent (like quicreach's stack, §3.2).
+[[nodiscard]] bytes encode_client_hello(
+    std::string_view server_name, std::span<const compress::algorithm> offers,
+    rng& r);
 
 /// Parses the compression algorithms offered by a ClientHello built by
 /// encode_client_hello ({} when the extension is absent). Hostile input

@@ -1,6 +1,8 @@
 // Unit tests for the core analysis library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/amplification_study.hpp"
 #include "core/browsers.hpp"
 #include "core/census.hpp"
@@ -186,6 +188,25 @@ TEST(MetaScan, DisclosureImprovesBehaviour) {
   EXPECT_GT(pre_max, 25.0);          // up to 45x pre-disclosure
   EXPECT_LT(post_mean.mean(), 8.0);  // ~5x after
   EXPECT_GT(post_mean.mean(), 3.0);  // but still above the limit
+}
+
+TEST(MetaScan, DeepHostMeasuresResends) {
+  // A silent probe of an instagram/whatsapp host (>= 7 mvfst resends)
+  // collects the whole PTO schedule: ~0.4 * (2^retx - 1) seconds of
+  // backscatter, far above the 3x limit.
+  const auto pop = shared_model().meta_pop(false);
+  const auto deep = std::find_if(pop.begin(), pop.end(), [](const auto& h) {
+    return h.serves_quic && h.retransmissions >= 7;
+  });
+  ASSERT_NE(deep, pop.end());
+  const auto rows = run_meta_scan(shared_model(), false, 1);
+  ASSERT_EQ(rows.size(), pop.size());
+  const meta_probe_row& row =
+      rows[static_cast<std::size_t>(deep - pop.begin())];
+  EXPECT_EQ(row.host_octet, deep->address.host_octet());
+  EXPECT_TRUE(row.responded);
+  EXPECT_GT(row.amplification.mean(), 15.0);
+  EXPECT_GT(row.duration_s, 40.0);
 }
 
 TEST(Funnel, StagesAreConsistent) {

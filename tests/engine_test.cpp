@@ -163,9 +163,9 @@ TEST(EnginePins, UngoldenedAggregatesMatchPinnedDigests) {
 }
 
 // Pins the spoofing studies at full precision: the Fig. 9 telescope
-// aggregates (per-provider amplification, Meta durations and maximum)
-// and the Table 3 policy rows, both run on the shared-world
-// backscatter path.
+// aggregates (per-provider amplification, Meta durations and maximum),
+// the Fig. 11 Meta /24 scan rows and the Table 3 policy rows, all run
+// on the backscatter path.
 TEST(EnginePins, SpoofingStudiesMatchPinnedDigests) {
   const auto& m = shared_model();
   const auto exec = engine::options{.threads = 4};
@@ -173,6 +173,8 @@ TEST(EnginePins, SpoofingStudiesMatchPinnedDigests) {
       core::run_telescope_study(m, {.sessions_per_provider = 40}, exec);
   EXPECT_EQ(fnv1a(digest(telescope)), 0x81a697dcff9d5cd5ULL)
       << digest(telescope);
+  const auto meta = core::run_meta_scan(m, false, 2, exec);
+  EXPECT_EQ(fnv1a(digest(meta)), 0xac78822ac7ebba80ULL) << digest(meta);
   const auto policy = core::run_policy_study(m, "le-r3-x1cross", exec);
   EXPECT_EQ(fnv1a(digest(policy)), 0xb2e5312d595d3230ULL) << digest(policy);
 }

@@ -6,7 +6,6 @@
 #include "scan/qscanner.hpp"
 #include "scan/reach.hpp"
 #include "scan/telescope.hpp"
-#include "scan/zmap.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::scan {
@@ -136,25 +135,6 @@ TEST(QScanner, DetectsRotation) {
   }
   EXPECT_GT(checked, 0u);
   EXPECT_EQ(mismatches, checked);  // rotated => leaf differs
-}
-
-TEST(Zmap, SilentProbeMeasuresResends) {
-  const auto& m = shared_model();
-  const auto pop = m.meta_pop(false);
-  const internet::meta_host* deep = nullptr;
-  for (const auto& host : pop) {
-    if (host.serves_quic && host.retransmissions >= 7) {
-      deep = &host;
-      break;
-    }
-  }
-  ASSERT_NE(deep, nullptr);
-  const auto result = zmap_probe(m.meta_chain(*deep), m.meta_behavior(*deep),
-                                 1252, net::seconds(400), 99);
-  EXPECT_TRUE(result.responded);
-  EXPECT_GT(result.amplification, 15.0);
-  // PTO schedule: ~0.4 * (2^retx - 1) seconds of backscatter.
-  EXPECT_GT(net::to_seconds(result.backscatter_duration), 40.0);
 }
 
 TEST(Telescope, AttributesBackscatterPerSensor) {

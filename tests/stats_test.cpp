@@ -35,36 +35,6 @@ TEST(Summary, EmptyIsSafe) {
   EXPECT_EQ(s.ci95_half_width(), 0.0);
 }
 
-TEST(Summary, MergeMatchesSequential) {
-  rng r{5};
-  summary whole;
-  summary left;
-  summary right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = r.normal(10.0, 3.0);
-    whole.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  summary a;
-  a.add(1.0);
-  a.add(3.0);
-  summary b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(SampleSet, QuantilesInterpolate) {
   sample_set s;
   for (const double v : {10.0, 20.0, 30.0, 40.0}) {

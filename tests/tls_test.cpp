@@ -73,10 +73,8 @@ TEST_F(TlsTest, PeekFrameStatusTable) {
 }
 
 TEST_F(TlsTest, ParseOfferedCompressionRejectsTruncatedClientHello) {
-  client_hello_config config;
-  config.server_name = "example.org";
-  config.compression_algorithms = {compress::algorithm::brotli};
-  const bytes ch = encode_client_hello(config, rng_);
+  const compress::algorithm brotli[] = {compress::algorithm::brotli};
+  const bytes ch = encode_client_hello("example.org", brotli, rng_);
   for (const std::size_t len : {std::size_t{0}, std::size_t{3},
                                 std::size_t{40}, ch.size() - 1}) {
     SCOPED_TRACE(len);
@@ -90,9 +88,7 @@ TEST_F(TlsTest, ParseOfferedCompressionRejectsTruncatedClientHello) {
 }
 
 TEST_F(TlsTest, ClientHelloRealisticSize) {
-  client_hello_config config;
-  config.server_name = "www.example.org";
-  const bytes ch = encode_client_hello(config, rng_);
+  const bytes ch = encode_client_hello("www.example.org", {}, rng_);
   // Realistic browser ClientHellos (sans padding) run ~250-400 bytes.
   EXPECT_GT(ch.size(), 250u);
   EXPECT_LT(ch.size(), 420u);
@@ -100,20 +96,17 @@ TEST_F(TlsTest, ClientHelloRealisticSize) {
 }
 
 TEST_F(TlsTest, ClientHelloCompressionOfferRoundTrip) {
-  client_hello_config config;
-  config.server_name = "example.org";
-  config.compression_algorithms = {compress::algorithm::brotli,
-                                   compress::algorithm::zstd};
-  const bytes ch = encode_client_hello(config, rng_);
+  const compress::algorithm offers[] = {compress::algorithm::brotli,
+                                        compress::algorithm::zstd};
+  const bytes ch = encode_client_hello("example.org", offers, rng_);
   const auto offered = parse_offered_compression(ch);
   ASSERT_EQ(offered.size(), 2u);
   EXPECT_EQ(offered[0], compress::algorithm::brotli);
   EXPECT_EQ(offered[1], compress::algorithm::zstd);
 
-  client_hello_config none;
-  none.server_name = "example.org";
-  EXPECT_TRUE(parse_offered_compression(encode_client_hello(none, rng_))
-                  .empty());
+  EXPECT_TRUE(
+      parse_offered_compression(encode_client_hello("example.org", {}, rng_))
+          .empty());
 }
 
 TEST_F(TlsTest, ServerHelloSizeStable) {
@@ -246,19 +239,15 @@ TEST_F(TlsTest, EncoderBytesArePinned) {
   };
   std::vector<std::pair<std::string, std::uint64_t>> got;
   got.emplace_back("client_hello", with_rng(1, [](rng& r) {
-                     return encode_client_hello(
-                         {.server_name = "example.org",
-                          .compression_algorithms = {}},
-                         r);
+                     return encode_client_hello("example.org", {}, r);
                    }));
   got.emplace_back("client_hello_compression", with_rng(2, [](rng& r) {
-                     return encode_client_hello(
-                         {.server_name = "www.example.com",
-                          .compression_algorithms =
-                              {compress::algorithm::zlib,
-                               compress::algorithm::brotli,
-                               compress::algorithm::zstd}},
-                         r);
+                     const compress::algorithm offers[] = {
+                         compress::algorithm::zlib,
+                         compress::algorithm::brotli,
+                         compress::algorithm::zstd};
+                     return encode_client_hello("www.example.com", offers,
+                                                r);
                    }));
   got.emplace_back("server_hello", with_rng(3, [](rng& r) {
                      return encode_server_hello(r);

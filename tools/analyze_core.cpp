@@ -253,20 +253,6 @@ struct loaded_file {
   scanned_file scan;
 };
 
-std::string read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    throw config_error("certquic_analyze: cannot read " + path);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-std::string relativize(const std::string& file, const std::string& root) {
-  return std::filesystem::relative(file, root).generic_string();
-}
-
 std::string module_of(const std::string& relative) {
   const std::size_t slash = relative.find('/');
   return slash == std::string::npos ? std::string{}
@@ -1041,8 +1027,8 @@ void check_exports(const std::vector<loaded_file>& files,
     }
     for (const std::string& file : lint::collect_sources(path.string())) {
       siblings.push_back(
-          {{relativize(file, top.parent_path().string()),
-            scan_source(read_file(file))},
+          {{lint::relativize(file, top.parent_path().string()),
+            scan_source(lint::read_file(file))},
            where});
     }
   }
@@ -1130,8 +1116,8 @@ analysis_result analyze_tree(const std::vector<std::string>& files,
   loaded.reserve(files.size());
   std::vector<std::pair<std::string, std::string>> lint_inputs;
   for (const std::string& file : files) {
-    std::string content = read_file(file);
-    const std::string relative = relativize(file, root);
+    std::string content = lint::read_file(file);
+    const std::string relative = lint::relativize(file, root);
     if (opts.run_lint) {
       lint_inputs.emplace_back(relative, content);
     }

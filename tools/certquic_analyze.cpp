@@ -99,18 +99,10 @@ int main(int argc, char** argv) {
           std::filesystem::path(self_scan_dir).filename().string() + "/";
       for (const std::string& file :
            certquic::lint::collect_sources(self_scan_dir)) {
-        std::ifstream in{file, std::ios::binary};
-        if (!in) {
-          throw certquic::config_error("certquic_analyze: cannot read " +
-                                       file);
-        }
-        std::string content{std::istreambuf_iterator<char>(in),
-                            std::istreambuf_iterator<char>()};
-        const std::string relative =
-            prefix +
-            std::filesystem::relative(file, self_scan_dir).generic_string();
         std::vector<certquic::lint::finding> hits =
-            certquic::lint::lint_nondet_only(relative, content);
+            certquic::lint::lint_nondet_only(
+                prefix + certquic::lint::relativize(file, self_scan_dir),
+                certquic::lint::read_file(file));
         result.findings.insert(result.findings.end(),
                                std::make_move_iterator(hits.begin()),
                                std::make_move_iterator(hits.end()));

@@ -33,9 +33,8 @@ bool in_aggregator_paths(const std::string& relative_path) {
 
 /// atomic-plain applies where executor code lives: plain (memberless)
 /// use of a std::atomic hides the intended ordering (implicit seq_cst
-/// reads as "unconsidered"), and a lock-free protocol breaks when
-/// someone reaches for `head_ == tail_` instead of an explicit acquire
-/// load.
+/// reads as "unconsidered"), as in `if (failed)` on the executor's
+/// failure flag where `failed.load()` would state the order.
 bool in_executor_paths(const std::string& relative_path) {
   return starts_with(relative_path, "engine/");
 }
@@ -271,9 +270,9 @@ void lint_scanned(const std::string& relative_path,
           out.push_back({relative_path, line_no, "atomic-plain",
                          "plain use of std::atomic '" + name +
                              "' — implicit seq_cst hides the intended "
-                             "ordering; use an explicit .load/.store with "
-                             "the memory order the protocol requires "
-                             "(acquire/release for ring cursors)",
+                             "ordering; use an explicit .load/.store/"
+                             ".fetch_add with the memory order the "
+                             "protocol requires",
                          raw});
           break;
         }
@@ -296,22 +295,6 @@ void lint_scanned(const std::string& relative_path,
   }
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) {
-    throw config_error("lint: cannot read " + path);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Root-relative path with forward slashes.
-std::string relativize(const std::string& file, const std::string& root) {
-  const std::filesystem::path rel = std::filesystem::relative(file, root);
-  return rel.generic_string();
-}
-
 /// Unit key: companion .hpp/.cpp files share declaration context (a
 /// member declared double in cdf.hpp is accumulation-checked in
 /// cdf.cpp).
@@ -321,6 +304,20 @@ std::string unit_key(const std::string& relative_path) {
 }
 
 }  // namespace
+
+std::string read_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) {
+    throw config_error("certquic_analyze: cannot read " + path);
+  }
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::string relativize(const std::string& file, const std::string& root) {
+  return std::filesystem::relative(file, root).generic_string();
+}
 
 const std::set<std::string>& lint_rules() {
   static const std::set<std::string> rules = {

@@ -32,8 +32,8 @@
 //                   engine::probe_seed(base_seed, domain, salt) or an
 //                   explicitly waived scheme.
 //   atomic-plain    plain (memberless) use of a variable declared
-//                   std::atomic in engine/ — e.g. `head_ == tail_` or
-//                   `flag = true` where the protocol wants an explicit
+//                   std::atomic in engine/ — e.g. `if (failed)` or
+//                   `failed = true` where the protocol wants an explicit
 //                   .load() / .store(). Implicit seq_cst compiles and
 //                   races-free under TSan, but it hides the intended
 //                   ordering and invites a plain load where an
@@ -141,6 +141,15 @@ struct report {
 [[nodiscard]] report lint_files(const std::vector<std::string>& files,
                                 const std::string& root,
                                 const std::vector<waiver>& waivers);
+
+/// Whole file contents, read as bytes. Throws config_error when the
+/// file cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path);
+
+/// `file` relative to `root`, with forward slashes (the form findings
+/// and waivers use).
+[[nodiscard]] std::string relativize(const std::string& file,
+                                     const std::string& root);
 
 /// All .hpp/.cpp files under root, sorted (deterministic scan order).
 [[nodiscard]] std::vector<std::string> collect_sources(

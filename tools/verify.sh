@@ -143,8 +143,8 @@ epochs_check() {
 
 # Engine-determinism gate: tier-1 must pass with the serial engine and
 # with N worker threads. golden_test is tier-1, so every figure and
-# table — fig09 and tab03 included, whose spoofed sessions run in
-# run_backscatter's shared simulator+telescope worlds — must print its
+# table — fig09, fig11 and tab03 included, whose spoofed sessions run
+# in run_backscatter's simulator+telescope worlds — must print its
 # golden under both.
 threads_check() {
   th_status=0
