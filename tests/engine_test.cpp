@@ -18,7 +18,9 @@
 #include "core/compression_study.hpp"
 #include "core/funnel.hpp"
 #include "core/policy_study.hpp"
+#include "core/pqc_study.hpp"
 #include "core/stream_digest.hpp"
+#include "core/ttfb_study.hpp"
 #include "core/tuner.hpp"
 #include "engine/engine.hpp"
 #include "internet/chain_cache.hpp"
@@ -366,6 +368,65 @@ TEST(EngineDeterminism, CorpusMeansIdenticalAcrossThreadCounts) {
     expect_same_corpus(serial, parallel,
                        (std::to_string(threads) + " threads").c_str());
   }
+}
+
+std::string digest(const core::corpus_result& r) {
+  std::string out;
+  for (const auto& [name, value] : corpus_fields(r)) {
+    out += name + '=' + value + '|';
+  }
+  return out;
+}
+
+std::string digest(const core::class_mix& mix) {
+  std::ostringstream out;
+  out << mix.probed << ':';
+  for (const auto count : mix.counts) {
+    out << count << ',';
+  }
+  return out.str();
+}
+
+std::string digest(const core::pqc_study_result& study) {
+  std::ostringstream out;
+  out << study.initial_size << '|';
+  for (const auto& slice : study.slices) {
+    out << static_cast<int>(slice.profile) << ':'
+        << digest(static_cast<const core::class_mix&>(slice)) << ':'
+        << digest(slice.quic_chain_sizes) << ':'
+        << digest(slice.https_chain_sizes) << ':'
+        << full(slice.over_amp_limit) << ':' << digest(slice.amplification)
+        << ';';
+  }
+  return out.str();
+}
+
+std::string digest(const core::ttfb_study_result& study) {
+  std::ostringstream out;
+  out << study.initial_size << '|';
+  for (const auto& cell : study.cells) {
+    out << static_cast<int>(cell.profile) << ':' << cell.condition.name << ':'
+        << digest(static_cast<const core::class_mix&>(cell)) << ':'
+        << digest(cell.ttfb_ms) << ';';
+  }
+  return out.str();
+}
+
+// Pins the corpus fold (every corpus_result field), the PQC
+// chain-profile slices and the TTFB profile x condition cells at full
+// precision.
+TEST(EnginePins, CorpusPqcAndTtfbMatchPinnedDigests) {
+  const auto& m = shared_model();
+  const auto exec = engine::options{.threads = 4};
+  const auto corpus = core::analyze_corpus(m, {.max_services = 400}, exec);
+  EXPECT_EQ(fnv1a(digest(corpus)), 0xc09fff29803fe331ULL) << digest(corpus);
+  const auto pqc = core::run_pqc_study(
+      m, {.max_services = 150, .max_corpus = 300}, exec);
+  EXPECT_EQ(fnv1a(digest(pqc)), 0x6ab194b955d5be39ULL) << digest(pqc);
+  core::ttfb_options ttfb_opt;
+  ttfb_opt.max_services = 150;
+  const auto ttfb = core::run_ttfb_study(m, ttfb_opt, exec);
+  EXPECT_EQ(fnv1a(digest(ttfb)), 0xd1d89ca32f9cb95cULL) << digest(ttfb);
 }
 
 TEST(EngineDeterminism, CorpusThroughAChainCacheMatchesDirect) {
