@@ -1,6 +1,7 @@
 #include "core/amplification_study.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -54,14 +55,18 @@ engine::backscatter_plan build_telescope_plan(const internet::model& m,
   // retransmitting instagram/whatsapp infrastructure (§4.3: median
   // session ~51 s); bias the attacked Meta hosts accordingly.
   const auto pop = m.meta_pop(/*post_disclosure=*/false);
-  std::vector<const internet::meta_host*> deep;
-  std::vector<const internet::meta_host*> shallow;
-  for (const auto& host : pop) {
-    if (!host.serves_quic) {
+  std::vector<std::size_t> deep;
+  std::vector<std::size_t> shallow;
+  for (std::size_t h = 0; h < pop.size(); ++h) {
+    if (!pop[h].serves_quic) {
       continue;
     }
-    (host.retransmissions >= 5 ? deep : shallow).push_back(&host);
+    (pop[h].retransmissions >= 5 ? deep : shallow).push_back(h);
   }
+  // A host's chain is a pure function of the host: issue it on the
+  // host's first session, and let its later sessions share the
+  // certificates.
+  std::vector<x509::chain> meta_chains(pop.size());
 
   const auto& eco = m.ecosystem();
   plan.sessions.reserve(3 * opt.sessions_per_provider);
@@ -98,8 +103,11 @@ engine::backscatter_plan build_telescope_plan(const internet::model& m,
         quic::server_behavior::google(), "google.example", i);
     const bool pick_deep = !deep.empty() && (i % 4 != 0 || shallow.empty());
     const auto& pool = pick_deep ? deep : shallow;
-    const internet::meta_host& host = *pool[i % pool.size()];
-    add(fleets[2], m.meta_chain(host), m.meta_behavior(host), host.sni, i);
+    const std::size_t h = pool[i % pool.size()];
+    if (meta_chains[h].empty()) {
+      meta_chains[h] = m.meta_chain(pop[h]);
+    }
+    add(fleets[2], meta_chains[h], m.meta_behavior(pop[h]), pop[h].sni, i);
   }
   return plan;
 }

@@ -130,7 +130,6 @@ outofcore_result run_outofcore_study(const internet::model& m,
   }
 
   if (opt.keep_spills) {
-    out.spill_paths = paths;
     cleanup.release();
   }
   return out;

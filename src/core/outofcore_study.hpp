@@ -33,7 +33,8 @@ struct outofcore_options {
   std::size_t initial_size = 1362;
   /// Also run the materializing in-memory baseline and compare.
   bool compare_in_memory = true;
-  /// Leave the shard files on disk (for later re-aggregation).
+  /// Leave the shard files on disk, at spill_dir /
+  /// engine::shard_layout::file_name(s), for later re-aggregation.
   bool keep_spills = false;
 };
 
@@ -45,8 +46,6 @@ struct outofcore_result {
   std::size_t shards = 0;
   /// Records written per shard file (sums to spill.records).
   std::vector<std::size_t> shard_records;
-  /// Shard spill paths; populated only when keep_spills was set.
-  std::vector<std::string> spill_paths;
 
   /// Both paths fold through epoch_aggregate_sink, so any divergence
   /// between them is a pipeline bug, never an aggregator one.

@@ -76,6 +76,35 @@ TEST(Census, MultiRttTlsExceedsLimitMostly) {
   EXPECT_NEAR(share, 0.87, 0.07);  // Fig. 5
 }
 
+TEST(AckSweep, InstantAckNeverSlowerAndSilentNeverCompletes) {
+  const auto sweep = run_ack_sweep(shared_model(), 80);
+  ASSERT_EQ(sweep.slices.size(), 3u);
+  const auto& delayed = sweep.slices[0];
+  const auto& instant = sweep.slices[1];
+  const auto& silent = sweep.slices[2];
+  EXPECT_EQ(delayed.policy, quic::ack_policy::delayed);
+  EXPECT_EQ(instant.policy, quic::ack_policy::instant);
+  EXPECT_EQ(silent.policy, quic::ack_policy::none);
+
+  EXPECT_EQ(delayed.probed, instant.probed);
+  EXPECT_EQ(delayed.probed, silent.probed);
+  EXPECT_GT(delayed.probed, 0u);
+
+  // ACK timing shifts completion times, not outcomes: the matched
+  // pairs land in identical handshake classes.
+  EXPECT_EQ(delayed.counts, instant.counts);
+  // A silent client cannot advance a multi-RTT handshake — those
+  // services degrade to unreachable, the class delta the sweep reports.
+  EXPECT_EQ(silent.count(scan::handshake_class::multi_rtt), 0u);
+  EXPECT_LT(silent.class_delta(delayed, scan::handshake_class::multi_rtt), 0);
+  EXPECT_GT(silent.class_delta(delayed, scan::handshake_class::unreachable), 0);
+  EXPECT_LT(silent.completed(), delayed.completed());
+  EXPECT_GT(delayed.completed(), 0u);
+  // Instant ACKs can only speed a handshake up.
+  EXPECT_LE(instant.handshake_ms.median(), delayed.handshake_ms.median());
+  EXPECT_LT(instant.handshake_ms.mean(), delayed.handshake_ms.mean());
+}
+
 TEST(Corpus, ChainMediansMatchFig6) {
   const auto corpus = analyze_corpus(shared_model(), {.max_services = 2500});
   EXPECT_NEAR(corpus.quic_chain_sizes.median(), 2329.0, 350.0);

@@ -1,12 +1,13 @@
-// Engine determinism and probe-plan tests: the sharded parallel
-// executor must produce byte-identical aggregates to the serial path on
-// a fixed-seed population, at any thread count.
-#include <atomic>
+// Engine tests. The determinism harness: every study pinned by
+// EnginePins renders its full-precision digest at 1 and at 8 threads,
+// and both must equal the pinned value (golden_test does the same for
+// every figure). Also the probe plan, the chain table, service
+// sampling, the sink lifecycle and the backscatter worlds.
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "core/stream_digest.hpp"
 #include "core/ttfb_study.hpp"
 #include "core/tuner.hpp"
+#include "engine/backscatter.hpp"
 #include "engine/engine.hpp"
 #include "internet/chain_cache.hpp"
 #include "scan/reach.hpp"
@@ -142,45 +144,6 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-// Pins, at full precision and at sample sizes other than the goldens':
-// the census payload details behind Fig. 5, the Fig. 13
-// rank-group counts, the census without payload details (the
-// fig03/fig13 path), the ACK-policy sweep (no golden) and the
-// compression study's in-the-wild half. A refactor of the study sinks
-// must leave every value bit-identical.
-TEST(EnginePins, UngoldenedAggregatesMatchPinnedDigests) {
-  const auto& m = shared_model();
-  const auto exec = engine::options{.threads = 4};
-  const auto census = core::run_census(m, {}, exec);
-  EXPECT_EQ(fnv1a(digest(census)), 0xac15babd340ab4c2ULL) << digest(census);
-  const auto bare = core::run_census(
-      m, {.initial_size = 1250, .collect_payload_details = false}, exec);
-  EXPECT_EQ(fnv1a(digest(bare)), 0xe58298bb206d1546ULL) << digest(bare);
-  const auto sweep = core::run_ack_sweep(m, 0, exec);
-  EXPECT_EQ(fnv1a(digest(sweep)), 0xd115ad4b4ae84af0ULL) << digest(sweep);
-  const auto compression =
-      core::run_compression_study(m, {.max_chains = 200}, exec);
-  EXPECT_EQ(fnv1a(digest(compression)), 0xd2ef9d93cd433f3eULL)
-      << digest(compression);
-}
-
-// Pins the spoofing studies at full precision: the Fig. 9 telescope
-// aggregates (per-provider amplification, Meta durations and maximum),
-// the Fig. 11 Meta /24 scan rows and the Table 3 policy rows, all run
-// on the backscatter path.
-TEST(EnginePins, SpoofingStudiesMatchPinnedDigests) {
-  const auto& m = shared_model();
-  const auto exec = engine::options{.threads = 4};
-  const auto telescope =
-      core::run_telescope_study(m, {.sessions_per_provider = 40}, exec);
-  EXPECT_EQ(fnv1a(digest(telescope)), 0x81a697dcff9d5cd5ULL)
-      << digest(telescope);
-  const auto meta = core::run_meta_scan(m, false, 2, exec);
-  EXPECT_EQ(fnv1a(digest(meta)), 0xac78822ac7ebba80ULL) << digest(meta);
-  const auto policy = core::run_policy_study(m, "le-r3-x1cross", exec);
-  EXPECT_EQ(fnv1a(digest(policy)), 0xb2e5312d595d3230ULL) << digest(policy);
-}
-
 std::string digest(const core::funnel_result& f) {
   const auto& c = f.collection;
   std::ostringstream out;
@@ -202,81 +165,6 @@ std::string digest(const core::tuner_result& t) {
   out << t.services << '|' << t.multi_rtt_default << '|' << t.multi_rtt_tuned
       << '|' << t.converted_to_one_rtt;
   return out.str();
-}
-
-// Pins the two example-driven studies: the §3.1/§3.2 measurement funnel
-// (examples/handshake_census) and the §5 Initial-size tuner
-// (examples/initial_size_tuner), at the sample sizes those examples use.
-TEST(EnginePins, FunnelAndTunerMatchPinnedDigests) {
-  const auto& m = shared_model();
-  const auto exec = engine::options{.threads = 4};
-  const auto funnel = core::run_funnel(m, {.consistency_sample = 200}, exec);
-  EXPECT_EQ(fnv1a(digest(funnel)), 0x096e3dec796ba1e5ULL) << digest(funnel);
-  const auto tuner = core::run_tuner_study(m, 800, exec);
-  EXPECT_EQ(fnv1a(digest(tuner)), 0xf36c62d00a2f9043ULL) << digest(tuner);
-}
-
-TEST(EngineDeterminism, CensusIdenticalAcrossThreadCounts) {
-  core::census_options opt;
-  opt.initial_size = 1362;
-  opt.max_services = 300;
-  const std::string serial =
-      digest(core::run_census(shared_model(), opt, engine::options::serial()));
-  for (const std::size_t threads : {2UL, 8UL}) {
-    const std::string parallel = digest(
-        core::run_census(shared_model(), opt, {.threads = threads}));
-    EXPECT_EQ(serial, parallel) << "census diverged at " << threads
-                                << " threads";
-  }
-}
-
-TEST(EngineDeterminism, CompressionStudyIdenticalAcrossThreadCounts) {
-  core::compression_options opt;
-  opt.max_chains = 200;
-  opt.max_probes = 80;
-  const std::string serial = digest(core::run_compression_study(
-      shared_model(), opt, engine::options::serial()));
-  for (const std::size_t threads : {2UL, 8UL}) {
-    const std::string parallel = digest(core::run_compression_study(
-        shared_model(), opt, {.threads = threads}));
-    EXPECT_EQ(serial, parallel) << "compression study diverged at "
-                                << threads << " threads";
-  }
-}
-
-TEST(EngineDeterminism, MetaScanIdenticalAcrossThreadCounts) {
-  const std::string serial = digest(core::run_meta_scan(
-      shared_model(), false, 2, engine::options::serial()));
-  for (const std::size_t threads : {2UL, 8UL}) {
-    const std::string parallel = digest(
-        core::run_meta_scan(shared_model(), false, 2, {.threads = threads}));
-    EXPECT_EQ(serial, parallel) << "meta scan diverged at " << threads
-                                << " threads";
-  }
-}
-
-TEST(EngineDeterminism, TunerStudyIdenticalAcrossThreadCounts) {
-  const auto serial =
-      core::run_tuner_study(shared_model(), 150, engine::options::serial());
-  for (const std::size_t threads : {2UL, 8UL}) {
-    const auto parallel =
-        core::run_tuner_study(shared_model(), 150, {.threads = threads});
-    EXPECT_EQ(serial.services, parallel.services);
-    EXPECT_EQ(serial.multi_rtt_default, parallel.multi_rtt_default);
-    EXPECT_EQ(serial.multi_rtt_tuned, parallel.multi_rtt_tuned);
-    EXPECT_EQ(serial.converted_to_one_rtt, parallel.converted_to_one_rtt);
-  }
-}
-
-TEST(EngineDeterminism, FunnelConsistencyIdenticalAcrossThreadCounts) {
-  const auto serial = core::run_funnel(
-      shared_model(), {.consistency_sample = 60}, engine::options::serial());
-  for (const std::size_t threads : {2UL, 8UL}) {
-    const auto parallel = core::run_funnel(
-        shared_model(), {.consistency_sample = 60}, {.threads = threads});
-    EXPECT_EQ(serial.consistency_checked, parallel.consistency_checked);
-    EXPECT_EQ(serial.consistency_same, parallel.consistency_same);
-  }
 }
 
 /// Every corpus_result field as (name, rendering) pairs, so a mismatch
@@ -345,31 +233,6 @@ std::vector<std::pair<std::string, std::string>> corpus_fields(
   return out;
 }
 
-void expect_same_corpus(const core::corpus_result& a,
-                        const core::corpus_result& b, const char* what) {
-  const auto fa = corpus_fields(a);
-  const auto fb = corpus_fields(b);
-  ASSERT_EQ(fa.size(), fb.size());
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fa[i].second, fb[i].second) << fa[i].first << " (" << what
-                                          << ')';
-  }
-}
-
-TEST(EngineDeterminism, CorpusMeansIdenticalAcrossThreadCounts) {
-  const auto serial = core::analyze_corpus(shared_model(), {.max_services = 400},
-                                           engine::options::serial());
-  EXPECT_GT(serial.quic_chain_sizes.size(), 0u);
-  EXPECT_GT(serial.https_chain_sizes.size(), 0u);
-  EXPECT_FALSE(serial.quic_rows.empty());
-  for (const std::size_t threads : {2u, 8u}) {
-    const auto parallel = core::analyze_corpus(
-        shared_model(), {.max_services = 400}, {.threads = threads});
-    expect_same_corpus(serial, parallel,
-                       (std::to_string(threads) + " threads").c_str());
-  }
-}
-
 std::string digest(const core::corpus_result& r) {
   std::string out;
   for (const auto& [name, value] : corpus_fields(r)) {
@@ -412,21 +275,134 @@ std::string digest(const core::ttfb_study_result& study) {
   return out.str();
 }
 
-// Pins the corpus fold (every corpus_result field), the PQC
-// chain-profile slices and the TTFB profile x condition cells at full
-// precision.
-TEST(EnginePins, CorpusPqcAndTtfbMatchPinnedDigests) {
-  const auto& m = shared_model();
-  const auto exec = engine::options{.threads = 4};
-  const auto corpus = core::analyze_corpus(m, {.max_services = 400}, exec);
-  EXPECT_EQ(fnv1a(digest(corpus)), 0xc09fff29803fe331ULL) << digest(corpus);
-  const auto pqc = core::run_pqc_study(
-      m, {.max_services = 150, .max_corpus = 300}, exec);
-  EXPECT_EQ(fnv1a(digest(pqc)), 0x6ab194b955d5be39ULL) << digest(pqc);
-  core::ttfb_options ttfb_opt;
-  ttfb_opt.max_services = 150;
-  const auto ttfb = core::run_ttfb_study(m, ttfb_opt, exec);
-  EXPECT_EQ(fnv1a(digest(ttfb)), 0xd1d89ca32f9cb95cULL) << digest(ttfb);
+/// One pinned study: renders its full-precision digest under the given
+/// engine options; `fnv` is the pinned FNV-1a of that rendering.
+struct study_pin {
+  const char* name;
+  std::string (*render)(const engine::options&);
+  std::uint64_t fnv;
+};
+
+// Pinned at full precision and at sample sizes other than the goldens'.
+// A refactor of the study sinks must leave every value bit-identical,
+// and every thread count must render the same value.
+const study_pin kStudyPins[] = {
+    // The census payload details behind Fig. 5 and the Fig. 13
+    // rank-group counts.
+    {"census",
+     [](const engine::options& exec) {
+       return digest(core::run_census(shared_model(), {}, exec));
+     },
+     0xac15babd340ab4c2ULL},
+    // The census without payload details (the fig03/fig13 path).
+    {"census_bare",
+     [](const engine::options& exec) {
+       return digest(core::run_census(
+           shared_model(),
+           {.initial_size = 1250, .collect_payload_details = false}, exec));
+     },
+     0xe58298bb206d1546ULL},
+    // The ACK-policy sweep (no golden).
+    {"ack_sweep",
+     [](const engine::options& exec) {
+       return digest(core::run_ack_sweep(shared_model(), 0, exec));
+     },
+     0xd115ad4b4ae84af0ULL},
+    // The compression study, its in-the-wild half included.
+    {"compression",
+     [](const engine::options& exec) {
+       return digest(core::run_compression_study(shared_model(),
+                                                 {.max_chains = 200}, exec));
+     },
+     0xd2ef9d93cd433f3eULL},
+    // The spoofing studies, all on the backscatter path: the Fig. 9
+    // telescope aggregates (per-provider amplification, Meta durations
+    // and maximum), the Fig. 11 Meta /24 scan rows and the Table 3
+    // policy rows.
+    {"telescope",
+     [](const engine::options& exec) {
+       return digest(core::run_telescope_study(
+           shared_model(), {.sessions_per_provider = 40}, exec));
+     },
+     0x81a697dcff9d5cd5ULL},
+    {"meta_scan",
+     [](const engine::options& exec) {
+       return digest(core::run_meta_scan(shared_model(), false, 2, exec));
+     },
+     0xac78822ac7ebba80ULL},
+    {"policy",
+     [](const engine::options& exec) {
+       return digest(
+           core::run_policy_study(shared_model(), "le-r3-x1cross", exec));
+     },
+     0xb2e5312d595d3230ULL},
+    // The two example-driven studies at the sample sizes those examples
+    // use: the §3.1/§3.2 measurement funnel (examples/handshake_census)
+    // and the §5 Initial-size tuner (examples/initial_size_tuner).
+    {"funnel",
+     [](const engine::options& exec) {
+       return digest(
+           core::run_funnel(shared_model(), {.consistency_sample = 200}, exec));
+     },
+     0x096e3dec796ba1e5ULL},
+    {"tuner",
+     [](const engine::options& exec) {
+       return digest(core::run_tuner_study(shared_model(), 800, exec));
+     },
+     0xf36c62d00a2f9043ULL},
+    // The corpus fold (every corpus_result field), the PQC chain-profile
+    // slices and the TTFB profile x condition cells.
+    {"corpus",
+     [](const engine::options& exec) {
+       return digest(
+           core::analyze_corpus(shared_model(), {.max_services = 400}, exec));
+     },
+     0xc09fff29803fe331ULL},
+    {"pqc",
+     [](const engine::options& exec) {
+       return digest(core::run_pqc_study(
+           shared_model(), {.max_services = 150, .max_corpus = 300}, exec));
+     },
+     0x6ab194b955d5be39ULL},
+    {"ttfb",
+     [](const engine::options& exec) {
+       core::ttfb_options opt;
+       opt.max_services = 150;
+       return digest(core::run_ttfb_study(shared_model(), opt, exec));
+     },
+     0xd1d89ca32f9cb95cULL},
+};
+
+// Names the row in gtest's parameter listings and failure messages.
+void PrintTo(const study_pin& pin, std::ostream* os) { *os << pin.name; }
+
+class EnginePins
+    : public ::testing::TestWithParam<std::tuple<study_pin, std::size_t>> {};
+
+TEST_P(EnginePins, MatchesPinnedDigest) {
+  const auto& [pin, threads] = GetParam();
+  const std::string rendered = pin.render({.threads = threads});
+  EXPECT_EQ(fnv1a(rendered), pin.fnv) << rendered;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Studies, EnginePins,
+    ::testing::Combine(::testing::ValuesIn(kStudyPins),
+                       ::testing::Values(std::size_t{1}, std::size_t{8})),
+    [](const ::testing::TestParamInfo<EnginePins::ParamType>& info) {
+      return std::string{std::get<0>(info.param).name} + "_" +
+             std::to_string(std::get<1>(info.param)) + "_threads";
+    });
+
+void expect_same_corpus(const core::corpus_result& a,
+                        const core::corpus_result& b, const char* what) {
+  const auto fa = corpus_fields(a);
+  const auto fb = corpus_fields(b);
+  ASSERT_EQ(fa.size(), fb.size());
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    EXPECT_EQ(fa[i].second, fb[i].second) << fa[i].first << " (" << what
+                                          << ')';
+  }
 }
 
 TEST(EngineDeterminism, CorpusThroughAChainCacheMatchesDirect) {
@@ -505,10 +481,11 @@ TEST(ChainTable, MultiVariantPlanMatchesCachelessProbes) {
         expected.push_back(fingerprint(i, v, prober.probe(rec, opt)));
       }
     }
-    for (const std::size_t threads : {1u, 8u}) {
-      EXPECT_EQ(run_plan(plan, {.threads = threads}), expected)
-          << "base seed " << base_seed << ", " << threads << " threads";
-    }
+    // The serial table fill renders the same probes: EnginePins' pqc,
+    // ttfb and ack_sweep rows run multi-variant plans at 1 and 8
+    // threads.
+    EXPECT_EQ(run_plan(plan, {.threads = 8}), expected)
+        << "base seed " << base_seed;
   }
 }
 
@@ -580,37 +557,6 @@ TEST(SampleIndices, TlsFilterIncludesHttpsOnly) {
   EXPECT_GT(tls.size(), quic.size());
 }
 
-TEST(ParallelOrdered, ConsumesInAscendingIndexOrder) {
-  std::vector<std::size_t> consumed;
-  engine::parallel_ordered(
-      257, engine::options{.threads = 8, .chunk = 16},
-      [](std::size_t i) { return i * 3; },
-      [&](std::size_t i, std::size_t value) {
-        EXPECT_EQ(value, i * 3);
-        consumed.push_back(i);
-      });
-  ASSERT_EQ(consumed.size(), 257u);
-  for (std::size_t i = 0; i < consumed.size(); ++i) {
-    EXPECT_EQ(consumed[i], i);
-  }
-}
-
-TEST(ParallelOrdered, PropagatesWorkerExceptions) {
-  std::atomic<std::size_t> consumed{0};
-  EXPECT_THROW(
-      engine::parallel_ordered(
-          100, engine::options{.threads = 4, .chunk = 8},
-          [](std::size_t i) -> int {
-            if (i == 57) {
-              throw std::runtime_error("boom");
-            }
-            return static_cast<int>(i);
-          },
-          [&](std::size_t, int) { ++consumed; }),
-      std::runtime_error);
-  EXPECT_LT(consumed.load(), 100u);
-}
-
 TEST(ProbeSeed, ZeroBaseAndSaltPreserveRecordSeeding) {
   EXPECT_EQ(engine::probe_seed(0, "a.example", 0), 0u);
   EXPECT_NE(engine::probe_seed(1, "a.example", 0), 0u);
@@ -647,6 +593,68 @@ TEST(ProbePlan, NoAckVariantNeverAcknowledges) {
   }};
   engine::executor{m, {.threads = 2}}.run(plan, sink);
   EXPECT_GT(probes, 0u);
+}
+
+TEST(SinkLifecycle, BeginAndEndWrapEveryRun) {
+  const auto& m = shared_model();
+  engine::probe_plan plan =
+      engine::probe_plan::single(engine::probe_variant{}, 10);
+  struct lifecycle_sink final : engine::observation_sink {
+    std::size_t begins = 0, records = 0, ends = 0, announced = 0;
+    std::size_t variants = 0;
+    void on_begin(const engine::probe_plan& p, std::size_t sampled) override {
+      ++begins;
+      announced = sampled;
+      variants = p.variants.size();
+      EXPECT_EQ(records, 0u);
+    }
+    void on_record(const engine::probe_record&) override {
+      EXPECT_EQ(begins, 1u);
+      EXPECT_EQ(ends, 0u);
+      ++records;
+    }
+    void on_end() override { ++ends; }
+  };
+
+  lifecycle_sink sink;
+  const engine::executor eng{m, {.threads = 4}};
+  eng.run(plan, sink);
+  EXPECT_EQ(sink.begins, 1u);
+  EXPECT_EQ(sink.ends, 1u);
+  EXPECT_EQ(sink.records, sink.announced * sink.variants);
+  EXPECT_GT(sink.records, 0u);
+
+  // An empty sample still sees exactly one begin/end pair.
+  lifecycle_sink empty;
+  eng.run(plan, {}, empty);
+  EXPECT_EQ(empty.begins, 1u);
+  EXPECT_EQ(empty.ends, 1u);
+  EXPECT_EQ(empty.records, 0u);
+}
+
+TEST(SinkLifecycle, TeeAndFilterCompose) {
+  const auto& m = shared_model();
+  const auto plan = engine::probe_plan::single(engine::probe_variant{}, 30);
+
+  std::size_t all = 0;
+  std::size_t completed = 0;
+  engine::callback_sink count_all{
+      [&](const engine::probe_record&) { ++all; }};
+  engine::callback_sink count_completed{
+      [&](const engine::probe_record& pr) {
+        EXPECT_TRUE(pr.result.obs.handshake_complete);
+        ++completed;
+      }};
+  engine::filter_sink only_completed{
+      count_completed, [](const engine::probe_record& pr) {
+        return pr.result.obs.handshake_complete;
+      }};
+  engine::tee_sink tee{{&count_all, &only_completed}};
+  engine::executor{m, {.threads = 2}}.run(plan, tee);
+
+  EXPECT_GT(all, 0u);
+  EXPECT_GT(completed, 0u);
+  EXPECT_LE(completed, all);
 }
 
 #if defined(CERTQUIC_ENABLE_ASSERTS)
@@ -699,6 +707,65 @@ TEST(ProbePlan, MultiVariantPlansEnumerateVariantMajor) {
   for (std::size_t i = 0; i < variant_order.size(); ++i) {
     EXPECT_EQ(variant_order[i], i < services ? 0u : 1u);
   }
+}
+
+std::string digest(const engine::backscatter_outcome& o) {
+  std::ostringstream out;
+  out << o.backscatter.provider << ':' << o.backscatter.bytes << ':'
+      << o.backscatter.datagrams << ':' << o.backscatter.first_seen << ':'
+      << o.backscatter.last_seen << ':' << o.attacker.bytes_sent_total;
+  return out.str();
+}
+
+TEST(Backscatter, ShardPartitionIsThreadAndChunkInvariant) {
+  // Raw run_backscatter check, independent of any study: the same plan
+  // must yield the same per-session outcomes at every thread count and
+  // whatever chunk the caller asks for, because the session→world
+  // partition is part of the plan.
+  auto plan = core::build_telescope_plan(shared_model(),
+                                         {.sessions_per_provider = 20});
+  ASSERT_EQ(plan.sessions.size(), 60u);
+  // Fold each provider's sessions onto one endpoint. Sessions of one
+  // world then share the server (and chain) its first session spawned,
+  // so a session moved to another world would change its bytes.
+  for (auto& session : plan.sessions) {
+    session.server.ip = net::ipv4{session.server.ip.slash24().value | 1};
+  }
+
+  const auto collect = [&](engine::options opt) {
+    std::vector<std::string> digests;
+    for (const auto& o : engine::run_backscatter(plan, opt)) {
+      digests.push_back(digest(o));
+    }
+    return digests;
+  };
+  const auto serial = collect(engine::options::serial());
+  ASSERT_EQ(serial.size(), plan.sessions.size());
+  for (const std::size_t threads : {2UL, 8UL, 16UL}) {
+    EXPECT_EQ(serial, collect({.threads = threads}))
+        << "backscatter diverged from serial at " << threads << " threads";
+  }
+  for (const std::size_t chunk : {1UL, 1000UL}) {
+    EXPECT_EQ(serial, collect({.threads = 8, .chunk = chunk}))
+        << "backscatter diverged from serial at chunk " << chunk;
+  }
+}
+
+TEST(Backscatter, SensorsAttributeBackscatterPerSession) {
+  const auto plan = core::build_telescope_plan(
+      shared_model(), {.sessions_per_provider = 8});
+  std::size_t answered = 0;
+  for (const auto& o : engine::run_backscatter(plan, {.threads = 2})) {
+    if (o.backscatter.datagrams == 0) {
+      continue;
+    }
+    ++answered;
+    EXPECT_FALSE(o.backscatter.provider.empty());
+    EXPECT_GT(o.backscatter.bytes, 0u);
+    // The spoofing attacker itself hears nothing.
+    EXPECT_EQ(o.attacker.bytes_received_total, 0u);
+  }
+  EXPECT_GT(answered, plan.sessions.size() / 2);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // end-to-end invariants that tie the substrates together.
 #include <gtest/gtest.h>
 
-#include "core/census.hpp"
 #include "core/funnel.hpp"
 #include "http/collector.hpp"
 #include "quic/client.hpp"
@@ -105,16 +104,6 @@ TEST(Pipeline, FunnelCountsQuicConsistentlyWithRecords) {
   }
   EXPECT_EQ(funnel.quic_services, quic);
   EXPECT_EQ(funnel.collection.quic_capable, quic);
-}
-
-TEST(Pipeline, CensusDeterminism) {
-  core::census_options opt;
-  opt.initial_size = 1302;
-  opt.max_services = 200;
-  const auto a = core::run_census(shared_model(), opt);
-  const auto b = core::run_census(shared_model(), opt);
-  EXPECT_EQ(a.counts, b.counts);
-  EXPECT_EQ(a.probed, b.probed);
 }
 
 // Failure injection: loss on the path must never break the

@@ -1,6 +1,7 @@
 // Out-of-core pipeline tests: the sharded spill → merge path must
 // aggregate bit-identically to the in-memory path at 1, 2 and 8
-// threads, spill files must carry a validating record-count footer
+// threads, a spilled record stream must replay to the direct run's
+// records and a foreign file must not replay, spill files must carry a validating record-count footer
 // (truncation at a record boundary or at any byte offset, a missing
 // footer or a count mismatch all fail replay loudly), replay must
 // reject wrong-plan/wrong-model streams, the out-of-core study's shards
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +35,16 @@ const internet::model& shared_model() {
 
 std::filesystem::path temp_file(const char* name) {
   return std::filesystem::temp_directory_path() / name;
+}
+
+/// The files a study with `shards` shards spills into `dir`.
+std::vector<std::string> shard_paths(const std::filesystem::path& dir,
+                                     std::size_t shards) {
+  std::vector<std::string> paths;
+  for (std::size_t s = 0; s < shards; ++s) {
+    paths.push_back((dir / engine::shard_layout::file_name(s)).string());
+  }
+  return paths;
 }
 
 /// Spills a small two-variant plan into `path`, fills in `plan` and
@@ -120,14 +132,17 @@ TEST(OutofcoreStudy, KeepSpillsLeavesValidatableShards) {
   opt.keep_spills = true;
   opt.compare_in_memory = false;
   const auto result = core::run_outofcore_study(shared_model(), opt);
-  ASSERT_EQ(result.spill_paths.size(), result.shards);
+  const auto paths = shard_paths(dir, result.shards);
+  for (const std::string& path : paths) {
+    ASSERT_TRUE(std::filesystem::exists(path)) << path;
+  }
 
   engine::probe_variant variant;
   const auto plan =
       engine::probe_plan::single(std::move(variant), opt.max_services);
   counting_sink counter;
-  const std::size_t merged = engine::spill_merge{shared_model(), plan}
-                                 .replay(result.spill_paths, counter);
+  const std::size_t merged =
+      engine::spill_merge{shared_model(), plan}.replay(paths, counter);
   EXPECT_EQ(merged, result.spill.records);
   EXPECT_EQ(counter.records, result.spill.records);
   std::filesystem::remove_all(dir);
@@ -204,10 +219,11 @@ TEST(ShardLayout, StudyShardsAreEpochZeroShards) {
     epoch_shards.push_back(entry.path());
   }
   std::sort(epoch_shards.begin(), epoch_shards.end());
-  ASSERT_EQ(study.spill_paths.size(), 7u);
-  ASSERT_EQ(epoch_shards.size(), study.spill_paths.size());
+  ASSERT_EQ(study.shards, 7u);
+  const auto study_shards = shard_paths(study_dir, study.shards);
+  ASSERT_EQ(epoch_shards.size(), study_shards.size());
   for (std::size_t s = 0; s < epoch_shards.size(); ++s) {
-    const std::filesystem::path study_shard{study.spill_paths[s]};
+    const std::filesystem::path study_shard{study_shards[s]};
     EXPECT_EQ(study_shard.filename(), epoch_shards[s].filename());
     EXPECT_EQ(test::read_file_bytes(study_shard),
               test::read_file_bytes(epoch_shards[s]))
@@ -215,6 +231,80 @@ TEST(ShardLayout, StudyShardsAreEpochZeroShards) {
   }
   std::filesystem::remove_all(study_dir);
   std::filesystem::remove_all(store_dir);
+}
+
+std::string record_digest(const engine::probe_record& pr) {
+  const quic::observation& o = pr.result.obs;
+  std::ostringstream out;
+  out << pr.service_index << ':' << pr.variant_index << ':'
+      << static_cast<int>(pr.result.cls) << ':' << o.handshake_complete
+      << ':' << o.bytes_sent_total << ':' << o.bytes_received_total << ':'
+      << o.bytes_received_first_burst << ':' << o.tls_bytes_received << ':'
+      << o.certificate_msg_size << ':' << o.complete_time << ':'
+      << o.certificate_message.size();
+  return out.str();
+}
+
+TEST(SpillSink, RoundTripMatchesDirectRun) {
+  const auto& m = shared_model();
+  engine::probe_plan plan;
+  plan.max_services = 40;
+  plan.sweep_initial_sizes({1200, 1362});
+  plan.variants[0].capture_certificate = true;  // exercise certificate bytes
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "certquic_spill_test.spill")
+          .string();
+
+  // Direct run: record stream digests + an aggregate.
+  std::vector<std::string> direct;
+  std::vector<double> direct_amplification;
+  engine::callback_sink direct_sink{[&](const engine::probe_record& pr) {
+    direct.push_back(record_digest(pr));
+    direct_amplification.push_back(
+        pr.result.obs.first_burst_amplification());
+  }};
+  const engine::executor eng{m, {.threads = 4}};
+  eng.run(plan, direct_sink);
+  ASSERT_GT(direct.size(), 0u);
+
+  // Spill the same plan, then replay the file.
+  engine::spill_sink spill{path};
+  eng.run(plan, spill);
+  EXPECT_EQ(spill.records_written(), direct.size());
+
+  std::vector<std::string> replayed;
+  std::vector<double> replayed_amplification;
+  engine::callback_sink replay_sink{[&](const engine::probe_record& pr) {
+    replayed.push_back(record_digest(pr));
+    replayed_amplification.push_back(
+        pr.result.obs.first_burst_amplification());
+  }};
+  const engine::spill_reader reader{m, plan};
+  const std::size_t replayed_count = reader.replay(path, replay_sink);
+
+  EXPECT_EQ(replayed_count, direct.size());
+  EXPECT_EQ(replayed, direct);
+  EXPECT_EQ(direct_amplification, replayed_amplification);
+  std::filesystem::remove(path);
+}
+
+TEST(SpillSink, ReaderRejectsForeignFiles) {
+  const auto& m = shared_model();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "certquic_not_a_spill.txt")
+          .string();
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("something else entirely\n", f);
+    std::fclose(f);
+  }
+  const auto plan = engine::probe_plan::single(engine::probe_variant{}, 5);
+  engine::callback_sink sink{[](const engine::probe_record&) {}};
+  const engine::spill_reader reader{m, plan};
+  EXPECT_THROW((void)reader.replay(path, sink), codec_error);
+  std::filesystem::remove(path);
 }
 
 TEST(SpillFooter, TruncationAtRecordBoundaryThrows) {

@@ -1,7 +1,13 @@
-// Tier-1 suite for the PQC chain-profile axis: the study must be
-// bit-identical at 1, 2 and 8 threads, the classical slice must
-// reproduce the existing corpus (fig06) numbers exactly, and the
-// (record, protocol, profile) chain cache must keep profiles apart.
+// Tier-1 suite for the PQC chain-profile axis: the classical slice
+// must reproduce the existing corpus (fig06) numbers exactly, larger
+// profiles must shift sizes and classes monotonically, and the
+// (record, protocol, profile) chain cache must keep profiles apart and
+// memoize thread-safely. engine_test's EnginePins harness pins the
+// study at 1 and 8 threads.
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/certificates.hpp"
@@ -18,11 +24,11 @@ const internet::model& shared_model() {
   return m;
 }
 
-pqc_study_result run_study(std::size_t threads) {
+pqc_study_result run_study() {
   pqc_options opt;
   opt.max_services = 150;
   opt.max_corpus = 300;
-  return run_pqc_study(shared_model(), opt, {.threads = threads});
+  return run_pqc_study(shared_model(), opt);
 }
 
 void expect_identical_sets(const stats::sample_set& a,
@@ -31,8 +37,7 @@ void expect_identical_sets(const stats::sample_set& a,
   if (a.empty()) {
     return;
   }
-  // Bit-identical, not approximately equal: the whole point of the
-  // engine's determinism contract. Quantiles first — they sort both
+  // Bit-identical, not approximately equal. Quantiles first — they sort both
   // sets in place, so the mean then sums in one canonical order
   // (sample_set::mean adds in storage order, which earlier queries may
   // have re-sorted).
@@ -42,32 +47,12 @@ void expect_identical_sets(const stats::sample_set& a,
   EXPECT_EQ(a.mean(), b.mean());
 }
 
-TEST(PqcStudy, BitIdenticalAcrossThreadCounts) {
-  const auto serial = run_study(1);
-  ASSERT_EQ(serial.slices.size(), 3u);
-  for (const std::size_t threads : {2u, 8u}) {
-    const auto parallel = run_study(threads);
-    ASSERT_EQ(parallel.slices.size(), serial.slices.size());
-    for (std::size_t i = 0; i < serial.slices.size(); ++i) {
-      const auto& s = serial.slices[i];
-      const auto& p = parallel.slices[i];
-      EXPECT_EQ(p.profile, s.profile);
-      EXPECT_EQ(p.probed, s.probed);
-      EXPECT_EQ(p.counts, s.counts);
-      EXPECT_EQ(p.over_amp_limit, s.over_amp_limit);
-      expect_identical_sets(p.quic_chain_sizes, s.quic_chain_sizes);
-      expect_identical_sets(p.https_chain_sizes, s.https_chain_sizes);
-      expect_identical_sets(p.amplification, s.amplification);
-    }
-  }
-}
-
 TEST(PqcStudy, ClassicalReproducesCorpusChainSizes) {
   // The classical slice of the study walks the same deterministic TLS
   // sample as analyze_corpus — the fig06 aggregator — so its chain-size
   // distributions must match that study bit-for-bit.
   const auto corpus = analyze_corpus(shared_model(), {.max_services = 300});
-  const auto study = run_study(0);
+  const auto study = run_study();
   const auto& classical = study.slice(x509::pq_profile::classical);
   expect_identical_sets(classical.quic_chain_sizes, corpus.quic_chain_sizes);
   expect_identical_sets(classical.https_chain_sizes,
@@ -76,7 +61,7 @@ TEST(PqcStudy, ClassicalReproducesCorpusChainSizes) {
 }
 
 TEST(PqcStudy, ProfilesShiftSizesAndClassesMonotonically) {
-  const auto study = run_study(0);
+  const auto study = run_study();
   const auto& classical = study.slice(x509::pq_profile::classical);
   const auto& leaf = study.slice(x509::pq_profile::pqc_leaf);
   const auto& full = study.slice(x509::pq_profile::pqc_full);
@@ -146,6 +131,53 @@ TEST(ChainCache, KeysIncludeChainProfile) {
                 .get(),
             full.get());
   EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(ChainCache, MemoizesAndIsThreadSafe) {
+  const auto& m = shared_model();
+  const internet::chain_cache cache{m};
+
+  std::vector<const internet::service_record*> tls_records;
+  for (const auto& rec : m.records()) {
+    if (rec.serves_tls()) {
+      tls_records.push_back(&rec);
+    }
+    if (tls_records.size() == 64) {
+      break;
+    }
+  }
+  ASSERT_FALSE(tls_records.empty());
+
+  // Concurrent repeat visits: every thread fetches every record twice.
+  std::atomic<bool> mismatch{false};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < 8; ++t) {
+    pool.emplace_back([&] {
+      for (int round = 0; round < 2; ++round) {
+        for (const auto* rec : tls_records) {
+          const auto cached =
+              cache.chain_of(*rec, internet::fetch_protocol::https);
+          const auto direct =
+              m.chain_of(*rec, internet::fetch_protocol::https);
+          if (cached->concatenated_der() != direct.concatenated_der()) {
+            mismatch.store(true);
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : pool) {
+    t.join();
+  }
+  EXPECT_FALSE(mismatch.load());
+  EXPECT_EQ(cache.size(), tls_records.size());
+  EXPECT_GT(cache.hits(), 0u);
+
+  // Protocols are distinct cache keys (rotated certificates differ).
+  const auto quic_side =
+      cache.chain_of(*tls_records.front(), internet::fetch_protocol::quic);
+  EXPECT_EQ(cache.size(), tls_records.size() + 1);
+  (void)quic_side;
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // — a killed run (complete shards on disk, one truncated, the rest
 // missing) resumed in a fresh process must produce bit-identical
 // aggregates, digests and rendered tables to an uninterrupted run at 1,
-// 2 and 8 threads; complete shards must be reused rather than
+// 2 and 8 threads, and every uninterrupted run must equal the serial
+// one; complete shards must be reused rather than
 // re-probed; a store must reject a mismatched configuration; a
 // corrupted (reordered) shard stream must be caught by the sealed
 // epoch digest; and a shard left in the older text format must be
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,7 @@ void expect_identical(const service::service_result& a,
 }
 
 TEST(CensusService, KillAndResumeBitIdenticalAcrossThreads) {
+  std::optional<service::service_result> serial;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     const engine::options exec{.threads = threads};
     const std::string tag = std::to_string(threads);
@@ -100,6 +103,11 @@ TEST(CensusService, KillAndResumeBitIdenticalAcrossThreads) {
     ASSERT_TRUE(full.complete);
     ASSERT_EQ(full.epochs.size(), 3u);
     EXPECT_EQ(full.probed_shards, 9u);
+    if (!serial) {
+      serial = full;
+    } else {
+      expect_identical(*serial, full);
+    }
 
     // Kill after 4 shard slices: epoch 0 sealed, epoch 1 in progress.
     const auto kill_dir = fresh_dir("certquic_service_kill_" + tag);
@@ -128,21 +136,6 @@ TEST(CensusService, KillAndResumeBitIdenticalAcrossThreads) {
     fs::remove_all(full_dir);
     fs::remove_all(kill_dir);
   }
-}
-
-TEST(CensusService, ThreadCountsAgreeWithSerial) {
-  const auto serial_dir = fresh_dir("certquic_service_serial");
-  const auto serial = service::run_epochs(
-      small_opts(serial_dir.string()), {.threads = 1});
-  for (const std::size_t threads : {2u, 8u}) {
-    const auto dir =
-        fresh_dir("certquic_service_mt_" + std::to_string(threads));
-    const auto mt = service::run_epochs(small_opts(dir.string()),
-                                        {.threads = threads});
-    expect_identical(serial, mt);
-    fs::remove_all(dir);
-  }
-  fs::remove_all(serial_dir);
 }
 
 TEST(CensusService, ResumeReusesCompleteShards) {

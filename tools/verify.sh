@@ -10,9 +10,9 @@
 # tier-2, or whatever the extra ctest args select, e.g. -L tier1), the
 # out-of-core smoke, the epochs kill-resume smoke, the architecture
 # analyzer and the docs check. Each flag adds stages to that gate:
-#   --threads N   engine determinism: tier-1 (golden_test included, so
-#                 every figure and table) under CERTQUIC_THREADS=1
-#                 and =N
+#   --threads N   engine determinism: tier-1 under CERTQUIC_THREADS=1
+#                 and =N (every figure and EnginePins study pins both
+#                 1 and 8 threads in tier-1 already)
 #   --sanitize    tier-1 under ASan+UBSan (build-asan/), then the
 #                 threaded suites under TSan (build-tsan/); both with
 #                 CERTQUIC_ASSERT on and no suppression files
@@ -142,10 +142,11 @@ epochs_check() {
 }
 
 # Engine-determinism gate: tier-1 must pass with the serial engine and
-# with N worker threads. golden_test is tier-1, so every figure and
-# table — fig09, fig11 and tab03 included, whose spoofed sessions run
-# in run_backscatter's simulator+telescope worlds — must print its
-# golden under both.
+# with N worker threads. Every figure and every EnginePins study already
+# pins its output at 1 and 8 threads inside tier-1 (golden_test and
+# bench.<id> set CERTQUIC_THREADS themselves; EnginePins passes the
+# count); this stage reruns the other suites, whose studies take the
+# engine's default thread count, under both.
 threads_check() {
   th_status=0
   for t in 1 "$engine_threads"; do
@@ -174,7 +175,7 @@ sanitize_check() {
           -DCERTQUIC_SANITIZE=thread &&
     cmake --build build-tsan -j "$jobs" &&
     (cd build-tsan && ctest --output-on-failure -j "$jobs" "$@" -R \
-      '^(engine_test|backend_test|executor_test|outofcore_test|service_test|ttfb_test|pqc_test|stats_test|net_test)$') &&
+      '^(core_test|engine_test|executor_test|outofcore_test|service_test|ttfb_test|pqc_test|stats_test|net_test)$') &&
   echo "OK   sanitize: ASan+UBSan tier-1 and TSan threaded suites clean"
 }
 
