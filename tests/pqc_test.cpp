@@ -37,7 +37,8 @@ void expect_identical_sets(const stats::sample_set& a,
   if (a.empty()) {
     return;
   }
-  // Bit-identical, not approximately equal. Quantiles first — they sort both
+  // Bit-identical, not approximately equal: the whole point of the
+  // engine's determinism contract. Quantiles first — they sort both
   // sets in place, so the mean then sums in one canonical order
   // (sample_set::mean adds in storage order, which earlier queries may
   // have re-sorted).
