@@ -17,7 +17,8 @@
 
 namespace certquic::core {
 
-/// Everything one census epoch (or one out-of-core path) aggregates.
+/// Everything one census epoch aggregates (also the in-memory baseline
+/// that `certquic_scan fig fig_outofcore_rss` compares epoch 0 against).
 /// Every field is a pure fold over the stream in plan order, so a
 /// re-merged (resumed) epoch is bit-identical to an uninterrupted one.
 struct epoch_aggregate : class_mix {

@@ -1,7 +1,8 @@
 // Order-sensitive FNV-1a fold over a probe-record stream, shared by
 // every pipeline that needs to prove two record streams were identical
-// *including order* (the out-of-core spill/merge comparison and the
-// longitudinal service's per-epoch checkpoints). Equal digests over the
+// *including order* (the longitudinal service's per-epoch checkpoints,
+// the spill-vs-in-memory comparison of fig_outofcore_rss and the
+// EnginePins study digests). Equal digests over the
 // same field set mean the streams matched record for record; aggregate
 // equality alone cannot distinguish a reordering.
 #pragma once
@@ -24,9 +25,9 @@ inline void digest_mix(std::uint64_t& h, std::uint64_t v) noexcept {
 }
 
 /// Folds one record's identifying and observation fields. The field
-/// set (and its order) is the digest's wire format: the out-of-core
-/// study and the epoch store both persist/compare these values, so
-/// changing it invalidates every stored digest.
+/// set (and its order) is the digest's wire format: the epoch store's
+/// MANIFEST persists these values and the pinned test and benchmark
+/// digests fold them, so changing it invalidates every stored digest.
 inline void digest_record(std::uint64_t& h, std::uint32_t service_index,
                           std::uint32_t variant_index,
                           const scan::probe_result& result) noexcept {

@@ -31,7 +31,7 @@
 // records. A cut inside a record leaves a length prefix that runs past
 // the end of the file. Every field of scan::probe_result round-trips,
 // so replayed aggregates are bit-identical to direct ones (enforced by
-// tests/backend_test and tests/outofcore_test).
+// the SpillSink and one-epoch census tests in tests/outofcore_test).
 #pragma once
 
 #include <cstdint>

@@ -78,6 +78,7 @@ service_result run_epochs(const service_options& opt,
     // decides completeness (resume invariant 3).
     std::vector<std::string> paths;
     paths.reserve(layout.shards());
+    rep.shard_records.reserve(layout.shards());
     for (std::size_t s = 0; s < layout.shards(); ++s) {
       const std::string path = store.shard_path(e, s);
       paths.push_back(path);
@@ -87,6 +88,7 @@ service_result run_epochs(const service_options& opt,
       if (reusable_shard(probe, slice.size(), plan.variants.size(),
                          checkpoint)) {
         ++rep.shards_reused;
+        rep.shard_records.push_back(probe.records);
         if (!checkpoint.has_value()) {
           // Complete file, lost checkpoint line (kill between the
           // spill's close and the manifest append): re-seal it.
@@ -106,6 +108,7 @@ service_result run_epochs(const service_options& opt,
       engine::spill_sink sink{path};
       eng.run(plan, slice, sink);
       store.note_shard(e, s, sink.records_written());
+      rep.shard_records.push_back(sink.records_written());
       ++rep.shards_probed;
       ++out.probed_shards;
     }

@@ -1,7 +1,10 @@
 // The longitudinal census service: repeated census epochs over an
 // evolving internet::model (internet/churn.cpp), executed through the
 // plan → executor → sink engine, persisted through the spill pipeline
-// into an epoch_store, and reported as epoch-over-epoch deltas.
+// into an epoch_store, and reported as epoch-over-epoch deltas. It is
+// the one driver of the shard → spill → merge pipeline: a one-epoch run
+// is the out-of-core census sweep (`certquic_scan outofcore`,
+// `certquic_scan fig fig_outofcore_rss`).
 //
 // Resume invariants (what the kill-and-resume tests pin down):
 //  1. Epoch worlds are pure functions of (config, churn, epoch) — a
@@ -61,6 +64,9 @@ struct epoch_report {
   std::size_t sampled = 0;        // QUIC services the epoch probed
   std::size_t shards_probed = 0;  // slices executed in this call
   std::size_t shards_reused = 0;  // complete on disk, not re-probed
+  /// Records in each shard file, reused or probed, in shard order
+  /// (sums to aggregate.records).
+  std::vector<std::size_t> shard_records;
   core::epoch_aggregate aggregate;
 };
 

@@ -1,6 +1,8 @@
-// Peak-resident-set metering for the out-of-core studies: how much
-// memory did *this phase* of the process actually pin, measured by the
-// kernel rather than by counting our own allocations.
+// Peak-resident-set metering for the sharded census sweep (`certquic_scan
+// outofcore` and `fig fig_outofcore_rss` meter its spill → merge path and
+// the in-memory baseline): how much memory did *this phase* of the
+// process actually pin, measured by the kernel rather than by counting
+// our own allocations.
 //
 // On Linux the meter reads VmRSS / VmHWM from /proc/self/status and —
 // where the kernel allows it — resets the high-water mark between

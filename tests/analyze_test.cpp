@@ -212,10 +212,18 @@ TEST(AnalyzeFixtures, BadSpecsThrow) {
 
 // -------------------------------------------------------- real tree
 
+/// src/ analyzed against tools/layers.txt, once per process: the
+/// whole-tree pass is most of this suite's time, and the tests below
+/// read the same result.
+const analysis_result& src_analysis() {
+  static const analysis_result r =
+      analyze_tree(lint::collect_sources(kSrcRoot), kSrcRoot,
+                   load_layer_spec(kLayersFile), {});
+  return r;
+}
+
 TEST(AnalyzeRealTree, SrcIsCleanAgainstCheckedInSpecAndWaivers) {
-  const layer_spec spec = load_layer_spec(kLayersFile);
-  const analysis_result r =
-      analyze_tree(lint::collect_sources(kSrcRoot), kSrcRoot, spec, {});
+  const analysis_result& r = src_analysis();
   const lint::report rep = lint::apply_waivers(
       r.findings, lint::load_waivers(kWaiverFile), lint::all_rules());
   for (const lint::finding& f : rep.findings) {
@@ -249,8 +257,7 @@ TEST(AnalyzeRealTree, LayerSpecMatchesSrcModulesBothWays) {
 
 TEST(AnalyzeRealTree, DepgraphAgreesWithSpecAndDisk) {
   const layer_spec spec = load_layer_spec(kLayersFile);
-  const analysis_result r =
-      analyze_tree(lint::collect_sources(kSrcRoot), kSrcRoot, spec, {});
+  const analysis_result& r = src_analysis();
   std::set<std::string> spec_modules;
   for (const auto& [module, layer] : spec.layer_of) {
     spec_modules.insert(module);

@@ -1,12 +1,13 @@
-// Out-of-core pipeline tests: the sharded spill → merge path must
-// aggregate bit-identically to the in-memory path at 1, 2 and 8
-// threads, a spilled record stream must replay to the direct run's
-// records and a foreign file must not replay, spill files must carry a
-// validating record-count footer (truncation at a record boundary or at
-// any byte offset, a missing footer or a count mismatch all fail replay
-// loudly), replay must reject wrong-plan/wrong-model streams, the
-// out-of-core study's shards must be epoch 0's shards, and population
-// synthesis must be thread-count-invariant.
+// Out-of-core pipeline tests: the sharded spill → merge path (epoch 0
+// of service::run_epochs) must aggregate bit-identically to a direct
+// run at 1, 2 and 8 threads and at any shard count, and report each
+// shard file's record count; a spilled record stream must replay to
+// the direct run's records and a foreign file must not replay, spill
+// files must carry a validating record-count footer (truncation at a
+// record boundary or at any byte offset, a missing footer or a count
+// mismatch all fail replay loudly), replay must reject
+// wrong-plan/wrong-model streams, and population synthesis must be
+// thread-count-invariant.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -18,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/outofcore_study.hpp"
 #include "engine/spill.hpp"
 #include "service/census_service.hpp"
 #include "spill_bytes.hpp"
@@ -35,16 +35,6 @@ const internet::model& shared_model() {
 
 std::filesystem::path temp_file(const char* name) {
   return std::filesystem::temp_directory_path() / name;
-}
-
-/// The files a study with `shards` shards spills into `dir`.
-std::vector<std::string> shard_paths(const std::filesystem::path& dir,
-                                     std::size_t shards) {
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < shards; ++s) {
-    paths.push_back((dir / engine::shard_layout::file_name(s)).string());
-  }
-  return paths;
 }
 
 /// Spills a small two-variant plan into `path`, fills in `plan` and
@@ -79,69 +69,89 @@ class certificate_bytes_sink final : public engine::observation_sink {
   std::size_t total = 0;
 };
 
-TEST(OutofcoreStudy, SpillMergeMatchesInMemoryAcrossThreadCounts) {
-  const auto dir = temp_file("certquic_outofcore_study_test");
-  std::uint64_t first_digest = 0;
+/// A one-epoch store at `dir`: the out-of-core census of the
+/// shared_model() population.
+service::service_options epoch_zero(const std::filesystem::path& dir,
+                                    std::size_t sample,
+                                    std::size_t shards) {
+  return {.store_dir = dir.string(),
+          .domains = 2000,
+          .seed = 42,
+          .sample = sample,
+          .shards = shards,
+          .epochs = 1};
+}
+
+/// Epoch 0 run into a fresh store at `dir`.
+service::epoch_report one_epoch(const std::filesystem::path& dir,
+                                std::size_t sample, std::size_t shards,
+                                std::size_t threads) {
+  std::filesystem::remove_all(dir);
+  service::service_result r = service::run_epochs(
+      epoch_zero(dir, sample, shards), {.threads = threads});
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.epochs.size(), 1u);
+  return std::move(r.epochs.at(0));
+}
+
+TEST(EpochZeroCensus, MergeMatchesDirectRunAcrossThreadCounts) {
+  const auto dir = temp_file("certquic_epoch_zero_threads_test");
+  const auto plan = engine::probe_plan::single({}, 150);
+  core::epoch_aggregate direct;
+  {
+    core::epoch_aggregate_sink sink{direct};
+    engine::executor{shared_model(), engine::options::serial()}.run(plan,
+                                                                    sink);
+  }
+  ASSERT_GT(direct.records, 0u);
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    core::outofcore_options opt;
-    opt.max_services = 150;
-    opt.shards = 4;
-    opt.spill_dir = dir.string();
-    const auto result = core::run_outofcore_study(
-        shared_model(), opt, {.threads = threads});
-    ASSERT_GT(result.spill.records, 0u);
-    EXPECT_EQ(result.spill.records, result.sampled);
-    EXPECT_TRUE(result.compared);
-    EXPECT_TRUE(result.identical)
-        << "spill-merge aggregate diverged at " << threads << " threads";
-    EXPECT_EQ(result.shard_records.size(), result.shards);
-    if (first_digest == 0) {
-      first_digest = result.spill.stream_digest;
-    } else {
-      EXPECT_EQ(result.spill.stream_digest, first_digest)
-          << "stream digest changed with " << threads << " threads";
-    }
+    const auto epoch = one_epoch(dir, 150, 4, threads);
+    const core::epoch_aggregate& merged = epoch.aggregate;
+    EXPECT_EQ(merged.records, direct.records) << threads << " threads";
+    EXPECT_EQ(merged.records, epoch.sampled) << threads << " threads";
+    EXPECT_EQ(merged.counts, direct.counts) << threads << " threads";
+    EXPECT_EQ(merged.bytes_sent_total, direct.bytes_sent_total)
+        << threads << " threads";
+    EXPECT_EQ(merged.bytes_received_total, direct.bytes_received_total)
+        << threads << " threads";
+    EXPECT_EQ(merged.certificate_bytes, direct.certificate_bytes)
+        << threads << " threads";
+    EXPECT_EQ(merged.stream_digest, direct.stream_digest)
+        << "merged stream diverged at " << threads << " threads";
+    EXPECT_EQ(epoch.shard_records.size(), 4u);
   }
   std::filesystem::remove_all(dir);
 }
 
-TEST(OutofcoreStudy, ShardCountDoesNotChangeAggregates) {
-  const auto dir = temp_file("certquic_outofcore_shards_test");
-  std::uint64_t digest1 = 0, digest7 = 0;
-  for (const std::size_t shards : {1u, 7u}) {
-    core::outofcore_options opt;
-    opt.max_services = 120;
-    opt.shards = shards;
-    opt.spill_dir = dir.string();
-    opt.compare_in_memory = false;
-    const auto result =
-        core::run_outofcore_study(shared_model(), opt, {.threads = 2});
-    (shards == 1 ? digest1 : digest7) = result.spill.stream_digest;
-    EXPECT_EQ(result.shards, shards);
-  }
-  EXPECT_EQ(digest1, digest7);
+TEST(EpochZeroCensus, ShardCountDoesNotChangeTheDigest) {
+  const auto dir = temp_file("certquic_epoch_zero_shards_test");
+  const auto one = one_epoch(dir, 120, 1, 2);
+  const auto seven = one_epoch(dir, 120, 7, 2);
+  EXPECT_EQ(one.shard_records.size(), 1u);
+  EXPECT_EQ(seven.shard_records.size(), 7u);
+  EXPECT_EQ(one.aggregate.stream_digest, seven.aggregate.stream_digest);
   std::filesystem::remove_all(dir);
 }
 
-TEST(OutofcoreStudy, KeepSpillsLeavesValidatableShards) {
-  const auto dir = temp_file("certquic_outofcore_keep_test");
-  core::outofcore_options opt;
-  opt.max_services = 60;
-  opt.shards = 3;
-  opt.spill_dir = dir.string();
-  opt.keep_spills = true;
-  opt.compare_in_memory = false;
-  const auto result = core::run_outofcore_study(shared_model(), opt);
-  const auto paths = shard_paths(dir, result.shards);
+TEST(EpochZeroCensus, ShardRecordsAreTheShardFilesCounts) {
+  const auto dir = temp_file("certquic_epoch_zero_records_test");
+  const auto epoch = one_epoch(dir, 60, 3, 1);
+  ASSERT_EQ(epoch.shard_records.size(), 3u);
+  EXPECT_EQ(std::accumulate(epoch.shard_records.begin(),
+                            epoch.shard_records.end(), std::size_t{0}),
+            epoch.aggregate.records);
+  for (std::size_t s = 0; s < epoch.shard_records.size(); ++s) {
+    const auto probe = engine::spill_probe(
+        (dir / "epoch_0000" / engine::shard_layout::file_name(s)).string());
+    EXPECT_TRUE(probe.complete()) << "shard " << s;
+    EXPECT_EQ(probe.records, epoch.shard_records[s]) << "shard " << s;
+  }
 
-  engine::probe_variant variant;
-  const auto plan =
-      engine::probe_plan::single(std::move(variant), opt.max_services);
-  counting_sink counter;
-  const std::size_t merged =
-      engine::spill_merge{shared_model(), plan}.replay(paths, counter);
-  EXPECT_EQ(merged, result.spill.records);
-  EXPECT_EQ(counter.records, result.spill.records);
+  // A rerun reuses every shard and reports the same counts.
+  const auto rerun = service::run_epochs(epoch_zero(dir, 60, 3));
+  ASSERT_EQ(rerun.epochs.size(), 1u);
+  EXPECT_EQ(rerun.epochs[0].shards_reused, 3u);
+  EXPECT_EQ(rerun.epochs[0].shard_records, epoch.shard_records);
   std::filesystem::remove_all(dir);
 }
 
@@ -178,56 +188,6 @@ TEST(ShardLayout, CutsTheSampleIntoPinnedSlices) {
   }
   EXPECT_EQ(engine::shard_layout::file_name(0), "shard_0000.spill");
   EXPECT_EQ(engine::shard_layout::file_name(31), "shard_0031.spill");
-}
-
-TEST(ShardLayout, StudyShardsAreEpochZeroShards) {
-  // The out-of-core study and epoch 0 of the longitudinal service cut
-  // the same sample into the same slices: same file names, same bytes,
-  // same folded stream.
-  const auto study_dir = temp_file("certquic_layout_study");
-  const auto store_dir = temp_file("certquic_layout_store");
-  std::filesystem::remove_all(study_dir);
-  std::filesystem::remove_all(store_dir);
-
-  core::outofcore_options opt;
-  opt.max_services = 120;
-  opt.shards = 7;
-  opt.spill_dir = study_dir.string();
-  opt.compare_in_memory = false;
-  opt.keep_spills = true;
-  const auto study = core::run_outofcore_study(shared_model(), opt);
-
-  service::service_options sopt;
-  sopt.store_dir = store_dir.string();
-  sopt.domains = 2000;
-  sopt.seed = 42;
-  sopt.sample = 120;
-  sopt.shards = 7;
-  sopt.epochs = 1;
-  const auto epochs = service::run_epochs(sopt);
-  ASSERT_TRUE(epochs.complete);
-  ASSERT_EQ(epochs.epochs.size(), 1u);
-  EXPECT_EQ(epochs.epochs[0].aggregate.stream_digest,
-            study.spill.stream_digest);
-
-  std::vector<std::filesystem::path> epoch_shards;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(store_dir / "epoch_0000")) {
-    epoch_shards.push_back(entry.path());
-  }
-  std::sort(epoch_shards.begin(), epoch_shards.end());
-  ASSERT_EQ(study.shards, 7u);
-  const auto study_shards = shard_paths(study_dir, study.shards);
-  ASSERT_EQ(epoch_shards.size(), study_shards.size());
-  for (std::size_t s = 0; s < epoch_shards.size(); ++s) {
-    const std::filesystem::path study_shard{study_shards[s]};
-    EXPECT_EQ(study_shard.filename(), epoch_shards[s].filename());
-    EXPECT_EQ(test::read_file_bytes(study_shard),
-              test::read_file_bytes(epoch_shards[s]))
-        << "shard " << s << " differs between the study and epoch 0";
-  }
-  std::filesystem::remove_all(study_dir);
-  std::filesystem::remove_all(store_dir);
 }
 
 std::string record_digest(const engine::probe_record& pr) {

@@ -5,39 +5,36 @@
 // $CERTQUIC_THREADS, else all hardware threads); results are
 // bit-identical at any thread count.
 //
-// `census` classifies handshakes at one Initial size; `outofcore` runs
-// the same census through the sharded spill → merge pipeline (its
-// stdout is byte-identical to `census` on the same population — the
-// verify.sh gate diffs the two — while shard/RSS details go to stderr);
-// `epochs` runs the longitudinal census service over an evolving
-// population (checkpointed in an epoch store; rerunning the same store
-// resumes an interrupted run); `serve` is its bounded service loop,
-// sealing one epoch per pass; `domain` probes one service in detail;
+// `census` classifies handshakes at one Initial size; `epochs` runs the
+// longitudinal census service over an evolving population
+// (checkpointed in an epoch store; rerunning the same store resumes an
+// interrupted run); `outofcore` is its epoch 0, the same census
+// through the sharded spill → merge pipeline (its stdout is
+// byte-identical to `census` on the same population — the verify.sh
+// gate diffs the two — while shard/RSS details go to stderr); `serve`
+// is the bounded service loop, sealing one epoch per pass; `domain`
+// probes one service in detail;
 // `fig <id>` prints one figure or table of the paper (tools/figures.hpp
 // lists the ids and the CERTQUIC_* knobs they read; it takes no flags).
 // A malformed count, in a flag or a knob, exits 2.
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <string>
 #include <string_view>
 
 #include "core/census.hpp"
-#include "core/outofcore_study.hpp"
 #include "engine/engine.hpp"
 #include "figures.hpp"
 #include "scan/qscanner.hpp"
 #include "scan/reach.hpp"
 #include "service/census_service.hpp"
+#include "util/rss_meter.hpp"
 #include "util/text_table.hpp"
 
 namespace {
 
 using namespace certquic;
-using figures::temp_dir_cleanup;
 
 void usage(std::FILE* out) {
   std::fputs(
@@ -45,7 +42,8 @@ void usage(std::FILE* out) {
       "\n"
       "commands:\n"
       "  census     classify handshakes at one Initial size\n"
-      "  outofcore  census via the sharded spill->merge pipeline\n"
+      "  outofcore  census via the sharded spill->merge pipeline (epoch 0\n"
+      "             of `epochs`)\n"
       "  epochs     longitudinal census over an evolving population;\n"
       "             rerunning the same --store resumes an interrupted run\n"
       "  serve      bounded service loop: seal one epoch per pass\n"
@@ -59,13 +57,12 @@ void usage(std::FILE* out) {
       "  --initial B     client Initial size in bytes (default 1362)\n"
       "  --sample N      probe at most N services (default 1500)\n"
       "  --shards N      outofcore/epochs/serve: spill shards (default 8)\n"
-      "  --spill-dir DIR outofcore: keep the spill shards in DIR\n"
-      "  --no-compare    outofcore: skip the in-memory baseline\n"
       "  --epochs N      epochs/serve: target epoch count (default 4)\n"
-      "  --store DIR     epochs/serve: epoch store directory (default: a\n"
-      "                  temp dir removed afterwards; resume needs --store)\n"
-      "  --abort-after-shards N  epochs: stop (store resumable) after\n"
-      "                  probing N shard slices — crash injection\n"
+      "  --store DIR     outofcore/epochs/serve: epoch store directory\n"
+      "                  (default: a temp dir removed afterwards; resume\n"
+      "                  needs --store)\n"
+      "  --abort-after-shards N  outofcore/epochs: stop (store resumable)\n"
+      "                  after probing N shard slices — crash injection\n"
       "  --threads N     engine threads (0 = default)\n"
       "\n"
       "fig ids:\n",
@@ -95,8 +92,6 @@ struct cli_options {
   std::size_t initial = 1362;
   std::size_t sample = 1500;
   std::size_t shards = 8;
-  std::string spill_dir;     // empty = temp dir, removed afterwards
-  bool no_compare = false;   // skip the materializing baseline
   std::size_t epochs = 4;
   std::string store_dir;     // empty = temp dir, removed afterwards
   std::size_t abort_after_shards = 0;
@@ -129,17 +124,9 @@ bool parse_args(int argc, char** argv, cli_options& opt) {
   }
   for (; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--no-compare") {
-      opt.no_compare = true;
-      continue;
-    }
     if (i + 1 >= argc) {
       std::fprintf(stderr, "flag %s needs a value\n", flag.c_str());
       return false;
-    }
-    if (flag == "--spill-dir") {
-      opt.spill_dir = argv[++i];
-      continue;
     }
     if (flag == "--store") {
       opt.store_dir = argv[++i];
@@ -206,63 +193,6 @@ int run_census(const internet::model& m, const cli_options& opt) {
   return 0;
 }
 
-int run_outofcore(const internet::model& m, const cli_options& opt) {
-  core::outofcore_options oopt;
-  oopt.max_services = opt.sample;
-  oopt.shards = opt.shards;
-  oopt.initial_size = opt.initial;
-  // --no-compare skips the materializing baseline entirely: the true
-  // out-of-core mode for populations whose record stream outgrows RAM.
-  oopt.compare_in_memory = !opt.no_compare;
-  const bool temp_dir = opt.spill_dir.empty();
-  oopt.spill_dir =
-      temp_dir ? (std::filesystem::temp_directory_path() /
-                  ("certquic_outofcore_" + std::to_string(::getpid())))
-                     .string()
-               : opt.spill_dir;
-  // An explicit --spill-dir keeps the shard files for later
-  // re-aggregation; only the fallback temp directory is disposable.
-  oopt.keep_spills = !temp_dir;
-  // The fallback directory goes on scope exit, also on the error paths
-  // (disk-full, failed replay) the pipeline exists to hit.
-  const temp_dir_cleanup cleanup{temp_dir ? oopt.spill_dir : ""};
-  const auto result = core::run_outofcore_study(m, oopt, opt.exec());
-
-  // stdout carries only the deterministic aggregate (byte-identical to
-  // `census` on the same population); shard and RSS details go to
-  // stderr so the verify gate can diff the two subcommands.
-  print_class_table(result.spill.records, opt.initial,
-                    [&](scan::handshake_class c) {
-                      return result.spill.count(c);
-                    });
-  std::fprintf(stderr,
-               "out-of-core: %zu services, %zu shards, %zu spilled "
-               "records\n",
-               result.sampled, result.shards, result.spill.records);
-  if (!temp_dir) {
-    std::fprintf(stderr, "spill shards kept in %s\n",
-                 oopt.spill_dir.c_str());
-  }
-  if (result.compared) {
-    std::fprintf(stderr,
-                 "peak RSS: spill+merge %zu kB | in-memory %zu kB%s\n",
-                 result.spill_peak_rss_kb, result.in_memory_peak_rss_kb,
-                 result.spill_peak_rss_kb == 0 ? " (not measurable)" : "");
-  } else {
-    std::fprintf(stderr, "peak RSS: spill+merge %zu kB%s\n",
-                 result.spill_peak_rss_kb,
-                 result.spill_peak_rss_kb == 0 ? " (not measurable)" : "");
-  }
-  if (result.compared) {
-    std::fprintf(stderr, "aggregates identical: %s\n",
-                 result.identical ? "yes" : "NO");
-    if (!result.identical) {
-      return 1;
-    }
-  }
-  return 0;
-}
-
 service::service_options service_opts(const cli_options& opt,
                                       const std::string& store_dir) {
   service::service_options sopt;
@@ -277,42 +207,57 @@ service::service_options service_opts(const cli_options& opt,
   return sopt;
 }
 
-/// `epochs`/`serve` build one model per epoch themselves, so unlike the
-/// other subcommands they never touch the up-front base model.
-int run_epochs_cmd(const cli_options& opt) {
-  const bool temp_store = opt.store_dir.empty();
-  const std::string store_dir =
-      temp_store ? (std::filesystem::temp_directory_path() /
-                    ("certquic_epochs_" + std::to_string(::getpid())))
-                       .string()
-                 : opt.store_dir;
-  const temp_dir_cleanup cleanup{temp_store ? store_dir : ""};
-  const auto result =
-      service::run_epochs(service_opts(opt, store_dir), opt.exec());
-  std::printf("%s", service::render_epoch_tables(result).c_str());
-  std::fprintf(stderr, "epochs: %zu reported, %zu shard slices probed\n",
-               result.epochs.size(), result.probed_shards);
-  if (!result.complete) {
-    std::fprintf(stderr,
-                 "epochs: run incomplete; rerun with the same --store "
-                 "to resume\n");
-    return 3;
+int incomplete(const char* command) {
+  std::fprintf(stderr,
+               "%s: run incomplete; rerun with the same --store to "
+               "resume\n",
+               command);
+  return 3;
+}
+
+/// Epoch 0 of the epoch service. Its world is the base population, so
+/// stdout is byte-identical to `census`; shard and RSS details go to
+/// stderr so the verify gate can diff the two subcommands.
+int run_outofcore(service::service_options sopt, const cli_options& opt) {
+  sopt.epochs = 1;
+  service::service_result result;
+  std::size_t peak_kb = 0;
+  {
+    rss_meter::phase phase;
+    result = service::run_epochs(sopt, opt.exec());
+    peak_kb = phase.peak_kb();
   }
+  if (!result.complete) {
+    return incomplete("outofcore");
+  }
+  const service::epoch_report& epoch = result.epochs.front();
+  print_class_table(epoch.aggregate.records, opt.initial,
+                    [&](scan::handshake_class c) {
+                      return epoch.aggregate.count(c);
+                    });
+  std::fprintf(stderr,
+               "out-of-core: %zu services, %zu shards (%zu reused), %zu "
+               "spilled records\n",
+               epoch.sampled, epoch.shard_records.size(),
+               epoch.shards_reused, epoch.aggregate.records);
+  std::fprintf(stderr, "peak RSS: spill+merge %zu kB%s\n", peak_kb,
+               peak_kb == 0 ? " (not measurable)" : "");
   return 0;
 }
 
-int run_serve(const cli_options& opt) {
-  const bool temp_store = opt.store_dir.empty();
-  const std::string store_dir =
-      temp_store ? (std::filesystem::temp_directory_path() /
-                    ("certquic_serve_" + std::to_string(::getpid())))
-                       .string()
-                 : opt.store_dir;
-  const temp_dir_cleanup cleanup{temp_store ? store_dir : ""};
+int run_epochs_cmd(const service::service_options& sopt,
+                   const cli_options& opt) {
+  const auto result = service::run_epochs(sopt, opt.exec());
+  std::printf("%s", service::render_epoch_tables(result).c_str());
+  std::fprintf(stderr, "epochs: %zu reported, %zu shard slices probed\n",
+               result.epochs.size(), result.probed_shards);
+  return result.complete ? 0 : incomplete("epochs");
+}
+
+int run_serve(service::service_options sopt, const cli_options& opt) {
   // One epoch per pass: each pass raises the target by one, re-merges
   // the sealed epochs and seals the next, so the store stays resumable
   // between passes. A zero --epochs still reaches run_epochs' check.
-  service::service_options sopt = service_opts(opt, store_dir);
   for (sopt.epochs = std::min<std::size_t>(1, opt.epochs);;
        ++sopt.epochs) {
     const auto result = service::run_epochs(sopt, opt.exec());
@@ -333,6 +278,21 @@ int run_serve(const cli_options& opt) {
       return 0;
     }
   }
+}
+
+/// `outofcore`, `epochs` and `serve` run the epoch service, which builds
+/// one model per epoch itself, so they never touch the up-front base
+/// model. Each stores into --store, else into a temp dir it removes.
+int run_sharded(const cli_options& opt) {
+  const figures::store_dir store{opt.command, opt.store_dir};
+  const service::service_options sopt = service_opts(opt, store.path());
+  if (opt.command == "outofcore") {
+    return run_outofcore(sopt, opt);
+  }
+  if (opt.command == "epochs") {
+    return run_epochs_cmd(sopt, opt);
+  }
+  return run_serve(sopt, opt);
 }
 
 int run_fig(const std::string& id) {
@@ -407,24 +367,19 @@ int main(int argc, char** argv) {
       return 2;
     }
     // `fig` builds its population from the CERTQUIC_* knobs and the
-    // longitudinal subcommands build one model per epoch; every other
-    // subcommand probes the one base population.
+    // sharded subcommands build one model per epoch; `census` and
+    // `domain` probe the one base population.
     if (opt.command == "fig") {
       return run_fig(opt.figure);
     }
-    if (opt.command == "epochs") {
-      return run_epochs_cmd(opt);
-    }
-    if (opt.command == "serve") {
-      return run_serve(opt);
+    if (opt.command == "outofcore" || opt.command == "epochs" ||
+        opt.command == "serve") {
+      return run_sharded(opt);
     }
     const auto model = internet::model::generate(
         {.domains = opt.domains, .seed = opt.seed});
     if (opt.command == "census") {
       return run_census(model, opt);
-    }
-    if (opt.command == "outofcore") {
-      return run_outofcore(model, opt);
     }
     return run_domain(model, opt);
   } catch (const figures::usage_error& e) {

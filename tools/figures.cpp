@@ -16,7 +16,6 @@
 #include "core/census.hpp"
 #include "core/certificates.hpp"
 #include "core/compression_study.hpp"
-#include "core/outofcore_study.hpp"
 #include "core/policy_study.hpp"
 #include "core/pqc_study.hpp"
 #include "core/ttfb_study.hpp"
@@ -25,6 +24,7 @@
 #include "service/census_service.hpp"
 #include "stats/cdf.hpp"
 #include "stats/summary.hpp"
+#include "util/rss_meter.hpp"
 #include "util/text_table.hpp"
 
 namespace certquic::figures {
@@ -44,10 +44,20 @@ std::uint64_t parse_count(std::string_view text, std::string_view name) {
   return value;
 }
 
-temp_dir_cleanup::~temp_dir_cleanup() {
-  if (!dir_.empty()) {
+store_dir::store_dir(std::string_view tag, std::string dir)
+    : path_(std::move(dir)), temporary_(path_.empty()) {
+  if (temporary_) {
+    path_ = (std::filesystem::temp_directory_path() /
+             ("certquic_" + std::string(tag) + "_" +
+              std::to_string(::getpid())))
+                .string();
+  }
+}
+
+store_dir::~store_dir() {
+  if (temporary_) {
     std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
+    std::filesystem::remove_all(path_, ec);
   }
 }
 
@@ -636,10 +646,8 @@ int fig_epoch_deltas() {
   opt.sample = sample_cap(200);
   opt.shards = 3;
   opt.epochs = 4;
-  opt.store_dir = (std::filesystem::temp_directory_path() /
-                   ("certquic_epochs_bench_" + std::to_string(::getpid())))
-                      .string();
-  const temp_dir_cleanup cleanup{opt.store_dir};
+  const store_dir store{"fig_epoch_deltas"};
+  opt.store_dir = store.path();
 
   const auto result = service::run_epochs(opt);
 
@@ -654,71 +662,129 @@ int fig_epoch_deltas() {
   return 0;
 }
 
-// Out-of-core figure: the sharded spill → merge pipeline against the
-// materializing in-memory baseline over the census population. The
-// golden pins everything deterministic — record counts per shard, the
-// class mix, the aggregate byte sums and the path-vs-path deltas (all
-// zero by construction) — while the peak-RSS comparison, which depends
-// on the host, goes to stderr and is excluded from the golden.
+/// The materializing in-memory baseline of fig_outofcore_rss: every
+/// probe's full result is kept, as a store-then-analyze pipeline pins
+/// it for the whole run, and folded once the sweep ends.
+core::epoch_aggregate in_memory_census(const internet::model& m,
+                                       const engine::probe_plan& plan) {
+  struct stored_record {
+    std::uint32_t service_index = 0;
+    std::uint32_t variant_index = 0;
+    scan::probe_result result;
+  };
+  const engine::executor eng{m};
+  const std::vector<std::uint32_t> sampled = eng.sample(plan);
+  std::vector<stored_record> all;
+  all.reserve(sampled.size() * plan.variants.size());
+  engine::callback_sink collect{[&](const engine::probe_record& rec) {
+    all.push_back({.service_index = rec.service_index,
+                   .variant_index = rec.variant_index,
+                   .result = rec.result});
+  }};
+  eng.run(plan, sampled, collect);
+
+  core::epoch_aggregate out;
+  core::epoch_aggregate_sink agg{out};
+  agg.on_begin(plan, sampled.size());
+  for (const stored_record& rec : all) {
+    agg.on_record({.service_index = rec.service_index,
+                   .variant_index = rec.variant_index,
+                   .record = m.records()[rec.service_index],
+                   .variant = plan.variants[rec.variant_index],
+                   .result = rec.result});
+  }
+  agg.on_end();
+  return out;
+}
+
+// Out-of-core figure: the sharded spill → merge pipeline (epoch 0 of
+// the epoch service) against the materializing in-memory baseline over
+// the census population, each in its own RSS phase. The golden pins
+// everything deterministic — record counts per shard, the class mix,
+// the aggregate byte sums and the path-vs-path deltas (all zero by
+// construction) — while the peak-RSS comparison, which depends on the
+// host, goes to stderr and is excluded from the golden. At paper scale:
+// CERTQUIC_DOMAINS=1000000 CERTQUIC_SAMPLE=0.
 int fig_outofcore_rss() {
   const internet::config cfg = population_config();
-  const internet::model& m = shared_model();
-
-  core::outofcore_options opt;
-  opt.max_services = sample_cap(200);
+  const store_dir store{"fig_outofcore_rss"};
+  service::service_options opt;
+  opt.store_dir = store.path();
+  opt.domains = cfg.domains;
+  opt.seed = cfg.seed;
+  opt.sample = sample_cap(200);
   opt.shards = 4;
-  opt.spill_dir = (std::filesystem::temp_directory_path() /
-                   ("certquic_fig_outofcore_" + std::to_string(::getpid())))
-                      .string();
-  const temp_dir_cleanup cleanup{opt.spill_dir};
-  const core::outofcore_result result = core::run_outofcore_study(m, opt);
+  opt.epochs = 1;
+
+  service::service_result spilled;
+  std::size_t spill_peak_kb = 0;
+  {
+    rss_meter::phase phase;
+    spilled = service::run_epochs(opt);
+    spill_peak_kb = phase.peak_kb();
+  }
+  const service::epoch_report& epoch = spilled.epochs.front();
+  const core::epoch_aggregate& spill = epoch.aggregate;
+
+  // The baseline builds its own model, so each phase holds one.
+  core::epoch_aggregate in_memory;
+  std::size_t in_memory_peak_kb = 0;
+  {
+    rss_meter::phase phase;
+    in_memory = in_memory_census(
+        internet::model::generate(cfg),
+        engine::probe_plan::single({.initial_size = opt.initial_size},
+                                   opt.sample));
+    in_memory_peak_kb = phase.peak_kb();
+  }
 
   header("fig_outofcore_rss", "out-of-core spill/merge vs in-memory sweep");
 
-  std::printf("sampled services : %zu across %zu shards\n", result.sampled,
-              result.shards);
+  std::printf("sampled services : %zu across %zu shards\n", epoch.sampled,
+              epoch.shard_records.size());
   text_table shard_table({"shard", "records"});
-  for (std::size_t s = 0; s < result.shard_records.size(); ++s) {
+  for (std::size_t s = 0; s < epoch.shard_records.size(); ++s) {
     shard_table.add_row({std::to_string(s),
-                         std::to_string(result.shard_records[s])});
+                         std::to_string(epoch.shard_records[s])});
   }
   std::printf("%s\n", shard_table.render().c_str());
 
   text_table agg({"aggregate", "spill+merge", "in-memory", "delta"});
-  const auto row = [&](const char* label, unsigned long long spill,
+  bool identical = spill.stream_digest == in_memory.stream_digest;
+  const auto row = [&](const char* label, unsigned long long from_spill,
                        unsigned long long direct) {
-    agg.add_row({label, std::to_string(spill), std::to_string(direct),
-                 std::to_string(static_cast<long long>(spill) -
+    identical = identical && from_spill == direct;
+    agg.add_row({label, std::to_string(from_spill), std::to_string(direct),
+                 std::to_string(static_cast<long long>(from_spill) -
                                 static_cast<long long>(direct))});
   };
-  row("records", result.spill.records, result.in_memory.records);
+  row("records", spill.records, in_memory.records);
   for (const auto cls :
        {scan::handshake_class::amplification,
         scan::handshake_class::multi_rtt, scan::handshake_class::retry,
         scan::handshake_class::one_rtt,
         scan::handshake_class::unreachable}) {
-    row(scan::to_string(cls).c_str(), result.spill.count(cls),
-        result.in_memory.count(cls));
+    row(scan::to_string(cls).c_str(), spill.count(cls),
+        in_memory.count(cls));
   }
-  row("bytes sent", result.spill.bytes_sent_total,
-      result.in_memory.bytes_sent_total);
-  row("bytes received", result.spill.bytes_received_total,
-      result.in_memory.bytes_received_total);
-  row("certificate bytes", result.spill.certificate_bytes,
-      result.in_memory.certificate_bytes);
+  row("bytes sent", spill.bytes_sent_total, in_memory.bytes_sent_total);
+  row("bytes received", spill.bytes_received_total,
+      in_memory.bytes_received_total);
+  row("certificate bytes", spill.certificate_bytes,
+      in_memory.certificate_bytes);
   std::printf("%s", agg.render().c_str());
   std::printf("\nstream digests match: %s (spill path replays the exact "
               "in-memory record stream)\n",
-              result.identical ? "yes" : "NO");
+              identical ? "yes" : "NO");
 
   print_cdf("\nfirst-burst amplification CDF (merged spill stream)",
-            result.spill.first_burst_amplification, 11, 2);
+            spill.first_burst_amplification, 11, 2);
   footnote_scale(cfg);
 
   // Host-dependent: stderr only, never in the golden.
   std::fprintf(stderr, "peak RSS: spill+merge %zu kB | in-memory %zu kB\n",
-               result.spill_peak_rss_kb, result.in_memory_peak_rss_kb);
-  return result.identical ? 0 : 1;
+               spill_peak_kb, in_memory_peak_kb);
+  return identical ? 0 : 1;
 }
 
 // PQC what-if study: the chain-size (Fig. 6), amplification (Fig. 4)

@@ -46,17 +46,22 @@ struct usage_error : std::runtime_error {
 /// entry prints anything.
 void check_knobs();
 
-/// Removes a disposable directory on scope exit, also when the study
-/// that fills it throws.
-class temp_dir_cleanup {
+/// The directory a sharded run stores into: `dir` when given (kept, so
+/// a rerun resumes it), else `certquic_<tag>_<pid>` under the system
+/// temp directory, removed on scope exit, also when the run that fills
+/// it throws.
+class store_dir {
  public:
-  explicit temp_dir_cleanup(std::string dir) : dir_(std::move(dir)) {}
-  temp_dir_cleanup(const temp_dir_cleanup&) = delete;
-  temp_dir_cleanup& operator=(const temp_dir_cleanup&) = delete;
-  ~temp_dir_cleanup();
+  explicit store_dir(std::string_view tag, std::string dir = {});
+  store_dir(const store_dir&) = delete;
+  store_dir& operator=(const store_dir&) = delete;
+  ~store_dir();
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
-  std::string dir_;  // empty = nothing to clean
+  std::string path_;
+  bool temporary_;
 };
 
 }  // namespace certquic::figures

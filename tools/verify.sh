@@ -65,17 +65,16 @@ docs_check() {
   return "$docs_status"
 }
 
-# Out-of-core smoke: the sharded spill → merge pipeline must print the
-# byte-identical census table that the in-memory aggregator prints on
-# the same population (certquic_scan exits nonzero itself when the two
-# paths' aggregates diverge internally).
+# Out-of-core smoke: the sharded spill → merge pipeline (epoch 0 of the
+# epoch service) must print the byte-identical census table that the
+# in-memory aggregator prints on the same population.
 outofcore_check() {
   ooc_dir=$(mktemp -d)
   ooc_status=0
   "$scan" census --domains 2000 --sample 300 \
     > "$ooc_dir/census.txt" || ooc_status=1
   "$scan" outofcore --domains 2000 --sample 300 --shards 3 \
-    --spill-dir "$ooc_dir/spill" > "$ooc_dir/outofcore.txt" \
+    --store "$ooc_dir/store" > "$ooc_dir/outofcore.txt" \
     2> "$ooc_dir/outofcore.log" || ooc_status=1
   if [ "$ooc_status" -eq 0 ] &&
      cmp -s "$ooc_dir/census.txt" "$ooc_dir/outofcore.txt"; then
