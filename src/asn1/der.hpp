@@ -74,6 +74,9 @@ class der_writer {
 
   /// Pre-encoded bytes, copied verbatim.
   void raw(bytes_view der) { buf_.insert(buf_.end(), der.begin(), der.end()); }
+  /// Appends the characters of `s` verbatim: one piece of a string
+  /// value whose header was written for the whole.
+  void raw(std::string_view s) { buf_.insert(buf_.end(), s.begin(), s.end()); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   /// Appends `n` zero bytes and returns a pointer to them, valid until
   /// the next write; lets callers fill key material in place.

@@ -39,7 +39,7 @@ std::vector<x509::extension> extension_list(
 std::shared_ptr<const certificate> make_ca_cert(
     rng& r, const distinguished_name& subject,
     const distinguished_name& issuer, key_algorithm key,
-    key_algorithm issuer_key, ca_style style, const std::string& url_host) {
+    key_algorithm issuer_key, ca_style style, std::string_view url_host) {
   certificate_spec spec;
   spec.subject = subject;
   spec.issuer = issuer;
@@ -59,11 +59,11 @@ std::shared_ptr<const certificate> make_ca_cert(
   if (style == ca_style::intermediate) {
     spec.extensions.push_back(x509::make_ext_key_usage(true));
     spec.extensions.push_back(x509::make_certificate_policies(
-        false, "http://" + url_host + "/cps"));
+        false, {"http://", url_host, "/cps"}));
     spec.extensions.push_back(x509::make_authority_info_access(
-        "http://ocsp." + url_host, "http://" + url_host + "/root.crt"));
+        {"http://ocsp.", url_host}, {"http://", url_host, "/root.crt"}));
     spec.extensions.push_back(x509::make_crl_distribution_points(
-        "http://crl." + url_host + "/root.crl"));
+        {"http://crl.", url_host, "/root.crl"}));
   }
   return std::make_shared<const certificate>(std::move(spec), r);
 }
@@ -462,13 +462,13 @@ x509::chain ecosystem::issue(const chain_profile& profile,
                                         : parents.front()->key_alg();
   spec.sig_alg = x509::signature_by(issuing_key);
 
-  std::vector<std::string> sans;
-  sans.push_back(domain);
   const auto extra = r.uniform(lp.min_sans > 0 ? lp.min_sans - 1 : 0,
                                lp.max_sans > 0 ? lp.max_sans - 1 : 0);
+  std::vector<x509::dns_name> sans;
+  sans.reserve(1 + extra);
+  sans.push_back({{}, domain});
   for (std::uint64_t i = 0; i < extra; ++i) {
-    sans.push_back(i == 0 ? "www." + domain
-                          : r.ascii_label(3, 10) + "." + domain);
+    sans.push_back({i == 0 ? "www" : r.ascii_label(3, 10), domain});
   }
 
   std::array<std::uint8_t, 20> issuer_key_id;
@@ -482,13 +482,14 @@ x509::chain ecosystem::issue(const chain_profile& profile,
       x509::make_subject_alt_name(sans),
       x509::make_certificate_policies(
           lp.organization_validated,
-          lp.lean_extensions ? "" : "http://" + lp.url_host + "/cps"),
-      x509::make_authority_info_access("http://ocsp." + lp.url_host,
-                                       "http://" + lp.url_host + "/ca.crt"),
+          lp.lean_extensions ? x509::uri{}
+                             : x509::uri{"http://", lp.url_host, "/cps"}),
+      x509::make_authority_info_access({"http://ocsp.", lp.url_host},
+                                       {"http://", lp.url_host, "/ca.crt"}),
   });
   if (!lp.lean_extensions) {
     spec.extensions.push_back(x509::make_crl_distribution_points(
-        "http://crl." + lp.url_host + "/ca.crl"));
+        {"http://crl.", lp.url_host, "/ca.crl"}));
   }
   const std::size_t scts =
       lp.sct_count > 1 && r.chance(0.5) ? lp.sct_count - 1 : lp.sct_count;
@@ -611,10 +612,13 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   spec.subject = distinguished_name::cn(domain);
   spec.key_alg = leaf_key;
   spec.sig_alg = x509::signature_by(parent_key);
-  std::vector<std::string> sans{domain, "www." + domain};
   const auto extra = r.uniform(0, monster ? 40 : 4);
+  std::vector<x509::dns_name> sans;
+  sans.reserve(2 + extra);
+  sans.push_back({{}, domain});
+  sans.push_back({"www", domain});
   for (std::uint64_t i = 0; i < extra; ++i) {
-    sans.push_back(r.ascii_label(3, 12) + "." + domain);
+    sans.push_back({r.ascii_label(3, 12), domain});
   }
   std::array<std::uint8_t, 20> issuer_key_id;
   r.fill(issuer_key_id);
@@ -625,9 +629,9 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
       x509::make_subject_key_id(r),
       x509::make_authority_key_id(issuer_key_id),
       x509::make_subject_alt_name(sans),
-      x509::make_certificate_policies(false, "http://" + ca_host + "/cps"),
-      x509::make_authority_info_access("http://ocsp." + ca_host,
-                                       "http://" + ca_host + "/ca.crt"),
+      x509::make_certificate_policies(false, {"http://", ca_host, "/cps"}),
+      x509::make_authority_info_access({"http://ocsp.", ca_host},
+                                       {"http://", ca_host, "/ca.crt"}),
       x509::make_sct_list(1 + r.uniform(0, 2), r),
   });
   return x509::chain{std::make_shared<const certificate>(std::move(spec), r),

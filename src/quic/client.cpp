@@ -7,6 +7,10 @@
 namespace certquic::quic {
 namespace {
 
+/// The one-chunk application request of the TTFB timeline; its STREAM
+/// frame views these bytes.
+constexpr std::string_view kRequest = "GET /index.html";
+
 /// Appends a CRYPTO chunk to an in-order reassembly buffer, ignoring
 /// already-received prefixes (retransmissions restart at offset 0).
 /// Chunks beyond the current tail are dropped — with the simulator's
@@ -64,21 +68,18 @@ void client::start() {
 }
 
 void client::send_initial(const bytes& token) {
-  packet init;
+  client_hello_ =
+      tls::encode_client_hello(config_.sni, config_.offer_compression, rng_);
+  packet& init = reuse_slot(tx_, 0);
   init.type = packet_type::initial;
   init.version = config_.version;
   init.dcid = dcid_;
   init.scid = scid_;
   init.token = token;
   init.packet_number = next_pn_initial_++;
-  init.frames.push_back(crypto_frame{
-      0, tls::encode_client_hello(config_.sni, config_.offer_compression,
-                                  rng_)});
+  init.frames.push_back(crypto_frame{0, client_hello_});
 
-  // push_back, not a braced list: an initializer_list would copy the
-  // packet and its ClientHello bytes.
-  std::vector<packet> dgram;
-  dgram.push_back(std::move(init));
+  const std::span<packet> dgram{tx_.data(), 1};
   (void)pad_datagram_to(dgram, config_.initial_size);
   bytes wire = encode_datagram(dgram);
 
@@ -95,9 +96,11 @@ void client::on_datagram(const net::datagram& d) {
   if (abandoned_) {
     return;
   }
-  std::vector<packet> packets;
+  // The packets' CRYPTO and STREAM frames view d.payload, which the
+  // delivery event owns until this handler returns.
+  std::span<const packet> packets;
   try {
-    packets = parse_datagram(d.payload);
+    packets = parse_datagram(d.payload, rx_);
   } catch (const codec_error&) {
     return;
   }
@@ -261,40 +264,40 @@ void client::send_ack_flight() {
     ++obs_.acks_before_complete;
   }
 
-  std::vector<packet> dgram;
-  packet init_ack;
+  const connection_id& dcid = server_scid_.empty() ? dcid_ : server_scid_;
+  std::size_t n = 0;
+  packet& init_ack = reuse_slot(tx_, n++);
   init_ack.type = packet_type::initial;
-  init_ack.dcid = server_scid_.empty() ? dcid_ : server_scid_;
+  init_ack.dcid = dcid;
   init_ack.scid = scid_;
   init_ack.packet_number = next_pn_initial_++;
   init_ack.frames.push_back(ack_frame{largest_initial_pn_});
-  dgram.push_back(std::move(init_ack));
 
   if (handshake_keys_) {
-    packet hs;
+    packet& hs = reuse_slot(tx_, n++);
     hs.type = packet_type::handshake;
-    hs.dcid = server_scid_.empty() ? dcid_ : server_scid_;
+    hs.dcid = dcid;
     hs.scid = scid_;
     hs.packet_number = next_pn_handshake_++;
     hs.frames.push_back(ack_frame{largest_handshake_pn_});
     if (obs_.handshake_complete) {
-      hs.frames.push_back(crypto_frame{0, tls::encode_finished(rng_)});
+      finished_ = tls::encode_finished(rng_);
+      hs.frames.push_back(crypto_frame{0, finished_});
       finished_sent_ = true;
     }
-    dgram.push_back(std::move(hs));
     if (finished_sent_ && config_.fetch_app_data) {
       // Coalesce the application request behind the Finished flight —
       // last in the datagram, as a length-less short-header packet
       // must be. TTFB then measures first Initial → first response
       // byte with no client-side think time.
-      packet req;
+      packet& req = reuse_slot(tx_, n++);
       req.type = packet_type::one_rtt;
-      req.dcid = server_scid_.empty() ? dcid_ : server_scid_;
+      req.dcid = dcid;
       req.packet_number = next_pn_app_++;
-      const std::string request = "GET /index.html";
-      req.frames.push_back(
-          stream_frame{0, 0, bytes(request.begin(), request.end())});
-      dgram.push_back(std::move(req));
+      req.frames.push_back(stream_frame{
+          0, 0,
+          {reinterpret_cast<const std::uint8_t*>(kRequest.data()),
+           kRequest.size()}});
     }
   }
 
@@ -302,7 +305,7 @@ void client::send_ack_flight() {
   // minimum... but ACK-only Initial packets are not ack-eliciting, so
   // no padding is required here (RFC 9000 §14.1 applies to
   // ack-eliciting Initials).
-  bytes wire = encode_datagram(dgram);
+  bytes wire = encode_datagram({tx_.data(), n});
   ++obs_.client_datagrams;
   obs_.bytes_sent_total += wire.size();
   sim_.send({local_, server_, std::move(wire)});

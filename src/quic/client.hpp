@@ -150,6 +150,13 @@ class client {
   connection_id dcid_;
   connection_id scid_;  // empty: browsers commonly use zero-length SCIDs
   connection_id server_scid_;
+  /// The TLS messages this client sends; the CRYPTO frames of its
+  /// outgoing packets view them.
+  bytes client_hello_;
+  bytes finished_;
+  /// Packet slots for received and sent datagrams (see reuse_slot).
+  std::vector<packet> rx_;
+  std::vector<packet> tx_;
   bytes initial_stream_;    // reassembled Initial-level CRYPTO (in order)
   bytes handshake_stream_;  // reassembled Handshake-level CRYPTO
   /// Offset of the first Handshake-level message not yet inspected.

@@ -96,8 +96,8 @@ void write_frame(buffer_writer& w, const frame& f) {
   std::visit(write_visitor{w}, f);
 }
 
-std::vector<frame> parse_frames(bytes_view payload) {
-  std::vector<frame> out;
+void parse_frames(bytes_view payload, std::vector<frame>& out) {
+  out.clear();
   // Handshake packets carry at most a few frames (ACK, CRYPTO, PADDING):
   // one allocation instead of three growth steps.
   out.reserve(4);
@@ -136,9 +136,8 @@ std::vector<frame> parse_frames(bytes_view payload) {
         crypto_frame f;
         f.offset = read_varint(r);
         const std::uint64_t len = read_varint(r);
-        const bytes_view data = r.raw(len);
-        f.data.assign(data.begin(), data.end());
-        out.push_back(std::move(f));
+        f.data = r.raw(len);
+        out.push_back(f);
         break;
       }
       case kStreamOffLenFin: {
@@ -147,9 +146,8 @@ std::vector<frame> parse_frames(bytes_view payload) {
         f.id = read_varint(r);
         f.offset = read_varint(r);
         const std::uint64_t len = read_varint(r);
-        const bytes_view data = r.raw(len);
-        f.data.assign(data.begin(), data.end());
-        out.push_back(std::move(f));
+        f.data = r.raw(len);
+        out.push_back(f);
         break;
       }
       case kConnectionClose: {
@@ -167,6 +165,11 @@ std::vector<frame> parse_frames(bytes_view payload) {
         throw codec_error("unsupported frame type " + std::to_string(type));
     }
   }
+}
+
+std::vector<frame> parse_frames(bytes_view payload) {
+  std::vector<frame> out;
+  parse_frames(payload, out);
   return out;
 }
 

@@ -24,10 +24,13 @@ struct ack_frame {
   std::uint64_t largest = 0;
 };
 
-/// CRYPTO — a slice of the TLS handshake byte stream.
+/// CRYPTO — a slice of the TLS handshake byte stream. The frame views
+/// its bytes: a parsed frame views the datagram it was parsed from, and
+/// a frame being sent views its sender's TLS stream. Either must
+/// outlive the frame.
 struct crypto_frame {
   std::uint64_t offset = 0;
-  bytes data;
+  bytes_view data;
 };
 
 /// CONNECTION_CLOSE (transport flavour, type 0x1c).
@@ -39,10 +42,11 @@ struct connection_close_frame {
 /// STREAM — application data (RFC 9000 §19.8). Encoded with the OFF,
 /// LEN and FIN bits all set (type 0x0f), the one shape the handshake
 /// timeline needs: a request and a response, each a single chunk.
+/// Like a CRYPTO frame, it views its bytes.
 struct stream_frame {
   std::uint64_t id = 0;
   std::uint64_t offset = 0;
-  bytes data;
+  bytes_view data;
 };
 
 using frame = std::variant<padding_frame, ping_frame, ack_frame, crypto_frame,
@@ -54,8 +58,12 @@ using frame = std::variant<padding_frame, ping_frame, ack_frame, crypto_frame,
 /// Appends the wire encoding of `f`.
 void write_frame(buffer_writer& w, const frame& f);
 
-/// Parses every frame in `payload`; consecutive PADDING bytes collapse
-/// into one padding_frame. Throws codec_error on malformed input.
+/// Parses every frame in `payload` into `out`, replacing its contents;
+/// consecutive PADDING bytes collapse into one padding_frame. CRYPTO
+/// and STREAM frames view `payload`. Throws codec_error on malformed
+/// input.
+void parse_frames(bytes_view payload, std::vector<frame>& out);
+/// As above, into a fresh vector.
 [[nodiscard]] std::vector<frame> parse_frames(bytes_view payload);
 
 /// True for frames that elicit acknowledgement (everything except

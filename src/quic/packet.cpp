@@ -141,8 +141,33 @@ bytes encode_packet(const packet& p) {
   return std::move(w).take();
 }
 
-std::vector<packet> parse_datagram(bytes_view payload) {
-  std::vector<packet> out;
+packet& reuse_slot(std::vector<packet>& slots, std::size_t i) {
+  if (i == slots.size()) {
+    // A handshake datagram coalesces a few packets of a few frames
+    // each: size both lists once rather than grow them step by step.
+    constexpr std::size_t kRoom = 4;
+    if (slots.capacity() == 0) {
+      slots.reserve(kRoom);
+    }
+    packet& p = slots.emplace_back();
+    p.frames.reserve(kRoom);
+    return p;
+  }
+  packet& p = slots[i];
+  p.type = packet_type::initial;
+  p.version = kVersion1;
+  p.dcid = {};
+  p.scid = {};
+  p.token.clear();
+  p.packet_number = 0;
+  p.frames.clear();
+  p.supported_versions.clear();
+  return p;
+}
+
+std::span<const packet> parse_datagram(bytes_view payload,
+                                       std::vector<packet>& slots) {
+  std::size_t n = 0;
   buffer_reader r{payload};
   while (!r.empty()) {
     if (r.peek_u8() == 0) {
@@ -155,19 +180,18 @@ std::vector<packet> parse_datagram(bytes_view payload) {
       }
       // Short header (1-RTT): no length field, so the packet consumes
       // the rest of the datagram — it is always the last one.
-      packet p;
+      packet& p = reuse_slot(slots, n++);
       p.type = packet_type::one_rtt;
       p.dcid = read_connection_id(r);
       if (r.remaining() < kPacketNumberSize + kAeadTagSize) {
         throw codec_error("short-header packet truncated");
       }
       p.packet_number = r.u16();
-      p.frames = parse_frames(r.raw(r.remaining() - kAeadTagSize));
+      parse_frames(r.raw(r.remaining() - kAeadTagSize), p.frames);
       r.skip(kAeadTagSize);
-      out.push_back(std::move(p));
       break;
     }
-    packet p;
+    packet& p = reuse_slot(slots, n++);
     p.type = static_cast<packet_type>((first >> 4) & 0x03);
     p.version = r.u32();
     p.dcid = read_connection_id(r);
@@ -178,7 +202,6 @@ std::vector<packet> parse_datagram(bytes_view payload) {
       while (r.remaining() >= 4) {
         p.supported_versions.push_back(r.u32());
       }
-      out.push_back(std::move(p));
       continue;
     }
     if (p.type == packet_type::retry) {
@@ -190,7 +213,6 @@ std::vector<packet> parse_datagram(bytes_view payload) {
       const auto token = r.raw(rest - kAeadTagSize);
       p.token.assign(token.begin(), token.end());
       r.skip(kAeadTagSize);
-      out.push_back(std::move(p));
       continue;
     }
     if (p.type == packet_type::initial) {
@@ -206,10 +228,15 @@ std::vector<packet> parse_datagram(bytes_view payload) {
     const std::size_t frame_bytes =
         static_cast<std::size_t>(protected_size) - kPacketNumberSize -
         kAeadTagSize;
-    p.frames = parse_frames(r.raw(frame_bytes));
+    parse_frames(r.raw(frame_bytes), p.frames);
     r.skip(kAeadTagSize);
-    out.push_back(std::move(p));
   }
+  return {slots.data(), n};
+}
+
+std::vector<packet> parse_datagram(bytes_view payload) {
+  std::vector<packet> out;
+  out.resize(parse_datagram(payload, out).size());
   return out;
 }
 
@@ -224,14 +251,11 @@ packet make_version_negotiation(bytes_view client_scid,
   return vn;
 }
 
-std::size_t pad_datagram_to(std::vector<packet>& packets, std::size_t target) {
+std::size_t pad_datagram_to(std::span<packet> packets, std::size_t target) {
   if (packets.empty()) {
     throw config_error("pad_datagram_to on empty datagram");
   }
-  std::size_t current = 0;
-  for (const auto& p : packets) {
-    current += p.wire_size();
-  }
+  std::size_t current = datagram_size(packets);
   if (current >= target) {
     return 0;
   }
@@ -246,19 +270,13 @@ std::size_t pad_datagram_to(std::vector<packet>& packets, std::size_t target) {
       if (auto* padding = std::get_if<padding_frame>(&last.frames.back())) {
         padding->count += missing;
         added_total += missing;
-        current = 0;
-        for (const auto& p : packets) {
-          current += p.wire_size();
-        }
+        current = datagram_size(packets);
         continue;
       }
     }
     last.frames.push_back(padding_frame{missing});
     added_total += missing;
-    current = 0;
-    for (const auto& p : packets) {
-      current += p.wire_size();
-    }
+    current = datagram_size(packets);
   }
   // The varint growth can overshoot by at most 7 bytes; shrink back.
   while (current > target && added_total > 0) {
@@ -272,22 +290,23 @@ std::size_t pad_datagram_to(std::vector<packet>& packets, std::size_t target) {
     if (padding->count == 0) {
       last.frames.pop_back();
     }
-    current = 0;
-    for (const auto& p : packets) {
-      current += p.wire_size();
-    }
+    current = datagram_size(packets);
   }
   return added_total;
 }
 
-bytes encode_datagram(const std::vector<packet>& packets) {
-  // One buffer for the whole datagram, sized up front.
+std::size_t datagram_size(std::span<const packet> packets) {
   std::size_t total = 0;
   for (const auto& p : packets) {
     total += p.wire_size();
   }
+  return total;
+}
+
+bytes encode_datagram(std::span<const packet> packets) {
+  // One buffer for the whole datagram, sized up front.
   buffer_writer w;
-  w.storage().reserve(total);
+  w.storage().reserve(datagram_size(packets));
   for (const auto& p : packets) {
     write_packet(w, p);
   }

@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "quic/frames.hpp"
@@ -118,19 +119,35 @@ struct packet {
     bytes_view client_scid, bytes_view client_dcid,
     const std::vector<std::uint32_t>& versions);
 
-/// Parses every packet coalesced into one UDP datagram; stops at
-/// trailing datagram padding (a zero first byte). Throws codec_error on
-/// malformed packets, including any connection ID longer than
-/// kMaxConnectionIdSize (RFC 9000 §17.2: such packets are dropped).
+/// Resets `slots[i]` to a default packet and returns it, appending a
+/// slot when `i == slots.size()`. The slot keeps its frame list's
+/// storage, so an endpoint that builds or parses every datagram in one
+/// vector of slots allocates frame lists only while it first grows.
+/// Appending may move the slots: take the reference after the last
+/// slot a datagram needs exists.
+packet& reuse_slot(std::vector<packet>& slots, std::size_t i);
+
+/// Parses every packet coalesced into one UDP datagram into the front
+/// of `slots` (through reuse_slot) and returns them; stops at trailing
+/// datagram padding (a zero first byte). CRYPTO and STREAM frames view
+/// `payload`. Throws codec_error on malformed packets, including any
+/// connection ID longer than kMaxConnectionIdSize (RFC 9000 §17.2: such
+/// packets are dropped).
+std::span<const packet> parse_datagram(bytes_view payload,
+                                       std::vector<packet>& slots);
+/// As above, into a fresh vector.
 [[nodiscard]] std::vector<packet> parse_datagram(bytes_view payload);
 
 /// Appends enough PADDING to the last packet's frames so the encoded
 /// datagram reaches exactly `target` bytes. No-op when already >=
 /// target. Returns the number of padding bytes added.
-std::size_t pad_datagram_to(std::vector<packet>& packets, std::size_t target);
+std::size_t pad_datagram_to(std::span<packet> packets, std::size_t target);
+
+/// Encoded size of a coalesced datagram.
+[[nodiscard]] std::size_t datagram_size(std::span<const packet> packets);
 
 /// Encodes a coalesced datagram (packets concatenated).
-[[nodiscard]] bytes encode_datagram(const std::vector<packet>& packets);
+[[nodiscard]] bytes encode_datagram(std::span<const packet> packets);
 
 /// Byte-accounting across a parsed datagram.
 struct datagram_accounting {

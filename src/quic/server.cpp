@@ -1,6 +1,7 @@
 #include "quic/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "tls/handshake.hpp"
@@ -12,6 +13,14 @@ namespace {
 /// First probe-timeout of an unvalidated connection; doubles per
 /// retransmission (RFC 9002).
 constexpr net::duration kPtoInitial = net::milliseconds(400);
+
+/// The fixed-size response head of the TTFB timeline; its STREAM frame
+/// views these bytes.
+constexpr auto kResponseHead = [] {
+  std::array<std::uint8_t, 256> head{};
+  head.fill(0x5a);
+  return head;
+}();
 
 std::string to_string_impl(amplification_policy p) {
   switch (p) {
@@ -134,9 +143,11 @@ server::server(net::simulator& sim, net::endpoint_id address,
 server::~server() { sim_.detach(address_); }
 
 void server::on_datagram(const net::datagram& d) {
-  std::vector<packet> packets;
+  // The packets' CRYPTO and STREAM frames view d.payload, which the
+  // delivery event owns until this handler returns.
+  std::span<const packet> packets;
   try {
-    packets = parse_datagram(d.payload);
+    packets = parse_datagram(d.payload, rx_);
   } catch (const codec_error&) {
     return;  // garbage is dropped silently
   }
@@ -239,19 +250,30 @@ void server::handle_client_initial(connection& c, const packet& p) {
 
   // Negotiate certificate compression: use the first mutually supported
   // algorithm in server preference order. A server without compression
-  // support has nothing to negotiate, so it skips the ClientHello.
+  // support has nothing to negotiate, so it skips the ClientHello. A
+  // ClientHello in one CRYPTO frame is read in place; one split over
+  // several is joined first.
   std::unique_ptr<compress::codec> codec;
-  bytes crypto_payload;
+  bytes joined;
+  bytes_view hello;
   if (!behavior_.compression_support.empty()) {
     for (const frame& f : p.frames) {
       if (const auto* cf = std::get_if<crypto_frame>(&f)) {
-        append(crypto_payload, cf->data);
+        if (hello.empty()) {
+          hello = cf->data;
+          continue;
+        }
+        if (joined.empty()) {
+          append(joined, hello);
+        }
+        append(joined, cf->data);
+        hello = joined;
       }
     }
   }
-  if (!crypto_payload.empty()) {
+  if (!hello.empty()) {
     try {
-      const auto offered = tls::parse_offered_compression(crypto_payload);
+      const auto offered = tls::parse_offered_compression(hello);
       for (const auto alg : behavior_.compression_support) {
         if (std::find(offered.begin(), offered.end(), alg) != offered.end()) {
           codec = std::make_unique<compress::codec>(alg, codec_dictionary_);
@@ -311,7 +333,7 @@ bool server::charge(connection& c, std::size_t wire_bytes,
   throw config_error("unknown amplification_policy");
 }
 
-void server::transmit(connection& c, std::vector<packet> packets) {
+void server::transmit(connection& c, std::span<const packet> packets) {
   std::size_t handshake_packets = 0;
   for (const auto& p : packets) {
     if (p.type == packet_type::handshake) {
@@ -342,22 +364,17 @@ void server::pump_until(connection& c, bool include_ack,
 
   // Cloudflare pattern, datagram 1: a padded, ACK-only Initial.
   if (cloudflare_style && ack_pending) {
-    packet ack_pkt;
+    packet& ack_pkt = reuse_slot(tx_, 0);
     ack_pkt.type = packet_type::initial;
     ack_pkt.dcid = c.client_scid;
     ack_pkt.scid = c.our_scid;
     ack_pkt.packet_number = c.next_pn_initial++;
     ack_pkt.frames.push_back(ack_frame{c.largest_seen_initial_pn});
-    std::vector<packet> dgram;
-    dgram.push_back(std::move(ack_pkt));
+    const std::span<packet> dgram{tx_.data(), 1};
     const std::size_t padding =
         pad_datagram_to(dgram, behavior_.ack_pad_target);
-    std::size_t wire = 0;
-    for (const auto& p : dgram) {
-      wire += p.wire_size();
-    }
-    if (charge(c, wire, padding, 0)) {
-      transmit(c, std::move(dgram));
+    if (charge(c, datagram_size(dgram), padding, 0)) {
+      transmit(c, dgram);
     }
     ack_pending = false;
   }
@@ -369,11 +386,12 @@ void server::pump_until(connection& c, bool include_ack,
       break;
     }
 
-    std::vector<packet> dgram;
+    // Packets of this datagram are tx_[0, n).
+    std::size_t n = 0;
     std::size_t space = max_udp;
 
     if (initial_left > 0 || ack_pending) {
-      packet init;
+      packet& init = reuse_slot(tx_, n++);
       init.type = packet_type::initial;
       init.dcid = c.client_scid;
       init.scid = c.our_scid;
@@ -385,46 +403,36 @@ void server::pump_until(connection& c, bool include_ack,
       if (initial_left > 0) {
         // Header + CRYPTO framing overhead, conservatively 60 bytes.
         const std::size_t chunk = std::min(initial_left, space - 60);
-        crypto_frame cf;
-        cf.offset = c.initial_sent;
-        cf.data.assign(
-            c.initial_stream.begin() + static_cast<long>(c.initial_sent),
-            c.initial_stream.begin() +
-                static_cast<long>(c.initial_sent + chunk));
+        init.frames.push_back(crypto_frame{
+            c.initial_sent,
+            bytes_view{c.initial_stream}.subspan(c.initial_sent, chunk)});
         c.initial_sent += chunk;
-        init.frames.push_back(std::move(cf));
       }
-      dgram.push_back(std::move(init));
-      space = space > dgram.back().wire_size()
-                  ? space - dgram.back().wire_size()
-                  : 0;
+      const std::size_t init_size = init.wire_size();
+      space = space > init_size ? space - init_size : 0;
     }
 
     if (hs_left > 0 && c.initial_sent == initial_end) {
-      const bool may_coalesce = behavior_.coalesce_levels || dgram.empty();
+      const bool may_coalesce = behavior_.coalesce_levels || n == 0;
       if (may_coalesce && space > 80) {
-        packet hs;
+        packet& hs = reuse_slot(tx_, n++);
         hs.type = packet_type::handshake;
         hs.dcid = c.client_scid;
         hs.scid = c.our_scid;
         hs.packet_number = c.next_pn_handshake++;
         const std::size_t overhead = 50;  // header + frame framing
         const std::size_t chunk = std::min(hs_left, space - overhead);
-        crypto_frame cf;
-        cf.offset = c.handshake_sent;
-        cf.data.assign(
-            c.handshake_stream.begin() + static_cast<long>(c.handshake_sent),
-            c.handshake_stream.begin() +
-                static_cast<long>(c.handshake_sent + chunk));
+        hs.frames.push_back(crypto_frame{
+            c.handshake_sent,
+            bytes_view{c.handshake_stream}.subspan(c.handshake_sent, chunk)});
         c.handshake_sent += chunk;
-        hs.frames.push_back(std::move(cf));
-        dgram.push_back(std::move(hs));
       }
     }
 
-    if (dgram.empty()) {
+    if (n == 0) {
       break;  // nothing fit (shouldn't happen)
     }
+    const std::span<packet> dgram{tx_.data(), n};
 
     // Pad datagrams carrying ack-eliciting Initial packets.
     std::size_t padding = 0;
@@ -432,16 +440,10 @@ void server::pump_until(connection& c, bool include_ack,
         std::any_of(dgram.begin(), dgram.end(), [](const packet& p) {
           return p.type == packet_type::initial && p.ack_eliciting();
         });
-    std::size_t wire = 0;
-    for (const auto& p : dgram) {
-      wire += p.wire_size();
-    }
+    std::size_t wire = datagram_size(dgram);
     if (has_ack_eliciting_initial && wire < behavior_.pad_target) {
       padding = pad_datagram_to(dgram, behavior_.pad_target);
-      wire = 0;
-      for (const auto& p : dgram) {
-        wire += p.wire_size();
-      }
+      wire = datagram_size(dgram);
     }
 
     std::size_t handshake_packets = 0;
@@ -478,7 +480,7 @@ void server::pump_until(connection& c, bool include_ack,
       }
       break;
     }
-    transmit(c, std::move(dgram));
+    transmit(c, dgram);
   }
 }
 
@@ -540,14 +542,12 @@ void server::maybe_send_app_response(connection& c, const packet& p) {
   // application byte, so one datagram stands in for the object. The
   // client sends its request only after the handshake completed, so
   // the path is validated and no budget applies here.
-  packet resp;
+  packet& resp = reuse_slot(tx_, 0);
   resp.type = packet_type::one_rtt;
   resp.dcid = c.client_scid;
   resp.packet_number = c.next_pn_app++;
-  resp.frames.push_back(stream_frame{request->id, 0, bytes(256, 0x5a)});
-  std::vector<packet> dgram;
-  dgram.push_back(std::move(resp));
-  transmit(c, std::move(dgram));
+  resp.frames.push_back(stream_frame{request->id, 0, kResponseHead});
+  transmit(c, {tx_.data(), 1});
 }
 
 void server::arm_pto(connection& c) {

@@ -122,7 +122,7 @@ class server {
                             std::size_t padding_bytes,
                             std::size_t handshake_packets);
 
-  void transmit(connection& c, std::vector<packet> packets);
+  void transmit(connection& c, std::span<const packet> packets);
 
   net::simulator& sim_;
   net::endpoint_id address_;
@@ -133,6 +133,10 @@ class server {
   rng rng_;
   server_stats stats_;
   std::unordered_map<net::endpoint_id, std::unique_ptr<connection>> conns_;
+  /// Packet slots for received and sent datagrams (see reuse_slot). A
+  /// sent CRYPTO frame views its connection's TLS stream.
+  std::vector<packet> rx_;
+  std::vector<packet> tx_;
 };
 
 }  // namespace certquic::quic

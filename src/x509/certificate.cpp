@@ -43,10 +43,10 @@ certificate::certificate(certificate_spec spec, rng& r)
     w.open(asn1::tag::sequence);
     for (const auto& ext : spec_.extensions) {
       const std::size_t ext_size = measure([&] { ext.encode(w); });
-      if (ext.id == oids::subject_alt_name) {
+      if (*ext.id == oids::subject_alt_name) {
         san_bytes_ += ext_size;
       }
-      if (ext.id == oids::basic_constraints) {
+      if (*ext.id == oids::basic_constraints) {
         // A CA certificate encodes cA=TRUE as a non-empty constraint body.
         is_ca_ = !ext.value.empty() && ext.value.size() > 2;
       }
@@ -67,7 +67,7 @@ certificate::certificate(certificate_spec spec, rng& r)
 
 std::vector<std::string> certificate::subject_alt_names() const {
   for (const auto& ext : spec_.extensions) {
-    if (ext.id == oids::subject_alt_name) {
+    if (*ext.id == oids::subject_alt_name) {
       return parse_subject_alt_name(ext);
     }
   }

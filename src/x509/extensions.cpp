@@ -9,25 +9,36 @@
 namespace certquic::x509 {
 namespace {
 
-/// Builds an extension whose value `write` encodes into a fresh writer.
+/// Builds an extension whose value `write` encodes. Every extension
+/// this thread builds is encoded into one reused scratch writer, so the
+/// value costs one exact-size allocation.
 template <typename Write>
-extension make(const asn1::oid& id, const char* name, bool critical,
-               Write&& write) {
-  asn1::der_writer w{128};
+extension make(const asn1::oid& id, bool critical, Write&& write) {
+  thread_local asn1::der_writer w;
+  w.clear();
   write(w);
-  return extension{id, name, critical, std::move(w).take()};
+  const bytes_view value = w.view();
+  return extension{&id, critical, bytes(value.begin(), value.end())};
+}
+
+/// A string TLV whose content is the concatenation of `u`'s pieces.
+void uri_tlv(asn1::der_writer& w, std::uint8_t tag_byte, const uri& u) {
+  w.header(tag_byte, u.size());
+  for (const std::string_view piece : {u.prefix, u.host, u.suffix}) {
+    w.raw(piece);
+  }
 }
 
 /// GeneralName uniformResourceIdentifier: [6] IMPLICIT IA5String.
-void uri(asn1::der_writer& w, std::string_view url) {
-  w.tlv(asn1::context_tag(6, /*constructed=*/false), url);
+void general_uri(asn1::der_writer& w, const uri& url) {
+  uri_tlv(w, asn1::context_tag(6, /*constructed=*/false), url);
 }
 
 }  // namespace
 
 void extension::encode(asn1::der_writer& w) const {
   w.open(asn1::tag::sequence);
-  w.oid(id);
+  w.oid(*id);
   if (critical) {
     w.boolean(true);
   }
@@ -36,7 +47,7 @@ void extension::encode(asn1::der_writer& w) const {
 }
 
 extension make_basic_constraints(bool is_ca, std::optional<int> path_len) {
-  return make(oids::basic_constraints, "basicConstraints", /*critical=*/true,
+  return make(oids::basic_constraints, /*critical=*/true,
               [&](asn1::der_writer& w) {
                 w.open(asn1::tag::sequence);
                 if (is_ca) {
@@ -62,14 +73,14 @@ extension make_key_usage(std::uint8_t bits) {
       ++unused;
     }
   }
-  return make(oids::key_usage, "keyUsage", /*critical=*/true,
+  return make(oids::key_usage, /*critical=*/true,
               [&](asn1::der_writer& w) {
                 w.bit_string({&bits, 1}, static_cast<std::uint8_t>(unused));
               });
 }
 
 extension make_ext_key_usage(bool client_auth) {
-  return make(oids::ext_key_usage, "extKeyUsage", /*critical=*/false,
+  return make(oids::ext_key_usage, /*critical=*/false,
               [&](asn1::der_writer& w) {
                 w.open(asn1::tag::sequence);
                 w.oid(oids::eku_server_auth);
@@ -81,7 +92,7 @@ extension make_ext_key_usage(bool client_auth) {
 }
 
 extension make_subject_key_id(rng& r) {
-  return make(oids::subject_key_identifier, "subjectKeyIdentifier",
+  return make(oids::subject_key_identifier,
               /*critical=*/false, [&](asn1::der_writer& w) {
                 w.header(asn1::tag::octet_string, 20);
                 r.fill({w.append(20), 20});
@@ -90,7 +101,7 @@ extension make_subject_key_id(rng& r) {
 
 extension make_authority_key_id(bytes_view issuer_key_id) {
   // AuthorityKeyIdentifier ::= SEQUENCE { keyIdentifier [0] IMPLICIT ... }.
-  return make(oids::authority_key_identifier, "authorityKeyIdentifier",
+  return make(oids::authority_key_identifier,
               /*critical=*/false, [&](asn1::der_writer& w) {
                 w.open(asn1::tag::sequence);
                 w.tlv(asn1::context_tag(0, /*constructed=*/false),
@@ -100,7 +111,7 @@ extension make_authority_key_id(bytes_view issuer_key_id) {
 }
 
 extension make_subject_alt_name(const std::vector<std::string>& dns_names) {
-  return make(oids::subject_alt_name, "subjectAltName", /*critical=*/false,
+  return make(oids::subject_alt_name, /*critical=*/false,
               [&](asn1::der_writer& w) {
                 w.open(asn1::tag::sequence);
                 for (const auto& name : dns_names) {
@@ -112,15 +123,27 @@ extension make_subject_alt_name(const std::vector<std::string>& dns_names) {
               });
 }
 
-extension make_authority_info_access(const std::string& ocsp_url,
-                                     const std::string& ca_issuers_url) {
-  return make(oids::authority_info_access, "authorityInfoAccess",
+extension make_subject_alt_name(const std::vector<dns_name>& dns_names) {
+  return make(oids::subject_alt_name, /*critical=*/false,
+              [&](asn1::der_writer& w) {
+                w.open(asn1::tag::sequence);
+                for (const auto& name : dns_names) {
+                  uri_tlv(w, asn1::context_tag(2, /*constructed=*/false),
+                          name.label.empty()
+                              ? uri{name.parent, {}}
+                              : uri{name.label, ".", name.parent});
+                }
+                w.close();
+              });
+}
+
+extension make_authority_info_access(uri ocsp_url, uri ca_issuers_url) {
+  return make(oids::authority_info_access,
               /*critical=*/false, [&](asn1::der_writer& w) {
-                auto access = [&w](const asn1::oid& method,
-                                   const std::string& url) {
+                auto access = [&w](const asn1::oid& method, const uri& url) {
                   w.open(asn1::tag::sequence);
                   w.oid(method);
-                  uri(w, url);
+                  general_uri(w, url);
                   w.close();
                 };
                 w.open(asn1::tag::sequence);
@@ -134,16 +157,16 @@ extension make_authority_info_access(const std::string& ocsp_url,
               });
 }
 
-extension make_crl_distribution_points(const std::string& url) {
+extension make_crl_distribution_points(uri url) {
   // DistributionPoint ::= SEQUENCE { distributionPoint [0] { fullName [0]
   //   GeneralNames } } — two nested context tags around the URI.
-  return make(oids::crl_distribution_points, "cRLDistributionPoints",
+  return make(oids::crl_distribution_points,
               /*critical=*/false, [&](asn1::der_writer& w) {
                 w.open(asn1::tag::sequence);
                 w.open(asn1::tag::sequence);
                 w.open(asn1::context_tag(0));
                 w.open(asn1::context_tag(0));
-                uri(w, url);
+                general_uri(w, url);
                 w.close();
                 w.close();
                 w.close();
@@ -152,8 +175,8 @@ extension make_crl_distribution_points(const std::string& url) {
 }
 
 extension make_certificate_policies(bool organization_validated,
-                                    const std::string& cps_uri) {
-  return make(oids::certificate_policies, "certificatePolicies",
+                                    uri cps_uri) {
+  return make(oids::certificate_policies,
               /*critical=*/false, [&](asn1::der_writer& w) {
                 w.open(asn1::tag::sequence);
                 w.open(asn1::tag::sequence);  // PolicyInformation
@@ -164,7 +187,8 @@ extension make_certificate_policies(bool organization_validated,
                   w.open(asn1::tag::sequence);
                   w.open(asn1::tag::sequence);
                   w.oid(oids::policy_cps);
-                  w.ia5_string(cps_uri);
+                  uri_tlv(w, static_cast<std::uint8_t>(asn1::tag::ia5_string),
+                          cps_uri);
                   w.close();
                   w.close();
                 }
@@ -196,7 +220,7 @@ extension make_sct_list(std::size_t count, rng& r) {
   // a 2-byte list length, then per SCT a 2-byte length + 119 bytes
   // (version + 32-byte log id + timestamp + ECDSA signature).
   constexpr std::size_t kSct = 1 + 32 + 86;
-  return make(oids::sct_list, "signedCertificateTimestamps",
+  return make(oids::sct_list,
               /*critical=*/false, [&](asn1::der_writer& w) {
                 const std::size_t list = count * (2 + kSct);
                 w.header(asn1::tag::octet_string, 2 + list);
@@ -216,7 +240,7 @@ extension make_sct_list(std::size_t count, rng& r) {
 }
 
 std::vector<std::string> parse_subject_alt_name(const extension& ext) {
-  if (ext.id != oids::subject_alt_name) {
+  if (*ext.id != oids::subject_alt_name) {
     throw codec_error("extension is not subjectAltName");
   }
   buffer_reader r{ext.value};

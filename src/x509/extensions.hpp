@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asn1/der.hpp"
@@ -13,17 +14,45 @@
 
 namespace certquic::x509 {
 
-/// One certificate extension. `value` holds the DER inside the extnValue
-/// OCTET STRING; `encode()` produces the full Extension SEQUENCE.
+/// One certificate extension. `id` points into the static table of
+/// x509/oids.hpp; `value` holds the DER inside the extnValue OCTET
+/// STRING; `encode()` produces the full Extension SEQUENCE.
 struct extension {
-  asn1::oid id;
-  std::string name;  // for reports, e.g. "subjectAltName"
+  const asn1::oid* id = nullptr;
   bool critical = false;
   bytes value;
 
   /// Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT FALSE,
   ///                          extnValue OCTET STRING }, written into `w`.
   void encode(asn1::der_writer& w) const;
+};
+
+/// A URI given as the concatenation of up to three pieces, e.g.
+/// {"http://", host, "/cps"}: issuance names a CA's URLs from its host
+/// without building a string per certificate. Empty means "omit".
+struct uri {
+  std::string_view prefix;
+  std::string_view host;
+  std::string_view suffix;
+
+  uri() = default;
+  uri(const char* whole) : prefix(whole) {}
+  uri(const std::string& whole) : prefix(whole) {}
+  uri(std::string_view p, std::string_view h, std::string_view s = {})
+      : prefix(p), host(h), suffix(s) {}
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return prefix.size() + host.size() + suffix.size();
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+};
+
+/// One dNSName of a subjectAltName: `label + "." + parent`, or just
+/// `parent` when the label is empty. Random labels fit the small-string
+/// buffer, and the parent is the domain the caller already holds.
+struct dns_name {
+  std::string label;
+  std::string_view parent;
 };
 
 // --- Builders -------------------------------------------------------------
@@ -48,17 +77,21 @@ struct extension {
 /// subjectAltName with the given DNS names.
 [[nodiscard]] extension make_subject_alt_name(
     const std::vector<std::string>& dns_names);
+/// subjectAltName with the given DNS names, each written from its
+/// label and parent; the same bytes as the string form.
+[[nodiscard]] extension make_subject_alt_name(
+    const std::vector<dns_name>& dns_names);
 
 /// authorityInfoAccess with OCSP and/or caIssuers URLs (empty = omit).
-[[nodiscard]] extension make_authority_info_access(
-    const std::string& ocsp_url, const std::string& ca_issuers_url);
+[[nodiscard]] extension make_authority_info_access(uri ocsp_url,
+                                                   uri ca_issuers_url);
 
 /// cRLDistributionPoints with one URL.
-[[nodiscard]] extension make_crl_distribution_points(const std::string& url);
+[[nodiscard]] extension make_crl_distribution_points(uri url);
 
 /// certificatePolicies with a DV/OV policy and optional CPS URI.
-[[nodiscard]] extension make_certificate_policies(
-    bool organization_validated, const std::string& cps_uri);
+[[nodiscard]] extension make_certificate_policies(bool organization_validated,
+                                                  uri cps_uri);
 
 /// Embedded signed-certificate-timestamp list with `count` synthetic
 /// SCTs of realistic size (~119 bytes each); leaf certificates from

@@ -9,8 +9,9 @@
 namespace certquic::x509 {
 
 /// One relative distinguished name component, e.g. CN=example.org.
+/// `attribute` points into the static table of x509/oids.hpp.
 struct rdn {
-  asn1::oid attribute;
+  const asn1::oid* attribute = nullptr;
   std::string value;
   /// PrintableString when true (C=, short names), UTF8String otherwise.
   bool printable = false;

@@ -1,5 +1,6 @@
-// Probe allocation suite: bounds the heap traffic of one cached
-// scan::reach::probe, pins that it throws no exception, and pins the
+// Probe allocation suite: bounds the heap traffic of one
+// scan::reach::probe, with and without a chain cache, pins that it
+// throws no exception, and pins the
 // ownership rules that keep it low — a quic::server and the codec of a
 // compressing connection borrow the compression dictionary, the server
 // borrows the chain on the executor's table path, a copied x509::chain
@@ -132,9 +133,9 @@ TEST(ProbeAlloc, CachedProbeStaysWithinBudget) {
   RecordProperty("mean_allocations_per_probe",
                  std::to_string(mean_allocations));
   RecordProperty("mean_bytes_per_probe", std::to_string(mean_bytes));
-  // 82.1 allocations and 31.5 KiB measured, plus at most 5%.
-  EXPECT_LE(mean_allocations, 86.0) << spent.allocations << " allocations";
-  EXPECT_LE(mean_bytes, 33.0 * 1024) << spent.bytes << " bytes";
+  // 41.5 allocations and 22.6 KiB measured, plus at most 5%.
+  EXPECT_LE(mean_allocations, 43.5) << spent.allocations << " allocations";
+  EXPECT_LE(mean_bytes, 23.7 * 1024) << spent.bytes << " bytes";
 }
 
 TEST(ProbeAlloc, UncachedProbeStaysWithinBudget) {
@@ -183,9 +184,10 @@ TEST(ProbeAlloc, UncachedProbeStaysWithinBudget) {
                  std::to_string(static_cast<double>(issued.allocations) / n));
   RecordProperty("mean_borrowed_probe_allocations",
                  std::to_string(static_cast<double>(probed.allocations) / n));
-  // 140.1 allocations (59.7 issuing, 80.5 probing) and 37.1 KiB
+  // 63.8 allocations (23.3 issuing, 40.5 probing) and 25.7 KiB
   // measured, plus at most 5%.
-  EXPECT_LE(mean_allocations, 148.0) << spent.allocations << " allocations";
+  EXPECT_LE(mean_allocations, 67.0) << spent.allocations << " allocations";
+  EXPECT_LE(mean_bytes, 27.0 * 1024) << spent.bytes << " bytes";
 }
 
 TEST(ProbeAlloc, BorrowedChainProbeSkipsTheChainCopy) {

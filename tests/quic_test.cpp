@@ -1,6 +1,7 @@
 // Unit, integration and property tests for the QUIC transport module.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
 
 #include "ca/ecosystem.hpp"
@@ -17,6 +18,13 @@
 
 namespace certquic::quic {
 namespace {
+
+// CRYPTO and STREAM frames view their bytes; a test's payloads are kept
+// here so they outlive every packet built from them.
+bytes_view keep(bytes b) {
+  static std::deque<bytes> kept;
+  return kept.emplace_back(std::move(b));
+}
 
 const net::endpoint_id kClientEp{net::ipv4::of(10, 1, 0, 1), 40000};
 const net::endpoint_id kServerEp{net::ipv4::of(192, 0, 2, 1), 443};
@@ -59,7 +67,7 @@ TEST(Frames, SizesMatchEncoding) {
       ping_frame{},
       ack_frame{7},
       crypto_frame{100, crypto_data},
-      stream_frame{0, 64, bytes(48, 0x33)},
+      stream_frame{0, 64, keep(bytes(48, 0x33))},
       connection_close_frame{0x0a, "bye"},
   };
   for (const auto& f : frames) {
@@ -80,7 +88,9 @@ TEST(Frames, ParseRoundTrip) {
   ASSERT_EQ(parsed.size(), 3u);
   const auto& cf = std::get<crypto_frame>(parsed[0]);
   EXPECT_EQ(cf.offset, 42u);
-  EXPECT_EQ(cf.data, crypto_data);
+  EXPECT_EQ(bytes(cf.data.begin(), cf.data.end()), crypto_data);
+  // The frame views the payload it was parsed from: no copy.
+  EXPECT_EQ(cf.data.data(), payload.data() + 3);
   EXPECT_EQ(std::get<ack_frame>(parsed[1]).largest, 3u);
   EXPECT_EQ(std::get<padding_frame>(parsed[2]).count, 25u);
 
@@ -149,8 +159,8 @@ TEST(FramesPadding, TrailingRunStopsAtTheAeadTag) {
       packet p;
       p.type = type;
       p.dcid = connection_id{bytes(8, 0x5d)};
-      p.frames = {crypto_frame{0, bytes(33, 0x44)}, padding_frame{n}};
-      const bytes wire = encode_datagram({p});
+      p.frames = {crypto_frame{0, keep(bytes(33, 0x44))}, padding_frame{n}};
+      const bytes wire = encode_datagram(std::vector<packet>{p});
       const auto parsed = parse_datagram(wire);
       ASSERT_EQ(parsed.size(), 1u);
       ASSERT_EQ(parsed[0].frames.size(), 2u);
@@ -165,7 +175,7 @@ TEST(FramesPadding, PaddingOnlyPacketRoundTrips) {
   p.type = packet_type::handshake;
   p.dcid = connection_id{bytes(8, 0x21)};
   p.frames = {padding_frame{1170}};
-  const bytes wire = encode_datagram({p});
+  const bytes wire = encode_datagram(std::vector<packet>{p});
   const auto parsed = parse_datagram(wire);
   ASSERT_EQ(parsed.size(), 1u);
   ASSERT_EQ(parsed[0].frames.size(), 1u);
@@ -222,16 +232,16 @@ TEST(Packet, DatagramRoundTripWithCoalescing) {
   r.fill(init.scid);
   init.packet_number = 0;
   init.frames.push_back(ack_frame{0});
-  init.frames.push_back(crypto_frame{0, bytes(120, 0x42)});
+  init.frames.push_back(crypto_frame{0, keep(bytes(120, 0x42))});
 
   packet hs;
   hs.type = packet_type::handshake;
   hs.dcid = init.dcid;
   hs.scid = init.scid;
   hs.packet_number = 0;
-  hs.frames.push_back(crypto_frame{0, bytes(900, 0x41)});
+  hs.frames.push_back(crypto_frame{0, keep(bytes(900, 0x41))});
 
-  const bytes wire = encode_datagram({init, hs});
+  const bytes wire = encode_datagram(std::vector<packet>{init, hs});
   const auto parsed = parse_datagram(wire);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].type, packet_type::initial);
@@ -250,7 +260,7 @@ TEST(Packet, RetryRoundTrip) {
   retry.dcid = connection_id{bytes(8, 1)};
   retry.scid = connection_id{bytes(8, 2)};
   retry.token = bytes(24, 3);
-  const bytes wire = encode_datagram({retry});
+  const bytes wire = encode_datagram(std::vector<packet>{retry});
   EXPECT_EQ(wire.size(), retry.wire_size());
   const auto parsed = parse_datagram(wire);
   ASSERT_EQ(parsed.size(), 1u);
@@ -265,7 +275,7 @@ TEST(Packet, PadDatagramHitsExactTarget) {
     p.type = packet_type::initial;
     p.dcid.resize(8);
     r.fill(p.dcid);
-    p.frames.push_back(crypto_frame{0, bytes(300, 0x55)});
+    p.frames.push_back(crypto_frame{0, keep(bytes(300, 0x55))});
     std::vector<packet> dgram{p};
     (void)pad_datagram_to(dgram, target);
     EXPECT_EQ(encode_datagram(dgram).size(), target);
@@ -293,8 +303,8 @@ TEST(Packet, OneRttRoundTrip) {
   p.dcid.resize(8);
   r.fill(p.dcid);
   p.packet_number = 3;
-  p.frames.push_back(stream_frame{0, 0, bytes(200, 0x5a)});
-  const bytes wire = encode_datagram({p});
+  p.frames.push_back(stream_frame{0, 0, keep(bytes(200, 0x5a))});
+  const bytes wire = encode_datagram(std::vector<packet>{p});
   EXPECT_EQ(wire.size(), p.wire_size());
   const auto parsed = parse_datagram(wire);
   ASSERT_EQ(parsed.size(), 1u);
@@ -304,7 +314,7 @@ TEST(Packet, OneRttRoundTrip) {
   ASSERT_EQ(parsed[0].frames.size(), 1u);
   const auto* sf = std::get_if<stream_frame>(&parsed[0].frames[0]);
   ASSERT_NE(sf, nullptr);
-  EXPECT_EQ(sf->data, bytes(200, 0x5a));
+  EXPECT_EQ(bytes(sf->data.begin(), sf->data.end()), bytes(200, 0x5a));
 
   const auto acc = account_datagram(wire);
   EXPECT_EQ(acc.stream_payload, 200u);
@@ -318,14 +328,14 @@ TEST(Packet, OneRttCoalescesLastAfterLongHeaders) {
   hs.type = packet_type::handshake;
   hs.dcid.resize(8);
   r.fill(hs.dcid);
-  hs.frames.push_back(crypto_frame{0, bytes(40, 0x21)});
+  hs.frames.push_back(crypto_frame{0, keep(bytes(40, 0x21))});
 
   packet app;
   app.type = packet_type::one_rtt;
   app.dcid = hs.dcid;
-  app.frames.push_back(stream_frame{0, 0, bytes(15, 0x47)});
+  app.frames.push_back(stream_frame{0, 0, keep(bytes(15, 0x47))});
 
-  const auto parsed = parse_datagram(encode_datagram({hs, app}));
+  const auto parsed = parse_datagram(encode_datagram(std::vector<packet>{hs, app}));
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].type, packet_type::handshake);
   EXPECT_EQ(parsed[1].type, packet_type::one_rtt);
@@ -340,8 +350,8 @@ TEST(Packet, TrailingZerosAreDatagramPadding) {
   p.type = packet_type::initial;
   p.dcid.resize(8);
   r.fill(p.dcid);
-  p.frames.push_back(crypto_frame{0, bytes(10, 0x11)});
-  bytes wire = encode_datagram({p});
+  p.frames.push_back(crypto_frame{0, keep(bytes(10, 0x11))});
+  bytes wire = encode_datagram(std::vector<packet>{p});
   wire.resize(wire.size() + 64, 0);  // UDP-layer padding
   const auto parsed = parse_datagram(wire);
   EXPECT_EQ(parsed.size(), 1u);
@@ -364,7 +374,7 @@ packet packet_of_kind(const std::string& kind) {
            : kind == "zero_rtt"  ? packet_type::zero_rtt
            : kind == "handshake" ? packet_type::handshake
                                  : packet_type::one_rtt;
-  p.frames.push_back(crypto_frame{0, bytes(40, 0x44)});
+  p.frames.push_back(crypto_frame{0, keep(bytes(40, 0x44))});
   return p;
 }
 
@@ -741,7 +751,7 @@ TEST(Packet, VersionNegotiationRoundTrip) {
   const packet vn = make_version_negotiation(
       bytes{1, 2}, bytes{3, 4, 5}, {kVersion1, 0x6b3343cfu});
   EXPECT_TRUE(vn.is_version_negotiation());
-  const bytes wire = encode_datagram({vn});
+  const bytes wire = encode_datagram(std::vector<packet>{vn});
   EXPECT_EQ(wire.size(), vn.wire_size());
   const auto parsed = parse_datagram(wire);
   ASSERT_EQ(parsed.size(), 1u);
@@ -835,7 +845,7 @@ TEST_P(ParserFuzz, BitFlippedDatagramsAreSafe) {
   bytes crypto(300);
   r.fill(crypto);
   init.frames.push_back(crypto_frame{0, crypto});
-  bytes wire = encode_datagram({init});
+  bytes wire = encode_datagram(std::vector<packet>{init});
   for (int round = 0; round < 300; ++round) {
     bytes mutated = wire;
     const auto pos = r.uniform(0, mutated.size() - 1);
@@ -899,12 +909,11 @@ TEST_P(ParserFuzz, ZeroRunsAtFrameBoundariesCollapse) {
           break;
         case 2:
           pieces.push_back(frames_payload(
-              {crypto_frame{r.uniform(0, 5000), std::move(data)}}));
+              {crypto_frame{r.uniform(0, 5000), data}}));
           break;
         default:
           pieces.push_back(frames_payload(
-              {stream_frame{r.uniform(0, 9), r.uniform(0, 70000),
-                            std::move(data)}}));
+              {stream_frame{r.uniform(0, 9), r.uniform(0, 70000), data}}));
           break;
       }
       ++real_frames;
@@ -999,7 +1008,7 @@ scripted_outcome run_scripted(const scripted_burst& burst) {
 packet crypto_packet(packet_type type, bytes data, std::uint64_t offset = 0) {
   packet p;
   p.type = type;
-  p.frames.push_back(crypto_frame{offset, std::move(data)});
+  p.frames.push_back(crypto_frame{offset, keep(std::move(data))});
   return p;
 }
 

@@ -155,7 +155,7 @@ TEST(Telescope, AttributesBackscatterPerSensor) {
   p.scid = quic::connection_id{bytes{1, 2, 3, 4}};
   p.dcid = quic::connection_id{bytes{9}};
   p.frames.push_back(quic::ack_frame{0});
-  const bytes payload = quic::encode_datagram({p});
+  const bytes payload = quic::encode_datagram(std::vector<quic::packet>{p});
   const net::endpoint_id server{net::ipv4::of(104, 16, 1, 77), 443};
   sim.send({server, sensor_a, payload});
   sim.send({server, sensor_a, payload});
@@ -182,7 +182,7 @@ TEST(Telescope, UnmappedPrefixIsUnknown) {
   p.scid = quic::connection_id{bytes{1}};
   p.frames.push_back(quic::ack_frame{0});
   sim.send({{net::ipv4::of(8, 8, 8, 8), 443}, sensor,
-            quic::encode_datagram({p})});
+            quic::encode_datagram(std::vector<quic::packet>{p})});
   sim.run();
   const backscatter_session session = scope.observed_at(sensor);
   EXPECT_EQ(session.datagrams, 1u);
