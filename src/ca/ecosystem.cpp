@@ -650,13 +650,15 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
   spec.key_alg = pq == x509::pq_profile::classical ? key_algorithm::rsa_2048
                                                    : key_algorithm::mldsa_44;
   spec.sig_alg = x509::signature_by(parents.front()->key_alg());
-  std::vector<std::string> sans;
+  std::vector<x509::dns_name> sans;
   sans.reserve(san_count + 1);
-  sans.push_back(domain);
+  sans.push_back({{}, domain});
   for (std::size_t i = 0; i < san_count; ++i) {
     // Shared-hosting SANs: unrelated customer domains on one cert.
-    sans.push_back(r.ascii_label(4, 14) + "." +
-                   (r.chance(0.5) ? "com" : "net"));
+    // The TLD is drawn before the label, the order these draws have
+    // always had.
+    const char* tld = r.chance(0.5) ? "com" : "net";
+    sans.push_back({r.ascii_label(4, 14), tld});
   }
   std::array<std::uint8_t, 20> issuer_key_id;
   r.fill(issuer_key_id);

@@ -93,80 +93,76 @@ std::uint64_t epoch_seed(std::uint64_t base_seed,
   return splitmix64(x);
 }
 
-churn_summary model::evolve_to_epoch(const churn_config& churn,
-                                     std::uint64_t epoch) {
+churn_summary model::step_epoch(const churn_config& churn) {
   churn_summary last{};
-  for (std::uint64_t k = 1; k <= epoch; ++k) {
-    last = churn_summary{};
-    last.epoch = k;
-    const std::uint64_t stream = epoch_seed(seed_, k);
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      service_record& rec = records_[i];
-      const churn_draws d = draw_for(stream, i);
+  last.epoch = ++epoch_;
+  const std::uint64_t stream = epoch_seed(seed_, epoch_);
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    service_record& rec = records_[i];
+    const churn_draws d = draw_for(stream, i);
 
-      if (rec.svc != service_class::unresolved) {
-        if (d.depart < churn.departure) {
-          // The domain went dark: next epoch's scan sees a DNS miss.
-          rec.svc = service_class::unresolved;
-          rec.dns_result = dns::outcome::timeout;
-          rec.address = net::ipv4{};
-          clear_tls_state(rec);
-          rec.behavior = behavior_kind::standard_no_coalesce;
-          ++last.departures;
-          continue;
-        }
-      } else if (d.arrive < churn.arrival) {
-        // A dark domain came online — run it through the DNS funnel
-        // under its fresh seed; only an A record admits it.
-        const dns::resolution res = resolver_.resolve(d.fresh_seed);
-        if (res.result == dns::outcome::a_record) {
-          rec.dns_result = res.result;
-          rec.address = res.address;
-          deploy_service(rec, d);
-          ++last.arrivals;
-        }
+    if (rec.svc != service_class::unresolved) {
+      if (d.depart < churn.departure) {
+        // The domain went dark: next epoch's scan sees a DNS miss.
+        rec.svc = service_class::unresolved;
+        rec.dns_result = dns::outcome::timeout;
+        rec.address = net::ipv4{};
+        clear_tls_state(rec);
+        rec.behavior = behavior_kind::standard_no_coalesce;
+        ++last.departures;
         continue;
       }
+    } else if (d.arrive < churn.arrival) {
+      // A dark domain came online — run it through the DNS funnel
+      // under its fresh seed; only an A record admits it.
+      const dns::resolution res = resolver_.resolve(d.fresh_seed);
+      if (res.result == dns::outcome::a_record) {
+        rec.dns_result = res.result;
+        rec.address = res.address;
+        deploy_service(rec, d);
+        ++last.arrivals;
+      }
+      continue;
+    }
 
-      if (rec.svc == service_class::no_tls) {
-        if (d.arrive < churn.arrival) {
-          // An existing plain-HTTP host grew a TLS (or QUIC) endpoint.
-          deploy_service(rec, d);
-          ++last.arrivals;
-        }
-        continue;
+    if (rec.svc == service_class::no_tls) {
+      if (d.arrive < churn.arrival) {
+        // An existing plain-HTTP host grew a TLS (or QUIC) endpoint.
+        deploy_service(rec, d);
+        ++last.arrivals;
       }
-      if (!rec.serves_tls()) {
-        continue;
-      }
+      continue;
+    }
+    if (!rec.serves_tls()) {
+      continue;
+    }
 
-      if (d.key < churn.key_rotation) {
-        // Re-keyed certificate: the chain structure stays, the bytes
-        // (and the record-derived probe randomness) change.
-        rec.seed = d.fresh_seed;
-        ++last.key_rotations;
+    if (d.key < churn.key_rotation) {
+      // Re-keyed certificate: the chain structure stays, the bytes
+      // (and the record-derived probe randomness) change.
+      rec.seed = d.fresh_seed;
+      ++last.key_rotations;
+    }
+    if (d.chain < churn.chain_migration) {
+      const char* next =
+          kChurnChains[d.pick % std::size(kChurnChains)];
+      if (rec.chain_profile != next) {
+        rec.chain_profile = next;
+        rec.force_rsa_leaf = false;
+        rec.cruise_sans = 0;
+        ++last.chain_migrations;
       }
-      if (d.chain < churn.chain_migration) {
-        const char* next =
-            kChurnChains[d.pick % std::size(kChurnChains)];
-        if (rec.chain_profile != next) {
-          rec.chain_profile = next;
-          rec.force_rsa_leaf = false;
-          rec.cruise_sans = 0;
-          ++last.chain_migrations;
-        }
-      }
-      if (rec.svc == service_class::https_only && d.alpn < churn.alpn_gain) {
-        rec.svc = service_class::quic;
-        rec.behavior = (d.pick & 2) != 0
-                           ? behavior_kind::compliant_coalesce
-                           : behavior_kind::standard_no_coalesce;
-        ++last.alpn_gains;
-      } else if (rec.svc == service_class::quic &&
-                 d.alpn < churn.alpn_loss) {
-        rec.svc = service_class::https_only;
-        ++last.alpn_losses;
-      }
+    }
+    if (rec.svc == service_class::https_only && d.alpn < churn.alpn_gain) {
+      rec.svc = service_class::quic;
+      rec.behavior = (d.pick & 2) != 0
+                         ? behavior_kind::compliant_coalesce
+                         : behavior_kind::standard_no_coalesce;
+      ++last.alpn_gains;
+    } else if (rec.svc == service_class::quic &&
+               d.alpn < churn.alpn_loss) {
+      rec.svc = service_class::https_only;
+      ++last.alpn_losses;
     }
   }
   return last;
@@ -175,7 +171,10 @@ churn_summary model::evolve_to_epoch(const churn_config& churn,
 model model::at_epoch(const config& cfg, const churn_config& churn,
                       std::uint64_t epoch, churn_summary* last) {
   model m = generate(cfg);
-  const churn_summary summary = m.evolve_to_epoch(churn, epoch);
+  churn_summary summary{};
+  while (m.epoch() < epoch) {
+    summary = m.step_epoch(churn);
+  }
   if (last != nullptr) {
     *last = summary;
   }

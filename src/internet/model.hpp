@@ -134,6 +134,8 @@ struct churn_summary {
     return key_rotations + chain_migrations + alpn_gains + alpn_losses +
            arrivals + departures;
   }
+
+  [[nodiscard]] bool operator==(const churn_summary&) const = default;
 };
 
 /// The per-epoch seed every churn decision of epoch `epoch` derives
@@ -147,7 +149,7 @@ class model {
  public:
   [[nodiscard]] static model generate(const config& cfg);
 
-  /// The population as of census epoch `epoch`: generate(cfg) evolved
+  /// The population as of census epoch `epoch`: generate(cfg) stepped
   /// through epochs 1..epoch under the churn rates. A pure function of
   /// (cfg, churn, epoch) — computing other epochs first (or never)
   /// cannot change the result, which is what makes a crash-resumed
@@ -159,13 +161,17 @@ class model {
                                       std::uint64_t epoch,
                                       churn_summary* last = nullptr);
 
-  /// Applies churn epochs 1..epoch in place and returns the last
-  /// step's summary. Must be called exactly once, on a freshly
-  /// generated base model — evolving an already-evolved model would
-  /// double-apply epochs. Prefer at_epoch unless the base model is
-  /// being reused. (Implementation: internet/churn.cpp.)
-  churn_summary evolve_to_epoch(const churn_config& churn,
-                                std::uint64_t epoch);
+  /// Applies one churn step in place, taking this population from its
+  /// epoch k-1 to epoch k = epoch() + 1, and returns that step's
+  /// summary. Every step draws from its own (epoch, record) streams, so
+  /// stepping a generated model e times under one churn_config gives
+  /// at_epoch(cfg, churn, e) record for record. (Implementation:
+  /// internet/churn.cpp.)
+  churn_summary step_epoch(const churn_config& churn);
+
+  /// The census epoch this population is at: 0 when generated, plus one
+  /// per step_epoch.
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
   [[nodiscard]] const std::vector<service_record>& records() const noexcept {
     return records_;
@@ -218,6 +224,7 @@ class model {
   dns::resolver resolver_{0xd5d5};
   bytes dictionary_;
   std::uint64_t seed_ = 0;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace certquic::internet

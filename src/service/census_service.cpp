@@ -60,13 +60,17 @@ service_result run_epochs(const service_options& opt,
   const engine::probe_plan plan = engine::probe_plan::single(
       {.initial_size = opt.initial_size}, opt.sample);
 
+  // One evolving world: generated once, then one churn step per epoch
+  // (epoch e's population is at_epoch(e) record for record).
+  internet::model m =
+      internet::model::generate({.domains = opt.domains, .seed = opt.seed});
   service_result out;
   for (std::uint64_t e = 0; e < opt.epochs; ++e) {
     epoch_report rep;
     rep.epoch = e;
-    const internet::model m = internet::model::at_epoch(
-        {.domains = opt.domains, .seed = opt.seed}, opt.churn, e,
-        &rep.churn);
+    if (e > 0) {
+      rep.churn = m.step_epoch(opt.churn);
+    }
     const engine::executor eng{m, exec};
     const std::vector<std::uint32_t> sampled = eng.sample(plan);
     rep.sampled = sampled.size();

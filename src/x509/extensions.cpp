@@ -22,7 +22,7 @@ extension make(const asn1::oid& id, bool critical, Write&& write) {
 }
 
 /// A string TLV whose content is the concatenation of `u`'s pieces.
-void uri_tlv(asn1::der_writer& w, std::uint8_t tag_byte, const uri& u) {
+void pieces_tlv(asn1::der_writer& w, std::uint8_t tag_byte, const uri& u) {
   w.header(tag_byte, u.size());
   for (const std::string_view piece : {u.prefix, u.host, u.suffix}) {
     w.raw(piece);
@@ -31,7 +31,7 @@ void uri_tlv(asn1::der_writer& w, std::uint8_t tag_byte, const uri& u) {
 
 /// GeneralName uniformResourceIdentifier: [6] IMPLICIT IA5String.
 void general_uri(asn1::der_writer& w, const uri& url) {
-  uri_tlv(w, asn1::context_tag(6, /*constructed=*/false), url);
+  pieces_tlv(w, asn1::context_tag(6, /*constructed=*/false), url);
 }
 
 }  // namespace
@@ -110,25 +110,13 @@ extension make_authority_key_id(bytes_view issuer_key_id) {
               });
 }
 
-extension make_subject_alt_name(const std::vector<std::string>& dns_names) {
-  return make(oids::subject_alt_name, /*critical=*/false,
-              [&](asn1::der_writer& w) {
-                w.open(asn1::tag::sequence);
-                for (const auto& name : dns_names) {
-                  // GeneralName dNSName is [2] IMPLICIT IA5String.
-                  w.tlv(asn1::context_tag(2, /*constructed=*/false),
-                        std::string_view{name});
-                }
-                w.close();
-              });
-}
-
 extension make_subject_alt_name(const std::vector<dns_name>& dns_names) {
   return make(oids::subject_alt_name, /*critical=*/false,
               [&](asn1::der_writer& w) {
                 w.open(asn1::tag::sequence);
                 for (const auto& name : dns_names) {
-                  uri_tlv(w, asn1::context_tag(2, /*constructed=*/false),
+                  // GeneralName dNSName is [2] IMPLICIT IA5String.
+                  pieces_tlv(w, asn1::context_tag(2, /*constructed=*/false),
                           name.label.empty()
                               ? uri{name.parent, {}}
                               : uri{name.label, ".", name.parent});
@@ -187,7 +175,7 @@ extension make_certificate_policies(bool organization_validated,
                   w.open(asn1::tag::sequence);
                   w.open(asn1::tag::sequence);
                   w.oid(oids::policy_cps);
-                  uri_tlv(w, static_cast<std::uint8_t>(asn1::tag::ia5_string),
+                  pieces_tlv(w, static_cast<std::uint8_t>(asn1::tag::ia5_string),
                           cps_uri);
                   w.close();
                   w.close();

@@ -76,10 +76,6 @@ struct dns_name {
 
 /// subjectAltName with the given DNS names.
 [[nodiscard]] extension make_subject_alt_name(
-    const std::vector<std::string>& dns_names);
-/// subjectAltName with the given DNS names, each written from its
-/// label and parent; the same bytes as the string form.
-[[nodiscard]] extension make_subject_alt_name(
     const std::vector<dns_name>& dns_names);
 
 /// authorityInfoAccess with OCSP and/or caIssuers URLs (empty = omit).

@@ -1,7 +1,8 @@
 // Engine tests. The determinism harness: every study pinned by
-// EnginePins renders its full-precision digest at 1 and at 8 threads,
-// and both must equal the pinned value (golden_test does the same for
-// every figure). Also the probe plan, the chain table, service
+// EnginePins renders its full-precision digest at 1 thread, at 8
+// threads, and at 8 threads with one probe per chunk, and each must
+// equal the pinned value (golden_test does the same for every figure
+// at 1 and 8 threads). Also the probe plan, the chain table, service
 // sampling, the sink lifecycle and the backscatter worlds.
 #include <cstdint>
 #include <cstdio>
@@ -376,22 +377,37 @@ const study_pin kStudyPins[] = {
 // Names the row in gtest's parameter listings and failure messages.
 void PrintTo(const study_pin& pin, std::ostream* os) { *os << pin.name; }
 
+// The engine legs every pin must match at. At the default chunk most
+// pinned plans fit in one or two chunks; one probe per chunk makes every
+// plan span many, so a consumer that took chunks out of order shows.
+const engine::options kPinLegs[] = {
+    {.threads = 1},
+    {.threads = 8},
+    {.threads = 8, .chunk = 1},
+};
+
 class EnginePins
-    : public ::testing::TestWithParam<std::tuple<study_pin, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<study_pin, engine::options>> {
+};
 
 TEST_P(EnginePins, MatchesPinnedDigest) {
-  const auto& [pin, threads] = GetParam();
-  const std::string rendered = pin.render({.threads = threads});
+  const auto& [pin, exec] = GetParam();
+  const std::string rendered = pin.render(exec);
   EXPECT_EQ(fnv1a(rendered), pin.fnv) << rendered;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Studies, EnginePins,
     ::testing::Combine(::testing::ValuesIn(kStudyPins),
-                       ::testing::Values(std::size_t{1}, std::size_t{8})),
+                       ::testing::ValuesIn(kPinLegs)),
     [](const ::testing::TestParamInfo<EnginePins::ParamType>& info) {
-      return std::string{std::get<0>(info.param).name} + "_" +
-             std::to_string(std::get<1>(info.param)) + "_threads";
+      const engine::options& exec = std::get<1>(info.param);
+      std::string name = std::string{std::get<0>(info.param).name} + "_" +
+                         std::to_string(exec.threads) + "_threads";
+      if (exec.chunk != engine::options{}.chunk) {
+        name += "_chunk_" + std::to_string(exec.chunk);
+      }
+      return name;
     });
 
 void expect_same_corpus(const core::corpus_result& a,

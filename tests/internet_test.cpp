@@ -275,11 +275,25 @@ TEST_F(ChurnTest, EpochIsPureFunctionOfConfigAndIndex) {
   }
   const model again = model::at_epoch(kConfig, {}, 3);
   expect_same_records(direct, again);
+}
 
-  // And the manual path (generate + evolve) agrees with at_epoch.
-  model folded = model::generate(kConfig);
-  (void)folded.evolve_to_epoch({}, 3);
-  expect_same_records(direct, folded);
+TEST_F(ChurnTest, SteppingOneWorldEqualsAtEpoch) {
+  // The epoch service generates once and steps in place; every
+  // intermediate world, and each step's summary, must be what at_epoch
+  // computes from scratch.
+  const churn_config churn{};
+  model stepped = model::generate(kConfig);
+  EXPECT_EQ(stepped.epoch(), 0u);
+  for (std::uint64_t e = 1; e <= 3; ++e) {
+    const churn_summary step = stepped.step_epoch(churn);
+    churn_summary fresh;
+    const model direct = model::at_epoch(kConfig, churn, e, &fresh);
+    EXPECT_EQ(stepped.epoch(), e);
+    EXPECT_EQ(step, fresh) << "epoch " << e;
+    EXPECT_EQ(step.epoch, e);
+    EXPECT_GT(step.total(), 0u) << "epoch " << e;
+    expect_same_records(stepped, direct);
+  }
 }
 
 TEST_F(ChurnTest, ChurnActuallyChangesThePopulation) {

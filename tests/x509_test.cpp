@@ -17,8 +17,8 @@ namespace {
 certificate make_leaf(rng& r, key_algorithm key = key_algorithm::ecdsa_p256,
                       signature_algorithm sig =
                           signature_algorithm::sha256_rsa_2048,
-                      std::vector<std::string> sans = {"example.org",
-                                                       "www.example.org"}) {
+                      std::vector<dns_name> sans = {{"", "example.org"},
+                                                    {"www", "example.org"}}) {
   certificate_spec spec;
   spec.issuer = distinguished_name::org("US", "Example CA", "Example CA R1");
   spec.subject = distinguished_name::cn("example.org");
@@ -120,10 +120,12 @@ TEST(Key, SignatureByIssuerKey) {
 }
 
 TEST(Extensions, SubjectAltNameRoundTrip) {
-  const std::vector<std::string> names = {"a.example", "*.b.example",
-                                          "c.example"};
+  const std::vector<dns_name> names = {
+      {"", "a.example"}, {"*", "b.example"}, {"c", "example"}};
   const extension ext = make_subject_alt_name(names);
-  EXPECT_EQ(parse_subject_alt_name(ext), names);
+  EXPECT_EQ(parse_subject_alt_name(ext),
+            (std::vector<std::string>{"a.example", "*.b.example",
+                                      "c.example"}));
 }
 
 std::size_t encoded_size(const extension& ext) {
@@ -131,10 +133,10 @@ std::size_t encoded_size(const extension& ext) {
 }
 
 TEST(Extensions, SanSizeGrowsWithNames) {
-  std::vector<std::string> names;
-  const extension empty_ish = make_subject_alt_name({"x.example"});
+  std::vector<dns_name> names;
+  const extension empty_ish = make_subject_alt_name({{"", "x.example"}});
   for (int i = 0; i < 50; ++i) {
-    names.push_back("host" + std::to_string(i) + ".example.com");
+    names.push_back({"host" + std::to_string(i), "example.com"});
   }
   const extension big = make_subject_alt_name(names);
   EXPECT_GT(encoded_size(big), encoded_size(empty_ish) + 45 * 20);
