@@ -94,8 +94,8 @@ std::uint64_t epoch_seed(std::uint64_t base_seed,
 }
 
 churn_summary model::step_epoch(const churn_config& churn) {
-  churn_summary last{};
-  last.epoch = ++epoch_;
+  churn_summary step{};
+  step.epoch = ++epoch_;
   const std::uint64_t stream = epoch_seed(seed_, epoch_);
   for (std::size_t i = 0; i < records_.size(); ++i) {
     service_record& rec = records_[i];
@@ -109,7 +109,7 @@ churn_summary model::step_epoch(const churn_config& churn) {
         rec.address = net::ipv4{};
         clear_tls_state(rec);
         rec.behavior = behavior_kind::standard_no_coalesce;
-        ++last.departures;
+        ++step.departures;
         continue;
       }
     } else if (d.arrive < churn.arrival) {
@@ -120,7 +120,7 @@ churn_summary model::step_epoch(const churn_config& churn) {
         rec.dns_result = res.result;
         rec.address = res.address;
         deploy_service(rec, d);
-        ++last.arrivals;
+        ++step.arrivals;
       }
       continue;
     }
@@ -129,7 +129,7 @@ churn_summary model::step_epoch(const churn_config& churn) {
       if (d.arrive < churn.arrival) {
         // An existing plain-HTTP host grew a TLS (or QUIC) endpoint.
         deploy_service(rec, d);
-        ++last.arrivals;
+        ++step.arrivals;
       }
       continue;
     }
@@ -141,16 +141,15 @@ churn_summary model::step_epoch(const churn_config& churn) {
       // Re-keyed certificate: the chain structure stays, the bytes
       // (and the record-derived probe randomness) change.
       rec.seed = d.fresh_seed;
-      ++last.key_rotations;
+      ++step.key_rotations;
     }
     if (d.chain < churn.chain_migration) {
-      const char* next =
-          kChurnChains[d.pick % std::size(kChurnChains)];
+      const char* next = kChurnChains[d.pick % std::size(kChurnChains)];
       if (rec.chain_profile != next) {
         rec.chain_profile = next;
         rec.force_rsa_leaf = false;
         rec.cruise_sans = 0;
-        ++last.chain_migrations;
+        ++step.chain_migrations;
       }
     }
     if (rec.svc == service_class::https_only && d.alpn < churn.alpn_gain) {
@@ -158,14 +157,14 @@ churn_summary model::step_epoch(const churn_config& churn) {
       rec.behavior = (d.pick & 2) != 0
                          ? behavior_kind::compliant_coalesce
                          : behavior_kind::standard_no_coalesce;
-      ++last.alpn_gains;
+      ++step.alpn_gains;
     } else if (rec.svc == service_class::quic &&
                d.alpn < churn.alpn_loss) {
       rec.svc = service_class::https_only;
-      ++last.alpn_losses;
+      ++step.alpn_losses;
     }
   }
-  return last;
+  return step;
 }
 
 model model::at_epoch(const config& cfg, const churn_config& churn,

@@ -235,8 +235,9 @@ std::span<const packet> parse_datagram(bytes_view payload,
 }
 
 std::vector<packet> parse_datagram(bytes_view payload) {
+  // Fresh slots: the parse appends exactly the packets it returns.
   std::vector<packet> out;
-  out.resize(parse_datagram(payload, out).size());
+  (void)parse_datagram(payload, out);
   return out;
 }
 

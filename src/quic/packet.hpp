@@ -123,8 +123,9 @@ struct packet {
 /// slot when `i == slots.size()`. The slot keeps its frame list's
 /// storage, so an endpoint that builds or parses every datagram in one
 /// vector of slots allocates frame lists only while it first grows.
-/// Appending may move the slots: take the reference after the last
-/// slot a datagram needs exists.
+/// Slots past the current datagram keep stale frame views that nothing
+/// reads: reuse_slot clears them first. Appending a slot may move the
+/// others, so hold no reference to one across the next reuse_slot.
 packet& reuse_slot(std::vector<packet>& slots, std::size_t i);
 
 /// Parses every packet coalesced into one UDP datagram into the front
