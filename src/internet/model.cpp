@@ -152,11 +152,16 @@ model model::generate(const config& cfg) {
   // population builds in the time of the seed walk plus N/threads
   // record syntheses, with no quadratic pass and no chain
   // materialization (chains stay on-demand via chain_of).
+  //
+  // The record table is sized before the transient seed table, so a
+  // model generated after another was freed (every run_epochs call
+  // generates one) fits the freed table's hole; a seed table allocated
+  // first would split that hole and push the records onto fresh heap.
+  m.records_.resize(cfg.domains);
   std::vector<std::uint64_t> seeds(cfg.domains);
   for (auto& seed : seeds) {
     seed = master.next();
   }
-  m.records_.resize(cfg.domains);
 
   const double a_rate = m.resolver_.rates().a_record;
   const auto synth_record = [&](std::uint32_t index) {
