@@ -29,7 +29,8 @@ struct extension {
 
 /// A URI given as the concatenation of up to three pieces, e.g.
 /// {"http://", host, "/cps"}: issuance names a CA's URLs from its host
-/// without building a string per certificate. Empty means "omit".
+/// without building a string per certificate. Empty means "omit". It
+/// views its pieces, which must outlive the builder call.
 struct uri {
   std::string_view prefix;
   std::string_view host;
