@@ -39,7 +39,6 @@ engine::backscatter_plan build_telescope_plan(const internet::model& m,
   // world. Part of the plan: it fixes which sessions coexist, so the
   // aggregates are identical at any thread count.
   plan.sessions_per_shard = 30;
-  plan.telescope_base = net::ipv4::of(203, 0, 113, 0);
   plan.dictionary = m.compression_dictionary();
 
   const provider_fleet fleets[] = {

@@ -34,7 +34,6 @@ std::vector<policy_row> run_policy_study(const internet::model& m,
   engine::backscatter_plan plan;
   plan.base_seed = 0xdeed;
   plan.sessions_per_shard = 1;
-  plan.telescope_base = net::ipv4::of(203, 0, 113, 0);
   plan.provider_prefixes.emplace_back(net::ipv4::of(198, 51, 100, 0),
                                       "policy");
   const auto& eco = m.ecosystem();

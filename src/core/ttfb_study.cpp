@@ -47,7 +47,7 @@ ttfb_study_result run_ttfb_study(const internet::model& m,
                                  x509::all_pq_profiles().end())
                            : opt.profiles;
   const std::vector<net::network_condition> conditions =
-      opt.conditions.empty() ? default_network_conditions() : opt.conditions;
+      default_network_conditions();
 
   ttfb_study_result out;
   out.initial_size = opt.initial_size;

@@ -34,13 +34,11 @@ struct ttfb_options {
   /// 0 = probe every QUIC service; otherwise the shared deterministic
   /// sample.
   std::size_t max_services = 0;
-  /// Network conditions to sweep; empty = default_network_conditions().
-  std::vector<net::network_condition> conditions;
   /// Chain profiles to sweep; empty = all_pq_profiles().
   std::vector<x509::pq_profile> profiles;
 };
 
-/// The study's canonical network grid: the historical ideal path plus
+/// The network grid the study sweeps: the historical ideal path plus
 /// three access-network regimes. The first entry ("ideal", 20 ms RTT,
 /// no loss, no bandwidth cap) is exactly the condition every other
 /// study runs under.

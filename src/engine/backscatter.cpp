@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <unordered_set>
 
 #include "net/simulator.hpp"
 #include "quic/server.hpp"
@@ -11,6 +10,9 @@
 
 namespace certquic::engine {
 namespace {
+
+/// The /24 every world's telescope claims its sensors in (TEST-NET-3).
+constexpr net::ipv4 kTelescopeBase = net::ipv4::of(203, 0, 113, 0);
 
 /// Per-world stream separator: identical for a given (base, index)
 /// regardless of how many worlds run concurrently.
@@ -31,7 +33,7 @@ std::vector<backscatter_outcome> run_world(const backscatter_plan& plan,
   // and the world index, so the world's evolution cannot depend on
   // which thread runs it.
   net::simulator sim{shard_seed(plan.base_seed, world) ^ 0x7e1e'5c0eULL};
-  scan::telescope scope{sim, plan.telescope_base};
+  scan::telescope scope{sim, kTelescopeBase};
   for (const auto& [prefix, provider] : plan.provider_prefixes) {
     scope.map_prefix(prefix, provider);
   }
@@ -39,7 +41,6 @@ std::vector<backscatter_outcome> run_world(const backscatter_plan& plan,
   std::vector<std::unique_ptr<quic::server>> servers;
   std::vector<std::unique_ptr<quic::client>> attackers;
   std::vector<net::endpoint_id> sensors;
-  std::unordered_set<net::endpoint_id> spawned;
   attackers.reserve(hi - lo);
   sensors.reserve(hi - lo);
 
@@ -49,7 +50,10 @@ std::vector<backscatter_outcome> run_world(const backscatter_plan& plan,
     // first session touching an endpoint in this world spawns its
     // server, later ones attack the existing instance. Servers borrow
     // the session's chain; the plan outlives this world.
-    if (spawned.insert(session.server).second) {
+    const bool spawned = std::any_of(
+        servers.begin(), servers.end(),
+        [&](const auto& srv) { return srv->address() == session.server; });
+    if (!spawned) {
       servers.push_back(std::make_unique<quic::server>(
           sim, session.server, &session.chain, session.behavior,
           plan.dictionary, session.seed ^ 0x5e4));

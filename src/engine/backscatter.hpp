@@ -39,8 +39,8 @@ struct spoofed_session {
 };
 
 /// A backscatter run: the session list plus the world parameters every
-/// world replicates (telescope base block, provider labelling, shared
-/// compression dictionary).
+/// world replicates (provider labelling, shared compression
+/// dictionary). Every world's telescope sits in 203.0.113.0/24.
 struct backscatter_plan {
   std::vector<spoofed_session> sessions;
   /// Sessions per shared simulator+telescope world. Part of the plan —
@@ -49,7 +49,6 @@ struct backscatter_plan {
   /// once.
   std::size_t sessions_per_shard = 32;
   std::uint64_t base_seed = 0;
-  net::ipv4 telescope_base = net::ipv4::of(203, 0, 113, 0);
   /// /24 server prefixes labelled at the telescope (provider grouping).
   std::vector<std::pair<net::ipv4, std::string>> provider_prefixes;
   /// Dictionary backing certificate compression on spawned servers,

@@ -11,8 +11,6 @@ bool matches(const internet::service_record& rec, service_filter f) {
       return rec.serves_quic();
     case service_filter::tls:
       return rec.serves_tls();
-    case service_filter::all:
-      return true;
   }
   return false;
 }
@@ -61,7 +59,6 @@ scan::probe_options probe_variant::to_probe_options() const {
   opt.send_acks = ack != quic::ack_policy::none;
   opt.ack_delay =
       ack == quic::ack_policy::instant ? 0 : net::milliseconds(1);
-  opt.timeout = timeout;
   opt.network = network;
   opt.measure_ttfb = measure_ttfb;
   return opt;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@ namespace certquic::engine {
 enum class service_filter : std::uint8_t {
   quic,  // records with svc == service_class::quic
   tls,   // QUIC + HTTPS-only records
-  all,   // every record
 };
 
 /// Deterministic up-front sampling shared by every study: walks the
@@ -51,8 +49,6 @@ struct probe_variant {
   /// A world transform rather than a client knob — the default keeps
   /// every existing plan, and thus every golden, byte-identical.
   x509::pq_profile chain_profile = x509::pq_profile::classical;
-  /// Observation deadline override; unset keeps the client default.
-  std::optional<net::duration> timeout{};
   /// Network regime the probe's two paths run under (the time-domain
   /// axis). The default condition is the historical simulator setup,
   /// so plans that never touch it stay golden-identical.

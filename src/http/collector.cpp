@@ -1,10 +1,13 @@
 #include "http/collector.hpp"
 
+#include <string>
+#include <unordered_set>
+
 #include "util/hex.hpp"
 
 namespace certquic::http {
 
-collection_stats collector::collect_all(const chain_sink& sink) const {
+collection_stats collector::collect_all() const {
   collection_stats stats;
   const auto& records = model_.records();
   stats.names_total = records.size();
@@ -42,9 +45,6 @@ collection_stats collector::collect_all(const chain_sink& sink) const {
             model_.chain_of(here, internet::fetch_protocol::https);
         if (serials.insert(to_hex(chain.leaf().serial())).second) {
           ++stats.unique_certificates;
-        }
-        if (sink) {
-          sink(here, chain);
         }
       }
       if (here.redirect_to < 0 ||

@@ -6,9 +6,6 @@
 // which chains, including everyone reached through redirects.
 #pragma once
 
-#include <functional>
-#include <unordered_set>
-
 #include "internet/model.hpp"
 
 namespace certquic::http {
@@ -25,12 +22,6 @@ struct collection_stats {
   std::size_t quic_capable = 0;
 };
 
-/// Invoked for every TLS-serving name encountered (including redirect
-/// targets; a record may be visited more than once via redirects — the
-/// collector deduplicates).
-using chain_sink = std::function<void(const internet::service_record&,
-                                      const x509::chain&)>;
-
 /// Walks the population like the paper's libcurl/libxml2 pipeline.
 class collector {
  public:
@@ -39,8 +30,9 @@ class collector {
   /// Follows at most this many redirect hops per name.
   static constexpr std::size_t kMaxRedirects = 10;
 
-  /// Collects certificates for every name; `sink` may be empty.
-  [[nodiscard]] collection_stats collect_all(const chain_sink& sink = {}) const;
+  /// Collects certificates for every name. A record reached more than
+  /// once (directly and through redirects) counts once.
+  [[nodiscard]] collection_stats collect_all() const;
 
  private:
   const internet::model& model_;

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace certquic::net {
@@ -47,18 +46,3 @@ struct endpoint_id {
 };
 
 }  // namespace certquic::net
-
-template <>
-struct std::hash<certquic::net::ipv4> {
-  std::size_t operator()(const certquic::net::ipv4& a) const noexcept {
-    return std::hash<std::uint32_t>{}(a.value);
-  }
-};
-
-template <>
-struct std::hash<certquic::net::endpoint_id> {
-  std::size_t operator()(const certquic::net::endpoint_id& e) const noexcept {
-    return std::hash<std::uint64_t>{}(
-        (static_cast<std::uint64_t>(e.ip.value) << 16) | e.port);
-  }
-};

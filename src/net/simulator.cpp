@@ -16,21 +16,39 @@ double loss_draw(std::uint64_t seed, std::uint64_t seq) {
   return static_cast<double>(word >> 11) * 0x1.0p-53;
 }
 
+/// The path of an address nobody set one for.
+constexpr path_config kDefaultPath{};
+
 }  // namespace
 
-void simulator::attach(const endpoint_id& ep, handler h) {
-  endpoints_[ep] = std::move(h);
+simulator::route* simulator::find(const endpoint_id& ep) {
+  for (route& r : routes_) {
+    if (r.address == ep) {
+      return &r;
+    }
+  }
+  return nullptr;
 }
 
-void simulator::detach(const endpoint_id& ep) { endpoints_.erase(ep); }
+simulator::route& simulator::route_to(const endpoint_id& ep) {
+  if (route* r = find(ep)) {
+    return *r;
+  }
+  return routes_.emplace_back(route{.address = ep});
+}
+
+void simulator::attach(const endpoint_id& ep, handler h) {
+  route_to(ep).on_receive = std::move(h);
+}
+
+void simulator::detach(const endpoint_id& ep) {
+  if (route* r = find(ep)) {
+    r->on_receive = nullptr;
+  }
+}
 
 void simulator::set_path_to(const endpoint_id& dst, const path_config& path) {
-  paths_[dst] = path;
-}
-
-const path_config& simulator::path_to(const endpoint_id& dst) const {
-  const auto it = paths_.find(dst);
-  return it != paths_.end() ? it->second : default_path_;
+  route_to(dst).path = path;
 }
 
 void simulator::push(time_point at, std::variant<datagram, timer_fn> what) {
@@ -52,17 +70,20 @@ void simulator::fire_next() {
 }
 
 void simulator::deliver(const datagram& d) {
-  const auto it = endpoints_.find(d.dst);
-  if (it == endpoints_.end()) {
+  route* r = find(d.dst);
+  if (r == nullptr || !r->on_receive) {
     ++stats_.dropped_unroutable;
     return;
   }
   ++stats_.delivered;
-  it->second(d);
+  r->on_receive(d);
 }
 
 void simulator::send(datagram d) {
-  const path_config& path = path_to(d.dst);
+  // An address without a record takes the default path, which has no
+  // bandwidth cap and so needs no link horizon.
+  route* r = find(d.dst);
+  const path_config& path = r != nullptr ? r->path : kDefaultPath;
   // Every send consumes one sequence number, whatever its fate, so the
   // per-seq loss draws below stay aligned across config changes.
   const std::uint64_t seq = send_seq_++;
@@ -80,9 +101,8 @@ void simulator::send(datagram d) {
         static_cast<std::uint64_t>(d.payload.size()) * 8;
     const duration serialize =
         (bits * 1'000'000 + path.bandwidth_bps - 1) / path.bandwidth_bps;
-    time_point& busy = link_busy_[d.dst];
-    depart = std::max(now_, busy) + serialize;
-    busy = depart;
+    depart = std::max(now_, r->link_free_at) + serialize;
+    r->link_free_at = depart;
   }
   if (path.loss_rate > 0.0 &&
       loss_draw(loss_seed_, seq) < path.loss_rate) {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -88,26 +87,37 @@ struct traffic_stats {
   std::uint64_t dropped_unroutable = 0;
 };
 
-/// The event-driven fabric. Endpoints attach handlers keyed by their
-/// address; `send` schedules delivery after the path delay; `schedule`
-/// arms arbitrary timers (QUIC PTO). `run` drains events in time order.
+/// The event-driven fabric. It keeps one record per address it has
+/// heard of: the receive handler attached there (if any), the path
+/// datagrams to it take, and that path's link-busy horizon. A world
+/// holds a handful of addresses (a probe two, a backscatter world
+/// under a hundred), so the table is a vector found by scan. `send`
+/// schedules delivery after the path delay; `schedule` arms arbitrary
+/// timers (QUIC PTO). `run` drains events in time order.
+///
+/// A handler may send and schedule, but must not attach, detach or set
+/// a path: those may move or destroy the running handler.
 class simulator {
  public:
+  /// Room for a probe's two addresses is made up front, in one
+  /// allocation.
   explicit simulator(std::uint64_t loss_seed = 0x105e'5eedULL)
-      : loss_seed_(loss_seed) {}
+      : loss_seed_(loss_seed) {
+    routes_.reserve(2);
+  }
 
   using handler = std::function<void(const datagram&)>;
   using timer_fn = std::function<void()>;
 
   /// Registers (or replaces) the receive handler for an endpoint.
   void attach(const endpoint_id& ep, handler h);
-  /// Removes an endpoint; datagrams to it become unroutable.
+  /// Removes an endpoint's handler; datagrams to it become unroutable.
+  /// Its path stays set.
   void detach(const endpoint_id& ep);
 
-  /// Sets the path used for datagrams addressed *to* `dst`.
+  /// Sets the path used for datagrams addressed *to* `dst` (a default
+  /// path_config until set), whether or not a handler is attached.
   void set_path_to(const endpoint_id& dst, const path_config& path);
-  /// Path lookup (default path when unset).
-  [[nodiscard]] const path_config& path_to(const endpoint_id& dst) const;
 
   /// Sends a datagram; applies MTU check, loss and delay. The source
   /// address is taken from the datagram and is NOT validated — spoofing
@@ -148,6 +158,20 @@ class simulator {
     }
   };
 
+  /// Everything the simulator knows about one address.
+  struct route {
+    endpoint_id address;
+    handler on_receive{};  // empty: datagrams here are unroutable
+    path_config path{};
+    /// Link-busy horizon for bandwidth serialization on `path`.
+    time_point link_free_at = 0;
+  };
+
+  /// The record of `ep`, or null.
+  [[nodiscard]] route* find(const endpoint_id& ep);
+  /// The record of `ep`, appended with a default path if new.
+  route& route_to(const endpoint_id& ep);
+
   void push(time_point at, std::variant<datagram, timer_fn> what);
   /// Pops the earliest event, advances `now_` to it and runs it. The
   /// event is moved out of the heap, never copied, so neither a timer
@@ -163,9 +187,7 @@ class simulator {
   /// is the earliest (at, seq). A plain vector rather than
   /// std::priority_queue, whose top() is const and so forces a copy.
   std::vector<event> queue_;
-  std::unordered_map<endpoint_id, handler> endpoints_;
-  std::unordered_map<endpoint_id, path_config> paths_;
-  path_config default_path_{};
+  std::vector<route> routes_;
   traffic_stats stats_{};
   /// Loss is drawn as a pure hash of (loss_seed_, send sequence
   /// number), not from a shared RNG stream: whether datagram N is lost
@@ -174,8 +196,6 @@ class simulator {
   /// pattern of the rest of the run.
   std::uint64_t loss_seed_;
   std::uint64_t send_seq_ = 0;
-  /// Per-destination link-busy horizon for bandwidth serialization.
-  std::unordered_map<endpoint_id, time_point> link_busy_;
 };
 
 }  // namespace certquic::net

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <string>
 
 #include "tls/handshake.hpp"
@@ -142,6 +143,20 @@ server::server(net::simulator& sim, net::endpoint_id address,
 
 server::~server() { sim_.detach(address_); }
 
+server::connection* server::find(const net::endpoint_id& peer) {
+  for (connection& c : conns_) {
+    if (c.peer == peer) {
+      return &c;
+    }
+  }
+  return nullptr;
+}
+
+void server::close(net::endpoint_id peer) {
+  std::erase_if(conns_,
+                [&peer](const connection& c) { return c.peer == peer; });
+}
+
 void server::on_datagram(const net::datagram& d) {
   // The packets' CRYPTO and STREAM frames view d.payload, which the
   // delivery event owns until this handler returns.
@@ -151,8 +166,8 @@ void server::on_datagram(const net::datagram& d) {
   } catch (const codec_error&) {
     return;  // garbage is dropped silently
   }
-  auto it = conns_.find(d.src);
-  if (it == conns_.end()) {
+  connection* found = find(d.src);
+  if (found == nullptr) {
     // New connection requires a client Initial of minimum size.
     const bool has_initial =
         std::any_of(packets.begin(), packets.end(), [](const packet& p) {
@@ -161,14 +176,13 @@ void server::on_datagram(const net::datagram& d) {
     if (!has_initial || d.payload.size() < kMinInitialSize) {
       return;  // RFC 9000 §14.1: drop undersized client Initials
     }
-    auto conn = std::make_unique<connection>();
-    conn->peer = d.src;
-    conn->our_scid.resize(8);
-    rng_.fill(conn->our_scid);
-    it = conns_.emplace(d.src, std::move(conn)).first;
+    found = &conns_.emplace_back();
+    found->peer = d.src;
+    found->our_scid.resize(8);
+    rng_.fill(found->our_scid);
     ++stats_.connections;
   }
-  connection& c = *it->second;
+  connection& c = *found;
 
   const bool first_contact = c.bytes_received == 0;
   c.bytes_received += d.payload.size();
@@ -224,7 +238,7 @@ void server::handle_client_initial(connection& c, const packet& p) {
     ++stats_.datagrams_sent;
     stats_.bytes_sent += wire.size();
     sim_.send({address_, c.peer, std::move(wire)});
-    conns_.erase(c.peer);
+    close(c.peer);
     return;
   }
 
@@ -241,7 +255,7 @@ void server::handle_client_initial(connection& c, const packet& p) {
     ++stats_.datagrams_sent;
     stats_.bytes_sent += wire.size();
     sim_.send({address_, c.peer, std::move(wire)});
-    conns_.erase(c.peer);
+    close(c.peer);
     return;
   }
   if (!p.token.empty()) {
@@ -554,15 +568,11 @@ void server::arm_pto(connection& c) {
   const std::uint64_t generation = c.pto_generation;
   const net::endpoint_id peer = c.peer;
   sim_.schedule(c.pto, [this, peer, generation]() {
-    const auto it = conns_.find(peer);
-    if (it == conns_.end()) {
-      return;
+    connection* conn = find(peer);
+    if (conn == nullptr || conn->pto_generation != generation) {
+      return;  // closed or cancelled
     }
-    connection& conn = *it->second;
-    if (conn.pto_generation != generation) {
-      return;  // cancelled
-    }
-    retransmit(conn);
+    retransmit(*conn);
   });
 }
 

@@ -3,8 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "net/simulator.hpp"
 #include "quic/behavior.hpp"
@@ -98,6 +97,12 @@ class server {
     std::uint64_t next_pn_app = 0;
   };
 
+  /// The connection from `peer`, or null.
+  [[nodiscard]] connection* find(const net::endpoint_id& peer);
+  /// Forgets the connection from `peer`. By value: the caller's address
+  /// is often the peer field of the element being erased.
+  void close(net::endpoint_id peer);
+
   void on_datagram(const net::datagram& d);
   void handle_client_initial(connection& c, const packet& p);
   /// Sends as much pending flight data as the policy allows.
@@ -132,7 +137,9 @@ class server {
   bytes_view codec_dictionary_;
   rng rng_;
   server_stats stats_;
-  std::unordered_map<net::endpoint_id, std::unique_ptr<connection>> conns_;
+  /// One entry per live connection, found by peer. A reference into it
+  /// lasts until the next connection is opened or closed.
+  std::vector<connection> conns_;
   /// Packet slots for received and sent datagrams (see reuse_slot). A
   /// sent CRYPTO frame views its connection's TLS stream.
   std::vector<packet> rx_;

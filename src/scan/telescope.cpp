@@ -6,8 +6,8 @@ telescope::telescope(net::simulator& sim, net::ipv4 base)
     : sim_(sim), base_(base.slash24()) {}
 
 telescope::~telescope() {
-  for (const auto& sensor : sensors_) {
-    sim_.detach(sensor);
+  for (const auto& entry : sensors_) {
+    sim_.detach(entry.first);
   }
 }
 
@@ -18,8 +18,11 @@ net::endpoint_id telescope::allocate_sensor() {
   }
   const net::endpoint_id sensor{
       net::ipv4{base_.value | next_host_++}, next_port_};
-  sensors_.push_back(sensor);
-  sim_.attach(sensor, [this](const net::datagram& d) { on_datagram(d); });
+  const std::size_t slot = sensors_.size();
+  sensors_.emplace_back(sensor, backscatter_session{});
+  sim_.attach(sensor, [this, slot](const net::datagram& d) {
+    on_datagram(slot, d);
+  });
   return sensor;
 }
 
@@ -27,10 +30,10 @@ void telescope::map_prefix(net::ipv4 prefix, std::string provider) {
   prefixes_[prefix.slash24().value] = std::move(provider);
 }
 
-void telescope::on_datagram(const net::datagram& d) {
-  // d.dst is the sensor the backscatter landed on, which identifies the
-  // spoofed session that elicited it.
-  backscatter_session& session = by_sensor_[d.dst];
+void telescope::on_datagram(std::size_t slot, const net::datagram& d) {
+  // The sensor the backscatter landed on identifies the spoofed session
+  // that elicited it.
+  backscatter_session& session = sensors_[slot].second;
   if (session.datagrams == 0) {
     const auto it = prefixes_.find(d.src.ip.slash24().value);
     session.provider = it == prefixes_.end() ? "unknown" : it->second;
@@ -43,8 +46,12 @@ void telescope::on_datagram(const net::datagram& d) {
 
 backscatter_session telescope::observed_at(
     const net::endpoint_id& sensor) const {
-  const auto it = by_sensor_.find(sensor);
-  return it == by_sensor_.end() ? backscatter_session{} : it->second;
+  for (const auto& [address, session] : sensors_) {
+    if (address == sensor) {
+      return session;
+    }
+  }
+  return {};
 }
 
 }  // namespace certquic::scan

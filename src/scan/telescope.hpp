@@ -9,7 +9,7 @@
 
 #include <map>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/simulator.hpp"
@@ -52,15 +52,17 @@ class telescope {
       const net::endpoint_id& sensor) const;
 
  private:
-  void on_datagram(const net::datagram& d);
+  /// Folds a datagram into the session of sensors_[slot].
+  void on_datagram(std::size_t slot, const net::datagram& d);
 
   net::simulator& sim_;
   net::ipv4 base_;
   std::uint16_t next_port_ = 20000;
   std::uint8_t next_host_ = 1;
-  std::vector<net::endpoint_id> sensors_;
+  /// Every allocated sensor with what arrived there, in allocation
+  /// order.
+  std::vector<std::pair<net::endpoint_id, backscatter_session>> sensors_;
   std::map<std::uint32_t, std::string> prefixes_;  // /24 -> provider
-  std::unordered_map<net::endpoint_id, backscatter_session> by_sensor_;
 };
 
 }  // namespace certquic::scan

@@ -28,20 +28,6 @@ TEST_F(CollectorTest, FunnelOrderingHolds) {
   EXPECT_GT(stats.redirects_followed, 0u);
 }
 
-TEST_F(CollectorTest, SinkSeesEveryTlsNameOnce) {
-  const collector c{shared()};
-  std::size_t sink_calls = 0;
-  std::set<std::string> domains;
-  const auto stats = c.collect_all(
-      [&](const internet::service_record& rec, const x509::chain& chain) {
-        ++sink_calls;
-        EXPECT_TRUE(rec.serves_tls());
-        EXPECT_FALSE(chain.empty());
-        EXPECT_TRUE(domains.insert(rec.domain).second) << rec.domain;
-      });
-  EXPECT_EQ(sink_calls, stats.names_covered);
-}
-
 TEST_F(CollectorTest, CollectionIsDeterministic) {
   const collector c{shared()};
   const auto a = c.collect_all();

@@ -416,6 +416,42 @@ TEST(Simulator, DetachMakesEndpointUnroutable) {
   EXPECT_EQ(sim.stats().dropped_unroutable, 1u);
 }
 
+TEST(Simulator, AttachAfterSendStillDelivers) {
+  // Routing happens at delivery, not at send: an endpoint attached
+  // while the datagram is in flight receives it.
+  simulator sim;
+  time_point delivered_at = 0;
+  sim.send({kA, kB, payload_of(10)});
+  sim.schedule(milliseconds(5), [&] {
+    sim.attach(kB, [&](const datagram&) { delivered_at = sim.now(); });
+  });
+  sim.run();
+  EXPECT_EQ(delivered_at, milliseconds(10));
+  EXPECT_EQ(sim.stats().delivered, 1u);
+  EXPECT_EQ(sim.stats().dropped_unroutable, 0u);
+}
+
+TEST(Simulator, ReattachAfterDetachRoutesAgain) {
+  simulator sim;
+  path_config path;
+  path.one_way_delay = milliseconds(3);
+  sim.set_path_to(kB, path);
+  int first = 0;
+  int second = 0;
+  sim.attach(kB, [&](const datagram&) { ++first; });
+  sim.detach(kB);
+  sim.send({kA, kB, payload_of(10)});
+  sim.run();
+  sim.attach(kB, [&](const datagram&) { ++second; });
+  sim.send({kA, kB, payload_of(10)});
+  sim.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(sim.stats().dropped_unroutable, 1u);
+  // The path set before the detach still applies to the new handler.
+  EXPECT_EQ(sim.now(), milliseconds(6));
+}
+
 TEST(Time, Conversions) {
   EXPECT_EQ(milliseconds(1), 1000u);
   EXPECT_EQ(seconds(1), milliseconds(1000));

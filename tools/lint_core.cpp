@@ -388,17 +388,6 @@ std::vector<waiver> load_waivers(const std::string& path) {
   return out;
 }
 
-std::vector<finding> lint_source(const std::string& relative_path,
-                                 const std::string& content) {
-  const analyze::scanned_file scan = analyze::scan_source(content);
-  const std::string flat = flatten_code(scan);
-  std::vector<finding> out;
-  lint_scanned(relative_path, scan, mask_for(relative_path),
-               unordered_decls(flat), float_decls(flat), atomic_decls(flat),
-               out);
-  return out;
-}
-
 std::vector<finding> lint_nondet_only(const std::string& relative_path,
                                       const std::string& content) {
   const analyze::scanned_file scan = analyze::scan_source(content);

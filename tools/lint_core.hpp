@@ -100,20 +100,15 @@ struct report {
 /// malformed line (wrong field count, unknown rule, empty reason).
 [[nodiscard]] std::vector<waiver> load_waivers(const std::string& path);
 
-/// Lints one in-memory file. `relative_path` decides which
-/// path-scoped rules apply (unordered-iter: engine/ and core/;
-/// float-accum: engine/, core/ and stats/) and is what waivers match
-/// against. Companion headers/sources share declaration context only
-/// when linted through lint_files/lint_sources (which merge
-/// per-basename units).
-[[nodiscard]] std::vector<finding> lint_source(
-    const std::string& relative_path, const std::string& content);
-
-/// Lints preloaded (relative_path, content) pairs with per-basename
-/// declaration-unit merge, exactly as lint_files does for on-disk
-/// trees. Returns UNWAIVED findings sorted by (path, line, rule);
-/// callers apply waivers via apply_waivers. This is the entry the
-/// architecture analyzer uses — it has already read every file once.
+/// Lints preloaded (relative_path, content) pairs, exactly as
+/// lint_files does for on-disk trees: a companion header and source
+/// (same basename) share declaration context. A file's relative path
+/// decides which path-scoped rules apply (unordered-iter: engine/ and
+/// core/; float-accum: engine/, core/ and stats/) and is what waivers
+/// match against. Returns UNWAIVED findings sorted by (path, line,
+/// rule); callers apply waivers via apply_waivers. This is the entry
+/// the architecture analyzer uses — it has already read every file
+/// once.
 [[nodiscard]] std::vector<finding> lint_sources(
     const std::vector<std::pair<std::string, std::string>>& sources);
 
