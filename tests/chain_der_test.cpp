@@ -7,13 +7,16 @@
 // sizes, so it must fail here first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "asn1/der.hpp"
 #include "engine/probe_plan.hpp"
 #include "internet/model.hpp"
 
@@ -83,16 +86,32 @@ bool is_monster(const x509::chain& c) {
   return false;
 }
 
-TEST(ChainDer, BytesArePinnedOverEveryIssuancePath) {
-  const model& m = shared_model();
+/// One chain_of call of the pinned sample.
+struct fetch {
+  const service_record* rec;
+  fetch_protocol proto;
+  x509::pq_profile pq;
+
+  [[nodiscard]] x509::chain issue(const model& m) const {
+    return m.chain_of(*rec, proto, pq);
+  }
+};
+
+/// The pinned sample: a fixed list of chain_of calls that reaches every
+/// issuance path, in digest order.
+std::vector<fetch> pinned_sample(const model& m) {
   const auto& recs = m.records();
-  der_digest d;
+  std::vector<fetch> out;
+  const auto add = [&out](const service_record& rec, fetch_protocol proto,
+                          x509::pq_profile pq = x509::pq_profile::classical) {
+    out.push_back({&rec, proto, pq});
+  };
 
   // 1. The first 200 TLS services over HTTPS, in rank order.
   std::size_t head = 0;
   for (const auto& rec : recs) {
     if (rec.serves_tls() && head++ < 200) {
-      d.add(m.chain_of(rec, fetch_protocol::https));
+      add(rec, fetch_protocol::https);
     }
   }
 
@@ -106,11 +125,11 @@ TEST(ChainDer, BytesArePinnedOverEveryIssuancePath) {
       continue;
     }
     if (profiles_seen.insert(rec.chain_profile).second) {
-      d.add(m.chain_of(rec, fetch_protocol::https));
+      add(rec, fetch_protocol::https);
     }
     if (rec.force_rsa_leaf && !forced_rsa) {
       forced_rsa = true;
-      d.add(m.chain_of(rec, fetch_protocol::https));
+      add(rec, fetch_protocol::https);
     }
   }
   EXPECT_GE(profiles_seen.size(), 10u);
@@ -123,14 +142,12 @@ TEST(ChainDer, BytesArePinnedOverEveryIssuancePath) {
         rec.chain_profile != "other") {
       continue;
     }
-    const x509::chain c = m.chain_of(rec, fetch_protocol::https);
-    d.add(c);
-    if (is_monster(c)) {
+    add(rec, fetch_protocol::https);
+    if (is_monster(m.chain_of(rec, fetch_protocol::https))) {
       monster = &rec;
       break;
     }
   }
-  ASSERT_NE(monster, nullptr);
 
   // 4. Cruise liners and rotated certificates fetched over QUIC.
   const service_record* cruise = nullptr;
@@ -138,15 +155,18 @@ TEST(ChainDer, BytesArePinnedOverEveryIssuancePath) {
   for (const auto& rec : recs) {
     if (rec.cruise_sans > 0 && cruise == nullptr) {
       cruise = &rec;
-      d.add(m.chain_of(rec, fetch_protocol::https));
+      add(rec, fetch_protocol::https);
     }
     if (rec.rotated_cert && rec.serves_quic() && rotated < 5) {
       ++rotated;
-      d.add(m.chain_of(rec, fetch_protocol::quic));
+      add(rec, fetch_protocol::quic);
     }
   }
-  ASSERT_NE(cruise, nullptr);
   EXPECT_EQ(rotated, 5u);
+  if (monster == nullptr || cruise == nullptr) {
+    ADD_FAILURE() << "the sample reaches no monster chain or cruise liner";
+    return {};
+  }
 
   // 5. Both PQC stages over a named chain, the monster and the liner.
   std::vector<const service_record*> pqc_recs;
@@ -162,15 +182,140 @@ TEST(ChainDer, BytesArePinnedOverEveryIssuancePath) {
   for (const auto pq : {x509::pq_profile::pqc_leaf,
                         x509::pq_profile::pqc_full}) {
     for (const service_record* rec : pqc_recs) {
-      d.add(m.chain_of(*rec, fetch_protocol::https, pq));
+      add(*rec, fetch_protocol::https, pq);
     }
   }
+  return out;
+}
 
+TEST(ChainDer, BytesArePinnedOverEveryIssuancePath) {
+  const model& m = shared_model();
+  der_digest d;
+  for (const fetch& f : pinned_sample(m)) {
+    d.add(f.issue(m));
+  }
   // Taken before the single-buffer DER writer replaced the
   // concatenating encoder; the bytes must never move.
   EXPECT_EQ(d.chains, 258u);
   EXPECT_EQ(d.bytes_total, 1097414u);
   EXPECT_EQ(d.h, 0x68d1'08d1'de65'fbc0ULL);
+}
+
+/// A TLV read back from DER with its full encoded size.
+struct element {
+  asn1::tlv tlv;
+  std::size_t size = 0;
+};
+
+/// Every TLV in `content`, in order.
+std::vector<element> elements(bytes_view content) {
+  std::vector<element> out;
+  buffer_reader r{content};
+  while (!r.empty()) {
+    const std::size_t before = r.remaining();
+    const asn1::tlv t = asn1::read_tlv(r);
+    out.push_back({t, before - r.remaining()});
+  }
+  return out;
+}
+
+/// `v` without its leading zero octets; at least one octet stays.
+bytes_view without_leading_zeros(bytes_view v) {
+  std::size_t skip = 0;
+  while (skip + 1 < v.size() && v[skip] == 0) {
+    ++skip;
+  }
+  return v.subspan(skip);
+}
+
+bool same_bytes(bytes_view a, bytes_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+TEST(ChainDer, FieldSizesMatchADerWalk) {
+  // The facts Figs. 2b, 8 and 14 and Table 2 read, recomputed from each
+  // certificate's DER alone with the decoder, independently of the
+  // offsets the writer measured while encoding.
+  static constexpr std::uint8_t kSanOid[] = {0x55, 0x1d, 0x11};
+  static constexpr std::uint8_t kBasicConstraintsOid[] = {0x55, 0x1d, 0x13};
+  const model& m = shared_model();
+  std::size_t certs = 0;
+  std::size_t cas = 0;
+  std::size_t anchors = 0;
+  for (const fetch& f : pinned_sample(m)) {
+    const x509::chain chain = f.issue(m);
+    bool leaf = true;
+    chain.for_each([&](const x509::certificate& cert) {
+      ++certs;
+      const bytes_view der = cert.der();
+      const std::vector<element> whole = elements(der);
+      ASSERT_EQ(whole.size(), 1u);
+      ASSERT_TRUE(whole[0].tlv.is(asn1::tag::sequence));
+      const std::vector<element> outer = elements(whole[0].tlv.content);
+      ASSERT_EQ(outer.size(), 3u);  // TBSCertificate, sigAlg, signature
+      const std::vector<element> tbs = elements(outer[0].tlv.content);
+      ASSERT_EQ(tbs.size(), 8u);  // version .. [3] extensions
+      ASSERT_TRUE(tbs[1].tlv.is(asn1::tag::integer));
+      ASSERT_EQ(tbs[7].tlv.tag_byte, asn1::context_tag(3));
+      const std::vector<element> ext_block = elements(tbs[7].tlv.content);
+      ASSERT_EQ(ext_block.size(), 1u);
+      ASSERT_TRUE(ext_block[0].tlv.is(asn1::tag::sequence));
+
+      const x509::field_sizes& s = cert.sizes();
+      EXPECT_EQ(s.total, der.size());
+      EXPECT_EQ(s.issuer, tbs[3].size);
+      EXPECT_EQ(s.subject, tbs[5].size);
+      EXPECT_EQ(s.public_key_info, tbs[6].size);
+      EXPECT_EQ(s.extensions, ext_block[0].size);
+      EXPECT_EQ(s.signature, outer[2].size);
+      ASSERT_TRUE(outer[2].tlv.is(asn1::tag::bit_string));
+
+      // The serial: 16 bytes, top bit clear, the magnitude of the
+      // minimal positive INTEGER the certificate carries.
+      const auto& serial = cert.serial();
+      ASSERT_EQ(serial.size(), 16u);
+      EXPECT_EQ(serial[0] & 0x80, 0);
+      const bytes_view integer = tbs[1].tlv.content;
+      ASSERT_FALSE(integer.empty());
+      EXPECT_EQ(integer[0] & 0x80, 0);
+      EXPECT_TRUE(integer.size() == 1 || integer[0] != 0 ||
+                  (integer[1] & 0x80) != 0);
+      EXPECT_TRUE(same_bytes(without_leading_zeros(integer),
+                             without_leading_zeros(serial)));
+
+      std::size_t san = 0;
+      bool is_ca = false;
+      for (const element& ext : elements(ext_block[0].tlv.content)) {
+        const std::vector<element> parts = elements(ext.tlv.content);
+        ASSERT_GE(parts.size(), 2u);
+        ASSERT_TRUE(parts[0].tlv.is(asn1::tag::object_identifier));
+        ASSERT_TRUE(parts.back().tlv.is(asn1::tag::octet_string));
+        if (same_bytes(parts[0].tlv.content, kSanOid)) {
+          san += ext.size;
+        }
+        if (same_bytes(parts[0].tlv.content, kBasicConstraintsOid)) {
+          // cA is the optional leading BOOLEAN of BasicConstraints.
+          const std::vector<element> value = elements(parts.back().tlv.content);
+          ASSERT_EQ(value.size(), 1u);
+          const std::vector<element> fields = elements(value[0].tlv.content);
+          is_ca = !fields.empty() && fields[0].tlv.is(asn1::tag::boolean) &&
+                  fields[0].tlv.content.size() == 1 &&
+                  fields[0].tlv.content[0] == 0xff;
+        }
+      }
+      EXPECT_EQ(cert.san_bytes(), san);
+      EXPECT_EQ(cert.is_ca(), is_ca);
+      EXPECT_EQ(is_ca, !leaf);
+      EXPECT_EQ(cert.self_signed(),
+                same_bytes(tbs[3].tlv.content, tbs[5].tlv.content));
+      cas += is_ca ? 1 : 0;
+      anchors += cert.self_signed() ? 1 : 0;
+      leaf = false;
+    });
+  }
+  EXPECT_EQ(certs, 723u);
+  EXPECT_GT(cas, 0u);
+  EXPECT_GT(anchors, 0u);
 }
 
 TEST(ChainDer, AllocationsPerChainStayWithinBudget) {
