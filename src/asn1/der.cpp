@@ -29,7 +29,7 @@ void put_length(std::uint8_t* out, std::size_t length, std::size_t n) {
 /// The combined first subidentifier, arcs[0] * 40 + arcs[1]. Throws when
 /// the arcs are not a valid OID root or the value would not fit the 32
 /// bits every arc decodes into.
-std::uint32_t first_subidentifier(const oid& arcs) {
+std::uint32_t first_subidentifier(std::span<const std::uint32_t> arcs) {
   if (arcs.size() < 2) {
     throw codec_error("OID needs at least two arcs");
   }
@@ -53,27 +53,43 @@ std::uint8_t context_tag(unsigned n, bool constructed) {
   return static_cast<std::uint8_t>(0x80 | (constructed ? 0x20 : 0x00) | n);
 }
 
-// --- der_writer ------------------------------------------------------------
+// --- oid ------------------------------------------------------------------
 
-void der_writer::open(std::uint8_t tag_byte) {
-  if (depth_ == kMaxDepth) {
-    throw codec_error("der_writer nesting too deep");
+oid::oid(std::span<const std::uint32_t> arcs) {
+  const std::uint32_t first = first_subidentifier(arcs);
+  der_writer w;
+  auto push_base128 = [&w](std::uint32_t v) {
+    std::uint8_t chunks[5];
+    int n = 0;
+    do {
+      chunks[n++] = static_cast<std::uint8_t>(v & 0x7f);
+      v >>= 7;
+    } while (v > 0);
+    for (int i = n - 1; i > 0; --i) {
+      w.u8(static_cast<std::uint8_t>(chunks[i] | 0x80));
+    }
+    w.u8(chunks[0]);
+  };
+  w.open(tag::object_identifier);
+  push_base128(first);
+  for (std::size_t i = 2; i < arcs.size(); ++i) {
+    push_base128(arcs[i]);
   }
-  buf_.push_back(tag_byte);
-  open_[depth_++] = buf_.size();
-  buf_.push_back(0);  // short-form placeholder, fixed up by close()
+  w.close();
+  der_ = std::move(w).take();
 }
 
-void der_writer::close() {
-  if (depth_ == 0) {
-    throw codec_error("der_writer::close without an open element");
-  }
-  const std::size_t at = open_[--depth_];
-  const std::size_t length = buf_.size() - at - 1;
-  if (length < 0x80) {
-    buf_[at] = static_cast<std::uint8_t>(length);
-    return;
-  }
+// --- der_writer ------------------------------------------------------------
+
+void der_writer::too_deep() {
+  throw codec_error("der_writer nesting too deep");
+}
+
+void der_writer::unbalanced() {
+  throw codec_error("der_writer::close without an open element");
+}
+
+void der_writer::close_long(std::size_t at, std::size_t length) {
   // Long form: shift the content right by the extra length octets.
   const std::size_t n = length_octets(length);
   buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(at + 1), n,
@@ -82,14 +98,10 @@ void der_writer::close() {
   put_length(buf_.data() + at + 1, length, n);
 }
 
-void der_writer::header(std::uint8_t tag_byte, std::size_t length) {
-  buf_.push_back(tag_byte);
-  if (length < 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(length));
-    return;
-  }
+void der_writer::header_long(std::uint8_t tag_byte, std::size_t length) {
   // Long form: minimal number of length octets (DER requirement).
   const std::size_t n = length_octets(length);
+  buf_.push_back(tag_byte);
   buf_.push_back(static_cast<std::uint8_t>(0x80 | n));
   put_length(append(n), length, n);
 }
@@ -144,28 +156,6 @@ void der_writer::big_integer(bytes_view magnitude) {
     u8(0);
   }
   raw(digits);
-}
-
-void der_writer::oid(const asn1::oid& arcs) {
-  const std::uint32_t first = first_subidentifier(arcs);
-  auto push_base128 = [this](std::uint32_t v) {
-    std::uint8_t chunks[5];
-    int n = 0;
-    do {
-      chunks[n++] = static_cast<std::uint8_t>(v & 0x7f);
-      v >>= 7;
-    } while (v > 0);
-    for (int i = n - 1; i > 0; --i) {
-      u8(static_cast<std::uint8_t>(chunks[i] | 0x80));
-    }
-    u8(chunks[0]);
-  };
-  open(tag::object_identifier);
-  push_base128(first);
-  for (std::size_t i = 2; i < arcs.size(); ++i) {
-    push_base128(arcs[i]);
-  }
-  close();
 }
 
 void der_writer::bit_string(bytes_view data, std::uint8_t unused_bits) {
@@ -255,11 +245,11 @@ std::int64_t decode_integer(const tlv& t) {
   return v;
 }
 
-oid decode_oid(const tlv& t) {
+oid_arcs decode_oid(const tlv& t) {
   if (!t.is(tag::object_identifier)) {
     throw codec_error("not an OID");
   }
-  oid arcs;
+  oid_arcs arcs;
   std::size_t i = 0;
   auto read_base128 = [&]() -> std::uint32_t {
     std::uint32_t v = 0;

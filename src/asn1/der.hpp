@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -36,8 +38,31 @@ enum class tag : std::uint8_t {
   set = 0x31,       // constructed
 };
 
-/// Object identifier as a list of arcs, e.g. {2, 5, 4, 3} for id-at-cn.
-using oid = std::vector<std::uint32_t>;
+/// Object identifier as a list of arcs, e.g. {2, 5, 4, 3} for id-at-cn:
+/// the form decode_oid reads back.
+using oid_arcs = std::vector<std::uint32_t>;
+
+/// An OBJECT IDENTIFIER encoded once, when it is constructed, with
+/// standard base-128 arc packing; der_writer::oid copies the finished
+/// TLV. The well-known OIDs of x509/oids.hpp are built at static
+/// initialization, so issuance never packs an arc.
+class oid {
+ public:
+  /// Throws codec_error on fewer than two arcs, invalid root arcs, or a
+  /// combined first subidentifier (arcs[0] * 40 + arcs[1]) wider than
+  /// 32 bits.
+  explicit oid(std::span<const std::uint32_t> arcs);
+  oid(std::initializer_list<std::uint32_t> arcs)
+      : oid(std::span{arcs.begin(), arcs.size()}) {}
+
+  /// The complete TLV: tag 0x06, length, packed arcs.
+  [[nodiscard]] bytes_view der() const noexcept { return der_; }
+
+  [[nodiscard]] bool operator==(const oid& other) const = default;
+
+ private:
+  bytes der_;
+};
 
 /// Builds a context-specific tag byte [n]; constructed if `constructed`.
 /// Throws codec_error for n > 30 (the high-tag-number form is unused).
@@ -54,14 +79,39 @@ class der_writer {
   explicit der_writer(std::size_t capacity) { buf_.reserve(capacity); }
 
   /// Starts a constructed (or content-wrapping) element.
-  void open(std::uint8_t tag_byte);
+  void open(std::uint8_t tag_byte) {
+    if (depth_ == kMaxDepth) {
+      too_deep();
+    }
+    buf_.push_back(tag_byte);
+    open_[depth_++] = buf_.size();
+    buf_.push_back(0);  // short-form placeholder, fixed up by close()
+  }
   void open(tag t) { open(static_cast<std::uint8_t>(t)); }
   /// Ends the innermost open element. Throws codec_error when none is
   /// open.
-  void close();
+  void close() {
+    if (depth_ == 0) {
+      unbalanced();
+    }
+    const std::size_t at = open_[--depth_];
+    const std::size_t length = buf_.size() - at - 1;
+    if (length < 0x80) {
+      buf_[at] = static_cast<std::uint8_t>(length);
+      return;
+    }
+    close_long(at, length);
+  }
 
   /// Tag plus the minimal definite-length encoding of `length`.
-  void header(std::uint8_t tag_byte, std::size_t length);
+  void header(std::uint8_t tag_byte, std::size_t length) {
+    if (length < 0x80) {
+      buf_.push_back(tag_byte);
+      buf_.push_back(static_cast<std::uint8_t>(length));
+      return;
+    }
+    header_long(tag_byte, length);
+  }
   void header(tag t, std::size_t length) {
     header(static_cast<std::uint8_t>(t), length);
   }
@@ -88,10 +138,9 @@ class der_writer {
   /// moduli): 0x00 is prepended when the leading bit is set so the
   /// value stays positive, and redundant leading zero octets go.
   void big_integer(bytes_view magnitude);
-  /// OBJECT IDENTIFIER with standard arc packing. Throws codec_error on
-  /// fewer than two arcs, invalid root arcs, or a combined first
-  /// subidentifier (arcs[0] * 40 + arcs[1]) wider than 32 bits.
-  void oid(const asn1::oid& arcs);
+  /// OBJECT IDENTIFIER: a copy of the TLV `id` encoded when it was
+  /// built.
+  void oid(const asn1::oid& id) { raw(id.der()); }
   /// BIT STRING with `unused_bits` trailing unused bits (0 for X.509
   /// keys and signatures).
   void bit_string(bytes_view data, std::uint8_t unused_bits = 0);
@@ -118,6 +167,12 @@ class der_writer {
   static constexpr std::size_t kMaxDepth = 24;
 
  private:
+  [[noreturn]] static void too_deep();
+  [[noreturn]] static void unbalanced();
+  /// close() and header() for a length of 0x80 or more.
+  void close_long(std::size_t at, std::size_t length);
+  void header_long(std::uint8_t tag_byte, std::size_t length);
+
   bytes buf_;
   /// Offset of each open element's length placeholder.
   std::size_t open_[kMaxDepth] = {};
@@ -146,6 +201,6 @@ struct tlv {
 [[nodiscard]] std::int64_t decode_integer(const tlv& t);
 
 /// Decodes an OBJECT IDENTIFIER TLV back into arcs.
-[[nodiscard]] oid decode_oid(const tlv& t);
+[[nodiscard]] oid_arcs decode_oid(const tlv& t);
 
 }  // namespace certquic::asn1

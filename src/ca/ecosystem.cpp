@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
 
 #include "util/errors.hpp"
 #include "x509/extensions.hpp"
@@ -21,51 +20,37 @@ namespace {
 /// the full operational set, legacy roots are sparse.
 enum class ca_style { root, legacy_root, intermediate };
 
-/// Moves a braced list of extensions into a certificate spec. Braced
-/// initialization evaluates the builders in source order, which keeps
-/// their rng draws fixed, and moving (an initializer_list can only be
-/// copied) keeps every value buffer the builder allocated. Room for two
-/// more is reserved for the extensions issuance appends afterwards.
-template <std::size_t N>
-std::vector<x509::extension> extension_list(
-    std::array<x509::extension, N>&& list) {
-  std::vector<x509::extension> out;
-  out.reserve(N + 2);
-  out.insert(out.end(), std::make_move_iterator(list.begin()),
-             std::make_move_iterator(list.end()));
-  return out;
-}
-
 std::shared_ptr<const certificate> make_ca_cert(
-    rng& r, const distinguished_name& subject,
-    const distinguished_name& issuer, key_algorithm key,
+    rng& r, x509::name_ref subject, x509::name_ref issuer, key_algorithm key,
     key_algorithm issuer_key, ca_style style, std::string_view url_host) {
-  certificate_spec spec;
-  spec.subject = subject;
-  spec.issuer = issuer;
-  spec.key_alg = key;
-  spec.sig_alg = x509::signature_by(issuer_key);
-  // CA certificates are long-lived.
-  spec.valid = {"200904000000Z", "300904000000Z"};
-  spec.extensions.reserve(8);
-  spec.extensions.push_back(x509::make_basic_constraints(true, 0));
-  spec.extensions.push_back(x509::make_key_usage(0x86));  // sign+certSign+crl
-  spec.extensions.push_back(x509::make_subject_key_id(r));
-  if (style != ca_style::legacy_root) {
-    std::array<std::uint8_t, 20> issuer_key_id;
-    r.fill(issuer_key_id);
-    spec.extensions.push_back(x509::make_authority_key_id(issuer_key_id));
-  }
-  if (style == ca_style::intermediate) {
-    spec.extensions.push_back(x509::make_ext_key_usage(true));
-    spec.extensions.push_back(x509::make_certificate_policies(
-        false, {"http://", url_host, "/cps"}));
-    spec.extensions.push_back(x509::make_authority_info_access(
-        {"http://ocsp.", url_host}, {"http://", url_host, "/root.crt"}));
-    spec.extensions.push_back(x509::make_crl_distribution_points(
-        {"http://crl.", url_host, "/root.crl"}));
-  }
-  return std::make_shared<const certificate>(std::move(spec), r);
+  const certificate_spec spec{
+      .issuer = issuer,
+      .subject = subject,
+      // CA certificates are long-lived.
+      .valid = {"200904000000Z", "300904000000Z"},
+      .key_alg = key,
+      .sig_alg = x509::signature_by(issuer_key)};
+  return std::make_shared<const certificate>(
+      spec, r, [&](asn1::der_writer& w) {
+        x509::write_basic_constraints(w, true, 0);
+        x509::write_key_usage(w, 0x86);  // sign+certSign+crl
+        x509::write_subject_key_id(w, r);
+        if (style != ca_style::legacy_root) {
+          std::array<std::uint8_t, 20> issuer_key_id;
+          r.fill(issuer_key_id);
+          x509::write_authority_key_id(w, issuer_key_id);
+        }
+        if (style == ca_style::intermediate) {
+          x509::write_ext_key_usage(w, true);
+          x509::write_certificate_policies(w, false,
+                                           {"http://", url_host, "/cps"});
+          x509::write_authority_info_access(
+              w, {"http://ocsp.", url_host},
+              {"http://", url_host, "/root.crt"});
+          x509::write_crl_distribution_points(
+              w, {"http://crl.", url_host, "/root.crl"});
+        }
+      });
 }
 
 /// ML-DSA twin of a classical parent certificate: the same position in
@@ -440,10 +425,14 @@ x509::chain ecosystem::issue(const chain_profile& profile,
                             ? profile.parents_pqc
                             : profile.parents;
   const leaf_profile& lp = profile.leaf;
+  static const distinguished_name unknown_issuer =
+      distinguished_name::cn("Unknown Issuer");
+  const distinguished_name subject = distinguished_name::cn(domain);
   certificate_spec spec;
-  spec.issuer = parents.empty() ? distinguished_name::cn("Unknown Issuer")
-                                : parents.front()->subject();
-  spec.subject = distinguished_name::cn(domain);
+  // The leaf's issuer is its parent's subject, copied as encoded.
+  spec.issuer = parents.empty() ? x509::name_ref{unknown_issuer}
+                                : x509::name_ref{parents.front()->subject()};
+  spec.subject = subject;
   // The classical key draw is consumed under every profile so a
   // record's chain keeps its structure (SANs, SCT count) across the
   // PQC sweep; both PQC stages then put ML-DSA-44 on the leaf.
@@ -473,29 +462,31 @@ x509::chain ecosystem::issue(const chain_profile& profile,
 
   std::array<std::uint8_t, 20> issuer_key_id;
   r.fill(issuer_key_id);
-  spec.extensions = extension_list(std::array{
-      x509::make_basic_constraints(false),
-      x509::make_key_usage(0x80),
-      x509::make_ext_key_usage(true),
-      x509::make_subject_key_id(r),
-      x509::make_authority_key_id(issuer_key_id),
-      x509::make_subject_alt_name(sans),
-      x509::make_certificate_policies(
-          lp.organization_validated,
-          lp.lean_extensions ? x509::uri{}
-                             : x509::uri{"http://", lp.url_host, "/cps"}),
-      x509::make_authority_info_access({"http://ocsp.", lp.url_host},
-                                       {"http://", lp.url_host, "/ca.crt"}),
-  });
-  if (!lp.lean_extensions) {
-    spec.extensions.push_back(x509::make_crl_distribution_points(
-        {"http://crl.", lp.url_host, "/ca.crl"}));
-  }
-  const std::size_t scts =
-      lp.sct_count > 1 && r.chance(0.5) ? lp.sct_count - 1 : lp.sct_count;
-  spec.extensions.push_back(x509::make_sct_list(scts, r));
-  return x509::chain{std::make_shared<const certificate>(std::move(spec), r),
-                     parents};
+  auto leaf = std::make_shared<const certificate>(
+      spec, r, [&](asn1::der_writer& w) {
+        x509::write_basic_constraints(w, false);
+        x509::write_key_usage(w, 0x80);
+        x509::write_ext_key_usage(w, true);
+        x509::write_subject_key_id(w, r);
+        x509::write_authority_key_id(w, issuer_key_id);
+        x509::write_subject_alt_name(w, sans);
+        x509::write_certificate_policies(
+            w, lp.organization_validated,
+            lp.lean_extensions ? x509::uri{}
+                               : x509::uri{"http://", lp.url_host, "/cps"});
+        x509::write_authority_info_access(
+            w, {"http://ocsp.", lp.url_host},
+            {"http://", lp.url_host, "/ca.crt"});
+        if (!lp.lean_extensions) {
+          x509::write_crl_distribution_points(
+              w, {"http://crl.", lp.url_host, "/ca.crl"});
+        }
+        const std::size_t scts = lp.sct_count > 1 && r.chance(0.5)
+                                     ? lp.sct_count - 1
+                                     : lp.sct_count;
+        x509::write_sct_list(w, scts, r);
+      });
+  return x509::chain{std::move(leaf), parents};
 }
 
 x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
@@ -538,28 +529,28 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
     depth = d < 0.55 ? 1 : (d < 0.9 ? 2 : 3);
   }
 
-  std::vector<std::shared_ptr<const certificate>> parents;
-  distinguished_name child_issuer;
   // Build top-down: root first, then intermediates; serve leaf-first.
-  distinguished_name above = distinguished_name::org(
+  const distinguished_name root_dn = distinguished_name::org(
       "US", ca_org + " Trust Services", ca_org + " Root CA");
-  key_algorithm above_key = pick_nonleaf(true);
+  const key_algorithm root_key = pick_nonleaf(true);
   std::vector<std::shared_ptr<const certificate>> top_down;
   const bool include_anchor = r.chance(0.15);  // superfluous root
   if (include_anchor) {
     rng root_rng = r.fork(1);
-    top_down.push_back(make_ca_cert(root_rng, above, above, above_key,
-                                    above_key, ca_style::root, ca_host));
+    top_down.push_back(make_ca_cert(root_rng, root_dn, root_dn, root_key,
+                                    root_key, ca_style::root, ca_host));
   }
-  distinguished_name parent_dn = above;
-  key_algorithm parent_key = above_key;
+  // Each level is issued by the one above: the root's name, then the
+  // encoded subject of the certificate issued last.
+  x509::name_ref parent_name = root_dn;
+  key_algorithm parent_key = root_key;
   for (std::size_t level = 0; level < depth; ++level) {
     const auto dn = distinguished_name::org(
         "US", ca_org + " Trust Services",
         ca_org + " CA " + std::to_string(level + 1));
     const key_algorithm key = pick_nonleaf(false);
     rng level_rng = r.fork(100 + level);
-    auto cert = make_ca_cert(level_rng, dn, parent_dn, key, parent_key,
+    auto cert = make_ca_cert(level_rng, dn, parent_name, key, parent_key,
                              ca_style::intermediate, ca_host);
     if (monster) {
       // Monster chains in the wild carry bloated intermediates
@@ -567,35 +558,37 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
       // kilobyte CPS texts and piles of embedded SCTs). Model by
       // re-issuing with oversized policy content; HTTPS-only tails are
       // allowed to grow larger than QUIC tails (Fig. 6: 38 kB vs 18 kB).
-      certificate_spec spec;
-      spec.subject = dn;
-      spec.issuer = parent_dn;
-      spec.key_alg =
-          pqc_full ? key_algorithm::mldsa_65 : key_algorithm::rsa_4096;
-      spec.sig_alg = x509::signature_by(
-          pqc_full ? key_algorithm::mldsa_87 : key_algorithm::rsa_4096);
+      const certificate_spec spec{
+          .issuer = parent_name,
+          .subject = dn,
+          .valid = {},
+          .key_alg =
+              pqc_full ? key_algorithm::mldsa_65 : key_algorithm::rsa_4096,
+          .sig_alg = x509::signature_by(
+              pqc_full ? key_algorithm::mldsa_87 : key_algorithm::rsa_4096)};
       const std::size_t cps_len =
           opt.quic_flavor ? 300 + level_rng.uniform(0, 500)
                           : 900 + level_rng.uniform(0, 2600);
-      spec.extensions = extension_list(std::array{
-          x509::make_basic_constraints(true, 0),
-          x509::make_key_usage(0x86),
-          x509::make_subject_key_id(level_rng),
-          x509::make_certificate_policies(
-              true, "http://" + ca_host + "/cps/" +
-                        level_rng.ascii_label(cps_len, cps_len + 200)),
-          x509::make_sct_list(3 + level_rng.uniform(0, 5), level_rng),
-      });
-      cert = std::make_shared<const certificate>(std::move(spec), level_rng);
+      cert = std::make_shared<const certificate>(
+          spec, level_rng, [&](asn1::der_writer& w) {
+            x509::write_basic_constraints(w, true, 0);
+            x509::write_key_usage(w, 0x86);
+            x509::write_subject_key_id(w, level_rng);
+            x509::write_certificate_policies(
+                w, true,
+                "http://" + ca_host + "/cps/" +
+                    level_rng.ascii_label(cps_len, cps_len + 200));
+            x509::write_sct_list(w, 3 + level_rng.uniform(0, 5), level_rng);
+          });
     }
     top_down.push_back(std::move(cert));
-    parent_dn = dn;
+    parent_name = top_down.back()->subject();
     parent_key = key;
   }
-  child_issuer = parent_dn;
 
   // Serve leaf-first order: reverse of construction.
-  parents.assign(top_down.rbegin(), top_down.rend());
+  std::vector<std::shared_ptr<const certificate>> parents(top_down.rbegin(),
+                                                          top_down.rend());
 
   // Leaf algorithm, Table 2 leaf mixes: QUIC {19.2, 1.4, 78.9, 0.5}%;
   // HTTPS-only {81.4, 8.1, 7.8, 1.9}% (residuals folded into EC384).
@@ -607,11 +600,12 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
     leaf_key = key_algorithm::mldsa_44;
   }
 
-  certificate_spec spec;
-  spec.issuer = child_issuer;
-  spec.subject = distinguished_name::cn(domain);
-  spec.key_alg = leaf_key;
-  spec.sig_alg = x509::signature_by(parent_key);
+  const distinguished_name subject = distinguished_name::cn(domain);
+  const certificate_spec spec{.issuer = parent_name,
+                              .subject = subject,
+                              .valid = {},
+                              .key_alg = leaf_key,
+                              .sig_alg = x509::signature_by(parent_key)};
   const auto extra = r.uniform(0, monster ? 40 : 4);
   std::vector<x509::dns_name> sans;
   sans.reserve(2 + extra);
@@ -622,20 +616,21 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   }
   std::array<std::uint8_t, 20> issuer_key_id;
   r.fill(issuer_key_id);
-  spec.extensions = extension_list(std::array{
-      x509::make_basic_constraints(false),
-      x509::make_key_usage(0x80),
-      x509::make_ext_key_usage(true),
-      x509::make_subject_key_id(r),
-      x509::make_authority_key_id(issuer_key_id),
-      x509::make_subject_alt_name(sans),
-      x509::make_certificate_policies(false, {"http://", ca_host, "/cps"}),
-      x509::make_authority_info_access({"http://ocsp.", ca_host},
-                                       {"http://", ca_host, "/ca.crt"}),
-      x509::make_sct_list(1 + r.uniform(0, 2), r),
-  });
-  return x509::chain{std::make_shared<const certificate>(std::move(spec), r),
-                     std::move(parents)};
+  auto leaf = std::make_shared<const certificate>(
+      spec, r, [&](asn1::der_writer& w) {
+        x509::write_basic_constraints(w, false);
+        x509::write_key_usage(w, 0x80);
+        x509::write_ext_key_usage(w, true);
+        x509::write_subject_key_id(w, r);
+        x509::write_authority_key_id(w, issuer_key_id);
+        x509::write_subject_alt_name(w, sans);
+        x509::write_certificate_policies(w, false,
+                                         {"http://", ca_host, "/cps"});
+        x509::write_authority_info_access(w, {"http://ocsp.", ca_host},
+                                          {"http://", ca_host, "/ca.crt"});
+        x509::write_sct_list(w, 1 + r.uniform(0, 2), r);
+      });
+  return x509::chain{std::move(leaf), std::move(parents)};
 }
 
 x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
@@ -644,12 +639,14 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
   const chain_profile& base = profile("cpanel");
   const auto& parents =
       pq == x509::pq_profile::pqc_full ? base.parents_pqc : base.parents;
-  certificate_spec spec;
-  spec.issuer = parents.front()->subject();
-  spec.subject = distinguished_name::cn(domain);
-  spec.key_alg = pq == x509::pq_profile::classical ? key_algorithm::rsa_2048
-                                                   : key_algorithm::mldsa_44;
-  spec.sig_alg = x509::signature_by(parents.front()->key_alg());
+  const distinguished_name subject = distinguished_name::cn(domain);
+  const certificate_spec spec{
+      .issuer = parents.front()->subject(),
+      .subject = subject,
+      .valid = {},
+      .key_alg = pq == x509::pq_profile::classical ? key_algorithm::rsa_2048
+                                                   : key_algorithm::mldsa_44,
+      .sig_alg = x509::signature_by(parents.front()->key_alg())};
   std::vector<x509::dns_name> sans;
   sans.reserve(san_count + 1);
   sans.push_back({{}, domain});
@@ -662,18 +659,18 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
   }
   std::array<std::uint8_t, 20> issuer_key_id;
   r.fill(issuer_key_id);
-  spec.extensions = extension_list(std::array{
-      x509::make_basic_constraints(false),
-      x509::make_key_usage(0x80),
-      x509::make_ext_key_usage(true),
-      x509::make_subject_key_id(r),
-      x509::make_authority_key_id(issuer_key_id),
-      x509::make_subject_alt_name(sans),
-      x509::make_certificate_policies(false, "http://comodoca.com/cps"),
-      x509::make_sct_list(3, r),
-  });
-  return x509::chain{std::make_shared<const certificate>(std::move(spec), r),
-                     parents};
+  auto leaf = std::make_shared<const certificate>(
+      spec, r, [&](asn1::der_writer& w) {
+        x509::write_basic_constraints(w, false);
+        x509::write_key_usage(w, 0x80);
+        x509::write_ext_key_usage(w, true);
+        x509::write_subject_key_id(w, r);
+        x509::write_authority_key_id(w, issuer_key_id);
+        x509::write_subject_alt_name(w, sans);
+        x509::write_certificate_policies(w, false, "http://comodoca.com/cps");
+        x509::write_sct_list(w, 3, r);
+      });
+  return x509::chain{std::move(leaf), parents};
 }
 
 bytes ecosystem::compression_dictionary() const {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <set>
-#include <span>
 
 #include "engine/engine.hpp"
+#include "util/errors.hpp"
 
 namespace certquic::core {
 namespace {
@@ -29,44 +29,6 @@ std::size_t alg_index(x509::key_algorithm a) {
   return 0;
 }
 
-/// What the corpus fold reads from one certificate.
-struct cert_facts {
-  x509::field_sizes sizes;
-  x509::key_algorithm key_alg = x509::key_algorithm::ecdsa_p256;
-  /// Table 2 dedupe key; only parents are deduplicated.
-  std::array<std::uint8_t, 16> serial{};
-};
-
-/// One chain reduced, on the worker that materialized it, to the facts
-/// the ordered fold needs. The chain itself dies on that worker, so the
-/// sequencer frees no certificate.
-struct chain_facts {
-  std::size_t size = 0;
-  std::size_t leaf_san_bytes = 0;
-  std::vector<cert_facts> certs;  // leaf first, then served parents
-
-  [[nodiscard]] const cert_facts& leaf() const { return certs.front(); }
-  [[nodiscard]] std::span<const cert_facts> parents() const {
-    return std::span{certs}.subspan(1);
-  }
-};
-
-chain_facts reduce(const x509::chain& chain) {
-  chain_facts out;
-  out.size = chain.wire_size();
-  out.leaf_san_bytes = chain.leaf().san_bytes();
-  out.certs.reserve(chain.depth());
-  chain.for_each([&out](const x509::certificate& cert) {
-    cert_facts& f = out.certs.emplace_back();
-    f.sizes = cert.sizes();
-    f.key_alg = cert.key_alg();
-    const bytes& serial = cert.serial();
-    std::copy_n(serial.begin(), std::min(serial.size(), f.serial.size()),
-                f.serial.begin());
-  });
-  return out;
-}
-
 void account_fields(const cert_facts& cert,
                     std::array<stats::summary, 6>& sums) {
   const auto& s = cert.sizes;
@@ -86,6 +48,24 @@ struct profile_accumulator {
 };
 
 }  // namespace
+
+chain_facts reduce(const x509::chain& chain) {
+  if (chain.depth() > kMaxChainDepth) {
+    throw config_error("chain of " + std::to_string(chain.depth()) +
+                       " certificates exceeds the corpus bound of " +
+                       std::to_string(kMaxChainDepth));
+  }
+  chain_facts out;
+  out.size = chain.wire_size();
+  out.leaf_san_bytes = chain.leaf().san_bytes();
+  chain.for_each([&out](const x509::certificate& cert) {
+    cert_facts& f = out.certs[out.depth++];
+    f.sizes = cert.sizes();
+    f.key_alg = cert.key_alg();
+    f.serial = cert.serial();
+  });
+  return out;
+}
 
 double share_over_amp_limit(const stats::sample_set& quic,
                             const stats::sample_set& https) {
@@ -155,7 +135,7 @@ corpus_result analyze_corpus(const internet::model& m,
             .add(static_cast<double>(chain_size));
 
         // Fig. 2b field sizes across every certificate in the corpus.
-        for (const cert_facts& cert : chain.certs) {
+        for (const cert_facts& cert : chain.all()) {
           const auto& s = cert.sizes;
           out.field_subject.add(static_cast<double>(s.subject));
           out.field_issuer.add(static_cast<double>(s.issuer));

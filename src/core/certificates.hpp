@@ -2,7 +2,9 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,41 @@ struct chain_row {
   std::size_t max_leaf = 0;               // orange box extent
   double share = 0.0;                     // of the respective corpus
 };
+
+/// The deepest chain issuance serves: a leaf, a superfluous anchor and
+/// six monster intermediates (ca::ecosystem::issue_other).
+inline constexpr std::size_t kMaxChainDepth = 8;
+
+/// What the corpus fold reads from one certificate.
+struct cert_facts {
+  x509::field_sizes sizes;
+  x509::key_algorithm key_alg = x509::key_algorithm::ecdsa_p256;
+  /// Table 2 dedupe key; only parents are deduplicated.
+  std::array<std::uint8_t, 16> serial{};
+};
+
+/// One chain reduced, on the worker that materialized it, to the facts
+/// the ordered fold needs. The facts are held inline, so the chain and
+/// everything the worker allocated for it die on that worker, and the
+/// sequencer frees nothing.
+struct chain_facts {
+  std::size_t size = 0;
+  std::size_t leaf_san_bytes = 0;
+  std::size_t depth = 0;
+  std::array<cert_facts, kMaxChainDepth> certs{};  // leaf first
+
+  [[nodiscard]] std::span<const cert_facts> all() const {
+    return std::span{certs}.first(depth);
+  }
+  [[nodiscard]] const cert_facts& leaf() const { return certs.front(); }
+  [[nodiscard]] std::span<const cert_facts> parents() const {
+    return all().subspan(1);
+  }
+};
+
+/// Reduces `chain` to its facts. Throws config_error when it is deeper
+/// than kMaxChainDepth rather than drop a certificate.
+[[nodiscard]] chain_facts reduce(const x509::chain& chain);
 
 /// All certificate-corpus outputs.
 struct corpus_result {

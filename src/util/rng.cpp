@@ -1,6 +1,8 @@
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 namespace certquic {
@@ -127,20 +129,18 @@ std::string rng::ascii_label(std::size_t min_len, std::size_t max_len) {
 }
 
 void rng::fill(std::span<std::uint8_t> out) noexcept {
+  // Each output word is stored least significant byte first, which on a
+  // little-endian host is its memory layout: 8 bytes per copy.
+  static_assert(std::endian::native == std::endian::little,
+                "rng::fill copies words in little-endian byte order");
   std::size_t i = 0;
-  while (i + 8 <= out.size()) {
-    std::uint64_t v = next();
-    for (int b = 0; b < 8; ++b) {
-      out[i++] = static_cast<std::uint8_t>(v);
-      v >>= 8;
-    }
+  for (; i + 8 <= out.size(); i += 8) {
+    const std::uint64_t v = next();
+    std::memcpy(out.data() + i, &v, 8);
   }
   if (i < out.size()) {
-    std::uint64_t v = next();
-    while (i < out.size()) {
-      out[i++] = static_cast<std::uint8_t>(v);
-      v >>= 8;
-    }
+    const std::uint64_t v = next();
+    std::memcpy(out.data() + i, &v, out.size() - i);
   }
 }
 

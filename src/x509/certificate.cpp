@@ -1,73 +1,126 @@
 #include "x509/certificate.hpp"
 
-#include "asn1/der.hpp"
+#include <algorithm>
+
+#include "util/buffer.hpp"
+#include "x509/extensions.hpp"
 #include "x509/oids.hpp"
 
 namespace certquic::x509 {
 
-certificate::certificate(certificate_spec spec, rng& r)
-    : spec_(std::move(spec)) {
-  // Random positive 16-byte serial, as issued by modern public CAs.
-  serial_.resize(16);
-  r.fill(serial_);
-  serial_[0] &= 0x7f;
-
-  // Every certificate this thread builds is encoded into one reused
+asn1::der_writer& certificate::scratch() {
+  // Every certificate this thread issues is encoded into one reused
   // scratch writer; der_ then takes a single exact-size copy.
   thread_local asn1::der_writer w;
   w.clear();
-  // Size of whatever `write` appends, measured from writer offsets.
-  auto measure = [](auto&& write) {
-    const std::size_t at = w.size();
-    write();
-    return w.size() - at;
-  };
+  return w;
+}
 
-  w.open(asn1::tag::sequence);  // Certificate
-  w.open(asn1::tag::sequence);  // TBSCertificate
+void certificate::encode(const certificate_spec& spec, rng& r,
+                         asn1::der_writer& w) {
+  // `w` holds the Extension TLVs, written first so that their rng draws
+  // come before the serial's. The certificate's facts about them are
+  // read back from those bytes.
+  const std::size_t extensions_end = w.size();
+  buffer_reader exts{w.view()};
+  while (!exts.empty()) {
+    const std::size_t before = exts.remaining();
+    const extension ext = read_extension(exts);
+    if (ext.is(oids::subject_alt_name)) {
+      san_bytes_ += before - exts.remaining();
+    }
+    if (ext.is(oids::basic_constraints)) {
+      // A CA certificate encodes cA=TRUE as a non-empty constraint body.
+      is_ca_ = ext.value.size() > 2;
+    }
+  }
+
+  // Random positive 16-byte serial, as issued by modern public CAs.
+  r.fill(serial_);
+  serial_[0] &= 0x7f;
+
+  // The TBSCertificate fields before the extensions, then sigAlg and
+  // the signature value, each after the last.
   w.open(asn1::context_tag(0));
   w.integer(2);  // v3
   w.close();
   w.big_integer(serial_);
-  encode_signature_algorithm(w, spec_.sig_alg);
-  sizes_.issuer = measure([&] { spec_.issuer.encode(w); });
+  encode_signature_algorithm(w, spec.sig_alg);
+  const std::size_t issuer_at = w.size();
+  spec.issuer.encode(w);
+  const std::size_t validity_at = w.size();
   w.open(asn1::tag::sequence);  // Validity
-  w.utc_time(spec_.valid.not_before);
-  w.utc_time(spec_.valid.not_after);
+  w.utc_time(spec.valid.not_before);
+  w.utc_time(spec.valid.not_after);
   w.close();
-  sizes_.subject = measure([&] { spec_.subject.encode(w); });
-  sizes_.public_key_info =
-      measure([&] { encode_spki(w, spec_.key_alg, r); });
-  w.open(asn1::context_tag(3));
-  sizes_.extensions = measure([&] {
-    w.open(asn1::tag::sequence);
-    for (const auto& ext : spec_.extensions) {
-      const std::size_t ext_size = measure([&] { ext.encode(w); });
-      if (*ext.id == oids::subject_alt_name) {
-        san_bytes_ += ext_size;
-      }
-      if (*ext.id == oids::basic_constraints) {
-        // A CA certificate encodes cA=TRUE as a non-empty constraint body.
-        is_ca_ = !ext.value.empty() && ext.value.size() > 2;
-      }
-    }
-    w.close();
-  });
-  w.close();  // [3]
-  w.close();  // TBSCertificate
-  encode_signature_algorithm(w, spec_.sig_alg);
-  sizes_.signature =
-      measure([&] { encode_signature_value(w, spec_.sig_alg, r); });
-  w.close();  // Certificate
+  const std::size_t subject_at = w.size();
+  spec.subject.encode(w);
+  const std::size_t spki_at = w.size();
+  encode_spki(w, spec.key_alg, r);
+  const std::size_t fields_end = w.size();
+  encode_signature_algorithm(w, spec.sig_alg);
+  const std::size_t signature_at = w.size();
+  encode_signature_value(w, spec.sig_alg, r);
+  const std::size_t signed_end = w.size();
 
-  const bytes_view der = w.view();
-  der_.assign(der.begin(), der.end());
-  sizes_.total = der_.size();
+  // Every body is now written, so each enclosing length is known: the
+  // four headers go last, and no long-form length shifts a body.
+  const std::size_t ext_seq_at = w.size();
+  w.header(asn1::tag::sequence, extensions_end);
+  const std::size_t ext_ctx_at = w.size();
+  const std::size_t extensions = ext_ctx_at - ext_seq_at + extensions_end;
+  w.header(asn1::context_tag(3), extensions);
+  const std::size_t tbs_at = w.size();
+  const std::size_t tbs =
+      (fields_end - extensions_end) + (tbs_at - ext_ctx_at) + extensions;
+  w.header(asn1::tag::sequence, tbs);
+  const std::size_t cert_at = w.size();
+  w.header(asn1::tag::sequence,
+           (cert_at - tbs_at) + tbs + (signed_end - fields_end));
+  const std::size_t headers_end = w.size();
+
+  // Every scratch byte belongs to the certificate exactly once: gather
+  // the pieces in wire order into one exact-size allocation.
+  const bytes_view pieces = w.view();
+  const auto put = [&](std::size_t from, std::size_t to) {
+    const std::size_t at = der_.size();
+    der_.insert(der_.end(), pieces.begin() + static_cast<std::ptrdiff_t>(from),
+                pieces.begin() + static_cast<std::ptrdiff_t>(to));
+    return at;
+  };
+  der_.reserve(headers_end);
+  put(cert_at, headers_end);  // Certificate
+  put(tbs_at, cert_at);       // TBSCertificate
+  const std::size_t fields_at = put(extensions_end, fields_end);
+  put(ext_ctx_at, tbs_at);  // [3]
+  const std::size_t extensions_at = put(ext_seq_at, ext_ctx_at);
+  put(0, extensions_end);
+  put(fields_end, signed_end);  // sigAlg, signatureValue
+
+  // A certificate is kilobytes: every offset and size fits 32 bits.
+  const auto u32 = [](std::size_t v) { return static_cast<std::uint32_t>(v); };
+  extensions_at_ = u32(extensions_at);
+  issuer_at_ = u32(fields_at + issuer_at - extensions_end);
+  subject_at_ = u32(fields_at + subject_at - extensions_end);
+  sizes_.issuer = u32(validity_at - issuer_at);
+  sizes_.subject = u32(spki_at - subject_at);
+  sizes_.public_key_info = u32(fields_end - spki_at);
+  sizes_.extensions = u32(extensions);
+  sizes_.signature = u32(signed_end - signature_at);
+  sizes_.total = u32(der_.size());
+}
+
+bool certificate::self_signed() const noexcept {
+  return std::ranges::equal(issuer(), subject());
 }
 
 std::vector<std::string> certificate::subject_alt_names() const {
-  for (const auto& ext : spec_.extensions) {
-    if (*ext.id == oids::subject_alt_name) {
+  buffer_reader block{
+      bytes_view{der_}.subspan(extensions_at_, sizes_.extensions)};
+  buffer_reader r{asn1::read_tlv(block).content};
+  while (!r.empty()) {
+    const extension ext = read_extension(r);
+    if (ext.is(oids::subject_alt_name)) {
       return parse_subject_alt_name(ext);
     }
   }
@@ -75,8 +128,8 @@ std::vector<std::string> certificate::subject_alt_names() const {
 }
 
 std::string certificate::describe() const {
-  return spec_.subject.to_string() + " (" + to_string(spec_.key_alg) + ", " +
-         std::to_string(der_.size()) + "B)";
+  return distinguished_name::decode(subject()).to_string() + " (" +
+         to_string(key_alg_) + ", " + std::to_string(der_.size()) + "B)";
 }
 
 }  // namespace certquic::x509

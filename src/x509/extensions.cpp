@@ -9,16 +9,20 @@
 namespace certquic::x509 {
 namespace {
 
-/// Builds an extension whose value `write` encodes. Every extension
-/// this thread builds is encoded into one reused scratch writer, so the
-/// value costs one exact-size allocation.
+/// Writes Extension ::= SEQUENCE { extnID, critical, extnValue } with
+/// the value `write` encodes straight into the extnValue OCTET STRING.
 template <typename Write>
-extension make(const asn1::oid& id, bool critical, Write&& write) {
-  thread_local asn1::der_writer w;
-  w.clear();
-  write(w);
-  const bytes_view value = w.view();
-  return extension{&id, critical, bytes(value.begin(), value.end())};
+void write_extension(asn1::der_writer& w, const asn1::oid& id, bool critical,
+                     Write&& write) {
+  w.open(asn1::tag::sequence);
+  w.oid(id);
+  if (critical) {
+    w.boolean(true);
+  }
+  w.open(asn1::tag::octet_string);
+  write();
+  w.close();
+  w.close();
 }
 
 /// A string TLV whose content is the concatenation of `u`'s pieces.
@@ -36,31 +40,48 @@ void general_uri(asn1::der_writer& w, const uri& url) {
 
 }  // namespace
 
-void extension::encode(asn1::der_writer& w) const {
-  w.open(asn1::tag::sequence);
-  w.oid(*id);
-  if (critical) {
-    w.boolean(true);
+bool extension::is(const asn1::oid& o) const noexcept {
+  return std::ranges::equal(id, o.der());
+}
+
+extension read_extension(buffer_reader& r) {
+  const asn1::tlv whole = asn1::read_tlv(r);
+  if (!whole.is(asn1::tag::sequence)) {
+    throw codec_error("Extension is not a SEQUENCE");
   }
-  w.octet_string(value);
-  w.close();
+  buffer_reader fields{whole.content};
+  extension out;
+  if (!asn1::read_tlv(fields).is(asn1::tag::object_identifier)) {
+    throw codec_error("Extension has no extnID");
+  }
+  out.id = whole.content.first(whole.content.size() - fields.remaining());
+  asn1::tlv next = asn1::read_tlv(fields);
+  if (next.is(asn1::tag::boolean)) {
+    out.critical = next.content.size() == 1 && next.content[0] != 0;
+    next = asn1::read_tlv(fields);
+  }
+  if (!next.is(asn1::tag::octet_string) || !fields.empty()) {
+    throw codec_error("Extension has no extnValue");
+  }
+  out.value = next.content;
+  return out;
 }
 
-extension make_basic_constraints(bool is_ca, std::optional<int> path_len) {
-  return make(oids::basic_constraints, /*critical=*/true,
-              [&](asn1::der_writer& w) {
-                w.open(asn1::tag::sequence);
-                if (is_ca) {
-                  w.boolean(true);
-                  if (path_len) {
-                    w.integer(*path_len);
-                  }
-                }
-                w.close();
-              });
+void write_basic_constraints(asn1::der_writer& w, bool is_ca,
+                             std::optional<int> path_len) {
+  write_extension(w, oids::basic_constraints, /*critical=*/true, [&] {
+    w.open(asn1::tag::sequence);
+    if (is_ca) {
+      w.boolean(true);
+      if (path_len) {
+        w.integer(*path_len);
+      }
+    }
+    w.close();
+  });
 }
 
-extension make_key_usage(std::uint8_t bits) {
+void write_key_usage(asn1::der_writer& w, std::uint8_t bits) {
   // KeyUsage is a BIT STRING; X.509 uses up to 9 bits, we model the
   // common single-octet form.
   int unused = 0;
@@ -73,116 +94,108 @@ extension make_key_usage(std::uint8_t bits) {
       ++unused;
     }
   }
-  return make(oids::key_usage, /*critical=*/true,
-              [&](asn1::der_writer& w) {
-                w.bit_string({&bits, 1}, static_cast<std::uint8_t>(unused));
-              });
+  write_extension(w, oids::key_usage, /*critical=*/true, [&] {
+    w.bit_string({&bits, 1}, static_cast<std::uint8_t>(unused));
+  });
 }
 
-extension make_ext_key_usage(bool client_auth) {
-  return make(oids::ext_key_usage, /*critical=*/false,
-              [&](asn1::der_writer& w) {
-                w.open(asn1::tag::sequence);
-                w.oid(oids::eku_server_auth);
-                if (client_auth) {
-                  w.oid(oids::eku_client_auth);
-                }
-                w.close();
-              });
+void write_ext_key_usage(asn1::der_writer& w, bool client_auth) {
+  write_extension(w, oids::ext_key_usage, /*critical=*/false, [&] {
+    w.open(asn1::tag::sequence);
+    w.oid(oids::eku_server_auth);
+    if (client_auth) {
+      w.oid(oids::eku_client_auth);
+    }
+    w.close();
+  });
 }
 
-extension make_subject_key_id(rng& r) {
-  return make(oids::subject_key_identifier,
-              /*critical=*/false, [&](asn1::der_writer& w) {
-                w.header(asn1::tag::octet_string, 20);
-                r.fill({w.append(20), 20});
-              });
+void write_subject_key_id(asn1::der_writer& w, rng& r) {
+  write_extension(w, oids::subject_key_identifier, /*critical=*/false, [&] {
+    w.header(asn1::tag::octet_string, 20);
+    r.fill({w.append(20), 20});
+  });
 }
 
-extension make_authority_key_id(bytes_view issuer_key_id) {
+void write_authority_key_id(asn1::der_writer& w, bytes_view issuer_key_id) {
   // AuthorityKeyIdentifier ::= SEQUENCE { keyIdentifier [0] IMPLICIT ... }.
-  return make(oids::authority_key_identifier,
-              /*critical=*/false, [&](asn1::der_writer& w) {
-                w.open(asn1::tag::sequence);
-                w.tlv(asn1::context_tag(0, /*constructed=*/false),
-                      issuer_key_id);
-                w.close();
-              });
+  write_extension(w, oids::authority_key_identifier, /*critical=*/false, [&] {
+    w.open(asn1::tag::sequence);
+    w.tlv(asn1::context_tag(0, /*constructed=*/false), issuer_key_id);
+    w.close();
+  });
 }
 
-extension make_subject_alt_name(const std::vector<dns_name>& dns_names) {
-  return make(oids::subject_alt_name, /*critical=*/false,
-              [&](asn1::der_writer& w) {
-                w.open(asn1::tag::sequence);
-                for (const auto& name : dns_names) {
-                  // GeneralName dNSName is [2] IMPLICIT IA5String.
-                  pieces_tlv(w, asn1::context_tag(2, /*constructed=*/false),
-                          name.label.empty()
-                              ? uri{name.parent, {}}
-                              : uri{name.label, ".", name.parent});
-                }
-                w.close();
-              });
+void write_subject_alt_name(asn1::der_writer& w,
+                            const std::vector<dns_name>& dns_names) {
+  write_extension(w, oids::subject_alt_name, /*critical=*/false, [&] {
+    w.open(asn1::tag::sequence);
+    for (const auto& name : dns_names) {
+      // GeneralName dNSName is [2] IMPLICIT IA5String.
+      pieces_tlv(w, asn1::context_tag(2, /*constructed=*/false),
+                 name.label.empty() ? uri{name.parent, {}}
+                                    : uri{name.label, ".", name.parent});
+    }
+    w.close();
+  });
 }
 
-extension make_authority_info_access(uri ocsp_url, uri ca_issuers_url) {
-  return make(oids::authority_info_access,
-              /*critical=*/false, [&](asn1::der_writer& w) {
-                auto access = [&w](const asn1::oid& method, const uri& url) {
-                  w.open(asn1::tag::sequence);
-                  w.oid(method);
-                  general_uri(w, url);
-                  w.close();
-                };
-                w.open(asn1::tag::sequence);
-                if (!ocsp_url.empty()) {
-                  access(oids::aia_ocsp, ocsp_url);
-                }
-                if (!ca_issuers_url.empty()) {
-                  access(oids::aia_ca_issuers, ca_issuers_url);
-                }
-                w.close();
-              });
+void write_authority_info_access(asn1::der_writer& w, uri ocsp_url,
+                                 uri ca_issuers_url) {
+  write_extension(w, oids::authority_info_access, /*critical=*/false, [&] {
+    auto access = [&w](const asn1::oid& method, const uri& url) {
+      w.open(asn1::tag::sequence);
+      w.oid(method);
+      general_uri(w, url);
+      w.close();
+    };
+    w.open(asn1::tag::sequence);
+    if (!ocsp_url.empty()) {
+      access(oids::aia_ocsp, ocsp_url);
+    }
+    if (!ca_issuers_url.empty()) {
+      access(oids::aia_ca_issuers, ca_issuers_url);
+    }
+    w.close();
+  });
 }
 
-extension make_crl_distribution_points(uri url) {
+void write_crl_distribution_points(asn1::der_writer& w, uri url) {
   // DistributionPoint ::= SEQUENCE { distributionPoint [0] { fullName [0]
   //   GeneralNames } } — two nested context tags around the URI.
-  return make(oids::crl_distribution_points,
-              /*critical=*/false, [&](asn1::der_writer& w) {
-                w.open(asn1::tag::sequence);
-                w.open(asn1::tag::sequence);
-                w.open(asn1::context_tag(0));
-                w.open(asn1::context_tag(0));
-                general_uri(w, url);
-                w.close();
-                w.close();
-                w.close();
-                w.close();
-              });
+  write_extension(w, oids::crl_distribution_points, /*critical=*/false, [&] {
+    w.open(asn1::tag::sequence);
+    w.open(asn1::tag::sequence);
+    w.open(asn1::context_tag(0));
+    w.open(asn1::context_tag(0));
+    general_uri(w, url);
+    w.close();
+    w.close();
+    w.close();
+    w.close();
+  });
 }
 
-extension make_certificate_policies(bool organization_validated,
-                                    uri cps_uri) {
-  return make(oids::certificate_policies,
-              /*critical=*/false, [&](asn1::der_writer& w) {
-                w.open(asn1::tag::sequence);
-                w.open(asn1::tag::sequence);  // PolicyInformation
-                w.oid(organization_validated
-                          ? oids::policy_organization_validated
-                          : oids::policy_domain_validated);
-                if (!cps_uri.empty()) {
-                  w.open(asn1::tag::sequence);
-                  w.open(asn1::tag::sequence);
-                  w.oid(oids::policy_cps);
-                  pieces_tlv(w, static_cast<std::uint8_t>(asn1::tag::ia5_string),
-                          cps_uri);
-                  w.close();
-                  w.close();
-                }
-                w.close();
-                w.close();
-              });
+void write_certificate_policies(asn1::der_writer& w,
+                                bool organization_validated, uri cps_uri) {
+  write_extension(w, oids::certificate_policies, /*critical=*/false, [&] {
+    w.open(asn1::tag::sequence);
+    w.open(asn1::tag::sequence);  // PolicyInformation
+    w.oid(organization_validated
+              ? oids::policy_organization_validated
+              : oids::policy_domain_validated);
+    if (!cps_uri.empty()) {
+      w.open(asn1::tag::sequence);
+      w.open(asn1::tag::sequence);
+      w.oid(oids::policy_cps);
+      pieces_tlv(w, static_cast<std::uint8_t>(asn1::tag::ia5_string),
+                 cps_uri);
+      w.close();
+      w.close();
+    }
+    w.close();
+    w.close();
+  });
 }
 
 bytes_view well_known_log_id(std::size_t index) {
@@ -203,32 +216,31 @@ bytes_view well_known_log_id(std::size_t index) {
   return table[index % table.size()];
 }
 
-extension make_sct_list(std::size_t count, rng& r) {
+void write_sct_list(asn1::der_writer& w, std::size_t count, rng& r) {
   // RFC 6962 SignedCertificateTimestampList inside an OCTET STRING:
   // a 2-byte list length, then per SCT a 2-byte length + 119 bytes
   // (version + 32-byte log id + timestamp + ECDSA signature).
   constexpr std::size_t kSct = 1 + 32 + 86;
-  return make(oids::sct_list,
-              /*critical=*/false, [&](asn1::der_writer& w) {
-                const std::size_t list = count * (2 + kSct);
-                w.header(asn1::tag::octet_string, 2 + list);
-                w.u8(static_cast<std::uint8_t>(list >> 8));
-                w.u8(static_cast<std::uint8_t>(list));
-                for (std::size_t i = 0; i < count; ++i) {
-                  std::uint8_t* sct = w.append(2 + kSct);
-                  sct[0] = static_cast<std::uint8_t>(kSct >> 8);
-                  sct[1] = static_cast<std::uint8_t>(kSct);
-                  sct[2] = 0;  // version v1
-                  const bytes_view log_id = well_known_log_id(r.uniform(0, 7));
-                  std::copy(log_id.begin(), log_id.end(), sct + 3);
-                  // Timestamp + ECDSA signature.
-                  r.fill({sct + 3 + log_id.size(), kSct - 1 - log_id.size()});
-                }
-              });
+  write_extension(w, oids::sct_list, /*critical=*/false, [&] {
+    const std::size_t list = count * (2 + kSct);
+    w.header(asn1::tag::octet_string, 2 + list);
+    w.u8(static_cast<std::uint8_t>(list >> 8));
+    w.u8(static_cast<std::uint8_t>(list));
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint8_t* sct = w.append(2 + kSct);
+      sct[0] = static_cast<std::uint8_t>(kSct >> 8);
+      sct[1] = static_cast<std::uint8_t>(kSct);
+      sct[2] = 0;  // version v1
+      const bytes_view log_id = well_known_log_id(r.uniform(0, 7));
+      std::copy(log_id.begin(), log_id.end(), sct + 3);
+      // Timestamp + ECDSA signature.
+      r.fill({sct + 3 + log_id.size(), kSct - 1 - log_id.size()});
+    }
+  });
 }
 
 std::vector<std::string> parse_subject_alt_name(const extension& ext) {
-  if (*ext.id != oids::subject_alt_name) {
+  if (!ext.is(oids::subject_alt_name)) {
     throw codec_error("extension is not subjectAltName");
   }
   buffer_reader r{ext.value};

@@ -1,5 +1,6 @@
-// X.509v3 extension model and builders for the extensions that dominate
-// real-world certificate sizes (Fig. 2 of the paper).
+// X.509v3 extension writers for the extensions that dominate real-world
+// certificate sizes (Fig. 2 of the paper), and the reader tests and
+// certificate facts walk them back with.
 #pragma once
 
 #include <cstdint>
@@ -9,23 +10,27 @@
 #include <vector>
 
 #include "asn1/der.hpp"
+#include "util/buffer.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace certquic::x509 {
 
-/// One certificate extension. `id` points into the static table of
-/// x509/oids.hpp; `value` holds the DER inside the extnValue OCTET
-/// STRING; `encode()` produces the full Extension SEQUENCE.
+/// One Extension read back from DER. It views the encoded bytes and
+/// owns nothing: issuance writes extensions straight into the
+/// certificate's DER, and readers walk them there.
 struct extension {
-  const asn1::oid* id = nullptr;
+  bytes_view id;  // the extnID OBJECT IDENTIFIER TLV
   bool critical = false;
-  bytes value;
+  bytes_view value;  // the content of the extnValue OCTET STRING
 
-  /// Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT FALSE,
-  ///                          extnValue OCTET STRING }, written into `w`.
-  void encode(asn1::der_writer& w) const;
+  [[nodiscard]] bool is(const asn1::oid& o) const noexcept;
 };
+
+/// Reads one Extension ::= SEQUENCE { extnID, critical BOOLEAN DEFAULT
+/// FALSE, extnValue OCTET STRING } from `r`. Throws codec_error on
+/// malformed input.
+[[nodiscard]] extension read_extension(buffer_reader& r);
 
 /// A URI given as the concatenation of up to three pieces, e.g.
 /// {"http://", host, "/cps"}: issuance names a CA's URLs from its host
@@ -56,47 +61,50 @@ struct dns_name {
   std::string_view parent;
 };
 
-// --- Builders -------------------------------------------------------------
+// --- Writers ----------------------------------------------------------
+// Each appends one complete Extension TLV to `w`, value included, in a
+// single pass: no extension value exists outside the writer.
 
 /// basicConstraints; CA certificates set `is_ca` (critical).
-[[nodiscard]] extension make_basic_constraints(
-    bool is_ca, std::optional<int> path_len = std::nullopt);
+void write_basic_constraints(asn1::der_writer& w, bool is_ca,
+                             std::optional<int> path_len = std::nullopt);
 
 /// keyUsage bit string; pass X.509 bit flags (digitalSignature = 0x80,
 /// keyCertSign = 0x04, cRLSign = 0x02, keyEncipherment = 0x20).
-[[nodiscard]] extension make_key_usage(std::uint8_t bits);
+void write_key_usage(asn1::der_writer& w, std::uint8_t bits);
 
 /// extKeyUsage with serverAuth (+clientAuth when `client_auth`).
-[[nodiscard]] extension make_ext_key_usage(bool client_auth = true);
+void write_ext_key_usage(asn1::der_writer& w, bool client_auth = true);
 
 /// subjectKeyIdentifier with a random 20-byte key id.
-[[nodiscard]] extension make_subject_key_id(rng& r);
+void write_subject_key_id(asn1::der_writer& w, rng& r);
 
 /// authorityKeyIdentifier referencing a 20-byte issuer key id.
-[[nodiscard]] extension make_authority_key_id(bytes_view issuer_key_id);
+void write_authority_key_id(asn1::der_writer& w, bytes_view issuer_key_id);
 
 /// subjectAltName with the given DNS names.
-[[nodiscard]] extension make_subject_alt_name(
-    const std::vector<dns_name>& dns_names);
+void write_subject_alt_name(asn1::der_writer& w,
+                            const std::vector<dns_name>& dns_names);
 
 /// authorityInfoAccess with OCSP and/or caIssuers URLs (empty = omit).
-[[nodiscard]] extension make_authority_info_access(uri ocsp_url,
-                                                   uri ca_issuers_url);
+void write_authority_info_access(asn1::der_writer& w, uri ocsp_url,
+                                 uri ca_issuers_url);
 
 /// cRLDistributionPoints with one URL.
-[[nodiscard]] extension make_crl_distribution_points(uri url);
+void write_crl_distribution_points(asn1::der_writer& w, uri url);
 
 /// certificatePolicies with a DV/OV policy and optional CPS URI.
-[[nodiscard]] extension make_certificate_policies(bool organization_validated,
-                                                  uri cps_uri);
+void write_certificate_policies(asn1::der_writer& w,
+                                bool organization_validated, uri cps_uri);
 
 /// Embedded signed-certificate-timestamp list with `count` synthetic
 /// SCTs of realistic size (~119 bytes each); leaf certificates from
 /// public CAs typically embed 2-3.
-[[nodiscard]] extension make_sct_list(std::size_t count, rng& r);
+void write_sct_list(asn1::der_writer& w, std::size_t count, rng& r);
 
-/// Parses the dns names back out of a subjectAltName value (used by
-/// tests and by the SAN-share analysis of Fig. 14).
+/// Parses the dns names back out of a subjectAltName (used by tests and
+/// by certificate::subject_alt_names). Throws codec_error when `ext` is
+/// another extension.
 [[nodiscard]] std::vector<std::string> parse_subject_alt_name(
     const extension& ext);
 

@@ -1,21 +1,72 @@
 #include "x509/name.hpp"
 
+#include <algorithm>
+
+#include "util/errors.hpp"
 #include "x509/oids.hpp"
 
 namespace certquic::x509 {
 
+// Both factories move each value into the vector: a braced list of rdn
+// would be copied, one more allocation per long value.
+
 distinguished_name distinguished_name::cn(std::string common_name) {
-  return distinguished_name{{rdn{&oids::common_name, std::move(common_name)}}};
+  std::vector<rdn> parts;
+  parts.push_back({&oids::common_name, std::move(common_name)});
+  return distinguished_name{std::move(parts)};
 }
 
 distinguished_name distinguished_name::org(std::string country,
                                            std::string org_name,
                                            std::string common_name) {
-  return distinguished_name{{
-      rdn{&oids::country, std::move(country), /*printable=*/true},
-      rdn{&oids::organization, std::move(org_name)},
-      rdn{&oids::common_name, std::move(common_name)},
-  }};
+  std::vector<rdn> parts;
+  parts.reserve(3);
+  parts.push_back({&oids::country, std::move(country), /*printable=*/true});
+  parts.push_back({&oids::organization, std::move(org_name)});
+  parts.push_back({&oids::common_name, std::move(common_name)});
+  return distinguished_name{std::move(parts)};
+}
+
+distinguished_name distinguished_name::decode(bytes_view der) {
+  static const asn1::oid* const kAttributes[] = {
+      &oids::common_name,  &oids::country,      &oids::locality,
+      &oids::state,        &oids::organization, &oids::organizational_unit};
+  buffer_reader r{der};
+  const asn1::tlv sequence = asn1::read_tlv(r);
+  if (!sequence.is(asn1::tag::sequence) || !r.empty()) {
+    throw codec_error("Name is not one RDNSequence");
+  }
+  std::vector<rdn> parts;
+  for (const asn1::tlv& set : asn1::children(sequence)) {
+    const std::vector<asn1::tlv> atv = asn1::children(set);
+    if (!set.is(asn1::tag::set) || atv.size() != 1 ||
+        !atv[0].is(asn1::tag::sequence)) {
+      throw codec_error("RDN is not one AttributeTypeAndValue");
+    }
+    const bytes_view fields = atv[0].content;
+    buffer_reader fr{fields};
+    const asn1::tlv id = asn1::read_tlv(fr);
+    const bytes_view id_der = fields.first(fields.size() - fr.remaining());
+    const asn1::tlv value = asn1::read_tlv(fr);
+    if (!id.is(asn1::tag::object_identifier) || !fr.empty() ||
+        !(value.is(asn1::tag::printable_string) ||
+          value.is(asn1::tag::utf8_string))) {
+      throw codec_error("malformed AttributeTypeAndValue");
+    }
+    rdn part;
+    for (const asn1::oid* attribute : kAttributes) {
+      if (std::ranges::equal(attribute->der(), id_der)) {
+        part.attribute = attribute;
+      }
+    }
+    if (part.attribute == nullptr) {
+      throw codec_error("unknown attribute type in Name");
+    }
+    part.value.assign(value.content.begin(), value.content.end());
+    part.printable = value.is(asn1::tag::printable_string);
+    parts.push_back(std::move(part));
+  }
+  return distinguished_name{std::move(parts)};
 }
 
 std::string distinguished_name::common_name() const {

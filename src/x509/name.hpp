@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "asn1/der.hpp"
+#include "util/bytes.hpp"
 
 namespace certquic::x509 {
 
@@ -36,6 +37,10 @@ class distinguished_name {
   }
   [[nodiscard]] bool empty() const noexcept { return parts_.empty(); }
 
+  /// Reads an encoded RDNSequence back. Throws codec_error on malformed
+  /// DER or an attribute type outside x509/oids.hpp.
+  [[nodiscard]] static distinguished_name decode(bytes_view der);
+
   /// Returns the CN value or "" when absent.
   [[nodiscard]] std::string common_name() const;
 
@@ -50,6 +55,31 @@ class distinguished_name {
 
  private:
   std::vector<rdn> parts_;
+};
+
+/// The issuer or subject of a certificate being issued: a
+/// distinguished_name to encode, or a Name already encoded (a parent
+/// certificate's subject), copied verbatim. It views either, so what it
+/// refers to must outlive the issuance.
+class name_ref {
+ public:
+  name_ref() = default;
+  name_ref(const distinguished_name& dn) : dn_(&dn) {}
+  name_ref(distinguished_name&&) = delete;  // would dangle
+  name_ref(bytes_view der) : der_(der) {}
+
+  /// Writes the Name into `w`.
+  void encode(asn1::der_writer& w) const {
+    if (dn_ != nullptr) {
+      dn_->encode(w);
+    } else {
+      w.raw(der_);
+    }
+  }
+
+ private:
+  const distinguished_name* dn_ = nullptr;
+  bytes_view der_;
 };
 
 }  // namespace certquic::x509

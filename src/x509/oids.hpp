@@ -1,4 +1,5 @@
-// Well-known object identifiers used by the X.509 encoder.
+// Well-known object identifiers used by the X.509 encoder, each packed
+// into its DER once, at static initialization.
 #pragma once
 
 #include "asn1/der.hpp"

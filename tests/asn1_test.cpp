@@ -59,8 +59,8 @@ TEST(DerBigInteger, EmptyEncodesZero) {
             (bytes{0x02, 0x01, 0x00}));
 }
 
-bytes oid_tlv(const oid& arcs) {
-  return encode([&](der_writer& w) { w.oid(arcs); });
+bytes oid_tlv(const oid& id) {
+  return encode([&](der_writer& w) { w.oid(id); });
 }
 
 TEST(DerOid, KnownEncodings) {
@@ -89,8 +89,8 @@ TEST(DerOid, RejectsFirstSubidentifierPast32Bits) {
   EXPECT_THROW((void)oid_tlv({2, 0xffff'ffffu - 79}), codec_error);
 
   // The widest first subidentifier that fits still round-trips.
-  const oid widest{2, 0xffff'ffffu - 80, 7};
-  const bytes enc = oid_tlv(widest);
+  const oid_arcs widest{2, 0xffff'ffffu - 80, 7};
+  const bytes enc = oid_tlv(oid{widest});
   buffer_reader r{enc};
   EXPECT_EQ(decode_oid(read_tlv(r)), widest);
 }
@@ -167,7 +167,7 @@ TEST(DerDecode, ReadTlvRoundTrip) {
   const auto kids = children(outer);
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(decode_integer(kids[0]), 300);
-  EXPECT_EQ(decode_oid(kids[1]), (oid{2, 5, 4, 3}));
+  EXPECT_EQ(decode_oid(kids[1]), (oid_arcs{2, 5, 4, 3}));
 }
 
 TEST(DerDecode, RejectsIndefiniteLength) {
@@ -193,8 +193,8 @@ TEST(DerDecode, OidArcWidthLimit) {
 
 TEST(DerDecode, OidMaxArcRoundTrips) {
   // 2^32 - 1 is the widest representable arc and must still decode.
-  const oid arcs{2, 47, 0xffff'ffffu};
-  const bytes enc = oid_tlv(arcs);
+  const oid_arcs arcs{2, 47, 0xffff'ffffu};
+  const bytes enc = oid_tlv(oid{arcs});
   buffer_reader r{enc};
   EXPECT_EQ(decode_oid(read_tlv(r)), arcs);
 }
@@ -228,7 +228,7 @@ class OidRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(OidRoundTrip, EncodeDecode) {
   rng r{GetParam()};
   for (int i = 0; i < 200; ++i) {
-    oid arcs;
+    oid_arcs arcs;
     arcs.push_back(static_cast<std::uint32_t>(r.uniform(0, 2)));
     arcs.push_back(static_cast<std::uint32_t>(
         r.uniform(0, arcs[0] < 2 ? 39 : 1000)));
@@ -236,7 +236,7 @@ TEST_P(OidRoundTrip, EncodeDecode) {
     for (std::uint64_t k = 0; k < extra; ++k) {
       arcs.push_back(static_cast<std::uint32_t>(r.uniform(0, 1 << 28)));
     }
-    const bytes enc = oid_tlv(arcs);
+    const bytes enc = oid_tlv(oid{arcs});
     buffer_reader reader{enc};
     EXPECT_EQ(decode_oid(read_tlv(reader)), arcs);
   }

@@ -333,8 +333,8 @@ TEST(ChainDer, AllocationsPerChainStayWithinBudget) {
   const double mean =
       static_cast<double>(allocations) / static_cast<double>(sample.size());
   RecordProperty("mean_allocations_per_chain", std::to_string(mean));
-  // 30.3 allocations measured, plus at most 5%.
-  EXPECT_LE(mean, 31.8) << allocations << " allocations";
+  // 8.1 allocations measured, plus at most 5%.
+  EXPECT_LE(mean, 8.4) << allocations << " allocations";
 }
 
 }  // namespace

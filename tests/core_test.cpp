@@ -11,6 +11,7 @@
 #include "core/funnel.hpp"
 #include "core/policy_study.hpp"
 #include "core/tuner.hpp"
+#include "x509/extensions.hpp"
 
 namespace certquic::core {
 namespace {
@@ -161,6 +162,54 @@ TEST(Corpus, Fig14QuadrantsAreSkewed) {
   ASSERT_GT(total, 0.0);
   EXPECT_GT(corpus.quadrant_small_low / total, 0.95);
   EXPECT_LT(corpus.quadrant_large_high / total, 0.02);
+}
+
+/// A leaf under `parents` copies of one self-signed CA certificate.
+x509::chain chain_of_depth(std::size_t parents) {
+  rng r{17};
+  const auto ca_name = x509::distinguished_name::cn("Depth CA");
+  const auto leaf_name = x509::distinguished_name::cn("depth.example");
+  const auto spec = [](const x509::distinguished_name& issuer,
+                       const x509::distinguished_name& subject) {
+    return x509::certificate_spec{
+        .issuer = issuer,
+        .subject = subject,
+        .valid = {},
+        .key_alg = x509::key_algorithm::ecdsa_p256,
+        .sig_alg = x509::signature_algorithm::ecdsa_sha256};
+  };
+  const auto ca = std::make_shared<const x509::certificate>(
+      spec(ca_name, ca_name), r, [](asn1::der_writer& w) {
+        x509::write_basic_constraints(w, true);
+      });
+  const auto leaf = std::make_shared<const x509::certificate>(
+      spec(ca_name, leaf_name), r, [](asn1::der_writer& w) {
+        x509::write_basic_constraints(w, false);
+        x509::write_subject_alt_name(w, {{"", "depth.example"}});
+      });
+  return x509::chain{leaf, std::vector(parents, ca)};
+}
+
+TEST(Corpus, ReduceHoldsTheDeepestChainInline) {
+  const x509::chain chain = chain_of_depth(kMaxChainDepth - 1);
+  const chain_facts facts = reduce(chain);
+  ASSERT_EQ(facts.all().size(), kMaxChainDepth);
+  EXPECT_EQ(facts.parents().size(), kMaxChainDepth - 1);
+  EXPECT_EQ(facts.size, chain.wire_size());
+  EXPECT_GT(facts.leaf_san_bytes, 0u);
+  EXPECT_EQ(facts.leaf_san_bytes, chain.leaf().san_bytes());
+  std::size_t i = 0;
+  chain.for_each([&](const x509::certificate& cert) {
+    const cert_facts& f = facts.all()[i++];
+    EXPECT_EQ(f.sizes.total, cert.size());
+    EXPECT_EQ(f.sizes.extensions, cert.sizes().extensions);
+    EXPECT_EQ(f.key_alg, cert.key_alg());
+    EXPECT_EQ(f.serial, cert.serial());
+  });
+}
+
+TEST(Corpus, ReduceRejectsADeeperChainInsteadOfTruncating) {
+  EXPECT_THROW((void)reduce(chain_of_depth(kMaxChainDepth)), config_error);
 }
 
 TEST(Compression, RatesAndLimitCompliance) {

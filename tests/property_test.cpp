@@ -113,9 +113,9 @@ TEST(DerProperty, IntegerEdgeCases) {
 
 TEST(DerProperty, OidRoundTrip) {
   for_each_iteration([](rng& r, std::size_t i) {
-    const asn1::oid arcs = test::gen_oid(r);
+    const asn1::oid_arcs arcs = test::gen_oid(r);
     const bytes encoded =
-        test::encode([&](asn1::der_writer& w) { w.oid(arcs); });
+        test::encode([&](asn1::der_writer& w) { w.oid(asn1::oid{arcs}); });
     buffer_reader rd(encoded);
     const asn1::tlv t = asn1::read_tlv(rd);
     ASSERT_TRUE(t.is(asn1::tag::object_identifier)) << "iteration " << i;
@@ -276,7 +276,7 @@ TEST(PqcProperty, MlDsaSpkiDerRoundTripsAtFipsSizes) {
           ASSERT_EQ(kids.size(), 2u);
           const auto alg_kids = asn1::children(kids[0]);
           ASSERT_EQ(alg_kids.size(), 1u);  // absent parameters
-          EXPECT_EQ(asn1::decode_oid(alg_kids[0]), c.oid);
+          EXPECT_EQ(asn1::oid{asn1::decode_oid(alg_kids[0])}, c.oid);
           ASSERT_TRUE(kids[1].is(asn1::tag::bit_string));
           EXPECT_EQ(kids[1].content.size(), c.public_key_bytes + 1);
         }

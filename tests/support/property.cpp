@@ -62,8 +62,8 @@ bytes gen_compressible_bytes(rng& r, std::size_t min_len,
   return out;
 }
 
-asn1::oid gen_oid(rng& r, std::size_t max_extra_arcs) {
-  asn1::oid arcs;
+asn1::oid_arcs gen_oid(rng& r, std::size_t max_extra_arcs) {
+  asn1::oid_arcs arcs;
   const auto first = static_cast<std::uint32_t>(r.uniform(0, 2));
   arcs.push_back(first);
   if (first < 2) {

@@ -51,7 +51,7 @@ void for_each_iteration(Fn&& fn, std::size_t iterations = kDefaultIterations,
 
 /// Valid OBJECT IDENTIFIER arc list (first arc in [0,2], second constrained
 /// to [0,39] when the first is 0 or 1, as DER requires).
-[[nodiscard]] asn1::oid gen_oid(rng& r, std::size_t max_extra_arcs = 8);
+[[nodiscard]] asn1::oid_arcs gen_oid(rng& r, std::size_t max_extra_arcs = 8);
 
 /// PrintableString-safe ASCII text of length in [min_len, max_len].
 [[nodiscard]] std::string gen_printable(rng& r, std::size_t min_len,

@@ -1,6 +1,7 @@
 // Unit and property tests for the X.509 certificate model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "util/rng.hpp"
 #include "x509/certificate.hpp"
 #include "x509/chain.hpp"
+#include "x509/extensions.hpp"
 #include "x509/oids.hpp"
 
 namespace certquic::x509 {
@@ -19,43 +21,77 @@ certificate make_leaf(rng& r, key_algorithm key = key_algorithm::ecdsa_p256,
                           signature_algorithm::sha256_rsa_2048,
                       std::vector<dns_name> sans = {{"", "example.org"},
                                                     {"www", "example.org"}}) {
-  certificate_spec spec;
-  spec.issuer = distinguished_name::org("US", "Example CA", "Example CA R1");
-  spec.subject = distinguished_name::cn("example.org");
-  spec.key_alg = key;
-  spec.sig_alg = sig;
-  spec.extensions = {
-      make_basic_constraints(false),
-      make_key_usage(0x80),
-      make_ext_key_usage(),
-      make_subject_key_id(r),
-      make_authority_key_id(bytes(20, 0xab)),
-      make_subject_alt_name(sans),
-      make_certificate_policies(false, "http://cps.example.com"),
-      make_authority_info_access("http://ocsp.example.com",
-                                 "http://ca.example.com/r1.crt"),
-      make_crl_distribution_points("http://crl.example.com/r1.crl"),
-      make_sct_list(2, r),
-  };
-  return certificate{std::move(spec), r};
+  const auto issuer =
+      distinguished_name::org("US", "Example CA", "Example CA R1");
+  const auto subject = distinguished_name::cn("example.org");
+  const certificate_spec spec{.issuer = issuer,
+                              .subject = subject,
+                              .valid = {},
+                              .key_alg = key,
+                              .sig_alg = sig};
+  return certificate{spec, r, [&](asn1::der_writer& w) {
+                       write_basic_constraints(w, false);
+                       write_key_usage(w, 0x80);
+                       write_ext_key_usage(w);
+                       write_subject_key_id(w, r);
+                       write_authority_key_id(w, bytes(20, 0xab));
+                       write_subject_alt_name(w, sans);
+                       write_certificate_policies(w, false,
+                                                  "http://cps.example.com");
+                       write_authority_info_access(
+                           w, "http://ocsp.example.com",
+                           "http://ca.example.com/r1.crt");
+                       write_crl_distribution_points(
+                           w, "http://crl.example.com/r1.crl");
+                       write_sct_list(w, 2, r);
+                     }};
 }
 
 certificate make_ca(rng& r, const std::string& cn,
                     key_algorithm key = key_algorithm::rsa_2048,
                     bool self_signed = false) {
-  certificate_spec spec;
-  spec.issuer = distinguished_name::org(
+  const auto issuer = distinguished_name::org(
       "US", "Example Trust", self_signed ? cn : "Example Root");
-  spec.subject = distinguished_name::org("US", "Example Trust", cn);
-  spec.key_alg = key;
-  spec.sig_alg = signature_algorithm::sha256_rsa_4096;
-  spec.extensions = {
-      make_basic_constraints(true, 0),
-      make_key_usage(0x06),
-      make_subject_key_id(r),
-  };
-  return certificate{std::move(spec), r};
+  const auto subject = distinguished_name::org("US", "Example Trust", cn);
+  const certificate_spec spec{.issuer = issuer,
+                              .subject = subject,
+                              .valid = {},
+                              .key_alg = key,
+                              .sig_alg = signature_algorithm::sha256_rsa_4096};
+  return certificate{spec, r, [&](asn1::der_writer& w) {
+                       write_basic_constraints(w, true, 0);
+                       write_key_usage(w, 0x06);
+                       write_subject_key_id(w, r);
+                     }};
 }
+
+/// A self-signed root with only basicConstraints.
+certificate make_root(rng& r) {
+  const auto name = distinguished_name::org("US", "T", "Root X");
+  return certificate{{.issuer = name,
+                      .subject = name,
+                      .valid = {},
+                      .key_alg = key_algorithm::ecdsa_p256,
+                      .sig_alg = signature_algorithm::ecdsa_sha256},
+                     r,
+                     [](asn1::der_writer& w) {
+                       write_basic_constraints(w, true);
+                     }};
+}
+
+/// The one Extension TLV `write` appends, read back.
+template <typename Write>
+struct written_extension {
+  bytes der;
+  extension ext;
+
+  explicit written_extension(Write&& write)
+      : der(test::encode(std::forward<Write>(write))) {
+    buffer_reader r{der};
+    ext = read_extension(r);
+    EXPECT_TRUE(r.empty());
+  }
+};
 
 TEST(DistinguishedName, EncodeAndRender) {
   const auto dn = distinguished_name::org("US", "Let's Encrypt", "R3");
@@ -74,6 +110,30 @@ TEST(DistinguishedName, EqualityIsStructural) {
   const auto c = distinguished_name::cn("y");
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == c);
+}
+
+TEST(DistinguishedName, DecodeReadsTheEncodingBack) {
+  for (const auto& dn : {distinguished_name::org("US", "Let's Encrypt", "R3"),
+                         distinguished_name::cn("www.example.org")}) {
+    const bytes der = test::encode([&](asn1::der_writer& w) { dn.encode(w); });
+    const distinguished_name back = distinguished_name::decode(der);
+    EXPECT_TRUE(back == dn);
+    EXPECT_EQ(back.to_string(), dn.to_string());
+    EXPECT_EQ(back.parts().front().printable, dn.parts().front().printable);
+  }
+}
+
+TEST(DistinguishedName, DecodeRejectsUnknownAttributesAndTrailingBytes) {
+  // SEQUENCE { SET { SEQUENCE { OID 2.5.4.99, UTF8String "x" } } }.
+  const bytes unknown = {0x30, 0x0c, 0x31, 0x0a, 0x30, 0x08, 0x06,
+                         0x03, 0x55, 0x04, 0x63, 0x0c, 0x01, 0x78};
+  EXPECT_THROW((void)distinguished_name::decode(unknown), codec_error);
+  bytes trailing =
+      test::encode([](asn1::der_writer& w) {
+        distinguished_name::cn("x").encode(w);
+      });
+  trailing.push_back(0);
+  EXPECT_THROW((void)distinguished_name::decode(trailing), codec_error);
 }
 
 TEST(Key, SpkiSizesMatchRealWorld) {
@@ -122,41 +182,69 @@ TEST(Key, SignatureByIssuerKey) {
 TEST(Extensions, SubjectAltNameRoundTrip) {
   const std::vector<dns_name> names = {
       {"", "a.example"}, {"*", "b.example"}, {"c", "example"}};
-  const extension ext = make_subject_alt_name(names);
-  EXPECT_EQ(parse_subject_alt_name(ext),
+  const written_extension san{
+      [&](asn1::der_writer& w) { write_subject_alt_name(w, names); }};
+  EXPECT_EQ(parse_subject_alt_name(san.ext),
             (std::vector<std::string>{"a.example", "*.b.example",
                                       "c.example"}));
+  EXPECT_FALSE(san.ext.critical);
+  EXPECT_TRUE(san.ext.is(oids::subject_alt_name));
 }
 
-std::size_t encoded_size(const extension& ext) {
-  return test::encode([&](asn1::der_writer& w) { ext.encode(w); }).size();
+TEST(Extensions, ParseRejectsAnotherExtension) {
+  const written_extension ku{
+      [](asn1::der_writer& w) { write_key_usage(w, 0x80); }};
+  EXPECT_THROW((void)parse_subject_alt_name(ku.ext), codec_error);
+}
+
+template <typename Write>
+std::size_t encoded_size(Write&& write) {
+  return test::encode(std::forward<Write>(write)).size();
 }
 
 TEST(Extensions, SanSizeGrowsWithNames) {
   std::vector<dns_name> names;
-  const extension empty_ish = make_subject_alt_name({{"", "x.example"}});
+  const std::size_t empty_ish = encoded_size([](asn1::der_writer& w) {
+    write_subject_alt_name(w, {{"", "x.example"}});
+  });
   for (int i = 0; i < 50; ++i) {
     names.push_back({"host" + std::to_string(i), "example.com"});
   }
-  const extension big = make_subject_alt_name(names);
-  EXPECT_GT(encoded_size(big), encoded_size(empty_ish) + 45 * 20);
+  const std::size_t big = encoded_size(
+      [&](asn1::der_writer& w) { write_subject_alt_name(w, names); });
+  EXPECT_GT(big, empty_ish + 45 * 20);
 }
 
 TEST(Extensions, BasicConstraintsDistinguishesCa) {
-  const extension ca = make_basic_constraints(true, 0);
-  const extension leaf = make_basic_constraints(false);
-  EXPECT_GT(ca.value.size(), leaf.value.size());
-  EXPECT_TRUE(ca.critical);
+  const written_extension ca{
+      [](asn1::der_writer& w) { write_basic_constraints(w, true, 0); }};
+  const written_extension leaf{
+      [](asn1::der_writer& w) { write_basic_constraints(w, false); }};
+  EXPECT_GT(ca.ext.value.size(), leaf.ext.value.size());
+  EXPECT_TRUE(ca.ext.critical);
+  EXPECT_TRUE(ca.ext.is(oids::basic_constraints));
 }
 
 TEST(Extensions, SctListSizeScalesWithCount) {
   rng r{3};
-  const auto two = encoded_size(make_sct_list(2, r));
-  const auto three = encoded_size(make_sct_list(3, r));
+  const auto two =
+      encoded_size([&](asn1::der_writer& w) { write_sct_list(w, 2, r); });
+  const auto three =
+      encoded_size([&](asn1::der_writer& w) { write_sct_list(w, 3, r); });
   // 119-byte SCT + 2-byte length prefix, plus up to two DER length-form
   // promotions (OCTET STRING and Extension SEQUENCE crossing 255 bytes).
   EXPECT_GE(three - two, 121u);
   EXPECT_LE(three - two, 123u);
+}
+
+TEST(Extensions, ReadRejectsMalformedExtensions) {
+  // An INTEGER where the Extension SEQUENCE belongs, then a SEQUENCE
+  // with an extnID but no extnValue.
+  for (const bytes& der : {bytes{0x02, 0x01, 0x00},
+                           bytes{0x30, 0x05, 0x06, 0x03, 0x55, 0x1d, 0x11}}) {
+    buffer_reader r{der};
+    EXPECT_THROW((void)read_extension(r), codec_error);
+  }
 }
 
 TEST(Certificate, EncodesRealisticLeafSize) {
@@ -227,7 +315,7 @@ TEST(Certificate, FieldSizesMatchTheParsedElements) {
     std::size_t san = 0;
     for (const auto& [ext, size] :
          sized_children(asn1::children(tbs[7].first)[0].content)) {
-      if (asn1::decode_oid(asn1::children(ext)[0]) ==
+      if (asn1::oid{asn1::decode_oid(asn1::children(ext)[0])} ==
           oids::subject_alt_name) {
         san += size;
       }
@@ -238,6 +326,45 @@ TEST(Certificate, FieldSizesMatchTheParsedElements) {
     // The DER is one allocation of exactly its size.
     EXPECT_EQ(cert.der().capacity(), cert.der().size());
   }
+}
+
+TEST(Certificate, NamesViewTheirEncoding) {
+  rng r{14};
+  const certificate leaf = make_leaf(r);
+  EXPECT_TRUE(distinguished_name::decode(leaf.issuer()) ==
+              distinguished_name::org("US", "Example CA", "Example CA R1"));
+  EXPECT_TRUE(distinguished_name::decode(leaf.subject()) ==
+              distinguished_name::cn("example.org"));
+  EXPECT_EQ(leaf.describe(), "CN=example.org (ECDSA-P256, " +
+                                 std::to_string(leaf.size()) + "B)");
+}
+
+TEST(Certificate, EncodedIssuerWritesTheSameBytes) {
+  // A leaf issued from its parent's encoded subject is byte-identical
+  // to one issued from the parent's distinguished_name.
+  rng r{15};
+  const certificate parent = make_ca(r, "Example Sub CA");
+  const auto subject = distinguished_name::cn("example.org");
+  const auto issue = [&](name_ref issuer) {
+    rng leaf_rng{16};
+    return certificate{{.issuer = issuer,
+                        .subject = subject,
+                        .valid = {},
+                        .key_alg = key_algorithm::ecdsa_p256,
+                        .sig_alg = signature_algorithm::ecdsa_sha256},
+                       leaf_rng,
+                       [&](asn1::der_writer& w) {
+                         write_basic_constraints(w, false);
+                         write_subject_key_id(w, leaf_rng);
+                       }};
+  };
+  const certificate from_der = issue(parent.subject());
+  const auto parent_dn =
+      distinguished_name::org("US", "Example Trust", "Example Sub CA");
+  const certificate from_dn = issue(parent_dn);
+  EXPECT_EQ(from_der.der(), from_dn.der());
+  EXPECT_TRUE(std::ranges::equal(from_der.issuer(), parent.subject()));
+  EXPECT_EQ(from_der.serial(), from_dn.serial());
 }
 
 TEST(Certificate, RsaLeafLargerThanEcdsaLeaf) {
@@ -261,12 +388,9 @@ TEST(Certificate, CaAndSelfSignedDetection) {
   const certificate ca = make_ca(r, "Example Root", key_algorithm::rsa_4096,
                                  /*self_signed=*/false);
   EXPECT_TRUE(ca.is_ca());
-  certificate_spec root_spec;
-  root_spec.issuer = distinguished_name::org("US", "T", "Root X");
-  root_spec.subject = distinguished_name::org("US", "T", "Root X");
-  root_spec.extensions = {make_basic_constraints(true)};
-  const certificate root{std::move(root_spec), r};
+  const certificate root = make_root(r);
   EXPECT_TRUE(root.self_signed());
+  EXPECT_TRUE(root.is_ca());
 }
 
 TEST(Certificate, SerialIsPositiveAnd16Bytes) {
@@ -301,12 +425,7 @@ TEST(Chain, EmptyChainBehaviour) {
 
 TEST(Chain, DetectsTrustAnchorInclusion) {
   rng r{12};
-  certificate_spec root_spec;
-  root_spec.issuer = distinguished_name::org("US", "T", "Root X");
-  root_spec.subject = distinguished_name::org("US", "T", "Root X");
-  root_spec.extensions = {make_basic_constraints(true)};
-  auto root = std::make_shared<const certificate>(
-      certificate{std::move(root_spec), r});
+  auto root = std::make_shared<const certificate>(make_root(r));
   auto inter = std::make_shared<const certificate>(make_ca(r, "CA 2"));
 
   const chain with_anchor{std::make_shared<const certificate>(make_leaf(r)),
