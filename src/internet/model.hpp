@@ -75,6 +75,8 @@ struct service_record {
   [[nodiscard]] bool serves_quic() const noexcept {
     return svc == service_class::quic;
   }
+
+  [[nodiscard]] bool operator==(const service_record&) const = default;
 };
 
 /// Which protocol a chain is being fetched over (certificates may

@@ -604,14 +604,7 @@ TEST(ModelSynthesis, ParallelIdenticalToSerial) {
   const auto b = internet::model::generate(parallel);
   ASSERT_EQ(a.records().size(), b.records().size());
   for (std::size_t i = 0; i < a.records().size(); ++i) {
-    const auto& ra = a.records()[i];
-    const auto& rb = b.records()[i];
-    ASSERT_EQ(ra.seed, rb.seed) << "record " << i;
-    ASSERT_EQ(ra.domain, rb.domain) << "record " << i;
-    ASSERT_EQ(ra.svc, rb.svc) << "record " << i;
-    ASSERT_EQ(ra.chain_profile, rb.chain_profile) << "record " << i;
-    ASSERT_EQ(ra.behavior, rb.behavior) << "record " << i;
-    ASSERT_EQ(ra.redirect_to, rb.redirect_to) << "record " << i;
+    ASSERT_TRUE(a.records()[i] == b.records()[i]) << "record " << i;
   }
 }
 
