@@ -6,6 +6,7 @@
 // their budget on padding, or serve chains beyond 3x1472, stay
 // multi-RTT no matter what the client does.
 #include <cstdio>
+#include <string_view>
 
 #include "core/tuner.hpp"
 #include "scan/reach.hpp"
@@ -21,7 +22,7 @@ int main() {
   for (const auto& rec : model.records()) {
     if (!rec.serves_quic() ||
         rec.behavior != internet::behavior_kind::standard_lean ||
-        rec.chain_profile != "le-e1-x2") {
+        rec.profile != ca::profile_id::le_e1_x2) {
       continue;
     }
     const auto first = prober.probe(
@@ -29,8 +30,9 @@ int main() {
     tuner.record(rec.domain, first.obs.bytes_received_total);
     const std::size_t tuned = tuner.recommend(rec.domain);
     const auto second = prober.probe(rec, {.initial_size = tuned});
-    std::printf("service %s (chain %s):\n", rec.domain.c_str(),
-                rec.chain_profile.c_str());
+    const std::string_view chain = ca::to_string(rec.profile);
+    std::printf("service %s (chain %.*s):\n", rec.domain.c_str(),
+                static_cast<int>(chain.size()), chain.data());
     std::printf("  visit 1: Initial=%zu -> %s (server flight %zu bytes)\n",
                 core::initial_size_tuner::kMinInitial,
                 scan::to_string(first.cls).c_str(),

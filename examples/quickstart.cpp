@@ -38,7 +38,8 @@ int main() {
     }
     seen[kind] = true;
     const quic::observation& obs = pr.result.obs;
-    table.add_row({pr.record.domain, pr.record.chain_profile,
+    table.add_row({pr.record.domain,
+                   std::string{ca::to_string(pr.record.profile)},
                    scan::to_string(pr.result.cls),
                    std::to_string(obs.bytes_sent_total),
                    std::to_string(obs.bytes_received_total),

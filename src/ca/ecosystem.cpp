@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "util/errors.hpp"
 #include "x509/extensions.hpp"
 
 namespace certquic::ca {
@@ -73,6 +72,18 @@ std::shared_ptr<const certificate> make_pqc_twin(const certificate& parent,
 }
 
 }  // namespace
+
+std::string_view to_string(profile_id id) noexcept {
+  static constexpr std::string_view kIds[] = {
+      "cloudflare", "le-r3-x1cross", "le-r3-x1cross-ec", "le-r3",
+      "le-e1-x2",   "gts-1c3",       "le-r3-x1self",     "gts-1d4",
+      "sectigo",    "cpanel",        "globalsign",       "digicert",
+      "amazon",     "comodo",        "godaddy",          "comodo-with-root",
+      "other",
+  };
+  static_assert(std::size(kIds) == kNamedProfiles + 1);
+  return kIds[static_cast<std::size_t>(id)];
+}
 
 std::size_t chain_profile::parent_wire_size() const {
   std::size_t total = 0;
@@ -208,7 +219,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
   // coverage); the remainder flows through issue_other().
   auto add = [&eco](chain_profile p) { eco.profiles_.push_back(std::move(p)); };
 
-  add({.id = "cloudflare",
+  add({.id = profile_id::cloudflare,
        .display = "Cloudflare Inc ECC CA-3",
        .parents = {cf_ecc},
        .quic_share = 0.6154,
@@ -221,7 +232,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
   // Fig. 7a rows 2 and 3: both serve R3 plus the DST-cross-signed ISRG
   // Root X1 (§4.2 calls this out as superfluous); they differ in the
   // leaf key algorithm.
-  add({.id = "le-r3-x1cross",
+  add({.id = profile_id::le_r3_x1cross,
        .display = "Let's Encrypt R3 + ISRG Root X1 (DST cross), RSA leaves",
        .parents = {le_r3, isrg_x1_cross},
        .quic_share = 0.1680,
@@ -232,7 +243,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .lean_extensions = true,
                 .url_host = "r3.o.lencr.org"},
        .parents_pqc = {}});
-  add({.id = "le-r3-x1cross-ec",
+  add({.id = profile_id::le_r3_x1cross_ec,
        .display = "Let's Encrypt R3 + ISRG Root X1 (DST cross), ECDSA leaves",
        .parents = {le_r3, isrg_x1_cross},
        .quic_share = 0.1031,
@@ -243,7 +254,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .lean_extensions = true,
                 .url_host = "r3.o.lencr.org"},
        .parents_pqc = {}});
-  add({.id = "le-r3",
+  add({.id = profile_id::le_r3,
        .display = "Let's Encrypt R3",
        .parents = {le_r3},
        .quic_share = 0.0,
@@ -255,7 +266,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .lean_extensions = true,
                 .url_host = "r3.o.lencr.org"},
        .parents_pqc = {}});
-  add({.id = "le-e1-x2",
+  add({.id = profile_id::le_e1_x2,
        .display = "Let's Encrypt E1 + ISRG Root X2",
        .parents = {le_e1, isrg_x2_self},
        .quic_share = 0.0189,
@@ -266,7 +277,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .lean_extensions = true,
                 .url_host = "e1.o.lencr.org"},
        .parents_pqc = {}});
-  add({.id = "gts-1c3",
+  add({.id = profile_id::gts_1c3,
        .display = "GTS CA 1C3 + GTS Root R1",
        .parents = {gts_1c3, gts_r1_cross},
        .quic_share = 0.0153,
@@ -276,7 +287,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .sct_count = 2,
                 .url_host = "pki.goog"},
        .parents_pqc = {}});
-  add({.id = "le-r3-x1self",
+  add({.id = profile_id::le_r3_x1self,
        .display = "Let's Encrypt R3 + ISRG Root X1 (self-signed)",
        .parents = {le_r3, isrg_x1_self},
        .quic_share = 0.0127,
@@ -288,7 +299,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .lean_extensions = true,
                 .url_host = "r3.o.lencr.org"},
        .parents_pqc = {}});
-  add({.id = "gts-1d4",
+  add({.id = profile_id::gts_1d4,
        .display = "GTS CA 1D4 + GTS Root R1",
        .parents = {gts_1d4, gts_r1_cross},
        .quic_share = 0.0103,
@@ -298,7 +309,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .sct_count = 2,
                 .url_host = "pki.goog"},
        .parents_pqc = {}});
-  add({.id = "sectigo",
+  add({.id = profile_id::sectigo,
        .display = "Sectigo RSA DV + USERTrust RSA CA",
        .parents = {sectigo_dv, usertrust_root},
        .quic_share = 0.0092,
@@ -308,7 +319,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .sct_count = 2,
                 .url_host = "sectigo.com"},
        .parents_pqc = {}});
-  add({.id = "cpanel",
+  add({.id = profile_id::cpanel,
        .display = "cPanel, Inc. CA + COMODO RSA CA",
        .parents = {cpanel_ca, comodo_root},
        .quic_share = 0.0083,
@@ -318,7 +329,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .sct_count = 3,
                 .url_host = "comodoca.com"},
        .parents_pqc = {}});
-  add({.id = "globalsign",
+  add({.id = profile_id::globalsign,
        .display = "GlobalSign Atlas R3 DV TLS CA H2 2021",
        .parents = {globalsign_atlas},
        .quic_share = 0.0037,
@@ -329,7 +340,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .url_host = "globalsign.com"},
        .parents_pqc = {}});
   // HTTPS-only rows absent from the QUIC top-10.
-  add({.id = "digicert",
+  add({.id = profile_id::digicert,
        .display = "DigiCert TLS RSA SHA256 2020 CA1 + DigiCert Global Root",
        .parents = {digicert_ca1, digicert_root},
        .quic_share = 0.0,
@@ -340,7 +351,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .organization_validated = true,
                 .url_host = "digicert.com"},
        .parents_pqc = {}});
-  add({.id = "amazon",
+  add({.id = profile_id::amazon,
        .display = "Amazon RSA 2048 M01 + Amazon Root CA 1",
        .parents = {amazon_m01, amazon_root},
        .quic_share = 0.0,
@@ -350,7 +361,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .sct_count = 2,
                 .url_host = "amazontrust.com"},
        .parents_pqc = {}});
-  add({.id = "comodo",
+  add({.id = profile_id::comodo,
        .display = "cPanel, Inc. CA + COMODO RSA CA (legacy)",
        .parents = {cpanel_ca, comodo_root},
        .quic_share = 0.0,
@@ -360,7 +371,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .sct_count = 3,
                 .url_host = "comodoca.com"},
        .parents_pqc = {}});
-  add({.id = "godaddy",
+  add({.id = profile_id::godaddy,
        .display = "GoDaddy Secure CA - G2",
        .parents = {godaddy_g2},
        .quic_share = 0.0,
@@ -370,7 +381,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                 .sct_count = 2,
                 .url_host = "godaddy.com"},
        .parents_pqc = {}});
-  add({.id = "comodo-with-root",
+  add({.id = profile_id::comodo_with_root,
        .display = "Sectigo RSA DV + USERTrust + COMODO root (superfluous anchor)",
        .parents = {sectigo_dv, usertrust_root, comodo_root},
        .quic_share = 0.0,
@@ -406,15 +417,6 @@ ecosystem ecosystem::make(std::uint64_t seed) {
     }
   }
   return eco;
-}
-
-const chain_profile& ecosystem::profile(std::string_view id) const {
-  for (const auto& p : profiles_) {
-    if (p.id == id) {
-      return p;
-    }
-  }
-  throw config_error("unknown chain profile: " + std::string(id));
 }
 
 x509::chain ecosystem::issue(const chain_profile& profile,
@@ -636,7 +638,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
 x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
                                           std::size_t san_count, rng& r,
                                           x509::pq_profile pq) const {
-  const chain_profile& base = profile("cpanel");
+  const chain_profile& base = profile(profile_id::cpanel);
   const auto& parents =
       pq == x509::pq_profile::pqc_full ? base.parents_pqc : base.parents;
   const distinguished_name subject = distinguished_name::cn(domain);

@@ -8,17 +8,51 @@
 //  * chain-size tails up to 18 kB (QUIC) / 38 kB (HTTPS-only) (Fig. 6).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "x509/chain.hpp"
 
 namespace certquic::ca {
+
+/// The named parent chains of Figure 7, one enumerator per profile in
+/// ecosystem::make order (Fig. 7a/7b row order), so
+/// ecosystem::profiles()[id] is the profile. `other` is the long tail
+/// ecosystem::issue_other generates; it has no table entry.
+enum class profile_id : std::uint8_t {
+  cloudflare,
+  le_r3_x1cross,
+  le_r3_x1cross_ec,
+  le_r3,
+  le_e1_x2,
+  gts_1c3,
+  le_r3_x1self,
+  gts_1d4,
+  sectigo,
+  cpanel,
+  globalsign,
+  digicert,
+  amazon,
+  comodo,
+  godaddy,
+  comodo_with_root,
+  other,
+};
+
+/// Number of named profiles: every profile_id before `other`.
+inline constexpr std::size_t kNamedProfiles =
+    static_cast<std::size_t>(profile_id::other);
+
+/// Printable id, e.g. "le-r3-x1cross", or "other".
+[[nodiscard]] std::string_view to_string(profile_id id) noexcept;
 
 /// Leaf issuance parameters for one chain profile.
 struct leaf_profile {
@@ -41,7 +75,7 @@ struct leaf_profile {
 
 /// One deployed parent-chain variant — a row of Figure 7.
 struct chain_profile {
-  std::string id;       // machine id, e.g. "le-r3-x1cross"
+  profile_id id = profile_id::other;
   std::string display;  // "Let's Encrypt R3 + ISRG Root X1 (DST cross)"
   /// Parent certificates in served order (leaf's issuer first).
   std::vector<std::shared_ptr<const x509::certificate>> parents;
@@ -82,8 +116,11 @@ class ecosystem {
     return profiles_;
   }
 
-  /// Profile lookup by id; throws config_error for unknown ids.
-  [[nodiscard]] const chain_profile& profile(std::string_view id) const;
+  /// The named profile `id`; `other` names no profile.
+  [[nodiscard]] const chain_profile& profile(profile_id id) const noexcept {
+    CERTQUIC_ASSERT(id != profile_id::other, "`other` has no profile");
+    return profiles_[static_cast<std::size_t>(id)];
+  }
 
   /// Issues a leaf for `domain` under the given profile and returns the
   /// served chain (leaf + shared parents). Deterministic in `r`. The

@@ -93,12 +93,12 @@ engine::backscatter_plan build_telescope_plan(const internet::model& m,
   for (std::size_t i = 0; i < opt.sessions_per_provider; ++i) {
     rng issue{session_seed(plan.sessions.size()) ^ 0x155eULL};
     add(fleets[0],
-        eco.issue(eco.profile("cloudflare"),
+        eco.issue(eco.profile(ca::profile_id::cloudflare),
                   "cf-" + std::to_string(i) + ".example", issue),
         quic::server_behavior::cloudflare(), "site.example", i);
     add(fleets[1],
-        eco.issue(eco.profile("gts-1c3"), "g-" + std::to_string(i) + ".example",
-                  issue),
+        eco.issue(eco.profile(ca::profile_id::gts_1c3),
+                  "g-" + std::to_string(i) + ".example", issue),
         quic::server_behavior::google(), "google.example", i);
     const bool pick_deep = !deep.empty() && (i % 4 != 0 || shallow.empty());
     const auto& pool = pick_deep ? deep : shallow;

@@ -44,8 +44,10 @@ struct profile_accumulator {
   std::size_t count = 0;
   stats::sample_set leaf_sizes;
   std::vector<std::size_t> parent_sizes;
-  std::string display;
 };
+
+/// Fig. 7 accumulators indexed by ca::profile_id.
+using profile_table = std::array<profile_accumulator, ca::kNamedProfiles>;
 
 }  // namespace
 
@@ -98,8 +100,8 @@ corpus_result analyze_corpus(const internet::model& m,
   const std::vector<std::uint32_t> sample = engine::sample_indices(
       m, engine::service_filter::tls, opt.max_services);
 
-  std::map<std::string, profile_accumulator> quic_profiles;
-  std::map<std::string, profile_accumulator> https_profiles;
+  profile_table quic_profiles;
+  profile_table https_profiles;
   std::set<std::array<std::uint8_t, 16>> seen_nonleaf_serials[2];
   std::size_t quic_services = 0;
   std::size_t https_services = 0;
@@ -164,11 +166,10 @@ corpus_result analyze_corpus(const internet::model& m,
         }
 
         // Fig. 7 accumulation for named profiles.
-        if (rec.chain_profile != "other" && rec.cruise_sans == 0) {
-          auto& acc = (is_quic ? quic_profiles
-                               : https_profiles)[rec.chain_profile];
+        if (rec.profile != ca::profile_id::other && rec.cruise_sans == 0) {
+          auto& acc = (is_quic ? quic_profiles : https_profiles)
+              [static_cast<std::size_t>(rec.profile)];
           if (acc.count == 0) {
-            acc.display = m.ecosystem().profile(rec.chain_profile).display;
             for (const cert_facts& parent : chain.parents()) {
               acc.parent_sizes.push_back(parent.sizes.total);
             }
@@ -194,29 +195,41 @@ corpus_result analyze_corpus(const internet::model& m,
   out.all_chains_over_4071 =
       share_over_amp_limit(out.quic_chain_sizes, out.https_chain_sizes);
 
-  // Fig. 7 rows: top-10 by share, largest first.
-  auto build_rows = [](std::map<std::string, profile_accumulator>& profiles,
-                       std::size_t corpus_size,
-                       std::vector<chain_row>& rows, double& coverage) {
-    std::vector<const profile_accumulator*> ordered;
-    ordered.reserve(profiles.size());
-    for (auto& [id, acc] : profiles) {
-      ordered.push_back(&acc);
+  // Fig. 7 rows: top-10 by share, largest first; equal shares in
+  // printable-id order.
+  const auto& eco = m.ecosystem();
+  auto build_rows = [&eco](const profile_table& profiles,
+                           std::size_t corpus_size,
+                           std::vector<chain_row>& rows, double& coverage) {
+    std::vector<std::size_t> ordered;  // ids of the profiles seen
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+      if (profiles[i].count > 0) {
+        ordered.push_back(i);
+      }
     }
+    const auto printable = [](std::size_t i) {
+      return ca::to_string(static_cast<ca::profile_id>(i));
+    };
     std::sort(ordered.begin(), ordered.end(),
-              [](const auto* a, const auto* b) { return a->count > b->count; });
+              [&](std::size_t a, std::size_t b) {
+                if (profiles[a].count != profiles[b].count) {
+                  return profiles[a].count > profiles[b].count;
+                }
+                return printable(a) < printable(b);
+              });
     double covered = 0.0;
-    for (const auto* acc : ordered) {
-      if (rows.size() >= 10 || acc->count == 0) {
+    for (const std::size_t i : ordered) {
+      if (rows.size() >= 10) {
         break;
       }
+      const profile_accumulator& acc = profiles[i];
       chain_row row;
-      row.display = acc->display;
-      row.parent_sizes = acc->parent_sizes;
-      row.median_leaf = static_cast<std::size_t>(acc->leaf_sizes.median());
-      row.max_leaf = static_cast<std::size_t>(acc->leaf_sizes.max());
+      row.display = eco.profiles()[i].display;
+      row.parent_sizes = acc.parent_sizes;
+      row.median_leaf = static_cast<std::size_t>(acc.leaf_sizes.median());
+      row.max_leaf = static_cast<std::size_t>(acc.leaf_sizes.max());
       row.share = corpus_size == 0 ? 0.0
-                                   : static_cast<double>(acc->count) /
+                                   : static_cast<double>(acc.count) /
                                          static_cast<double>(corpus_size);
       covered += row.share;
       rows.push_back(std::move(row));

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,9 +27,9 @@ inline constexpr std::size_t kAlgClasses = 7;
 struct corpus_options {
   /// 0 = analyse every TLS service; otherwise a deterministic sample.
   std::size_t max_services = 0;
-  /// Optional shared materialization cache: combined drivers that also
-  /// run the compression study over the same TLS sample pass one cache
-  /// so each chain is issued exactly once across both studies.
+  /// Optional shared materialization cache, so a chain is issued once
+  /// across passes over the same TLS sample. No driver in src/ or
+  /// tools/ sets it; certbench and the tests do.
   const internet::chain_cache* chains = nullptr;
   /// Chain profile the corpus is materialized under (the PQC what-if
   /// switch); `classical` reproduces every published number.

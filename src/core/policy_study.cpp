@@ -6,7 +6,7 @@
 namespace certquic::core {
 
 std::vector<policy_row> run_policy_study(const internet::model& m,
-                                         const std::string& chain_profile_id,
+                                         ca::profile_id chain,
                                          const engine::options& exec) {
   struct policy_spec {
     quic::amplification_policy policy;
@@ -50,8 +50,7 @@ std::vector<policy_row> run_policy_study(const internet::model& m,
     engine::spoofed_session session;
     session.server = net::endpoint_id{
         net::ipv4::of(198, 51, 100, static_cast<std::uint8_t>(1 + i)), 443};
-    session.chain =
-        eco.issue(eco.profile(chain_profile_id), "policy.example", issue);
+    session.chain = eco.issue(eco.profile(chain), "policy.example", issue);
     session.behavior = behavior;
     session.sni = "policy.example";
     session.initial_size = 1200;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "ca/ecosystem.hpp"
 #include "engine/engine.hpp"
 #include "internet/model.hpp"
 #include "quic/behavior.hpp"
@@ -27,7 +28,7 @@ struct policy_row {
 /// one isolated spoofed-session world per policy — so the rows are
 /// bit-identical at any thread count.
 [[nodiscard]] std::vector<policy_row> run_policy_study(
-    const internet::model& m, const std::string& chain_profile_id,
+    const internet::model& m, ca::profile_id chain,
     const engine::options& exec = {});
 
 }  // namespace certquic::core

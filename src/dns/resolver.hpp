@@ -15,7 +15,7 @@
 namespace certquic::dns {
 
 /// Resolution outcome classes observed in the paper's scan.
-enum class outcome {
+enum class outcome : std::uint8_t {
   a_record,     // usable IPv4 answer
   no_a_record,  // resolved, but no A record (CNAME dead ends, AAAA-only)
   servfail,

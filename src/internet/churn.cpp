@@ -16,12 +16,13 @@ namespace {
 
 constexpr std::uint64_t kGolden = 0x9e37'79b9'7f4a'7c15ULL;
 
-/// Chain profiles a migrating or arriving service can land on — the
-/// ecosystem ids the generator itself deals from, so chain_of always
-/// resolves them.
-constexpr const char* kChurnChains[] = {
-    "le-r3-x1cross", "le-e1-x2", "gts-1c3", "cloudflare", "sectigo",
-    "le-r3",
+/// Chain profiles a migrating or arriving service can land on: named
+/// profiles the generator itself deals from. chain_of resolves any
+/// profile_id, so the table needs no validation.
+constexpr ca::profile_id kChurnChains[] = {
+    ca::profile_id::le_r3_x1cross, ca::profile_id::le_e1_x2,
+    ca::profile_id::gts_1c3,       ca::profile_id::cloudflare,
+    ca::profile_id::sectigo,       ca::profile_id::le_r3,
 };
 
 /// Uniform double in [0, 1) from one raw draw (same construction as
@@ -59,7 +60,7 @@ churn_draws draw_for(std::uint64_t epoch_stream, std::size_t index) {
 }
 
 void clear_tls_state(service_record& rec) {
-  rec.chain_profile.clear();
+  rec.profile = ca::profile_id::other;
   rec.force_rsa_leaf = false;
   rec.cruise_sans = 0;
   rec.rotated_cert = false;
@@ -74,9 +75,8 @@ void deploy_service(service_record& rec, const churn_draws& d) {
   clear_tls_state(rec);
   rec.svc = (d.pick & 1) != 0 ? service_class::quic
                               : service_class::https_only;
-  rec.chain_profile =
-      kChurnChains[(d.pick >> 1) % std::size(kChurnChains)];
-  rec.behavior = rec.chain_profile == "cloudflare"
+  rec.profile = kChurnChains[(d.pick >> 1) % std::size(kChurnChains)];
+  rec.behavior = rec.profile == ca::profile_id::cloudflare
                      ? behavior_kind::cloudflare
                      : ((d.pick & 0x100) != 0
                             ? behavior_kind::compliant_coalesce
@@ -144,9 +144,10 @@ churn_summary model::step_epoch(const churn_config& churn) {
       ++step.key_rotations;
     }
     if (d.chain < churn.chain_migration) {
-      const char* next = kChurnChains[d.pick % std::size(kChurnChains)];
-      if (rec.chain_profile != next) {
-        rec.chain_profile = next;
+      const ca::profile_id next =
+          kChurnChains[d.pick % std::size(kChurnChains)];
+      if (rec.profile != next) {
+        rec.profile = next;
         rec.force_rsa_leaf = false;
         rec.cruise_sans = 0;
         ++step.chain_migrations;

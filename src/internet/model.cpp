@@ -9,6 +9,9 @@
 #include "util/errors.hpp"
 
 namespace certquic::internet {
+
+using ca::profile_id;
+
 namespace {
 
 // Fig. 13: handshake-class percentages per rank group at Initial=1362,
@@ -28,33 +31,33 @@ constexpr double kClassMatrix[10][4] = {
 };
 
 // Multi-RTT chain mix: Fig. 7a rows that exceed the limit at common
-// Initial sizes (weights are the published shares; "other" covers the
+// Initial sizes (weights are the published shares; `other` covers the
 // long tail outside the top-10).
 struct chain_weight {
-  const char* id;
+  profile_id id;
   double weight;
   double rsa_leaf_fraction;
 };
 constexpr chain_weight kMultiRttChains[] = {
-    {"le-r3-x1cross", 16.80, 1.0},
-    {"le-r3-x1cross-ec", 10.31, 0.0},
-    {"le-e1-x2", 1.55, 0.0},
-    {"gts-1c3", 1.53, 0.1},
-    {"le-r3-x1self", 1.27, 0.4},
-    {"gts-1d4", 1.03, 0.0},
-    {"sectigo", 0.92, 1.0},
-    {"cpanel", 0.83, 1.0},
-    {"globalsign", 0.37, 1.0},
-    {"other", 2.20, 0.0},
+    {profile_id::le_r3_x1cross, 16.80, 1.0},
+    {profile_id::le_r3_x1cross_ec, 10.31, 0.0},
+    {profile_id::le_e1_x2, 1.55, 0.0},
+    {profile_id::gts_1c3, 1.53, 0.1},
+    {profile_id::le_r3_x1self, 1.27, 0.4},
+    {profile_id::gts_1d4, 1.03, 0.0},
+    {profile_id::sectigo, 0.92, 1.0},
+    {profile_id::cpanel, 0.83, 1.0},
+    {profile_id::globalsign, 0.37, 1.0},
+    {profile_id::other, 2.20, 0.0},
 };
 
 // Non-Cloudflare amplifiers (4% of the amplifying class): legacy
 // implementations fronting ordinary — mostly large — chains.
 constexpr chain_weight kLegacyAmplifierChains[] = {
-    {"le-r3-x1cross", 0.40, 1.0},
-    {"sectigo", 0.25, 1.0},
-    {"cpanel", 0.20, 1.0},
-    {"gts-1c3", 0.15, 0.2},
+    {profile_id::le_r3_x1cross, 0.40, 1.0},
+    {profile_id::sectigo, 0.25, 1.0},
+    {profile_id::cpanel, 0.20, 1.0},
+    {profile_id::gts_1c3, 0.15, 0.2},
 };
 
 // 1-RTT chain mix: small ECDSA chains behind compliant coalescing
@@ -62,26 +65,26 @@ constexpr chain_weight kLegacyAmplifierChains[] = {
 // the budget for large client Initials, feeding the 1-RTT uptick the
 // paper observes for bigger Initials.
 constexpr chain_weight kOneRttChains[] = {
-    {"le-e1-x2", 0.45, 0.0},
-    {"cloudflare", 0.30, 0.0},
-    {"le-r3", 0.10, 0.0},
-    {"gts-1c3", 0.15, 0.0},
+    {profile_id::le_e1_x2, 0.45, 0.0},
+    {profile_id::cloudflare, 0.30, 0.0},
+    {profile_id::le_r3, 0.10, 0.0},
+    {profile_id::gts_1c3, 0.15, 0.0},
 };
 
 // Fig. 7b chain mix for HTTPS-only services (shares sum to 71.91; the
-// remainder flows through the "other" generator).
+// remainder flows through the `other` generator).
 constexpr chain_weight kHttpsChains[] = {
-    {"le-r3-x1cross", 41.42, 0.9},
-    {"sectigo", 6.33, 1.0},
-    {"cpanel", 5.03, 1.0},
-    {"digicert", 4.55, 0.95},
-    {"amazon", 4.24, 1.0},
-    {"comodo", 4.03, 1.0},
-    {"le-r3", 1.76, 0.6},
-    {"godaddy", 1.60, 1.0},
-    {"comodo-with-root", 1.55, 1.0},
-    {"cloudflare", 1.40, 0.0},
-    {"other", 28.09, 0.0},
+    {profile_id::le_r3_x1cross, 41.42, 0.9},
+    {profile_id::sectigo, 6.33, 1.0},
+    {profile_id::cpanel, 5.03, 1.0},
+    {profile_id::digicert, 4.55, 0.95},
+    {profile_id::amazon, 4.24, 1.0},
+    {profile_id::comodo, 4.03, 1.0},
+    {profile_id::le_r3, 1.76, 0.6},
+    {profile_id::godaddy, 1.60, 1.0},
+    {profile_id::comodo_with_root, 1.55, 1.0},
+    {profile_id::cloudflare, 1.40, 0.0},
+    {profile_id::other, 28.09, 0.0},
 };
 
 constexpr const char* kTlds[] = {"com", "com", "com", "com", "net",
@@ -207,11 +210,11 @@ model model::generate(const config& cfg) {
       switch (cls) {
         case 0:  // Amplification
           if (r.chance(0.96)) {
-            rec.chain_profile = "cloudflare";
+            rec.profile = profile_id::cloudflare;
             rec.behavior = behavior_kind::cloudflare;
           } else {
             const auto& chain = pick_chain(r, kLegacyAmplifierChains);
-            rec.chain_profile = chain.id;
+            rec.profile = chain.id;
             rec.force_rsa_leaf = r.chance(chain.rsa_leaf_fraction);
             rec.behavior = behavior_kind::legacy_amplifier;
             if (r.chance(0.15)) {
@@ -224,13 +227,13 @@ model model::generate(const config& cfg) {
           break;
         case 1: {  // Multi-RTT
           const auto& chain = pick_chain(r, kMultiRttChains);
-          rec.chain_profile = chain.id;
+          rec.profile = chain.id;
           rec.force_rsa_leaf = r.chance(chain.rsa_leaf_fraction);
           // Lean servers (no ACK datagram) on small chains sit right at
           // the budget boundary: they flip between Multi-RTT and 1-RTT
           // with the client Initial size (the ±1% drift of Fig. 3) and
           // are the services a §5 Initial-size cache can rescue.
-          const bool small_chain = rec.chain_profile == "le-e1-x2";
+          const bool small_chain = rec.profile == profile_id::le_e1_x2;
           rec.behavior = r.chance(small_chain ? 0.6 : 0.04)
                              ? behavior_kind::standard_lean
                              : behavior_kind::standard_no_coalesce;
@@ -243,12 +246,13 @@ model model::generate(const config& cfg) {
           break;
         }
         case 2:  // RETRY
-          rec.chain_profile = r.chance(0.5) ? "cloudflare" : "le-r3";
+          rec.profile =
+              r.chance(0.5) ? profile_id::cloudflare : profile_id::le_r3;
           rec.behavior = behavior_kind::retry_always;
           break;
         default: {  // 1-RTT
           const auto& chain = pick_chain(r, kOneRttChains);
-          rec.chain_profile = chain.id;
+          rec.profile = chain.id;
           rec.behavior = behavior_kind::compliant_coalesce;
           break;
         }
@@ -270,7 +274,7 @@ model model::generate(const config& cfg) {
       }
     } else {
       const auto& chain = pick_chain(r, kHttpsChains);
-      rec.chain_profile = chain.id;
+      rec.profile = chain.id;
       rec.force_rsa_leaf = r.chance(chain.rsa_leaf_fraction);
       if (r.chance(0.015)) {
         rec.cruise_sans =
@@ -337,11 +341,11 @@ x509::chain model::chain_of(const service_record& rec, fetch_protocol proto,
   if (rec.cruise_sans > 0) {
     return eco_.issue_cruise_liner(rec.domain, rec.cruise_sans, r, pq);
   }
-  if (rec.chain_profile == "other") {
+  if (rec.profile == profile_id::other) {
     return eco_.issue_other(
         rec.domain, r, {.quic_flavor = rec.serves_quic(), .pq = pq});
   }
-  return eco_.issue(eco_.profile(rec.chain_profile), rec.domain, r, pq,
+  return eco_.issue(eco_.profile(rec.profile), rec.domain, r, pq,
                     rec.force_rsa_leaf
                         ? std::optional{x509::key_algorithm::rsa_2048}
                         : std::nullopt);
@@ -459,7 +463,7 @@ std::vector<meta_host> model::meta_pop(bool post_disclosure) const {
 
 x509::chain model::meta_chain(const meta_host& h) const {
   rng r{h.seed};
-  ca::chain_profile profile = eco_.profile("digicert");
+  ca::chain_profile profile = eco_.profile(profile_id::digicert);
   profile.leaf.key_alg = x509::key_algorithm::ecdsa_p256;
   profile.leaf.rsa_mix = 0.0;
   profile.leaf.min_sans = 1 + h.extra_sans;

@@ -47,27 +47,28 @@ enum class behavior_kind : std::uint8_t {
   retry_always,          // a-priori DoS protection
 };
 
-/// One domain of the ranked population. Records are compact; the
-/// certificate chain is re-materialized deterministically on demand.
+/// One domain of the ranked population. Records are compact (64 bytes,
+/// widest fields first); the certificate chain is re-materialized
+/// deterministically on demand. `domain` is the one string: it is the
+/// SNI and a probe-seed input.
 struct service_record {
-  std::uint32_t rank = 0;  // 1-based
   std::uint64_t seed = 0;
   std::string domain;
-  dns::outcome dns_result = dns::outcome::timeout;
+  std::uint32_t rank = 0;         // 1-based
+  std::int32_t redirect_to = -1;  // index of redirect target, -1 = none
   net::ipv4 address;
+  std::uint16_t cruise_sans = 0;  // >0: SAN-heavy leaf (Appendix E)
+  dns::outcome dns_result = dns::outcome::timeout;
   service_class svc = service_class::unresolved;
 
-  std::string chain_profile;       // ecosystem id, or "other"
+  ca::profile_id profile = ca::profile_id::other;  // the served chain
   bool force_rsa_leaf = false;
-  std::uint16_t cruise_sans = 0;   // >0: SAN-heavy leaf (Appendix E)
-  bool rotated_cert = false;       // QUIC cert differs from HTTPS (§3.2)
+  bool rotated_cert = false;  // QUIC cert differs from HTTPS (§3.2)
 
   behavior_kind behavior = behavior_kind::standard_no_coalesce;
   bool supports_brotli = false;
   bool supports_all_algorithms = false;  // the 0.05% (Meta-operated)
   std::uint8_t lb_overhead = 0;          // encapsulation bytes, 0 = none
-
-  std::int32_t redirect_to = -1;  // index of redirect target, -1 = none
 
   [[nodiscard]] bool serves_tls() const noexcept {
     return svc == service_class::https_only || svc == service_class::quic;

@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
 
 #include "ca/ecosystem.hpp"
-#include "util/errors.hpp"
 
 namespace certquic::ca {
 namespace {
@@ -24,48 +24,62 @@ TEST_F(EcosystemTest, SharesMatchPaperCoverage) {
 }
 
 TEST_F(EcosystemTest, CloudflareDominatesQuic) {
-  const auto& cf = eco_.profile("cloudflare");
+  const auto& cf = eco_.profile(profile_id::cloudflare);
   EXPECT_NEAR(cf.quic_share, 0.6154, 1e-6);
   for (const auto& p : eco_.profiles()) {
     EXPECT_LE(p.quic_share, cf.quic_share);
   }
 }
 
-TEST_F(EcosystemTest, ProfileLookupThrowsOnUnknown) {
-  EXPECT_THROW((void)eco_.profile("no-such-ca"), config_error);
+TEST_F(EcosystemTest, ProfileIdsIndexTheirOwnProfiles) {
+  // profiles()[id] is the profile `id` for every enumerator but
+  // `other`, and no two ids print alike.
+  ASSERT_EQ(eco_.profiles().size(), kNamedProfiles);
+  std::set<std::string_view> printed;
+  for (std::size_t i = 0; i <= kNamedProfiles; ++i) {
+    const auto id = static_cast<profile_id>(i);
+    if (id != profile_id::other) {
+      EXPECT_EQ(eco_.profiles()[i].id, id) << to_string(id);
+      EXPECT_EQ(&eco_.profile(id), &eco_.profiles()[i]) << to_string(id);
+    }
+    EXPECT_TRUE(printed.insert(to_string(id)).second) << to_string(id);
+  }
+  EXPECT_EQ(to_string(profile_id::other), "other");
 }
 
 TEST_F(EcosystemTest, CloudflareChainIsShortestAmongTopChains) {
   // §4.2: "the shortest chains ... are issued by Cloudflare".
-  const auto cf_size = eco_.profile("cloudflare").parent_wire_size();
-  for (const char* id : {"le-r3-x1cross", "sectigo", "cpanel", "gts-1c3"}) {
-    EXPECT_LT(cf_size, eco_.profile(id).parent_wire_size()) << id;
+  const auto cf_size = eco_.profile(profile_id::cloudflare).parent_wire_size();
+  for (const profile_id id : {profile_id::le_r3_x1cross, profile_id::sectigo,
+                              profile_id::cpanel, profile_id::gts_1c3}) {
+    EXPECT_LT(cf_size, eco_.profile(id).parent_wire_size()) << to_string(id);
   }
 }
 
 TEST_F(EcosystemTest, ParentSizesAreRealistic) {
   // Real-world sizes (±25%): CF ECC CA-3 ~1.1k; R3+X1 ~2.6-3.3k parents;
   // Sectigo+USERTrust ~3.0-3.9k.
-  const auto cf = eco_.profile("cloudflare").parent_wire_size();
+  const auto cf = eco_.profile(profile_id::cloudflare).parent_wire_size();
   EXPECT_GT(cf, 800u);
   EXPECT_LT(cf, 1500u);
-  const auto le = eco_.profile("le-r3-x1cross").parent_wire_size();
+  const auto le = eco_.profile(profile_id::le_r3_x1cross).parent_wire_size();
   EXPECT_GT(le, 2300u);
   EXPECT_LT(le, 3600u);
-  const auto sectigo = eco_.profile("sectigo").parent_wire_size();
+  const auto sectigo = eco_.profile(profile_id::sectigo).parent_wire_size();
   EXPECT_GT(sectigo, 2600u);
   EXPECT_LT(sectigo, 4200u);
 }
 
 TEST_F(EcosystemTest, EcdsaChainsSmallerThanRsaChains) {
   // §5 guidance rests on ECDSA chains being substantially smaller.
-  EXPECT_LT(eco_.profile("le-e1-x2").parent_wire_size(),
-            eco_.profile("le-r3-x1cross").parent_wire_size());
+  EXPECT_LT(eco_.profile(profile_id::le_e1_x2).parent_wire_size(),
+            eco_.profile(profile_id::le_r3_x1cross).parent_wire_size());
 }
 
 TEST_F(EcosystemTest, IssueProducesValidChain) {
   rng r{42};
-  const auto chain = eco_.issue(eco_.profile("cloudflare"), "example.org", r);
+  const auto chain =
+      eco_.issue(eco_.profile(profile_id::cloudflare), "example.org", r);
   EXPECT_EQ(chain.depth(), 2u);
   using x509::distinguished_name;
   EXPECT_EQ(distinguished_name::decode(chain.leaf().subject()).common_name(),
@@ -81,15 +95,17 @@ TEST_F(EcosystemTest, IssueProducesValidChain) {
 TEST_F(EcosystemTest, IssueIsDeterministicInRng) {
   rng r1{7};
   rng r2{7};
-  const auto a = eco_.issue(eco_.profile("le-r3"), "same.example", r1);
-  const auto b = eco_.issue(eco_.profile("le-r3"), "same.example", r2);
+  const auto& le_r3 = eco_.profile(profile_id::le_r3);
+  const auto a = eco_.issue(le_r3, "same.example", r1);
+  const auto b = eco_.issue(le_r3, "same.example", r2);
   EXPECT_EQ(a.leaf().der(), b.leaf().der());
 }
 
 TEST_F(EcosystemTest, SharedParentsAreReusedAcrossIssuance) {
   rng r{1};
-  const auto a = eco_.issue(eco_.profile("cloudflare"), "a.example", r);
-  const auto b = eco_.issue(eco_.profile("cloudflare"), "b.example", r);
+  const auto& cf = eco_.profile(profile_id::cloudflare);
+  const auto a = eco_.issue(cf, "a.example", r);
+  const auto b = eco_.issue(cf, "b.example", r);
   EXPECT_EQ(a.parents()[0].get(), b.parents()[0].get());
   EXPECT_NE(a.leaf().der(), b.leaf().der());
 }
@@ -97,16 +113,19 @@ TEST_F(EcosystemTest, SharedParentsAreReusedAcrossIssuance) {
 TEST_F(EcosystemTest, SuperfluousAnchorRowIncludesTrustAnchor) {
   rng r{2};
   const auto chain =
-      eco_.issue(eco_.profile("comodo-with-root"), "legacy.example", r);
+      eco_.issue(eco_.profile(profile_id::comodo_with_root), "legacy.example",
+                 r);
   EXPECT_TRUE(chain.includes_trust_anchor());
-  const auto clean = eco_.issue(eco_.profile("sectigo"), "ok.example", r);
+  const auto clean =
+      eco_.issue(eco_.profile(profile_id::sectigo), "ok.example", r);
   EXPECT_FALSE(clean.includes_trust_anchor());
 }
 
 TEST_F(EcosystemTest, CrossSignVariantLargerThanPlainR3) {
   // Rows 2/3 vs row "le-r3": including ISRG Root X1 adds ~1.3-1.6 kB.
-  const auto with_cross = eco_.profile("le-r3-x1cross").parent_wire_size();
-  const auto plain = eco_.profile("le-r3").parent_wire_size();
+  const auto with_cross =
+      eco_.profile(profile_id::le_r3_x1cross).parent_wire_size();
+  const auto plain = eco_.profile(profile_id::le_r3).parent_wire_size();
   EXPECT_GT(with_cross, plain + 1000);
 }
 

@@ -117,14 +117,14 @@ std::vector<fetch> pinned_sample(const model& m) {
 
   // 2. The first service of every named profile, plus the first forced
   //    RSA leaf.
-  std::set<std::string> profiles_seen;
+  std::set<ca::profile_id> profiles_seen;
   bool forced_rsa = false;
   for (const auto& rec : recs) {
     if (!rec.serves_tls() || rec.cruise_sans > 0 ||
-        rec.chain_profile == "other") {
+        rec.profile == ca::profile_id::other) {
       continue;
     }
-    if (profiles_seen.insert(rec.chain_profile).second) {
+    if (profiles_seen.insert(rec.profile).second) {
       add(rec, fetch_protocol::https);
     }
     if (rec.force_rsa_leaf && !forced_rsa) {
@@ -139,7 +139,7 @@ std::vector<fetch> pinned_sample(const model& m) {
   const service_record* monster = nullptr;
   for (const auto& rec : recs) {
     if (!rec.serves_tls() || rec.cruise_sans > 0 ||
-        rec.chain_profile != "other") {
+        rec.profile != ca::profile_id::other) {
       continue;
     }
     add(rec, fetch_protocol::https);
@@ -171,7 +171,7 @@ std::vector<fetch> pinned_sample(const model& m) {
   // 5. Both PQC stages over a named chain, the monster and the liner.
   std::vector<const service_record*> pqc_recs;
   for (const auto& rec : recs) {
-    if (rec.serves_tls() && rec.chain_profile != "other" &&
+    if (rec.serves_tls() && rec.profile != ca::profile_id::other &&
         rec.cruise_sans == 0) {
       pqc_recs.push_back(&rec);
       break;

@@ -13,6 +13,8 @@
 namespace certquic::compress {
 namespace {
 
+using ca::profile_id;
+
 TEST(Varint, RoundTripsBoundaries) {
   for (const std::uint64_t v :
        {0ULL, 1ULL, 127ULL, 128ULL, 16383ULL, 16384ULL, 0xffffffffULL,
@@ -149,14 +151,15 @@ TEST(Codec, CertificateChainsReachPaperSavings) {
   rng r{7};
   double total_savings = 0.0;
   int n = 0;
-  for (const char* id : {"cloudflare", "le-r3-x1cross", "le-r3", "sectigo"}) {
+  for (const profile_id id : {profile_id::cloudflare, profile_id::le_r3_x1cross,
+                              profile_id::le_r3, profile_id::sectigo}) {
     for (int i = 0; i < 5; ++i) {
       const auto chain = eco.issue(eco.profile(id),
                                    "domain" + std::to_string(i) + ".example",
                                    r);
       const bytes payload = chain.concatenated_der();
       const bytes compressed = brotli.compress(payload);
-      EXPECT_EQ(brotli.decompress(compressed), payload) << id;
+      EXPECT_EQ(brotli.decompress(compressed), payload) << ca::to_string(id);
       total_savings += brotli.savings(payload);
       ++n;
     }
@@ -170,7 +173,8 @@ TEST(Codec, AlgorithmsRankPlausibly) {
   auto eco = ca::ecosystem::make();
   const bytes dict = eco.compression_dictionary();
   rng r{9};
-  const auto chain = eco.issue(eco.profile("le-r3-x1cross"), "big.example", r);
+  const auto chain =
+      eco.issue(eco.profile(profile_id::le_r3_x1cross), "big.example", r);
   const bytes payload = chain.concatenated_der();
   const double brotli_s = codec{algorithm::brotli, dict}.savings(payload);
   const double zlib_s = codec{algorithm::zlib, dict}.savings(payload);

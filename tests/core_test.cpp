@@ -311,7 +311,8 @@ TEST(Browsers, Table1Profiles) {
 }
 
 TEST(PolicyStudy, HistoricalOrdering) {
-  const auto rows = run_policy_study(shared_model(), "le-r3-x1cross");
+  const auto rows =
+      run_policy_study(shared_model(), ca::profile_id::le_r3_x1cross);
   ASSERT_EQ(rows.size(), 5u);
   // Later drafts never allow more attacker-visible bytes than earlier.
   EXPECT_GE(rows[0].bytes_received, rows[2].bytes_received);

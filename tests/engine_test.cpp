@@ -333,8 +333,8 @@ const study_pin kStudyPins[] = {
      0xac78822ac7ebba80ULL},
     {"policy",
      [](const engine::options& exec) {
-       return digest(
-           core::run_policy_study(shared_model(), "le-r3-x1cross", exec));
+       return digest(core::run_policy_study(
+           shared_model(), ca::profile_id::le_r3_x1cross, exec));
      },
      0xb2e5312d595d3230ULL},
     // The two example-driven studies at the sample sizes those examples

@@ -33,6 +33,12 @@ TEST_F(ModelTest, GenerationIsDeterministic) {
   }
 }
 
+TEST_F(ModelTest, RecordFitsInSixtyFourBytes) {
+  // The record table stays resident for a whole run (the out-of-core
+  // spill bounds only the probe records), so this is per-domain RSS.
+  EXPECT_LE(sizeof(service_record), 64u);
+}
+
 TEST_F(ModelTest, DeploymentSharesMatchFig12) {
   const auto& m = shared();
   std::size_t quic = 0;
@@ -55,7 +61,7 @@ TEST_F(ModelTest, CloudflareDominatesQuicChains) {
       continue;
     }
     ++quic;
-    cloudflare += rec.chain_profile == "cloudflare" ? 1 : 0;
+    cloudflare += rec.profile == ca::profile_id::cloudflare ? 1 : 0;
   }
   ASSERT_GT(quic, 0u);
   EXPECT_NEAR(static_cast<double>(cloudflare) / static_cast<double>(quic),
@@ -299,7 +305,7 @@ TEST_F(ChurnTest, ChurnActuallyChangesThePopulation) {
     EXPECT_EQ(rb.domain, re.domain) << "churn must not rename domains";
     EXPECT_EQ(rb.rank, re.rank);
     if (rb.seed != re.seed || rb.svc != re.svc ||
-        rb.chain_profile != re.chain_profile) {
+        rb.profile != re.profile) {
       ++differing;
     }
   }

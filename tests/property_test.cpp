@@ -329,10 +329,10 @@ TEST(PqcProperty, ChainSizesGrowStrictlyWithProfile) {
                                x509::all_pq_profiles()[p])
                          .wire_size();
         }
-        EXPECT_LT(sizes[0], sizes[1]) << "iteration " << i << " "
-                                      << profile.id;
-        EXPECT_LT(sizes[1], sizes[2]) << "iteration " << i << " "
-                                      << profile.id;
+        EXPECT_LT(sizes[0], sizes[1])
+            << "iteration " << i << " " << ca::to_string(profile.id);
+        EXPECT_LT(sizes[1], sizes[2])
+            << "iteration " << i << " " << ca::to_string(profile.id);
       },
       64);
 }

@@ -19,6 +19,8 @@
 namespace certquic::quic {
 namespace {
 
+using ca::profile_id;
+
 // CRYPTO and STREAM frames view their bytes; a test's payloads are kept
 // here so they outlive every packet built from them.
 bytes_view keep(bytes b) {
@@ -455,7 +457,8 @@ TEST(Server, RejectsMaxUdpPayloadBelowTheInitialFloor) {
   net::simulator sim;
   ca::ecosystem eco = ca::ecosystem::make();
   rng issue_rng{99};
-  const auto chain = eco.issue(eco.profile("cloudflare"), "x.org", issue_rng);
+  const auto chain =
+      eco.issue(eco.profile(profile_id::cloudflare), "x.org", issue_rng);
   server_behavior behavior = server_behavior::compliant();
   for (const std::size_t payload : {0u, 59u, 60u, 1199u}) {
     SCOPED_TRACE(payload);
@@ -480,7 +483,7 @@ struct handshake_fixture {
   ca::ecosystem eco = ca::ecosystem::make();
   const bytes dictionary = eco.compression_dictionary();
 
-  observation run(const char* profile, server_behavior behavior,
+  observation run(profile_id profile, server_behavior behavior,
                   client_config config, const std::string& domain = "x.org") {
     rng issue_rng{99};
     auto chain = eco.issue(eco.profile(profile), domain, issue_rng);
@@ -494,7 +497,7 @@ struct handshake_fixture {
 
 TEST(Handshake, CompliantSmallChainCompletesIn1Rtt) {
   handshake_fixture fx;
-  const auto obs = fx.run("cloudflare", server_behavior::compliant(),
+  const auto obs = fx.run(profile_id::cloudflare, server_behavior::compliant(),
                           client_config{.initial_size = 1362});
   EXPECT_TRUE(obs.handshake_complete);
   EXPECT_FALSE(obs.retry_seen);
@@ -505,7 +508,7 @@ TEST(Handshake, CompliantSmallChainCompletesIn1Rtt) {
 
 TEST(Handshake, LargeChainForcesMultiRtt) {
   handshake_fixture fx;
-  const auto obs = fx.run("le-r3-x1cross",
+  const auto obs = fx.run(profile_id::le_r3_x1cross,
                           server_behavior::standard_no_coalesce(),
                           client_config{.initial_size = 1362});
   EXPECT_TRUE(obs.handshake_complete);
@@ -515,7 +518,7 @@ TEST(Handshake, LargeChainForcesMultiRtt) {
 
 TEST(Handshake, CloudflareProfileAmplifiesButCompletes1Rtt) {
   handshake_fixture fx;
-  const auto obs = fx.run("cloudflare", server_behavior::cloudflare(),
+  const auto obs = fx.run(profile_id::cloudflare, server_behavior::cloudflare(),
                           client_config{.initial_size = 1362});
   EXPECT_TRUE(obs.handshake_complete);
   EXPECT_EQ(obs.acks_before_complete, 0u);  // completed within 1 RTT
@@ -533,9 +536,10 @@ TEST(Handshake, CloudflarePaddingIsConstantAcrossDomains) {
   std::vector<std::size_t> paddings;
   for (int i = 0; i < 5; ++i) {
     handshake_fixture fx;
-    const auto obs = fx.run("cloudflare", server_behavior::cloudflare(),
-                            client_config{.initial_size = 1362},
-                            "domain" + std::to_string(i) + ".example");
+    const auto obs = fx.run(
+        profile_id::cloudflare, server_behavior::cloudflare(),
+        client_config{.initial_size = 1362},
+        "domain" + std::to_string(i) + ".example");
     paddings.push_back(obs.padding_bytes_first_burst);
   }
   for (const auto p : paddings) {
@@ -545,8 +549,9 @@ TEST(Handshake, CloudflarePaddingIsConstantAcrossDomains) {
 
 TEST(Handshake, RetryServerTriggersRetryAndCompletes) {
   handshake_fixture fx;
-  const auto obs = fx.run("cloudflare", server_behavior::retry_always(),
-                          client_config{.initial_size = 1362});
+  const auto obs = fx.run(
+      profile_id::cloudflare, server_behavior::retry_always(),
+      client_config{.initial_size = 1362});
   EXPECT_TRUE(obs.retry_seen);
   EXPECT_TRUE(obs.handshake_complete);
   EXPECT_GE(obs.client_datagrams, 2u);
@@ -557,8 +562,9 @@ TEST(Handshake, CompressionNegotiatedWhenOffered) {
   client_config config;
   config.initial_size = 1250;  // Chromium default
   config.offer_compression = {compress::algorithm::brotli};
-  const auto obs = fx.run("le-r3-x1cross", server_behavior::cloudflare(),
-                          std::move(config));
+  const auto obs = fx.run(
+      profile_id::le_r3_x1cross, server_behavior::cloudflare(),
+      std::move(config));
   EXPECT_TRUE(obs.handshake_complete);
   EXPECT_TRUE(obs.compression_used);
   EXPECT_LT(obs.certificate_msg_size, obs.certificate_uncompressed_size / 2);
@@ -566,8 +572,9 @@ TEST(Handshake, CompressionNegotiatedWhenOffered) {
 
 TEST(Handshake, CompressionAbsentWithoutOffer) {
   handshake_fixture fx;
-  const auto obs = fx.run("le-r3-x1cross", server_behavior::cloudflare(),
-                          client_config{.initial_size = 1362});
+  const auto obs = fx.run(
+      profile_id::le_r3_x1cross, server_behavior::cloudflare(),
+      client_config{.initial_size = 1362});
   EXPECT_FALSE(obs.compression_used);
 }
 
@@ -577,7 +584,7 @@ TEST(Handshake, SilentClientElicitsRetransmissions) {
   config.initial_size = 1252;
   config.send_acks = false;
   config.timeout = net::seconds(300);
-  const auto obs = fx.run("le-r3-x1cross",
+  const auto obs = fx.run(profile_id::le_r3_x1cross,
                           server_behavior::meta_pre_disclosure(7),
                           std::move(config));
   // mvfst behaviour: resends ignore the limit; amplification blows up.
@@ -591,14 +598,15 @@ TEST(Handshake, CompliantServerNeverExceeds3xEvenWhenSilent) {
   config.initial_size = 1252;
   config.send_acks = false;
   config.timeout = net::seconds(300);
-  const auto obs = fx.run("le-r3-x1cross", server_behavior::compliant(),
-                          std::move(config));
+  const auto obs = fx.run(
+      profile_id::le_r3_x1cross, server_behavior::compliant(),
+      std::move(config));
   EXPECT_LE(obs.bytes_received_total, 3 * obs.bytes_sent_first_flight);
 }
 
 TEST(Handshake, UndersizedInitialIsDropped) {
   handshake_fixture fx;
-  const auto obs = fx.run("cloudflare", server_behavior::compliant(),
+  const auto obs = fx.run(profile_id::cloudflare, server_behavior::compliant(),
                           client_config{.initial_size = 900,
                                         .timeout = net::seconds(1)});
   EXPECT_FALSE(obs.response_received);
@@ -610,7 +618,7 @@ TEST(Handshake, AppDataExchangeMeasuresTtfb) {
   client_config config;
   config.initial_size = 1362;
   config.fetch_app_data = true;
-  const auto obs = fx.run("cloudflare", server_behavior::compliant(),
+  const auto obs = fx.run(profile_id::cloudflare, server_behavior::compliant(),
                           std::move(config));
   ASSERT_TRUE(obs.handshake_complete);
   EXPECT_EQ(obs.app_bytes_received, 256u);
@@ -623,7 +631,7 @@ TEST(Handshake, AppDataExchangeMeasuresTtfb) {
 
 TEST(Handshake, NoAppDataWithoutFetchFlag) {
   handshake_fixture fx;
-  const auto obs = fx.run("cloudflare", server_behavior::compliant(),
+  const auto obs = fx.run(profile_id::cloudflare, server_behavior::compliant(),
                           client_config{.initial_size = 1362});
   EXPECT_TRUE(obs.handshake_complete);
   EXPECT_EQ(obs.app_bytes_received, 0u);
@@ -645,7 +653,7 @@ TEST(Handshake, PtoRetransmissionTimingUnderLoss) {
   fx.sim.schedule(net::milliseconds(100), [&fx]() {
     fx.sim.set_path_to(kClientEp, net::path_config{});  // loss ends
   });
-  const auto obs = fx.run("cloudflare", server_behavior::google(),
+  const auto obs = fx.run(profile_id::cloudflare, server_behavior::google(),
                           client_config{.initial_size = 1362});
   ASSERT_TRUE(obs.handshake_complete);
   EXPECT_EQ(obs.first_receive_time, net::milliseconds(420));
@@ -653,7 +661,7 @@ TEST(Handshake, PtoRetransmissionTimingUnderLoss) {
 
 TEST(Handshake, BottleneckSpreadsBurstWithoutChangingBytes) {
   handshake_fixture fx_burst;
-  const auto burst = fx_burst.run("le-r3-x1cross",
+  const auto burst = fx_burst.run(profile_id::le_r3_x1cross,
                                   server_behavior::standard_no_coalesce(),
                                   client_config{.initial_size = 1362});
 
@@ -663,7 +671,7 @@ TEST(Handshake, BottleneckSpreadsBurstWithoutChangingBytes) {
   net::path_config to_client;
   to_client.bandwidth_bps = 2'000'000;
   fx_capped.sim.set_path_to(kClientEp, to_client);
-  const auto spread = fx_capped.run("le-r3-x1cross",
+  const auto spread = fx_capped.run(profile_id::le_r3_x1cross,
                                     server_behavior::standard_no_coalesce(),
                                     client_config{.initial_size = 1362});
 
@@ -687,7 +695,8 @@ TEST(Handshake, BudgetBlockedFlightsAreTimed) {
   net::simulator sim;
   ca::ecosystem eco = ca::ecosystem::make();
   rng issue_rng{99};
-  auto chain = eco.issue(eco.profile("le-r3-x1cross"), "x.org", issue_rng);
+  auto chain =
+      eco.issue(eco.profile(profile_id::le_r3_x1cross), "x.org", issue_rng);
   const bytes dictionary = eco.compression_dictionary();
   server srv{sim,   kServerEp, std::move(chain),
              server_behavior::compliant(), dictionary, 1};
@@ -706,7 +715,7 @@ TEST(Handshake, BudgetBlockedFlightsAreTimed) {
 // Property: an RFC-9000-compliant server never exceeds the 3x limit
 // before validation, across Initial sizes, chains and coalescing modes.
 struct ComplianceCase {
-  const char* profile;
+  profile_id profile;
   std::size_t initial_size;
   bool coalesce;
   bool acks;
@@ -736,16 +745,16 @@ TEST_P(AmplificationInvariant, Holds) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AmplificationInvariant,
     ::testing::Values(
-        ComplianceCase{"cloudflare", 1200, true, true},
-        ComplianceCase{"cloudflare", 1472, false, true},
-        ComplianceCase{"le-r3-x1cross", 1200, true, true},
-        ComplianceCase{"le-r3-x1cross", 1200, false, false},
-        ComplianceCase{"le-r3-x1cross", 1362, true, false},
-        ComplianceCase{"le-r3-x1cross", 1472, false, true},
-        ComplianceCase{"sectigo", 1250, true, true},
-        ComplianceCase{"sectigo", 1362, false, false},
-        ComplianceCase{"cpanel", 1302, true, true},
-        ComplianceCase{"gts-1c3", 1362, false, true}));
+        ComplianceCase{profile_id::cloudflare, 1200, true, true},
+        ComplianceCase{profile_id::cloudflare, 1472, false, true},
+        ComplianceCase{profile_id::le_r3_x1cross, 1200, true, true},
+        ComplianceCase{profile_id::le_r3_x1cross, 1200, false, false},
+        ComplianceCase{profile_id::le_r3_x1cross, 1362, true, false},
+        ComplianceCase{profile_id::le_r3_x1cross, 1472, false, true},
+        ComplianceCase{profile_id::sectigo, 1250, true, true},
+        ComplianceCase{profile_id::sectigo, 1362, false, false},
+        ComplianceCase{profile_id::cpanel, 1302, true, true},
+        ComplianceCase{profile_id::gts_1c3, 1362, false, true}));
 
 TEST(Packet, VersionNegotiationRoundTrip) {
   const packet vn = make_version_negotiation(
@@ -767,7 +776,7 @@ TEST(Handshake, VersionMismatchNegotiatesAndCompletes) {
   behavior.supported_version = 0x6b3343cfu;  // QUIC v2 code point
   client_config config;
   config.initial_size = 1362;  // client offers v1
-  const auto obs = fx.run("cloudflare", behavior, std::move(config));
+  const auto obs = fx.run(profile_id::cloudflare, behavior, std::move(config));
   EXPECT_TRUE(obs.version_negotiation_seen);
   EXPECT_TRUE(obs.handshake_complete);
   EXPECT_GE(obs.client_datagrams, 2u);  // original + renegotiated Initial
@@ -775,7 +784,7 @@ TEST(Handshake, VersionMismatchNegotiatesAndCompletes) {
 
 TEST(Handshake, MatchingVersionSkipsNegotiation) {
   handshake_fixture fx;
-  const auto obs = fx.run("cloudflare", server_behavior::compliant(),
+  const auto obs = fx.run(profile_id::cloudflare, server_behavior::compliant(),
                           client_config{.initial_size = 1362});
   EXPECT_FALSE(obs.version_negotiation_seen);
 }
@@ -788,7 +797,7 @@ TEST(Handshake, SilentClientIgnoresVersionNegotiation) {
   config.initial_size = 1362;
   config.send_acks = false;
   config.timeout = net::seconds(2);
-  const auto obs = fx.run("cloudflare", behavior, std::move(config));
+  const auto obs = fx.run(profile_id::cloudflare, behavior, std::move(config));
   EXPECT_FALSE(obs.version_negotiation_seen);
   EXPECT_FALSE(obs.handshake_complete);
   // A VN reply is tiny: no amplification value for attackers.
@@ -959,7 +968,8 @@ TEST(Handshake, DraftPolicyOrdering) {
     config.initial_size = 1200;
     config.send_acks = false;
     config.timeout = net::seconds(30);
-    const auto obs = fx.run("le-r3-x1cross", behavior, std::move(config));
+    const auto obs =
+        fx.run(profile_id::le_r3_x1cross, behavior, std::move(config));
     return obs.bytes_received_total;
   };
   const auto unlimited = run_policy(amplification_policy::unlimited);

@@ -17,12 +17,9 @@ const internet::model& shared_model() {
   return m;
 }
 
-const internet::service_record* find_quic(
-    internet::behavior_kind kind,
-    const std::string& chain = std::string{}) {
+const internet::service_record* find_quic(internet::behavior_kind kind) {
   for (const auto& rec : shared_model().records()) {
-    if (rec.serves_quic() && rec.behavior == kind && rec.cruise_sans == 0 &&
-        (chain.empty() || rec.chain_profile == chain)) {
+    if (rec.serves_quic() && rec.behavior == kind && rec.cruise_sans == 0) {
       return &rec;
     }
   }
@@ -76,7 +73,7 @@ TEST(Reach, ClassifiesByBehavior) {
     }
     const auto result = prober.probe(*rec, {.initial_size = 1362});
     EXPECT_EQ(result.cls, c.cls)
-        << rec->domain << " / " << rec->chain_profile;
+        << rec->domain << " / " << ca::to_string(rec->profile);
   }
 }
 

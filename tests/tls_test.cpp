@@ -15,12 +15,14 @@
 namespace certquic::tls {
 namespace {
 
+using ca::profile_id;
+
 class TlsTest : public ::testing::Test {
  protected:
   ca::ecosystem eco_ = ca::ecosystem::make();
   rng rng_{77};
 
-  x509::chain make_chain(const char* profile = "cloudflare") {
+  x509::chain make_chain(profile_id profile = profile_id::cloudflare) {
     return eco_.issue(eco_.profile(profile), "example.org", rng_);
   }
 };
@@ -128,7 +130,7 @@ TEST_F(TlsTest, CertificateMessageMatchesChainSize) {
 }
 
 TEST_F(TlsTest, CompressedCertificateShrinksChain) {
-  const auto chain = make_chain("le-r3-x1cross");
+  const auto chain = make_chain(profile_id::le_r3_x1cross);
   const bytes dictionary = eco_.compression_dictionary();
   const compress::codec codec{compress::algorithm::brotli, dictionary};
   const bytes plain = encode_certificate(chain);
@@ -178,17 +180,17 @@ TEST_F(TlsTest, ServerFlightLevelsSplitCorrectly) {
 }
 
 TEST_F(TlsTest, FlightSizeDominatedByCertificate) {
-  const auto small = build_server_flight(make_chain("cloudflare"), nullptr,
-                                         rng_);
-  const auto big = build_server_flight(make_chain("le-r3-x1cross"), nullptr,
-                                       rng_);
+  const auto small =
+      build_server_flight(make_chain(profile_id::cloudflare), nullptr, rng_);
+  const auto big = build_server_flight(make_chain(profile_id::le_r3_x1cross),
+                                       nullptr, rng_);
   // §2: "the size of a server reply is mainly determined by its
   // certificate [chain]".
   EXPECT_GT(big.total_size(), small.total_size() + 1500);
 }
 
 TEST_F(TlsTest, CompressedFlightFitsAmplificationBudget) {
-  const auto chain = make_chain("le-r3-x1cross");
+  const auto chain = make_chain(profile_id::le_r3_x1cross);
   const bytes dictionary = eco_.compression_dictionary();
   const compress::codec codec{compress::algorithm::brotli, dictionary};
   const auto plain = build_server_flight(chain, nullptr, rng_);
@@ -273,8 +275,9 @@ TEST_F(TlsTest, EncoderBytesArePinned) {
   for (const auto pq :
        {x509::pq_profile::classical, x509::pq_profile::pqc_full}) {
     rng issue_rng{8};
-    const x509::chain chain = eco_.issue(eco_.profile("le-r3-x1cross"),
-                                         "example.org", issue_rng, pq);
+    const x509::chain chain =
+        eco_.issue(eco_.profile(profile_id::le_r3_x1cross), "example.org",
+                   issue_rng, pq);
     for (const compress::codec* codec : {static_cast<const compress::codec*>(
                                              nullptr),
                                          &brotli}) {

@@ -1096,7 +1096,8 @@ int tab03_draft_policies() {
   const auto& model = shared_model();
 
   text_table table({"IETF spec", "rule", "backscatter [B]", "amplification"});
-  for (const auto& row : core::run_policy_study(model, "le-r3-x1cross")) {
+  for (const auto& row :
+       core::run_policy_study(model, ca::profile_id::le_r3_x1cross)) {
     table.add_row({row.spec, row.rule, std::to_string(row.bytes_received),
                    fixed(row.amplification, 1) + "x"});
   }
