@@ -304,8 +304,7 @@ TEST_F(ChurnTest, ChurnActuallyChangesThePopulation) {
     const service_record& re = evolved.records()[i];
     EXPECT_EQ(rb.domain, re.domain) << "churn must not rename domains";
     EXPECT_EQ(rb.rank, re.rank);
-    if (rb.seed != re.seed || rb.svc != re.svc ||
-        rb.profile != re.profile) {
+    if (rb.seed != re.seed || rb.svc != re.svc || rb.profile != re.profile) {
       ++differing;
     }
   }
