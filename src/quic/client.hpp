@@ -110,6 +110,8 @@ struct observation {
                : static_cast<double>(bytes_received_first_burst) /
                      static_cast<double>(bytes_sent_first_flight);
   }
+
+  [[nodiscard]] bool operator==(const observation&) const = default;
 };
 
 /// A single-use handshake client.

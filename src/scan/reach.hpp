@@ -58,6 +58,8 @@ struct probe_result {
   /// received. 0 when the probe did not measure TTFB (measure_ttfb
   /// off) or never saw an application byte (failed/lossy exchange).
   net::duration ttfb = 0;
+
+  [[nodiscard]] bool operator==(const probe_result&) const = default;
 };
 
 /// Stateless prober over a synthetic-Internet model. Each probe runs in

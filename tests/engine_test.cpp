@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -527,6 +528,125 @@ TEST(ChainTable, NonQuicServiceStillThrowsInPlanOrder) {
   }
   // In parallel the first worker to fail reports; it still fails.
   EXPECT_THROW((void)run_plan(plan, {.threads = 8}), config_error);
+}
+
+/// One probe of the order test: a service and the options it is
+/// probed under.
+struct probe_case {
+  const internet::service_record* rec = nullptr;
+  scan::probe_options opt;
+  const char* label = "";
+};
+
+/// Golden-population probes that exercise every piece of per-probe
+/// state: the three ACK policies, a pqc_full chain, a lossy,
+/// bandwidth-capped network with a TTFB exchange, and a compressing,
+/// capturing client. The services are a QUIC sample plus the first
+/// Retry servers, so Retry, Version-Negotiation-free and budget-blocked
+/// handshakes all occur.
+std::vector<probe_case> order_cases(const internet::model& m) {
+  std::vector<std::uint32_t> services =
+      engine::sample_indices(m, engine::service_filter::quic, 36);
+  std::size_t retry_servers = 0;
+  for (std::uint32_t i = 0; i < m.records().size() && retry_servers < 6;
+       ++i) {
+    const auto& rec = m.records()[i];
+    if (rec.serves_quic() &&
+        rec.behavior == internet::behavior_kind::retry_always) {
+      services.push_back(i);
+      ++retry_servers;
+    }
+  }
+
+  std::vector<std::pair<const char*, scan::probe_options>> variants;
+  variants.emplace_back("delayed-ack", scan::probe_options{});
+  scan::probe_options instant;
+  instant.ack_delay = 0;
+  variants.emplace_back("instant-ack", instant);
+  scan::probe_options silent;
+  silent.send_acks = false;
+  variants.emplace_back("no-ack", silent);
+  scan::probe_options pqc;
+  pqc.chain_profile = x509::pq_profile::pqc_full;
+  pqc.initial_size = 1252;
+  variants.emplace_back("pqc_full", pqc);
+  scan::probe_options lossy;
+  lossy.network = {.name = "lossy-and-bandwidth-capped",
+                   .rtt = net::milliseconds(80),
+                   .loss_rate = 0.2,
+                   .bandwidth_bps = 2'000'000};
+  lossy.measure_ttfb = true;
+  variants.emplace_back("lossy-capped", lossy);
+  scan::probe_options compressing;
+  compressing.offer_compression = {compress::algorithm::zstd,
+                                   compress::algorithm::brotli};
+  compressing.capture_certificate = true;
+  compressing.initial_size = 1472;
+  variants.emplace_back("compressing", compressing);
+
+  std::vector<probe_case> cases;
+  for (std::uint64_t salt = 0; salt < variants.size(); ++salt) {
+    const auto& [label, opt] = variants[salt];
+    for (const std::uint32_t i : services) {
+      probe_case c{&m.records()[i], opt, label};
+      // Half the variants keep the record seed, half take an engine
+      // seed, so both seeding paths reuse the world.
+      if (salt % 2 == 1) {
+        c.opt.seed_override =
+            engine::probe_seed(9, c.rec->domain, salt);
+      }
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+TEST(ProbeWorld, ResultsDoNotDependOnProbeOrder) {
+  // Each probe's result must be a function of its service and options
+  // alone: run on a fresh thread, after every other probe, or after
+  // every other probe in reverse, it must be the same whole result.
+  // State a probe leaves behind for the next one fails this test.
+  const internet::model& m = shared_model();
+  const scan::reach prober{m};
+  const std::vector<probe_case> cases = order_cases(m);
+
+  std::vector<scan::probe_result> fresh(cases.size());
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    std::thread worker{[&, k] {
+      fresh[k] = prober.probe(*cases[k].rec, cases[k].opt);
+    }};
+    worker.join();
+  }
+  // The cases cover what they claim to.
+  std::size_t retries = 0, compressed = 0, timed_out = 0, ttfb = 0,
+              blocked = 0, complete = 0;
+  for (const scan::probe_result& r : fresh) {
+    retries += r.obs.retry_seen;
+    compressed += r.obs.compression_used;
+    timed_out += r.obs.timed_out;
+    ttfb += r.ttfb > 0;
+    blocked += r.obs.acks_before_complete > 0;
+    complete += r.obs.handshake_complete;
+  }
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(compressed, 0u);
+  EXPECT_GT(timed_out, 0u);
+  EXPECT_GT(ttfb, 0u);
+  EXPECT_GT(blocked, 0u);
+  EXPECT_GT(complete, 0u);
+
+  const auto expect_fresh = [&](std::size_t k, const char* order) {
+    const probe_case& c = cases[k];
+    EXPECT_TRUE(prober.probe(*c.rec, c.opt) == fresh[k])
+        << order << " probe " << k << ": " << c.rec->domain << " under "
+        << c.label;
+  };
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    expect_fresh(k, "forward");
+  }
+  for (std::size_t k = cases.size(); k-- > 0;) {
+    expect_fresh(k, "reverse");
+  }
 }
 
 TEST(SampleIndices, CapZeroSelectsEveryMatch) {
