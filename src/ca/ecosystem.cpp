@@ -429,12 +429,11 @@ x509::chain ecosystem::issue(const chain_profile& profile,
   const leaf_profile& lp = profile.leaf;
   static const distinguished_name unknown_issuer =
       distinguished_name::cn("Unknown Issuer");
-  const distinguished_name subject = distinguished_name::cn(domain);
   certificate_spec spec;
   // The leaf's issuer is its parent's subject, copied as encoded.
   spec.issuer = parents.empty() ? x509::name_ref{unknown_issuer}
                                 : x509::name_ref{parents.front()->subject()};
-  spec.subject = subject;
+  spec.subject = x509::name_ref::common_name(domain);
   // The classical key draw is consumed under every profile so a
   // record's chain keeps its structure (SANs, SCT count) across the
   // PQC sweep; both PQC stages then put ML-DSA-44 on the leaf.
@@ -602,9 +601,8 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
     leaf_key = key_algorithm::mldsa_44;
   }
 
-  const distinguished_name subject = distinguished_name::cn(domain);
   const certificate_spec spec{.issuer = parent_name,
-                              .subject = subject,
+                              .subject = x509::name_ref::common_name(domain),
                               .valid = {},
                               .key_alg = leaf_key,
                               .sig_alg = x509::signature_by(parent_key)};
@@ -641,10 +639,9 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
   const chain_profile& base = profile(profile_id::cpanel);
   const auto& parents =
       pq == x509::pq_profile::pqc_full ? base.parents_pqc : base.parents;
-  const distinguished_name subject = distinguished_name::cn(domain);
   const certificate_spec spec{
       .issuer = parents.front()->subject(),
-      .subject = subject,
+      .subject = x509::name_ref::common_name(domain),
       .valid = {},
       .key_alg = pq == x509::pq_profile::classical ? key_algorithm::rsa_2048
                                                    : key_algorithm::mldsa_44,

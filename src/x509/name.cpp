@@ -78,21 +78,43 @@ std::string distinguished_name::common_name() const {
   return {};
 }
 
+namespace {
+
+/// One RelativeDistinguishedName: a SET of one AttributeTypeAndValue.
+void encode_rdn(asn1::der_writer& w, const asn1::oid& attribute,
+                std::string_view value, bool printable) {
+  w.open(asn1::tag::set);
+  w.open(asn1::tag::sequence);
+  w.oid(attribute);
+  if (printable) {
+    w.printable_string(value);
+  } else {
+    w.utf8_string(value);
+  }
+  w.close();
+  w.close();
+}
+
+}  // namespace
+
 void distinguished_name::encode(asn1::der_writer& w) const {
   w.open(asn1::tag::sequence);
   for (const auto& part : parts_) {
-    w.open(asn1::tag::set);
-    w.open(asn1::tag::sequence);
-    w.oid(*part.attribute);
-    if (part.printable) {
-      w.printable_string(part.value);
-    } else {
-      w.utf8_string(part.value);
-    }
-    w.close();
-    w.close();
+    encode_rdn(w, *part.attribute, part.value, part.printable);
   }
   w.close();
+}
+
+void name_ref::encode(asn1::der_writer& w) const {
+  if (dn_ != nullptr) {
+    dn_->encode(w);
+  } else if (common_name_.data() != nullptr) {  // set, maybe empty
+    w.open(asn1::tag::sequence);
+    encode_rdn(w, oids::common_name, common_name_, /*printable=*/false);
+    w.close();
+  } else {
+    w.raw(der_);
+  }
 }
 
 std::string distinguished_name::to_string() const {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asn1/der.hpp"
@@ -58,9 +59,10 @@ class distinguished_name {
 };
 
 /// The issuer or subject of a certificate being issued: a
-/// distinguished_name to encode, or a Name already encoded (a parent
-/// certificate's subject), copied verbatim. It views either, so what it
-/// refers to must outlive the issuance.
+/// distinguished_name to encode, a Name already encoded (a parent
+/// certificate's subject), copied verbatim, or CN=<common name> encoded
+/// straight from a view of the name. It views each, so what it refers
+/// to must outlive the issuance.
 class name_ref {
  public:
   name_ref() = default;
@@ -68,18 +70,21 @@ class name_ref {
   name_ref(distinguished_name&&) = delete;  // would dangle
   name_ref(bytes_view der) : der_(der) {}
 
-  /// Writes the Name into `w`.
-  void encode(asn1::der_writer& w) const {
-    if (dn_ != nullptr) {
-      dn_->encode(w);
-    } else {
-      w.raw(der_);
-    }
+  /// CN=<common_name>: the Name distinguished_name::cn(common_name)
+  /// encodes, with no copy of the name.
+  [[nodiscard]] static name_ref common_name(std::string_view common_name) {
+    name_ref ref;
+    ref.common_name_ = common_name;
+    return ref;
   }
+
+  /// Writes the Name into `w`.
+  void encode(asn1::der_writer& w) const;
 
  private:
   const distinguished_name* dn_ = nullptr;
   bytes_view der_;
+  std::string_view common_name_;
 };
 
 }  // namespace certquic::x509
