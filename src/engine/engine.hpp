@@ -1,11 +1,13 @@
 // The experiment engine: shards a probe_plan across a thread pool and
 // streams the results to an observation_sink in deterministic plan
-// order, so parallel runs are bit-identical to serial ones. The
-// executor gives every probe a fresh simulator; spoofed sessions, whose
-// replies only a telescope hears, run through run_backscatter
-// (engine/backscatter.hpp). A multi-variant plan first materializes
-// each sampled service's chain once per chain profile into a
-// read-only table, which its probes borrow without a lock.
+// order, so parallel runs are bit-identical to serial ones. Every
+// probe runs in its worker's probe world (scan/reach.hpp), reset to a
+// fresh world's state first, so no result depends on which probes the
+// worker ran before; spoofed sessions, whose replies only a telescope
+// hears, run through run_backscatter (engine/backscatter.hpp). A
+// multi-variant plan first materializes each sampled service's chain
+// once per chain profile into a read-only table, which its probes
+// borrow without a lock.
 //
 // parallel_ordered is the single execution primitive underneath it
 // all: workers claim fixed-size chunks of the index space, and the
@@ -224,7 +226,7 @@ class executor {
   explicit executor(const internet::model& m, options opt = {})
       : model_(m), opt_(opt) {}
 
-  /// Runs the plan, one fresh simulator per probe, streaming every
+  /// Runs the plan, each probe in a freshly reset world, streaming every
   /// probe to the sink in plan order, wrapped in the sink's
   /// on_begin/on_end lifecycle. Throws config_error on a plan without
   /// variants, and reach::probe's config_error for a sampled service

@@ -351,9 +351,14 @@ x509::chain model::chain_of(const service_record& rec, fetch_protocol proto,
                         : std::nullopt);
 }
 
-quic::server_behavior model::behavior_of(const service_record& rec) const {
+namespace {
+
+/// The behaviour of a record with `kind` and its compression support
+/// (0: none, 1: brotli, 2: all three algorithms).
+quic::server_behavior make_behavior(behavior_kind kind,
+                                    std::size_t compression) {
   quic::server_behavior b;
-  switch (rec.behavior) {
+  switch (kind) {
     case behavior_kind::cloudflare:
       b = quic::server_behavior::cloudflare();
       break;
@@ -376,14 +381,37 @@ quic::server_behavior model::behavior_of(const service_record& rec) const {
       break;
   }
   b.compression_support.clear();
-  if (rec.supports_all_algorithms) {
+  if (compression == 2) {
     b.compression_support = {compress::algorithm::brotli,
                              compress::algorithm::zlib,
                              compress::algorithm::zstd};
-  } else if (rec.supports_brotli) {
+  } else if (compression == 1) {
     b.compression_support = {compress::algorithm::brotli};
   }
   return b;
+}
+
+}  // namespace
+
+const quic::server_behavior& model::behavior_of(
+    const service_record& rec) const {
+  // Six kinds times three compression supports: built once, so a probe
+  // copies no algorithm list.
+  constexpr std::size_t kKinds =
+      static_cast<std::size_t>(behavior_kind::retry_always) + 1;
+  static const auto table = [] {
+    std::array<std::array<quic::server_behavior, 3>, kKinds> t;
+    for (std::size_t kind = 0; kind < kKinds; ++kind) {
+      for (std::size_t compression = 0; compression < 3; ++compression) {
+        t[kind][compression] =
+            make_behavior(static_cast<behavior_kind>(kind), compression);
+      }
+    }
+    return t;
+  }();
+  const std::size_t compression =
+      rec.supports_all_algorithms ? 2 : rec.supports_brotli ? 1 : 0;
+  return table[static_cast<std::size_t>(rec.behavior)][compression];
 }
 
 std::vector<meta_host> model::meta_pop(bool post_disclosure) const {

@@ -205,8 +205,9 @@ class model {
       const service_record& r, fetch_protocol proto,
       x509::pq_profile pq = x509::pq_profile::classical) const;
 
-  /// Server behaviour profile for a QUIC record.
-  [[nodiscard]] quic::server_behavior behavior_of(
+  /// Server behaviour profile for a QUIC record: one of a fixed set
+  /// shared by every record with the same kind and compression support.
+  [[nodiscard]] const quic::server_behavior& behavior_of(
       const service_record& r) const;
 
   /// Shared compression dictionary for the whole population.

@@ -2,8 +2,32 @@
 
 #include <algorithm>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace certquic::net {
 namespace {
+
+/// Marks a pooled buffer's storage unreadable while it is idle (under
+/// AddressSanitizer; a no-op otherwise). A frame that still views a
+/// delivered datagram then faults on its next read instead of quietly
+/// reading whatever the buffer carries next.
+void set_idle(const bytes& buffer, bool idle) {
+#if defined(__SANITIZE_ADDRESS__)
+  if (buffer.capacity() == 0) {
+    return;
+  }
+  if (idle) {
+    ASAN_POISON_MEMORY_REGION(buffer.data(), buffer.capacity());
+  } else {
+    ASAN_UNPOISON_MEMORY_REGION(buffer.data(), buffer.capacity());
+  }
+#else
+  (void)buffer;
+  (void)idle;
+#endif
+}
 
 /// Uniform [0, 1) draw that is a pure function of (seed, seq): two
 /// splitmix64 rounds over the sequence number. Quality is plenty for
@@ -20,6 +44,50 @@ double loss_draw(std::uint64_t seed, std::uint64_t seq) {
 constexpr path_config kDefaultPath{};
 
 }  // namespace
+
+simulator::~simulator() {
+  for (const bytes& buffer : pool_) {
+    set_idle(buffer, false);
+  }
+}
+
+void simulator::reset(std::uint64_t loss_seed) {
+  for (event& ev : queue_) {
+    if (auto* d = std::get_if<datagram>(&ev.what)) {
+      recycle(std::move(d->payload));
+    }
+  }
+  queue_.clear();
+  routes_.clear();
+  now_ = 0;
+  next_seq_ = 0;
+  stats_ = {};
+  loss_seed_ = loss_seed;
+  send_seq_ = 0;
+}
+
+bytes simulator::take_buffer() {
+  if (pool_.empty()) {
+    return {};
+  }
+  bytes buffer = std::move(pool_.back());
+  pool_.pop_back();
+  set_idle(buffer, false);
+  return buffer;
+}
+
+void simulator::recycle(bytes&& payload) {
+  // A probe has a few datagrams in flight at once and an amplifying
+  // server a few dozen; storage past that, from senders that bring
+  // their own buffers, is freed.
+  constexpr std::size_t kMaxPooled = 32;
+  if (payload.capacity() == 0 || pool_.size() == kMaxPooled) {
+    return;
+  }
+  payload.clear();
+  set_idle(payload, true);
+  pool_.push_back(std::move(payload));
+}
 
 simulator::route* simulator::find(const endpoint_id& ep) {
   for (route& r : routes_) {
@@ -59,13 +127,16 @@ void simulator::push(time_point at, std::variant<datagram, timer_fn> what) {
 void simulator::fire_next() {
   // Pop before running: a handler or timer may push events.
   std::pop_heap(queue_.begin(), queue_.end(), event_later{});
-  const event ev = std::move(queue_.back());
+  event ev = std::move(queue_.back());
   queue_.pop_back();
   now_ = ev.at;
   if (const auto* fn = std::get_if<timer_fn>(&ev.what)) {
     (*fn)();
   } else {
-    deliver(std::get<datagram>(ev.what));
+    datagram& d = std::get<datagram>(ev.what);
+    deliver(d);
+    // The handler has returned, so nothing views the payload any more.
+    recycle(std::move(d.payload));
   }
 }
 
@@ -90,6 +161,7 @@ void simulator::send(datagram d) {
   if (d.payload.size() > path.udp_capacity()) {
     // QUIC sets DF; an oversize datagram is dropped, not fragmented.
     ++stats_.dropped_oversize;
+    recycle(std::move(d.payload));
     return;
   }
   // Bandwidth serialization: the datagram departs once the link frees
@@ -107,6 +179,7 @@ void simulator::send(datagram d) {
   if (path.loss_rate > 0.0 &&
       loss_draw(loss_seed_, seq) < path.loss_rate) {
     ++stats_.dropped_loss;
+    recycle(std::move(d.payload));
     return;
   }
   push(depart + path.one_way_delay, std::move(d));

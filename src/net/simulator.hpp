@@ -97,6 +97,11 @@ struct traffic_stats {
 ///
 /// A handler may send and schedule, but must not attach, detach or set
 /// a path: those may move or destroy the running handler.
+///
+/// Payload storage is recycled: once a datagram is delivered or
+/// dropped its buffer waits in a pool, and `take_buffer` hands it to
+/// the next sender. Under AddressSanitizer a pooled buffer is poisoned
+/// while it waits, so a view that outlives its delivery still faults.
 class simulator {
  public:
   /// Room for a probe's two addresses is made up front, in one
@@ -105,6 +110,21 @@ class simulator {
       : loss_seed_(loss_seed) {
     routes_.reserve(2);
   }
+  ~simulator();
+
+  simulator(const simulator&) = delete;
+  simulator& operator=(const simulator&) = delete;
+
+  /// Returns to the state `simulator{loss_seed}` starts in: time 0, no
+  /// event, no address, zero counters. Only storage is kept: the event
+  /// heap's and the address table's capacity and the payload pool.
+  /// Endpoints attached before must be reset or destroyed too (they
+  /// reattach through their own reset).
+  void reset(std::uint64_t loss_seed);
+
+  /// An empty buffer for a datagram payload: the storage of one already
+  /// delivered or dropped when the pool has one, else a new vector.
+  [[nodiscard]] bytes take_buffer();
 
   using handler = std::function<void(const datagram&)>;
   using timer_fn = std::function<void()>;
@@ -173,6 +193,8 @@ class simulator {
   route& route_to(const endpoint_id& ep);
 
   void push(time_point at, std::variant<datagram, timer_fn> what);
+  /// Returns a payload's storage to the pool.
+  void recycle(bytes&& payload);
   /// Pops the earliest event, advances `now_` to it and runs it. The
   /// event is moved out of the heap, never copied, so neither a timer
   /// callback nor a datagram payload is copied on the way.
@@ -188,6 +210,8 @@ class simulator {
   /// std::priority_queue, whose top() is const and so forces a copy.
   std::vector<event> queue_;
   std::vector<route> routes_;
+  /// Idle payload buffers, empty but with their capacity.
+  std::vector<bytes> pool_;
   traffic_stats stats_{};
   /// Loss is drawn as a pure hash of (loss_seed_, send sequence
   /// number), not from a shared RNG stream: whether datagram N is lost

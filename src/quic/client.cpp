@@ -45,17 +45,52 @@ std::string to_string(ack_policy p) {
 client::client(net::simulator& sim, net::endpoint_id local,
                net::endpoint_id server, client_config config,
                std::uint64_t seed)
-    : sim_(sim),
-      local_(local),
-      server_(server),
-      config_(std::move(config)),
-      rng_(seed) {
-  dcid_.resize(8);
-  rng_.fill(dcid_);
-  sim_.attach(local_, [this](const net::datagram& d) { on_datagram(d); });
+    : sim_(sim), config_(std::move(config)) {
+  restart(local, server, seed);
 }
 
-client::~client() { sim_.detach(local_); }
+client::client(net::simulator& sim) : sim_(sim) {}
+
+client::~client() {
+  if (attached_) {
+    sim_.detach(local_);
+  }
+}
+
+void client::reset(net::endpoint_id local, net::endpoint_id server,
+                   const client_config& config, std::uint64_t seed) {
+  config_ = config;
+  restart(local, server, seed);
+}
+
+void client::restart(net::endpoint_id local, net::endpoint_id server,
+                     std::uint64_t seed) {
+  local_ = local;
+  server_ = server;
+  rng_ = rng{seed};
+  obs_ = {};
+  dcid_.resize(8);
+  rng_.fill(dcid_);
+  scid_ = {};
+  server_scid_ = {};
+  client_hello_.clear();
+  finished_.clear();
+  initial_stream_.clear();
+  handshake_stream_.clear();
+  handshake_cursor_ = 0;
+  saw_finished_ = false;
+  abandoned_ = false;
+  largest_initial_pn_ = 0;
+  largest_handshake_pn_ = 0;
+  handshake_keys_ = false;
+  ack_timer_armed_ = false;
+  finished_sent_ = false;
+  next_pn_initial_ = 0;
+  next_pn_handshake_ = 0;
+  next_pn_app_ = 0;
+  sim_.attach(local_, [this](const net::datagram& d) { on_datagram(d); });
+  attached_ = true;
+}
 
 void client::start() {
   obs_.start_time = sim_.now();
@@ -68,8 +103,8 @@ void client::start() {
 }
 
 void client::send_initial(const bytes& token) {
-  client_hello_ =
-      tls::encode_client_hello(config_.sni, config_.offer_compression, rng_);
+  tls::encode_client_hello(config_.sni, config_.offer_compression, rng_,
+                           client_hello_);
   packet& init = reuse_slot(tx_, 0);
   init.type = packet_type::initial;
   init.version = config_.version;
@@ -79,15 +114,17 @@ void client::send_initial(const bytes& token) {
   init.packet_number = next_pn_initial_++;
   init.frames.push_back(crypto_frame{0, client_hello_});
 
-  const std::span<packet> dgram{tx_.data(), 1};
-  (void)pad_datagram_to(dgram, config_.initial_size);
-  bytes wire = encode_datagram(dgram);
+  (void)pad_datagram_to({tx_.data(), 1}, config_.initial_size);
+  send_datagram(1, config_.spoof_source.value_or(local_));
+}
 
-  const net::endpoint_id src = config_.spoof_source.value_or(local_);
+void client::send_datagram(std::size_t n, const net::endpoint_id& src) {
+  bytes wire = sim_.take_buffer();
+  encode_datagram({tx_.data(), n}, wire);
   ++obs_.client_datagrams;
   obs_.bytes_sent_total += wire.size();
   if (obs_.bytes_sent_first_flight == 0) {
-    obs_.bytes_sent_first_flight = wire.size();
+    obs_.bytes_sent_first_flight = wire.size();  // the first datagram
   }
   sim_.send({src, server_, std::move(wire)});
 }
@@ -281,7 +318,7 @@ void client::send_ack_flight() {
     hs.packet_number = next_pn_handshake_++;
     hs.frames.push_back(ack_frame{largest_handshake_pn_});
     if (obs_.handshake_complete) {
-      finished_ = tls::encode_finished(rng_);
+      tls::encode_finished(rng_, finished_);
       hs.frames.push_back(crypto_frame{0, finished_});
       finished_sent_ = true;
     }
@@ -305,10 +342,7 @@ void client::send_ack_flight() {
   // minimum... but ACK-only Initial packets are not ack-eliciting, so
   // no padding is required here (RFC 9000 §14.1 applies to
   // ack-eliciting Initials).
-  bytes wire = encode_datagram({tx_.data(), n});
-  ++obs_.client_datagrams;
-  obs_.bytes_sent_total += wire.size();
-  sim_.send({local_, server_, std::move(wire)});
+  send_datagram(n, local_);
 }
 
 }  // namespace certquic::quic

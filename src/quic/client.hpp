@@ -114,15 +114,25 @@ struct observation {
   [[nodiscard]] bool operator==(const observation&) const = default;
 };
 
-/// A single-use handshake client.
+/// A handshake client: one attempt per construction or `reset`.
 class client {
  public:
   client(net::simulator& sim, net::endpoint_id local,
          net::endpoint_id server, client_config config, std::uint64_t seed);
+  /// An idle client: attached nowhere, sending nothing until `reset`.
+  explicit client(net::simulator& sim);
   ~client();
 
   client(const client&) = delete;
   client& operator=(const client&) = delete;
+
+  /// Turns this client into the one the constructor builds from the
+  /// same arguments, on a simulator `reset` since its last attempt:
+  /// every field is what that constructor leaves, and only storage is
+  /// kept (the configuration's strings and lists, the TLS message and
+  /// reassembly buffers, the packet slots).
+  void reset(net::endpoint_id local, net::endpoint_id server,
+             const client_config& config, std::uint64_t seed);
 
   /// Sends the first flight.
   void start();
@@ -133,7 +143,13 @@ class client {
   }
 
  private:
+  /// Everything but the configuration, as the constructor leaves it.
+  void restart(net::endpoint_id local, net::endpoint_id server,
+               std::uint64_t seed);
   void send_initial(const bytes& token);
+  /// Encodes tx_[0, n) into one datagram and sends it to the server
+  /// from `src`.
+  void send_datagram(std::size_t n, const net::endpoint_id& src);
   void on_datagram(const net::datagram& d);
   void maybe_complete();
   /// Records a whole framed (Compressed)Certificate `message` in the
@@ -147,6 +163,7 @@ class client {
   net::endpoint_id server_;
   client_config config_;
   rng rng_;
+  bool attached_ = false;
   observation obs_;
 
   connection_id dcid_;

@@ -134,13 +134,6 @@ std::size_t packet::wire_size() const {
   return header + varint_size(protected_size) + protected_size;
 }
 
-bytes encode_packet(const packet& p) {
-  buffer_writer w;
-  w.storage().reserve(p.wire_size());
-  write_packet(w, p);
-  return std::move(w).take();
-}
-
 packet& reuse_slot(std::vector<packet>& slots, std::size_t i) {
   if (i == slots.size()) {
     // A handshake datagram coalesces a few packets of a few frames
@@ -304,14 +297,20 @@ std::size_t datagram_size(std::span<const packet> packets) {
   return total;
 }
 
-bytes encode_datagram(std::span<const packet> packets) {
+void encode_datagram(std::span<const packet> packets, bytes& out) {
   // One buffer for the whole datagram, sized up front.
-  buffer_writer w;
+  buffer_writer w{std::move(out)};
   w.storage().reserve(datagram_size(packets));
   for (const auto& p : packets) {
     write_packet(w, p);
   }
-  return std::move(w).take();
+  out = std::move(w).take();
+}
+
+bytes encode_datagram(std::span<const packet> packets) {
+  bytes out;
+  encode_datagram(packets, out);
+  return out;
 }
 
 datagram_accounting account_datagram(bytes_view payload) {

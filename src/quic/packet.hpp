@@ -109,9 +109,6 @@ struct packet {
   [[nodiscard]] bool ack_eliciting() const;
 };
 
-/// Encodes one packet.
-[[nodiscard]] bytes encode_packet(const packet& p);
-
 /// Builds a Version Negotiation packet echoing the client's connection
 /// ids and listing the server's supported versions. Throws codec_error
 /// when either id exceeds kMaxConnectionIdSize.
@@ -149,6 +146,9 @@ std::size_t pad_datagram_to(std::span<packet> packets, std::size_t target);
 
 /// Encodes a coalesced datagram (packets concatenated).
 [[nodiscard]] bytes encode_datagram(std::span<const packet> packets);
+/// As above, into `out`, replacing its contents and keeping its
+/// storage (e.g. a buffer from net::simulator::take_buffer).
+void encode_datagram(std::span<const packet> packets, bytes& out);
 
 /// Byte-accounting across a parsed datagram.
 struct datagram_accounting {

@@ -126,25 +126,43 @@ server::server(net::simulator& sim, net::endpoint_id address,
 server::server(net::simulator& sim, net::endpoint_id address,
                const x509::chain* chain, server_behavior behavior,
                bytes_view codec_dictionary, std::uint64_t seed)
-    : sim_(sim),
-      address_(address),
-      chain_(chain),
-      behavior_(std::move(behavior)),
-      codec_dictionary_(codec_dictionary),
-      rng_(seed) {
-  if (behavior_.max_udp_payload < kMinInitialSize) {
+    : server(sim) {
+  reset(address, chain, behavior, codec_dictionary, seed);
+}
+
+server::server(net::simulator& sim) : sim_(sim) {}
+
+server::~server() {
+  if (chain_ != nullptr) {  // an idle server never attached
+    sim_.detach(address_);
+  }
+}
+
+void server::reset(net::endpoint_id address, const x509::chain* chain,
+                   const server_behavior& behavior,
+                   bytes_view codec_dictionary, std::uint64_t seed) {
+  if (behavior.max_udp_payload < kMinInitialSize) {
     // Below this the CRYPTO chunk arithmetic in pump underflows; RFC
     // 9000 §18.2 makes 1200 the floor for max_udp_payload_size anyway.
     throw config_error("server_behavior::max_udp_payload below " +
                        std::to_string(kMinInitialSize));
   }
+  address_ = address;
+  if (chain != &owned_chain_) {
+    owned_chain_ = {};
+  }
+  chain_ = chain;
+  behavior_ = behavior;
+  codec_dictionary_ = codec_dictionary;
+  rng_ = rng{seed};
+  stats_ = {};
+  open_ = 0;
+  ptos_armed_ = 0;
   sim_.attach(address_, [this](const net::datagram& d) { on_datagram(d); });
 }
 
-server::~server() { sim_.detach(address_); }
-
 server::connection* server::find(const net::endpoint_id& peer) {
-  for (connection& c : conns_) {
+  for (connection& c : open_connections()) {
     if (c.peer == peer) {
       return &c;
     }
@@ -152,9 +170,30 @@ server::connection* server::find(const net::endpoint_id& peer) {
   return nullptr;
 }
 
+server::connection& server::open(const net::endpoint_id& peer) {
+  if (open_ == conns_.size()) {
+    conns_.emplace_back();
+  }
+  connection& c = conns_[open_++];
+  tls::server_flight flight = std::move(c.flight);
+  c = connection{};
+  c.flight = std::move(flight);
+  c.flight.server_hello.clear();
+  c.flight.handshake.clear();
+  c.peer = peer;
+  return c;
+}
+
 void server::close(net::endpoint_id peer) {
-  std::erase_if(conns_,
-                [&peer](const connection& c) { return c.peer == peer; });
+  for (std::size_t i = 0; i < open_; ++i) {
+    if (conns_[i].peer == peer) {
+      --open_;
+      if (i != open_) {
+        std::swap(conns_[i], conns_[open_]);
+      }
+      return;
+    }
+  }
 }
 
 void server::on_datagram(const net::datagram& d) {
@@ -176,8 +215,7 @@ void server::on_datagram(const net::datagram& d) {
     if (!has_initial || d.payload.size() < kMinInitialSize) {
       return;  // RFC 9000 §14.1: drop undersized client Initials
     }
-    found = &conns_.emplace_back();
-    found->peer = d.src;
+    found = &open(d.src);
     found->our_scid.resize(8);
     rng_.fill(found->our_scid);
     ++stats_.connections;
@@ -191,7 +229,7 @@ void server::on_datagram(const net::datagram& d) {
     // completes the round trip and validates the path (RFC 9000 §8.1).
     if (!c.validated) {
       c.validated = true;
-      ++c.pto_generation;  // cancel outstanding retransmission timers
+      c.pto_timer = 0;  // cancel the outstanding retransmission timer
       if (c.budget_blocked) {
         // The budget had a flight parked; validation releases it now —
         // account how long the limit gated the timeline.
@@ -234,16 +272,13 @@ void server::handle_client_initial(connection& c, const packet& p) {
     // paying one extra round trip.
     const packet vn = make_version_negotiation(
         p.scid, p.dcid, {behavior_.supported_version});
-    bytes wire = encode_packet(vn);
-    ++stats_.datagrams_sent;
-    stats_.bytes_sent += wire.size();
-    sim_.send({address_, c.peer, std::move(wire)});
+    send_datagram(c.peer, {&vn, 1});
     close(c.peer);
     return;
   }
 
   if (behavior_.always_retry && p.token.empty()) {
-    packet retry;
+    packet& retry = reuse_slot(tx_, 0);
     retry.type = packet_type::retry;
     retry.dcid = c.client_scid;
     retry.scid = c.our_scid;
@@ -251,10 +286,7 @@ void server::handle_client_initial(connection& c, const packet& p) {
     rng_.fill(retry.token);
     // A Retry consumes the connection attempt: the client will come
     // back with the token in a fresh Initial.
-    bytes wire = encode_packet(retry);
-    ++stats_.datagrams_sent;
-    stats_.bytes_sent += wire.size();
-    sim_.send({address_, c.peer, std::move(wire)});
+    send_datagram(c.peer, {tx_.data(), 1});
     close(c.peer);
     return;
   }
@@ -299,10 +331,7 @@ void server::handle_client_initial(connection& c, const packet& p) {
     }
   }
 
-  tls::server_flight flight =
-      tls::build_server_flight(*chain_, codec.get(), rng_);
-  c.initial_stream = std::move(flight.server_hello);
-  c.handshake_stream = std::move(flight.handshake);
+  tls::build_server_flight(*chain_, codec.get(), rng_, c.flight);
 
   pump(c, /*include_ack=*/true);
   if (!c.validated) {
@@ -356,15 +385,21 @@ void server::transmit(connection& c, std::span<const packet> packets) {
   }
   c.handshake_packets_sent += handshake_packets;
   ++c.datagrams_sent;
-  bytes wire = encode_datagram(packets);
+  send_datagram(c.peer, packets);
+}
+
+void server::send_datagram(const net::endpoint_id& to,
+                           std::span<const packet> packets) {
+  bytes wire = sim_.take_buffer();
+  encode_datagram(packets, wire);
   ++stats_.datagrams_sent;
   stats_.bytes_sent += wire.size();
-  sim_.send({address_, c.peer, std::move(wire)});
+  sim_.send({address_, to, std::move(wire)});
 }
 
 void server::pump(connection& c, bool include_ack) {
-  pump_until(c, include_ack, c.initial_stream.size(),
-             c.handshake_stream.size());
+  pump_until(c, include_ack, c.flight.server_hello.size(),
+             c.flight.handshake.size());
 }
 
 void server::pump_until(connection& c, bool include_ack,
@@ -419,7 +454,8 @@ void server::pump_until(connection& c, bool include_ack,
         const std::size_t chunk = std::min(initial_left, space - 60);
         init.frames.push_back(crypto_frame{
             c.initial_sent,
-            bytes_view{c.initial_stream}.subspan(c.initial_sent, chunk)});
+            bytes_view{c.flight.server_hello}.subspan(c.initial_sent,
+                                                      chunk)});
         c.initial_sent += chunk;
       }
       const std::size_t init_size = init.wire_size();
@@ -438,7 +474,8 @@ void server::pump_until(connection& c, bool include_ack,
         const std::size_t chunk = std::min(hs_left, space - overhead);
         hs.frames.push_back(crypto_frame{
             c.handshake_sent,
-            bytes_view{c.handshake_stream}.subspan(c.handshake_sent, chunk)});
+            bytes_view{c.flight.handshake}.subspan(c.handshake_sent,
+                                                   chunk)});
         c.handshake_sent += chunk;
       }
     }
@@ -565,14 +602,17 @@ void server::maybe_send_app_response(connection& c, const packet& p) {
 }
 
 void server::arm_pto(connection& c) {
-  const std::uint64_t generation = c.pto_generation;
-  const net::endpoint_id peer = c.peer;
-  sim_.schedule(c.pto, [this, peer, generation]() {
-    connection* conn = find(peer);
-    if (conn == nullptr || conn->pto_generation != generation) {
-      return;  // closed or cancelled
+  c.pto_timer = ++ptos_armed_;
+  // The closure holds `this` and the id, 16 bytes: std::function keeps
+  // that inline, so arming a PTO allocates nothing.
+  sim_.schedule(c.pto, [this, id = c.pto_timer]() {
+    for (connection& conn : open_connections()) {
+      if (conn.pto_timer == id) {
+        retransmit(conn);
+        return;
+      }
     }
-    retransmit(*conn);
+    // Closed or cancelled.
   });
 }
 

@@ -3,11 +3,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/simulator.hpp"
 #include "quic/behavior.hpp"
 #include "quic/packet.hpp"
+#include "tls/handshake.hpp"
 #include "util/rng.hpp"
 #include "x509/chain.hpp"
 
@@ -40,6 +42,8 @@ class server {
   server(net::simulator& sim, net::endpoint_id address, x509::chain chain,
          server_behavior behavior, bytes_view codec_dictionary,
          std::uint64_t seed);
+  /// An idle server: attached nowhere, serving nothing until `reset`.
+  explicit server(net::simulator& sim);
   /// As above, but borrows the chain the way it borrows the dictionary:
   /// `chain` must be non-null and outlive the server. Serves a chain
   /// shared by many probes without copying it.
@@ -57,6 +61,20 @@ class server {
 
   server(const server&) = delete;
   server& operator=(const server&) = delete;
+
+  /// Turns this server into the one the borrowing constructor builds
+  /// from the same arguments, on a simulator `reset` since it last
+  /// served: every field is what that constructor leaves, and only
+  /// storage is kept (the connection slots with their flight buffers,
+  /// the packet slots, the behaviour's algorithm list). Throws as the
+  /// constructor does.
+  void reset(net::endpoint_id address, const x509::chain* chain,
+             const server_behavior& behavior, bytes_view codec_dictionary,
+             std::uint64_t seed);
+  /// A temporary dictionary would dangle once `reset` returns.
+  void reset(net::endpoint_id address, const x509::chain* chain,
+             const server_behavior& behavior, bytes&& codec_dictionary,
+             std::uint64_t seed) = delete;
 
   [[nodiscard]] const net::endpoint_id& address() const noexcept {
     return address_;
@@ -83,24 +101,32 @@ class server {
     std::uint64_t next_pn_handshake = 0;
     std::uint64_t largest_seen_initial_pn = 0;
     bool largest_seen_valid = false;
-    // TLS byte streams by encryption level.
-    bytes initial_stream;    // ServerHello
-    bytes handshake_stream;  // EE..Finished (possibly compressed cert)
+    /// TLS byte streams by encryption level: the ServerHello at the
+    /// Initial level, EE..Finished at the Handshake level.
+    tls::server_flight flight;
     std::size_t initial_sent = 0;    // first-transmission watermark
     std::size_t handshake_sent = 0;
     std::size_t retransmissions = 0;
     net::duration pto = 0;
-    std::uint64_t pto_generation = 0;  // cancels stale timers
+    std::uint64_t pto_timer = 0;  // the armed PTO's id; 0: none armed
     bool budget_blocked = false;       // a flight waits on validation
     net::time_point blocked_since = 0;
     bool app_response_sent = false;    // one response per connection
     std::uint64_t next_pn_app = 0;
   };
 
+  /// The open connections: the front of conns_.
+  [[nodiscard]] std::span<connection> open_connections() noexcept {
+    return {conns_.data(), open_};
+  }
   /// The connection from `peer`, or null.
   [[nodiscard]] connection* find(const net::endpoint_id& peer);
-  /// Forgets the connection from `peer`. By value: the caller's address
-  /// is often the peer field of the element being erased.
+  /// Opens a connection from `peer` in the first free slot: a fresh
+  /// connection that keeps the slot's flight storage.
+  connection& open(const net::endpoint_id& peer);
+  /// Forgets the connection from `peer`: its slot moves behind the open
+  /// ones. By value: the caller's address is often the peer field of
+  /// the slot being moved.
   void close(net::endpoint_id peer);
 
   void on_datagram(const net::datagram& d);
@@ -128,18 +154,26 @@ class server {
                             std::size_t handshake_packets);
 
   void transmit(connection& c, std::span<const packet> packets);
+  /// Encodes `packets` into one datagram to `to` and counts it.
+  void send_datagram(const net::endpoint_id& to,
+                     std::span<const packet> packets);
 
   net::simulator& sim_;
   net::endpoint_id address_;
   x509::chain owned_chain_;  // empty when the chain is borrowed
-  const x509::chain* chain_;
+  const x509::chain* chain_ = nullptr;  // null while idle
   server_behavior behavior_;
   bytes_view codec_dictionary_;
   rng rng_;
   server_stats stats_;
-  /// One entry per live connection, found by peer. A reference into it
-  /// lasts until the next connection is opened or closed.
+  /// Connection slots: the first open_ hold the live connections,
+  /// found by peer; the rest are closed ones kept for their storage. A
+  /// reference into it lasts until the next connection is opened or
+  /// closed.
   std::vector<connection> conns_;
+  std::size_t open_ = 0;
+  /// How many PTOs were armed; each takes the count as its id.
+  std::uint64_t ptos_armed_ = 0;
   /// Packet slots for received and sent datagrams (see reuse_slot). A
   /// sent CRYPTO frame views its connection's TLS stream.
   std::vector<packet> rx_;

@@ -15,6 +15,24 @@ void require_quic(const internet::service_record& rec) {
   }
 }
 
+/// Everything one probe runs on: the simulator, the two endpoints and
+/// the client's configuration. Each thread keeps one and resets it for
+/// every probe, so a probe allocates only while the world's buffers
+/// still grow. Every reset restores what a fresh object starts with, so
+/// a result depends only on its record and options, never on the
+/// probes this thread ran before.
+struct probe_world {
+  net::simulator sim;
+  quic::server server{sim};
+  quic::client client{sim};
+  quic::client_config config;
+};
+
+probe_world& this_threads_world() {
+  thread_local probe_world world;
+  return world;
+}
+
 }  // namespace
 
 probe_result reach::probe(const internet::service_record& rec,
@@ -31,9 +49,10 @@ probe_result reach::probe(const internet::service_record& rec,
                           const probe_options& opt,
                           const x509::chain& chain) const {
   require_quic(rec);
+  probe_world& w = this_threads_world();
   const std::uint64_t seed =
       opt.seed_override != 0 ? opt.seed_override : rec.seed;
-  net::simulator sim{seed ^ 0x5ca7};
+  w.sim.reset(seed ^ 0x5ca7);
 
   const net::endpoint_id server_ep{rec.address, 443};
   const net::endpoint_id client_ep{net::ipv4::of(10, 99, 0, 1), 40443};
@@ -45,23 +64,24 @@ probe_result reach::probe(const internet::service_record& rec,
   net::path_config to_server;
   to_server.encapsulation_overhead = rec.lb_overhead;
   opt.network.apply_to(to_server);
-  sim.set_path_to(server_ep, to_server);
+  w.sim.set_path_to(server_ep, to_server);
   net::path_config to_client;
   opt.network.apply_to(to_client);
   to_client.one_way_delay = opt.network.rtt - opt.network.rtt / 2;
-  sim.set_path_to(client_ep, to_client);
+  w.sim.set_path_to(client_ep, to_client);
 
-  quic::server srv{sim,
-                   server_ep,
-                   &chain,
-                   model_.behavior_of(rec),
-                   model_.compression_dictionary(),
-                   seed ^ 0x5e4};
+  w.server.reset(server_ep, &chain, model_.behavior_of(rec),
+                 model_.compression_dictionary(), seed ^ 0x5e4);
 
-  quic::client_config config;
+  // Every field from the defaults, then the probe's; assignment keeps
+  // the storage of the SNI and the offers.
+  static const quic::client_config kDefaults{};
+  quic::client_config& config = w.config;
+  config = kDefaults;
   config.initial_size = opt.initial_size;
-  config.offer_compression = opt.offer_compression;
-  config.sni = rec.domain;
+  config.offer_compression.assign(opt.offer_compression.begin(),
+                                  opt.offer_compression.end());
+  config.sni.assign(rec.domain);
   config.capture_certificate = opt.capture_certificate;
   config.send_acks = opt.send_acks;
   config.ack_delay = opt.ack_delay;
@@ -69,13 +89,12 @@ probe_result reach::probe(const internet::service_record& rec,
   if (opt.timeout) {
     config.timeout = *opt.timeout;
   }
-  quic::client cli{sim, client_ep, server_ep, std::move(config),
-                   seed ^ 0xC11};
-  cli.start();
-  sim.run();
+  w.client.reset(client_ep, server_ep, config, seed ^ 0xC11);
+  w.client.start();
+  w.sim.run();
 
   probe_result out;
-  out.obs = cli.result();
+  out.obs = w.client.result();
   out.cls = classify(out.obs);
   if (out.obs.first_app_byte_time != 0) {
     out.ttfb = out.obs.first_app_byte_time - out.obs.start_time;

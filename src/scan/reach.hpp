@@ -62,9 +62,19 @@ struct probe_result {
   [[nodiscard]] bool operator==(const probe_result&) const = default;
 };
 
-/// Stateless prober over a synthetic-Internet model. Each probe runs in
-/// a fresh simulator, mirroring the paper's independent handshakes
-/// (which pause 30 minutes between same-service probes).
+/// Prober over a synthetic-Internet model. Each probe is an independent
+/// handshake, as the paper's are (they pause 30 minutes between
+/// same-service probes). It runs in its thread's probe world: one
+/// simulator, one quic::server and one quic::client, reset before every
+/// probe. A reset restores every field a freshly built object starts
+/// with (virtual time 0, no event or address, zero counters, the
+/// probe's seeds) and keeps only storage: the event heap, the address
+/// table, the payload pool, packet and connection slots, TLS and
+/// reassembly buffers, and the client's SNI and offers. So a result
+/// depends only on its record and options, never on which probes the
+/// thread ran before (engine_test's ProbeWorld test pins it), and a
+/// probe on a borrowed chain allocates nothing once the world has
+/// grown.
 class reach {
  public:
   /// With a chain_cache, repeat visits of the same service reuse the

@@ -233,8 +233,17 @@ frame_info peek_frame(bytes_view data) noexcept {
 bytes encode_client_hello(std::string_view server_name,
                           std::span<const compress::algorithm> offers,
                           rng& r) {
+  bytes out;
+  encode_client_hello(server_name, offers, r, out);
+  return out;
+}
+
+void encode_client_hello(std::string_view server_name,
+                         std::span<const compress::algorithm> offers, rng& r,
+                         bytes& out) {
+  buffer_writer w{std::move(out)};
   // ~250 bytes of fixed fields and extensions, plus the variable ones.
-  buffer_writer w{320 + server_name.size() + 2 * offers.size()};
+  w.storage().reserve(320 + server_name.size() + 2 * offers.size());
   const std::size_t msg = open_message(w, handshake_type::client_hello);
   w.u16(0x0303);  // legacy_version
   put_random(w, 32, r);
@@ -309,7 +318,7 @@ bytes encode_client_hello(std::string_view server_name,
   }
   close_u16(w, exts);
   close_u24(w, msg);
-  return std::move(w).take();
+  out = std::move(w).take();
 }
 
 std::vector<compress::algorithm> parse_offered_compression(
@@ -379,9 +388,16 @@ bytes encode_certificate_verify(x509::key_algorithm leaf_key, rng& r) {
 }
 
 bytes encode_finished(rng& r) {
-  buffer_writer w{kFinishedSize};
+  bytes out;
+  encode_finished(r, out);
+  return out;
+}
+
+void encode_finished(rng& r, bytes& out) {
+  buffer_writer w{std::move(out)};
+  w.storage().reserve(kFinishedSize);
   write_finished(w, r);
-  return std::move(w).take();
+  out = std::move(w).take();
 }
 
 std::size_t server_flight::total_size() const noexcept {
@@ -391,12 +407,23 @@ std::size_t server_flight::total_size() const noexcept {
 server_flight build_server_flight(const x509::chain& chain,
                                   const compress::codec* codec, rng& r) {
   server_flight flight;
-  flight.server_hello = encode_server_hello(r);
+  build_server_flight(chain, codec, r, flight);
+  return flight;
+}
+
+void build_server_flight(const x509::chain& chain,
+                         const compress::codec* codec, rng& r,
+                         server_flight& flight) {
+  buffer_writer sh{std::move(flight.server_hello)};
+  sh.storage().reserve(kServerHelloSize);
+  write_server_hello(sh, r);
+  flight.server_hello = std::move(sh).take();
   // The chain plus its per-entry framing, and room for
   // EncryptedExtensions, CertificateVerify and Finished, so the buffer
   // never regrows.
-  buffer_writer hs{kEncryptedExtensionsSize + certificate_size(chain) +
-                   kMaxCertificateVerifySize + kFinishedSize};
+  buffer_writer hs{std::move(flight.handshake)};
+  hs.storage().reserve(kEncryptedExtensionsSize + certificate_size(chain) +
+                       kMaxCertificateVerifySize + kFinishedSize);
   write_encrypted_extensions(hs, r);
   if (codec != nullptr) {
     write_compressed_certificate(hs, chain, *codec);
@@ -406,7 +433,6 @@ server_flight build_server_flight(const x509::chain& chain,
   write_certificate_verify(hs, chain.leaf().key_alg(), r);
   write_finished(hs, r);
   flight.handshake = std::move(hs).take();
-  return flight;
 }
 
 }  // namespace certquic::tls

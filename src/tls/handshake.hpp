@@ -69,6 +69,11 @@ struct frame_info {
 [[nodiscard]] bytes encode_client_hello(
     std::string_view server_name, std::span<const compress::algorithm> offers,
     rng& r);
+/// As above, into `out`, replacing its contents and keeping its
+/// storage.
+void encode_client_hello(std::string_view server_name,
+                         std::span<const compress::algorithm> offers, rng& r,
+                         bytes& out);
 
 /// Parses the compression algorithms offered by a ClientHello built by
 /// encode_client_hello ({} when the extension is absent). Hostile input
@@ -98,6 +103,9 @@ struct frame_info {
 
 /// Encodes Finished (32-byte verify_data for SHA-256 suites).
 [[nodiscard]] bytes encode_finished(rng& r);
+/// As above, into `out`, replacing its contents and keeping its
+/// storage.
+void encode_finished(rng& r, bytes& out);
 
 /// The server's first flight, split by encryption level as QUIC carries
 /// it: ServerHello at the Initial level, the rest at Handshake level.
@@ -116,5 +124,10 @@ struct server_flight {
 /// algorithm the client offered).
 [[nodiscard]] server_flight build_server_flight(
     const x509::chain& chain, const compress::codec* codec, rng& r);
+/// As above, into `flight`, replacing both levels' bytes and keeping
+/// their storage.
+void build_server_flight(const x509::chain& chain,
+                         const compress::codec* codec, rng& r,
+                         server_flight& flight);
 
 }  // namespace certquic::tls

@@ -27,6 +27,12 @@ class buffer_writer {
   /// Starts with room for `capacity` bytes, so an encoder that knows its
   /// output size up front never regrows.
   explicit buffer_writer(std::size_t capacity) { buf_.reserve(capacity); }
+  /// Writes into `storage`, emptied first but keeping its capacity: a
+  /// caller that hands the same buffer back for every message stops
+  /// allocating once it has grown to the largest one.
+  explicit buffer_writer(bytes&& storage) : buf_(std::move(storage)) {
+    buf_.clear();
+  }
 
   /// Writes an 8-bit value.
   void u8(std::uint8_t v) { buf_.push_back(v); }

@@ -221,7 +221,7 @@ TEST(Packet, WireSizeMatchesEncoding) {
   r.fill(crypto_data);
   p.frames.push_back(crypto_frame{0, crypto_data});
   p.frames.push_back(padding_frame{100});
-  EXPECT_EQ(encode_packet(p).size(), p.wire_size());
+  EXPECT_EQ(encode_datagram({&p, 1}).size(), p.wire_size());
 }
 
 TEST(Packet, DatagramRoundTripWithCoalescing) {
@@ -386,7 +386,7 @@ packet packet_of_kind(const std::string& kind) {
 /// connection_id can hold, still reach the parser.
 bytes with_cid_lengths(const packet& p, std::uint8_t dcid_len,
                        std::uint8_t scid_len) {
-  const bytes wire = encode_packet(p);
+  const bytes wire = encode_datagram({&p, 1});
   const bool short_header = p.type == packet_type::one_rtt;
   // Short header: flags, dcid length. Long header: flags, version,
   // dcid length, scid length.
