@@ -45,12 +45,6 @@ constexpr path_config kDefaultPath{};
 
 }  // namespace
 
-simulator::~simulator() {
-  for (const bytes& buffer : pool_) {
-    set_idle(buffer, false);
-  }
-}
-
 void simulator::reset(std::uint64_t loss_seed) {
   for (event& ev : queue_) {
     if (auto* d = std::get_if<datagram>(&ev.what)) {

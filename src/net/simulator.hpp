@@ -110,10 +110,6 @@ class simulator {
       : loss_seed_(loss_seed) {
     routes_.reserve(2);
   }
-  ~simulator();
-
-  simulator(const simulator&) = delete;
-  simulator& operator=(const simulator&) = delete;
 
   /// Returns to the state `simulator{loss_seed}` starts in: time 0, no
   /// event, no address, zero counters. Only storage is kept: the event
