@@ -15,9 +15,6 @@ namespace {
 /// reading whatever the buffer carries next.
 void set_idle(const bytes& buffer, bool idle) {
 #if defined(__SANITIZE_ADDRESS__)
-  if (buffer.capacity() == 0) {
-    return;
-  }
   if (idle) {
     ASAN_POISON_MEMORY_REGION(buffer.data(), buffer.capacity());
   } else {
@@ -46,11 +43,6 @@ constexpr path_config kDefaultPath{};
 }  // namespace
 
 void simulator::reset(std::uint64_t loss_seed) {
-  for (event& ev : queue_) {
-    if (auto* d = std::get_if<datagram>(&ev.what)) {
-      recycle(std::move(d->payload));
-    }
-  }
   queue_.clear();
   routes_.clear();
   now_ = 0;
