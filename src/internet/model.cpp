@@ -6,6 +6,7 @@
 #include <span>
 #include <thread>
 
+#include "util/assert.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::internet {
@@ -409,9 +410,12 @@ const quic::server_behavior& model::behavior_of(
     }
     return t;
   }();
+  const auto kind = static_cast<std::size_t>(rec.behavior);
+  // A kind added after retry_always would have no row.
+  CERTQUIC_ASSERT(kind < kKinds, "behavior_kind past the behaviour table");
   const std::size_t compression =
       rec.supports_all_algorithms ? 2 : rec.supports_brotli ? 1 : 0;
-  return table[static_cast<std::size_t>(rec.behavior)][compression];
+  return table[kind][compression];
 }
 
 std::vector<meta_host> model::meta_pop(bool post_disclosure) const {

@@ -63,11 +63,7 @@ bytes simulator::take_buffer() {
 }
 
 void simulator::recycle(bytes&& payload) {
-  // A probe has a few datagrams in flight at once and an amplifying
-  // server a few dozen; storage past that, from senders that bring
-  // their own buffers, is freed.
-  constexpr std::size_t kMaxPooled = 32;
-  if (payload.capacity() == 0 || pool_.size() == kMaxPooled) {
+  if (payload.capacity() == 0) {
     return;
   }
   payload.clear();

@@ -126,8 +126,8 @@ server::server(net::simulator& sim, net::endpoint_id address,
 server::server(net::simulator& sim, net::endpoint_id address,
                const x509::chain* chain, server_behavior behavior,
                bytes_view codec_dictionary, std::uint64_t seed)
-    : server(sim) {
-  reset(address, chain, behavior, codec_dictionary, seed);
+    : sim_(sim), behavior_(std::move(behavior)) {
+  restart(address, chain, codec_dictionary, seed);
 }
 
 server::server(net::simulator& sim) : sim_(sim) {}
@@ -141,7 +141,13 @@ server::~server() {
 void server::reset(net::endpoint_id address, const x509::chain* chain,
                    const server_behavior& behavior,
                    bytes_view codec_dictionary, std::uint64_t seed) {
-  if (behavior.max_udp_payload < kMinInitialSize) {
+  behavior_ = behavior;
+  restart(address, chain, codec_dictionary, seed);
+}
+
+void server::restart(net::endpoint_id address, const x509::chain* chain,
+                     bytes_view codec_dictionary, std::uint64_t seed) {
+  if (behavior_.max_udp_payload < kMinInitialSize) {
     // Below this the CRYPTO chunk arithmetic in pump underflows; RFC
     // 9000 §18.2 makes 1200 the floor for max_udp_payload_size anyway.
     throw config_error("server_behavior::max_udp_payload below " +
@@ -152,7 +158,6 @@ void server::reset(net::endpoint_id address, const x509::chain* chain,
     owned_chain_ = {};
   }
   chain_ = chain;
-  behavior_ = behavior;
   codec_dictionary_ = codec_dictionary;
   rng_ = rng{seed};
   stats_ = {};

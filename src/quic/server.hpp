@@ -86,6 +86,12 @@ class server {
   }
 
  private:
+  /// Everything but the behaviour, as the constructor leaves it.
+  /// Throws when the behaviour's max_udp_payload is below
+  /// kMinInitialSize.
+  void restart(net::endpoint_id address, const x509::chain* chain,
+               bytes_view codec_dictionary, std::uint64_t seed);
+
   struct connection {
     net::endpoint_id peer;
     connection_id client_scid;  // the client's source cid (our dcid to it)

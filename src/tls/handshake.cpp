@@ -230,14 +230,6 @@ frame_info peek_frame(bytes_view data) noexcept {
   return info;
 }
 
-bytes encode_client_hello(std::string_view server_name,
-                          std::span<const compress::algorithm> offers,
-                          rng& r) {
-  bytes out;
-  encode_client_hello(server_name, offers, r, out);
-  return out;
-}
-
 void encode_client_hello(std::string_view server_name,
                          std::span<const compress::algorithm> offers, rng& r,
                          bytes& out) {
@@ -385,12 +377,6 @@ bytes encode_certificate_verify(x509::key_algorithm leaf_key, rng& r) {
   buffer_writer w{kMaxCertificateVerifySize};
   write_certificate_verify(w, leaf_key, r);
   return std::move(w).take();
-}
-
-bytes encode_finished(rng& r) {
-  bytes out;
-  encode_finished(r, out);
-  return out;
 }
 
 void encode_finished(rng& r, bytes& out) {

@@ -66,11 +66,7 @@ struct frame_info {
 /// groups/versions, x25519 key share, QUIC transport parameters, and a
 /// compress_certificate extension (RFC 8879) offering `offers`; empty
 /// `offers` leaves the extension absent (like quicreach's stack, §3.2).
-[[nodiscard]] bytes encode_client_hello(
-    std::string_view server_name, std::span<const compress::algorithm> offers,
-    rng& r);
-/// As above, into `out`, replacing its contents and keeping its
-/// storage.
+/// Writes into `out`, replacing its contents and keeping its storage.
 void encode_client_hello(std::string_view server_name,
                          std::span<const compress::algorithm> offers, rng& r,
                          bytes& out);
@@ -101,10 +97,8 @@ void encode_client_hello(std::string_view server_name,
 [[nodiscard]] bytes encode_certificate_verify(x509::key_algorithm leaf_key,
                                               rng& r);
 
-/// Encodes Finished (32-byte verify_data for SHA-256 suites).
-[[nodiscard]] bytes encode_finished(rng& r);
-/// As above, into `out`, replacing its contents and keeping its
-/// storage.
+/// Encodes Finished (32-byte verify_data for SHA-256 suites) into
+/// `out`, replacing its contents and keeping its storage.
 void encode_finished(rng& r, bytes& out);
 
 /// The server's first flight, split by encryption level as QUIC carries

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ca/ecosystem.hpp"
@@ -16,6 +18,20 @@ namespace certquic::tls {
 namespace {
 
 using ca::profile_id;
+
+bytes encoded_client_hello(std::string_view server_name,
+                           std::span<const compress::algorithm> offers,
+                           rng& r) {
+  bytes out;
+  encode_client_hello(server_name, offers, r, out);
+  return out;
+}
+
+bytes encoded_finished(rng& r) {
+  bytes out;
+  encode_finished(r, out);
+  return out;
+}
 
 class TlsTest : public ::testing::Test {
  protected:
@@ -76,7 +92,7 @@ TEST_F(TlsTest, PeekFrameStatusTable) {
 
 TEST_F(TlsTest, ParseOfferedCompressionRejectsTruncatedClientHello) {
   const compress::algorithm brotli[] = {compress::algorithm::brotli};
-  const bytes ch = encode_client_hello("example.org", brotli, rng_);
+  const bytes ch = encoded_client_hello("example.org", brotli, rng_);
   for (const std::size_t len : {std::size_t{0}, std::size_t{3},
                                 std::size_t{40}, ch.size() - 1}) {
     SCOPED_TRACE(len);
@@ -85,12 +101,12 @@ TEST_F(TlsTest, ParseOfferedCompressionRejectsTruncatedClientHello) {
         codec_error);
   }
   // A whole message that is not a ClientHello is rejected too.
-  EXPECT_THROW((void)parse_offered_compression(encode_finished(rng_)),
+  EXPECT_THROW((void)parse_offered_compression(encoded_finished(rng_)),
                codec_error);
 }
 
 TEST_F(TlsTest, ClientHelloRealisticSize) {
-  const bytes ch = encode_client_hello("www.example.org", {}, rng_);
+  const bytes ch = encoded_client_hello("www.example.org", {}, rng_);
   // Realistic browser ClientHellos (sans padding) run ~250-400 bytes.
   EXPECT_GT(ch.size(), 250u);
   EXPECT_LT(ch.size(), 420u);
@@ -100,15 +116,14 @@ TEST_F(TlsTest, ClientHelloRealisticSize) {
 TEST_F(TlsTest, ClientHelloCompressionOfferRoundTrip) {
   const compress::algorithm offers[] = {compress::algorithm::brotli,
                                         compress::algorithm::zstd};
-  const bytes ch = encode_client_hello("example.org", offers, rng_);
+  const bytes ch = encoded_client_hello("example.org", offers, rng_);
   const auto offered = parse_offered_compression(ch);
   ASSERT_EQ(offered.size(), 2u);
   EXPECT_EQ(offered[0], compress::algorithm::brotli);
   EXPECT_EQ(offered[1], compress::algorithm::zstd);
 
-  EXPECT_TRUE(
-      parse_offered_compression(encode_client_hello("example.org", {}, rng_))
-          .empty());
+  const bytes bare = encoded_client_hello("example.org", {}, rng_);
+  EXPECT_TRUE(parse_offered_compression(bare).empty());
 }
 
 TEST_F(TlsTest, ServerHelloSizeStable) {
@@ -150,7 +165,22 @@ TEST_F(TlsTest, CertificateVerifySizeTracksKey) {
 }
 
 TEST_F(TlsTest, FinishedIs36Bytes) {
-  EXPECT_EQ(encode_finished(rng_).size(), 36u);
+  EXPECT_EQ(encoded_finished(rng_).size(), 36u);
+}
+
+// A reused buffer comes back holding only the new message, in the
+// storage it brought.
+TEST_F(TlsTest, EncodersReplaceTheBufferAndKeepItsStorage) {
+  bytes out(700, 0xab);
+  const std::uint8_t* storage = out.data();
+  rng a{9};
+  rng b{9};
+  encode_client_hello("example.org", {}, a, out);
+  EXPECT_EQ(out, encoded_client_hello("example.org", {}, b));
+  EXPECT_EQ(out.data(), storage);
+  encode_finished(a, out);
+  EXPECT_EQ(out, encoded_finished(b));
+  EXPECT_EQ(out.data(), storage);
 }
 
 TEST_F(TlsTest, ServerFlightLevelsSplitCorrectly) {
@@ -241,15 +271,15 @@ TEST_F(TlsTest, EncoderBytesArePinned) {
   };
   std::vector<std::pair<std::string, std::uint64_t>> got;
   got.emplace_back("client_hello", with_rng(1, [](rng& r) {
-                     return encode_client_hello("example.org", {}, r);
+                     return encoded_client_hello("example.org", {}, r);
                    }));
   got.emplace_back("client_hello_compression", with_rng(2, [](rng& r) {
                      const compress::algorithm offers[] = {
                          compress::algorithm::zlib,
                          compress::algorithm::brotli,
                          compress::algorithm::zstd};
-                     return encode_client_hello("www.example.com", offers,
-                                                r);
+                     return encoded_client_hello("www.example.com",
+                                                 offers, r);
                    }));
   got.emplace_back("server_hello", with_rng(3, [](rng& r) {
                      return encode_server_hello(r);
@@ -258,7 +288,7 @@ TEST_F(TlsTest, EncoderBytesArePinned) {
                      return encode_encrypted_extensions(r);
                    }));
   got.emplace_back("finished", with_rng(5, [](rng& r) {
-                     return encode_finished(r);
+                     return encoded_finished(r);
                    }));
   for (const auto alg :
        {x509::key_algorithm::rsa_2048, x509::key_algorithm::rsa_4096,
