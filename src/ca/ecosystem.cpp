@@ -19,9 +19,12 @@ namespace {
 /// the full operational set, legacy roots are sparse.
 enum class ca_style { root, legacy_root, intermediate };
 
+/// A CA certificate. Its URLs name the host `url_host` + `url_domain`
+/// (a long-tail CA's "<label>" + ".example"), built from the two views.
 std::shared_ptr<const certificate> make_ca_cert(
     rng& r, x509::name_ref subject, x509::name_ref issuer, key_algorithm key,
-    key_algorithm issuer_key, ca_style style, std::string_view url_host) {
+    key_algorithm issuer_key, ca_style style, std::string_view url_host,
+    std::string_view url_domain = {}) {
   const certificate_spec spec{
       .issuer = issuer,
       .subject = subject,
@@ -41,13 +44,13 @@ std::shared_ptr<const certificate> make_ca_cert(
         }
         if (style == ca_style::intermediate) {
           x509::write_ext_key_usage(w, true);
-          x509::write_certificate_policies(w, false,
-                                           {"http://", url_host, "/cps"});
+          x509::write_certificate_policies(
+              w, false, {"http://", url_host, url_domain, "/cps"});
           x509::write_authority_info_access(
-              w, {"http://ocsp.", url_host},
-              {"http://", url_host, "/root.crt"});
+              w, {"http://ocsp.", url_host, url_domain},
+              {"http://", url_host, url_domain, "/root.crt"});
           x509::write_crl_distribution_points(
-              w, {"http://crl.", url_host, "/root.crl"});
+              w, {"http://crl.", url_host, url_domain, "/root.crl"});
         }
       });
 }
@@ -71,6 +74,20 @@ std::shared_ptr<const certificate> make_pqc_twin(const certificate& parent,
       "pq.pki.example");
 }
 
+/// The thread's subjectAltName list, cleared. A leaf's SANs are drawn
+/// before its certificate is encoded, so they are held somewhere: here,
+/// in storage every leaf this thread issues reuses.
+std::vector<x509::dns_name>& san_scratch() {
+  thread_local std::vector<x509::dns_name> sans;
+  sans.clear();
+  return sans;
+}
+
+/// One immutable parent list, for chains to share.
+std::shared_ptr<const x509::parent_list> share(x509::parent_list parents) {
+  return std::make_shared<const x509::parent_list>(std::move(parents));
+}
+
 }  // namespace
 
 std::string_view to_string(profile_id id) noexcept {
@@ -87,7 +104,7 @@ std::string_view to_string(profile_id id) noexcept {
 
 std::size_t chain_profile::parent_wire_size() const {
   std::size_t total = 0;
-  for (const auto& parent : parents) {
+  for (const auto& parent : *parents) {
     total += parent->size();
   }
   return total;
@@ -221,7 +238,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
 
   add({.id = profile_id::cloudflare,
        .display = "Cloudflare Inc ECC CA-3",
-       .parents = {cf_ecc},
+       .parents = share({cf_ecc}),
        .quic_share = 0.6154,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 4,
@@ -234,7 +251,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
   // leaf key algorithm.
   add({.id = profile_id::le_r3_x1cross,
        .display = "Let's Encrypt R3 + ISRG Root X1 (DST cross), RSA leaves",
-       .parents = {le_r3, isrg_x1_cross},
+       .parents = share({le_r3, isrg_x1_cross}),
        .quic_share = 0.1680,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
@@ -245,7 +262,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::le_r3_x1cross_ec,
        .display = "Let's Encrypt R3 + ISRG Root X1 (DST cross), ECDSA leaves",
-       .parents = {le_r3, isrg_x1_cross},
+       .parents = share({le_r3, isrg_x1_cross}),
        .quic_share = 0.1031,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 1,
@@ -256,7 +273,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::le_r3,
        .display = "Let's Encrypt R3",
-       .parents = {le_r3},
+       .parents = share({le_r3}),
        .quic_share = 0.0,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .rsa_mix = 0.35,
@@ -268,7 +285,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::le_e1_x2,
        .display = "Let's Encrypt E1 + ISRG Root X2",
-       .parents = {le_e1, isrg_x2_self},
+       .parents = share({le_e1, isrg_x2_self}),
        .quic_share = 0.0189,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 1,
@@ -279,7 +296,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::gts_1c3,
        .display = "GTS CA 1C3 + GTS Root R1",
-       .parents = {gts_1c3, gts_r1_cross},
+       .parents = share({gts_1c3, gts_r1_cross}),
        .quic_share = 0.0153,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 1,
@@ -289,7 +306,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::le_r3_x1self,
        .display = "Let's Encrypt R3 + ISRG Root X1 (self-signed)",
-       .parents = {le_r3, isrg_x1_self},
+       .parents = share({le_r3, isrg_x1_self}),
        .quic_share = 0.0127,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .rsa_mix = 0.3,
@@ -301,7 +318,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::gts_1d4,
        .display = "GTS CA 1D4 + GTS Root R1",
-       .parents = {gts_1d4, gts_r1_cross},
+       .parents = share({gts_1d4, gts_r1_cross}),
        .quic_share = 0.0103,
        .leaf = {.key_alg = key_algorithm::ecdsa_p256,
                 .min_sans = 1,
@@ -311,7 +328,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::sectigo,
        .display = "Sectigo RSA DV + USERTrust RSA CA",
-       .parents = {sectigo_dv, usertrust_root},
+       .parents = share({sectigo_dv, usertrust_root}),
        .quic_share = 0.0092,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
@@ -321,7 +338,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::cpanel,
        .display = "cPanel, Inc. CA + COMODO RSA CA",
-       .parents = {cpanel_ca, comodo_root},
+       .parents = share({cpanel_ca, comodo_root}),
        .quic_share = 0.0083,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 2,
@@ -331,7 +348,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::globalsign,
        .display = "GlobalSign Atlas R3 DV TLS CA H2 2021",
-       .parents = {globalsign_atlas},
+       .parents = share({globalsign_atlas}),
        .quic_share = 0.0037,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
@@ -342,7 +359,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
   // HTTPS-only rows absent from the QUIC top-10.
   add({.id = profile_id::digicert,
        .display = "DigiCert TLS RSA SHA256 2020 CA1 + DigiCert Global Root",
-       .parents = {digicert_ca1, digicert_root},
+       .parents = share({digicert_ca1, digicert_root}),
        .quic_share = 0.0,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
@@ -353,7 +370,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::amazon,
        .display = "Amazon RSA 2048 M01 + Amazon Root CA 1",
-       .parents = {amazon_m01, amazon_root},
+       .parents = share({amazon_m01, amazon_root}),
        .quic_share = 0.0,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
@@ -363,7 +380,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::comodo,
        .display = "cPanel, Inc. CA + COMODO RSA CA (legacy)",
-       .parents = {cpanel_ca, comodo_root},
+       .parents = share({cpanel_ca, comodo_root}),
        .quic_share = 0.0,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
@@ -373,7 +390,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::godaddy,
        .display = "GoDaddy Secure CA - G2",
-       .parents = {godaddy_g2},
+       .parents = share({godaddy_g2}),
        .quic_share = 0.0,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
@@ -383,7 +400,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
        .parents_pqc = {}});
   add({.id = profile_id::comodo_with_root,
        .display = "Sectigo RSA DV + USERTrust + COMODO root (superfluous anchor)",
-       .parents = {sectigo_dv, usertrust_root, comodo_root},
+       .parents = share({sectigo_dv, usertrust_root, comodo_root}),
        .quic_share = 0.0,
        .leaf = {.key_alg = key_algorithm::rsa_2048,
                 .min_sans = 1,
@@ -400,8 +417,9 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                         std::shared_ptr<const certificate>>>
       twins;
   for (auto& p : eco.profiles_) {
-    p.parents_pqc.reserve(p.parents.size());
-    for (const auto& parent : p.parents) {
+    x509::parent_list parents_pqc;
+    parents_pqc.reserve(p.parents->size());
+    for (const auto& parent : *p.parents) {
       std::shared_ptr<const certificate> twin;
       for (const auto& [classical, existing] : twins) {
         if (classical == parent.get()) {
@@ -413,8 +431,9 @@ ecosystem ecosystem::make(std::uint64_t seed) {
         twin = make_pqc_twin(*parent, pq_rng);
         twins.emplace_back(parent.get(), twin);
       }
-      p.parents_pqc.push_back(std::move(twin));
+      parents_pqc.push_back(std::move(twin));
     }
+    p.parents_pqc = share(std::move(parents_pqc));
   }
   return eco;
 }
@@ -423,9 +442,9 @@ x509::chain ecosystem::issue(const chain_profile& profile,
                              const std::string& domain, rng& r,
                              x509::pq_profile pq,
                              std::optional<key_algorithm> leaf_key) const {
-  const auto& parents = pq == x509::pq_profile::pqc_full
-                            ? profile.parents_pqc
-                            : profile.parents;
+  const auto& shared = pq == x509::pq_profile::pqc_full ? profile.parents_pqc
+                                                        : profile.parents;
+  const x509::parent_list& parents = *shared;
   const leaf_profile& lp = profile.leaf;
   static const distinguished_name unknown_issuer =
       distinguished_name::cn("Unknown Issuer");
@@ -454,8 +473,7 @@ x509::chain ecosystem::issue(const chain_profile& profile,
 
   const auto extra = r.uniform(lp.min_sans > 0 ? lp.min_sans - 1 : 0,
                                lp.max_sans > 0 ? lp.max_sans - 1 : 0);
-  std::vector<x509::dns_name> sans;
-  sans.reserve(1 + extra);
+  std::vector<x509::dns_name>& sans = san_scratch();
   sans.push_back({{}, domain});
   for (std::uint64_t i = 0; i < extra; ++i) {
     sans.push_back({i == 0 ? "www" : r.ascii_label(3, 10), domain});
@@ -487,16 +505,19 @@ x509::chain ecosystem::issue(const chain_profile& profile,
                                      : lp.sct_count;
         x509::write_sct_list(w, scts, r);
       });
-  return x509::chain{std::move(leaf), parents};
+  return x509::chain{std::move(leaf), shared};
 }
 
 x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
                                    const other_chain_options& opt) const {
   // Long-tail CA: random identity, depth 1-4, Table 2 algorithm mixes.
   // QUIC-flavoured tails skew ECDSA and small; HTTPS-only tails skew RSA
-  // and reach the 38 kB monsters of Fig. 6.
-  const std::string ca_org = r.ascii_label(4, 12);
-  const std::string ca_host = ca_org + ".example";
+  // and reach the 38 kB monsters of Fig. 6. Its names and URLs are
+  // composed from views of its label, e.g. "<label> Trust Services" and
+  // "http://<label>.example/cps": no string is built for them.
+  const std::string ca_label = r.ascii_label(4, 12);
+  static constexpr std::string_view kDomain = ".example";
+  const x509::pieces ca_org{ca_label, " Trust Services"};
 
   // Table 2 non-leaf mixes: QUIC {RSA2048, RSA4096, EC256, EC384} =
   // {15.1, 22.4, 40.4, 22.1}%; HTTPS-only = {63.3, 32.1, 2.7, 1.6}%.
@@ -530,29 +551,35 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
     depth = d < 0.55 ? 1 : (d < 0.9 ? 2 : 3);
   }
 
-  // Build top-down: root first, then intermediates; serve leaf-first.
-  const distinguished_name root_dn = distinguished_name::org(
-      "US", ca_org + " Trust Services", ca_org + " Root CA");
+  // Issued top-down, root first, and served leaf-first: the list is
+  // sized once and filled from its back.
+  const x509::name_ref root_dn =
+      x509::name_ref::org("US", ca_org, {ca_label, " Root CA"});
   const key_algorithm root_key = pick_nonleaf(true);
-  std::vector<std::shared_ptr<const certificate>> top_down;
   const bool include_anchor = r.chance(0.15);  // superfluous root
+  auto parents =
+      std::make_shared<x509::parent_list>(depth + (include_anchor ? 1 : 0));
+  std::size_t next = parents->size();
   if (include_anchor) {
     rng root_rng = r.fork(1);
-    top_down.push_back(make_ca_cert(root_rng, root_dn, root_dn, root_key,
-                                    root_key, ca_style::root, ca_host));
+    (*parents)[--next] =
+        make_ca_cert(root_rng, root_dn, root_dn, root_key, root_key,
+                     ca_style::root, ca_label, kDomain);
   }
   // Each level is issued by the one above: the root's name, then the
   // encoded subject of the certificate issued last.
   x509::name_ref parent_name = root_dn;
   key_algorithm parent_key = root_key;
   for (std::size_t level = 0; level < depth; ++level) {
-    const auto dn = distinguished_name::org(
-        "US", ca_org + " Trust Services",
-        ca_org + " CA " + std::to_string(level + 1));
+    // At most six levels: the level number is one digit.
+    const char number = static_cast<char>('1' + level);
+    const x509::name_ref dn = x509::name_ref::org(
+        "US", ca_org, {ca_label, " CA ", std::string_view{&number, 1}});
     const key_algorithm key = pick_nonleaf(false);
     rng level_rng = r.fork(100 + level);
-    auto cert = make_ca_cert(level_rng, dn, parent_name, key, parent_key,
-                             ca_style::intermediate, ca_host);
+    std::shared_ptr<const certificate>& cert = (*parents)[--next];
+    cert = make_ca_cert(level_rng, dn, parent_name, key, parent_key,
+                        ca_style::intermediate, ca_label, kDomain);
     if (monster) {
       // Monster chains in the wild carry bloated intermediates
       // (government/enterprise CAs with enormous policy statements,
@@ -575,21 +602,16 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
             x509::write_basic_constraints(w, true, 0);
             x509::write_key_usage(w, 0x86);
             x509::write_subject_key_id(w, level_rng);
+            const std::string cps_path =
+                level_rng.ascii_label(cps_len, cps_len + 200);
             x509::write_certificate_policies(
-                w, true,
-                "http://" + ca_host + "/cps/" +
-                    level_rng.ascii_label(cps_len, cps_len + 200));
+                w, true, {"http://", ca_label, ".example/cps/", cps_path});
             x509::write_sct_list(w, 3 + level_rng.uniform(0, 5), level_rng);
           });
     }
-    top_down.push_back(std::move(cert));
-    parent_name = top_down.back()->subject();
+    parent_name = cert->subject();
     parent_key = key;
   }
-
-  // Serve leaf-first order: reverse of construction.
-  std::vector<std::shared_ptr<const certificate>> parents(top_down.rbegin(),
-                                                          top_down.rend());
 
   // Leaf algorithm, Table 2 leaf mixes: QUIC {19.2, 1.4, 78.9, 0.5}%;
   // HTTPS-only {81.4, 8.1, 7.8, 1.9}% (residuals folded into EC384).
@@ -607,8 +629,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
                               .key_alg = leaf_key,
                               .sig_alg = x509::signature_by(parent_key)};
   const auto extra = r.uniform(0, monster ? 40 : 4);
-  std::vector<x509::dns_name> sans;
-  sans.reserve(2 + extra);
+  std::vector<x509::dns_name>& sans = san_scratch();
   sans.push_back({{}, domain});
   sans.push_back({"www", domain});
   for (std::uint64_t i = 0; i < extra; ++i) {
@@ -624,10 +645,11 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
         x509::write_subject_key_id(w, r);
         x509::write_authority_key_id(w, issuer_key_id);
         x509::write_subject_alt_name(w, sans);
-        x509::write_certificate_policies(w, false,
-                                         {"http://", ca_host, "/cps"});
-        x509::write_authority_info_access(w, {"http://ocsp.", ca_host},
-                                          {"http://", ca_host, "/ca.crt"});
+        x509::write_certificate_policies(
+            w, false, {"http://", ca_label, kDomain, "/cps"});
+        x509::write_authority_info_access(
+            w, {"http://ocsp.", ca_label, kDomain},
+            {"http://", ca_label, kDomain, "/ca.crt"});
         x509::write_sct_list(w, 1 + r.uniform(0, 2), r);
       });
   return x509::chain{std::move(leaf), std::move(parents)};
@@ -637,8 +659,9 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
                                           std::size_t san_count, rng& r,
                                           x509::pq_profile pq) const {
   const chain_profile& base = profile(profile_id::cpanel);
-  const auto& parents =
+  const auto& shared =
       pq == x509::pq_profile::pqc_full ? base.parents_pqc : base.parents;
+  const x509::parent_list& parents = *shared;
   const certificate_spec spec{
       .issuer = parents.front()->subject(),
       .subject = x509::name_ref::common_name(domain),
@@ -646,8 +669,7 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
       .key_alg = pq == x509::pq_profile::classical ? key_algorithm::rsa_2048
                                                    : key_algorithm::mldsa_44,
       .sig_alg = x509::signature_by(parents.front()->key_alg())};
-  std::vector<x509::dns_name> sans;
-  sans.reserve(san_count + 1);
+  std::vector<x509::dns_name>& sans = san_scratch();
   sans.push_back({{}, domain});
   for (std::size_t i = 0; i < san_count; ++i) {
     // Shared-hosting SANs: unrelated customer domains on one cert.
@@ -669,7 +691,7 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
         x509::write_certificate_policies(w, false, "http://comodoca.com/cps");
         x509::write_sct_list(w, 3, r);
       });
-  return x509::chain{std::move(leaf), parents};
+  return x509::chain{std::move(leaf), shared};
 }
 
 bytes ecosystem::compression_dictionary() const {
@@ -689,7 +711,7 @@ bytes ecosystem::compression_dictionary() const {
   // most served chains consist largely of these exact bytes.
   std::vector<const x509::certificate*> seen;
   for (const auto& p : profiles_) {
-    for (const auto& parent : p.parents) {
+    for (const auto& parent : *p.parents) {
       if (std::find(seen.begin(), seen.end(), parent.get()) == seen.end()) {
         seen.push_back(parent.get());
         append(dict, parent->der());

@@ -77,8 +77,9 @@ struct leaf_profile {
 struct chain_profile {
   profile_id id = profile_id::other;
   std::string display;  // "Let's Encrypt R3 + ISRG Root X1 (DST cross)"
-  /// Parent certificates in served order (leaf's issuer first).
-  std::vector<std::shared_ptr<const x509::certificate>> parents;
+  /// Parent certificates in served order (leaf's issuer first): one
+  /// list that every chain issued under the profile shares.
+  std::shared_ptr<const x509::parent_list> parents;
   /// Share of QUIC services using this chain (Fig. 7a), fraction.
   double quic_share = 0.0;
   leaf_profile leaf;
@@ -87,7 +88,7 @@ struct chain_profile {
   /// from a dedicated rng stream, so the classical parents — and every
   /// golden figure derived from them — are byte-identical with or
   /// without the PQC axis.
-  std::vector<std::shared_ptr<const x509::certificate>> parents_pqc;
+  std::shared_ptr<const x509::parent_list> parents_pqc;
 
   /// Sum of parent DER sizes (the white boxes of Fig. 7).
   [[nodiscard]] std::size_t parent_wire_size() const;
@@ -123,7 +124,7 @@ class ecosystem {
   }
 
   /// Issues a leaf for `domain` under the given profile and returns the
-  /// served chain (leaf + shared parents). Deterministic in `r`. The
+  /// served chain: the leaf plus the profile's shared parent list. Deterministic in `r`. The
   /// chain profile selects the PQC what-if stage: `pqc_leaf` swaps the
   /// leaf key for ML-DSA-44, `pqc_full` additionally serves the ML-DSA
   /// parent twins and post-quantum signatures. A `leaf_key` override

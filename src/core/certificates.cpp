@@ -1,8 +1,8 @@
 #include "core/certificates.hpp"
 
 #include <algorithm>
-#include <set>
 
+#include "core/serial_set.hpp"
 #include "engine/engine.hpp"
 #include "util/errors.hpp"
 
@@ -102,7 +102,7 @@ corpus_result analyze_corpus(const internet::model& m,
 
   profile_table quic_profiles;
   profile_table https_profiles;
-  std::set<std::array<std::uint8_t, 16>> seen_nonleaf_serials[2];
+  serial_set seen_nonleaf_serials[2];
   std::size_t quic_services = 0;
   std::size_t https_services = 0;
   /// (leaf size, SAN share) per sampled QUIC service, for the Fig. 14
@@ -120,6 +120,7 @@ corpus_result analyze_corpus(const internet::model& m,
     fields->reserve(2 * sample.size());
   }
   out.san_shares.reserve(sample.size());
+  quic_leaves.reserve(sample.size());
 
   engine::parallel_ordered(
       sample.size(), exec,
@@ -160,7 +161,7 @@ corpus_result analyze_corpus(const internet::model& m,
         const std::size_t side = is_quic ? 0 : 1;
         ++out.alg_counts[side][0][alg_index(chain.leaf().key_alg)];
         for (const cert_facts& parent : chain.parents()) {
-          if (seen_nonleaf_serials[side].insert(parent.serial).second) {
+          if (seen_nonleaf_serials[side].insert(parent.serial)) {
             ++out.alg_counts[side][1][alg_index(parent.key_alg)];
           }
         }

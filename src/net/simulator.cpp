@@ -69,6 +69,13 @@ void simulator::recycle(bytes&& payload) {
   payload.clear();
   set_idle(payload, true);
   pool_.push_back(std::move(payload));
+  // The largest buffer waits at the back, where take_buffer looks: it
+  // beats every back it is compared with, so once recycled it stays
+  // there until taken, and a probe's first send, its largest, finds it.
+  const std::size_t n = pool_.size();
+  if (n >= 2 && pool_[n - 1].capacity() < pool_[n - 2].capacity()) {
+    std::swap(pool_[n - 1], pool_[n - 2]);
+  }
 }
 
 simulator::route* simulator::find(const endpoint_id& ep) {

@@ -100,7 +100,7 @@ struct traffic_stats {
 ///
 /// Payload storage is recycled: once a datagram is delivered or
 /// dropped its buffer waits in a pool, and `take_buffer` hands it to
-/// the next sender. The pool has no cap: while every sender takes its
+/// the next sender, the largest buffer first whenever it is pooled. The pool has no cap: while every sender takes its
 /// buffer from `take_buffer`, as the QUIC endpoints do, it never holds
 /// more buffers than were out at once. Under AddressSanitizer a pooled
 /// buffer is poisoned while it waits, so a view that outlives its
@@ -122,7 +122,8 @@ class simulator {
   void reset(std::uint64_t loss_seed);
 
   /// An empty buffer for a datagram payload: the storage of one already
-  /// delivered or dropped when the pool has one, else a new vector.
+  /// delivered or dropped when the pool has one (the largest pooled
+  /// buffer when it is back in the pool), else a new vector.
   [[nodiscard]] bytes take_buffer();
 
   using handler = std::function<void(const datagram&)>;

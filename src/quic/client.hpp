@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/simulator.hpp"
@@ -138,6 +139,9 @@ class client {
   void start();
 
   [[nodiscard]] const observation& result() const noexcept { return obs_; }
+  /// Moves the observation out, captured certificate included, instead
+  /// of copying it; result() is unspecified until the next reset.
+  [[nodiscard]] observation take_result() noexcept { return std::move(obs_); }
   [[nodiscard]] bool finished() const noexcept {
     return obs_.handshake_complete || obs_.timed_out;
   }

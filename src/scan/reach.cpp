@@ -94,7 +94,7 @@ probe_result reach::probe(const internet::service_record& rec,
   w.sim.run();
 
   probe_result out;
-  out.obs = w.client.result();
+  out.obs = w.client.take_result();
   out.cls = classify(out.obs);
   if (out.obs.first_app_byte_time != 0) {
     out.ttfb = out.obs.first_app_byte_time - out.obs.start_time;

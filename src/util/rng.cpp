@@ -12,6 +12,19 @@ std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
 
+/// One xoshiro256** step over `s`.
+std::uint64_t step(std::array<std::uint64_t, 4>& s) noexcept {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
@@ -29,17 +42,7 @@ rng::rng(std::uint64_t seed) noexcept {
   }
 }
 
-std::uint64_t rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
+std::uint64_t rng::next() noexcept { return step(state_); }
 
 std::uint64_t rng::uniform(std::uint64_t lo, std::uint64_t hi) {
   if (lo > hi) {
@@ -133,15 +136,19 @@ void rng::fill(std::span<std::uint8_t> out) noexcept {
   // little-endian host is its memory layout: 8 bytes per copy.
   static_assert(std::endian::native == std::endian::little,
                 "rng::fill copies words in little-endian byte order");
+  // The state is stepped in a local copy: a byte store may alias
+  // state_, which would make the compiler reload it after every word.
+  std::array<std::uint64_t, 4> s = state_;
   std::size_t i = 0;
   for (; i + 8 <= out.size(); i += 8) {
-    const std::uint64_t v = next();
+    const std::uint64_t v = step(s);
     std::memcpy(out.data() + i, &v, 8);
   }
   if (i < out.size()) {
-    const std::uint64_t v = next();
+    const std::uint64_t v = step(s);
     std::memcpy(out.data() + i, &v, out.size() - i);
   }
+  state_ = s;
 }
 
 rng rng::fork(std::uint64_t tag) noexcept {

@@ -19,21 +19,8 @@ asn1::der_writer& certificate::scratch() {
 void certificate::encode(const certificate_spec& spec, rng& r,
                          asn1::der_writer& w) {
   // `w` holds the Extension TLVs, written first so that their rng draws
-  // come before the serial's. The certificate's facts about them are
-  // read back from those bytes.
+  // come before the serial's.
   const std::size_t extensions_end = w.size();
-  buffer_reader exts{w.view()};
-  while (!exts.empty()) {
-    const std::size_t before = exts.remaining();
-    const extension ext = read_extension(exts);
-    if (ext.is(oids::subject_alt_name)) {
-      san_bytes_ += before - exts.remaining();
-    }
-    if (ext.is(oids::basic_constraints)) {
-      // A CA certificate encodes cA=TRUE as a non-empty constraint body.
-      is_ca_ = ext.value.size() > 2;
-    }
-  }
 
   // Random positive 16-byte serial, as issued by modern public CAs.
   r.fill(serial_);
@@ -114,17 +101,46 @@ bool certificate::self_signed() const noexcept {
   return std::ranges::equal(issuer(), subject());
 }
 
-std::vector<std::string> certificate::subject_alt_names() const {
+bytes_view certificate::find_extension(const asn1::oid& id) const {
   buffer_reader block{
       bytes_view{der_}.subspan(extensions_at_, sizes_.extensions)};
-  buffer_reader r{asn1::read_tlv(block).content};
+  const bytes_view list = asn1::read_tlv(block).content;
+  const bytes_view want = id.der();
+  buffer_reader r{list};
   while (!r.empty()) {
-    const extension ext = read_extension(r);
-    if (ext.is(oids::subject_alt_name)) {
-      return parse_subject_alt_name(ext);
+    const std::size_t at = list.size() - r.remaining();
+    const asn1::tlv ext = asn1::read_tlv(r);
+    // An Extension's content opens with its extnID TLV, and no TLV is a
+    // prefix of another: comparing those bytes identifies it.
+    if (ext.content.size() >= want.size() &&
+        std::equal(want.begin(), want.end(), ext.content.begin())) {
+      return list.subspan(at, list.size() - r.remaining() - at);
     }
   }
   return {};
+}
+
+bool certificate::is_ca() const {
+  const bytes_view found = find_extension(oids::basic_constraints);
+  if (found.empty()) {
+    return false;
+  }
+  buffer_reader r{found};
+  // A CA certificate encodes cA=TRUE as a non-empty constraint body.
+  return read_extension(r).value.size() > 2;
+}
+
+std::size_t certificate::san_bytes() const {
+  return find_extension(oids::subject_alt_name).size();
+}
+
+std::vector<std::string> certificate::subject_alt_names() const {
+  const bytes_view found = find_extension(oids::subject_alt_name);
+  if (found.empty()) {
+    return {};
+  }
+  buffer_reader r{found};
+  return parse_subject_alt_name(read_extension(r));
 }
 
 std::string certificate::describe() const {

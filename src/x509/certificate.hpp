@@ -93,16 +93,17 @@ class certificate {
   /// Field-size breakdown.
   [[nodiscard]] const field_sizes& sizes() const noexcept { return sizes_; }
 
-  /// True when basicConstraints marks this certificate as a CA.
-  [[nodiscard]] bool is_ca() const noexcept { return is_ca_; }
+  /// True when basicConstraints marks this certificate as a CA; read
+  /// from der() on demand.
+  [[nodiscard]] bool is_ca() const;
   /// True when the encoded issuer and subject are equal.
   [[nodiscard]] bool self_signed() const noexcept;
 
   /// DNS names in subjectAltName ({} when absent), decoded from der().
   [[nodiscard]] std::vector<std::string> subject_alt_names() const;
   /// Encoded size of the subjectAltName extension (0 when absent);
-  /// numerator of the Fig. 14 SAN byte share.
-  [[nodiscard]] std::size_t san_bytes() const noexcept { return san_bytes_; }
+  /// numerator of the Fig. 14 SAN byte share. Read from der() on demand.
+  [[nodiscard]] std::size_t san_bytes() const;
 
   /// One-line render for diagnostics: "CN=leaf.example (ECDSA-P256, 1034B)".
   [[nodiscard]] std::string describe() const;
@@ -112,6 +113,9 @@ class certificate {
   [[nodiscard]] static asn1::der_writer& scratch();
   /// Encodes the certificate around the extensions `w` holds.
   void encode(const certificate_spec& spec, rng& r, asn1::der_writer& w);
+  /// The Extension TLV whose extnID is `id`, viewing der(); empty when
+  /// the certificate has none.
+  [[nodiscard]] bytes_view find_extension(const asn1::oid& id) const;
 
   bytes der_;
   field_sizes sizes_;
@@ -123,8 +127,6 @@ class certificate {
   std::uint32_t extensions_at_ = 0;
   key_algorithm key_alg_;
   signature_algorithm sig_alg_;
-  bool is_ca_ = false;
-  std::size_t san_bytes_ = 0;
 };
 
 }  // namespace certquic::x509

@@ -5,7 +5,7 @@
 namespace certquic::x509 {
 
 chain::chain(std::shared_ptr<const certificate> leaf,
-             std::vector<std::shared_ptr<const certificate>> parents)
+             std::shared_ptr<const parent_list> parents)
     : leaf_(std::move(leaf)), parents_(std::move(parents)) {}
 
 const certificate& chain::leaf() const {
@@ -15,9 +15,14 @@ const certificate& chain::leaf() const {
   return *leaf_;
 }
 
+const parent_list& chain::parents() const noexcept {
+  static constinit const parent_list kNone;
+  return parents_ ? *parents_ : kNone;
+}
+
 std::size_t chain::wire_size() const noexcept {
   std::size_t total = leaf_ ? leaf_->size() : 0;
-  for (const auto& parent : parents_) {
+  for (const auto& parent : parents()) {
     total += parent->size();
   }
   return total;
@@ -25,7 +30,7 @@ std::size_t chain::wire_size() const noexcept {
 
 std::size_t chain::parent_wire_size() const noexcept {
   std::size_t total = 0;
-  for (const auto& parent : parents_) {
+  for (const auto& parent : parents()) {
     total += parent->size();
   }
   return total;
@@ -39,7 +44,7 @@ bytes chain::concatenated_der() const {
 }
 
 bool chain::includes_trust_anchor() const noexcept {
-  for (const auto& parent : parents_) {
+  for (const auto& parent : parents()) {
     if (parent->self_signed()) {
       return true;
     }

@@ -11,29 +11,30 @@
 
 namespace certquic::x509 {
 
+/// Parent certificates (intermediates, and sometimes superfluous
+/// roots) in served order, the leaf's issuer first.
+using parent_list = std::vector<std::shared_ptr<const certificate>>;
+
 /// A server certificate chain, leaf first, as sent in the TLS
-/// Certificate message. Every certificate is held through a
-/// shared_ptr: parents (intermediates, and sometimes superfluous roots)
-/// are shared between services since real deployments reuse the exact
-/// same intermediate DER bytes, and the leaf is shared between copies
-/// of the chain, so copying a cached chain only bumps reference counts.
+/// Certificate message. The leaf is held through a shared_ptr and the
+/// parents as one immutable, shared list: every chain of a named
+/// profile holds its profile's list, since real deployments reuse the
+/// exact same intermediate DER bytes. Issuing a chain on a shared list
+/// or copying a chain only bumps reference counts.
 class chain {
  public:
   chain() = default;
-  /// Builds a chain from a leaf plus parent certificates.
+  /// Builds a chain from a leaf plus its parent list (null: none).
   chain(std::shared_ptr<const certificate> leaf,
-        std::vector<std::shared_ptr<const certificate>> parents);
+        std::shared_ptr<const parent_list> parents);
 
   [[nodiscard]] bool empty() const noexcept { return leaf_ == nullptr; }
   [[nodiscard]] const certificate& leaf() const;
-  [[nodiscard]] const std::vector<std::shared_ptr<const certificate>>&
-  parents() const noexcept {
-    return parents_;
-  }
+  [[nodiscard]] const parent_list& parents() const noexcept;
 
   /// Number of certificates (leaf + parents).
   [[nodiscard]] std::size_t depth() const noexcept {
-    return (leaf_ ? 1 : 0) + parents_.size();
+    return (leaf_ ? 1 : 0) + parents().size();
   }
 
   /// Sum of DER sizes of all certificates — the "certificate chain size"
@@ -58,14 +59,14 @@ class chain {
     if (leaf_) {
       fn(*leaf_);
     }
-    for (const auto& parent : parents_) {
+    for (const auto& parent : parents()) {
       fn(*parent);
     }
   }
 
  private:
   std::shared_ptr<const certificate> leaf_;
-  std::vector<std::shared_ptr<const certificate>> parents_;
+  std::shared_ptr<const parent_list> parents_;
 };
 
 }  // namespace certquic::x509

@@ -25,17 +25,9 @@ void write_extension(asn1::der_writer& w, const asn1::oid& id, bool critical,
   w.close();
 }
 
-/// A string TLV whose content is the concatenation of `u`'s pieces.
-void pieces_tlv(asn1::der_writer& w, std::uint8_t tag_byte, const uri& u) {
-  w.header(tag_byte, u.size());
-  for (const std::string_view piece : {u.prefix, u.host, u.suffix}) {
-    w.raw(piece);
-  }
-}
-
 /// GeneralName uniformResourceIdentifier: [6] IMPLICIT IA5String.
 void general_uri(asn1::der_writer& w, const uri& url) {
-  pieces_tlv(w, asn1::context_tag(6, /*constructed=*/false), url);
+  url.encode(w, asn1::context_tag(6, /*constructed=*/false));
 }
 
 }  // namespace
@@ -132,9 +124,9 @@ void write_subject_alt_name(asn1::der_writer& w,
     w.open(asn1::tag::sequence);
     for (const auto& name : dns_names) {
       // GeneralName dNSName is [2] IMPLICIT IA5String.
-      pieces_tlv(w, asn1::context_tag(2, /*constructed=*/false),
-                 name.label.empty() ? uri{name.parent, {}}
-                                    : uri{name.label, ".", name.parent});
+      (name.label.empty() ? pieces{name.parent, {}}
+                          : pieces{name.label, ".", name.parent})
+          .encode(w, asn1::context_tag(2, /*constructed=*/false));
     }
     w.close();
   });
@@ -188,8 +180,7 @@ void write_certificate_policies(asn1::der_writer& w,
       w.open(asn1::tag::sequence);
       w.open(asn1::tag::sequence);
       w.oid(oids::policy_cps);
-      pieces_tlv(w, static_cast<std::uint8_t>(asn1::tag::ia5_string),
-                 cps_uri);
+      cps_uri.encode(w, static_cast<std::uint8_t>(asn1::tag::ia5_string));
       w.close();
       w.close();
     }

@@ -13,6 +13,7 @@
 #include "util/buffer.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
+#include "x509/name.hpp"
 
 namespace certquic::x509 {
 
@@ -32,26 +33,11 @@ struct extension {
 /// malformed input.
 [[nodiscard]] extension read_extension(buffer_reader& r);
 
-/// A URI given as the concatenation of up to three pieces, e.g.
-/// {"http://", host, "/cps"}: issuance names a CA's URLs from its host
-/// without building a string per certificate. Empty means "omit". It
-/// views its pieces, which must outlive the builder call.
-struct uri {
-  std::string_view prefix;
-  std::string_view host;
-  std::string_view suffix;
-
-  uri() = default;
-  uri(const char* whole) : prefix(whole) {}
-  uri(const std::string& whole) : prefix(whole) {}
-  uri(std::string_view p, std::string_view h, std::string_view s = {})
-      : prefix(p), host(h), suffix(s) {}
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return prefix.size() + host.size() + suffix.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-};
+/// A URI given as concatenated pieces, e.g. {"http://", host, "/cps"}:
+/// issuance names a CA's URLs from its host without building a string
+/// per certificate. Empty means "omit". The pieces must outlive the
+/// builder call.
+using uri = pieces;
 
 /// One dNSName of a subjectAltName: `label + "." + parent`, or just
 /// `parent` when the label is empty. Random labels fit the small-string

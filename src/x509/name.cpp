@@ -78,19 +78,24 @@ std::string distinguished_name::common_name() const {
   return {};
 }
 
+void pieces::encode(asn1::der_writer& w, std::uint8_t tag_byte) const {
+  w.header(tag_byte, size());
+  for (const std::string_view piece : parts) {
+    w.raw(piece);
+  }
+}
+
 namespace {
 
 /// One RelativeDistinguishedName: a SET of one AttributeTypeAndValue.
 void encode_rdn(asn1::der_writer& w, const asn1::oid& attribute,
-                std::string_view value, bool printable) {
+                const pieces& value, bool printable) {
   w.open(asn1::tag::set);
   w.open(asn1::tag::sequence);
   w.oid(attribute);
-  if (printable) {
-    w.printable_string(value);
-  } else {
-    w.utf8_string(value);
-  }
+  value.encode(w, static_cast<std::uint8_t>(
+                      printable ? asn1::tag::printable_string
+                                : asn1::tag::utf8_string));
   w.close();
   w.close();
 }
@@ -106,14 +111,25 @@ void distinguished_name::encode(asn1::der_writer& w) const {
 }
 
 void name_ref::encode(asn1::der_writer& w) const {
-  if (dn_ != nullptr) {
-    dn_->encode(w);
-  } else if (common_name_.data() != nullptr) {  // set, maybe empty
-    w.open(asn1::tag::sequence);
-    encode_rdn(w, oids::common_name, common_name_, /*printable=*/false);
-    w.close();
-  } else {
-    w.raw(der_);
+  switch (form_) {
+    case form::der:
+      w.raw(der_);
+      return;
+    case form::dn:
+      dn_->encode(w);
+      return;
+    case form::common_name:
+    case form::org:
+      w.open(asn1::tag::sequence);
+      if (form_ == form::org) {
+        encode_rdn(w, oids::country, pieces{country_, {}},
+                   /*printable=*/true);
+        encode_rdn(w, oids::organization, organization_,
+                   /*printable=*/false);
+      }
+      encode_rdn(w, oids::common_name, common_name_, /*printable=*/false);
+      w.close();
+      return;
   }
 }
 

@@ -1,6 +1,8 @@
 // X.501 distinguished names (issuer / subject fields).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -9,6 +11,34 @@
 #include "util/bytes.hpp"
 
 namespace certquic::x509 {
+
+/// A string given as the concatenation of up to four views, e.g.
+/// {label, " CA ", "2"} or {"http://", label, ".example", "/cps"}:
+/// issuance composes a CA's names and URLs from its label without
+/// building a string per certificate. It views its pieces, which must
+/// outlive its use.
+struct pieces {
+  std::array<std::string_view, 4> parts{};
+
+  pieces() = default;
+  pieces(const char* whole) : parts{whole} {}
+  pieces(const std::string& whole) : parts{whole} {}
+  pieces(std::string_view a, std::string_view b, std::string_view c = {},
+         std::string_view d = {})
+      : parts{a, b, c, d} {}
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    std::size_t n = 0;
+    for (const std::string_view piece : parts) {
+      n += piece.size();
+    }
+    return n;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+
+  /// Writes the concatenation as one string TLV tagged `tag_byte`.
+  void encode(asn1::der_writer& w, std::uint8_t tag_byte) const;
+};
 
 /// One relative distinguished name component, e.g. CN=example.org.
 /// `attribute` points into the static table of x509/oids.hpp.
@@ -60,13 +90,13 @@ class distinguished_name {
 
 /// The issuer or subject of a certificate being issued: a
 /// distinguished_name to encode, a Name already encoded (a parent
-/// certificate's subject), copied verbatim, or CN=<common name> encoded
-/// straight from a view of the name. It views each, so what it refers
-/// to must outlive the issuance.
+/// certificate's subject), copied verbatim, or a CN=... or C=, O=, CN=
+/// Name encoded straight from views of its values. It views each, so
+/// what it refers to must outlive the issuance.
 class name_ref {
  public:
   name_ref() = default;
-  name_ref(const distinguished_name& dn) : dn_(&dn) {}
+  name_ref(const distinguished_name& dn) : form_(form::dn), dn_(&dn) {}
   name_ref(distinguished_name&&) = delete;  // would dangle
   name_ref(bytes_view der) : der_(der) {}
 
@@ -74,6 +104,19 @@ class name_ref {
   /// encodes, with no copy of the name.
   [[nodiscard]] static name_ref common_name(std::string_view common_name) {
     name_ref ref;
+    ref.form_ = form::common_name;
+    ref.common_name_ = pieces{common_name, {}};
+    return ref;
+  }
+
+  /// C=<country>, O=<organization>, CN=<common_name>: the Name
+  /// distinguished_name::org encodes, with no string built for a value.
+  [[nodiscard]] static name_ref org(std::string_view country,
+                                    pieces organization, pieces common_name) {
+    name_ref ref;
+    ref.form_ = form::org;
+    ref.country_ = country;
+    ref.organization_ = organization;
     ref.common_name_ = common_name;
     return ref;
   }
@@ -82,9 +125,14 @@ class name_ref {
   void encode(asn1::der_writer& w) const;
 
  private:
+  enum class form : std::uint8_t { der, dn, common_name, org };
+
+  form form_ = form::der;
   const distinguished_name* dn_ = nullptr;
   bytes_view der_;
-  std::string_view common_name_;
+  std::string_view country_;
+  pieces organization_;
+  pieces common_name_;
 };
 
 }  // namespace certquic::x509

@@ -106,7 +106,8 @@ TEST_F(EcosystemTest, SharedParentsAreReusedAcrossIssuance) {
   const auto& cf = eco_.profile(profile_id::cloudflare);
   const auto a = eco_.issue(cf, "a.example", r);
   const auto b = eco_.issue(cf, "b.example", r);
-  EXPECT_EQ(a.parents()[0].get(), b.parents()[0].get());
+  EXPECT_EQ(&a.parents(), &b.parents());  // the profile's one list
+  EXPECT_EQ(&a.parents(), cf.parents.get());
   EXPECT_NE(a.leaf().der(), b.leaf().der());
 }
 

@@ -10,6 +10,7 @@
 #include "core/compression_study.hpp"
 #include "core/funnel.hpp"
 #include "core/policy_study.hpp"
+#include "core/serial_set.hpp"
 #include "core/tuner.hpp"
 #include "x509/extensions.hpp"
 
@@ -187,7 +188,7 @@ x509::chain chain_of_depth(std::size_t parents) {
         x509::write_basic_constraints(w, false);
         x509::write_subject_alt_name(w, {{"", "depth.example"}});
       });
-  return x509::chain{leaf, std::vector(parents, ca)};
+  return x509::chain{leaf, std::make_shared<const x509::parent_list>(parents, ca)};
 }
 
 TEST(Corpus, ReduceHoldsTheDeepestChainInline) {
@@ -210,6 +211,46 @@ TEST(Corpus, ReduceHoldsTheDeepestChainInline) {
 
 TEST(Corpus, ReduceRejectsADeeperChainInsteadOfTruncating) {
   EXPECT_THROW((void)reduce(chain_of_depth(kMaxChainDepth)), config_error);
+}
+
+TEST(SerialSet, CountsEachSerialOnce) {
+  // `n` in the serial's leading or in its trailing eight bytes.
+  const auto serial_of = [](std::uint64_t n, bool leading) {
+    serial_set::serial s{};
+    for (std::size_t b = 0; b < 8; ++b) {
+      s[leading ? b : 15 - b] = static_cast<std::uint8_t>(n >> (8 * b));
+    }
+    return s;
+  };
+  serial_set set;
+  // 1,000 members, far past the first table's 64 slots, each inserted
+  // twice as it arrives.
+  for (std::uint64_t n = 1; n <= 500; ++n) {
+    for (const bool leading : {false, true}) {
+      EXPECT_TRUE(set.insert(serial_of(n, leading))) << n;
+      EXPECT_FALSE(set.insert(serial_of(n, leading))) << n;
+    }
+  }
+  EXPECT_EQ(set.size(), 1000u);
+  // Every member is still found after the table grew under it.
+  for (std::uint64_t n = 1; n <= 500; ++n) {
+    for (const bool leading : {false, true}) {
+      EXPECT_FALSE(set.insert(serial_of(n, leading))) << n;
+    }
+  }
+  // An all-zero slot is empty, yet the all-zero serial is a member like
+  // any other once inserted.
+  const serial_set::serial zero{};
+  EXPECT_TRUE(set.insert(zero));
+  EXPECT_FALSE(set.insert(zero));
+  EXPECT_EQ(set.size(), 1001u);
+
+  serial_set fresh;
+  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_TRUE(fresh.insert(zero));
+  EXPECT_TRUE(fresh.insert(serial_of(7, true)));
+  EXPECT_FALSE(fresh.insert(zero));
+  EXPECT_EQ(fresh.size(), 2u);
 }
 
 TEST(Compression, RatesAndLimitCompliance) {

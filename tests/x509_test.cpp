@@ -65,6 +65,11 @@ certificate make_ca(rng& r, const std::string& cn,
                      }};
 }
 
+/// One shared parent list.
+std::shared_ptr<const parent_list> shared(parent_list parents) {
+  return std::make_shared<const parent_list>(std::move(parents));
+}
+
 /// A self-signed root with only basicConstraints.
 certificate make_root(rng& r) {
   const auto name = distinguished_name::org("US", "T", "Root X");
@@ -409,7 +414,7 @@ TEST(Chain, SizesAndDepth) {
       make_ca(r, "Root", key_algorithm::rsa_4096));
   auto leaf = std::make_shared<const certificate>(make_leaf(r));
   const std::size_t leaf_size = leaf->size();
-  const chain c{leaf, {inter, root}};
+  const chain c{leaf, shared({inter, root})};
   EXPECT_EQ(c.depth(), 3u);
   EXPECT_EQ(c.wire_size(), leaf_size + inter->size() + root->size());
   EXPECT_EQ(c.parent_wire_size(), inter->size() + root->size());
@@ -429,18 +434,20 @@ TEST(Chain, DetectsTrustAnchorInclusion) {
   auto inter = std::make_shared<const certificate>(make_ca(r, "CA 2"));
 
   const chain with_anchor{std::make_shared<const certificate>(make_leaf(r)),
-                          {inter, root}};
+                          shared({inter, root})};
   EXPECT_TRUE(with_anchor.includes_trust_anchor());
   const chain without{std::make_shared<const certificate>(make_leaf(r)),
-                      {inter}};
+                      shared({inter})};
   EXPECT_FALSE(without.includes_trust_anchor());
 }
 
 TEST(Chain, SharedParentsReuseBytes) {
   rng r{13};
   auto inter = std::make_shared<const certificate>(make_ca(r, "Shared CA"));
-  const chain a{std::make_shared<const certificate>(make_leaf(r)), {inter}};
-  const chain b{std::make_shared<const certificate>(make_leaf(r)), {inter}};
+  const auto list = shared({inter});
+  const chain a{std::make_shared<const certificate>(make_leaf(r)), list};
+  const chain b{std::make_shared<const certificate>(make_leaf(r)), list};
+  EXPECT_EQ(&a.parents(), &b.parents());
   EXPECT_EQ(a.parents()[0].get(), b.parents()[0].get());
 }
 

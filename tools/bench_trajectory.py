@@ -1,26 +1,33 @@
 #!/usr/bin/env python3
-"""Appends one row to BENCH_certbench.json: repeated certbench runs of
-every workload, summarized as median and interquartile range.
+"""Appends two rows to BENCH_certbench.json, a parent row and a change
+row: repeated certbench runs of every workload on two checkouts,
+alternated run by run, each summarized as median and interquartile
+range.
 
     python3 tools/bench_trajectory.py --label "my change" \
-        [--runs 5] [--checkout DIR]
+        --parent DIR [--checkout DIR] [--runs 5]
 
 Every run is one `python3 certbench/run.py --workload W --seed 42
---seconds 20 --trace 0 --threads 3` inside the git checkout (default:
-this repository; another clone measures another commit), so the numbers
-are certbench's own and certbench builds them from that checkout's
-sources; this script only repeats, summarizes and records them in this
-repository's BENCH_certbench.json. The runs go round-robin over the
-workloads, so slow drift of the machine's load spreads over all of
-them. certbench warms up inside each run before it times anything.
-The seed, run length and thread count are fixed so that every row of the
-trajectory measures the same protocol and rows stay comparable.
+--seconds 20 --trace 0 --threads 3` inside a git checkout: --parent is
+the commit the change is measured against, --checkout the change
+(default: this repository). certbench builds each from its own
+checkout's sources; this script only repeats, summarizes and records
+the numbers in this repository's BENCH_certbench.json. For each run
+index the script goes over the workloads and runs each on both
+checkouts back to back, parent first on even indices and change first
+on odd ones, so the two rows share the machine's load minute by minute
+instead of being measured minutes apart. certbench warms up inside
+each run before it times anything. The seed, run length and thread
+count are fixed so that every row of the trajectory measures the same
+protocol and rows stay comparable.
 
-For every workload the row records the median, the quartiles and the
+For every workload a row records the median, the quartiles and the
 per-run values of probes_per_s, setup_s and peak_rss_mb, and for epochs
 also resume_s and store_mb. It also records the commit, the compiler
-certbench reports and nproc. A run that is not "correct" (a failed self
-check or digest) stops the script before anything is written.
+certbench reports and nproc. The change row adds, per workload and
+metric, in how many of the run pairs the change was better. A run that
+is not "correct" (a failed self check or digest) stops the script
+before anything is written.
 """
 
 import argparse
@@ -35,6 +42,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("census_sweep", "corpus", "epochs")
 E2E = ("probes_per_s", "setup_s", "peak_rss_mb")
+HIGHER_IS_BETTER = ("probes_per_s",)
 EPOCH_INFO = ("resume_s", "store_mb")
 SEED = 42
 SECONDS = 20
@@ -85,59 +93,90 @@ def commit_of(checkout):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def wins(change, parent):
+    """Per workload and metric: pairs in which the change was better."""
+    out = {}
+    for workload in WORKLOADS:
+        out[workload] = {}
+        for name in E2E:
+            pairs = zip(change[workload][name], parent[workload][name])
+            if name in HIGHER_IS_BETTER:
+                better = sum(c > p for c, p in pairs)
+            else:
+                better = sum(c < p for c, p in pairs)
+            out[workload][name] = better
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True,
-                        help="what this row measures, e.g. the change")
+                        help="what the change row measures")
+    parser.add_argument("--parent", required=True,
+                        help="git checkout of the commit the change is "
+                             "measured against")
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--checkout", default=ROOT,
-                        help="git checkout whose certbench/run.py is measured")
+                        help="git checkout of the change")
     args = parser.parse_args()
 
     if args.runs < 2:
         fail("--runs must be at least 2 for quartiles")
-    checkout = os.path.abspath(args.checkout)
-    commit = commit_of(checkout)
-    if commit is None:
-        fail(f"{checkout} is not a git checkout")
+    checkouts = {"parent": os.path.abspath(args.parent),
+                 "change": os.path.abspath(args.checkout)}
+    commits = {}
+    for side, checkout in checkouts.items():
+        commits[side] = commit_of(checkout)
+        if commits[side] is None:
+            fail(f"{checkout} is not a git checkout")
 
-    samples = {w: {} for w in WORKLOADS}
+    samples = {side: {w: {} for w in WORKLOADS} for side in checkouts}
     compiler = "unknown"
     for i in range(args.runs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in WORKLOADS:
-            metrics, compiler = run_once(checkout, workload)
-            for name, value in metrics.items():
-                samples[workload].setdefault(name, []).append(value)
-            print(f"run {i + 1}/{args.runs} {workload}: "
-                  f"{metrics['probes_per_s']:.0f} probes/s",
-                  file=sys.stderr)
+            for side in order:
+                metrics, compiler = run_once(checkouts[side], workload)
+                for name, value in metrics.items():
+                    samples[side][workload].setdefault(name, []).append(value)
+                print(f"run {i + 1}/{args.runs} {side} {workload}: "
+                      f"{metrics['probes_per_s']:.0f} probes/s",
+                      file=sys.stderr)
 
-    row = {
-        "label": args.label,
-        "commit": commit,
-        "date": datetime.date.today().isoformat(),
-        "compiler": compiler,
-        "nproc": os.cpu_count(),
-        "seed": SEED,
-        "runs": args.runs,
-        "seconds": SECONDS,
-        "threads": THREADS,
-        "workloads": {
-            w: {name: summarize(values)
-                for name, values in samples[w].items()}
-            for w in WORKLOADS
-        },
-    }
+    labels = {"parent": f"parent of {args.label} ({commits['parent'][:7]})",
+              "change": args.label}
+    rows = {}
+    for side in ("parent", "change"):
+        rows[side] = {
+            "label": labels[side],
+            "commit": commits[side],
+            "date": datetime.date.today().isoformat(),
+            "compiler": compiler,
+            "nproc": os.cpu_count(),
+            "seed": SEED,
+            "runs": args.runs,
+            "seconds": SECONDS,
+            "threads": THREADS,
+            "workloads": {
+                w: {name: summarize(values)
+                    for name, values in samples[side][w].items()}
+                for w in WORKLOADS
+            },
+        }
+    rows["change"]["pairs_change_better"] = wins(samples["change"],
+                                                 samples["parent"])
     out = os.path.join(ROOT, "BENCH_certbench.json")
     trajectory = {"rows": []}
     if os.path.exists(out):
         with open(out) as f:
             trajectory = json.load(f)
-    trajectory["rows"].append(row)
+    trajectory["rows"] += [rows["parent"], rows["change"]]
     with open(out, "w") as f:
         json.dump(trajectory, f, indent=1)
         f.write("\n")
-    print(json.dumps(row["workloads"], indent=1))
+    print(json.dumps({side: row["workloads"] for side, row in rows.items()},
+                     indent=1))
+    print(json.dumps(rows["change"]["pairs_change_better"], indent=1))
 
 
 if __name__ == "__main__":
