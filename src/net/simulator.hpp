@@ -100,9 +100,10 @@ struct traffic_stats {
 ///
 /// Payload storage is recycled: once a datagram is delivered or
 /// dropped its buffer waits in a pool, and `take_buffer` hands it to
-/// the next sender, the largest buffer first whenever it is pooled. The pool has no cap: while every sender takes its
-/// buffer from `take_buffer`, as the QUIC endpoints do, it never holds
-/// more buffers than were out at once. Under AddressSanitizer a pooled
+/// the next sender, the largest buffer first whenever it is pooled.
+/// The pool has no cap: while every sender takes its buffer from
+/// `take_buffer`, as the QUIC endpoints do, it never holds more buffers
+/// than were out at once. Under AddressSanitizer a pooled
 /// buffer is poisoned while it waits, so a view that outlives its
 /// delivery still faults.
 class simulator {
