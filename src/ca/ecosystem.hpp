@@ -124,11 +124,12 @@ class ecosystem {
   }
 
   /// Issues a leaf for `domain` under the given profile and returns the
-  /// served chain: the leaf plus the profile's shared parent list. Deterministic in `r`. The
-  /// chain profile selects the PQC what-if stage: `pqc_leaf` swaps the
-  /// leaf key for ML-DSA-44, `pqc_full` additionally serves the ML-DSA
-  /// parent twins and post-quantum signatures. A `leaf_key` override
-  /// replaces the profile's leaf key mix and consumes no mix draw.
+  /// served chain: the leaf plus the profile's shared parent list.
+  /// Deterministic in `r`. The chain profile selects the PQC what-if
+  /// stage: `pqc_leaf` swaps the leaf key for ML-DSA-44, `pqc_full`
+  /// additionally serves the ML-DSA parent twins and post-quantum
+  /// signatures. A `leaf_key` override replaces the profile's leaf key
+  /// mix and consumes no mix draw.
   [[nodiscard]] x509::chain issue(
       const chain_profile& profile, const std::string& domain, rng& r,
       x509::pq_profile pq = x509::pq_profile::classical,

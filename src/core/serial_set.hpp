@@ -62,7 +62,7 @@ class serial_set {
 
   void grow() {
     std::vector<serial> old(std::max(kFirstSlots, 2 * slots_.size()));
-    old.swap(slots_);
+    old.swap(slots_);  // slots_ is now the larger, empty table
     for (const serial& s : old) {
       if (s != serial{}) {
         place(s);

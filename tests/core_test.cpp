@@ -188,7 +188,8 @@ x509::chain chain_of_depth(std::size_t parents) {
         x509::write_basic_constraints(w, false);
         x509::write_subject_alt_name(w, {{"", "depth.example"}});
       });
-  return x509::chain{leaf, std::make_shared<const x509::parent_list>(parents, ca)};
+  return x509::chain{
+      leaf, std::make_shared<const x509::parent_list>(parents, ca)};
 }
 
 TEST(Corpus, ReduceHoldsTheDeepestChainInline) {
