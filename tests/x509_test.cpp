@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "asn1/der.hpp"
 #include "der_encode.hpp"
+#include "util/errors.hpp"
 #include "util/rng.hpp"
 #include "x509/certificate.hpp"
 #include "x509/chain.hpp"
@@ -153,6 +155,11 @@ TEST(Key, SpkiSizesMatchRealWorld) {
   EXPECT_EQ(spki_size(key_algorithm::rsa_4096), 550u);
   EXPECT_EQ(spki_size(key_algorithm::ecdsa_p256), 91u);
   EXPECT_EQ(spki_size(key_algorithm::ecdsa_p384), 120u);
+  // ML-DSA (FIPS 204): a 13-byte parameterless AlgorithmIdentifier and
+  // the raw 1312/1952/2592-byte public key in a BIT STRING.
+  EXPECT_EQ(spki_size(key_algorithm::mldsa_44), 1334u);
+  EXPECT_EQ(spki_size(key_algorithm::mldsa_65), 1974u);
+  EXPECT_EQ(spki_size(key_algorithm::mldsa_87), 2614u);
 }
 
 TEST(Key, SignatureSizesMatchRealWorld) {
@@ -175,13 +182,53 @@ TEST(Key, SignatureSizesMatchRealWorld) {
     EXPECT_GE(p384, 102u);
     EXPECT_LE(p384, 109u);
   }
+  // ML-DSA signatures are fixed 2420/3309/4627-byte strings (FIPS 204).
+  EXPECT_EQ(signature_size(signature_algorithm::mldsa_44), 2425u);
+  EXPECT_EQ(signature_size(signature_algorithm::mldsa_65), 3314u);
+  EXPECT_EQ(signature_size(signature_algorithm::mldsa_87), 4632u);
 }
 
 TEST(Key, SignatureByIssuerKey) {
-  EXPECT_EQ(signature_by(key_algorithm::rsa_2048),
-            signature_algorithm::sha256_rsa_2048);
-  EXPECT_EQ(signature_by(key_algorithm::ecdsa_p384),
-            signature_algorithm::ecdsa_sha384);
+  // Every issuer key, the signature it produces, and both names.
+  struct row {
+    key_algorithm key;
+    signature_algorithm sig;
+    const char* key_name;
+    const char* sig_name;
+  };
+  const row rows[] = {
+      {key_algorithm::rsa_2048, signature_algorithm::sha256_rsa_2048,
+       "RSA-2048", "sha256WithRSA(2048)"},
+      {key_algorithm::rsa_4096, signature_algorithm::sha256_rsa_4096,
+       "RSA-4096", "sha256WithRSA(4096)"},
+      {key_algorithm::ecdsa_p256, signature_algorithm::ecdsa_sha256,
+       "ECDSA-P256", "ecdsa-with-SHA256"},
+      {key_algorithm::ecdsa_p384, signature_algorithm::ecdsa_sha384,
+       "ECDSA-P384", "ecdsa-with-SHA384"},
+      {key_algorithm::mldsa_44, signature_algorithm::mldsa_44, "ML-DSA-44",
+       "ML-DSA-44"},
+      {key_algorithm::mldsa_65, signature_algorithm::mldsa_65, "ML-DSA-65",
+       "ML-DSA-65"},
+      {key_algorithm::mldsa_87, signature_algorithm::mldsa_87, "ML-DSA-87",
+       "ML-DSA-87"},
+  };
+  for (const row& r : rows) {
+    SCOPED_TRACE(r.key_name);
+    EXPECT_EQ(signature_by(r.key), r.sig);
+    EXPECT_EQ(to_string(r.key), r.key_name);
+    EXPECT_EQ(to_string(r.sig), r.sig_name);
+  }
+  // A value outside either enum is a configuration error everywhere.
+  const auto bad_key = static_cast<key_algorithm>(std::size(rows));
+  const auto bad_sig = static_cast<signature_algorithm>(std::size(rows));
+  rng r{3};
+  asn1::der_writer w;
+  EXPECT_THROW((void)signature_by(bad_key), config_error);
+  EXPECT_THROW((void)to_string(bad_key), config_error);
+  EXPECT_THROW((void)to_string(bad_sig), config_error);
+  EXPECT_THROW(encode_spki(w, bad_key, r), config_error);
+  EXPECT_THROW(encode_signature_algorithm(w, bad_sig), config_error);
+  EXPECT_THROW(encode_signature_value(w, bad_sig, r), config_error);
 }
 
 TEST(Extensions, SubjectAltNameRoundTrip) {
