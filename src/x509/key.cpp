@@ -1,5 +1,7 @@
 #include "x509/key.hpp"
 
+#include <iterator>
+
 #include "util/assert.hpp"
 #include "util/errors.hpp"
 #include "x509/oids.hpp"
@@ -38,118 +40,79 @@ void random_bit_string(asn1::der_writer& w, std::size_t n, rng& r,
   }
 }
 
-void encode_rsa_spki(asn1::der_writer& w, std::size_t modulus_bytes, rng& r) {
-  w.open(asn1::tag::sequence);
-  w.open(asn1::tag::sequence);
-  w.oid(oids::rsa_encryption);
-  w.null();
-  w.close();
-  w.open(asn1::tag::bit_string);
-  w.u8(0);
-  w.open(asn1::tag::sequence);
-  random_integer(w, modulus_bytes, r, true);
-  w.integer(65537);
-  w.close();
-  w.close();
-  w.close();
-}
+/// How an algorithm lays out its key and signature. Each family is one
+/// layout; the rows below give its sizes and OIDs.
+enum class family : std::uint8_t { rsa, ec, mldsa };
 
-void encode_ec_spki(asn1::der_writer& w, const asn1::oid& curve,
-                    std::size_t coord_bytes, rng& r) {
-  w.open(asn1::tag::sequence);
-  w.open(asn1::tag::sequence);
-  w.oid(oids::ec_public_key);
-  w.oid(curve);
-  w.close();
-  // Uncompressed point: 0x04 || X || Y.
-  const std::uint8_t uncompressed = 0x04;
-  random_bit_string(w, 2 * coord_bytes, r, false, {&uncompressed, 1});
-  w.close();
-}
-
-void ecdsa_signature(asn1::der_writer& w, std::size_t coord_bytes, rng& r) {
-  // ECDSA-Sig-Value ::= SEQUENCE { r INTEGER, s INTEGER }.
-  // Random magnitudes reproduce the real size jitter (+0/1 byte for the
-  // sign octet) of DER-encoded ECDSA signatures.
-  w.open(asn1::tag::bit_string);
-  w.u8(0);
-  w.open(asn1::tag::sequence);
-  random_integer(w, coord_bytes, r, false);
-  random_integer(w, coord_bytes, r, false);
-  w.close();
-  w.close();
-}
-
-// ML-DSA public-key and signature byte sizes per FIPS 204 (Table 2 of
-// the standard); the quantities that make PQC chains blow through the
-// QUIC amplification budgets.
-struct mldsa_params {
-  const asn1::oid& oid;
-  std::size_t public_key_bytes;
-  std::size_t signature_bytes;
+/// A key algorithm's facts. `size` is the RSA modulus, the EC
+/// coordinate or the ML-DSA public key, in bytes; `oid` is
+/// rsaEncryption, the named curve or the ML-DSA parameter set.
+struct key_row {
+  std::string_view name;
+  family kind;
+  std::size_t size;
+  const asn1::oid* oid;
+  signature_algorithm signer;  // what a CA holding this key signs with
 };
 
-const mldsa_params& mldsa_of(key_algorithm a) {
-  static const mldsa_params k44{oids::ml_dsa_44, 1312, 2420};
-  static const mldsa_params k65{oids::ml_dsa_65, 1952, 3309};
-  static const mldsa_params k87{oids::ml_dsa_87, 2592, 4627};
-  switch (a) {
-    case key_algorithm::mldsa_44:
-      return k44;
-    case key_algorithm::mldsa_65:
-      return k65;
-    case key_algorithm::mldsa_87:
-      return k87;
-    default:
-      throw config_error("mldsa_of: not an ML-DSA key algorithm");
+/// A signature algorithm's facts. `size` is the RSA signature, the EC
+/// coordinate or the ML-DSA signature, in bytes.
+struct signature_row {
+  std::string_view name;
+  family kind;
+  std::size_t size;
+  const asn1::oid* oid;
+};
+
+// One row per enumerator, in enum order. ML-DSA sizes are FIPS 204's
+// (Table 2 of the standard): the quantities that make PQC chains blow
+// through the QUIC amplification budgets. ML-DSA uses one OID per
+// parameter set for both the key and the signature.
+constexpr key_row kKeys[] = {
+    {"RSA-2048", family::rsa, 256, &oids::rsa_encryption,
+     signature_algorithm::sha256_rsa_2048},
+    {"RSA-4096", family::rsa, 512, &oids::rsa_encryption,
+     signature_algorithm::sha256_rsa_4096},
+    {"ECDSA-P256", family::ec, 32, &oids::curve_p256,
+     signature_algorithm::ecdsa_sha256},
+    {"ECDSA-P384", family::ec, 48, &oids::curve_p384,
+     signature_algorithm::ecdsa_sha384},
+    {"ML-DSA-44", family::mldsa, 1312, &oids::ml_dsa_44,
+     signature_algorithm::mldsa_44},
+    {"ML-DSA-65", family::mldsa, 1952, &oids::ml_dsa_65,
+     signature_algorithm::mldsa_65},
+    {"ML-DSA-87", family::mldsa, 2592, &oids::ml_dsa_87,
+     signature_algorithm::mldsa_87},
+};
+static_assert(std::size(kKeys) ==
+              static_cast<std::size_t>(key_algorithm::mldsa_87) + 1);
+
+constexpr signature_row kSignatures[] = {
+    {"sha256WithRSA(2048)", family::rsa, 256, &oids::sha256_with_rsa},
+    {"sha256WithRSA(4096)", family::rsa, 512, &oids::sha256_with_rsa},
+    {"ecdsa-with-SHA256", family::ec, 32, &oids::ecdsa_with_sha256},
+    {"ecdsa-with-SHA384", family::ec, 48, &oids::ecdsa_with_sha384},
+    {"ML-DSA-44", family::mldsa, 2420, &oids::ml_dsa_44},
+    {"ML-DSA-65", family::mldsa, 3309, &oids::ml_dsa_65},
+    {"ML-DSA-87", family::mldsa, 4627, &oids::ml_dsa_87},
+};
+static_assert(std::size(kSignatures) ==
+              static_cast<std::size_t>(signature_algorithm::mldsa_87) + 1);
+
+const key_row& row_of(key_algorithm a) {
+  const auto i = static_cast<std::size_t>(a);
+  if (i >= std::size(kKeys)) {
+    throw config_error("unknown key_algorithm");
   }
+  return kKeys[i];
 }
 
-const mldsa_params& mldsa_of(signature_algorithm a) {
-  switch (a) {
-    case signature_algorithm::mldsa_44:
-      return mldsa_of(key_algorithm::mldsa_44);
-    case signature_algorithm::mldsa_65:
-      return mldsa_of(key_algorithm::mldsa_65);
-    case signature_algorithm::mldsa_87:
-      return mldsa_of(key_algorithm::mldsa_87);
-    default:
-      throw config_error("mldsa_of: not an ML-DSA signature algorithm");
+const signature_row& row_of(signature_algorithm a) {
+  const auto i = static_cast<std::size_t>(a);
+  if (i >= std::size(kSignatures)) {
+    throw config_error("unknown signature_algorithm");
   }
-}
-
-void encode_mldsa_spki(asn1::der_writer& w, key_algorithm a, rng& r) {
-  // ML-DSA AlgorithmIdentifiers carry no parameters, and the key is the
-  // raw encoded public key inside the BIT STRING.
-  const mldsa_params& p = mldsa_of(a);
-  w.open(asn1::tag::sequence);
-  w.open(asn1::tag::sequence);
-  w.oid(p.oid);
-  w.close();
-  random_bit_string(w, p.public_key_bytes, r, false);
-  w.close();
-}
-
-/// The AlgorithmIdentifier's OID and parameters, without the SEQUENCE.
-void encode_signature_algorithm_body(asn1::der_writer& w,
-                                     signature_algorithm a) {
-  switch (a) {
-    case signature_algorithm::sha256_rsa_2048:
-    case signature_algorithm::sha256_rsa_4096:
-      // RSA AlgorithmIdentifiers carry an explicit NULL parameter.
-      w.oid(oids::sha256_with_rsa);
-      return w.null();
-    case signature_algorithm::ecdsa_sha256:
-      return w.oid(oids::ecdsa_with_sha256);
-    case signature_algorithm::ecdsa_sha384:
-      return w.oid(oids::ecdsa_with_sha384);
-    case signature_algorithm::mldsa_44:
-    case signature_algorithm::mldsa_65:
-    case signature_algorithm::mldsa_87:
-      // ML-DSA AlgorithmIdentifiers have absent parameters.
-      return w.oid(mldsa_of(a).oid);
-  }
-  throw config_error("unknown signature_algorithm");
+  return kSignatures[i];
 }
 
 }  // namespace
@@ -182,107 +145,89 @@ pq_profile parse_pq_profile(std::string_view name) {
 }
 
 std::string to_string(key_algorithm a) {
-  switch (a) {
-    case key_algorithm::rsa_2048:
-      return "RSA-2048";
-    case key_algorithm::rsa_4096:
-      return "RSA-4096";
-    case key_algorithm::ecdsa_p256:
-      return "ECDSA-P256";
-    case key_algorithm::ecdsa_p384:
-      return "ECDSA-P384";
-    case key_algorithm::mldsa_44:
-      return "ML-DSA-44";
-    case key_algorithm::mldsa_65:
-      return "ML-DSA-65";
-    case key_algorithm::mldsa_87:
-      return "ML-DSA-87";
-  }
-  throw config_error("unknown key_algorithm");
+  return std::string{row_of(a).name};
 }
 
 std::string to_string(signature_algorithm a) {
-  switch (a) {
-    case signature_algorithm::sha256_rsa_2048:
-      return "sha256WithRSA(2048)";
-    case signature_algorithm::sha256_rsa_4096:
-      return "sha256WithRSA(4096)";
-    case signature_algorithm::ecdsa_sha256:
-      return "ecdsa-with-SHA256";
-    case signature_algorithm::ecdsa_sha384:
-      return "ecdsa-with-SHA384";
-    case signature_algorithm::mldsa_44:
-      return "ML-DSA-44";
-    case signature_algorithm::mldsa_65:
-      return "ML-DSA-65";
-    case signature_algorithm::mldsa_87:
-      return "ML-DSA-87";
-  }
-  throw config_error("unknown signature_algorithm");
+  return std::string{row_of(a).name};
 }
 
 signature_algorithm signature_by(key_algorithm issuer_key) {
-  switch (issuer_key) {
-    case key_algorithm::rsa_2048:
-      return signature_algorithm::sha256_rsa_2048;
-    case key_algorithm::rsa_4096:
-      return signature_algorithm::sha256_rsa_4096;
-    case key_algorithm::ecdsa_p256:
-      return signature_algorithm::ecdsa_sha256;
-    case key_algorithm::ecdsa_p384:
-      return signature_algorithm::ecdsa_sha384;
-    case key_algorithm::mldsa_44:
-      return signature_algorithm::mldsa_44;
-    case key_algorithm::mldsa_65:
-      return signature_algorithm::mldsa_65;
-    case key_algorithm::mldsa_87:
-      return signature_algorithm::mldsa_87;
-  }
-  throw config_error("unknown issuer key_algorithm");
+  return row_of(issuer_key).signer;
 }
 
 void encode_signature_algorithm(asn1::der_writer& w, signature_algorithm a) {
+  const signature_row& row = row_of(a);
   w.open(asn1::tag::sequence);
-  encode_signature_algorithm_body(w, a);
+  w.oid(*row.oid);
+  // RSA AlgorithmIdentifiers carry an explicit NULL parameter; ECDSA
+  // and ML-DSA ones have absent parameters.
+  if (row.kind == family::rsa) {
+    w.null();
+  }
   w.close();
 }
 
 void encode_spki(asn1::der_writer& w, key_algorithm a, rng& r) {
-  switch (a) {
-    case key_algorithm::rsa_2048:
-      return encode_rsa_spki(w, 256, r);
-    case key_algorithm::rsa_4096:
-      return encode_rsa_spki(w, 512, r);
-    case key_algorithm::ecdsa_p256:
-      return encode_ec_spki(w, oids::curve_p256, 32, r);
-    case key_algorithm::ecdsa_p384:
-      return encode_ec_spki(w, oids::curve_p384, 48, r);
-    case key_algorithm::mldsa_44:
-    case key_algorithm::mldsa_65:
-    case key_algorithm::mldsa_87:
-      return encode_mldsa_spki(w, a, r);
+  const key_row& row = row_of(a);
+  w.open(asn1::tag::sequence);
+  w.open(asn1::tag::sequence);
+  switch (row.kind) {
+    case family::rsa:
+      w.oid(*row.oid);
+      w.null();
+      w.close();
+      w.open(asn1::tag::bit_string);
+      w.u8(0);
+      w.open(asn1::tag::sequence);
+      random_integer(w, row.size, r, true);
+      w.integer(65537);
+      w.close();
+      w.close();
+      break;
+    case family::ec: {
+      w.oid(oids::ec_public_key);
+      w.oid(*row.oid);
+      w.close();
+      // Uncompressed point: 0x04 || X || Y.
+      const std::uint8_t uncompressed = 0x04;
+      random_bit_string(w, 2 * row.size, r, false, {&uncompressed, 1});
+      break;
+    }
+    case family::mldsa:
+      // No parameters; the key is the raw encoded public key inside the
+      // BIT STRING.
+      w.oid(*row.oid);
+      w.close();
+      random_bit_string(w, row.size, r, false);
+      break;
   }
-  throw config_error("unknown key_algorithm");
+  w.close();
 }
 
 void encode_signature_value(asn1::der_writer& w, signature_algorithm a,
                             rng& r) {
-  switch (a) {
-    case signature_algorithm::sha256_rsa_2048:
-      return random_bit_string(w, 256, r, true);
-    case signature_algorithm::sha256_rsa_4096:
-      return random_bit_string(w, 512, r, true);
-    case signature_algorithm::ecdsa_sha256:
-      return ecdsa_signature(w, 32, r);
-    case signature_algorithm::ecdsa_sha384:
-      return ecdsa_signature(w, 48, r);
-    case signature_algorithm::mldsa_44:
-    case signature_algorithm::mldsa_65:
-    case signature_algorithm::mldsa_87:
-      // The ML-DSA signature is a fixed-size opaque byte string.
-      return random_bit_string(w, mldsa_of(a).signature_bytes, r, false);
+  const signature_row& row = row_of(a);
+  switch (row.kind) {
+    case family::rsa:
+      // Modulus-sized, full width.
+      return random_bit_string(w, row.size, r, true);
+    case family::ec:
+      // ECDSA-Sig-Value ::= SEQUENCE { r INTEGER, s INTEGER }. Random
+      // magnitudes reproduce the real size jitter (+0/1 byte for the
+      // sign octet) of DER-encoded ECDSA signatures.
+      w.open(asn1::tag::bit_string);
+      w.u8(0);
+      w.open(asn1::tag::sequence);
+      random_integer(w, row.size, r, false);
+      random_integer(w, row.size, r, false);
+      w.close();
+      w.close();
+      return;
+    case family::mldsa:
+      // A fixed-size opaque byte string.
+      return random_bit_string(w, row.size, r, false);
   }
-  throw config_error("unknown signature_algorithm");
 }
 
 }  // namespace certquic::x509
