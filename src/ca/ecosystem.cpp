@@ -9,8 +9,9 @@ namespace certquic::ca {
 
 using x509::certificate;
 using x509::certificate_spec;
-using x509::distinguished_name;
 using x509::key_algorithm;
+using x509::name_ref;
+using x509::pieces;
 using x509::signature_algorithm;
 
 namespace {
@@ -22,7 +23,7 @@ enum class ca_style { root, legacy_root, intermediate };
 /// A CA certificate. Its URLs name the host `url_host` + `url_domain`
 /// (a long-tail CA's "<label>" + ".example"), built from the two views.
 std::shared_ptr<const certificate> make_ca_cert(
-    rng& r, x509::name_ref subject, x509::name_ref issuer, key_algorithm key,
+    rng& r, name_ref subject, name_ref issuer, key_algorithm key,
     key_algorithm issuer_key, ca_style style, std::string_view url_host,
     std::string_view url_domain = {}) {
   const certificate_spec spec{
@@ -83,6 +84,45 @@ std::vector<x509::dns_name>& san_scratch() {
   return sans;
 }
 
+/// The URLs a leaf names. An empty one is left out: a lean leaf has no
+/// CPS or CRL, a cruise liner no AIA.
+struct leaf_urls {
+  pieces cps;
+  pieces ocsp;
+  pieces ca_issuers;
+  pieces crl;
+};
+
+/// A leaf certificate of `spec`, issued after its SANs were drawn: every
+/// leaf carries this one extension sequence. `sct_count()` draws the
+/// number of embedded SCTs from `r` after the subjectKeyIdentifier.
+template <typename SctCount>
+std::shared_ptr<const certificate> issue_leaf(
+    const certificate_spec& spec, rng& r,
+    const std::vector<x509::dns_name>& sans, bool organization_validated,
+    const leaf_urls& urls, SctCount&& sct_count) {
+  std::array<std::uint8_t, 20> issuer_key_id;
+  r.fill(issuer_key_id);
+  return std::make_shared<const certificate>(
+      spec, r, [&](asn1::der_writer& w) {
+        x509::write_basic_constraints(w, false);
+        x509::write_key_usage(w, 0x80);
+        x509::write_ext_key_usage(w, true);
+        x509::write_subject_key_id(w, r);
+        x509::write_authority_key_id(w, issuer_key_id);
+        x509::write_subject_alt_name(w, sans);
+        x509::write_certificate_policies(w, organization_validated,
+                                         urls.cps);
+        if (!urls.ocsp.empty() || !urls.ca_issuers.empty()) {
+          x509::write_authority_info_access(w, urls.ocsp, urls.ca_issuers);
+        }
+        if (!urls.crl.empty()) {
+          x509::write_crl_distribution_points(w, urls.crl);
+        }
+        x509::write_sct_list(w, sct_count(), r);
+      });
+}
+
 /// One immutable parent list, for chains to share.
 std::shared_ptr<const x509::parent_list> share(x509::parent_list parents) {
   return std::make_shared<const x509::parent_list>(std::move(parents));
@@ -116,46 +156,47 @@ ecosystem ecosystem::make(std::uint64_t seed) {
 
   // ---- Distinguished names of the real hierarchies -----------------------
   const auto dn_cf =
-      distinguished_name::org("US", "Cloudflare, Inc.", "Cloudflare Inc ECC CA-3");
-  const auto dn_baltimore = distinguished_name::org(
+      name_ref::org("US", "Cloudflare, Inc.", "Cloudflare Inc ECC CA-3");
+  const auto dn_baltimore = name_ref::org(
       "IE", "Baltimore", "Baltimore CyberTrust Root");
-  const auto dn_r3 = distinguished_name::org("US", "Let's Encrypt", "R3");
-  const auto dn_e1 = distinguished_name::org("US", "Let's Encrypt", "E1");
-  const auto dn_x1 = distinguished_name::org(
+  const auto dn_r3 = name_ref::org("US", "Let's Encrypt", "R3");
+  const auto dn_e1 = name_ref::org("US", "Let's Encrypt", "E1");
+  const auto dn_x1 = name_ref::org(
       "US", "Internet Security Research Group", "ISRG Root X1");
-  const auto dn_x2 = distinguished_name::org(
+  const auto dn_x2 = name_ref::org(
       "US", "Internet Security Research Group", "ISRG Root X2");
-  const auto dn_dst = distinguished_name::org(
+  const auto dn_dst = name_ref::org(
       "US", "Digital Signature Trust Co.", "DST Root CA X3");
-  const auto dn_gts_r1 = distinguished_name::org(
+  const auto dn_gts_r1 = name_ref::org(
       "US", "Google Trust Services LLC", "GTS Root R1");
-  const auto dn_gts_1c3 = distinguished_name::org(
+  const auto dn_gts_1c3 = name_ref::org(
       "US", "Google Trust Services LLC", "GTS CA 1C3");
-  const auto dn_gts_1d4 = distinguished_name::org(
+  const auto dn_gts_1d4 = name_ref::org(
       "US", "Google Trust Services LLC", "GTS CA 1D4");
-  const auto dn_globalsign_root = distinguished_name::org(
+  const auto dn_globalsign_root = name_ref::org(
       "BE", "GlobalSign nv-sa", "GlobalSign Root CA - R3");
-  const auto dn_usertrust = distinguished_name::org(
+  const auto dn_usertrust = name_ref::org(
       "US", "The USERTRUST Network", "USERTrust RSA Certification Authority");
-  const auto dn_sectigo = distinguished_name::org(
-      "GB", "Sectigo Limited", "Sectigo RSA Domain Validation Secure Server CA");
-  const auto dn_comodo = distinguished_name::org(
+  const auto dn_sectigo =
+      name_ref::org("GB", "Sectigo Limited",
+                    "Sectigo RSA Domain Validation Secure Server CA");
+  const auto dn_comodo = name_ref::org(
       "GB", "COMODO CA Limited", "COMODO RSA Certification Authority");
-  const auto dn_cpanel =
-      distinguished_name::org("US", "cPanel, Inc.", "cPanel, Inc. Certification Authority");
-  const auto dn_globalsign_atlas = distinguished_name::org(
+  const auto dn_cpanel = name_ref::org(
+      "US", "cPanel, Inc.", "cPanel, Inc. Certification Authority");
+  const auto dn_globalsign_atlas = name_ref::org(
       "BE", "GlobalSign nv-sa", "GlobalSign Atlas R3 DV TLS CA H2 2021");
-  const auto dn_digicert_root = distinguished_name::org(
+  const auto dn_digicert_root = name_ref::org(
       "US", "DigiCert Inc", "DigiCert Global Root CA");
-  const auto dn_digicert_ca1 = distinguished_name::org(
+  const auto dn_digicert_ca1 = name_ref::org(
       "US", "DigiCert Inc", "DigiCert TLS RSA SHA256 2020 CA1");
   const auto dn_amazon_root =
-      distinguished_name::org("US", "Amazon", "Amazon Root CA 1");
+      name_ref::org("US", "Amazon", "Amazon Root CA 1");
   const auto dn_amazon_m01 =
-      distinguished_name::org("US", "Amazon", "Amazon RSA 2048 M01");
-  const auto dn_godaddy_root = distinguished_name::org(
+      name_ref::org("US", "Amazon", "Amazon RSA 2048 M01");
+  const auto dn_godaddy_root = name_ref::org(
       "US", "GoDaddy.com, Inc.", "GoDaddy Root Certificate Authority - G2");
-  const auto dn_godaddy_g2 = distinguished_name::org(
+  const auto dn_godaddy_g2 = name_ref::org(
       "US", "GoDaddy.com, Inc.", "GoDaddy Secure Certificate Authority - G2");
 
   // ---- Parent certificates ------------------------------------------------
@@ -193,7 +234,7 @@ ecosystem ecosystem::make(std::uint64_t seed) {
                    "pki.goog");
   // As served by Sectigo, the USERTrust root is cross-signed by the
   // older AAA Certificate Services root rather than self-signed.
-  const auto dn_aaa = distinguished_name::org(
+  const auto dn_aaa = name_ref::org(
       "GB", "Comodo CA Limited", "AAA Certificate Services");
   const auto usertrust_root = make_ca_cert(
       r, dn_usertrust, dn_aaa, key_algorithm::rsa_4096,
@@ -446,13 +487,11 @@ x509::chain ecosystem::issue(const chain_profile& profile,
                                                         : profile.parents;
   const x509::parent_list& parents = *shared;
   const leaf_profile& lp = profile.leaf;
-  static const distinguished_name unknown_issuer =
-      distinguished_name::cn("Unknown Issuer");
   certificate_spec spec;
   // The leaf's issuer is its parent's subject, copied as encoded.
-  spec.issuer = parents.empty() ? x509::name_ref{unknown_issuer}
-                                : x509::name_ref{parents.front()->subject()};
-  spec.subject = x509::name_ref::common_name(domain);
+  spec.issuer = parents.empty() ? name_ref::common_name("Unknown Issuer")
+                                : name_ref{parents.front()->subject()};
+  spec.subject = name_ref::common_name(domain);
   // The classical key draw is consumed under every profile so a
   // record's chain keeps its structure (SANs, SCT count) across the
   // PQC sweep; both PQC stages then put ML-DSA-44 on the leaf.
@@ -479,31 +518,17 @@ x509::chain ecosystem::issue(const chain_profile& profile,
     sans.push_back({i == 0 ? "www" : r.ascii_label(3, 10), domain});
   }
 
-  std::array<std::uint8_t, 20> issuer_key_id;
-  r.fill(issuer_key_id);
-  auto leaf = std::make_shared<const certificate>(
-      spec, r, [&](asn1::der_writer& w) {
-        x509::write_basic_constraints(w, false);
-        x509::write_key_usage(w, 0x80);
-        x509::write_ext_key_usage(w, true);
-        x509::write_subject_key_id(w, r);
-        x509::write_authority_key_id(w, issuer_key_id);
-        x509::write_subject_alt_name(w, sans);
-        x509::write_certificate_policies(
-            w, lp.organization_validated,
-            lp.lean_extensions ? x509::uri{}
-                               : x509::uri{"http://", lp.url_host, "/cps"});
-        x509::write_authority_info_access(
-            w, {"http://ocsp.", lp.url_host},
-            {"http://", lp.url_host, "/ca.crt"});
-        if (!lp.lean_extensions) {
-          x509::write_crl_distribution_points(
-              w, {"http://crl.", lp.url_host, "/ca.crl"});
-        }
-        const std::size_t scts = lp.sct_count > 1 && r.chance(0.5)
-                                     ? lp.sct_count - 1
-                                     : lp.sct_count;
-        x509::write_sct_list(w, scts, r);
+  const std::string_view host = lp.url_host;
+  auto leaf = issue_leaf(
+      spec, r, sans, lp.organization_validated,
+      {.cps = lp.lean_extensions ? pieces{} : pieces{"http://", host, "/cps"},
+       .ocsp = {"http://ocsp.", host},
+       .ca_issuers = {"http://", host, "/ca.crt"},
+       .crl = lp.lean_extensions ? pieces{}
+                                 : pieces{"http://crl.", host, "/ca.crl"}},
+      [&] {
+        return lp.sct_count > 1 && r.chance(0.5) ? lp.sct_count - 1
+                                                 : lp.sct_count;
       });
   return x509::chain{std::move(leaf), shared};
 }
@@ -553,8 +578,8 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
 
   // Issued top-down, root first, and served leaf-first: the list is
   // sized once and filled from its back.
-  const x509::name_ref root_dn =
-      x509::name_ref::org("US", ca_org, {ca_label, " Root CA"});
+  const name_ref root_dn =
+      name_ref::org("US", ca_org, {ca_label, " Root CA"});
   const key_algorithm root_key = pick_nonleaf(true);
   const bool include_anchor = r.chance(0.15);  // superfluous root
   auto parents =
@@ -568,12 +593,12 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   }
   // Each level is issued by the one above: the root's name, then the
   // encoded subject of the certificate issued last.
-  x509::name_ref parent_name = root_dn;
+  name_ref parent_name = root_dn;
   key_algorithm parent_key = root_key;
   for (std::size_t level = 0; level < depth; ++level) {
     // At most six levels: the level number is one digit.
     const char number = static_cast<char>('1' + level);
-    const x509::name_ref dn = x509::name_ref::org(
+    const name_ref dn = name_ref::org(
         "US", ca_org, {ca_label, " CA ", std::string_view{&number, 1}});
     const key_algorithm key = pick_nonleaf(false);
     rng level_rng = r.fork(100 + level);
@@ -624,7 +649,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   }
 
   const certificate_spec spec{.issuer = parent_name,
-                              .subject = x509::name_ref::common_name(domain),
+                              .subject = name_ref::common_name(domain),
                               .valid = {},
                               .key_alg = leaf_key,
                               .sig_alg = x509::signature_by(parent_key)};
@@ -635,23 +660,13 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   for (std::uint64_t i = 0; i < extra; ++i) {
     sans.push_back({r.ascii_label(3, 12), domain});
   }
-  std::array<std::uint8_t, 20> issuer_key_id;
-  r.fill(issuer_key_id);
-  auto leaf = std::make_shared<const certificate>(
-      spec, r, [&](asn1::der_writer& w) {
-        x509::write_basic_constraints(w, false);
-        x509::write_key_usage(w, 0x80);
-        x509::write_ext_key_usage(w, true);
-        x509::write_subject_key_id(w, r);
-        x509::write_authority_key_id(w, issuer_key_id);
-        x509::write_subject_alt_name(w, sans);
-        x509::write_certificate_policies(
-            w, false, {"http://", ca_label, kDomain, "/cps"});
-        x509::write_authority_info_access(
-            w, {"http://ocsp.", ca_label, kDomain},
-            {"http://", ca_label, kDomain, "/ca.crt"});
-        x509::write_sct_list(w, 1 + r.uniform(0, 2), r);
-      });
+  auto leaf = issue_leaf(
+      spec, r, sans, false,
+      {.cps = {"http://", ca_label, kDomain, "/cps"},
+       .ocsp = {"http://ocsp.", ca_label, kDomain},
+       .ca_issuers = {"http://", ca_label, kDomain, "/ca.crt"},
+       .crl = {}},
+      [&] { return 1 + r.uniform(0, 2); });
   return x509::chain{std::move(leaf), std::move(parents)};
 }
 
@@ -664,7 +679,7 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
   const x509::parent_list& parents = *shared;
   const certificate_spec spec{
       .issuer = parents.front()->subject(),
-      .subject = x509::name_ref::common_name(domain),
+      .subject = name_ref::common_name(domain),
       .valid = {},
       .key_alg = pq == x509::pq_profile::classical ? key_algorithm::rsa_2048
                                                    : key_algorithm::mldsa_44,
@@ -678,19 +693,11 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
     const char* tld = r.chance(0.5) ? "com" : "net";
     sans.push_back({r.ascii_label(4, 14), tld});
   }
-  std::array<std::uint8_t, 20> issuer_key_id;
-  r.fill(issuer_key_id);
-  auto leaf = std::make_shared<const certificate>(
-      spec, r, [&](asn1::der_writer& w) {
-        x509::write_basic_constraints(w, false);
-        x509::write_key_usage(w, 0x80);
-        x509::write_ext_key_usage(w, true);
-        x509::write_subject_key_id(w, r);
-        x509::write_authority_key_id(w, issuer_key_id);
-        x509::write_subject_alt_name(w, sans);
-        x509::write_certificate_policies(w, false, "http://comodoca.com/cps");
-        x509::write_sct_list(w, 3, r);
-      });
+  auto leaf = issue_leaf(
+      spec, r, sans, false,
+      {.cps = "http://comodoca.com/cps", .ocsp = {}, .ca_issuers = {},
+       .crl = {}},
+      [] { return std::size_t{3}; });
   return x509::chain{std::move(leaf), shared};
 }
 

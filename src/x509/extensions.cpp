@@ -26,7 +26,7 @@ void write_extension(asn1::der_writer& w, const asn1::oid& id, bool critical,
 }
 
 /// GeneralName uniformResourceIdentifier: [6] IMPLICIT IA5String.
-void general_uri(asn1::der_writer& w, const uri& url) {
+void general_uri(asn1::der_writer& w, const pieces& url) {
   url.encode(w, asn1::context_tag(6, /*constructed=*/false));
 }
 
@@ -132,10 +132,10 @@ void write_subject_alt_name(asn1::der_writer& w,
   });
 }
 
-void write_authority_info_access(asn1::der_writer& w, uri ocsp_url,
-                                 uri ca_issuers_url) {
+void write_authority_info_access(asn1::der_writer& w, pieces ocsp_url,
+                                 pieces ca_issuers_url) {
   write_extension(w, oids::authority_info_access, /*critical=*/false, [&] {
-    auto access = [&w](const asn1::oid& method, const uri& url) {
+    auto access = [&w](const asn1::oid& method, const pieces& url) {
       w.open(asn1::tag::sequence);
       w.oid(method);
       general_uri(w, url);
@@ -152,7 +152,7 @@ void write_authority_info_access(asn1::der_writer& w, uri ocsp_url,
   });
 }
 
-void write_crl_distribution_points(asn1::der_writer& w, uri url) {
+void write_crl_distribution_points(asn1::der_writer& w, pieces url) {
   // DistributionPoint ::= SEQUENCE { distributionPoint [0] { fullName [0]
   //   GeneralNames } } — two nested context tags around the URI.
   write_extension(w, oids::crl_distribution_points, /*critical=*/false, [&] {
@@ -169,7 +169,7 @@ void write_crl_distribution_points(asn1::der_writer& w, uri url) {
 }
 
 void write_certificate_policies(asn1::der_writer& w,
-                                bool organization_validated, uri cps_uri) {
+                                bool organization_validated, pieces cps_uri) {
   write_extension(w, oids::certificate_policies, /*critical=*/false, [&] {
     w.open(asn1::tag::sequence);
     w.open(asn1::tag::sequence);  // PolicyInformation

@@ -33,12 +33,6 @@ struct extension {
 /// malformed input.
 [[nodiscard]] extension read_extension(buffer_reader& r);
 
-/// A URI given as concatenated pieces, e.g. {"http://", host, "/cps"}:
-/// issuance names a CA's URLs from its host without building a string
-/// per certificate. Empty means "omit". The pieces must outlive the
-/// builder call.
-using uri = pieces;
-
 /// One dNSName of a subjectAltName: `label + "." + parent`, or just
 /// `parent` when the label is empty. Random labels fit the small-string
 /// buffer, and the parent is the domain the caller already holds.
@@ -73,15 +67,17 @@ void write_subject_alt_name(asn1::der_writer& w,
                             const std::vector<dns_name>& dns_names);
 
 /// authorityInfoAccess with OCSP and/or caIssuers URLs (empty = omit).
-void write_authority_info_access(asn1::der_writer& w, uri ocsp_url,
-                                 uri ca_issuers_url);
+/// URLs are pieces, e.g. {"http://ocsp.", host}: issuance names a CA's
+/// URLs from its host without building a string per certificate.
+void write_authority_info_access(asn1::der_writer& w, pieces ocsp_url,
+                                 pieces ca_issuers_url);
 
 /// cRLDistributionPoints with one URL.
-void write_crl_distribution_points(asn1::der_writer& w, uri url);
+void write_crl_distribution_points(asn1::der_writer& w, pieces url);
 
-/// certificatePolicies with a DV/OV policy and optional CPS URI.
+/// certificatePolicies with a DV/OV policy and a CPS URI (empty = omit).
 void write_certificate_policies(asn1::der_writer& w,
-                                bool organization_validated, uri cps_uri);
+                                bool organization_validated, pieces cps_uri);
 
 /// Embedded signed-certificate-timestamp list with `count` synthetic
 /// SCTs of realistic size (~119 bytes each); leaf certificates from

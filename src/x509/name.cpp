@@ -7,26 +7,6 @@
 
 namespace certquic::x509 {
 
-// Both factories move each value into the vector: a braced list of rdn
-// would be copied, one more allocation per long value.
-
-distinguished_name distinguished_name::cn(std::string common_name) {
-  std::vector<rdn> parts;
-  parts.push_back({&oids::common_name, std::move(common_name)});
-  return distinguished_name{std::move(parts)};
-}
-
-distinguished_name distinguished_name::org(std::string country,
-                                           std::string org_name,
-                                           std::string common_name) {
-  std::vector<rdn> parts;
-  parts.reserve(3);
-  parts.push_back({&oids::country, std::move(country), /*printable=*/true});
-  parts.push_back({&oids::organization, std::move(org_name)});
-  parts.push_back({&oids::common_name, std::move(common_name)});
-  return distinguished_name{std::move(parts)};
-}
-
 distinguished_name distinguished_name::decode(bytes_view der) {
   static const asn1::oid* const kAttributes[] = {
       &oids::common_name,  &oids::country,      &oids::locality,
@@ -102,21 +82,10 @@ void encode_rdn(asn1::der_writer& w, const asn1::oid& attribute,
 
 }  // namespace
 
-void distinguished_name::encode(asn1::der_writer& w) const {
-  w.open(asn1::tag::sequence);
-  for (const auto& part : parts_) {
-    encode_rdn(w, *part.attribute, part.value, part.printable);
-  }
-  w.close();
-}
-
 void name_ref::encode(asn1::der_writer& w) const {
   switch (form_) {
     case form::der:
       w.raw(der_);
-      return;
-    case form::dn:
-      dn_->encode(w);
       return;
     case form::common_name:
     case form::org:

@@ -49,19 +49,13 @@ struct rdn {
   bool printable = false;
 };
 
-/// An ordered distinguished name; encodes as RDNSequence.
+/// An ordered distinguished name, read back from an encoded
+/// RDNSequence (name_ref writes one).
 class distinguished_name {
  public:
   distinguished_name() = default;
   explicit distinguished_name(std::vector<rdn> parts)
       : parts_(std::move(parts)) {}
-
-  /// Just CN=<common_name>.
-  [[nodiscard]] static distinguished_name cn(std::string common_name);
-  /// C=<country>, O=<org>, CN=<common_name> — the usual CA layout.
-  [[nodiscard]] static distinguished_name org(std::string country,
-                                              std::string org_name,
-                                              std::string common_name);
 
   [[nodiscard]] const std::vector<rdn>& parts() const noexcept {
     return parts_;
@@ -75,9 +69,6 @@ class distinguished_name {
   /// Returns the CN value or "" when absent.
   [[nodiscard]] std::string common_name() const;
 
-  /// DER RDNSequence encoding, written into `w`.
-  void encode(asn1::der_writer& w) const;
-
   /// Human-readable "C=US, O=Example, CN=example.org".
   [[nodiscard]] std::string to_string() const;
 
@@ -88,20 +79,17 @@ class distinguished_name {
   std::vector<rdn> parts_;
 };
 
-/// The issuer or subject of a certificate being issued: a
-/// distinguished_name to encode, a Name already encoded (a parent
-/// certificate's subject), copied verbatim, or a CN=... or C=, O=, CN=
-/// Name encoded straight from views of its values. It views each, so
-/// what it refers to must outlive the issuance.
+/// The issuer or subject of a certificate being issued: a Name already
+/// encoded (a parent certificate's subject), copied verbatim, or a
+/// CN=... or C=, O=, CN= Name encoded straight from views of its
+/// values. It views each, so what it refers to must outlive the
+/// issuance.
 class name_ref {
  public:
   name_ref() = default;
-  name_ref(const distinguished_name& dn) : form_(form::dn), dn_(&dn) {}
-  name_ref(distinguished_name&&) = delete;  // would dangle
   name_ref(bytes_view der) : der_(der) {}
 
-  /// CN=<common_name>: the Name distinguished_name::cn(common_name)
-  /// encodes, with no copy of the name.
+  /// CN=<common_name>, with no copy of the name.
   [[nodiscard]] static name_ref common_name(std::string_view common_name) {
     name_ref ref;
     ref.form_ = form::common_name;
@@ -109,8 +97,9 @@ class name_ref {
     return ref;
   }
 
-  /// C=<country>, O=<organization>, CN=<common_name>: the Name
-  /// distinguished_name::org encodes, with no string built for a value.
+  /// C=<country>, O=<organization>, CN=<common_name> (the usual CA
+  /// layout), with no string built for a value. C is a
+  /// PrintableString, O and CN are UTF8Strings.
   [[nodiscard]] static name_ref org(std::string_view country,
                                     pieces organization, pieces common_name) {
     name_ref ref;
@@ -125,10 +114,9 @@ class name_ref {
   void encode(asn1::der_writer& w) const;
 
  private:
-  enum class form : std::uint8_t { der, dn, common_name, org };
+  enum class form : std::uint8_t { der, common_name, org };
 
   form form_ = form::der;
-  const distinguished_name* dn_ = nullptr;
   bytes_view der_;
   std::string_view country_;
   pieces organization_;

@@ -168,10 +168,9 @@ TEST(Corpus, Fig14QuadrantsAreSkewed) {
 /// A leaf under `parents` copies of one self-signed CA certificate.
 x509::chain chain_of_depth(std::size_t parents) {
   rng r{17};
-  const auto ca_name = x509::distinguished_name::cn("Depth CA");
-  const auto leaf_name = x509::distinguished_name::cn("depth.example");
-  const auto spec = [](const x509::distinguished_name& issuer,
-                       const x509::distinguished_name& subject) {
+  const auto ca_name = x509::name_ref::common_name("Depth CA");
+  const auto leaf_name = x509::name_ref::common_name("depth.example");
+  const auto spec = [](x509::name_ref issuer, x509::name_ref subject) {
     return x509::certificate_spec{
         .issuer = issuer,
         .subject = subject,

@@ -23,9 +23,8 @@ certificate make_leaf(rng& r, key_algorithm key = key_algorithm::ecdsa_p256,
                           signature_algorithm::sha256_rsa_2048,
                       std::vector<dns_name> sans = {{"", "example.org"},
                                                     {"www", "example.org"}}) {
-  const auto issuer =
-      distinguished_name::org("US", "Example CA", "Example CA R1");
-  const auto subject = distinguished_name::cn("example.org");
+  const auto issuer = name_ref::org("US", "Example CA", "Example CA R1");
+  const auto subject = name_ref::common_name("example.org");
   const certificate_spec spec{.issuer = issuer,
                               .subject = subject,
                               .valid = {},
@@ -52,9 +51,9 @@ certificate make_leaf(rng& r, key_algorithm key = key_algorithm::ecdsa_p256,
 certificate make_ca(rng& r, const std::string& cn,
                     key_algorithm key = key_algorithm::rsa_2048,
                     bool self_signed = false) {
-  const auto issuer = distinguished_name::org(
-      "US", "Example Trust", self_signed ? cn : "Example Root");
-  const auto subject = distinguished_name::org("US", "Example Trust", cn);
+  const std::string issuer_cn = self_signed ? cn : "Example Root";
+  const auto issuer = name_ref::org("US", "Example Trust", issuer_cn);
+  const auto subject = name_ref::org("US", "Example Trust", cn);
   const certificate_spec spec{.issuer = issuer,
                               .subject = subject,
                               .valid = {},
@@ -74,7 +73,7 @@ std::shared_ptr<const parent_list> shared(parent_list parents) {
 
 /// A self-signed root with only basicConstraints.
 certificate make_root(rng& r) {
-  const auto name = distinguished_name::org("US", "T", "Root X");
+  const auto name = name_ref::org("US", "T", "Root X");
   return certificate{{.issuer = name,
                       .subject = name,
                       .valid = {},
@@ -100,34 +99,51 @@ struct written_extension {
   }
 };
 
+/// The Name `name` encodes.
+bytes encoded(const name_ref& name) {
+  return test::encode([&](asn1::der_writer& w) { name.encode(w); });
+}
+
 TEST(DistinguishedName, EncodeAndRender) {
-  const auto dn = distinguished_name::org("US", "Let's Encrypt", "R3");
-  EXPECT_EQ(dn.to_string(), "C=US, O=Let's Encrypt, CN=R3");
-  EXPECT_EQ(dn.common_name(), "R3");
-  const bytes der = test::encode([&](asn1::der_writer& w) { dn.encode(w); });
+  const bytes der = encoded(name_ref::org("US", "Let's Encrypt", "R3"));
   EXPECT_EQ(der[0], 0x30);
   // C(13) + O(~24) + CN(~9) + header: spot-check a plausible size window.
   EXPECT_GT(der.size(), 30u);
   EXPECT_LT(der.size(), 70u);
+  const distinguished_name dn = distinguished_name::decode(der);
+  EXPECT_EQ(dn.to_string(), "C=US, O=Let's Encrypt, CN=R3");
+  EXPECT_EQ(dn.common_name(), "R3");
+  // C is a PrintableString; O and CN are UTF8Strings.
+  ASSERT_EQ(dn.parts().size(), 3u);
+  EXPECT_TRUE(dn.parts()[0].printable);
+  EXPECT_FALSE(dn.parts()[1].printable);
+  EXPECT_FALSE(dn.parts()[2].printable);
 }
 
 TEST(DistinguishedName, EqualityIsStructural) {
-  const auto a = distinguished_name::cn("x");
-  const auto b = distinguished_name::cn("x");
-  const auto c = distinguished_name::cn("y");
+  const auto read = [](std::string_view cn) {
+    return distinguished_name::decode(encoded(name_ref::common_name(cn)));
+  };
+  const auto a = read("x");
+  const auto b = read("x");
+  const auto c = read("y");
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == c);
 }
 
 TEST(DistinguishedName, DecodeReadsTheEncodingBack) {
-  for (const auto& dn : {distinguished_name::org("US", "Let's Encrypt", "R3"),
-                         distinguished_name::cn("www.example.org")}) {
-    const bytes der = test::encode([&](asn1::der_writer& w) { dn.encode(w); });
-    const distinguished_name back = distinguished_name::decode(der);
-    EXPECT_TRUE(back == dn);
-    EXPECT_EQ(back.to_string(), dn.to_string());
-    EXPECT_EQ(back.parts().front().printable, dn.parts().front().printable);
-  }
+  const distinguished_name cn = distinguished_name::decode(
+      encoded(name_ref::common_name("www.example.org")));
+  EXPECT_EQ(cn.to_string(), "CN=www.example.org");
+  ASSERT_EQ(cn.parts().size(), 1u);
+  EXPECT_FALSE(cn.parts()[0].printable);
+  // A Name composed from pieces is the Name of the whole values.
+  const bytes whole = encoded(name_ref::org("US", "Let's Encrypt", "R3"));
+  EXPECT_EQ(
+      encoded(name_ref::org("US", {"Let's", " ", "Encrypt"}, {"R", "3"})),
+      whole);
+  EXPECT_EQ(encoded(name_ref{whole}), whole);
+  EXPECT_EQ(distinguished_name::decode(whole).common_name(), "R3");
 }
 
 TEST(DistinguishedName, DecodeRejectsUnknownAttributesAndTrailingBytes) {
@@ -135,10 +151,7 @@ TEST(DistinguishedName, DecodeRejectsUnknownAttributesAndTrailingBytes) {
   const bytes unknown = {0x30, 0x0c, 0x31, 0x0a, 0x30, 0x08, 0x06,
                          0x03, 0x55, 0x04, 0x63, 0x0c, 0x01, 0x78};
   EXPECT_THROW((void)distinguished_name::decode(unknown), codec_error);
-  bytes trailing =
-      test::encode([](asn1::der_writer& w) {
-        distinguished_name::cn("x").encode(w);
-      });
+  bytes trailing = encoded(name_ref::common_name("x"));
   trailing.push_back(0);
   EXPECT_THROW((void)distinguished_name::decode(trailing), codec_error);
 }
@@ -383,20 +396,20 @@ TEST(Certificate, FieldSizesMatchTheParsedElements) {
 TEST(Certificate, NamesViewTheirEncoding) {
   rng r{14};
   const certificate leaf = make_leaf(r);
-  EXPECT_TRUE(distinguished_name::decode(leaf.issuer()) ==
-              distinguished_name::org("US", "Example CA", "Example CA R1"));
-  EXPECT_TRUE(distinguished_name::decode(leaf.subject()) ==
-              distinguished_name::cn("example.org"));
+  EXPECT_EQ(distinguished_name::decode(leaf.issuer()).to_string(),
+            "C=US, O=Example CA, CN=Example CA R1");
+  EXPECT_EQ(distinguished_name::decode(leaf.subject()).to_string(),
+            "CN=example.org");
   EXPECT_EQ(leaf.describe(), "CN=example.org (ECDSA-P256, " +
                                  std::to_string(leaf.size()) + "B)");
 }
 
 TEST(Certificate, EncodedIssuerWritesTheSameBytes) {
   // A leaf issued from its parent's encoded subject is byte-identical
-  // to one issued from the parent's distinguished_name.
+  // to one issued from the parent's name given by its values.
   rng r{15};
   const certificate parent = make_ca(r, "Example Sub CA");
-  const auto subject = distinguished_name::cn("example.org");
+  const auto subject = name_ref::common_name("example.org");
   const auto issue = [&](name_ref issuer) {
     rng leaf_rng{16};
     return certificate{{.issuer = issuer,
@@ -412,7 +425,7 @@ TEST(Certificate, EncodedIssuerWritesTheSameBytes) {
   };
   const certificate from_der = issue(parent.subject());
   const auto parent_dn =
-      distinguished_name::org("US", "Example Trust", "Example Sub CA");
+      name_ref::org("US", "Example Trust", "Example Sub CA");
   const certificate from_dn = issue(parent_dn);
   EXPECT_EQ(from_der.der(), from_dn.der());
   EXPECT_TRUE(std::ranges::equal(from_der.issuer(), parent.subject()));
