@@ -167,12 +167,6 @@ void parse_frames(bytes_view payload, std::vector<frame>& out) {
   }
 }
 
-std::vector<frame> parse_frames(bytes_view payload) {
-  std::vector<frame> out;
-  parse_frames(payload, out);
-  return out;
-}
-
 bool is_ack_eliciting(const frame& f) {
   return std::holds_alternative<ping_frame>(f) ||
          std::holds_alternative<crypto_frame>(f) ||

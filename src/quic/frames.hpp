@@ -63,8 +63,6 @@ void write_frame(buffer_writer& w, const frame& f);
 /// and STREAM frames view `payload`. Throws codec_error on malformed
 /// input.
 void parse_frames(bytes_view payload, std::vector<frame>& out);
-/// As above, into a fresh vector.
-[[nodiscard]] std::vector<frame> parse_frames(bytes_view payload);
 
 /// True for frames that elicit acknowledgement (everything except
 /// PADDING, ACK and CONNECTION_CLOSE).

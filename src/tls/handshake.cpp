@@ -191,14 +191,6 @@ void write_compressed_certificate(buffer_writer& w, const x509::chain& chain,
 
 }  // namespace
 
-bytes frame(handshake_type type, bytes_view body) {
-  buffer_writer w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u24(static_cast<std::uint32_t>(body.size()));
-  w.raw(body);
-  return std::move(w).take();
-}
-
 frame_info peek_frame(bytes_view data) noexcept {
   frame_info info;
   if (data.empty()) {

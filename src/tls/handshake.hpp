@@ -31,9 +31,6 @@ enum class handshake_type : std::uint8_t {
   compressed_certificate = 25,
 };
 
-/// Frames a handshake body: 1-byte type + 3-byte length + body.
-[[nodiscard]] bytes frame(handshake_type type, bytes_view body);
-
 /// What peek_frame found at the front of a handshake byte stream.
 enum class frame_status : std::uint8_t {
   /// The first message is not whole yet: fewer than 4 header bytes,

@@ -86,7 +86,8 @@ TEST(Frames, ParseRoundTrip) {
   write_frame(w, ack_frame{3});
   write_frame(w, padding_frame{25});
   const bytes payload = std::move(w).take();
-  const auto parsed = parse_frames(payload);
+  std::vector<frame> parsed;
+  parse_frames(payload, parsed);
   ASSERT_EQ(parsed.size(), 3u);
   const auto& cf = std::get<crypto_frame>(parsed[0]);
   EXPECT_EQ(cf.offset, 42u);
@@ -126,29 +127,34 @@ TEST(FramesPadding, RunCollapsesToOneFrameWhereverItSits) {
   const bytes crypto = frames_payload({crypto_frame{7, bytes(40, 0xc3)}});
   const bytes ping = frames_payload({ping_frame{}});
   const bytes ack = frames_payload({ack_frame{9}});
-  // Run lengths around the scan's 8-byte word, plus a long one.
+  // Run lengths around the scan's 8-byte word, plus a long one. One
+  // slot serves every parse: each replaces what the last one left.
+  std::vector<frame> parsed;
   for (const std::size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 1003u}) {
     SCOPED_TRACE(n);
-    const auto leading = parse_frames(concat({zeros(n), crypto}));
-    ASSERT_EQ(leading.size(), 2u);
-    EXPECT_EQ(std::get<padding_frame>(leading[0]).count, n);
-    EXPECT_EQ(std::get<crypto_frame>(leading[1]).offset, 7u);
+    const bytes leading = concat({zeros(n), crypto});
+    parse_frames(leading, parsed);
+    ASSERT_EQ(parsed.size(), 2u);
+    EXPECT_EQ(std::get<padding_frame>(parsed[0]).count, n);
+    EXPECT_EQ(std::get<crypto_frame>(parsed[1]).offset, 7u);
 
-    const auto between = parse_frames(concat({ping, zeros(n), ack}));
-    ASSERT_EQ(between.size(), 3u);
-    EXPECT_TRUE(std::holds_alternative<ping_frame>(between[0]));
-    EXPECT_EQ(std::get<padding_frame>(between[1]).count, n);
-    EXPECT_EQ(std::get<ack_frame>(between[2]).largest, 9u);
+    parse_frames(concat({ping, zeros(n), ack}), parsed);
+    ASSERT_EQ(parsed.size(), 3u);
+    EXPECT_TRUE(std::holds_alternative<ping_frame>(parsed[0]));
+    EXPECT_EQ(std::get<padding_frame>(parsed[1]).count, n);
+    EXPECT_EQ(std::get<ack_frame>(parsed[2]).largest, 9u);
 
-    const auto trailing = parse_frames(concat({crypto, zeros(n)}));
-    ASSERT_EQ(trailing.size(), 2u);
-    EXPECT_EQ(std::get<padding_frame>(trailing[1]).count, n);
+    const bytes trailing = concat({crypto, zeros(n)});
+    parse_frames(trailing, parsed);
+    ASSERT_EQ(parsed.size(), 2u);
+    EXPECT_EQ(std::get<padding_frame>(parsed[1]).count, n);
 
-    const auto only = parse_frames(zeros(n));
-    ASSERT_EQ(only.size(), 1u);
-    EXPECT_EQ(std::get<padding_frame>(only[0]).count, n);
+    parse_frames(zeros(n), parsed);
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(std::get<padding_frame>(parsed[0]).count, n);
   }
-  EXPECT_TRUE(parse_frames({}).empty());
+  parse_frames({}, parsed);
+  EXPECT_TRUE(parsed.empty());
 }
 
 TEST(FramesPadding, TrailingRunStopsAtTheAeadTag) {
@@ -186,20 +192,22 @@ TEST(FramesPadding, PaddingOnlyPacketRoundTrips) {
 }
 
 TEST(FramesPadding, MalformedFrameAfterARunStillThrows) {
+  std::vector<frame> parsed;
   for (const std::size_t n : {1u, 8u, 21u, 640u}) {
     SCOPED_TRACE(n);
     // CRYPTO whose length varint promises more bytes than remain.
     EXPECT_THROW(
-        (void)parse_frames(concat({zeros(n), bytes{0x06, 0x00, 0x10, 0xaa}})),
+        parse_frames(concat({zeros(n), bytes{0x06, 0x00, 0x10, 0xaa}}),
+                     parsed),
         codec_error);
     // A frame type cut off before its first field.
-    EXPECT_THROW((void)parse_frames(concat({zeros(n), bytes{0x06}})),
+    EXPECT_THROW(parse_frames(concat({zeros(n), bytes{0x06}}), parsed),
                  codec_error);
     // A two-byte varint cut in half.
-    EXPECT_THROW((void)parse_frames(concat({zeros(n), bytes{0x02, 0x40}})),
+    EXPECT_THROW(parse_frames(concat({zeros(n), bytes{0x02, 0x40}}), parsed),
                  codec_error);
     // An unknown frame type.
-    EXPECT_THROW((void)parse_frames(concat({zeros(n), bytes{0x1f}})),
+    EXPECT_THROW(parse_frames(concat({zeros(n), bytes{0x1f}}), parsed),
                  codec_error);
   }
 }
@@ -878,6 +886,7 @@ TEST_P(ParserFuzz, ZeroRunsSplicedAnywhereAreSafe) {
   std::vector<packet> dgram{init};
   (void)pad_datagram_to(dgram, 1200);
   const bytes wire = encode_datagram(dgram);
+  std::vector<frame> frames;
   for (int round = 0; round < 300; ++round) {
     bytes mutated = wire;
     const auto at = static_cast<long>(r.uniform(0, mutated.size()));
@@ -891,7 +900,7 @@ TEST_P(ParserFuzz, ZeroRunsSplicedAnywhereAreSafe) {
     } catch (const codec_error&) {
     }
     try {
-      (void)parse_frames(mutated);
+      parse_frames(mutated, frames);
     } catch (const codec_error&) {
     }
   }
@@ -942,7 +951,8 @@ TEST_P(ParserFuzz, ZeroRunsAtFrameBoundariesCollapse) {
         append(payload, pieces[i]);
       }
     }
-    const auto parsed = parse_frames(payload);
+    std::vector<frame> parsed;
+    parse_frames(payload, parsed);
     EXPECT_EQ(parsed.size(), real_frames + runs);
     EXPECT_EQ(account(parsed).padding, padding);
     for (std::size_t i = 1; i < parsed.size(); ++i) {
@@ -1037,8 +1047,13 @@ bytes concat(std::initializer_list<bytes> parts) {
   return out;
 }
 
+/// A handshake message: type, 3-byte length, then `body_size` bytes.
 bytes message(tls::handshake_type type, std::size_t body_size) {
-  return tls::frame(type, bytes(body_size, 0x42));
+  buffer_writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u24(static_cast<std::uint32_t>(body_size));
+  w.raw(bytes(body_size, 0x42));
+  return std::move(w).take();
 }
 
 const bytes kServerHello = message(tls::handshake_type::server_hello, 90);

@@ -11,6 +11,7 @@
 
 #include "ca/ecosystem.hpp"
 #include "tls/handshake.hpp"
+#include "util/buffer.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
 
@@ -33,6 +34,15 @@ bytes encoded_finished(rng& r) {
   return out;
 }
 
+/// A handshake message: 1-byte type + 3-byte length + body.
+bytes frame_message(handshake_type type, bytes_view body) {
+  buffer_writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u24(static_cast<std::uint32_t>(body.size()));
+  w.raw(body);
+  return std::move(w).take();
+}
+
 class TlsTest : public ::testing::Test {
  protected:
   ca::ecosystem eco_ = ca::ecosystem::make();
@@ -45,7 +55,7 @@ class TlsTest : public ::testing::Test {
 
 TEST_F(TlsTest, FrameRoundTrip) {
   const bytes body = {1, 2, 3, 4, 5};
-  const bytes framed = frame(handshake_type::finished, body);
+  const bytes framed = frame_message(handshake_type::finished, body);
   EXPECT_EQ(framed.size(), body.size() + 4);
   const auto info = peek_frame(framed);
   EXPECT_EQ(info.status, frame_status::complete);
@@ -56,7 +66,8 @@ TEST_F(TlsTest, FrameRoundTrip) {
 TEST_F(TlsTest, PeekFrameStatusTable) {
   // Every proper prefix of a framed message is partial; the header's
   // total is known once its four bytes are in.
-  const bytes framed = frame(handshake_type::finished, bytes(32, 0));
+  const bytes framed =
+      frame_message(handshake_type::finished, bytes(32, 0));
   const std::size_t n = framed.size();
   for (std::size_t len = 0; len < n; ++len) {
     SCOPED_TRACE(len);
