@@ -24,7 +24,9 @@ bool reusable_shard(const engine::spill_probe_result& probe,
 }
 
 std::string signed_str(long long v) {
-  return (v >= 0 ? "+" : "") + std::to_string(v);
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%+lld", v);
+  return buf;
 }
 
 std::string signed_fixed(double v, int digits) {

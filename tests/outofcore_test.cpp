@@ -550,7 +550,7 @@ TEST(SpillReplay, ShardHeadersOverclaimingTogetherRejected) {
   spill_fixture(first, plan);
   auto spill = test::read_spill_bytes(first);
   const std::size_t claim = shared_model().records().size() * 3 / 4;
-  buffer_writer header;
+  buffer_writer header{16};
   header.raw(bytes_view{spill.header}.first(8));  // magic
   quic::write_varint(header, plan.variants.size());
   quic::write_varint(header, claim);

@@ -125,7 +125,9 @@ std::string rank_group_label(const internet::model& m, std::size_t g) {
   const std::size_t size = std::max<std::size_t>(1, n / kGroups);
   const std::size_t lo = std::min(g * size, n);
   const std::size_t hi = g + 1 == kGroups ? n : std::min((g + 1) * size, n);
-  return "[" + std::to_string(lo + 1) + ", " + std::to_string(hi + 1) + ")";
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "[%zu, %zu)", lo + 1, hi + 1);
+  return buf;
 }
 
 // Figure 2(b): CDF of X.509 certificate field sizes (subject, issuer,

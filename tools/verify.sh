@@ -16,8 +16,10 @@
 #   --sanitize    tier-1 under ASan+UBSan (build-asan/), then the
 #                 threaded suites under TSan (build-tsan/); both with
 #                 CERTQUIC_ASSERT on and no suppression files
-#   --bench       2 s traced certbench census_sweep and corpus runs that
-#                 must each report "correct": true
+#   --bench       a Release -DCERTQUIC_WERROR=ON build of build-release/
+#                 (the optimizer's warnings differ from the default
+#                 build type's), then 2 s traced certbench census_sweep
+#                 and corpus runs that must each report "correct": true
 #   --tidy        clang-tidy (the checked-in .clang-tidy) over src/;
 #                 skipped with a notice when run-clang-tidy is missing
 # Flags combine in any order and none drops another's stages.
@@ -178,15 +180,25 @@ sanitize_check() {
   echo "OK   sanitize: ASan+UBSan tier-1 and TSan threaded suites clean"
 }
 
-# Benchmark self-check smoke: a 2-second traced run of the certbench
-# harness on census_sweep (the handshake path) and on corpus (chain
+# Benchmark self-check smoke. First the whole tree must build
+# warning-clean as Release (build-release/), the build type certbench
+# measures. Then a 2-second traced run of the certbench harness on
+# census_sweep (the handshake path) and on corpus (chain
 # materialization and the corpus fold). Each final JSON line carries
 # "correct": true only when every self-check passed and the seed-42
-# digest matches certbench/reference.json. Builds into .bench_build/
-# like any certbench run.
+# digest matches certbench/reference.json. certbench builds into
+# .bench_build/ like any certbench run.
 certbench_check() {
   cb_out=$(mktemp)
   cb_status=0
+  if cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+       -DCERTQUIC_WERROR=ON &&
+     cmake --build build-release -j "$jobs"; then
+    echo "OK   bench: Release -DCERTQUIC_WERROR=ON build-release/ builds"
+  else
+    echo "FAIL bench: Release -DCERTQUIC_WERROR=ON build-release/ failed"
+    cb_status=1
+  fi
   for cb_workload in census_sweep corpus; do
     if ! python3 certbench/run.py --workload "$cb_workload" --seed 42 \
          --seconds 2 --trace 1 > "$cb_out"; then
