@@ -75,12 +75,14 @@ std::shared_ptr<const certificate> make_pqc_twin(const certificate& parent,
       "pq.pki.example");
 }
 
-/// The thread's subjectAltName list, cleared. A leaf's SANs are drawn
-/// before its certificate is encoded, so they are held somewhere: here,
-/// in storage every leaf this thread issues reuses.
-std::vector<x509::dns_name>& san_scratch() {
+/// The thread's subjectAltName list, holding only `domain`: every leaf
+/// names its domain first. A leaf's SANs are drawn before its
+/// certificate is encoded, so they are held somewhere: here, in storage
+/// every leaf this thread issues reuses.
+std::vector<x509::dns_name>& san_scratch(std::string_view domain) {
   thread_local std::vector<x509::dns_name> sans;
   sans.clear();
+  sans.push_back({{}, domain});
   return sans;
 }
 
@@ -512,8 +514,7 @@ x509::chain ecosystem::issue(const chain_profile& profile,
 
   const auto extra = r.uniform(lp.min_sans > 0 ? lp.min_sans - 1 : 0,
                                lp.max_sans > 0 ? lp.max_sans - 1 : 0);
-  std::vector<x509::dns_name>& sans = san_scratch();
-  sans.push_back({{}, domain});
+  std::vector<x509::dns_name>& sans = san_scratch(domain);
   for (std::uint64_t i = 0; i < extra; ++i) {
     sans.push_back({i == 0 ? "www" : r.ascii_label(3, 10), domain});
   }
@@ -542,7 +543,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
   // "http://<label>.example/cps": no string is built for them.
   const std::string ca_label = r.ascii_label(4, 12);
   static constexpr std::string_view kDomain = ".example";
-  const x509::pieces ca_org{ca_label, " Trust Services"};
+  const pieces ca_org{ca_label, " Trust Services"};
 
   // Table 2 non-leaf mixes: QUIC {RSA2048, RSA4096, EC256, EC384} =
   // {15.1, 22.4, 40.4, 22.1}%; HTTPS-only = {63.3, 32.1, 2.7, 1.6}%.
@@ -654,8 +655,7 @@ x509::chain ecosystem::issue_other(const std::string& domain, rng& r,
                               .key_alg = leaf_key,
                               .sig_alg = x509::signature_by(parent_key)};
   const auto extra = r.uniform(0, monster ? 40 : 4);
-  std::vector<x509::dns_name>& sans = san_scratch();
-  sans.push_back({{}, domain});
+  std::vector<x509::dns_name>& sans = san_scratch(domain);
   sans.push_back({"www", domain});
   for (std::uint64_t i = 0; i < extra; ++i) {
     sans.push_back({r.ascii_label(3, 12), domain});
@@ -684,8 +684,7 @@ x509::chain ecosystem::issue_cruise_liner(const std::string& domain,
       .key_alg = pq == x509::pq_profile::classical ? key_algorithm::rsa_2048
                                                    : key_algorithm::mldsa_44,
       .sig_alg = x509::signature_by(parents.front()->key_alg())};
-  std::vector<x509::dns_name>& sans = san_scratch();
-  sans.push_back({{}, domain});
+  std::vector<x509::dns_name>& sans = san_scratch(domain);
   for (std::size_t i = 0; i < san_count; ++i) {
     // Shared-hosting SANs: unrelated customer domains on one cert.
     // The TLD is drawn before the label, the order these draws have
