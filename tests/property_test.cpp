@@ -1,16 +1,18 @@
-// Seeded round-trip property tests for the three wire codecs that every
-// other layer builds on: QUIC varints, DER TLVs and the LZ engine behind
-// RFC 8879 certificate compression; plus the fail-closed contracts of the
-// TLS handshake-frame peek on arbitrary bytes and of the spill v4 decoder
-// on mutated spill files. All randomness flows through the project rng
+// Seeded round-trip property tests for the wire codecs that every other
+// layer builds on: QUIC varints and coalesced datagrams, DER TLVs and the
+// LZ engine behind RFC 8879 certificate compression; plus the
+// fail-closed contracts of the TLS handshake-frame peek on arbitrary
+// bytes and of the spill v4 decoder on mutated spill files. All randomness flows through the project rng
 // with fixed seeds (tests/support/property.hpp), so a failure reproduces
 // bit-for-bit from its iteration index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <filesystem>
 #include <iterator>
+#include <string>
 #include <typeinfo>
 
 #include "asn1/der.hpp"
@@ -21,6 +23,8 @@
 #include "engine/engine.hpp"
 #include "engine/spill.hpp"
 #include "property.hpp"
+#include "quic/frames.hpp"
+#include "quic/packet.hpp"
 #include "quic/varint.hpp"
 #include "spill_bytes.hpp"
 #include "tls/handshake.hpp"
@@ -77,6 +81,293 @@ TEST(VarintProperty, ConcatenatedStreamRoundTrips) {
         EXPECT_TRUE(rd.empty());
       },
       64);
+}
+
+// --- quic datagram codec ----------------------------------------------
+
+/// A random coalesced datagram and the bytes its CRYPTO and STREAM
+/// frames view (a deque, so earlier views survive later appends).
+struct gen_datagram {
+  std::deque<bytes> data;
+  std::vector<quic::packet> packets;
+};
+
+/// Frame payload lengths on both sides of the 1/2- and 2/4-byte varint
+/// widths, plus a few ordinary ones.
+constexpr std::array<std::size_t, 12> kCryptoLengths = {
+    0, 1, 62, 63, 64, 65, 300, 1000, 16382, 16383, 16384, 16385};
+
+/// Draws a CRYPTO length: the 16 KiB ones rarely, so most datagrams stay
+/// under the 1500-byte pad targets.
+std::size_t gen_crypto_length(rng& r) {
+  const std::size_t n = r.pick(kCryptoLengths);
+  return n > 1500 && r.chance(0.8) ? r.uniform(0, 65) : n;
+}
+
+bytes_view gen_payload(rng& r, gen_datagram& g, std::size_t n) {
+  bytes& b = g.data.emplace_back(n);
+  r.fill(b);
+  return b;
+}
+
+/// Up to four ACK, CRYPTO, STREAM and PADDING frames, never two PADDING
+/// frames in a row (the parser would merge them).
+void gen_frames(rng& r, gen_datagram& g, quic::packet& p) {
+  bool last_padding = false;
+  for (auto n = r.uniform(0, 4); n > 0; --n) {
+    switch (r.uniform(0, 3)) {
+      case 0:
+        p.frames.push_back(quic::ack_frame{test::gen_varint_value(r)});
+        last_padding = false;
+        break;
+      case 1:
+        p.frames.push_back(quic::crypto_frame{
+            test::gen_varint_value(r),
+            gen_payload(r, g, gen_crypto_length(r))});
+        last_padding = false;
+        break;
+      case 2:
+        p.frames.push_back(quic::stream_frame{
+            test::gen_varint_value(r), test::gen_varint_value(r),
+            gen_payload(r, g, r.uniform(0, 300))});
+        last_padding = false;
+        break;
+      default:
+        if (!last_padding) {
+          p.frames.push_back(quic::padding_frame{r.uniform(1, 80)});
+          last_padding = true;
+        }
+        break;
+    }
+  }
+}
+
+/// One to three long-header packets (Initial or Handshake), then a
+/// 1-RTT packet half the time: it has no length field, so it must be
+/// last. Packet numbers fit the two bytes the codec writes.
+gen_datagram gen_coalesced(rng& r) {
+  gen_datagram g;
+  const std::size_t long_headers = r.uniform(1, 3);
+  for (std::size_t i = 0; i <= long_headers; ++i) {
+    if (i == long_headers && r.chance(0.5)) {
+      break;
+    }
+    quic::packet& p = g.packets.emplace_back();
+    p.type = i == long_headers ? quic::packet_type::one_rtt
+             : r.chance(0.5)   ? quic::packet_type::initial
+                               : quic::packet_type::handshake;
+    p.dcid.resize(r.uniform(0, quic::kMaxConnectionIdSize));
+    r.fill(p.dcid);
+    if (p.type != quic::packet_type::one_rtt) {
+      p.scid.resize(r.uniform(0, quic::kMaxConnectionIdSize));
+      r.fill(p.scid);
+    }
+    if (p.type == quic::packet_type::initial && r.chance(0.3)) {
+      p.token = test::gen_bytes(r, 1, 70);
+    }
+    p.packet_number = r.uniform(0, 0xffff);
+    gen_frames(r, g, p);
+  }
+  return g;
+}
+
+/// The protected size (packet number, frames, tag) of a long-header
+/// packet: the value its length field carries.
+std::size_t protected_size(const quic::packet& p) {
+  return quic::kPacketNumberSize + p.payload_size() + quic::kAeadTagSize;
+}
+
+TEST(QuicCodecProperty, EncodedSizeIsTheComputedSize) {
+  for_each_iteration([](rng& r, std::size_t i) {
+    const gen_datagram g = gen_coalesced(r);
+    const bytes wire = quic::encode_datagram(g.packets);
+    EXPECT_EQ(wire.size(), quic::datagram_size(g.packets))
+        << "iteration " << i;
+    std::size_t sum = 0;
+    for (const quic::packet& p : g.packets) {
+      sum += quic::encode_datagram({&p, 1}).size();
+      EXPECT_EQ(quic::encode_datagram({&p, 1}).size(), p.wire_size())
+          << "iteration " << i;
+    }
+    EXPECT_EQ(sum, wire.size()) << "iteration " << i;
+  });
+}
+
+TEST(QuicCodecProperty, ParseThenEncodeGivesTheSameBytes) {
+  std::vector<quic::packet> slots;
+  for_each_iteration([&slots](rng& r, std::size_t i) {
+    const gen_datagram g = gen_coalesced(r);
+    const bytes wire = quic::encode_datagram(g.packets);
+    const auto parsed = quic::parse_datagram(wire, slots);
+    ASSERT_EQ(parsed.size(), g.packets.size()) << "iteration " << i;
+    for (std::size_t k = 0; k < parsed.size(); ++k) {
+      EXPECT_EQ(parsed[k].type, g.packets[k].type) << "iteration " << i;
+      EXPECT_EQ(parsed[k].dcid, g.packets[k].dcid) << "iteration " << i;
+      EXPECT_EQ(parsed[k].packet_number, g.packets[k].packet_number)
+          << "iteration " << i;
+      EXPECT_EQ(parsed[k].frames.size(), g.packets[k].frames.size())
+          << "iteration " << i;
+    }
+    EXPECT_EQ(quic::encode_datagram(parsed), wire) << "iteration " << i;
+    EXPECT_EQ(quic::parse_datagram(wire).size(), parsed.size())
+        << "iteration " << i;
+  });
+}
+
+TEST(QuicCodecProperty, PaddingLandsOnEveryTargetUpTo1500) {
+  // A long-header packet's length field grows from one byte to two when
+  // its protected size reaches 64, so one datagram size is unreachable:
+  // padding stops one byte short of it. Every other target is exact.
+  std::size_t landed = 0;
+  std::size_t short_of_gap = 0;
+  for_each_iteration(
+      [&](rng& r, std::size_t i) {
+        const gen_datagram g = gen_coalesced(r);
+        const std::size_t unpadded = quic::datagram_size(g.packets);
+        const quic::packet& last = g.packets.back();
+        const std::size_t before = protected_size(last);
+        const bool has_gap =
+            last.type != quic::packet_type::one_rtt && before < 64;
+        const std::size_t gap = unpadded + (64 - before);
+        std::vector<quic::packet> dgram;
+        for (std::size_t target = unpadded; target <= 1500; ++target) {
+          dgram = g.packets;
+          const std::size_t added = quic::pad_datagram_to(dgram, target);
+          const bytes wire = quic::encode_datagram(dgram);
+          EXPECT_EQ(wire.size(), quic::datagram_size(dgram))
+              << "iteration " << i << " target " << target;
+          const std::size_t want =
+              has_gap && target == gap ? target - 1 : target;
+          ASSERT_EQ(wire.size(), want)
+              << "iteration " << i << " target " << target;
+          EXPECT_EQ(quic::account(dgram.back().frames).padding -
+                        quic::account(last.frames).padding,
+                    added)
+              << "iteration " << i << " target " << target;
+          landed += wire.size() == target;
+          short_of_gap += wire.size() != target;
+        }
+        // A target at or below the datagram's size adds nothing.
+        dgram = g.packets;
+        EXPECT_EQ(quic::pad_datagram_to(dgram, unpadded), 0u);
+        EXPECT_EQ(quic::pad_datagram_to(dgram, unpadded / 2), 0u);
+        EXPECT_EQ(quic::encode_datagram(dgram),
+                  quic::encode_datagram(g.packets));
+      },
+      128);
+  // 110,106 targets land exactly: most of the 128 datagrams are well
+  // under 1500 bytes, so each pads to hundreds of targets.
+  EXPECT_GT(landed, 100'000u);
+  EXPECT_GT(short_of_gap, 0u);
+}
+
+/// Frames decoded by the simplest scan there is: a PADDING run is
+/// counted one zero byte at a time. Knows PING, ACK and CRYPTO.
+std::vector<quic::frame> reference_frames(bytes_view payload) {
+  std::vector<quic::frame> out;
+  buffer_reader rd{payload};
+  while (!rd.empty()) {
+    const std::uint8_t type = rd.u8();
+    if (type == 0x00) {
+      std::size_t run = 1;
+      while (!rd.empty() && rd.peek_u8() == 0x00) {
+        (void)rd.u8();
+        ++run;
+      }
+      out.push_back(quic::padding_frame{run});
+    } else if (type == 0x01) {
+      out.push_back(quic::ping_frame{});
+    } else if (type == 0x02) {
+      quic::ack_frame f;
+      f.largest = quic::read_varint(rd);
+      (void)quic::read_varint(rd);
+      (void)quic::read_varint(rd);
+      (void)quic::read_varint(rd);
+      out.push_back(f);
+    } else if (type == 0x06) {
+      quic::crypto_frame f;
+      f.offset = quic::read_varint(rd);
+      f.data = rd.raw(quic::read_varint(rd));
+      out.push_back(f);
+    } else {
+      ADD_FAILURE() << "reference scan: frame type " << int{type};
+      break;
+    }
+  }
+  return out;
+}
+
+/// One line per frame with the fields a frame keeps; a CRYPTO frame's
+/// bytes by their offset from `base`.
+std::string describe(const std::vector<quic::frame>& frames,
+                     const std::uint8_t* base) {
+  std::string s;
+  for (const quic::frame& f : frames) {
+    if (const auto* pad = std::get_if<quic::padding_frame>(&f)) {
+      s += "padding " + std::to_string(pad->count);
+    } else if (std::holds_alternative<quic::ping_frame>(f)) {
+      s += "ping";
+    } else if (const auto* ack = std::get_if<quic::ack_frame>(&f)) {
+      s += "ack " + std::to_string(ack->largest);
+    } else if (const auto* cf = std::get_if<quic::crypto_frame>(&f)) {
+      s += "crypto " + std::to_string(cf->offset) + " at " +
+           std::to_string(cf->data.data() - base) + " len " +
+           std::to_string(cf->data.size());
+    } else {
+      s += "other";
+    }
+    s += "\n";
+  }
+  return s;
+}
+
+TEST(QuicCodecProperty, PaddingRunsParseAsAByteAtATimeScan) {
+  // Runs of every length up to 192 after 0-9 bytes of PING frames, so
+  // a run ends at every offset 0-63 of a 64-byte block, followed by a
+  // PING, a CRYPTO frame or nothing (the run reaches the end).
+  bytes crypto = {0x06, 0x07, 0x05};
+  crypto.insert(crypto.end(), 5, 0xc3);
+  const std::array<bytes, 3> tails = {bytes{}, bytes{0x01}, crypto};
+  std::vector<quic::frame> parsed;
+  for (std::size_t lead = 0; lead < 10; ++lead) {
+    for (std::size_t run = 1; run <= 192; ++run) {
+      for (const bytes& tail : tails) {
+        bytes payload(lead, 0x01);
+        payload.resize(lead + run, 0x00);
+        append(payload, tail);
+        quic::parse_frames(payload, parsed);
+        ASSERT_EQ(describe(parsed, payload.data()),
+                  describe(reference_frames(payload), payload.data()))
+            << "lead " << lead << " run " << run << " tail " << tail.size();
+      }
+    }
+  }
+  // In a datagram: a 1-RTT packet's PADDING runs to the end of its
+  // frames, up to the AEAD tag, and the Initial in front of it ends on
+  // its length field.
+  std::vector<quic::packet> slots;
+  for (std::size_t run = 1; run <= 192; ++run) {
+    std::vector<quic::packet> dgram(2);
+    dgram[0].dcid = quic::connection_id{bytes(8, 0x11)};
+    dgram[0].frames = {quic::ack_frame{3}, quic::padding_frame{run}};
+    dgram[1].type = quic::packet_type::one_rtt;
+    dgram[1].dcid = quic::connection_id{bytes(8, 0x22)};
+    dgram[1].frames = {quic::ping_frame{}, quic::padding_frame{run}};
+    const bytes wire = quic::encode_datagram(dgram);
+    const auto got = quic::parse_datagram(wire, slots);
+    ASSERT_EQ(got.size(), 2u) << "run " << run;
+    for (std::size_t k = 0; k < 2; ++k) {
+      buffer_writer w;
+      for (const quic::frame& f : dgram[k].frames) {
+        quic::write_frame(w, f);
+      }
+      const bytes frames = std::move(w).take();
+      EXPECT_EQ(describe(got[k].frames, nullptr),
+                describe(reference_frames(frames), nullptr))
+          << "run " << run << " packet " << k;
+    }
+    EXPECT_EQ(quic::encode_datagram(got), wire) << "run " << run;
+  }
 }
 
 // --- asn1::der --------------------------------------------------------
