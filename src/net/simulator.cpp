@@ -42,8 +42,29 @@ constexpr path_config kDefaultPath{};
 
 }  // namespace
 
+template <typename T>
+std::uint32_t simulator::slot_table<T>::park(T&& value) {
+  if (free.empty()) {
+    slots.push_back(std::move(value));
+    return static_cast<std::uint32_t>(slots.size() - 1);
+  }
+  const std::uint32_t slot = free.back();
+  free.pop_back();
+  slots[slot] = std::move(value);
+  return slot;
+}
+
+template <typename T>
+T simulator::slot_table<T>::take(std::uint32_t slot) {
+  T value = std::move(slots[slot]);
+  free.push_back(slot);
+  return value;
+}
+
 void simulator::reset(std::uint64_t loss_seed) {
   queue_.clear();
+  deliveries_.clear();
+  timers_.clear();
   routes_.clear();
   now_ = 0;
   next_seq_ = 0;
@@ -108,21 +129,21 @@ void simulator::set_path_to(const endpoint_id& dst, const path_config& path) {
   route_to(dst).path = path;
 }
 
-void simulator::push(time_point at, std::variant<datagram, timer_fn> what) {
-  queue_.push_back(event{at, next_seq_++, std::move(what)});
+void simulator::push(time_point at, event_kind kind, std::uint32_t slot) {
+  queue_.push_back(event{at, next_seq_++, slot, kind});
   std::push_heap(queue_.begin(), queue_.end(), event_later{});
 }
 
 void simulator::fire_next() {
   // Pop before running: a handler or timer may push events.
   std::pop_heap(queue_.begin(), queue_.end(), event_later{});
-  event ev = std::move(queue_.back());
+  const event ev = queue_.back();
   queue_.pop_back();
   now_ = ev.at;
-  if (const auto* fn = std::get_if<timer_fn>(&ev.what)) {
-    (*fn)();
+  if (ev.kind == event_kind::timer) {
+    timers_.take(ev.slot)();
   } else {
-    datagram& d = std::get<datagram>(ev.what);
+    datagram d = deliveries_.take(ev.slot);
     deliver(d);
     // The handler has returned, so nothing views the payload any more.
     recycle(std::move(d.payload));
@@ -171,11 +192,12 @@ void simulator::send(datagram d) {
     recycle(std::move(d.payload));
     return;
   }
-  push(depart + path.one_way_delay, std::move(d));
+  push(depart + path.one_way_delay, event_kind::delivery,
+       deliveries_.park(std::move(d)));
 }
 
 void simulator::schedule(duration delay, timer_fn fn) {
-  push(now_ + delay, std::move(fn));
+  push(now_ + delay, event_kind::timer, timers_.park(std::move(fn)));
 }
 
 std::size_t simulator::run(std::size_t max_events) {

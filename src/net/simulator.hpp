@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "net/address.hpp"
@@ -166,16 +165,36 @@ class simulator {
   [[nodiscard]] const traffic_stats& stats() const noexcept { return stats_; }
 
  private:
-  /// A delivery holds its datagram by value, so sending allocates no
-  /// callback; only timers carry a std::function.
+  enum class event_kind : std::uint8_t { delivery, timer };
+  /// A queued event: a small, trivially copyable record, so the heap
+  /// moves 24 bytes per step. Its datagram or timer waits in `slot` of
+  /// the table its kind names.
   struct event {
     time_point at;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
-    std::variant<datagram, timer_fn> what;
+    std::uint32_t slot;
+    event_kind kind;
   };
   struct event_later {
     bool operator()(const event& a, const event& b) const noexcept {
       return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  /// Values that wait for their event, by slot, and the slots free for
+  /// reuse. A slot is freed when its event fires, so a table holds no
+  /// more entries than were pending at once.
+  template <typename T>
+  struct slot_table {
+    std::vector<T> slots;
+    std::vector<std::uint32_t> free;
+
+    /// Parks `value` and returns its slot.
+    std::uint32_t park(T&& value);
+    /// Moves the value out of `slot` and frees the slot.
+    T take(std::uint32_t slot);
+    void clear() noexcept {
+      slots.clear();
+      free.clear();
     }
   };
 
@@ -193,12 +212,12 @@ class simulator {
   /// The record of `ep`, appended with a default path if new.
   route& route_to(const endpoint_id& ep);
 
-  void push(time_point at, std::variant<datagram, timer_fn> what);
+  void push(time_point at, event_kind kind, std::uint32_t slot);
   /// Returns a payload's storage to the pool.
   void recycle(bytes&& payload);
-  /// Pops the earliest event, advances `now_` to it and runs it. The
-  /// event is moved out of the heap, never copied, so neither a timer
-  /// callback nor a datagram payload is copied on the way.
+  /// Pops the earliest event, advances `now_` to it and runs it. Its
+  /// datagram or timer is moved out of its slot before it runs, since
+  /// the handler or timer may park more, and is never copied.
   void fire_next();
   /// Hands a datagram to its destination's handler, or counts it
   /// unroutable.
@@ -207,9 +226,10 @@ class simulator {
   time_point now_ = 0;
   std::uint64_t next_seq_ = 0;
   /// Binary heap under event_later (std::push_heap/pop_heap): the front
-  /// is the earliest (at, seq). A plain vector rather than
-  /// std::priority_queue, whose top() is const and so forces a copy.
+  /// is the earliest (at, seq).
   std::vector<event> queue_;
+  slot_table<datagram> deliveries_;
+  slot_table<timer_fn> timers_;
   std::vector<route> routes_;
   /// Idle payload buffers, empty but with their capacity.
   std::vector<bytes> pool_;

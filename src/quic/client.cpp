@@ -105,22 +105,23 @@ void client::start() {
 void client::send_initial(const bytes& token) {
   tls::encode_client_hello(config_.sni, config_.offer_compression, rng_,
                            client_hello_);
-  packet& init = reuse_slot(tx_, 0);
-  init.type = packet_type::initial;
+  datagram_builder dg{tx_};
+  packet& init = dg.open(packet_type::initial);
   init.version = config_.version;
   init.dcid = dcid_;
   init.scid = scid_;
   init.token = token;
   init.packet_number = next_pn_initial_++;
-  init.frames.push_back(crypto_frame{0, client_hello_});
+  dg.add(crypto_frame{0, client_hello_});
 
-  (void)pad_datagram_to({tx_.data(), 1}, config_.initial_size);
-  send_datagram(1, config_.spoof_source.value_or(local_));
+  (void)dg.pad_to(config_.initial_size);
+  send_datagram(dg, config_.spoof_source.value_or(local_));
 }
 
-void client::send_datagram(std::size_t n, const net::endpoint_id& src) {
+void client::send_datagram(const datagram_builder& dg,
+                           const net::endpoint_id& src) {
   bytes wire = sim_.take_buffer();
-  encode_datagram({tx_.data(), n}, wire);
+  dg.encode(wire);
   ++obs_.client_datagrams;
   obs_.bytes_sent_total += wire.size();
   if (obs_.bytes_sent_first_flight == 0) {
@@ -302,24 +303,22 @@ void client::send_ack_flight() {
   }
 
   const connection_id& dcid = server_scid_.empty() ? dcid_ : server_scid_;
-  std::size_t n = 0;
-  packet& init_ack = reuse_slot(tx_, n++);
-  init_ack.type = packet_type::initial;
+  datagram_builder dg{tx_};
+  packet& init_ack = dg.open(packet_type::initial);
   init_ack.dcid = dcid;
   init_ack.scid = scid_;
   init_ack.packet_number = next_pn_initial_++;
-  init_ack.frames.push_back(ack_frame{largest_initial_pn_});
+  dg.add(ack_frame{largest_initial_pn_});
 
   if (handshake_keys_) {
-    packet& hs = reuse_slot(tx_, n++);
-    hs.type = packet_type::handshake;
+    packet& hs = dg.open(packet_type::handshake);
     hs.dcid = dcid;
     hs.scid = scid_;
     hs.packet_number = next_pn_handshake_++;
-    hs.frames.push_back(ack_frame{largest_handshake_pn_});
+    dg.add(ack_frame{largest_handshake_pn_});
     if (obs_.handshake_complete) {
       tls::encode_finished(rng_, finished_);
-      hs.frames.push_back(crypto_frame{0, finished_});
+      dg.add(crypto_frame{0, finished_});
       finished_sent_ = true;
     }
     if (finished_sent_ && config_.fetch_app_data) {
@@ -327,11 +326,10 @@ void client::send_ack_flight() {
       // last in the datagram, as a length-less short-header packet
       // must be. TTFB then measures first Initial → first response
       // byte with no client-side think time.
-      packet& req = reuse_slot(tx_, n++);
-      req.type = packet_type::one_rtt;
+      packet& req = dg.open(packet_type::one_rtt);
       req.dcid = dcid;
       req.packet_number = next_pn_app_++;
-      req.frames.push_back(stream_frame{
+      dg.add(stream_frame{
           0, 0,
           {reinterpret_cast<const std::uint8_t*>(kRequest.data()),
            kRequest.size()}});
@@ -342,7 +340,7 @@ void client::send_ack_flight() {
   // minimum... but ACK-only Initial packets are not ack-eliciting, so
   // no padding is required here (RFC 9000 §14.1 applies to
   // ack-eliciting Initials).
-  send_datagram(n, local_);
+  send_datagram(dg, local_);
 }
 
 }  // namespace certquic::quic

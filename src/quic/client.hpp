@@ -151,9 +151,9 @@ class client {
   void restart(net::endpoint_id local, net::endpoint_id server,
                std::uint64_t seed);
   void send_initial(const bytes& token);
-  /// Encodes tx_[0, n) into one datagram and sends it to the server
-  /// from `src`.
-  void send_datagram(std::size_t n, const net::endpoint_id& src);
+  /// Encodes `dg` into a pooled buffer and sends it to the server from
+  /// `src`.
+  void send_datagram(const datagram_builder& dg, const net::endpoint_id& src);
   void on_datagram(const net::datagram& d);
   void maybe_complete();
   /// Records a whole framed (Compressed)Certificate `message` in the
@@ -177,7 +177,8 @@ class client {
   /// outgoing packets view them.
   bytes client_hello_;
   bytes finished_;
-  /// Packet slots for received and sent datagrams (see reuse_slot).
+  /// Packet slots for received (parse_datagram) and sent
+  /// (datagram_builder) datagrams.
   std::vector<packet> rx_;
   std::vector<packet> tx_;
   bytes initial_stream_;    // reassembled Initial-level CRYPTO (in order)

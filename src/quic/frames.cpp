@@ -1,8 +1,11 @@
 #include "quic/frames.hpp"
 
+#include <array>
+#include <bit>
 #include <cstring>
 
 #include "quic/varint.hpp"
+#include "util/buffer.hpp"
 #include "util/errors.hpp"
 
 namespace certquic::quic {
@@ -16,18 +19,42 @@ constexpr std::uint8_t kCrypto = 0x06;
 constexpr std::uint8_t kStreamOffLenFin = 0x0f;
 constexpr std::uint8_t kConnectionClose = 0x1c;
 
-/// Length of the run of PADDING (zero) bytes that starts `s`. Scans a
-/// word at a time; a padded Initial is mostly one such run.
+/// Offset of the first non-zero byte of a non-zero word read from
+/// memory with memcpy.
+std::size_t first_nonzero_byte(std::uint64_t word) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return static_cast<std::size_t>(std::countr_zero(word)) / 8;
+  } else {
+    return static_cast<std::size_t>(std::countl_zero(word)) / 8;
+  }
+}
+
+/// Length of the run of PADDING (zero) bytes that starts `s`. A padded
+/// Initial is mostly one such run, so the scan ORs together 64-byte
+/// blocks, then takes words, and finds the run's end inside the word
+/// that holds it.
 std::size_t padding_run(bytes_view s) {
+  const std::uint8_t* data = s.data();
   std::size_t n = 0;
-  for (; n + 8 <= s.size(); n += 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, s.data() + n, sizeof word);
-    if (word != 0) {
+  for (; n + 64 <= s.size(); n += 64) {
+    std::array<std::uint64_t, 8> block;
+    std::memcpy(block.data(), data + n, sizeof block);
+    std::uint64_t any = 0;
+    for (const std::uint64_t word : block) {
+      any |= word;
+    }
+    if (any != 0) {
       break;
     }
   }
-  while (n < s.size() && s[n] == kPadding) {
+  for (; n + 8 <= s.size(); n += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, data + n, sizeof word);
+    if (word != 0) {
+      return n + first_nonzero_byte(word);
+    }
+  }
+  while (n < s.size() && data[n] == kPadding) {
     ++n;
   }
   return n;
@@ -54,37 +81,51 @@ struct size_visitor {
   }
 };
 
-struct write_visitor {
-  buffer_writer& w;
+std::uint8_t* put_bytes(std::uint8_t* at, bytes_view v) {
+  if (!v.empty()) {
+    std::memcpy(at, v.data(), v.size());
+  }
+  return at + v.size();
+}
 
-  void operator()(const padding_frame& f) const { w.zeros(f.count); }
-  void operator()(const ping_frame&) const { w.u8(kPing); }
-  void operator()(const ack_frame& f) const {
-    w.u8(kAck);
-    write_varint(w, f.largest);
-    write_varint(w, 0);  // ack delay
-    write_varint(w, 0);  // additional ranges
-    write_varint(w, f.largest);  // first range covers everything
+/// Writes into zeroed storage (see put_frame).
+struct put_visitor {
+  std::uint8_t* at;
+
+  std::uint8_t* operator()(const padding_frame& f) const {
+    return at + f.count;
   }
-  void operator()(const crypto_frame& f) const {
-    w.u8(kCrypto);
-    write_varint(w, f.offset);
-    write_varint(w, f.data.size());
-    w.raw(f.data);
+  std::uint8_t* operator()(const ping_frame&) const {
+    *at = kPing;
+    return at + 1;
   }
-  void operator()(const connection_close_frame& f) const {
-    w.u8(kConnectionClose);
-    write_varint(w, f.error_code);
-    write_varint(w, 0);  // offending frame type
-    write_varint(w, f.reason.size());
-    w.raw(f.reason);
+  std::uint8_t* operator()(const ack_frame& f) const {
+    *at = kAck;
+    std::uint8_t* p = put_varint(at + 1, f.largest);
+    p[0] = 0;  // ack delay
+    p[1] = 0;  // additional ranges
+    return put_varint(p + 2, f.largest);  // first range covers everything
   }
-  void operator()(const stream_frame& f) const {
-    w.u8(kStreamOffLenFin);
-    write_varint(w, f.id);
-    write_varint(w, f.offset);
-    write_varint(w, f.data.size());
-    w.raw(f.data);
+  std::uint8_t* operator()(const crypto_frame& f) const {
+    *at = kCrypto;
+    std::uint8_t* p = put_varint(at + 1, f.offset);
+    p = put_varint(p, f.data.size());
+    return put_bytes(p, f.data);
+  }
+  std::uint8_t* operator()(const connection_close_frame& f) const {
+    *at = kConnectionClose;
+    std::uint8_t* p = put_varint(at + 1, f.error_code);
+    *p++ = 0;  // offending frame type
+    p = put_varint(p, f.reason.size());
+    return put_bytes(p, {reinterpret_cast<const std::uint8_t*>(f.reason.data()),
+                         f.reason.size()});
+  }
+  std::uint8_t* operator()(const stream_frame& f) const {
+    *at = kStreamOffLenFin;
+    std::uint8_t* p = put_varint(at + 1, f.id);
+    p = put_varint(p, f.offset);
+    p = put_varint(p, f.data.size());
+    return put_bytes(p, f.data);
   }
 };
 
@@ -92,8 +133,8 @@ struct write_visitor {
 
 std::size_t frame_size(const frame& f) { return std::visit(size_visitor{}, f); }
 
-void write_frame(buffer_writer& w, const frame& f) {
-  std::visit(write_visitor{w}, f);
+std::uint8_t* put_frame(std::uint8_t* at, const frame& f) {
+  return std::visit(put_visitor{at}, f);
 }
 
 void parse_frames(bytes_view payload, std::vector<frame>& out) {

@@ -6,7 +6,6 @@
 #include <variant>
 #include <vector>
 
-#include "util/buffer.hpp"
 #include "util/bytes.hpp"
 
 namespace certquic::quic {
@@ -55,13 +54,15 @@ using frame = std::variant<padding_frame, ping_frame, ack_frame, crypto_frame,
 /// Serialized size of a frame in bytes.
 [[nodiscard]] std::size_t frame_size(const frame& f);
 
-/// Appends the wire encoding of `f`.
-void write_frame(buffer_writer& w, const frame& f);
+/// Writes the wire encoding of `f` at `at`, which must hold
+/// frame_size(f) bytes that are already zero, and returns the byte
+/// after it. A PADDING frame is only its zeros, so it writes nothing.
+std::uint8_t* put_frame(std::uint8_t* at, const frame& f);
 
 /// Parses every frame in `payload` into `out`, replacing its contents;
-/// consecutive PADDING bytes collapse into one padding_frame. CRYPTO
-/// and STREAM frames view `payload`. Throws codec_error on malformed
-/// input.
+/// consecutive PADDING bytes collapse into one padding_frame, found a
+/// 64-byte block at a time. CRYPTO and STREAM frames view `payload`.
+/// Throws codec_error on malformed input.
 void parse_frames(bytes_view payload, std::vector<frame>& out);
 
 /// True for frames that elicit acknowledgement (everything except

@@ -2,11 +2,19 @@
 // (de)coalescing (RFC 9000 §17.2/§17.3). AEAD is modelled by a 16-byte
 // tag; header protection is not applied (the simulation parses its own
 // packets). All sizes on the wire are exact.
+//
+// Each datagram costs one size pass, one write and one scan. An
+// endpoint builds a datagram through a datagram_builder, which counts
+// every packet's frame bytes as the frames are added; padding is then
+// found in closed form from those counts, and the encoder sizes the
+// pooled buffer once and writes headers, varints and frames straight
+// into it. The AEAD tags and PADDING are the zeros the buffer is sized
+// with. The parser fills packet slots field by field and skips a
+// PADDING run a 64-byte block at a time.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -105,8 +113,6 @@ struct packet {
   [[nodiscard]] std::size_t wire_size() const;
   /// Sum of frame payload sizes.
   [[nodiscard]] std::size_t payload_size() const;
-  /// True when any frame is ack-eliciting.
-  [[nodiscard]] bool ack_eliciting() const;
 };
 
 /// Builds a Version Negotiation packet echoing the client's connection
@@ -116,39 +122,75 @@ struct packet {
     bytes_view client_scid, bytes_view client_dcid,
     const std::vector<std::uint32_t>& versions);
 
-/// Resets `slots[i]` to a default packet and returns it, appending a
-/// slot when `i == slots.size()`. The slot keeps its frame list's
-/// storage, so an endpoint that builds or parses every datagram in one
-/// vector of slots allocates frame lists only while it first grows.
-/// Slots past the current datagram keep stale frame views that nothing
-/// reads: reuse_slot clears them first. Appending a slot may move the
-/// others, so hold no reference to one across the next reuse_slot.
-packet& reuse_slot(std::vector<packet>& slots, std::size_t i);
-
 /// Parses every packet coalesced into one UDP datagram into the front
-/// of `slots` (through reuse_slot) and returns them; stops at trailing
-/// datagram padding (a zero first byte). CRYPTO and STREAM frames view
-/// `payload`. Throws codec_error on malformed packets, including any
-/// connection ID longer than kMaxConnectionIdSize (RFC 9000 §17.2: such
-/// packets are dropped).
+/// of `slots` and returns them; stops at trailing datagram padding (a
+/// zero first byte). A slot keeps its storage and the parse sets every
+/// field, so parsing every datagram into one vector of slots allocates
+/// only while the vector and its frame lists first grow; appending a
+/// slot may move the others. CRYPTO and STREAM frames view `payload`.
+/// Throws codec_error on malformed packets, including any connection ID
+/// longer than kMaxConnectionIdSize (RFC 9000 §17.2: such packets are
+/// dropped).
 std::span<const packet> parse_datagram(bytes_view payload,
                                        std::vector<packet>& slots);
 /// As above, into a fresh vector.
 [[nodiscard]] std::vector<packet> parse_datagram(bytes_view payload);
 
-/// Appends enough PADDING to the last packet's frames so the encoded
-/// datagram reaches exactly `target` bytes. No-op when already >=
-/// target. Returns the number of padding bytes added.
-std::size_t pad_datagram_to(std::span<packet> packets, std::size_t target);
-
-/// Encoded size of a coalesced datagram.
-[[nodiscard]] std::size_t datagram_size(std::span<const packet> packets);
-
-/// Encodes a coalesced datagram (packets concatenated).
+/// Encodes a coalesced datagram (packets concatenated): one pass sizes
+/// the packets, one writes them.
 [[nodiscard]] bytes encode_datagram(std::span<const packet> packets);
 /// As above, into `out`, replacing its contents and keeping its
 /// storage (e.g. a buffer from net::simulator::take_buffer).
 void encode_datagram(std::span<const packet> packets, bytes& out);
+
+/// The most packets a datagram_builder coalesces: one per packet type
+/// that carries frames (Initial, 0-RTT, Handshake, 1-RTT).
+inline constexpr std::size_t kMaxCoalesced = 4;
+
+/// Builds one datagram in an endpoint's packet slots, counting each
+/// packet's frame bytes as frames are added, so that sizing, padding
+/// and encoding never walk the frames again. A slot keeps its frame
+/// list's storage, so an endpoint that builds every datagram in one
+/// vector of slots allocates frame lists only while it first grows.
+class datagram_builder {
+ public:
+  /// Builds into the front of `slots`, which must outlive the builder.
+  explicit datagram_builder(std::vector<packet>& slots) noexcept
+      : slots_(slots) {}
+
+  /// Opens the next packet: a slot reset to a default packet of `type`.
+  /// Its header fields are set through the returned reference, which
+  /// lasts until the next `open`; its frames only through `add`. Throws
+  /// config_error past kMaxCoalesced packets.
+  packet& open(packet_type type);
+  /// Appends `f` to the packet opened last.
+  void add(const frame& f);
+
+  /// Encoded size of the datagram.
+  [[nodiscard]] std::size_t size() const;
+  /// Appends PADDING to the last packet so the datagram encodes to
+  /// `target` bytes, and returns the bytes added; none when it already
+  /// has `target` or more. A long header's length field widens as its
+  /// value crosses 63 and 16383, so one size just past each crossing
+  /// has no encoding: there the datagram stops one byte short. Throws
+  /// config_error when the last packet carries no frames (a Retry or
+  /// Version Negotiation packet).
+  std::size_t pad_to(std::size_t target);
+  /// Encodes the datagram into `out`, replacing its contents and
+  /// keeping its storage.
+  void encode(bytes& out) const;
+
+  /// The packets opened so far.
+  [[nodiscard]] std::span<const packet> packets() const noexcept {
+    return {slots_.data(), count_};
+  }
+
+ private:
+  std::vector<packet>& slots_;
+  std::size_t count_ = 0;
+  /// Frame bytes of each open packet.
+  std::array<std::size_t, kMaxCoalesced> payload_{};
+};
 
 /// Byte-accounting across a parsed datagram.
 struct datagram_accounting {

@@ -275,23 +275,26 @@ void server::handle_client_initial(connection& c, const packet& p) {
     // Version mismatch: reply with Version Negotiation and forget the
     // attempt (RFC 9000 §6). The client retries with our version,
     // paying one extra round trip.
-    const packet vn = make_version_negotiation(
+    // A Version Negotiation packet carries no frames, so it can be
+    // assigned whole.
+    datagram_builder dg{tx_};
+    dg.open(packet_type::initial) = make_version_negotiation(
         p.scid, p.dcid, {behavior_.supported_version});
-    send_datagram(c.peer, {&vn, 1});
+    send_datagram(c.peer, dg);
     close(c.peer);
     return;
   }
 
   if (behavior_.always_retry && p.token.empty()) {
-    packet& retry = reuse_slot(tx_, 0);
-    retry.type = packet_type::retry;
+    datagram_builder dg{tx_};
+    packet& retry = dg.open(packet_type::retry);
     retry.dcid = c.client_scid;
     retry.scid = c.our_scid;
     retry.token.resize(24);
     rng_.fill(retry.token);
     // A Retry consumes the connection attempt: the client will come
     // back with the token in a fresh Initial.
-    send_datagram(c.peer, {tx_.data(), 1});
+    send_datagram(c.peer, dg);
     close(c.peer);
     return;
   }
@@ -381,22 +384,17 @@ bool server::charge(connection& c, std::size_t wire_bytes,
   throw config_error("unknown amplification_policy");
 }
 
-void server::transmit(connection& c, std::span<const packet> packets) {
-  std::size_t handshake_packets = 0;
-  for (const auto& p : packets) {
-    if (p.type == packet_type::handshake) {
-      ++handshake_packets;
-    }
-  }
+void server::transmit(connection& c, const datagram_builder& dg,
+                      std::size_t handshake_packets) {
   c.handshake_packets_sent += handshake_packets;
   ++c.datagrams_sent;
-  send_datagram(c.peer, packets);
+  send_datagram(c.peer, dg);
 }
 
 void server::send_datagram(const net::endpoint_id& to,
-                           std::span<const packet> packets) {
+                           const datagram_builder& dg) {
   bytes wire = sim_.take_buffer();
-  encode_datagram(packets, wire);
+  dg.encode(wire);
   ++stats_.datagrams_sent;
   stats_.bytes_sent += wire.size();
   sim_.send({address_, to, std::move(wire)});
@@ -418,17 +416,15 @@ void server::pump_until(connection& c, bool include_ack,
 
   // Cloudflare pattern, datagram 1: a padded, ACK-only Initial.
   if (cloudflare_style && ack_pending) {
-    packet& ack_pkt = reuse_slot(tx_, 0);
-    ack_pkt.type = packet_type::initial;
+    datagram_builder dg{tx_};
+    packet& ack_pkt = dg.open(packet_type::initial);
     ack_pkt.dcid = c.client_scid;
     ack_pkt.scid = c.our_scid;
     ack_pkt.packet_number = c.next_pn_initial++;
-    ack_pkt.frames.push_back(ack_frame{c.largest_seen_initial_pn});
-    const std::span<packet> dgram{tx_.data(), 1};
-    const std::size_t padding =
-        pad_datagram_to(dgram, behavior_.ack_pad_target);
-    if (charge(c, datagram_size(dgram), padding, 0)) {
-      transmit(c, dgram);
+    dg.add(ack_frame{c.largest_seen_initial_pn});
+    const std::size_t padding = dg.pad_to(behavior_.ack_pad_target);
+    if (charge(c, dg.size(), padding, 0)) {
+      transmit(c, dg, 0);
     }
     ack_pending = false;
   }
@@ -440,75 +436,61 @@ void server::pump_until(connection& c, bool include_ack,
       break;
     }
 
-    // Packets of this datagram are tx_[0, n).
-    std::size_t n = 0;
+    datagram_builder dg{tx_};
     std::size_t space = max_udp;
+    // Datagrams carrying ack-eliciting Initial packets (here: a CRYPTO
+    // frame) are padded.
+    bool ack_eliciting_initial = false;
 
     if (initial_left > 0 || ack_pending) {
-      packet& init = reuse_slot(tx_, n++);
-      init.type = packet_type::initial;
+      packet& init = dg.open(packet_type::initial);
       init.dcid = c.client_scid;
       init.scid = c.our_scid;
       init.packet_number = c.next_pn_initial++;
       if (ack_pending) {
-        init.frames.push_back(ack_frame{c.largest_seen_initial_pn});
+        dg.add(ack_frame{c.largest_seen_initial_pn});
         ack_pending = false;
       }
       if (initial_left > 0) {
         // Header + CRYPTO framing overhead, conservatively 60 bytes.
         const std::size_t chunk = std::min(initial_left, space - 60);
-        init.frames.push_back(crypto_frame{
+        dg.add(crypto_frame{
             c.initial_sent,
             bytes_view{c.flight.server_hello}.subspan(c.initial_sent,
                                                       chunk)});
         c.initial_sent += chunk;
+        ack_eliciting_initial = true;
       }
-      const std::size_t init_size = init.wire_size();
+      const std::size_t init_size = dg.size();
       space = space > init_size ? space - init_size : 0;
     }
 
+    std::size_t handshake_packets = 0;
     if (hs_left > 0 && c.initial_sent == initial_end) {
-      const bool may_coalesce = behavior_.coalesce_levels || n == 0;
+      const bool may_coalesce =
+          behavior_.coalesce_levels || dg.packets().empty();
       if (may_coalesce && space > 80) {
-        packet& hs = reuse_slot(tx_, n++);
-        hs.type = packet_type::handshake;
+        packet& hs = dg.open(packet_type::handshake);
         hs.dcid = c.client_scid;
         hs.scid = c.our_scid;
         hs.packet_number = c.next_pn_handshake++;
         const std::size_t overhead = 50;  // header + frame framing
         const std::size_t chunk = std::min(hs_left, space - overhead);
-        hs.frames.push_back(crypto_frame{
+        dg.add(crypto_frame{
             c.handshake_sent,
             bytes_view{c.flight.handshake}.subspan(c.handshake_sent,
                                                    chunk)});
         c.handshake_sent += chunk;
+        handshake_packets = 1;
       }
     }
 
-    if (n == 0) {
+    if (dg.packets().empty()) {
       break;  // nothing fit (shouldn't happen)
     }
-    const std::span<packet> dgram{tx_.data(), n};
-
-    // Pad datagrams carrying ack-eliciting Initial packets.
-    std::size_t padding = 0;
-    const bool has_ack_eliciting_initial =
-        std::any_of(dgram.begin(), dgram.end(), [](const packet& p) {
-          return p.type == packet_type::initial && p.ack_eliciting();
-        });
-    std::size_t wire = datagram_size(dgram);
-    if (has_ack_eliciting_initial && wire < behavior_.pad_target) {
-      padding = pad_datagram_to(dgram, behavior_.pad_target);
-      wire = datagram_size(dgram);
-    }
-
-    std::size_t handshake_packets = 0;
-    for (const auto& p : dgram) {
-      if (p.type == packet_type::handshake) {
-        ++handshake_packets;
-      }
-    }
-    if (!charge(c, wire, padding, handshake_packets)) {
+    const std::size_t padding =
+        ack_eliciting_initial ? dg.pad_to(behavior_.pad_target) : 0;
+    if (!charge(c, dg.size(), padding, handshake_packets)) {
       if (!c.budget_blocked && !c.validated) {
         // The limit is now gating *time*, not just volume: this flight
         // stalls until the client's next datagram validates the path.
@@ -518,7 +500,7 @@ void server::pump_until(connection& c, bool include_ack,
       }
       // Budget exhausted: roll back the stream watermarks consumed by
       // this datagram and wait for validation.
-      for (const auto& p : dgram) {
+      for (const auto& p : dg.packets()) {
         for (const auto& f : p.frames) {
           if (const auto* cf = std::get_if<crypto_frame>(&f)) {
             if (p.type == packet_type::initial) {
@@ -536,7 +518,7 @@ void server::pump_until(connection& c, bool include_ack,
       }
       break;
     }
-    transmit(c, dgram);
+    transmit(c, dg, handshake_packets);
   }
 }
 
@@ -598,12 +580,12 @@ void server::maybe_send_app_response(connection& c, const packet& p) {
   // application byte, so one datagram stands in for the object. The
   // client sends its request only after the handshake completed, so
   // the path is validated and no budget applies here.
-  packet& resp = reuse_slot(tx_, 0);
-  resp.type = packet_type::one_rtt;
+  datagram_builder dg{tx_};
+  packet& resp = dg.open(packet_type::one_rtt);
   resp.dcid = c.client_scid;
   resp.packet_number = c.next_pn_app++;
-  resp.frames.push_back(stream_frame{request->id, 0, kResponseHead});
-  transmit(c, {tx_.data(), 1});
+  dg.add(stream_frame{request->id, 0, kResponseHead});
+  transmit(c, dg, 0);
 }
 
 void server::arm_pto(connection& c) {

@@ -159,10 +159,12 @@ class server {
                             std::size_t padding_bytes,
                             std::size_t handshake_packets);
 
-  void transmit(connection& c, std::span<const packet> packets);
-  /// Encodes `packets` into one datagram to `to` and counts it.
-  void send_datagram(const net::endpoint_id& to,
-                     std::span<const packet> packets);
+  /// Sends `dg` on `c`, which counts it; `handshake_packets` of its
+  /// packets are Handshake packets.
+  void transmit(connection& c, const datagram_builder& dg,
+                std::size_t handshake_packets);
+  /// Encodes `dg` into a pooled buffer, sends it to `to` and counts it.
+  void send_datagram(const net::endpoint_id& to, const datagram_builder& dg);
 
   net::simulator& sim_;
   net::endpoint_id address_;
@@ -180,8 +182,9 @@ class server {
   std::size_t open_ = 0;
   /// How many PTOs were armed; each takes the count as its id.
   std::uint64_t ptos_armed_ = 0;
-  /// Packet slots for received and sent datagrams (see reuse_slot). A
-  /// sent CRYPTO frame views its connection's TLS stream.
+  /// Packet slots for received (parse_datagram) and sent
+  /// (datagram_builder) datagrams. A sent CRYPTO frame views its
+  /// connection's TLS stream.
   std::vector<packet> rx_;
   std::vector<packet> tx_;
 };

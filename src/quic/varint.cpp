@@ -1,22 +1,12 @@
 #include "quic/varint.hpp"
 
+#include <string>
+
 #include "util/errors.hpp"
 
 namespace certquic::quic {
 
-std::size_t varint_size(std::uint64_t v) {
-  if (v < (1ULL << 6)) {
-    return 1;
-  }
-  if (v < (1ULL << 14)) {
-    return 2;
-  }
-  if (v < (1ULL << 30)) {
-    return 4;
-  }
-  if (v <= kVarintMax) {
-    return 8;
-  }
+void varint_overflow(std::uint64_t v) {
   throw codec_error("varint overflow: " + std::to_string(v));
 }
 
@@ -34,20 +24,6 @@ void write_varint(buffer_writer& w, std::uint64_t v) {
     default:
       w.u64(v | 0xc000'0000'0000'0000ULL);
       break;
-  }
-}
-
-std::uint64_t read_varint(buffer_reader& r) {
-  const std::uint8_t first = r.peek_u8();
-  switch (first >> 6) {
-    case 0:
-      return r.u8();
-    case 1:
-      return r.u16() & 0x3fffULL;
-    case 2:
-      return r.u32() & 0x3fff'ffffULL;
-    default:
-      return r.u64() & 0x3fff'ffff'ffff'ffffULL;
   }
 }
 

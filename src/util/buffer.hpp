@@ -51,8 +51,6 @@ class buffer_writer {
   void raw(bytes_view v) { append(buf_, v); }
   /// Appends raw characters of a string (no terminator, no length prefix).
   void raw(std::string_view v);
-  /// Appends `n` zero bytes.
-  void zeros(std::size_t n) { append_zeros(buf_, n); }
   /// Appends `n` zero bytes and returns a writable view of them, for
   /// fields filled in place (e.g. by rng::fill). The view is valid until
   /// the next write.

@@ -2,9 +2,10 @@
 // layer builds on: QUIC varints and coalesced datagrams, DER TLVs and the
 // LZ engine behind RFC 8879 certificate compression; plus the
 // fail-closed contracts of the TLS handshake-frame peek on arbitrary
-// bytes and of the spill v4 decoder on mutated spill files. All randomness flows through the project rng
-// with fixed seeds (tests/support/property.hpp), so a failure reproduces
-// bit-for-bit from its iteration index.
+// bytes and of the spill v4 decoder on mutated spill files. All
+// randomness flows through the project rng with fixed seeds
+// (tests/support/property.hpp), so a failure reproduces bit-for-bit
+// from its iteration index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "ca/ecosystem.hpp"
 #include "compress/lz.hpp"
 #include "core/longitudinal.hpp"
+#include "datagram.hpp"
 #include "der_encode.hpp"
 #include "engine/engine.hpp"
 #include "engine/spill.hpp"
@@ -178,11 +180,16 @@ std::size_t protected_size(const quic::packet& p) {
 }
 
 TEST(QuicCodecProperty, EncodedSizeIsTheComputedSize) {
-  for_each_iteration([](rng& r, std::size_t i) {
+  std::vector<quic::packet> slots;
+  bytes built;
+  for_each_iteration([&](rng& r, std::size_t i) {
     const gen_datagram g = gen_coalesced(r);
+    quic::datagram_builder dg{slots};
+    test::load(dg, g.packets);
+    dg.encode(built);
     const bytes wire = quic::encode_datagram(g.packets);
-    EXPECT_EQ(wire.size(), quic::datagram_size(g.packets))
-        << "iteration " << i;
+    EXPECT_EQ(wire.size(), dg.size()) << "iteration " << i;
+    EXPECT_EQ(built, wire) << "iteration " << i;
     std::size_t sum = 0;
     for (const quic::packet& p : g.packets) {
       sum += quic::encode_datagram({&p, 1}).size();
@@ -220,39 +227,45 @@ TEST(QuicCodecProperty, PaddingLandsOnEveryTargetUpTo1500) {
   // padding stops one byte short of it. Every other target is exact.
   std::size_t landed = 0;
   std::size_t short_of_gap = 0;
+  std::vector<quic::packet> slots;
+  bytes wire;
   for_each_iteration(
       [&](rng& r, std::size_t i) {
         const gen_datagram g = gen_coalesced(r);
-        const std::size_t unpadded = quic::datagram_size(g.packets);
+        const bytes unpadded_wire = quic::encode_datagram(g.packets);
+        const std::size_t unpadded = unpadded_wire.size();
         const quic::packet& last = g.packets.back();
         const std::size_t before = protected_size(last);
         const bool has_gap =
             last.type != quic::packet_type::one_rtt && before < 64;
         const std::size_t gap = unpadded + (64 - before);
-        std::vector<quic::packet> dgram;
         for (std::size_t target = unpadded; target <= 1500; ++target) {
-          dgram = g.packets;
-          const std::size_t added = quic::pad_datagram_to(dgram, target);
-          const bytes wire = quic::encode_datagram(dgram);
-          EXPECT_EQ(wire.size(), quic::datagram_size(dgram))
+          quic::datagram_builder dg{slots};
+          test::load(dg, g.packets);
+          const std::size_t added = dg.pad_to(target);
+          dg.encode(wire);
+          EXPECT_EQ(wire.size(), dg.size())
               << "iteration " << i << " target " << target;
           const std::size_t want =
               has_gap && target == gap ? target - 1 : target;
           ASSERT_EQ(wire.size(), want)
               << "iteration " << i << " target " << target;
-          EXPECT_EQ(quic::account(dgram.back().frames).padding -
+          EXPECT_EQ(quic::account(dg.packets().back().frames).padding -
                         quic::account(last.frames).padding,
                     added)
+              << "iteration " << i << " target " << target;
+          EXPECT_EQ(quic::encode_datagram(dg.packets()), wire)
               << "iteration " << i << " target " << target;
           landed += wire.size() == target;
           short_of_gap += wire.size() != target;
         }
         // A target at or below the datagram's size adds nothing.
-        dgram = g.packets;
-        EXPECT_EQ(quic::pad_datagram_to(dgram, unpadded), 0u);
-        EXPECT_EQ(quic::pad_datagram_to(dgram, unpadded / 2), 0u);
-        EXPECT_EQ(quic::encode_datagram(dgram),
-                  quic::encode_datagram(g.packets));
+        quic::datagram_builder dg{slots};
+        test::load(dg, g.packets);
+        EXPECT_EQ(dg.pad_to(unpadded), 0u);
+        EXPECT_EQ(dg.pad_to(unpadded / 2), 0u);
+        dg.encode(wire);
+        EXPECT_EQ(wire, unpadded_wire);
       },
       128);
   // 110,106 targets land exactly: most of the 128 datagrams are well
@@ -357,11 +370,11 @@ TEST(QuicCodecProperty, PaddingRunsParseAsAByteAtATimeScan) {
     const auto got = quic::parse_datagram(wire, slots);
     ASSERT_EQ(got.size(), 2u) << "run " << run;
     for (std::size_t k = 0; k < 2; ++k) {
-      buffer_writer w;
+      bytes frames(dgram[k].payload_size(), 0);
+      std::uint8_t* at = frames.data();
       for (const quic::frame& f : dgram[k].frames) {
-        quic::write_frame(w, f);
+        at = quic::put_frame(at, f);
       }
-      const bytes frames = std::move(w).take();
       EXPECT_EQ(describe(got[k].frames, nullptr),
                 describe(reference_frames(frames), nullptr))
           << "run " << run << " packet " << k;

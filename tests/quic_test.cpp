@@ -5,6 +5,7 @@
 #include <string>
 
 #include "ca/ecosystem.hpp"
+#include "datagram.hpp"
 #include "net/simulator.hpp"
 #include "quic/behavior.hpp"
 #include "quic/client.hpp"
@@ -60,6 +61,20 @@ TEST(Varint, RejectsOverflow) {
   EXPECT_THROW((void)varint_size(kVarintMax + 1), codec_error);
 }
 
+/// The wire encoding of `frames`, back to back.
+bytes frames_payload(const std::vector<frame>& frames) {
+  std::size_t size = 0;
+  for (const auto& f : frames) {
+    size += frame_size(f);
+  }
+  bytes out(size, 0);
+  std::uint8_t* at = out.data();
+  for (const auto& f : frames) {
+    at = put_frame(at, f);
+  }
+  return out;
+}
+
 TEST(Frames, SizesMatchEncoding) {
   rng r{1};
   bytes crypto_data(321);
@@ -73,19 +88,19 @@ TEST(Frames, SizesMatchEncoding) {
       connection_close_frame{0x0a, "bye"},
   };
   for (const auto& f : frames) {
-    buffer_writer w;
-    write_frame(w, f);
-    EXPECT_EQ(w.size(), frame_size(f));
+    // put_frame writes into zeroed storage and stops where frame_size
+    // says the frame ends; the byte after it stays untouched.
+    bytes out(frame_size(f) + 1, 0);
+    out.back() = 0xee;
+    EXPECT_EQ(put_frame(out.data(), f), out.data() + frame_size(f));
+    EXPECT_EQ(out.back(), 0xee);
   }
 }
 
 TEST(Frames, ParseRoundTrip) {
   bytes crypto_data = {9, 8, 7, 6, 5};
-  buffer_writer w;
-  write_frame(w, crypto_frame{42, crypto_data});
-  write_frame(w, ack_frame{3});
-  write_frame(w, padding_frame{25});
-  const bytes payload = std::move(w).take();
+  const bytes payload = frames_payload(
+      {crypto_frame{42, crypto_data}, ack_frame{3}, padding_frame{25}});
   std::vector<frame> parsed;
   parse_frames(payload, parsed);
   ASSERT_EQ(parsed.size(), 3u);
@@ -107,12 +122,16 @@ TEST(Frames, ParseRoundTrip) {
 
 bytes zeros(std::size_t n) { return bytes(n, 0); }
 
-bytes frames_payload(const std::vector<frame>& frames) {
-  buffer_writer w;
-  for (const auto& f : frames) {
-    write_frame(w, f);
-  }
-  return std::move(w).take();
+/// `p` alone in a datagram padded to `target` bytes, built as an
+/// endpoint builds one.
+bytes padded_wire(const packet& p, std::size_t target) {
+  std::vector<packet> slots;
+  datagram_builder dg{slots};
+  test::load(dg, {&p, 1});
+  (void)dg.pad_to(target);
+  bytes wire;
+  dg.encode(wire);
+  return wire;
 }
 
 bytes concat(std::initializer_list<bytes_view> parts) {
@@ -286,9 +305,7 @@ TEST(Packet, PadDatagramHitsExactTarget) {
     p.dcid.resize(8);
     r.fill(p.dcid);
     p.frames.push_back(crypto_frame{0, keep(bytes(300, 0x55))});
-    std::vector<packet> dgram{p};
-    (void)pad_datagram_to(dgram, target);
-    EXPECT_EQ(encode_datagram(dgram).size(), target);
+    EXPECT_EQ(padded_wire(p, target).size(), target);
   }
 }
 
@@ -841,9 +858,7 @@ TEST_P(ParserFuzz, TruncatedValidDatagramsAreSafe) {
   bytes crypto(600);
   r.fill(crypto);
   init.frames.push_back(crypto_frame{0, crypto});
-  std::vector<packet> dgram{init};
-  (void)pad_datagram_to(dgram, 1200);
-  const bytes wire = encode_datagram(dgram);
+  const bytes wire = padded_wire(init, 1200);
   for (std::size_t cut = 0; cut < wire.size(); cut += 7) {
     const bytes_view truncated{wire.data(), cut};
     try {
@@ -883,9 +898,7 @@ TEST_P(ParserFuzz, ZeroRunsSplicedAnywhereAreSafe) {
   bytes crypto(500);
   r.fill(crypto);
   init.frames.push_back(crypto_frame{0, crypto});
-  std::vector<packet> dgram{init};
-  (void)pad_datagram_to(dgram, 1200);
-  const bytes wire = encode_datagram(dgram);
+  const bytes wire = padded_wire(init, 1200);
   std::vector<frame> frames;
   for (int round = 0; round < 300; ++round) {
     bytes mutated = wire;
