@@ -1,6 +1,11 @@
 // Deterministic discrete-event network simulator.
 //
 // A single event queue drives datagram deliveries and endpoint timers.
+// An event is a small, trivially copyable record (time, sequence
+// number, kind, slot) on a binary heap; its datagram or timer waits in
+// a slot table the simulator owns until the event fires, so the heap
+// never moves a payload or a callback. Events fire in (time, sequence)
+// order: equal times fire first in, first out.
 // Paths model one-way delay, random loss, an IP MTU (QUIC forbids
 // fragmentation, so oversize datagrams are silently dropped — this is
 // what breaks reachability behind encapsulating load balancers, §4.1),
@@ -107,16 +112,20 @@ struct traffic_stats {
 /// delivery still faults.
 class simulator {
  public:
-  /// Room for a probe's two addresses is made up front, in one
-  /// allocation.
+  /// Room for a probe's two addresses and its pending events is made up
+  /// front instead of growing step by step.
   explicit simulator(std::uint64_t loss_seed = 0x105e'5eedULL)
       : loss_seed_(loss_seed) {
     routes_.reserve(2);
+    queue_.reserve(kEventRoom);
+    deliveries_.reserve(kEventRoom);
+    timers_.reserve(kEventRoom);
   }
 
   /// Returns to the state `simulator{loss_seed}` starts in: time 0, no
-  /// event, no address, zero counters. Only storage is kept: the event
-  /// heap's and the address table's capacity and the payload pool.
+  /// event, no address, zero counters. Only storage is kept: the
+  /// capacity of the event heap, its slot tables and the address table,
+  /// and the payload pool.
   /// Endpoints attached before must be reset or destroyed too (they
   /// reattach through their own reset).
   void reset(std::uint64_t loss_seed);
@@ -188,6 +197,10 @@ class simulator {
     std::vector<T> slots;
     std::vector<std::uint32_t> free;
 
+    void reserve(std::size_t n) {
+      slots.reserve(n);
+      free.reserve(n);
+    }
     /// Parks `value` and returns its slot.
     std::uint32_t park(T&& value);
     /// Moves the value out of `slot` and frees the slot.
@@ -211,6 +224,10 @@ class simulator {
   [[nodiscard]] route* find(const endpoint_id& ep);
   /// The record of `ep`, appended with a default path if new.
   route& route_to(const endpoint_id& ep);
+
+  /// Events a probe has pending at once, with room to spare: a server
+  /// burst in flight, the client's ACK and give-up timers and a PTO.
+  static constexpr std::size_t kEventRoom = 8;
 
   void push(time_point at, event_kind kind, std::uint32_t slot);
   /// Returns a payload's storage to the pool.

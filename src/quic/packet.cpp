@@ -382,7 +382,7 @@ packet make_version_negotiation(bytes_view client_scid,
   return vn;
 }
 
-void encode_datagram(std::span<const packet> packets, bytes& out) {
+bytes encode_datagram(std::span<const packet> packets) {
   // Size each packet once. Only a parsed datagram can coalesce more
   // packets than a builder; its sizes go on the heap.
   std::array<std::size_t, kMaxCoalesced> few{};
@@ -396,12 +396,8 @@ void encode_datagram(std::span<const packet> packets, bytes& out) {
   for (std::size_t i = 0; i < packets.size(); ++i) {
     payloads[i] = packets[i].payload_size();
   }
-  write_datagram(packets, payloads, out);
-}
-
-bytes encode_datagram(std::span<const packet> packets) {
   bytes out;
-  encode_datagram(packets, out);
+  write_datagram(packets, payloads, out);
   return out;
 }
 

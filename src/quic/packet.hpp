@@ -137,11 +137,9 @@ std::span<const packet> parse_datagram(bytes_view payload,
 [[nodiscard]] std::vector<packet> parse_datagram(bytes_view payload);
 
 /// Encodes a coalesced datagram (packets concatenated): one pass sizes
-/// the packets, one writes them.
+/// the packets, one writes them. Endpoints encode through
+/// datagram_builder::encode, which already knows the sizes.
 [[nodiscard]] bytes encode_datagram(std::span<const packet> packets);
-/// As above, into `out`, replacing its contents and keeping its
-/// storage (e.g. a buffer from net::simulator::take_buffer).
-void encode_datagram(std::span<const packet> packets, bytes& out);
 
 /// The most packets a datagram_builder coalesces: one per packet type
 /// that carries frames (Initial, 0-RTT, Handshake, 1-RTT).

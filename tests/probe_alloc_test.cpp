@@ -4,10 +4,11 @@
 // ownership rules that keep it low — a quic::server and the codec of a
 // compressing connection borrow the compression dictionary, the server
 // borrows the chain on the executor's table path, a copied x509::chain
-// shares its leaf and its parent list, a simulator delivery carries its
-// datagram inside the event and hands the payload's storage to the
-// next send, the largest pooled buffer first, and a captured
-// certificate is handed to the result, not copied.
+// shares its leaf and its parent list, a simulator delivery parks its
+// datagram in a reused slot and hands the payload's storage to the
+// next send, the largest pooled buffer first, a captured certificate is
+// handed to the result, not copied, and no variant of the Initial-size
+// and ACK-policy sweeps allocates once the probe world has grown.
 //
 // Allocations are counted through a replaced global operator new, and
 // exceptions through an interposed __cxa_allocate_exception, so this
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/census.hpp"
 #include "engine/probe_plan.hpp"
 #include "internet/chain_cache.hpp"
 #include "internet/model.hpp"
@@ -275,6 +277,31 @@ TEST(ProbeAlloc, FullSizeInitialTakesTheLargestPooledBuffer) {
   EXPECT_EQ(b.allocations_per_probe(usual), 0.0);
 }
 
+TEST(ProbeAlloc, EverySweepVariantProbesWithoutAllocating) {
+  // census_sweep's 28 Initial sizes (Fig. 3) and the three client ACK
+  // policies. One pass over every variant grows this thread's probe
+  // world to the largest each needs; after it, no variant allocates,
+  // whichever variant ran before it.
+  const borrowed_chains b;
+  ASSERT_EQ(b.sample.size(), 200u);
+  engine::probe_plan plan;
+  plan.sweep_initial_sizes(core::initial_size_sweep());
+  ASSERT_EQ(plan.variants.size(), 28u);
+  plan.sweep_ack_policies();
+  std::vector<scan::probe_options> variants;
+  for (const engine::probe_variant& v : plan.variants) {
+    variants.push_back(v.to_probe_options());
+  }
+  for (const scan::probe_options& opt : variants) {
+    (void)b.allocations_per_probe(opt);
+  }
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_EQ(b.allocations_per_probe(variants[i]), 0.0)
+        << "Initial size " << variants[i].initial_size << ", ACK policy "
+        << quic::to_string(plan.variants[i].ack);
+  }
+}
+
 TEST(ProbeAlloc, CapturedCertificateIsNotCopied) {
   // The client captures the certificate message once, into a buffer
   // the result then takes over instead of copying.
@@ -375,8 +402,8 @@ TEST(ProbeAlloc, DeliveryAllocatesNothingBeyondThePayload) {
   sim.attach(b, [&delivered](const net::datagram& d) {
     delivered += d.payload.size();
   });
-  // One warm-up delivery sizes the event heap and leaves its payload's
-  // storage in the simulator's pool.
+  // One warm-up delivery sizes the event heap and the delivery slots,
+  // and leaves its payload's storage in the simulator's pool.
   sim.send({a, b, bytes(1200, 0x11)});
   sim.run();
   ASSERT_EQ(delivered, 1200u);

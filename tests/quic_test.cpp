@@ -5,7 +5,10 @@
 #include <string>
 
 #include "ca/ecosystem.hpp"
+#include "core/census.hpp"
 #include "datagram.hpp"
+#include "engine/probe_plan.hpp"
+#include "internet/model.hpp"
 #include "net/simulator.hpp"
 #include "quic/behavior.hpp"
 #include "quic/client.hpp"
@@ -833,6 +836,145 @@ TEST(Handshake, SilentClientIgnoresVersionNegotiation) {
 // they either parse or raise codec_error.
 class ParserFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// `wire` with one bit flipped.
+bytes flip_one_bit(rng& r, bytes wire) {
+  const auto pos = r.uniform(0, wire.size() - 1);
+  wire[pos] ^= static_cast<std::uint8_t>(1u << r.uniform(0, 7));
+  return wire;
+}
+
+/// `wire` with a run of 1-1500 zero bytes spliced in anywhere, then cut
+/// anywhere half the time.
+bytes splice_zero_run(rng& r, bytes wire) {
+  const auto at = static_cast<long>(r.uniform(0, wire.size()));
+  const auto run = static_cast<std::size_t>(r.uniform(1, 1500));
+  wire.insert(wire.begin() + at, run, std::uint8_t{0});
+  if (r.chance(0.5)) {
+    wire.resize(static_cast<std::size_t>(r.uniform(0, wire.size())));
+  }
+  return wire;
+}
+
+/// Runs one handshake of `rec` through a relay that records every
+/// datagram of both directions as it forwards it, and appends them to
+/// `out` in the order they were sent.
+void capture_handshake(const internet::model& m,
+                       const internet::service_record& rec,
+                       const server_behavior& behavior, client_config config,
+                       std::vector<bytes>& out) {
+  net::simulator sim;
+  const net::endpoint_id relay_for_client{net::ipv4::of(10, 2, 0, 1), 443};
+  const net::endpoint_id relay_for_server{net::ipv4::of(10, 2, 0, 2), 40000};
+  const server srv{sim,
+                   kServerEp,
+                   m.chain_of(rec, internet::fetch_protocol::quic),
+                   behavior,
+                   m.compression_dictionary(),
+                   rec.seed};
+  config.sni = rec.domain;
+  client cli{sim, kClientEp, relay_for_client, std::move(config),
+             rec.seed ^ 0xc11};
+  sim.attach(relay_for_client, [&](const net::datagram& d) {
+    out.push_back(d.payload);
+    sim.send({relay_for_server, kServerEp, d.payload});
+  });
+  sim.attach(relay_for_server, [&](const net::datagram& d) {
+    out.push_back(d.payload);
+    sim.send({relay_for_client, kClientEp, d.payload});
+  });
+  cli.start();
+  sim.run();
+  EXPECT_TRUE(cli.result().handshake_complete) << rec.domain;
+}
+
+/// The datagrams of a few handshakes with the first QUIC service of the
+/// golden population (2000 domains, seed 42): one per Initial size of
+/// the Fig. 3 sweep under the service's own behaviour, then a Retry
+/// server, a Version Negotiation server and a coalescing server that
+/// also answers the 1-RTT request.
+const std::vector<bytes>& real_wire_images() {
+  static const std::vector<bytes> wires = [] {
+    const internet::model m =
+        internet::model::generate({.domains = 2000, .seed = 42});
+    const internet::service_record& rec = m.records()[engine::sample_indices(
+        m, engine::service_filter::quic, 1).front()];
+    std::vector<bytes> out;
+    for (const std::size_t size : core::initial_size_sweep()) {
+      capture_handshake(m, rec, m.behavior_of(rec),
+                        client_config{.initial_size = size}, out);
+    }
+    capture_handshake(m, rec, server_behavior::retry_always(), {}, out);
+    server_behavior vn = server_behavior::compliant();
+    vn.supported_version = 0xff00'001d;
+    capture_handshake(m, rec, vn, {}, out);
+    capture_handshake(m, rec, server_behavior::compliant(),
+                      client_config{.fetch_app_data = true}, out);
+    return out;
+  }();
+  return wires;
+}
+
+TEST_P(ParserFuzz, MutantsOfRealWireImagesParseOrFailClosed) {
+  const std::vector<bytes>& wires = real_wire_images();
+  // The images hold what they are meant to: a Retry, a Version
+  // Negotiation, coalesced packets and a 1-RTT packet.
+  bool retry = false;
+  bool negotiation = false;
+  bool coalesced = false;
+  bool one_rtt = false;
+  for (const bytes& wire : wires) {
+    const auto packets = parse_datagram(wire);
+    coalesced = coalesced || packets.size() > 1;
+    for (const packet& p : packets) {
+      retry = retry || p.type == packet_type::retry;
+      negotiation = negotiation || p.is_version_negotiation();
+      one_rtt = one_rtt || p.type == packet_type::one_rtt;
+    }
+  }
+  ASSERT_TRUE(retry && negotiation && coalesced && one_rtt);
+
+  // Truncations at every 7th byte (from an offset each seed moves), bit
+  // flips and spliced zero runs, all parsed into one set of slots: a
+  // mutant parses as it would into fresh slots, or throws codec_error.
+  rng r{GetParam() ^ 0x3e41};
+  std::vector<packet> slots;
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  const auto attempt = [&](bytes_view mutant) {
+    std::span<const packet> packets;
+    try {
+      packets = parse_datagram(mutant, slots);
+    } catch (const codec_error&) {
+      ++rejected;
+      return;
+    }
+    ++parsed;
+    const std::vector<packet> fresh = parse_datagram(mutant);
+    ASSERT_EQ(packets.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      const packet& a = packets[i];
+      const packet& b = fresh[i];
+      EXPECT_TRUE(a.type == b.type && a.version == b.version &&
+                  a.dcid == b.dcid && a.scid == b.scid &&
+                  a.token == b.token && a.packet_number == b.packet_number &&
+                  a.supported_versions == b.supported_versions &&
+                  a.frames.size() == b.frames.size());
+    }
+    EXPECT_EQ(encode_datagram(packets), encode_datagram(fresh));
+  };
+  for (const bytes& wire : wires) {
+    for (std::size_t cut = GetParam() % 7; cut < wire.size(); cut += 7) {
+      attempt({wire.data(), cut});
+    }
+    for (int round = 0; round < 20; ++round) {
+      attempt(flip_one_bit(r, wire));
+      attempt(splice_zero_run(r, wire));
+    }
+  }
+  EXPECT_GT(parsed, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
 TEST_P(ParserFuzz, RandomBytesAreSafe) {
   rng r{GetParam()};
   for (int round = 0; round < 400; ++round) {
@@ -879,11 +1021,8 @@ TEST_P(ParserFuzz, BitFlippedDatagramsAreSafe) {
   init.frames.push_back(crypto_frame{0, crypto});
   bytes wire = encode_datagram(std::vector<packet>{init});
   for (int round = 0; round < 300; ++round) {
-    bytes mutated = wire;
-    const auto pos = r.uniform(0, mutated.size() - 1);
-    mutated[pos] ^= static_cast<std::uint8_t>(1u << r.uniform(0, 7));
     try {
-      (void)parse_datagram(mutated);
+      (void)parse_datagram(flip_one_bit(r, wire));
     } catch (const codec_error&) {
     }
   }
@@ -901,13 +1040,7 @@ TEST_P(ParserFuzz, ZeroRunsSplicedAnywhereAreSafe) {
   const bytes wire = padded_wire(init, 1200);
   std::vector<frame> frames;
   for (int round = 0; round < 300; ++round) {
-    bytes mutated = wire;
-    const auto at = static_cast<long>(r.uniform(0, mutated.size()));
-    const auto run = static_cast<std::size_t>(r.uniform(1, 1500));
-    mutated.insert(mutated.begin() + at, run, std::uint8_t{0});
-    if (r.chance(0.5)) {
-      mutated.resize(static_cast<std::size_t>(r.uniform(0, mutated.size())));
-    }
+    const bytes mutated = splice_zero_run(r, wire);
     try {
       (void)parse_datagram(mutated);
     } catch (const codec_error&) {

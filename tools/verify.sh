@@ -18,8 +18,9 @@
 #                 CERTQUIC_ASSERT on and no suppression files
 #   --bench       a Release -DCERTQUIC_WERROR=ON build of build-release/
 #                 (the optimizer's warnings differ from the default
-#                 build type's), then 2 s traced certbench census_sweep
-#                 and corpus runs that must each report "correct": true
+#                 build type's), then 2 s traced certbench census_sweep,
+#                 corpus and epochs runs that must each report
+#                 "correct": true
 #   --tidy        clang-tidy (the checked-in .clang-tidy) over src/;
 #                 skipped with a notice when run-clang-tidy is missing
 # Flags combine in any order and none drops another's stages.
@@ -182,12 +183,14 @@ sanitize_check() {
 
 # Benchmark self-check smoke. First the whole tree must build
 # warning-clean as Release (build-release/), the build type certbench
-# measures. Then a 2-second traced run of the certbench harness on
-# census_sweep (the handshake path) and on corpus (chain
-# materialization and the corpus fold). Each final JSON line carries
-# "correct": true only when every self-check passed and the seed-42
-# digest matches certbench/reference.json. certbench builds into
-# .bench_build/ like any certbench run.
+# measures. Then a 2-second traced run of the certbench harness on each
+# workload: census_sweep (the handshake path), corpus (chain
+# materialization and the corpus fold) and epochs (every handshake
+# through the codec again, then the spill writes, merge and resume).
+# Each final JSON line carries "correct": true only when every
+# self-check passed and the seed-42 digest matches
+# certbench/reference.json. certbench builds into .bench_build/ like any
+# certbench run.
 certbench_check() {
   cb_out=$(mktemp)
   cb_status=0
@@ -199,7 +202,7 @@ certbench_check() {
     echo "FAIL bench: Release -DCERTQUIC_WERROR=ON build-release/ failed"
     cb_status=1
   fi
-  for cb_workload in census_sweep corpus; do
+  for cb_workload in census_sweep corpus epochs; do
     if ! python3 certbench/run.py --workload "$cb_workload" --seed 42 \
          --seconds 2 --trace 1 > "$cb_out"; then
       echo "FAIL bench: certbench $cb_workload exited nonzero"
