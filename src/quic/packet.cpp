@@ -118,13 +118,11 @@ std::uint8_t* put_u32(std::uint8_t* at, std::uint32_t v) {
   return at + 4;
 }
 
-/// Writes `n` bytes of `data`; a null `data` is fine when `n` is 0.
-std::uint8_t* put_bytes(std::uint8_t* at, const std::uint8_t* data,
-                        std::size_t n) {
-  if (n != 0) {
-    std::memcpy(at, data, n);
+std::uint8_t* put_bytes(std::uint8_t* at, bytes_view v) {
+  if (!v.empty()) {
+    std::memcpy(at, v.data(), v.size());
   }
-  return at + n;
+  return at + v.size();
 }
 
 /// Copies a connection ID's bytes. A byte loop: GCC expands a memcpy
@@ -171,11 +169,11 @@ std::uint8_t* put_packet(std::uint8_t* at, const packet& p,
   }
   if (p.type == packet_type::retry) {
     // The token, then the retry integrity tag.
-    return put_bytes(at, p.token.data(), p.token.size()) + kAeadTagSize;
+    return put_bytes(at, p.token) + kAeadTagSize;
   }
   if (p.type == packet_type::initial) {
     at = put_varint(at, p.token.size());
-    at = put_bytes(at, p.token.data(), p.token.size());
+    at = put_bytes(at, p.token);
   }
   at = put_varint(at, protected_size(payload));
   at = put_u16(at, static_cast<std::uint16_t>(p.packet_number));
@@ -235,10 +233,17 @@ packet& parse_slot(std::vector<packet>& slots, std::size_t i) {
   return slots[i];
 }
 
-/// Reads the two-byte packet number.
-std::uint64_t read_packet_number(buffer_reader& r) {
-  const bytes_view pn = r.raw(kPacketNumberSize);
-  return (std::uint64_t{pn[0]} << 8) | pn[1];
+/// Big-endian reads through `raw`, inline here, where every datagram
+/// takes them: the reader's own u16 and u32 are calls.
+std::uint16_t read_u16(buffer_reader& r) {
+  const bytes_view v = r.raw(2);
+  return static_cast<std::uint16_t>((v[0] << 8) | v[1]);
+}
+
+std::uint32_t read_u32(buffer_reader& r) {
+  const bytes_view v = r.raw(4);
+  return (std::uint32_t{v[0]} << 24) | (std::uint32_t{v[1]} << 16) |
+         (std::uint32_t{v[2]} << 8) | v[3];
 }
 
 /// Reads a one-byte length and that many connection-ID bytes into
@@ -309,14 +314,14 @@ std::span<const packet> parse_datagram(bytes_view payload,
       if (r.remaining() < kPacketNumberSize + kAeadTagSize) {
         throw codec_error("short-header packet truncated");
       }
-      p.packet_number = read_packet_number(r);
+      p.packet_number = read_u16(r);
       parse_frames(r.raw(r.remaining() - kAeadTagSize), p.frames);
       r.skip(kAeadTagSize);
       break;
     }
     packet& p = parse_slot(slots, n++);
     p.type = static_cast<packet_type>((first >> 4) & 0x03);
-    p.version = r.u32();
+    p.version = read_u32(r);
     read_connection_id(r, p.dcid);
     read_connection_id(r, p.scid);
     p.supported_versions.clear();
@@ -329,7 +334,7 @@ std::span<const packet> parse_datagram(bytes_view payload,
       // the rest of the datagram (RFC 9000 §17.2.1).
       p.token.clear();
       while (r.remaining() >= 4) {
-        p.supported_versions.push_back(r.u32());
+        p.supported_versions.push_back(read_u32(r));
       }
       continue;
     }
@@ -355,7 +360,7 @@ std::span<const packet> parse_datagram(bytes_view payload,
     if (prot < kPacketNumberSize + kAeadTagSize) {
       throw codec_error("packet length too small");
     }
-    p.packet_number = read_packet_number(r);
+    p.packet_number = read_u16(r);
     const std::size_t frame_bytes =
         static_cast<std::size_t>(prot) - kPacketNumberSize - kAeadTagSize;
     parse_frames(r.raw(frame_bytes), p.frames);

@@ -169,8 +169,9 @@ class datagram_builder {
   /// Appends PADDING to the last packet so the datagram encodes to
   /// `target` bytes, and returns the bytes added; none when it already
   /// has `target` or more. A long header's length field widens as its
-  /// value crosses 63 and 16383, so one size just past each crossing
-  /// has no encoding: there the datagram stops one byte short. Throws
+  /// value passes 63, 16383 and 2^30 - 1, so the one size just past each
+  /// widening has no encoding: there the datagram stops one byte short.
+  /// Throws
   /// config_error when the last packet carries no frames (a Retry or
   /// Version Negotiation packet).
   std::size_t pad_to(std::size_t target);

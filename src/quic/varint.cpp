@@ -10,21 +10,4 @@ void varint_overflow(std::uint64_t v) {
   throw codec_error("varint overflow: " + std::to_string(v));
 }
 
-void write_varint(buffer_writer& w, std::uint64_t v) {
-  switch (varint_size(v)) {
-    case 1:
-      w.u8(static_cast<std::uint8_t>(v));
-      break;
-    case 2:
-      w.u16(static_cast<std::uint16_t>(v | 0x4000));
-      break;
-    case 4:
-      w.u32(static_cast<std::uint32_t>(v | 0x8000'0000u));
-      break;
-    default:
-      w.u64(v | 0xc000'0000'0000'0000ULL);
-      break;
-  }
-}
-
 }  // namespace certquic::quic

@@ -47,7 +47,9 @@ inline std::uint8_t* put_varint(std::uint8_t* at, std::uint64_t v) {
 }
 
 /// Appends the minimal QUIC varint encoding of `v`.
-void write_varint(buffer_writer& w, std::uint64_t v);
+inline void write_varint(buffer_writer& w, std::uint64_t v) {
+  (void)put_varint(w.extend(varint_size(v)).data(), v);
+}
 
 /// Reads one varint; throws codec_error on truncation.
 [[nodiscard]] inline std::uint64_t read_varint(buffer_reader& r) {

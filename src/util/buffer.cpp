@@ -18,12 +18,6 @@ void buffer_writer::u32(std::uint32_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v));
 }
 
-void buffer_writer::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
 void buffer_writer::raw(std::string_view v) { append(buf_, v); }
 
 std::size_t buffer_writer::reserve_u16() {

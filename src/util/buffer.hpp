@@ -45,8 +45,6 @@ class buffer_writer {
   void u24(std::uint32_t v);
   /// Writes a 32-bit value, big-endian.
   void u32(std::uint32_t v);
-  /// Writes a 64-bit value, big-endian.
-  void u64(std::uint64_t v);
   /// Appends raw bytes.
   void raw(bytes_view v) { append(buf_, v); }
   /// Appends raw characters of a string (no terminator, no length prefix).

@@ -312,6 +312,26 @@ TEST(Packet, PadDatagramHitsExactTarget) {
   }
 }
 
+TEST(Packet, BuilderRefusesWhatItCannotBuild) {
+  std::vector<packet> slots;
+  datagram_builder empty{slots};
+  EXPECT_THROW((void)empty.pad_to(1200), config_error);
+
+  datagram_builder full{slots};
+  for (std::size_t i = 0; i < kMaxCoalesced; ++i) {
+    (void)full.open(packet_type::handshake);
+  }
+  EXPECT_THROW((void)full.open(packet_type::one_rtt), config_error);
+
+  // Retry and Version Negotiation packets carry no frames to pad.
+  datagram_builder retry{slots};
+  retry.open(packet_type::retry).token = bytes(24, 0x7e);
+  EXPECT_THROW((void)retry.pad_to(1200), config_error);
+  datagram_builder vn{slots};
+  vn.open(packet_type::initial) = make_version_negotiation({}, {}, {1});
+  EXPECT_THROW((void)vn.pad_to(1200), config_error);
+}
+
 TEST(Packet, ParseRejectsMissingFixedBit) {
   // A non-zero first byte with neither the long-header nor the fixed
   // bit set is not a QUIC packet (a 0x00 byte would be datagram-level

@@ -19,11 +19,9 @@ TEST(BufferWriter, WritesBigEndianIntegers) {
   w.u16(0x0203);
   w.u24(0x040506);
   w.u32(0x0708090a);
-  w.u64(0x0b0c0d0e0f101112ULL);
   const bytes out = std::move(w).take();
-  const bytes expected = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
-                          0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c,
-                          0x0d, 0x0e, 0x0f, 0x10, 0x11, 0x12};
+  const bytes expected = {0x01, 0x02, 0x03, 0x04, 0x05,
+                          0x06, 0x07, 0x08, 0x09, 0x0a};
   EXPECT_EQ(out, expected);
 }
 
@@ -57,7 +55,8 @@ TEST(BufferReader, RoundTripsWriterOutput) {
   w.u16(0xbeef);
   w.u24(0xabcdef);
   w.u32(0xdeadbeef);
-  w.u64(0x0123456789abcdefULL);
+  w.u32(0x01234567);  // read back as one u64
+  w.u32(0x89abcdef);
   w.raw(std::string_view{"hi"});
   const bytes data = std::move(w).take();
 
@@ -259,7 +258,8 @@ TEST_P(BufferRoundTrip, AllWidths) {
   w.u16(static_cast<std::uint16_t>(v));
   w.u24(static_cast<std::uint32_t>(v & 0xffffff));
   w.u32(static_cast<std::uint32_t>(v));
-  w.u64(v);
+  w.u32(static_cast<std::uint32_t>(v >> 32));  // read back as one u64
+  w.u32(static_cast<std::uint32_t>(v));
   const bytes data = std::move(w).take();
   buffer_reader r{data};
   EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(v));
