@@ -54,11 +54,11 @@ struct class_mix {
 /// per plan variant, or a single slice that pools every variant. Each
 /// record steps its slice's class mix, then `fold(slice, record)` adds
 /// what is specific to the study. The listed sample sets are reserved
-/// for the records each slice will see and finalized at on_end (the
-/// sample_set contract); after that a Fold with a `finish(Slice&)`
-/// member is called once per slice. Runs on the executor's caller
-/// thread in plan order, so no locking and no per-record indirection
-/// beyond the virtual on_record.
+/// for the records each slice will see and finalized at on_end, so
+/// their means sum ascending (sample_set::finalize); after that a Fold
+/// with a `finish(Slice&)` member is called once per slice. Runs on the
+/// executor's caller thread in plan order, so no locking and no
+/// per-record indirection beyond the virtual on_record.
 template <typename Slice, typename Fold>
 class per_variant_sink : public engine::observation_sink {
  public:

@@ -4,80 +4,24 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
-
 
 namespace certquic::stats {
 
-sample_set::sample_set(const sample_set& other)
-    : samples_(other.samples_),
-      sorted_(other.sorted_.load(std::memory_order_acquire)) {}
-
-sample_set& sample_set::operator=(const sample_set& other) {
-  if (this != &other) {
-    samples_ = other.samples_;
-    sorted_.store(other.sorted_.load(std::memory_order_acquire),
-                  std::memory_order_release);
-  }
-  return *this;
-}
-
-sample_set::sample_set(sample_set&& other) noexcept
-    : samples_(std::move(other.samples_)),
-      sorted_(other.sorted_.load(std::memory_order_acquire)) {}
-
-sample_set& sample_set::operator=(sample_set&& other) noexcept {
-  if (this != &other) {
-    samples_ = std::move(other.samples_);
-    sorted_.store(other.sorted_.load(std::memory_order_acquire),
-                  std::memory_order_release);
-  }
-  return *this;
-}
-
-namespace {
-
-#if defined(CERTQUIC_ENABLE_ASSERTS)
-constexpr const char* kMutateDuringRead =
-    "sample_set: mutation while a concurrent query is in flight — "
-    "finalize() the set and stop mutating before sharing it across "
-    "threads";
-#endif
-
-}  // namespace
-
 void sample_set::add(double x) {
-  CERTQUIC_ASSERT(readers_.load(std::memory_order_acquire) == 0,
-                  kMutateDuringRead);
   samples_.push_back(x);
-  sorted_.store(false, std::memory_order_relaxed);
+  sorted_ = false;
 }
 
-void sample_set::reserve(std::size_t n) {
-  CERTQUIC_ASSERT(readers_.load(std::memory_order_acquire) == 0,
-                  kMutateDuringRead);
-  samples_.reserve(n);
-}
-
-void sample_set::finalize() { ensure_sorted(); }
+void sample_set::reserve(std::size_t n) { samples_.reserve(n); }
 
 void sample_set::ensure_sorted() const {
-  // Double-checked: the release-store below pairs with this acquire,
-  // so a thread seeing sorted_ == true also sees the sorted samples_.
-  if (sorted_.load(std::memory_order_acquire)) {
-    return;
-  }
-  const std::lock_guard<std::mutex> lock{sort_mutex_};
-  if (!sorted_.load(std::memory_order_relaxed)) {
+  if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
-    sorted_.store(true, std::memory_order_release);
+    sorted_ = true;
   }
 }
 
 double sample_set::quantile(double q) const {
-#if defined(CERTQUIC_ENABLE_ASSERTS)
-  const read_guard guard{readers_};
-#endif
   if (samples_.empty()) {
     throw std::logic_error("quantile of empty sample_set");
   }
@@ -91,9 +35,6 @@ double sample_set::quantile(double q) const {
 }
 
 double sample_set::mean() const {
-#if defined(CERTQUIC_ENABLE_ASSERTS)
-  const read_guard guard{readers_};
-#endif
   if (samples_.empty()) {
     return 0.0;
   }
@@ -102,9 +43,6 @@ double sample_set::mean() const {
 }
 
 double sample_set::fraction_at_or_below(double x) const {
-#if defined(CERTQUIC_ENABLE_ASSERTS)
-  const read_guard guard{readers_};
-#endif
   if (samples_.empty()) {
     return 0.0;
   }

@@ -2,12 +2,8 @@
 // regenerating the paper's cumulative plots.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <vector>
-
-#include "util/assert.hpp"
 
 namespace certquic::stats {
 
@@ -20,28 +16,11 @@ struct cdf_point {
 /// Stores samples and answers distribution queries.
 ///
 /// Samples are sorted lazily on first query; adding after a query is
-/// allowed and re-sorts on the next query.
-///
-/// Thread-safety contract: mutation (add/reserve) is
-/// single-threaded, like any container. Const queries are safe to call
-/// concurrently — the lazy sort is guarded, so the first query from
-/// any thread sorts exactly once and later queries are pure reads.
-/// Aggregators that share a finished set across threads should still
-/// call finalize() once before publishing it; that makes every
-/// subsequent query lock-free instead of paying the guard's fast-path
-/// atomic load under contention.
+/// allowed and re-sorts on the next query. A plain single-threaded
+/// container: neither mutation nor the const queries (which may sort)
+/// are synchronized, so a set is used from one thread at a time.
 class sample_set {
  public:
-  sample_set() = default;
-  // The sort guard (a mutex) is per-object state, not data: copies and
-  // moves transfer the samples and sort flag and get fresh guards.
-  // Copying concurrently with a query on the source is outside the
-  // contract above (it reads samples_ unguarded).
-  sample_set(const sample_set& other);
-  sample_set& operator=(const sample_set& other);
-  sample_set(sample_set&& other) noexcept;
-  sample_set& operator=(sample_set&& other) noexcept;
-
   /// Adds one observation.
   void add(double x);
   /// Pre-allocates capacity for `n` total samples; hot aggregation
@@ -49,10 +28,11 @@ class sample_set {
   /// do not pay reallocation churn per add().
   void reserve(std::size_t n);
 
-  /// Sorts eagerly so the set can be shared read-only across threads
-  /// with no synchronization on the query path. Called by aggregators
-  /// in on_end(), before results fan out to parallel readers.
-  void finalize();
+  /// Sorts the stored samples now. Quantile queries sort lazily anyway;
+  /// what this fixes is mean(), which sums in stored order. Aggregators
+  /// call it at on_end so their means sum ascending, the order the
+  /// pinned digests were taken in.
+  void finalize() { ensure_sorted(); }
 
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
@@ -64,6 +44,8 @@ class sample_set {
   [[nodiscard]] double median() const { return quantile(0.5); }
   [[nodiscard]] double min() const { return quantile(0.0); }
   [[nodiscard]] double max() const { return quantile(1.0); }
+  /// Arithmetic mean, summed in stored order: insertion order until a
+  /// query or finalize() sorts the set, ascending after. 0 when empty.
   [[nodiscard]] double mean() const;
 
   /// Empirical CDF at x: fraction of samples <= x. 0 for an empty set.
@@ -78,34 +60,8 @@ class sample_set {
  private:
   void ensure_sorted() const;
 
-#if defined(CERTQUIC_ENABLE_ASSERTS)
-  /// Debug invariant check: queries bump this counter for their
-  /// duration, and mutation asserts it is zero — catching the
-  /// out-of-contract shape (an aggregator mutating a set it already
-  /// published to concurrent readers, i.e. a missing finalize-then-
-  /// stop-mutating handoff) with a named failure instead of a silent
-  /// race.
-  class read_guard {
-   public:
-    explicit read_guard(std::atomic<int>& readers) noexcept
-        : readers_(readers) {
-      readers_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~read_guard() { readers_.fetch_sub(1, std::memory_order_acq_rel); }
-    read_guard(const read_guard&) = delete;
-    read_guard& operator=(const read_guard&) = delete;
-
-   private:
-    std::atomic<int>& readers_;
-  };
-  mutable std::atomic<int> readers_{0};
-#endif
-
   mutable std::vector<double> samples_;
-  /// Guards the lazy sort only; queries after the acquire-load of
-  /// sorted_ touch samples_ without locking.
-  mutable std::mutex sort_mutex_;
-  mutable std::atomic<bool> sorted_{true};
+  mutable bool sorted_ = true;
 };
 
 }  // namespace certquic::stats

@@ -2,7 +2,7 @@
 //
 // CERTQUIC_ASSERT(cond, msg) polices invariants that the golden tests
 // only catch indirectly (sink lifecycle order, plan-order monotonicity
-// in the sequencer and spill merge, sample_set mutation racing reads).
+// in the sequencer and spill merge).
 // The checks are ON when CERTQUIC_ENABLE_ASSERTS is defined — which the
 // build system does for Debug builds and for every sanitized build
 // (CERTQUIC_SANITIZE, see the root CMakeLists.txt) — and compile to

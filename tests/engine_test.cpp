@@ -52,8 +52,12 @@ std::string digest(const stats::sample_set& s) {
   std::ostringstream out;
   out << s.size();
   if (!s.empty()) {
-    // mean() sums in insertion order — it detects reordered merges that
-    // the sorted quantiles would mask.
+    // mean() sums in stored order. For a set that nothing sorts before
+    // this digest, such as the compression and telescope studies',
+    // that is insertion order, so it detects reordered merges that the
+    // sorted quantiles would mask. The census, ack-sweep, pqc and ttfb
+    // sets are finalized at on_end, so their means sum ascending and
+    // are as blind to order as the quantiles.
     out << ' ' << full(s.mean()) << ' ' << full(s.min()) << ' '
         << full(s.median()) << ' ' << full(s.max());
   }

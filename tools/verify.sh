@@ -177,7 +177,7 @@ sanitize_check() {
           -DCERTQUIC_SANITIZE=thread &&
     cmake --build build-tsan -j "$jobs" &&
     (cd build-tsan && ctest --output-on-failure -j "$jobs" "$@" -R \
-      '^(core_test|engine_test|executor_test|outofcore_test|service_test|ttfb_test|pqc_test|stats_test|net_test)$') &&
+      '^(core_test|engine_test|executor_test|outofcore_test|service_test|ttfb_test|pqc_test|net_test)$') &&
   echo "OK   sanitize: ASan+UBSan tier-1 and TSan threaded suites clean"
 }
 
